@@ -18,18 +18,38 @@ use ags_core::config::PipelineConfig;
 use ags_core::{AgsConfig, AgsSlam, PipelinedAgsSlam};
 use ags_math::parallel::Parallelism;
 use ags_math::{Se3, Vec3};
+use ags_neural::DroidBackbone;
 use ags_scene::dataset::{Dataset, DatasetConfig, SceneId};
 use ags_scene::PinholeCamera;
 use ags_sim::{GpeArrayConfig, GpeArraySim};
 use ags_splat::render::{render, RenderOptions};
 use ags_splat::{BackendKind, Gaussian, GaussianCloud};
+use ags_track::coarse::{CoarseConfig, CoarseTracker};
 use std::hint::black_box;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Instant;
 
 /// Median wall-clock seconds of one invocation over `samples` timed batches.
-fn time_it<F: FnMut()>(samples: usize, iters: usize, mut f: F) -> f64 {
+fn time_it<F: FnMut()>(samples: usize, iters: usize, f: F) -> f64 {
+    time_spread(samples, iters, f).median
+}
+
+/// Median-of-N timing with the spread it was taken from, in seconds.
+struct Spread {
+    median: f64,
+    min: f64,
+    max: f64,
+}
+
+impl Spread {
+    fn scaled(self, factor: f64) -> Self {
+        Self { median: self.median * factor, min: self.min * factor, max: self.max * factor }
+    }
+}
+
+/// Wall-clock seconds of one invocation over `samples` timed batches.
+fn time_spread<F: FnMut()>(samples: usize, iters: usize, mut f: F) -> Spread {
     f(); // warm-up
     let mut per_iter: Vec<f64> = (0..samples)
         .map(|_| {
@@ -41,7 +61,11 @@ fn time_it<F: FnMut()>(samples: usize, iters: usize, mut f: F) -> f64 {
         })
         .collect();
     per_iter.sort_unstable_by(f64::total_cmp);
-    per_iter[per_iter.len() / 2]
+    Spread {
+        median: per_iter[per_iter.len() / 2],
+        min: per_iter[0],
+        max: per_iter[per_iter.len() - 1],
+    }
 }
 
 struct MeResult {
@@ -1208,6 +1232,59 @@ fn bench_compaction() -> CompactionResult {
     }
 }
 
+struct BackboneResult {
+    width: usize,
+    height: usize,
+    gru_iterations: u32,
+    macs: u64,
+    samples: usize,
+    /// One `DroidBackbone::run` (encoder + GRU iterations).
+    backbone_ms: Spread,
+    gmac_per_s: f64,
+    /// One `CoarseTracker::track` of a frame after the first: pyramid,
+    /// backbone and the Gauss–Newton alignment.
+    coarse_track_ms: Spread,
+}
+
+/// The coarse tracker's always-on cost at the end-to-end bench's frame
+/// size: the neural backbone alone, and the whole coarse `track` call.
+fn bench_backbone() -> BackboneResult {
+    const SAMPLES: usize = 9;
+    let coarse = CoarseConfig::default();
+    let data = e2e_dataset(10, 96, 72);
+    let (width, height) = (data.camera.width, data.camera.height);
+    let grays: Vec<_> = data.frames.iter().map(|f| f.rgb.to_gray()).collect();
+
+    let mut backbone = DroidBackbone::new(1, coarse.gru_iterations);
+    let macs = backbone.predict_macs(width, height);
+    let (hidden, report) = backbone.run(&grays[1], &grays[0]);
+    let hidden = hidden.clone();
+    assert_eq!(report.total_macs(), macs, "backbone report disagrees with predict_macs");
+    assert_eq!(backbone.run(&grays[1], &grays[0]).0, &hidden, "backbone run is not repeatable");
+    let backbone_time = time_spread(SAMPLES, 20, || {
+        black_box(backbone.run(black_box(&grays[1]), black_box(&grays[0])));
+    });
+
+    let tracked = grays.len() - 1;
+    let coarse_track_time = time_spread(SAMPLES, 1, || {
+        let mut tracker = CoarseTracker::new(coarse);
+        for (gray, frame) in grays.iter().zip(&data.frames) {
+            black_box(tracker.track(&data.camera, gray, &frame.depth, Se3::IDENTITY));
+        }
+    });
+
+    BackboneResult {
+        width,
+        height,
+        gru_iterations: coarse.gru_iterations,
+        macs,
+        samples: SAMPLES,
+        gmac_per_s: macs as f64 / backbone_time.median / 1e9,
+        backbone_ms: backbone_time.scaled(1e3),
+        coarse_track_ms: coarse_track_time.scaled(1e3 / tracked as f64),
+    }
+}
+
 fn bench_gpe_sim() -> f64 {
     let sim = GpeArraySim::new(GpeArrayConfig::default());
     let evals: Vec<u16> = (0..256).map(|i| 10 + (i % 37) as u16).collect();
@@ -1269,6 +1346,19 @@ fn main() {
     );
     let gpe_ns = bench_gpe_sim();
     println!("gpe cycle model                 256 px: {gpe_ns:>12.0} ns/tile");
+    let bb = bench_backbone();
+    println!(
+        "coarse-tracking backbone       {}x{}:  run {:>7.3} ms [{:.3}..{:.3}]  {:>6.2} GMAC/s   coarse track {:>7.3} ms/frame [{:.3}..{:.3}]",
+        bb.width,
+        bb.height,
+        bb.backbone_ms.median,
+        bb.backbone_ms.min,
+        bb.backbone_ms.max,
+        bb.gmac_per_s,
+        bb.coarse_track_ms.median,
+        bb.coarse_track_ms.min,
+        bb.coarse_track_ms.max
+    );
     let e2e = bench_end_to_end(parallel);
     println!(
         "end-to-end process_frame       {}x{}:  serial {:>8.2} frames/s  parallel {:>8.2} frames/s  overlapped {:>8.2} frames/s ({:.2}x)",
@@ -1403,6 +1493,19 @@ fn main() {
     "speedup": {:.3}
   }},
   "gpe_sim_ns_per_tile": {:.1},
+  "backbone": {{
+    "frame": [{}, {}],
+    "gru_iterations": {},
+    "macs": {},
+    "samples": {},
+    "backbone_ms": {:.4},
+    "backbone_ms_min": {:.4},
+    "backbone_ms_max": {:.4},
+    "backbone_gmac_s": {:.3},
+    "coarse_track_ms": {:.4},
+    "coarse_track_ms_min": {:.4},
+    "coarse_track_ms_max": {:.4}
+  }},
   "end_to_end": {{
     "frame": [{}, {}],
     "frames": {},
@@ -1510,6 +1613,18 @@ fn main() {
         raster.parallel_tiles_per_s,
         raster.speedup,
         gpe_ns,
+        bb.width,
+        bb.height,
+        bb.gru_iterations,
+        bb.macs,
+        bb.samples,
+        bb.backbone_ms.median,
+        bb.backbone_ms.min,
+        bb.backbone_ms.max,
+        bb.gmac_per_s,
+        bb.coarse_track_ms.median,
+        bb.coarse_track_ms.min,
+        bb.coarse_track_ms.max,
         e2e.width,
         e2e.height,
         e2e.frames,

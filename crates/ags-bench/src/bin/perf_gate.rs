@@ -20,6 +20,8 @@
 //!   aggregate on the shared worker pool)
 //! * `compacted_frames_per_s` (the map-heavy serial driver with compaction
 //!   on — pruning and quantization must not cost throughput)
+//! * `backbone_gmac_s` (multiply-accumulate rate of one coarse-tracking
+//!   `DroidBackbone::run` — the convolution kernel every frame pays for)
 //!
 //! Some metrics are gated against an **absolute ceiling** instead of the
 //! baseline: `checkpoint_overhead_pct` (the slowdown the async durability
@@ -66,7 +68,7 @@ use std::process::ExitCode;
 /// The gated metrics: end-to-end frames/s and batched-ME pairs/s (higher is
 /// better). Note `overlapped_frames_per_s` resolves to its **first**
 /// occurrence — the main `end_to_end` entry, not `map_heavy`'s nested copy.
-const GATED_KEYS: [&str; 7] = [
+const GATED_KEYS: [&str; 8] = [
     "serial_frames_per_s",
     "parallel_frames_per_s",
     "overlapped_frames_per_s",
@@ -74,6 +76,7 @@ const GATED_KEYS: [&str; 7] = [
     "map_overlapped_frames_per_s",
     "s2_aggregate_frames_per_s",
     "compacted_frames_per_s",
+    "backbone_gmac_s",
 ];
 
 /// Metrics with a hardware-independent ceiling (lower is better): the gate
@@ -434,6 +437,28 @@ mod tests {
         let err = run(&baseline, &no_delta, 0.25).unwrap_err();
         assert!(err.contains("compaction_delta_bytes_per_epoch"), "{err}");
         assert!(err.contains("missing"), "{err}");
+    }
+
+    #[test]
+    fn gates_backbone_mac_rate_regressions() {
+        let with_backbone = |gmac_s: f64| {
+            let d = doc(10.0, 10.0, 10.0);
+            format!(
+                r#"{}, "backbone": {{ "backbone_ms": 1.8, "backbone_ms_min": 1.7,
+                   "backbone_gmac_s": {gmac_s} }} }}"#,
+                &d[..d.rfind('}').unwrap()]
+            )
+        };
+        let baseline = with_backbone(8.0);
+        // -20% is inside the budget; a faster kernel always passes.
+        assert!(run(&baseline, &with_backbone(6.4), 0.25).is_ok());
+        assert!(run(&baseline, &with_backbone(12.0), 0.25).is_ok());
+        // Falling back towards the scalar loop's 0.6 GMAC/s fails.
+        let err = run(&baseline, &with_backbone(0.6), 0.25).unwrap_err();
+        assert!(err.contains("backbone_gmac_s"), "{err}");
+        // Dropped from the current output while the baseline had it: fails.
+        let err = run(&baseline, &doc(10.0, 10.0, 10.0), 0.25).unwrap_err();
+        assert!(err.contains("backbone_gmac_s") && err.contains("missing"), "{err}");
     }
 
     /// Appends a `vectorized_map_speedup` entry to a `doc()` document the

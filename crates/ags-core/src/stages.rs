@@ -202,8 +202,8 @@ impl TrackStage {
     ) -> TrackOutput {
         let rgb = input.images.rgb();
         let depth = input.images.depth();
-        let gray = rgb.to_gray();
-        let coarse_result = self.coarse.track(input.camera, &gray, depth, Se3::IDENTITY);
+        let coarse_result =
+            self.coarse.track_owned(input.camera, rgb.to_gray(), depth, Se3::IDENTITY);
         let coarse = WorkUnits {
             nn_macs: coarse_result.backbone.total_macs(),
             gn_rows: coarse_result.gn_rows,

@@ -1,6 +1,6 @@
 //! The assembled Droid-style backbone: feature encoder + ConvGRU updates.
 
-use crate::layers::{Conv2d, ConvGru};
+use crate::layers::{Conv2d, ConvGru, GruScratch};
 use crate::tensor::Tensor;
 use ags_image::GrayImage;
 use ags_math::Pcg32;
@@ -36,6 +36,20 @@ pub struct DroidBackbone {
     gru: ConvGru,
     /// GRU iterations per frame (Droid-SLAM uses ~8–12 update steps).
     pub gru_iterations: u32,
+    /// Activation buffers reused across GRU iterations and frames. Every
+    /// [`Self::run`] overwrites all of them before reading, so they carry
+    /// no state from one run to the next.
+    scratch: Activations,
+}
+
+#[derive(Debug, Clone, Default)]
+struct Activations {
+    input: Tensor,
+    enc1_out: Tensor,
+    enc2_out: Tensor,
+    features: Tensor,
+    hidden: Tensor,
+    gru: GruScratch,
 }
 
 impl DroidBackbone {
@@ -53,12 +67,16 @@ impl DroidBackbone {
             enc3: Conv2d::new(12, Self::FEATURE_CHANNELS, 3, 2, 1, &mut rng),
             gru: ConvGru::new(Self::HIDDEN_CHANNELS, Self::FEATURE_CHANNELS, &mut rng),
             gru_iterations,
+            scratch: Activations::default(),
         }
     }
 
-    /// Total parameter count.
+    /// Total parameter count (encoder and update operator).
     pub fn num_params(&self) -> usize {
-        self.enc1.num_params() + self.enc2.num_params() + self.enc3.num_params()
+        self.enc1.num_params()
+            + self.enc2.num_params()
+            + self.enc3.num_params()
+            + self.gru.num_params()
     }
 
     /// Runs the backbone over a frame pair (current + previous luminance),
@@ -72,34 +90,37 @@ impl DroidBackbone {
     /// # Panics
     ///
     /// Panics when the two images have different dimensions.
-    pub fn run(&self, current: &GrayImage, previous: &GrayImage) -> (Tensor, BackboneReport) {
+    pub fn run(&mut self, current: &GrayImage, previous: &GrayImage) -> (&Tensor, BackboneReport) {
         assert_eq!(current.width(), previous.width(), "frame width mismatch");
         assert_eq!(current.height(), previous.height(), "frame height mismatch");
+        let Activations { input, enc1_out, enc2_out, features, hidden, gru } = &mut self.scratch;
 
         // Two-channel input: current frame and temporal difference.
-        let n = current.len();
-        let mut data = Vec::with_capacity(2 * n);
-        data.extend_from_slice(current.pixels());
-        data.extend(current.pixels().iter().zip(previous.pixels()).map(|(&c, &p)| c - p));
-        let input = Tensor::from_vec(2, current.height(), current.width(), data);
+        input.resize(2, current.height(), current.width());
+        let (frame, diff) = input.data_mut().split_at_mut(current.len());
+        frame.copy_from_slice(current.pixels());
+        for ((d, &c), &p) in diff.iter_mut().zip(current.pixels()).zip(previous.pixels()) {
+            *d = c - p;
+        }
 
         let mut report = BackboneReport::default();
-        let (h0, w0) = (input.height(), input.width());
-        report.encoder_macs += self.enc1.macs(h0, w0);
-        let mut x = self.enc1.forward(&input);
-        x.relu_inplace();
-        report.encoder_macs += self.enc2.macs(x.height(), x.width());
-        let mut x2 = self.enc2.forward(&x);
-        x2.relu_inplace();
-        report.encoder_macs += self.enc3.macs(x2.height(), x2.width());
-        let mut features = self.enc3.forward(&x2);
+        report.encoder_macs += self.enc1.macs(input.height(), input.width());
+        self.enc1.forward_into(&[input], enc1_out);
+        enc1_out.relu_inplace();
+        report.encoder_macs += self.enc2.macs(enc1_out.height(), enc1_out.width());
+        self.enc2.forward_into(&[enc1_out], enc2_out);
+        enc2_out.relu_inplace();
+        report.encoder_macs += self.enc3.macs(enc2_out.height(), enc2_out.width());
+        self.enc3.forward_into(&[enc2_out], features);
         features.relu_inplace();
-        report.activation_bytes += 4 * (x.len() as u64 + x2.len() as u64 + features.len() as u64);
+        report.activation_bytes +=
+            4 * (enc1_out.len() as u64 + enc2_out.len() as u64 + features.len() as u64);
 
-        let mut hidden = Tensor::zeros(Self::HIDDEN_CHANNELS, features.height(), features.width());
+        hidden.resize(Self::HIDDEN_CHANNELS, features.height(), features.width());
+        hidden.data_mut().fill(0.0);
         for _ in 0..self.gru_iterations {
             report.gru_macs += self.gru.macs(features.height(), features.width());
-            hidden = self.gru.step(&hidden, &features);
+            self.gru.step(hidden, features, gru);
             report.activation_bytes += 4 * hidden.len() as u64;
         }
         report.iterations = self.gru_iterations;
@@ -123,13 +144,17 @@ mod tests {
     use super::*;
 
     fn frame(seed: u64) -> GrayImage {
+        frame_sized(seed, 32, 24)
+    }
+
+    fn frame_sized(seed: u64, w: usize, h: usize) -> GrayImage {
         let mut rng = Pcg32::seeded(seed);
-        GrayImage::from_vec(32, 24, (0..32 * 24).map(|_| rng.next_f32()).collect())
+        GrayImage::from_vec(w, h, (0..w * h).map(|_| rng.next_f32()).collect())
     }
 
     #[test]
     fn run_produces_eighth_resolution_state() {
-        let bb = DroidBackbone::new(1, 4);
+        let mut bb = DroidBackbone::new(1, 4);
         let (hidden, report) = bb.run(&frame(1), &frame(2));
         assert_eq!(hidden.channels(), DroidBackbone::HIDDEN_CHANNELS);
         assert_eq!(hidden.height(), 3); // 24 / 8
@@ -140,15 +165,21 @@ mod tests {
 
     #[test]
     fn report_matches_prediction() {
-        let bb = DroidBackbone::new(2, 6);
+        let mut bb = DroidBackbone::new(2, 6);
         let (_, report) = bb.run(&frame(3), &frame(4));
         assert_eq!(report.total_macs(), bb.predict_macs(32, 24));
+        // The benchmark's frame sizes (odd halvings included).
+        for (w, h) in [(56, 42), (60, 45), (44, 33)] {
+            let img = GrayImage::new(w, h);
+            let (_, report) = bb.run(&img, &img);
+            assert_eq!(report.total_macs(), bb.predict_macs(w, h), "{w}x{h}");
+        }
     }
 
     #[test]
     fn deterministic_across_instances() {
-        let a = DroidBackbone::new(9, 3);
-        let b = DroidBackbone::new(9, 3);
+        let mut a = DroidBackbone::new(9, 3);
+        let mut b = DroidBackbone::new(9, 3);
         let (ha, _) = a.run(&frame(5), &frame(6));
         let (hb, _) = b.run(&frame(5), &frame(6));
         assert_eq!(ha.data(), hb.data());
@@ -156,10 +187,36 @@ mod tests {
 
     #[test]
     fn different_inputs_different_states() {
-        let bb = DroidBackbone::new(4, 3);
-        let (ha, _) = bb.run(&frame(1), &frame(2));
+        let mut bb = DroidBackbone::new(4, 3);
+        let ha = bb.run(&frame(1), &frame(2)).0.clone();
         let (hb, _) = bb.run(&frame(7), &frame(8));
         assert_ne!(ha.data(), hb.data());
+    }
+
+    #[test]
+    fn scratch_reuse_leaks_no_state() {
+        // Same inputs after an unrelated run — at another frame size, so
+        // every buffer was re-dimensioned in between — give the same bits
+        // and the same report as a fresh backbone.
+        let mut bb = DroidBackbone::new(4, 3);
+        let (first, first_report) = bb.run(&frame(1), &frame(2));
+        let first = first.clone();
+        let big = GrayImage::from_vec(40, 40, vec![0.7; 1600]);
+        bb.run(&big, &frame_sized(9, 40, 40));
+        let (again, again_report) = bb.run(&frame(1), &frame(2));
+        assert_eq!(again.bits(), first.bits());
+        assert_eq!(again_report, first_report);
+        let mut fresh = DroidBackbone::new(4, 3);
+        assert_eq!(fresh.run(&frame(1), &frame(2)).0.bits(), first.bits());
+    }
+
+    #[test]
+    fn num_params_counts_encoder_and_gru() {
+        // enc1 2→8, enc2 8→12, enc3 12→16, three 32→16 gate convs, all 3×3.
+        let encoder = (2 * 8 * 9 + 8) + (8 * 12 * 9 + 12) + (12 * 16 * 9 + 16);
+        let gru = 3 * (32 * 16 * 9 + 16);
+        assert_eq!(DroidBackbone::new(1, 8).num_params(), encoder + gru);
+        assert_eq!(encoder + gru, 16_644);
     }
 
     #[test]
@@ -175,7 +232,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "width mismatch")]
     fn mismatched_frames_panic() {
-        let bb = DroidBackbone::new(1, 1);
+        let mut bb = DroidBackbone::new(1, 1);
         let a = GrayImage::new(16, 16);
         let b = GrayImage::new(8, 16);
         let _ = bb.run(&a, &b);

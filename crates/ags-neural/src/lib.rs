@@ -7,7 +7,8 @@
 //!
 //! * [`Tensor`] — a minimal `(channels, height, width)` float tensor.
 //! * [`Conv2d`] — strided, padded 2D convolution with deterministic
-//!   initialisation and exact MAC accounting.
+//!   initialisation and exact MAC accounting, computed by a channel-blocked
+//!   kernel under a fixed accumulation order (see [`layers`]).
 //! * [`ConvGru`] — a convolutional GRU cell (the Droid-SLAM update operator).
 //! * [`DroidBackbone`] — the assembled encoder + iterative update network
 //!   with workload reporting for the hardware cost models (the systolic
@@ -27,5 +28,5 @@ pub mod layers;
 pub mod tensor;
 
 pub use backbone::{BackboneReport, DroidBackbone};
-pub use layers::{Conv2d, ConvGru};
+pub use layers::{Conv2d, ConvGru, GruScratch};
 pub use tensor::Tensor;

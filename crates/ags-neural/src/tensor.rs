@@ -2,8 +2,9 @@
 
 use ags_image::GrayImage;
 
-/// A `(channels, height, width)` tensor of `f32`.
-#[derive(Debug, Clone, PartialEq)]
+/// A `(channels, height, width)` tensor of `f32`. The default is the empty
+/// `(0, 0, 0)` tensor — the starting state of a reusable output buffer.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Tensor {
     channels: usize,
     height: usize,
@@ -25,6 +26,13 @@ impl Tensor {
     pub fn from_vec(channels: usize, height: usize, width: usize, data: Vec<f32>) -> Self {
         assert_eq!(data.len(), channels * height * width, "tensor data length mismatch");
         Self { channels, height, width, data }
+    }
+
+    /// Re-dimensions the tensor in place, keeping its allocation. Element
+    /// values are unspecified afterwards: the caller overwrites all of them.
+    pub fn resize(&mut self, channels: usize, height: usize, width: usize) {
+        (self.channels, self.height, self.width) = (channels, height, width);
+        self.data.resize(channels * height * width, 0.0);
     }
 
     /// Wraps a luminance image as a 1-channel tensor.
@@ -109,12 +117,14 @@ impl Tensor {
         }
     }
 
-    /// Concatenates two tensors along the channel axis.
+    /// Concatenates two tensors along the channel axis (test oracles only:
+    /// [`crate::Conv2d::forward_into`] reads channel ranges in place).
     ///
     /// # Panics
     ///
     /// Panics when spatial dimensions differ.
-    pub fn concat_channels(&self, other: &Tensor) -> Tensor {
+    #[cfg(test)]
+    pub(crate) fn concat_channels(&self, other: &Tensor) -> Tensor {
         assert_eq!(
             (self.height, self.width),
             (other.height, other.width),
@@ -124,6 +134,12 @@ impl Tensor {
         data.extend_from_slice(&self.data);
         data.extend_from_slice(&other.data);
         Tensor::from_vec(self.channels + other.channels, self.height, self.width, data)
+    }
+
+    /// The elements' bit patterns, for exact-equality assertions.
+    #[cfg(test)]
+    pub(crate) fn bits(&self) -> Vec<u32> {
+        self.data.iter().map(|v| v.to_bits()).collect()
     }
 
     /// Mean of all elements (0.0 when empty).

@@ -80,11 +80,12 @@ pub struct CoarseTracker {
     velocity: Se3,
 }
 
+/// Level 0 of `pyramid` is the full-resolution frame itself: the backbone's
+/// `previous` input and what [`CoarseTracker::export_state`] stores.
 #[derive(Debug)]
 struct PreviousFrame {
     pyramid: RgbdPyramid,
     pose: Se3,
-    gray: GrayImage,
 }
 
 /// Serializable snapshot of the previous-frame reference.
@@ -102,8 +103,9 @@ pub struct PreviousFrameState {
 }
 
 /// Serializable tracker state — what a stream checkpoint captures. The
-/// neural backbone is seeded from configuration and `run` is pure, so it
-/// carries no state of its own.
+/// neural backbone is seeded from configuration and every `run` overwrites
+/// its activation buffers before reading them, so it carries no state of
+/// its own.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CoarseTrackerState {
     /// Previous-frame reference, `None` before the first frame.
@@ -128,11 +130,8 @@ impl CoarseTracker {
         &self.config
     }
 
-    /// Tracks the next frame, returning the coarse pose estimate.
-    ///
-    /// The first frame returns `initial_pose` unchanged (by convention SLAM
-    /// anchors the first camera). Subsequent frames are aligned against the
-    /// previous frame with the constant-velocity model as initialisation.
+    /// [`Self::track_owned`] on a copy of `gray`, for callers that keep
+    /// their luminance image.
     pub fn track(
         &mut self,
         camera: &PinholeCamera,
@@ -140,10 +139,27 @@ impl CoarseTracker {
         depth: &DepthImage,
         initial_pose: Se3,
     ) -> CoarseResult {
-        let pyramid = RgbdPyramid::build(gray.clone(), depth.clone(), self.config.pyramid_levels);
+        self.track_owned(camera, gray.clone(), depth, initial_pose)
+    }
+
+    /// Tracks the next frame, returning the coarse pose estimate. `gray`
+    /// becomes level 0 of the frame's pyramid, which the tracker keeps as
+    /// the next frame's reference.
+    ///
+    /// The first frame returns `initial_pose` unchanged (by convention SLAM
+    /// anchors the first camera). Subsequent frames are aligned against the
+    /// previous frame with the constant-velocity model as initialisation.
+    pub fn track_owned(
+        &mut self,
+        camera: &PinholeCamera,
+        gray: GrayImage,
+        depth: &DepthImage,
+        initial_pose: Se3,
+    ) -> CoarseResult {
+        let pyramid = RgbdPyramid::build(gray, depth.clone(), self.config.pyramid_levels);
 
         let Some(prev) = self.previous.take() else {
-            self.previous = Some(PreviousFrame { pyramid, pose: initial_pose, gray: gray.clone() });
+            self.previous = Some(PreviousFrame { pyramid, pose: initial_pose });
             return CoarseResult {
                 pose: initial_pose,
                 photometric_error: 0.0,
@@ -155,7 +171,7 @@ impl CoarseTracker {
         };
 
         // Run the neural backbone (workload + feature state).
-        let (_, backbone_report) = self.backbone.run(gray, &prev.gray);
+        let (_, backbone_report) = self.backbone.run(&pyramid.gray[0], &prev.pyramid.gray[0]);
 
         // Initialise relative pose (prev cam -> cur cam) from the motion model.
         let mut rel = self.velocity;
@@ -199,7 +215,7 @@ impl CoarseTracker {
         // c2w_cur = c2w_prev * rel⁻¹.
         let pose = (prev.pose * rel.inverse()).renormalized();
         self.velocity = rel;
-        self.previous = Some(PreviousFrame { pyramid, pose, gray: gray.clone() });
+        self.previous = Some(PreviousFrame { pyramid, pose });
 
         CoarseResult {
             pose,
@@ -217,7 +233,7 @@ impl CoarseTracker {
     pub fn export_state(&self) -> CoarseTrackerState {
         CoarseTrackerState {
             previous: self.previous.as_ref().map(|prev| PreviousFrameState {
-                gray: prev.gray.clone(),
+                gray: prev.pyramid.gray[0].clone(),
                 depth: prev.pyramid.depth[0].clone(),
                 pose: prev.pose,
             }),
@@ -234,7 +250,6 @@ impl CoarseTracker {
                 self.config.pyramid_levels,
             ),
             pose: prev.pose,
-            gray: prev.gray.clone(),
         });
         self.velocity = state.velocity;
     }
@@ -242,10 +257,13 @@ impl CoarseTracker {
     /// Overrides the stored pose of the previous frame (called after fine
     /// refinement corrects the coarse estimate, so the next frame chains
     /// from the refined pose).
+    ///
+    /// Only the pose is replaced. The constant-velocity model deliberately
+    /// keeps the coarse estimate of the last relative motion, although that
+    /// motion ended at the uncorrected pose: it only seeds the next frame's
+    /// Gauss–Newton iterations.
     pub fn correct_pose(&mut self, refined: Se3) {
         if let Some(prev) = self.previous.as_mut() {
-            // Also correct the velocity so the motion model stays consistent:
-            // rel_estimated was relative to the uncorrected pose.
             prev.pose = refined;
         }
     }
@@ -473,6 +491,33 @@ mod tests {
         let r = tracker.track(&data.camera, &g1, &data.frames[1].depth, data.frames[0].gt_pose);
         // The next estimate chains from the corrected pose.
         assert!(r.pose.translation.x > 5.0);
+    }
+
+    #[test]
+    fn exported_state_is_the_input_frame_and_restores_bit_identically() {
+        let config =
+            DatasetConfig { width: 64, height: 48, num_frames: 3, ..DatasetConfig::tiny() };
+        let data = Dataset::generate(SceneId::Xyz, &config);
+        let grays: Vec<GrayImage> = data.frames.iter().map(|f| f.rgb.to_gray()).collect();
+        let mut tracker = CoarseTracker::new(CoarseConfig::default());
+        for (gray, frame) in grays.iter().zip(&data.frames).take(2) {
+            tracker.track(&data.camera, gray, &frame.depth, Se3::IDENTITY);
+        }
+        // The state stores the full-resolution inputs of the last frame —
+        // pyramid level 0, not a separate copy.
+        let state = tracker.export_state();
+        let previous = state.previous.as_ref().expect("two frames tracked");
+        assert_eq!(previous.gray, grays[1]);
+        assert_eq!(previous.depth, data.frames[1].depth);
+
+        let mut restored = CoarseTracker::new(CoarseConfig::default());
+        restored.restore_state(&state);
+        assert_eq!(restored.export_state(), state);
+        let depth = &data.frames[2].depth;
+        let a = tracker.track(&data.camera, &grays[2], depth, Se3::IDENTITY);
+        let b = restored.track_owned(&data.camera, grays[2].clone(), depth, Se3::IDENTITY);
+        assert_eq!(a.pose, b.pose);
+        assert_eq!((a.backbone, a.gn_rows, a.samples), (b.backbone, b.gn_rows, b.samples));
     }
 
     #[test]
