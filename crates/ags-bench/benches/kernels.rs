@@ -22,7 +22,10 @@ use ags_neural::DroidBackbone;
 use ags_scene::dataset::{Dataset, DatasetConfig, SceneId};
 use ags_scene::PinholeCamera;
 use ags_sim::{GpeArrayConfig, GpeArraySim};
-use ags_splat::render::{render, RenderOptions};
+use ags_splat::backward::{backward_with, GradMode};
+use ags_splat::loss::compute_loss;
+use ags_splat::render::{rasterize, render, RenderOptions};
+use ags_splat::train::{train_pass, TrainScratch};
 use ags_splat::{BackendKind, Gaussian, GaussianCloud};
 use ags_track::coarse::{CoarseConfig, CoarseTracker};
 use std::hint::black_box;
@@ -342,6 +345,9 @@ struct E2eResult {
     map_ms: f64,
     vectorized_map_ms: f64,
     vectorized_map_speedup: f64,
+    /// Lowest and highest reference/vectorized map-time ratio over the
+    /// interleaved sample pairs — the spread the `perf_gate` floor must clear.
+    vectorized_map_speedup_range: (f64, f64),
 }
 
 /// End-to-end `process_frame` workload: a short synthetic stream through the
@@ -454,6 +460,9 @@ fn bench_end_to_end(parallel: Parallelism) -> E2eResult {
     let t_overlapped = min(&overlapped_times);
     let t_map = min(&map_times);
     let t_vectorized_map = min(&vectorized_map_times);
+    let ratios = map_times.iter().zip(&vectorized_map_times).map(|(m, v)| m / v);
+    let vectorized_map_speedup_range =
+        ratios.fold((f64::INFINITY, 0.0f64), |(lo, hi), r| (lo.min(r), hi.max(r)));
 
     let stage = last_serial_trace.stage_time_totals();
     let per_frame = |s: f64| s / frames as f64 * 1e3;
@@ -470,6 +479,7 @@ fn bench_end_to_end(parallel: Parallelism) -> E2eResult {
         map_ms: per_frame(t_map),
         vectorized_map_ms: per_frame(t_vectorized_map),
         vectorized_map_speedup: t_map / t_vectorized_map,
+        vectorized_map_speedup_range,
     }
 }
 
@@ -1285,6 +1295,142 @@ fn bench_backbone() -> BackboneResult {
     }
 }
 
+struct TrainIterationResult {
+    width: usize,
+    height: usize,
+    samples: usize,
+    splats: usize,
+    /// (splat, tile) pairs binned vs pairs some row's walk reached.
+    pairs: u64,
+    walked_pairs: u64,
+    blend_ops: u64,
+    /// Bytes the pass's blend tape holds.
+    tape_bytes: usize,
+    /// The vectorized training pass: project → bin → taped forward → loss →
+    /// reverse stage off the tape.
+    taped_ms: Spread,
+    /// The same products from stand-alone calls: `rasterize`, then a
+    /// `backward_with` that has to re-walk every tile for its tape.
+    standalone_ms: Spread,
+    /// Project → bin → untaped forward: a render nobody differentiates.
+    forward_ms: Spread,
+}
+
+impl TrainIterationResult {
+    fn json(&self) -> String {
+        let spread = |name: &str, s: &Spread| {
+            format!(
+                r#""{name}_ms": {:.4}, "{name}_ms_min": {:.4}, "{name}_ms_max": {:.4}"#,
+                s.median, s.min, s.max
+            )
+        };
+        format!(
+            r#"{{
+    "frame": [{}, {}],
+    "samples": {},
+    "splats": {},
+    "pairs": {},
+    "walked_pairs": {},
+    "blend_ops": {},
+    "tape_bytes": {},
+    {},
+    {},
+    {},
+    "taped_speedup": {:.3},
+    "taped_speedup_min": {:.3}
+  }}"#,
+            self.width,
+            self.height,
+            self.samples,
+            self.splats,
+            self.pairs,
+            self.walked_pairs,
+            self.blend_ops,
+            self.tape_bytes,
+            spread("taped", &self.taped_ms),
+            spread("standalone", &self.standalone_ms),
+            spread("forward", &self.forward_ms),
+            self.standalone_ms.median / self.taped_ms.median,
+            self.standalone_ms.min / self.taped_ms.max,
+        )
+    }
+}
+
+/// One mapping iteration's render work (forward + loss + backward, no Adam)
+/// on the end-to-end bench scene: the map the vectorized serial driver has
+/// built after its ten 96×72 frames, trained against the last frame.
+fn bench_train_iteration() -> TrainIterationResult {
+    const SAMPLES: usize = 9;
+    let data = e2e_dataset(10, 96, 72);
+    let mut config = e2e_config();
+    config.backend = BackendKind::Vectorized;
+    let mut slam = AgsSlam::new(config.clone());
+    for frame in &data.frames {
+        black_box(slam.process_frame(&data.camera, &frame.rgb, &frame.depth));
+    }
+    let (cloud, camera) = (slam.cloud(), &data.camera);
+    let pose = *slam.trajectory().last().expect("ten frames tracked");
+    let frame = data.frames.last().expect("ten frames");
+    let loss_config = config.slam.mapping_loss;
+    let options = RenderOptions {
+        parallelism: Parallelism::serial(),
+        backend: BackendKind::Vectorized,
+        ..RenderOptions::default()
+    };
+    let backend = options.backend.backend();
+
+    let forward = || {
+        let projection = backend.project(cloud, camera, &pose);
+        let tables = backend.build_tables(&projection, camera, &options.parallelism);
+        let out = rasterize(cloud, &projection, &tables, camera, &options);
+        (projection, tables, out)
+    };
+    let standalone = || {
+        let (projection, tables, out) = forward();
+        let loss = compute_loss(&out, &frame.rgb, &frame.depth, &loss_config);
+        let par = &options.parallelism;
+        let mode = GradMode::Map;
+        backward_with(options.backend, cloud, &projection, &tables, camera, &loss, mode, None, par)
+    };
+    let taped = |scratch: &mut TrainScratch| {
+        let (rgb, depth, mode) = (&frame.rgb, &frame.depth, GradMode::Map);
+        train_pass(scratch, cloud, camera, &pose, rgb, depth, &loss_config, mode, &options, None)
+    };
+    let mut scratch = TrainScratch::default();
+
+    // The tape must hand backward exactly what the stand-alone walk finds.
+    let (pass, replay) = (taped(&mut scratch), standalone());
+    let (tg, sg) = (pass.backward.grads.expect("map grads"), replay.grads.expect("map grads"));
+    assert_eq!(tg.position, sg.position, "taped and stand-alone backward diverge");
+    assert_eq!(tg.opacity_logit, sg.opacity_logit, "taped and stand-alone backward diverge");
+    assert_eq!(pass.backward.stats.grad_ops, replay.stats.grad_ops);
+    let stats = pass.render.stats;
+    let tape_bytes = scratch.taped_blend_ops() * 8;
+
+    let taped_time = time_spread(SAMPLES, 10, || {
+        black_box(taped(&mut scratch));
+    });
+    let standalone_time = time_spread(SAMPLES, 10, || {
+        black_box(standalone());
+    });
+    let forward_time = time_spread(SAMPLES, 10, || {
+        black_box(forward());
+    });
+    TrainIterationResult {
+        width: camera.width,
+        height: camera.height,
+        samples: SAMPLES,
+        splats: cloud.len(),
+        pairs: stats.pairs,
+        walked_pairs: stats.walked_pairs,
+        blend_ops: stats.blend_ops,
+        tape_bytes,
+        taped_ms: taped_time.scaled(1e3),
+        standalone_ms: standalone_time.scaled(1e3),
+        forward_ms: forward_time.scaled(1e3),
+    }
+}
+
 fn bench_gpe_sim() -> f64 {
     let sim = GpeArraySim::new(GpeArrayConfig::default());
     let evals: Vec<u16> = (0..256).map(|i| 10 + (i % 37) as u16).collect();
@@ -1359,6 +1505,22 @@ fn main() {
         bb.coarse_track_ms.min,
         bb.coarse_track_ms.max
     );
+    let train = bench_train_iteration();
+    println!(
+        "training iteration (vectorized) {}x{}:  taped {:>7.3} ms [{:.3}..{:.3}]  stand-alone {:>7.3} ms [{:.3}..{:.3}]  forward only {:>7.3} ms   pairs {} walked {}  tape {} KiB",
+        train.width,
+        train.height,
+        train.taped_ms.median,
+        train.taped_ms.min,
+        train.taped_ms.max,
+        train.standalone_ms.median,
+        train.standalone_ms.min,
+        train.standalone_ms.max,
+        train.forward_ms.median,
+        train.pairs,
+        train.walked_pairs,
+        train.tape_bytes / 1024
+    );
     let e2e = bench_end_to_end(parallel);
     println!(
         "end-to-end process_frame       {}x{}:  serial {:>8.2} frames/s  parallel {:>8.2} frames/s  overlapped {:>8.2} frames/s ({:.2}x)",
@@ -1369,8 +1531,12 @@ fn main() {
         e2e.fc_ms, e2e.track_ms, e2e.map_ms
     );
     println!(
-        "  map stage by backend: reference {:.2} ms | vectorized+cache {:.2} ms  speedup {:.2}x",
-        e2e.map_ms, e2e.vectorized_map_ms, e2e.vectorized_map_speedup
+        "  map stage by backend: reference {:.2} ms | vectorized+cache {:.2} ms  speedup {:.2}x [{:.2}..{:.2}]",
+        e2e.map_ms,
+        e2e.vectorized_map_ms,
+        e2e.vectorized_map_speedup,
+        e2e.vectorized_map_speedup_range.0,
+        e2e.vectorized_map_speedup_range.1
     );
     let heavy = bench_map_heavy_overlap();
     println!(
@@ -1506,6 +1672,7 @@ fn main() {
     "coarse_track_ms_min": {:.4},
     "coarse_track_ms_max": {:.4}
   }},
+  "train_iteration": {},
   "end_to_end": {{
     "frame": [{}, {}],
     "frames": {},
@@ -1521,6 +1688,8 @@ fn main() {
       "map_vectorized": {:.3}
     }},
     "vectorized_map_speedup": {:.3},
+    "vectorized_map_speedup_min": {:.3},
+    "vectorized_map_speedup_max": {:.3},
     "map_heavy": {{
       "frame": [{}, {}],
       "frames": {},
@@ -1625,6 +1794,7 @@ fn main() {
         bb.coarse_track_ms.median,
         bb.coarse_track_ms.min,
         bb.coarse_track_ms.max,
+        train.json(),
         e2e.width,
         e2e.height,
         e2e.frames,
@@ -1637,6 +1807,8 @@ fn main() {
         e2e.map_ms,
         e2e.vectorized_map_ms,
         e2e.vectorized_map_speedup,
+        e2e.vectorized_map_speedup_range.0,
+        e2e.vectorized_map_speedup_range.1,
         heavy.width,
         heavy.height,
         heavy.frames,

@@ -45,12 +45,23 @@
 //! `eager_restore_bytes`, the point of streaming the delta chain once
 //! instead of materializing it twice.
 //!
-//! One metric is gated against an **absolute floor** (higher is better, no
-//! baseline needed): `vectorized_map_speedup` — the map-stage speedup of
-//! the vectorized backend plus projection cache over the scalar reference,
-//! measured on the same host in the same bench run, so it is a ratio the
-//! hardware class mostly cancels out of. It must stay ≥ 1.10: below that
-//! the SoA kernels or the cache stopped earning their keep.
+//! Two same-host ratios are gated against an **absolute floor** (higher is
+//! better, no baseline needed; the hardware class mostly cancels out of
+//! them). `vectorized_map_speedup` — the map-stage speedup of the
+//! vectorized backend plus projection cache over the scalar reference — must
+//! stay ≥ 2.0: committed files have read 2.2–3.5 across hosts and runs, with
+//! a per-sample spread recorded beside it (`vectorized_map_speedup_min` /
+//! `_max`, 0.6–0.8 wide on the bench host), so 2.0 sits under the current
+//! reading by more than that spread and far above the 1.10 it replaces,
+//! which would have let the SoA kernels lose two thirds of their win
+//! unnoticed. `taped_speedup` — the `train_iteration` entry's stand-alone
+//! forward + backward over the taped training pass, median over median —
+//! must stay ≥ 1.10: it has read 1.26–2.06 over four runs on the (shared,
+//! two-core) bench host and falls to 1.0 the moment backward walks the
+//! tiles again instead of consuming the forward pass's tape, so the floor
+//! sits between the effect and its absence. `taped_speedup_min` beside it is
+//! the pessimistic pairing (fastest stand-alone sample over slowest taped
+//! sample, 1.07–1.34 on that host) — recorded, not gated.
 //!
 //! Improvements and new metrics never fail the gate; a metric missing from
 //! the *current* file does (the bench must keep emitting what the gate
@@ -110,11 +121,12 @@ const REGRESSION_CEILING_KEYS: [&str; 2] =
 /// Metrics with a hardware-independent floor (higher is better): the gate
 /// fails when the *current* value falls below the floor. Same missing-key
 /// rules as [`CEILING_KEYS`]: absent from both files is skipped, dropped
-/// from the current file only fails. `vectorized_map_speedup` is a
-/// same-host ratio (vectorized + projection-cache map stage vs the scalar
-/// reference within one bench run), so the floor travels across hardware
-/// classes.
-const FLOOR_KEYS: [(&str, f64); 1] = [("vectorized_map_speedup", 1.10)];
+/// from the current file only fails. Both are same-host ratios within one
+/// bench run (vectorized + projection-cache map stage vs the scalar
+/// reference; stand-alone forward + backward vs the taped training pass), so
+/// the floors travel across hardware classes. Each sits below the committed
+/// reading by more than the spread recorded beside it (see module docs).
+const FLOOR_KEYS: [(&str, f64); 2] = [("vectorized_map_speedup", 2.0), ("taped_speedup", 1.10)];
 
 /// Extracts the first `"key": <number>` value from a JSON document.
 ///
@@ -470,13 +482,14 @@ mod tests {
 
     #[test]
     fn gates_vectorized_map_speedup_against_the_absolute_floor() {
-        let baseline = with_vectorized_speedup(1.5);
+        let baseline = with_vectorized_speedup(2.5);
         // Above the floor passes regardless of the baseline's value.
-        assert!(run(&baseline, &with_vectorized_speedup(1.11), 0.25).is_ok());
-        assert!(run(&with_vectorized_speedup(2.0), &with_vectorized_speedup(1.2), 0.25).is_ok());
-        // Below the floor fails even when it beats the baseline.
+        assert!(run(&baseline, &with_vectorized_speedup(2.01), 0.25).is_ok());
+        assert!(run(&with_vectorized_speedup(4.0), &with_vectorized_speedup(2.2), 0.25).is_ok());
+        // Below the floor fails even when it beats the baseline — and the
+        // old 1.10 floor's "barely faster than scalar" no longer passes.
         let err =
-            run(&with_vectorized_speedup(0.9), &with_vectorized_speedup(1.05), 0.25).unwrap_err();
+            run(&with_vectorized_speedup(0.9), &with_vectorized_speedup(1.5), 0.25).unwrap_err();
         assert!(err.contains("vectorized_map_speedup"), "{err}");
         assert!(err.contains("below the absolute floor"), "{err}");
         // Absent from both files: skipped (pre-metric baselines).
@@ -488,6 +501,27 @@ mod tests {
         let err = run(&baseline, &doc(10.0, 10.0, 10.0), 0.25).unwrap_err();
         assert!(err.contains("vectorized_map_speedup"), "{err}");
         assert!(err.contains("missing"), "{err}");
+    }
+
+    #[test]
+    fn gates_taped_speedup_against_the_absolute_floor() {
+        let with_taped = |speedup: f64| {
+            let d = doc(10.0, 10.0, 10.0);
+            format!(
+                r#"{}, "train_iteration": {{ "taped_ms": 13.9, "taped_speedup_min": 0.5,
+                   "taped_speedup": {speedup} }} }}"#,
+                &d[..d.rfind('}').unwrap()]
+            )
+        };
+        // The sibling `_min` key must not shadow the gated one.
+        assert_eq!(extract_metric(&with_taped(1.4), "taped_speedup"), Some(1.4));
+        assert!(run(&with_taped(1.4), &with_taped(1.15), 0.25).is_ok());
+        // A backward that walks the tiles again reads 1.0 and trips the gate.
+        let err = run(&with_taped(1.4), &with_taped(1.0), 0.25).unwrap_err();
+        assert!(err.contains("taped_speedup") && err.contains("below the absolute floor"), "{err}");
+        // Dropping the entry from the bench output fails too.
+        let err = run(&with_taped(1.4), &doc(10.0, 10.0, 10.0), 0.25).unwrap_err();
+        assert!(err.contains("taped_speedup") && err.contains("missing"), "{err}");
     }
 
     /// Appends a `migration` entry to a `doc()` document the way

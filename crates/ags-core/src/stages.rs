@@ -29,15 +29,15 @@ use ags_math::{Pcg32, Se3};
 use ags_scene::PinholeCamera;
 use ags_slam::keyframes::{KeyframeStore, StoredKeyframe};
 use ags_slam::{Backbone, WorkUnits};
-use ags_splat::backward::{backward_with, GradMode};
+use ags_splat::backward::GradMode;
 use ags_splat::cache::ProjectionCache;
 use ags_splat::compact::{prune_cloud, quantize_chunk_in_place, FULL_SPLAT_BYTES, QUANT_CHUNK};
 use ags_splat::densify::densify_from_frame;
-use ags_splat::loss::compute_loss;
 use ags_splat::optim::{Adam, AdamState};
 use ags_splat::project::Projection;
 use ags_splat::render::{rasterize, RenderOptions, RenderOutput, TileWork};
 use ags_splat::snapshot::{CloudSnapshot, SharedCloud};
+use ags_splat::train::{train_pass, TrainPass, TrainScratch};
 use ags_splat::{GaussianCloud, IdSet, Remap};
 use ags_track::coarse::{CoarseTracker, CoarseTrackerState};
 use ags_track::fine::{GsPoseRefiner, RefineConfig};
@@ -332,6 +332,9 @@ pub struct MapStage {
     /// identical results from a cold cache is exactly the cache's
     /// correctness contract; only the observational hit counters differ.
     cache: ProjectionCache,
+    /// Blend tape of the training pass, reused across iterations and frames
+    /// (transient, like the cache).
+    train_scratch: TrainScratch,
 }
 
 impl MapStage {
@@ -352,6 +355,7 @@ impl MapStage {
             // Enough pose slots for the mapping-window rotation (current
             // frame + window key frames) plus the densify/audit renders.
             cache: ProjectionCache::with_capacity(config.slam.mapping_window + 2),
+            train_scratch: TrainScratch::default(),
         }
     }
 
@@ -399,6 +403,7 @@ impl MapStage {
             last_touched: state.last_touched,
             quantized_chunks: state.quantized_chunks,
             cache: ProjectionCache::with_capacity(config.slam.mapping_window + 2),
+            train_scratch: TrainScratch::default(),
         }
     }
 
@@ -847,21 +852,17 @@ impl MapStage {
             parallelism: self.config.parallelism.clone(),
             backend: self.config.backend,
         };
-        let projection = self.project(cloud, camera, pose);
-        let backend = self.config.backend.backend();
-        let tables = backend.build_tables(&projection, camera, &self.config.parallelism);
-        let mut render = rasterize(cloud, &projection, &tables, camera, &options);
-        let loss = compute_loss(&render, rgb, depth, &self.config.slam.mapping_loss);
-        let mut back = backward_with(
-            self.config.backend,
+        let TrainPass { loss, mut render, backward: mut back } = train_pass(
+            &mut self.train_scratch,
             cloud,
-            &projection,
-            &tables,
             camera,
-            &loss,
+            pose,
+            rgb,
+            depth,
+            &self.config.slam.mapping_loss,
             GradMode::Map,
-            skip.map(Arc::as_ref),
-            &self.config.parallelism,
+            &options,
+            self.config.projection_cache.then_some(&mut self.cache),
         );
         let track_touches = self.config.slam.compaction.enabled();
         let use_cache = self.config.projection_cache;

@@ -6,13 +6,12 @@ use crate::work::WorkUnits;
 use ags_image::{DepthImage, RgbImage};
 use ags_math::{Pcg32, Se3};
 use ags_scene::PinholeCamera;
-use ags_splat::backward::{backward_with, GradMode};
+use ags_splat::backward::GradMode;
 use ags_splat::compact::prune_cloud;
 use ags_splat::densify::densify_from_frame;
-use ags_splat::loss::compute_loss;
 use ags_splat::optim::Adam;
-use ags_splat::render::{rasterize, RenderOptions, TileWork};
-use ags_splat::train::StepReport;
+use ags_splat::render::{RenderOptions, TileWork};
+use ags_splat::train::{train_pass, TrainPass, TrainScratch};
 use ags_splat::GaussianCloud;
 use ags_track::fine::{GsPoseRefiner, RefineConfig};
 use std::sync::Arc;
@@ -58,6 +57,8 @@ pub struct BaselineSlam {
     keyframe_count: usize,
     /// Gaussians with id below this are frozen (Gaussian-SLAM sub-maps).
     trainable_from: usize,
+    /// Blend tape of the mapping passes, reused across iterations and frames.
+    train_scratch: TrainScratch,
 }
 
 impl BaselineSlam {
@@ -83,6 +84,7 @@ impl BaselineSlam {
             frame_count: 0,
             keyframe_count: 0,
             trainable_from: 0,
+            train_scratch: TrainScratch::default(),
         }
     }
 
@@ -192,7 +194,7 @@ impl BaselineSlam {
             mapping.grad_ops += report.backward.stats.grad_ops;
             mapping.iterations += 1;
             if slot == 0 {
-                mapping_loss = report.loss;
+                mapping_loss = report.loss.total;
             }
             if collect {
                 tile_work = report.render.stats.tile_work.clone();
@@ -249,26 +251,22 @@ impl BaselineSlam {
         rgb: &RgbImage,
         depth: &DepthImage,
         collect_tile_work: bool,
-    ) -> StepReport {
+    ) -> TrainPass {
         let options =
             RenderOptions { collect_tile_work, backend: self.config.backend, ..Default::default() };
-        let backend = self.config.backend.backend();
-        let projection = backend.project(&self.cloud, camera, pose);
-        let tables = backend.build_tables(&projection, camera, &options.parallelism);
-        let render = rasterize(&self.cloud, &projection, &tables, camera, &options);
-        let loss = compute_loss(&render, rgb, depth, &self.config.mapping_loss);
-        let mut back = backward_with(
-            self.config.backend,
+        let mut pass = train_pass(
+            &mut self.train_scratch,
             &self.cloud,
-            &projection,
-            &tables,
             camera,
-            &loss,
+            pose,
+            rgb,
+            depth,
+            &self.config.mapping_loss,
             GradMode::Map,
+            &options,
             None,
-            &options.parallelism,
         );
-        if let Some(grads) = back.grads.as_mut() {
+        if let Some(grads) = pass.backward.grads.as_mut() {
             // Freeze sub-map Gaussians (Gaussian-SLAM).
             for id in 0..self.trainable_from.min(grads.touched.len()) {
                 grads.touched[id] = false;
@@ -283,7 +281,7 @@ impl BaselineSlam {
                 g.log_scale = g.log_scale * (1.0 - lambda) + ags_math::Vec3::splat(mean * lambda);
             }
         }
-        StepReport { loss: loss.total, render, backward: back }
+        pass
     }
 }
 

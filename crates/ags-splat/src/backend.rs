@@ -7,24 +7,61 @@
 //!
 //! * [`ReferenceBackend`] — the scalar row kernels in [`crate::render`] /
 //!   [`crate::backward`], the bit-exactness anchor every other backend is
-//!   measured against.
-//! * [`VectorizedBackend`] — repacks each tile's Gaussian table into
-//!   structure-of-arrays slabs and evaluates the Mahalanobis quadratic four
-//!   pixels wide with `std::arch` SSE2/NEON kernels (portable chunked
-//!   fallback elsewhere), plus an α-cut that skips the `exp` for provably
-//!   negligible pixels. **Bit-identical to the reference**: per-lane SIMD
+//!   measured against. Its backward pass *replays* the forward traversal per
+//!   pixel; that scalar replay is the oracle the tape below is tested
+//!   against.
+//! * [`VectorizedBackend`] — one tile kernel that repacks the tile's
+//!   Gaussian table into structure-of-arrays slabs, evaluates the Mahalanobis
+//!   quadratic four pixels wide with `std::arch` SSE2/NEON kernels (portable
+//!   chunked fallback elsewhere), and skips the `exp` for provably negligible
+//!   pixels (α-cut). **Bit-identical to the reference**: per-lane SIMD
 //!   mul/add/sub are IEEE-exact, the quadratic replicates the scalar
 //!   operation order term for term, and blending keeps the scalar branch
 //!   structure — so outputs, gradients and every workload counter match the
 //!   reference bit for bit (enforced by the tests in this module and by the
 //!   determinism suites running under `AGS_RENDER_BACKEND=vectorized`).
 //!
+//! # One blend walk per training iteration
+//!
+//! The vectorized backend never replays. When a render is going to be
+//! differentiated ([`crate::train::train_pass`]), the tile kernel also
+//! *tapes* each blend it performs — the splat index and the falloff `g`
+//! already in registers — per pixel lane while a row runs, flushed in pixel
+//! order when the row ends. The backward pass then runs only its reverse
+//! stage (`backward::reverse_tile`) over the tape: per pixel it rebuilds α,
+//! the clamp flag and `T` from `g` and the splat's opacity with the forward
+//! pass's own f32 operations, in blend order, and accumulates in the
+//! reference's chunk, pixel and blend order, so every per-splat f32 sum —
+//! hence every gradient — is unchanged. A stand-alone
+//! [`crate::backward::backward_with`] has no tape to consume, so each chunk
+//! first records its tiles' tapes with the same kernel: there is one blend
+//! walk in this backend, not a forward one and a replay.
+//!
+//! The slab is **depth-lazy**: entries are repacked and classified
+//! (`qcut`, tile-interior test) in blocks of `SLAB_BLOCK` as the row walk
+//! first reaches them. On an opaque map rows saturate a few hundred entries
+//! into tables that are thousands deep (the benchmark's `steady_map` bins
+//! ≈ 2 070 entries per tile and walks ≈ 240), and the entries behind that
+//! are never touched ([`crate::render::RenderStats::walked_pairs`] against
+//! `pairs`).
+//!
+//! Tape memory: 8 bytes per blend operation (`backward::TapeEntry`), so a
+//! pass holds `8 × RenderStats::blend_ops` bytes — bounded by pixels ×
+//! blends-to-saturation, never by table depth. On the 96×72 kernel-bench
+//! frame that is ≈ 300 k blends (43 per pixel on that thin ten-frame map) =
+//! 2.3 MiB; on the benchmark's opaque `steady_map` frames (56×42, 23 blends
+//! per pixel) 0.4 MiB, 1.6 MiB at its peak. The tape lives in a
+//! [`crate::train::TrainScratch`] the caller keeps across iterations and is
+//! cleared, not reallocated, each pass; the per-lane row buffers are
+//! thread-local like the slab. Renders that are not differentiated
+//! (`render`, `rasterize`, densify pre-renders, audits) record nothing.
+//!
 //! A future `wgpu` backend implements the same trait; the sorted table
 //! layout produced by [`RenderBackend::build_tables`] is the inter-stage
 //! contract it must honour.
 
 use crate::backward::{
-    chunk_with_scratch, reverse_blend_pixel, BackwardStats, ChunkGrads, Contribution,
+    chunk_with_scratch, reverse_tile, BlendTape, ChunkGrads, TapeEntry, TileTape,
 };
 use crate::gaussian::GaussianCloud;
 use crate::idset::IdSet;
@@ -34,7 +71,7 @@ use crate::render::{rasterize_tile, splat_covers_tile, RenderOptions, TileRaster
 use crate::tiles::{GaussianTables, TableEntry};
 use crate::{ALPHA_THRESHOLD, TILE_SIZE, TRANSMITTANCE_MIN};
 use ags_math::parallel::Parallelism;
-use ags_math::{Se3, Vec2, Vec3};
+use ags_math::{Se3, Vec3};
 use ags_scene::PinholeCamera;
 use std::sync::OnceLock;
 
@@ -121,7 +158,9 @@ pub trait RenderBackend: Send + Sync + std::fmt::Debug {
         GaussianTables::build_with(projection, camera, parallelism)
     }
 
-    /// Step ③: rasterizes one tile into tile-local buffers.
+    /// Step ③: rasterizes one tile into tile-local buffers. `tape` is `Some`
+    /// when the render is going to be differentiated: a backend that tapes
+    /// records the tile's blends into it, one that replays ignores it.
     fn rasterize_tile(
         &self,
         projection: &Projection,
@@ -129,9 +168,12 @@ pub trait RenderBackend: Send + Sync + std::fmt::Debug {
         bounds: (usize, usize, usize, usize),
         tile_idx: usize,
         options: &RenderOptions,
+        tape: Option<&mut TileTape>,
     ) -> TileRaster;
 
     /// Step ④: accumulates screen-space gradients over a chunk of tiles.
+    /// `tape` is what [`rasterize_tile`](Self::rasterize_tile) recorded for
+    /// the same projection, tables and skip set, when the caller kept it.
     #[allow(clippy::too_many_arguments)]
     fn backward_chunk(
         &self,
@@ -141,6 +183,7 @@ pub trait RenderBackend: Send + Sync + std::fmt::Debug {
         loss: &LossResult,
         skip: Option<&IdSet>,
         tile_range: std::ops::Range<usize>,
+        tape: Option<&BlendTape>,
     ) -> ChunkGrads;
 }
 
@@ -160,6 +203,7 @@ impl RenderBackend for ReferenceBackend {
         bounds: (usize, usize, usize, usize),
         tile_idx: usize,
         options: &RenderOptions,
+        _tape: Option<&mut TileTape>,
     ) -> TileRaster {
         rasterize_tile(projection, table, bounds, tile_idx, options)
     }
@@ -172,6 +216,7 @@ impl RenderBackend for ReferenceBackend {
         loss: &LossResult,
         skip: Option<&IdSet>,
         tile_range: std::ops::Range<usize>,
+        _tape: Option<&BlendTape>,
     ) -> ChunkGrads {
         crate::backward::backward_tile_chunk(projection, tables, camera, loss, skip, tile_range)
     }
@@ -193,8 +238,18 @@ impl RenderBackend for VectorizedBackend {
         bounds: (usize, usize, usize, usize),
         tile_idx: usize,
         options: &RenderOptions,
+        tape: Option<&mut TileTape>,
     ) -> TileRaster {
-        rasterize_tile_vec(projection, table, bounds, tile_idx, options)
+        rasterize_tile_vec(
+            projection,
+            table,
+            bounds,
+            tile_idx,
+            options.skip.as_deref(),
+            options.record_contributions,
+            options.collect_tile_work,
+            tape,
+        )
     }
 
     fn backward_chunk(
@@ -205,9 +260,31 @@ impl RenderBackend for VectorizedBackend {
         loss: &LossResult,
         skip: Option<&IdSet>,
         tile_range: std::ops::Range<usize>,
+        tape: Option<&BlendTape>,
     ) -> ChunkGrads {
         chunk_with_scratch(projection.splats.len(), |slot_of| {
-            backward_tile_chunk_vec(projection, tables, camera, loss, skip, tile_range, slot_of)
+            let mut out = ChunkGrads::default();
+            // A stand-alone backward has no forward tape: each tile's is
+            // recorded here, by the same kernel, just before its reverse stage.
+            let mut standalone = TileTape::default();
+            for tile_idx in tile_range {
+                let table = &tables.tables[tile_idx];
+                if table.is_empty() {
+                    continue;
+                }
+                let bounds = tables.grid.tile_bounds(tile_idx);
+                let forward =
+                    tape.map(|t| t.tiles[tile_idx].lock().expect("a worker panicked while taping"));
+                if forward.is_none() {
+                    let tape = Some(&mut standalone);
+                    rasterize_tile_vec(
+                        projection, table, bounds, tile_idx, skip, false, false, tape,
+                    );
+                }
+                let tile_tape = forward.as_deref().unwrap_or(&standalone);
+                reverse_tile(projection, loss, camera.width, bounds, tile_tape, slot_of, &mut out);
+            }
+            out
         })
     }
 }
@@ -398,8 +475,13 @@ fn qcut(opacity: f32) -> f32 {
 // SoA tile slab.
 // ---------------------------------------------------------------------------
 
+/// Entries repacked per [`TileSlab::fill_block`] call.
+const SLAB_BLOCK: usize = 64;
+
 /// Structure-of-arrays repack of one tile's Gaussian table: the per-entry
-/// fields the row kernels stream, split into contiguous slabs.
+/// fields the row kernel streams, split into contiguous slabs. Filled a
+/// block at a time as the row walk first reaches each index, so entries
+/// behind the depth every row saturates at are never repacked or classified.
 struct TileSlab {
     mean_x: Vec<f32>,
     mean_y: Vec<f32>,
@@ -445,18 +527,21 @@ impl TileSlab {
         self.interior.clear();
     }
 
-    /// Fills the slab from a tile's table. `bounds` enables the
-    /// tile-interior classification (forward pass only; the backward replay
-    /// has no interior fast path and passes `None`).
-    fn fill(
+    /// Table entries repacked so far.
+    fn len(&self) -> usize {
+        self.mean_x.len()
+    }
+
+    /// Repacks and classifies the next [`SLAB_BLOCK`] entries of `table`.
+    fn fill_block(
         &mut self,
         projection: &Projection,
         table: &[TableEntry],
         skip: Option<&IdSet>,
-        bounds: Option<(usize, usize, usize, usize)>,
+        bounds: (usize, usize, usize, usize),
     ) {
-        self.clear();
-        for entry in table {
+        let start = self.len();
+        for entry in &table[start..(start + SLAB_BLOCK).min(table.len())] {
             let splat = &projection.splats[entry.splat_index as usize];
             let skipped = skip.is_some_and(|s| s.contains(splat.id as usize));
             let (ca, cb, cc) = splat.conic;
@@ -470,25 +555,38 @@ impl TileSlab {
             self.color.push(splat.color);
             self.depth.push(splat.depth);
             self.skipped.push(skipped);
-            self.interior.push(!skipped && bounds.is_some_and(|b| splat_covers_tile(splat, b)));
+            self.interior.push(!skipped && splat_covers_tile(splat, bounds));
         }
     }
 }
 
+/// Per-worker kernel state: the tile slab and, for taped renders, one
+/// contribution buffer per pixel lane of the row being walked.
+struct VecScratch {
+    slab: TileSlab,
+    lanes: [Vec<TapeEntry>; TILE_SIZE],
+}
+
 std::thread_local! {
-    /// Per-worker slab, reused across tiles (and across passes on long-lived
-    /// threads) so the SoA repack costs no allocation on the hot path.
-    static SLAB_SCRATCH: std::cell::RefCell<TileSlab> =
-        const { std::cell::RefCell::new(TileSlab::new()) };
+    /// Reused across tiles (and across passes on long-lived threads) so the
+    /// SoA repack and the tape's lane buffers cost no allocation on the hot
+    /// path.
+    static VEC_SCRATCH: std::cell::RefCell<VecScratch> = const {
+        std::cell::RefCell::new(VecScratch {
+            slab: TileSlab::new(),
+            lanes: [const { Vec::new() }; TILE_SIZE],
+        })
+    };
 }
 
 // ---------------------------------------------------------------------------
-// Vectorized forward tile kernel.
+// Vectorized tile kernel.
 // ---------------------------------------------------------------------------
 
 /// One slab entry's walk over a pixel row: the SoA fields plus the row-local
 /// accumulators it blends into (the vectorized twin of `render::RowPass`).
 struct VecRowPass<'a> {
+    splat_index: u32,
     opacity: f32,
     color: Vec3,
     depth: f32,
@@ -497,6 +595,8 @@ struct VecRowPass<'a> {
     qrow: &'a [f32],
     /// `(id, touched, negligible)` counters of this entry, when recording.
     contrib: Option<&'a mut (u32, u32, u32)>,
+    /// Per-pixel tape buffers of the row (only pushed to when `TAPED`).
+    lanes: &'a mut [Vec<TapeEntry>],
     active: &'a mut Vec<u32>,
     row_t: &'a mut [f32],
     row_c: &'a mut [Vec3],
@@ -510,9 +610,11 @@ struct VecRowPass<'a> {
 /// vector-evaluated `q` row. Branch structure and blend arithmetic replicate
 /// `render::blend_entry_row` exactly; the only deviation is the α-cut
 /// (`q > qcut`), which skips an `exp` whose value the scalar path provably
-/// discards — so counters and outputs stay bit-identical.
+/// discards — so counters and outputs stay bit-identical. `TAPED` also
+/// records each blend's [`TapeEntry`] from the values already in registers:
+/// what the reference backward's replay re-derives pixel by pixel.
 #[inline(always)]
-fn blend_entry_row_vec<const INTERIOR: bool>(pass: &mut VecRowPass<'_>) {
+fn blend_entry_row_vec<const INTERIOR: bool, const TAPED: bool>(pass: &mut VecRowPass<'_>) {
     let mut i = 0usize;
     while i < pass.active.len() {
         let px_off = pass.active[i] as usize;
@@ -546,6 +648,9 @@ fn blend_entry_row_vec<const INTERIOR: bool>(pass: &mut VecRowPass<'_>) {
         }
         pass.row_blends[px_off] += 1;
         let t = pass.row_t[px_off];
+        if TAPED {
+            pass.lanes[px_off].push(TapeEntry { splat_index: pass.splat_index, weight: g });
+        }
         pass.row_c[px_off] += pass.color * (t * alpha);
         pass.row_d[px_off] += pass.depth * (t * alpha);
         let t = t * (1.0 - alpha);
@@ -559,35 +664,45 @@ fn blend_entry_row_vec<const INTERIOR: bool>(pass: &mut VecRowPass<'_>) {
     }
 }
 
-/// Vectorized tile rasterizer: SoA slab + row-wide quadratic evaluation +
-/// α-cut, structured exactly like `render::rasterize_tile` so outputs and
-/// every workload counter are bit-identical to it.
+/// The vectorized backend's one blend walk: SoA slab (filled only as deep as
+/// rows walk) + row-wide quadratic evaluation + α-cut, structured exactly
+/// like `render::rasterize_tile` so outputs and every workload counter are
+/// bit-identical to it. With a `tape`, each row's blends are recorded per
+/// lane while the row runs and flushed in pixel order when it ends.
+#[allow(clippy::too_many_arguments)]
 fn rasterize_tile_vec(
     projection: &Projection,
     table: &[TableEntry],
     bounds: (usize, usize, usize, usize),
     tile_idx: usize,
-    options: &RenderOptions,
+    skip: Option<&IdSet>,
+    record_contributions: bool,
+    collect_tile_work: bool,
+    mut tape: Option<&mut TileTape>,
 ) -> TileRaster {
     let (x0, y0, x1, y1) = bounds;
     let tile_w = x1 - x0;
     let tile_h = y1 - y0;
-    let mut out = TileRaster::empty(tile_idx, tile_w, tile_h, options);
+    let mut out = TileRaster::empty(tile_idx, tile_w, tile_h, collect_tile_work);
+    if let Some(tape) = tape.as_deref_mut() {
+        tape.clear();
+    }
     if table.is_empty() {
         return out;
     }
     out.color = vec![Vec3::ZERO; tile_w * tile_h];
     out.depth = vec![0.0; tile_w * tile_h];
     out.silhouette = vec![0.0; tile_w * tile_h];
-    if options.record_contributions {
+    if record_contributions {
         out.contributions =
             table.iter().map(|e| (projection.splats[e.splat_index as usize].id, 0, 0)).collect();
     }
 
-    SLAB_SCRATCH.with(|cell| {
-        let mut slab = cell.borrow_mut();
-        slab.fill(projection, table, options.skip.as_deref(), Some(bounds));
-        out.interior_pairs = slab.interior.iter().filter(|&&fast| fast).count() as u64;
+    VEC_SCRATCH.with(|cell| {
+        let VecScratch { slab, lanes } = &mut *cell.borrow_mut();
+        slab.clear();
+        // Deepest table index (+1) any row of this tile walks to.
+        let mut walked = 0usize;
 
         // Pixel-center x coordinates of the row, shared by every entry.
         let mut fx = [0.0f32; TILE_SIZE];
@@ -613,8 +728,12 @@ fn rasterize_tile_vec(
             active.clear();
             active.extend(0..tile_w as u32);
             let fy = py as f32;
+            let mut reached = table.len();
 
-            for (k, _) in table.iter().enumerate() {
+            for (k, entry) in table.iter().enumerate() {
+                if k == slab.len() {
+                    slab.fill_block(projection, table, skip, bounds);
+                }
                 if slab.skipped[k] {
                     continue;
                 }
@@ -623,15 +742,16 @@ fn rasterize_tile_vec(
                 let coeffs =
                     QuadCoeffs { mean_x: slab.mean_x[k], a: slab.a[k], s2b: slab.s2b[k], dy, t3 };
                 quad_row(&fx[..tile_w], &mut qrow[..tile_w], &coeffs);
-                let contrib =
-                    options.record_contributions.then(|| out.contributions.get_mut(k)).flatten();
+                let contrib = record_contributions.then(|| out.contributions.get_mut(k)).flatten();
                 let mut pass = VecRowPass {
+                    splat_index: entry.splat_index,
                     opacity: slab.opacity[k],
                     color: slab.color[k],
                     depth: slab.depth[k],
                     qcut: slab.qcut[k],
                     qrow: &qrow[..tile_w],
                     contrib,
+                    lanes: &mut lanes[..],
                     active: &mut active,
                     row_t: &mut row_t,
                     row_c: &mut row_c,
@@ -640,18 +760,21 @@ fn rasterize_tile_vec(
                     row_blends: &mut row_blends,
                     early_terminated: &mut out.early_terminated,
                 };
-                if slab.interior[k] {
-                    blend_entry_row_vec::<true>(&mut pass);
-                } else {
-                    blend_entry_row_vec::<false>(&mut pass);
+                match (slab.interior[k], tape.is_some()) {
+                    (true, true) => blend_entry_row_vec::<true, true>(&mut pass),
+                    (true, false) => blend_entry_row_vec::<true, false>(&mut pass),
+                    (false, true) => blend_entry_row_vec::<false, true>(&mut pass),
+                    (false, false) => blend_entry_row_vec::<false, false>(&mut pass),
                 }
                 if active.is_empty() {
                     if k + 1 < table.len() {
                         out.saturated_rows += 1;
                     }
+                    reached = k + 1;
                     break;
                 }
             }
+            walked = walked.max(reached);
 
             let row_base = (py - y0) * tile_w;
             for px_off in 0..tile_w {
@@ -666,10 +789,18 @@ fn rasterize_tile_vec(
                     w.per_pixel_blends[i] = row_blends[px_off].min(u16::MAX as u32) as u16;
                 }
             }
+            if let Some(tape) = tape.as_deref_mut() {
+                for lane in &mut lanes[..tile_w] {
+                    tape.push_pixel(lane);
+                    lane.clear();
+                }
+            }
         }
+        out.walked_pairs = walked as u64;
+        out.interior_pairs = slab.interior[..walked].iter().filter(|&&fast| fast).count() as u64;
     });
 
-    if let Some(skip) = &options.skip {
+    if let Some(skip) = skip {
         out.skipped_pairs = table
             .iter()
             .filter(|e| skip.contains(projection.splats[e.splat_index as usize].id as usize))
@@ -678,163 +809,14 @@ fn rasterize_tile_vec(
     out
 }
 
-// ---------------------------------------------------------------------------
-// Vectorized backward chunk kernel.
-// ---------------------------------------------------------------------------
-
-/// Vectorized forward replay for one chunk of tiles: per pixel row, the
-/// quadratic is evaluated row-wide and each surviving lane records its
-/// [`Contribution`] list; the recorded lists then run through the shared
-/// [`reverse_blend_pixel`] in the reference's pixel order (row-major), so
-/// first-touch slot order and every f32 accumulation are bit-identical to
-/// the scalar chunk kernel.
-#[allow(clippy::too_many_arguments)]
-fn backward_tile_chunk_vec(
-    projection: &Projection,
-    tables: &GaussianTables,
-    camera: &PinholeCamera,
-    loss: &LossResult,
-    skip: Option<&IdSet>,
-    tile_range: std::ops::Range<usize>,
-    slot_of: &mut [u32],
-) -> ChunkGrads {
-    let mut splats: Vec<u32> = Vec::new();
-    let mut grads = Vec::new();
-    let mut stats = BackwardStats::default();
-    let width = camera.width;
-
-    // Per-lane replay state for one pixel row.
-    let mut scratch: Vec<Vec<Contribution>> =
-        (0..TILE_SIZE).map(|_| Vec::with_capacity(64)).collect();
-    let mut dl_dc_lane = [Vec3::ZERO; TILE_SIZE];
-    let mut dl_dd_lane = [0.0f32; TILE_SIZE];
-    let mut has_loss = [false; TILE_SIZE];
-    let mut t_lane = [1.0f32; TILE_SIZE];
-    let mut fx = [0.0f32; TILE_SIZE];
-    let mut qrow = [0.0f32; TILE_SIZE];
-    let mut active: Vec<u32> = Vec::with_capacity(TILE_SIZE);
-
-    SLAB_SCRATCH.with(|cell| {
-        let mut slab = cell.borrow_mut();
-        for tile_idx in tile_range {
-            let table = &tables.tables[tile_idx];
-            if table.is_empty() {
-                continue;
-            }
-            let (x0, y0, x1, y1) = tables.grid.tile_bounds(tile_idx);
-            let tile_w = x1 - x0;
-            slab.fill(projection, table, skip, None);
-            for (i, f) in fx.iter_mut().enumerate().take(tile_w) {
-                *f = (x0 + i) as f32;
-            }
-
-            for py in y0..y1 {
-                let fy = py as f32;
-                active.clear();
-                for px_off in 0..tile_w {
-                    let pi = py * width + (x0 + px_off);
-                    let dl_dc = loss.d_color[pi];
-                    let dl_dd = loss.d_depth[pi];
-                    // Lanes with zero loss gradient are never replayed — the
-                    // scalar reference skips those pixels entirely.
-                    let live = !(dl_dc == Vec3::ZERO && dl_dd == 0.0);
-                    has_loss[px_off] = live;
-                    dl_dc_lane[px_off] = dl_dc;
-                    dl_dd_lane[px_off] = dl_dd;
-                    t_lane[px_off] = 1.0;
-                    scratch[px_off].clear();
-                    if live {
-                        active.push(px_off as u32);
-                    }
-                }
-                if active.is_empty() {
-                    continue;
-                }
-
-                for (k, entry) in table.iter().enumerate() {
-                    if slab.skipped[k] {
-                        continue;
-                    }
-                    let dy = fy - slab.mean_y[k];
-                    let t3 = (slab.c[k] * dy) * dy;
-                    let coeffs = QuadCoeffs {
-                        mean_x: slab.mean_x[k],
-                        a: slab.a[k],
-                        s2b: slab.s2b[k],
-                        dy,
-                        t3,
-                    };
-                    quad_row(&fx[..tile_w], &mut qrow[..tile_w], &coeffs);
-                    let mut i = 0usize;
-                    while i < active.len() {
-                        let l = active[i] as usize;
-                        let q = qrow[l];
-                        // α-cut: provably below the threshold — the scalar
-                        // replay computes α and `continue`s without touching
-                        // any state.
-                        if q < 0.0 || q > slab.qcut[k] {
-                            i += 1;
-                            continue;
-                        }
-                        let g = (-0.5 * q).exp();
-                        let raw_alpha = slab.opacity[k] * g;
-                        let alpha = raw_alpha.min(0.99);
-                        if alpha < ALPHA_THRESHOLD {
-                            i += 1;
-                            continue;
-                        }
-                        scratch[l].push(Contribution {
-                            splat_index: entry.splat_index,
-                            alpha,
-                            weight: g,
-                            t_before: t_lane[l],
-                            clamped: raw_alpha > 0.99,
-                        });
-                        t_lane[l] *= 1.0 - alpha;
-                        if t_lane[l] < TRANSMITTANCE_MIN {
-                            // The scalar replay `break`s for this pixel.
-                            active.swap_remove(i);
-                        } else {
-                            i += 1;
-                        }
-                    }
-                    if active.is_empty() {
-                        break;
-                    }
-                }
-
-                // Reverse accumulation in the reference's pixel order.
-                for px_off in 0..tile_w {
-                    if !has_loss[px_off] {
-                        continue;
-                    }
-                    stats.pixels += 1;
-                    let pixel = Vec2::new((x0 + px_off) as f32, fy);
-                    reverse_blend_pixel(
-                        projection,
-                        pixel,
-                        dl_dc_lane[px_off],
-                        dl_dd_lane[px_off],
-                        &scratch[px_off],
-                        slot_of,
-                        &mut splats,
-                        &mut grads,
-                        &mut stats,
-                    );
-                }
-            }
-        }
-    });
-    ChunkGrads { splats, grads, stats }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backward::{backward_with, GradMode};
+    use crate::backward::{backward_with, BackwardOutput, GradMode};
     use crate::gaussian::Gaussian;
     use crate::loss::{compute_loss, LossConfig, LossKind};
-    use crate::render::{rasterize, render};
+    use crate::render::{rasterize, render, RenderOutput};
+    use crate::train::{train_pass, TrainScratch};
     use ags_image::{DepthImage, RgbImage};
     use ags_math::{Pcg32, Vec3};
     use std::sync::Arc;
@@ -962,6 +944,31 @@ mod tests {
         (cloud, skip, cam)
     }
 
+    /// Every output and counter of two renders must agree bit for bit.
+    fn assert_renders_equal(reference: &RenderOutput, vectorized: &RenderOutput, what: &str) {
+        assert_eq!(reference.color.pixels(), vectorized.color.pixels(), "{what}");
+        assert_eq!(reference.depth.pixels(), vectorized.depth.pixels(), "{what}");
+        assert_eq!(reference.silhouette.pixels(), vectorized.silhouette.pixels(), "{what}");
+        let (rs, vs) = (&reference.stats, &vectorized.stats);
+        assert_eq!(rs.alpha_evals, vs.alpha_evals, "{what}");
+        assert_eq!(rs.blend_ops, vs.blend_ops, "{what}");
+        assert_eq!(rs.pairs, vs.pairs, "{what}");
+        assert_eq!(rs.skipped_pairs, vs.skipped_pairs, "{what}");
+        assert_eq!(rs.early_terminated_pixels, vs.early_terminated_pixels, "{what}");
+        assert_eq!(rs.saturated_rows, vs.saturated_rows, "{what}");
+        assert_eq!(rs.walked_pairs, vs.walked_pairs, "{what}");
+        assert_eq!(rs.interior_pairs, vs.interior_pairs, "{what}");
+        assert_eq!(rs.tile_work.len(), vs.tile_work.len(), "{what}");
+        for (a, b) in rs.tile_work.iter().zip(&vs.tile_work) {
+            assert_eq!(a.tile, b.tile, "{what}");
+            assert_eq!(a.per_pixel_evals, b.per_pixel_evals, "{what}");
+            assert_eq!(a.per_pixel_blends, b.per_pixel_blends, "{what}");
+        }
+        let (rc, vc) = (reference.contributions.as_ref(), vectorized.contributions.as_ref());
+        assert_eq!(rc.map(|c| &c.touched), vc.map(|c| &c.touched), "{what}");
+        assert_eq!(rc.map(|c| &c.negligible), vc.map(|c| &c.negligible), "{what}");
+    }
+
     #[test]
     fn vectorized_render_is_bit_identical_to_reference() {
         let (cloud, skip, cam) = stress_scene();
@@ -975,30 +982,10 @@ mod tests {
         let reference = render(&cloud, &cam, &Se3::IDENTITY, &base);
         let options = RenderOptions { backend: BackendKind::Vectorized, ..base };
         let vectorized = render(&cloud, &cam, &Se3::IDENTITY, &options);
-
-        assert_eq!(reference.color.pixels(), vectorized.color.pixels());
-        assert_eq!(reference.depth.pixels(), vectorized.depth.pixels());
-        assert_eq!(reference.silhouette.pixels(), vectorized.silhouette.pixels());
-        assert_eq!(reference.stats.alpha_evals, vectorized.stats.alpha_evals);
-        assert_eq!(reference.stats.blend_ops, vectorized.stats.blend_ops);
-        assert_eq!(reference.stats.skipped_pairs, vectorized.stats.skipped_pairs);
-        assert_eq!(
-            reference.stats.early_terminated_pixels,
-            vectorized.stats.early_terminated_pixels
-        );
-        assert_eq!(reference.stats.saturated_rows, vectorized.stats.saturated_rows);
-        assert_eq!(reference.stats.interior_pairs, vectorized.stats.interior_pairs);
+        assert_renders_equal(&reference, &vectorized, "stress scene");
         assert!(reference.stats.interior_pairs > 0, "stress scene must hit the interior path");
         assert!(reference.stats.saturated_rows > 0, "stress scene must saturate rows");
-        assert_eq!(reference.stats.tile_work.len(), vectorized.stats.tile_work.len());
-        for (a, b) in reference.stats.tile_work.iter().zip(&vectorized.stats.tile_work) {
-            assert_eq!(a.tile, b.tile);
-            assert_eq!(a.per_pixel_evals, b.per_pixel_evals);
-            assert_eq!(a.per_pixel_blends, b.per_pixel_blends);
-        }
-        let (rc, vc) = (reference.contributions.unwrap(), vectorized.contributions.unwrap());
-        assert_eq!(rc.touched, vc.touched);
-        assert_eq!(rc.negligible, vc.negligible);
+        assert!(reference.contributions.is_some());
     }
 
     #[test]
@@ -1084,6 +1071,298 @@ mod tests {
             assert_eq!(reference.pose.unwrap().twist, vectorized.pose.unwrap().twist);
             assert_eq!(reference.stats.grad_ops, vectorized.stats.grad_ops);
             assert_eq!(reference.stats.pixels, vectorized.stats.pixels);
+        }
+    }
+
+    /// ≥ 2 000-entry tables behind an opaque front layer: a stack of opaque
+    /// discs saturates most pixels within a few entries, and its soft edge
+    /// crosses tiles, so rows of one tile walk to very different depths.
+    fn deep_scene() -> (GaussianCloud, IdSet, PinholeCamera) {
+        let mut cloud = GaussianCloud::new();
+        for i in 0..6 {
+            cloud.push(Gaussian::isotropic(
+                Vec3::new(-0.15, -0.05, 1.0 + i as f32 * 0.05),
+                0.55,
+                Vec3::new(0.7, 0.5, 0.3),
+                0.999,
+            ));
+        }
+        let mut rng = Pcg32::seeded(2024);
+        for _ in 0..2400 {
+            cloud.push(Gaussian::isotropic(
+                Vec3::new(
+                    rng.range_f32(-0.6, 0.6),
+                    rng.range_f32(-0.4, 0.4),
+                    rng.range_f32(2.0, 4.0),
+                ),
+                rng.range_f32(2.5, 3.5),
+                Vec3::new(rng.next_f32(), rng.next_f32(), rng.next_f32()),
+                rng.range_f32(0.002, 0.06),
+            ));
+        }
+        let mut skip = IdSet::with_capacity(cloud.len());
+        for id in (0..cloud.len()).step_by(7) {
+            skip.insert(id);
+        }
+        (cloud, skip, PinholeCamera::from_fov(64, 48, 1.2))
+    }
+
+    #[test]
+    fn deep_scene_walks_a_fraction_of_its_tables() {
+        let (cloud, _, cam) = deep_scene();
+        let projection = project_gaussians(&cloud, &cam, &Se3::IDENTITY);
+        let tables = GaussianTables::build(&projection, &cam);
+        let shallowest = tables.tables.iter().map(Vec::len).min().unwrap();
+        assert!(shallowest >= 2000, "every table must be deep, got {shallowest}");
+        let options = RenderOptions {
+            collect_tile_work: true,
+            backend: BackendKind::Vectorized,
+            ..RenderOptions::default()
+        };
+        let out = rasterize(&cloud, &projection, &tables, &cam, &options);
+        let stats = &out.stats;
+        assert!(stats.walked_pairs > 0 && stats.walked_pairs < stats.pairs / 4, "{stats:?}");
+        // Some tile has rows whose walks end more than a slab block apart.
+        let uneven = stats.tile_work.iter().any(|w| {
+            let bounds = tables.grid.tile_bounds(w.tile as usize);
+            let depths: Vec<u16> = w
+                .per_pixel_evals
+                .chunks(bounds.2 - bounds.0)
+                .map(|row| *row.iter().max().unwrap())
+                .collect();
+            let (lo, hi) = (depths.iter().min().unwrap(), depths.iter().max().unwrap());
+            (hi - lo) as usize > SLAB_BLOCK
+        });
+        assert!(uneven, "fixture must mix row depths within a tile");
+    }
+
+    /// Frame-filling faint splats, depth-ordered by id, so every tile's table
+    /// is exactly `0..n` and skip ids land on chosen table indices.
+    fn layered_cloud(n: usize) -> (GaussianCloud, IdSet) {
+        let mut rng = Pcg32::seeded(n as u64 + 1);
+        let mut cloud = GaussianCloud::new();
+        for i in 0..n {
+            cloud.push(Gaussian::isotropic(
+                Vec3::new(
+                    rng.range_f32(-0.3, 0.3),
+                    rng.range_f32(-0.3, 0.3),
+                    1.5 + 1.5 * i as f32 / n as f32,
+                ),
+                2.5,
+                Vec3::new(rng.next_f32(), rng.next_f32(), rng.next_f32()),
+                rng.range_f32(0.001, 0.03),
+            ));
+        }
+        // Skip ids on both sides of the first two block edges and at the ends.
+        let mut skip = IdSet::with_capacity(n);
+        for id in [0, 62, 63, 64, 65, 127, 128, n.saturating_sub(1)] {
+            if id < n {
+                skip.insert(id);
+            }
+        }
+        (cloud, skip)
+    }
+
+    #[test]
+    fn lazy_slab_matches_reference_at_every_table_depth() {
+        // 61×45 has 13-pixel edge tiles, 51×35 has 3-pixel ones.
+        for (w, h) in [(61, 45), (51, 35)] {
+            let cam = PinholeCamera::from_fov(w, h, 1.2);
+            for n in [0usize, 1, SLAB_BLOCK - 1, SLAB_BLOCK, SLAB_BLOCK + 1, 4096] {
+                let (cloud, skip) = layered_cloud(n);
+                let projection = project_gaussians(&cloud, &cam, &Se3::IDENTITY);
+                let tables = GaussianTables::build(&projection, &cam);
+                assert!(tables.tables.iter().all(|t| t.len() == n), "tables must hold all {n}");
+                for skip in [None, Some(Arc::new(skip))] {
+                    let what = format!("{w}x{h}, {n} entries, skip {}", skip.is_some());
+                    let base = RenderOptions {
+                        skip,
+                        record_contributions: true,
+                        collect_tile_work: true,
+                        parallelism: Parallelism::serial(),
+                        backend: BackendKind::Reference,
+                    };
+                    let reference = rasterize(&cloud, &projection, &tables, &cam, &base);
+                    let options = RenderOptions { backend: BackendKind::Vectorized, ..base };
+                    let vectorized = rasterize(&cloud, &projection, &tables, &cam, &options);
+                    assert_renders_equal(&reference, &vectorized, &what);
+                    assert!(reference.stats.walked_pairs <= reference.stats.pairs, "{what}");
+                    if n == 4096 {
+                        assert!(reference.stats.saturated_rows > 0, "{what}: must stop early");
+                        assert!(reference.stats.walked_pairs < reference.stats.pairs, "{what}");
+                    } else {
+                        assert_eq!(reference.stats.walked_pairs, reference.stats.pairs, "{what}");
+                    }
+                }
+            }
+        }
+    }
+
+    fn assert_backward_equal(a: &BackwardOutput, b: &BackwardOutput, what: &str) {
+        assert_eq!(a.grads.is_some(), b.grads.is_some(), "{what}");
+        if let (Some(ag), Some(bg)) = (&a.grads, &b.grads) {
+            assert_eq!(ag.position, bg.position, "{what}");
+            assert_eq!(ag.log_scale, bg.log_scale, "{what}");
+            assert_eq!(ag.rotation, bg.rotation, "{what}");
+            assert_eq!(ag.color, bg.color, "{what}");
+            assert_eq!(ag.opacity_logit, bg.opacity_logit, "{what}");
+            assert_eq!(ag.touched, bg.touched, "{what}");
+        }
+        assert_eq!(a.pose.map(|p| p.twist), b.pose.map(|p| p.twist), "{what}");
+        assert_eq!(a.stats.grad_ops, b.stats.grad_ops, "{what}");
+        assert_eq!(a.stats.pixels, b.stats.pixels, "{what}");
+    }
+
+    /// Random ground truth with some invalid depth; every third pixel copies
+    /// `render` exactly, so its loss gradient is zero and backward must skip
+    /// it the way the replay does.
+    fn gt_for(render: &RenderOutput, seed: u64) -> (RgbImage, DepthImage) {
+        let (w, h) = (render.color.width(), render.color.height());
+        let mut rng = Pcg32::seeded(seed);
+        let mut rgb = RgbImage::filled(w, h, Vec3::ZERO);
+        let mut depth = DepthImage::filled(w, h, 2.0);
+        for i in 0..w * h {
+            let (x, y) = (i % w, i / w);
+            rgb.set(x, y, Vec3::new(rng.next_f32(), rng.next_f32(), rng.next_f32()));
+            if i % 3 == 0 {
+                rgb.set(x, y, render.color.at(x, y));
+                depth.set(x, y, render.depth.at(x, y));
+            } else if i % 11 == 0 {
+                depth.set(x, y, 0.0);
+            }
+        }
+        (rgb, depth)
+    }
+
+    /// The taped vectorized training pass and the stand-alone vectorized
+    /// backward against the scalar replay, bit for bit: three gradient modes,
+    /// with and without the skip set, three losses, three thread counts.
+    fn check_taped_against_replay((cloud, skip, cam): (GaussianCloud, IdSet, PinholeCamera)) {
+        let pose = Se3::IDENTITY;
+        let projection = project_gaussians(&cloud, &cam, &pose);
+        let tables = GaussianTables::build(&projection, &cam);
+        let skip = Arc::new(skip);
+        let mut scratch = TrainScratch::default();
+        for skip in [None, Some(&skip)] {
+            let reference_options = RenderOptions {
+                skip: skip.cloned(),
+                record_contributions: true,
+                collect_tile_work: false,
+                parallelism: Parallelism::serial(),
+                backend: BackendKind::Reference,
+            };
+            let reference = rasterize(&cloud, &projection, &tables, &cam, &reference_options);
+            let (gt_rgb, gt_depth) = gt_for(&reference, 5);
+            // The mask threshold sits between saturated and thin pixels.
+            let masked = LossConfig { mask_threshold: 0.9995, ..LossConfig::tracking() };
+            for loss_config in [LossConfig::mapping(), masked, l2_config()] {
+                let loss = compute_loss(&reference, &gt_rgb, &gt_depth, &loss_config);
+                for mode in [GradMode::Map, GradMode::Track, GradMode::Both] {
+                    let what = format!("skip {}, {loss_config:?}, {mode:?}", skip.is_some());
+                    let backward = |backend: BackendKind| {
+                        let skip = skip.map(Arc::as_ref);
+                        let par = Parallelism::serial();
+                        backward_with(
+                            backend,
+                            &cloud,
+                            &projection,
+                            &tables,
+                            &cam,
+                            &loss,
+                            mode,
+                            skip,
+                            &par,
+                        )
+                    };
+                    let replay = backward(BackendKind::Reference);
+                    assert!(replay.stats.grad_ops > 0, "{what}: fixture must produce gradients");
+                    assert!(
+                        (replay.stats.pixels as usize) < cam.num_pixels() * 3 / 4,
+                        "{what}: pixels without a loss gradient must be skipped"
+                    );
+                    assert_backward_equal(&replay, &backward(BackendKind::Vectorized), &what);
+                    for threads in [1, 2, 7] {
+                        let what = format!("{what}, {threads} threads");
+                        let options = RenderOptions {
+                            parallelism: Parallelism::with_threads(threads).min_items(0),
+                            backend: BackendKind::Vectorized,
+                            ..reference_options.clone()
+                        };
+                        let taped = train_pass(
+                            &mut scratch,
+                            &cloud,
+                            &cam,
+                            &pose,
+                            &gt_rgb,
+                            &gt_depth,
+                            &loss_config,
+                            mode,
+                            &options,
+                            None,
+                        );
+                        assert_renders_equal(&reference, &taped.render, &what);
+                        assert_eq!(loss.total_f64.to_bits(), taped.loss.total_f64.to_bits());
+                        assert_backward_equal(&replay, &taped.backward, &what);
+                        let taped_ops = scratch.taped_blend_ops() as u64;
+                        assert_eq!(taped_ops, taped.render.stats.blend_ops, "{what}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn taped_backward_is_bit_identical_to_reference_replay_on_the_stress_scene() {
+        check_taped_against_replay(stress_scene());
+    }
+
+    #[test]
+    fn taped_backward_is_bit_identical_to_reference_replay_on_the_deep_scene() {
+        check_taped_against_replay(deep_scene());
+    }
+
+    #[test]
+    fn tape_entries_are_eight_bytes() {
+        assert_eq!(std::mem::size_of::<TapeEntry>(), 8);
+    }
+
+    /// A scratch carries nothing from one frame into the next: two different
+    /// frames (different clouds, tile grids and skip sets) through one
+    /// scratch give what two fresh scratches give.
+    #[test]
+    fn reused_train_scratch_matches_fresh_scratches() {
+        let frames = [stress_scene(), deep_scene(), stress_scene()];
+        let mut reused = TrainScratch::default();
+        for (i, (cloud, skip, cam)) in frames.iter().enumerate() {
+            let options = RenderOptions {
+                skip: (i != 1).then(|| Arc::new(skip.clone())),
+                backend: BackendKind::Vectorized,
+                ..RenderOptions::default()
+            };
+            let (gt_rgb, gt_depth) =
+                gt_for(&render(cloud, cam, &Se3::IDENTITY, &options), 9 + i as u64);
+            let run = |scratch: &mut TrainScratch| {
+                let cfg = LossConfig::tracking();
+                let pose = Se3::IDENTITY;
+                let pass = train_pass(
+                    scratch,
+                    cloud,
+                    cam,
+                    &pose,
+                    &gt_rgb,
+                    &gt_depth,
+                    &cfg,
+                    GradMode::Both,
+                    &options,
+                    None,
+                );
+                (pass, scratch.taped_blend_ops())
+            };
+            let (fresh, fresh_ops) = run(&mut TrainScratch::default());
+            let (again, again_ops) = run(&mut reused);
+            assert_renders_equal(&fresh.render, &again.render, "reused scratch");
+            assert_backward_equal(&fresh.backward, &again.backward, "reused scratch");
+            assert_eq!(fresh_ops, again_ops, "frame {i}: stale tape entries survived");
         }
     }
 }

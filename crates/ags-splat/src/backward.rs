@@ -16,6 +16,15 @@
 //!   → position / pose twist   projection Jacobian
 //! ```
 //!
+//! The per-pixel reverse traversal (`reverse_blend_pixel`) consumes the
+//! pixel's `Contribution`s in forward blend order. The reference backend
+//! obtains them by replaying the forward traversal pixel by pixel
+//! (`backward_tile_chunk`); a backend that tapes hands over the
+//! [`BlendTape`] its forward pass recorded and only the reverse stage runs
+//! (`reverse_tile`, see [`crate::backend`]). Either way tiles are cut into
+//! fixed chunks merged in chunk order, so gradients are bit-identical across
+//! backends, thread counts and taped/stand-alone calls.
+//!
 //! All covariance dependencies are differentiated, including the projection
 //! Jacobian's dependence on the camera-space mean (∂J/∂p_cam) and, for pose
 //! tracking, the EWA `W` factor's dependence on the camera rotation.
@@ -32,6 +41,7 @@ use crate::{ALPHA_THRESHOLD, TRANSMITTANCE_MIN};
 use ags_math::parallel::{par_map, Parallelism};
 use ags_math::{Mat2, Mat3, Quat, Se3, Vec2, Vec3};
 use ags_scene::PinholeCamera;
+use std::sync::Mutex;
 
 /// Per-parameter gradient buffers, indexed by Gaussian id.
 #[derive(Debug, Clone)]
@@ -118,6 +128,69 @@ pub(crate) struct Contribution {
     pub(crate) clamped: bool,
 }
 
+/// One blend the forward walk performed, as taped: 8 bytes. α, the clamp
+/// flag and `T` are recomputed from these and the splat's opacity in blend
+/// order — the same f32 operations on the same operands, so bit-exactly —
+/// when the reverse stage expands a pixel into [`Contribution`]s.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct TapeEntry {
+    pub(crate) splat_index: u32,
+    pub(crate) weight: f32, // falloff g
+}
+
+/// One tile's blend tape: every pixel's blends in forward order, pixels
+/// row-major within the tile.
+#[derive(Debug, Default)]
+pub struct TileTape {
+    entries: Vec<TapeEntry>,
+    /// End offset into `entries` per pixel (a pixel starts where the previous
+    /// one ends).
+    ends: Vec<u32>,
+}
+
+impl TileTape {
+    pub(crate) fn clear(&mut self) {
+        self.entries.clear();
+        self.ends.clear();
+    }
+
+    /// Appends the next pixel's blends (forward order).
+    pub(crate) fn push_pixel(&mut self, blends: &[TapeEntry]) {
+        self.entries.extend_from_slice(blends);
+        self.ends.push(self.entries.len() as u32);
+    }
+
+    fn pixel(&self, p: usize) -> &[TapeEntry] {
+        let start = if p == 0 { 0 } else { self.ends[p - 1] as usize };
+        &self.entries[start..self.ends[p] as usize]
+    }
+}
+
+/// A frame's blend tape, one [`TileTape`] per tile: recorded by a taped
+/// forward pass ([`crate::render::rasterize_taped`]), consumed by
+/// [`backward_taped`]. The per-tile locks are uncontended — each tile is
+/// written by the one worker that rasterizes it.
+#[derive(Debug, Default)]
+pub struct BlendTape {
+    pub(crate) tiles: Vec<Mutex<TileTape>>,
+}
+
+impl BlendTape {
+    /// Sizes the tape for `num_tiles` tiles, keeping every buffer's capacity.
+    /// Tile kernels clear their own tile before recording.
+    pub(crate) fn reset(&mut self, num_tiles: usize) {
+        self.tiles.resize_with(num_tiles, Mutex::default);
+    }
+
+    /// Blend operations currently recorded (8 bytes each).
+    pub fn blend_ops(&self) -> usize {
+        self.tiles
+            .iter()
+            .map(|t| t.lock().expect("a worker panicked while taping").entries.len())
+            .sum()
+    }
+}
+
 /// Tiles per fork-join work chunk. The partition is a **fixed** function of
 /// the tile count — never of the thread budget — so every `Parallelism`
 /// (including serial) walks identical chunks and merges them in identical
@@ -147,6 +220,7 @@ impl ScreenGrad {
 /// Per-chunk sparse gradient buffer: splats in first-touch order plus their
 /// accumulated screen-space gradients. Returned by
 /// [`crate::backend::RenderBackend::backward_chunk`].
+#[derive(Default)]
 pub struct ChunkGrads {
     pub(crate) splats: Vec<u32>,
     pub(crate) grads: Vec<ScreenGrad>,
@@ -358,6 +432,65 @@ pub(crate) fn reverse_blend_pixel(
     }
 }
 
+/// Reverse stage of one taped tile: every pixel with a loss gradient expands
+/// its taped blends into [`Contribution`]s — the reference replay's loop with
+/// the falloff evaluation and threshold tests already done — and runs them
+/// through [`reverse_blend_pixel`], in the replay's pixel order (row-major),
+/// so first-touch slot order and every f32 accumulation match the scalar
+/// chunk kernel bit for bit. Pixels with zero loss gradient are skipped
+/// exactly as the replay skips them.
+pub(crate) fn reverse_tile(
+    projection: &Projection,
+    loss: &LossResult,
+    width: usize,
+    (x0, y0, x1, y1): (usize, usize, usize, usize),
+    tape: &TileTape,
+    slot_of: &mut [u32],
+    out: &mut ChunkGrads,
+) {
+    debug_assert_eq!(tape.ends.len(), (x1 - x0) * (y1 - y0), "tape does not match the tile");
+    let mut scratch: Vec<Contribution> = Vec::with_capacity(64);
+    for py in y0..y1 {
+        for px in x0..x1 {
+            let pi = py * width + px;
+            let dl_dc = loss.d_color[pi];
+            let dl_dd = loss.d_depth[pi];
+            if dl_dc == Vec3::ZERO && dl_dd == 0.0 {
+                continue;
+            }
+            out.stats.pixels += 1;
+
+            scratch.clear();
+            let mut t = 1.0f32;
+            for blend in tape.pixel((py - y0) * (x1 - x0) + (px - x0)) {
+                let raw_alpha =
+                    projection.splats[blend.splat_index as usize].opacity * blend.weight;
+                let alpha = raw_alpha.min(0.99);
+                scratch.push(Contribution {
+                    splat_index: blend.splat_index,
+                    alpha,
+                    weight: blend.weight,
+                    t_before: t,
+                    clamped: raw_alpha > 0.99,
+                });
+                t *= 1.0 - alpha;
+            }
+
+            reverse_blend_pixel(
+                projection,
+                Vec2::new(px as f32, py as f32),
+                dl_dc,
+                dl_dd,
+                &scratch,
+                slot_of,
+                &mut out.splats,
+                &mut out.grads,
+                &mut out.stats,
+            );
+        }
+    }
+}
+
 /// Runs the backward pass over pre-projected splats.
 ///
 /// `projection` and `tables` must come from the same cloud/camera/pose as the
@@ -397,6 +530,26 @@ pub fn backward_with(
     skip: Option<&crate::idset::IdSet>,
     par: &Parallelism,
 ) -> BackwardOutput {
+    backward_taped(backend, cloud, projection, tables, camera, loss, mode, skip, par, None)
+}
+
+/// [`backward_with`] consuming the [`BlendTape`] the forward pass recorded
+/// over the same `projection`/`tables`/`skip`, when there is one: a backend
+/// that tapes then runs only its reverse stage. Without a tape (or on the
+/// reference backend, which never records one) each chunk re-walks its tiles.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn backward_taped(
+    backend: BackendKind,
+    cloud: &GaussianCloud,
+    projection: &Projection,
+    tables: &GaussianTables,
+    camera: &PinholeCamera,
+    loss: &LossResult,
+    mode: GradMode,
+    skip: Option<&crate::idset::IdSet>,
+    par: &Parallelism,
+    tape: Option<&BlendTape>,
+) -> BackwardOutput {
     let n_splats = projection.splats.len();
     // Screen-space gradient accumulators per splat.
     let mut d_mean = vec![Vec2::ZERO; n_splats];
@@ -419,7 +572,7 @@ pub fn backward_with(
     let chunks = par_map(&par, num_chunks, 1, |ci| {
         let start = ci * TILES_PER_CHUNK;
         let end = (start + TILES_PER_CHUNK).min(num_tiles);
-        backend.backward_chunk(projection, tables, camera, loss, skip, start..end)
+        backend.backward_chunk(projection, tables, camera, loss, skip, start..end, tape)
     });
     for chunk in chunks {
         stats.grad_ops += chunk.stats.grad_ops;

@@ -19,6 +19,10 @@
 //!    [`densify`] adds Gaussians where the map is missing geometry
 //!    (silhouette-guided, SplaTAM-style) and prunes transparent ones.
 //!
+//! [`train::train_pass`] runs steps 1–4 as one call — the seam every
+//! differentiated render goes through, and where the forward pass's blend
+//! tape is handed to the backward pass (see [`backend`]).
+//!
 //! # Example
 //!
 //! ```

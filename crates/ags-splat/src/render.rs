@@ -9,6 +9,7 @@
 //! `T < `[`crate::TRANSMITTANCE_MIN`].
 
 use crate::backend::BackendKind;
+use crate::backward::BlendTape;
 use crate::gaussian::GaussianCloud;
 use crate::idset::IdSet;
 use crate::project::{falloff, Projection, Splat2d};
@@ -126,10 +127,16 @@ pub struct RenderStats {
     /// tile's Gaussian table because **every** pixel of the row saturated
     /// (`T` below threshold) — the per-tile T-saturation early-out.
     pub saturated_rows: u64,
-    /// (splat, tile) pairs that took the tile-interior fast path: the
+    /// (splat, tile) pairs some pixel row's table walk reached, summed over
+    /// tiles: a tile's walk depth is the deepest index any of its rows got to
+    /// before saturating. The table depth actually paid for, beside `pairs`
+    /// (the depth binned). Diagnostic only — not part of any work model.
+    pub walked_pairs: u64,
+    /// Walked (splat, tile) pairs that took the tile-interior fast path: the
     /// splat's α provably stays at or above [`ALPHA_THRESHOLD`] on every
     /// pixel of the tile, so the per-pixel falloff bound check before the
-    /// blend stage is skipped (bit-identical to the checked path).
+    /// blend stage is skipped (bit-identical to the checked path). Entries no
+    /// row reaches are not classified, so they are not counted.
     pub interior_pairs: u64,
     /// Per-tile workload detail (only when requested).
     pub tile_work: Vec<TileWork>,
@@ -174,6 +181,7 @@ pub struct TileRaster {
     pub(crate) blend_ops: u64,
     pub(crate) early_terminated: u64,
     pub(crate) saturated_rows: u64,
+    pub(crate) walked_pairs: u64,
     pub(crate) interior_pairs: u64,
     pub(crate) skipped_pairs: u64,
     pub(crate) work: Option<TileWork>,
@@ -187,9 +195,9 @@ impl TileRaster {
         tile_idx: usize,
         tile_w: usize,
         tile_h: usize,
-        options: &RenderOptions,
+        collect_tile_work: bool,
     ) -> Self {
-        let work = options.collect_tile_work.then(|| TileWork {
+        let work = collect_tile_work.then(|| TileWork {
             tile: tile_idx as u32,
             per_pixel_evals: vec![0; tile_w * tile_h],
             per_pixel_blends: vec![0; tile_w * tile_h],
@@ -202,6 +210,7 @@ impl TileRaster {
             blend_ops: 0,
             early_terminated: 0,
             saturated_rows: 0,
+            walked_pairs: 0,
             interior_pairs: 0,
             skipped_pairs: 0,
             work,
@@ -331,7 +340,7 @@ pub(crate) fn rasterize_tile(
     let (x0, y0, x1, y1) = bounds;
     let tile_w = x1 - x0;
     let tile_h = y1 - y0;
-    let mut out = TileRaster::empty(tile_idx, tile_w, tile_h, options);
+    let mut out = TileRaster::empty(tile_idx, tile_w, tile_h, options.collect_tile_work);
     if table.is_empty() {
         return out;
     }
@@ -355,7 +364,8 @@ pub(crate) fn rasterize_tile(
             !skipped && splat_covers_tile(splat, bounds)
         })
         .collect();
-    out.interior_pairs = interior.iter().filter(|&&fast| fast).count() as u64;
+    // Deepest table index (+1) any row of this tile walks to.
+    let mut walked = 0usize;
 
     // Row-local accumulators, reused across rows.
     let mut row_t = vec![1.0f32; tile_w];
@@ -374,6 +384,7 @@ pub(crate) fn rasterize_tile(
         active.clear();
         active.extend(0..tile_w as u32);
         let fy = py as f32;
+        let mut reached = table.len();
 
         for (k, entry) in table.iter().enumerate() {
             // Splat data and the skip decision are hoisted per (entry, row)
@@ -425,9 +436,11 @@ pub(crate) fn rasterize_tile(
                 if k + 1 < table.len() {
                     out.saturated_rows += 1;
                 }
+                reached = k + 1;
                 break;
             }
         }
+        walked = walked.max(reached);
 
         let row_base = (py - y0) * tile_w;
         for px_off in 0..tile_w {
@@ -445,6 +458,9 @@ pub(crate) fn rasterize_tile(
             }
         }
     }
+
+    out.walked_pairs = walked as u64;
+    out.interior_pairs = interior[..walked].iter().filter(|&&fast| fast).count() as u64;
 
     // Skip accounting: pairs whose splat is in the skip set.
     if let Some(skip) = &options.skip {
@@ -469,6 +485,26 @@ pub fn rasterize(
     camera: &PinholeCamera,
     options: &RenderOptions,
 ) -> RenderOutput {
+    rasterize_taped(cloud, projection, tables, camera, options, None)
+}
+
+/// [`rasterize`] for a render that is going to be differentiated: a backend
+/// that tapes records every pixel's blends into `tape` (sized here, one
+/// [`crate::backward::TileTape`] per tile) for
+/// [`crate::backward::backward_taped`]. Output and statistics are those of
+/// [`rasterize`].
+pub(crate) fn rasterize_taped(
+    cloud: &GaussianCloud,
+    projection: &Projection,
+    tables: &GaussianTables,
+    camera: &PinholeCamera,
+    options: &RenderOptions,
+    mut tape: Option<&mut BlendTape>,
+) -> RenderOutput {
+    if let Some(tape) = tape.as_deref_mut() {
+        tape.reset(tables.tables.len());
+    }
+    let tape = tape.as_deref();
     let mut color = RgbImage::filled(camera.width, camera.height, Vec3::ZERO);
     let mut depth = DepthImage::new(camera.width, camera.height);
     let mut silhouette = GrayImage::new(camera.width, camera.height);
@@ -492,12 +528,15 @@ pub fn rasterize(
         options.parallelism.for_workload(tables.total_pairs as usize * pair_work, 1024 * pair_work);
     let backend = options.backend.backend();
     let outcomes = par_map(&par, tables.tables.len(), 1, |tile_idx| {
+        let mut tile_tape =
+            tape.map(|t| t.tiles[tile_idx].lock().expect("a worker panicked while taping"));
         backend.rasterize_tile(
             projection,
             &tables.tables[tile_idx],
             tables.grid.tile_bounds(tile_idx),
             tile_idx,
             options,
+            tile_tape.as_deref_mut(),
         )
     });
 
@@ -506,6 +545,7 @@ pub fn rasterize(
         stats.blend_ops += outcome.blend_ops;
         stats.early_terminated_pixels += outcome.early_terminated;
         stats.saturated_rows += outcome.saturated_rows;
+        stats.walked_pairs += outcome.walked_pairs;
         stats.interior_pairs += outcome.interior_pairs;
         stats.skipped_pairs += outcome.skipped_pairs;
         if let Some(w) = outcome.work {

@@ -9,10 +9,11 @@ use ags_image::{DepthImage, RgbImage};
 use ags_math::parallel::Parallelism;
 use ags_math::Se3;
 use ags_scene::PinholeCamera;
+use ags_splat::backward::GradMode;
 use ags_splat::loss::LossConfig;
 use ags_splat::optim::PoseAdam;
-use ags_splat::render::RenderStats;
-use ags_splat::train::tracking_gradient_with;
+use ags_splat::render::{RenderOptions, RenderStats};
+use ags_splat::train::{train_pass, TrainPass, TrainScratch};
 use ags_splat::{BackendKind, CloudSnapshot, GaussianCloud};
 
 /// Configuration of the 3DGS pose refiner.
@@ -141,16 +142,25 @@ impl GsPoseRefiner {
         let mut best_loss = f32::INFINITY;
         let mut prev_loss = f32::INFINITY;
 
+        let options = RenderOptions {
+            parallelism: self.config.parallelism.clone(),
+            backend: self.config.backend,
+            ..RenderOptions::default()
+        };
+        let mut scratch = TrainScratch::default();
+
         for iter in 0..iterations {
-            let (loss, back, render) = tracking_gradient_with(
-                self.config.backend,
+            let TrainPass { loss, render, backward: back } = train_pass(
+                &mut scratch,
                 cloud,
                 camera,
                 &pose,
                 gt_rgb,
                 gt_depth,
                 &self.config.loss,
-                &self.config.parallelism,
+                GradMode::Track,
+                &options,
+                None,
             );
             accumulate_stats(&mut workload.render, &render.stats);
             workload.grad_ops += back.stats.grad_ops;
