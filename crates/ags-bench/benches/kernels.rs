@@ -25,6 +25,7 @@ use ags_sim::{GpeArrayConfig, GpeArraySim};
 use ags_splat::backward::{backward_with, GradMode};
 use ags_splat::loss::compute_loss;
 use ags_splat::render::{rasterize, render, RenderOptions};
+use ags_splat::tiles::GaussianTables;
 use ags_splat::train::{train_pass, TrainScratch};
 use ags_splat::{BackendKind, Gaussian, GaussianCloud};
 use ags_track::coarse::{CoarseConfig, CoarseTracker};
@@ -48,6 +49,14 @@ struct Spread {
 impl Spread {
     fn scaled(self, factor: f64) -> Self {
         Self { median: self.median * factor, min: self.min * factor, max: self.max * factor }
+    }
+
+    /// `"<name>_ms"`, `"<name>_ms_min"` and `"<name>_ms_max"` JSON members.
+    fn json_ms(&self, name: &str) -> String {
+        format!(
+            r#""{name}_ms": {:.4}, "{name}_ms_min": {:.4}, "{name}_ms_max": {:.4}"#,
+            self.median, self.min, self.max
+        )
     }
 }
 
@@ -1318,12 +1327,6 @@ struct TrainIterationResult {
 
 impl TrainIterationResult {
     fn json(&self) -> String {
-        let spread = |name: &str, s: &Spread| {
-            format!(
-                r#""{name}_ms": {:.4}, "{name}_ms_min": {:.4}, "{name}_ms_max": {:.4}"#,
-                s.median, s.min, s.max
-            )
-        };
         format!(
             r#"{{
     "frame": [{}, {}],
@@ -1347,9 +1350,9 @@ impl TrainIterationResult {
             self.walked_pairs,
             self.blend_ops,
             self.tape_bytes,
-            spread("taped", &self.taped_ms),
-            spread("standalone", &self.standalone_ms),
-            spread("forward", &self.forward_ms),
+            self.taped_ms.json_ms("taped"),
+            self.standalone_ms.json_ms("standalone"),
+            self.forward_ms.json_ms("forward"),
             self.standalone_ms.median / self.taped_ms.median,
             self.standalone_ms.min / self.taped_ms.max,
         )
@@ -1428,6 +1431,123 @@ fn bench_train_iteration() -> TrainIterationResult {
         taped_ms: taped_time.scaled(1e3),
         standalone_ms: standalone_time.scaled(1e3),
         forward_ms: forward_time.scaled(1e3),
+    }
+}
+
+struct BinResult {
+    width: usize,
+    height: usize,
+    samples: usize,
+    splats: usize,
+    visible: usize,
+    pairs: u64,
+    /// Tiles with a depth tie in their table, and those of them a vectorized
+    /// render's walk reached the tie in.
+    tied_tiles: usize,
+    canonical_tiles: u64,
+    /// `GaussianTables::build_with`: one sort of the visible splats, one
+    /// scatter.
+    build_ms: Spread,
+    /// The build plus every tile's canonical table — what each build cost
+    /// while every tile ran its own comparator sort.
+    build_plus_canonical_all_ms: Spread,
+}
+
+impl BinResult {
+    fn json(&self) -> String {
+        format!(
+            r#"{{
+    "frame": [{}, {}],
+    "samples": {},
+    "splats": {},
+    "visible": {},
+    "pairs": {},
+    "tied_tiles": {},
+    "canonical_tiles": {},
+    {},
+    {},
+    "bin_speedup": {:.3},
+    "bin_speedup_min": {:.3}
+  }}"#,
+            self.width,
+            self.height,
+            self.samples,
+            self.splats,
+            self.visible,
+            self.pairs,
+            self.tied_tiles,
+            self.canonical_tiles,
+            self.build_ms.json_ms("build"),
+            self.build_plus_canonical_all_ms.json_ms("build_plus_canonical_all"),
+            self.build_plus_canonical_all_ms.median / self.build_ms.median,
+            self.build_plus_canonical_all_ms.min / self.build_ms.max,
+        )
+    }
+}
+
+/// Step ② on a late-stream map: 38 k splats around the camera, a quarter of
+/// them in view at ≥ 2 k entries per tile, opaque enough that rows saturate a
+/// few hundred entries in, with a fronto-parallel wall of equal depths behind
+/// the front layers — the shape `steady_map` has from frame 50 on.
+fn bench_bin() -> BinResult {
+    const SAMPLES: usize = 9;
+    let mut cloud = GaussianCloud::new();
+    let mut rng = ags_math::Pcg32::seeded(15);
+    let mut push = |rng: &mut ags_math::Pcg32, position: Vec3| {
+        cloud.push(Gaussian::isotropic(
+            position,
+            rng.range_f32(0.04, 0.16),
+            Vec3::new(rng.next_f32(), rng.next_f32(), rng.next_f32()),
+            rng.range_f32(0.2, 0.9),
+        ));
+    };
+    for _ in 0..36_000 {
+        let position =
+            Vec3::new(rng.range_f32(-5.0, 5.0), rng.range_f32(-4.0, 4.0), rng.range_f32(-6.0, 6.0));
+        push(&mut rng, position);
+    }
+    for _ in 0..2_000 {
+        let position = Vec3::new(rng.range_f32(-2.0, 2.0), rng.range_f32(-1.5, 1.5), 2.5);
+        push(&mut rng, position);
+    }
+    let camera = PinholeCamera::from_fov(64, 48, 1.2);
+    let options = RenderOptions {
+        parallelism: Parallelism::serial(),
+        backend: BackendKind::Vectorized,
+        ..RenderOptions::default()
+    };
+    let projection = options.backend.backend().project(&cloud, &camera, &Se3::IDENTITY);
+    let build = || GaussianTables::build_with(&projection, &camera, &options.parallelism);
+
+    let tables = build();
+    let tiles = tables.grid.num_tiles();
+    let shallowest = tables.tables().iter().map(Vec::len).min().unwrap_or(0);
+    assert!(shallowest >= 2000, "late-stream tables must be deep, got {shallowest}");
+    let tied_tiles =
+        (0..tiles).filter(|&t| tables.unique_len(t) < tables.tables()[t].len()).count();
+    assert!(tied_tiles > 0, "the wall must put depth ties into the tables");
+    let stats = rasterize(&cloud, &projection, &tables, &camera, &options).stats;
+
+    let build_time = time_spread(SAMPLES, 20, || {
+        black_box(build());
+    });
+    let all_time = time_spread(SAMPLES, 20, || {
+        let tables = build();
+        for t in 0..tiles {
+            black_box(tables.canonical(t));
+        }
+    });
+    BinResult {
+        width: camera.width,
+        height: camera.height,
+        samples: SAMPLES,
+        splats: cloud.len(),
+        visible: projection.splats.len(),
+        pairs: tables.total_pairs,
+        tied_tiles,
+        canonical_tiles: stats.canonical_tiles,
+        build_ms: build_time.scaled(1e3),
+        build_plus_canonical_all_ms: all_time.scaled(1e3),
     }
 }
 
@@ -1520,6 +1640,24 @@ fn main() {
         train.pairs,
         train.walked_pairs,
         train.tape_bytes / 1024
+    );
+    let bin = bench_bin();
+    println!(
+        "tile binning (late-stream map)  {}x{}:  build {:>7.3} ms [{:.3}..{:.3}]  + canonical on every tile {:>7.3} ms [{:.3}..{:.3}]  ({:.2}x)   visible {} of {}  pairs {}  tied tiles {}  canonical tiles {}",
+        bin.width,
+        bin.height,
+        bin.build_ms.median,
+        bin.build_ms.min,
+        bin.build_ms.max,
+        bin.build_plus_canonical_all_ms.median,
+        bin.build_plus_canonical_all_ms.min,
+        bin.build_plus_canonical_all_ms.max,
+        bin.build_plus_canonical_all_ms.median / bin.build_ms.median,
+        bin.visible,
+        bin.splats,
+        bin.pairs,
+        bin.tied_tiles,
+        bin.canonical_tiles
     );
     let e2e = bench_end_to_end(parallel);
     println!(
@@ -1673,6 +1811,7 @@ fn main() {
     "coarse_track_ms_max": {:.4}
   }},
   "train_iteration": {},
+  "bin": {},
   "end_to_end": {{
     "frame": [{}, {}],
     "frames": {},
@@ -1795,6 +1934,7 @@ fn main() {
         bb.coarse_track_ms.min,
         bb.coarse_track_ms.max,
         train.json(),
+        bin.json(),
         e2e.width,
         e2e.height,
         e2e.frames,

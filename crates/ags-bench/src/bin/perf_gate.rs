@@ -45,7 +45,7 @@
 //! `eager_restore_bytes`, the point of streaming the delta chain once
 //! instead of materializing it twice.
 //!
-//! Two same-host ratios are gated against an **absolute floor** (higher is
+//! Three same-host ratios are gated against an **absolute floor** (higher is
 //! better, no baseline needed; the hardware class mostly cancels out of
 //! them). `vectorized_map_speedup` — the map-stage speedup of the
 //! vectorized backend plus projection cache over the scalar reference — must
@@ -61,7 +61,12 @@
 //! tiles again instead of consuming the forward pass's tape, so the floor
 //! sits between the effect and its absence. `taped_speedup_min` beside it is
 //! the pessimistic pairing (fastest stand-alone sample over slowest taped
-//! sample, 1.07–1.34 on that host) — recorded, not gated.
+//! sample, 1.07–1.34 on that host) — recorded, not gated. `bin_speedup` —
+//! the `bin` entry's table build plus every tile's historical per-tile sort
+//! over the sort-once build alone, median over median on a late-stream map —
+//! must stay ≥ 2.5: it has read 3.6 and 3.9 on the bench host (`bin_speedup_min`,
+//! the pessimistic pairing, 3.3 and 3.4) and falls to about 2.0 if the build sorts every tile again (the canonical tables then
+//! pay that sort a second time), so the floor sits between the two.
 //!
 //! Improvements and new metrics never fail the gate; a metric missing from
 //! the *current* file does (the bench must keep emitting what the gate
@@ -121,12 +126,14 @@ const REGRESSION_CEILING_KEYS: [&str; 2] =
 /// Metrics with a hardware-independent floor (higher is better): the gate
 /// fails when the *current* value falls below the floor. Same missing-key
 /// rules as [`CEILING_KEYS`]: absent from both files is skipped, dropped
-/// from the current file only fails. Both are same-host ratios within one
+/// from the current file only fails. All are same-host ratios within one
 /// bench run (vectorized + projection-cache map stage vs the scalar
-/// reference; stand-alone forward + backward vs the taped training pass), so
-/// the floors travel across hardware classes. Each sits below the committed
+/// reference; stand-alone forward + backward vs the taped training pass;
+/// table build plus per-tile sorts vs the sort-once build), so the floors
+/// travel across hardware classes. Each sits below the committed
 /// reading by more than the spread recorded beside it (see module docs).
-const FLOOR_KEYS: [(&str, f64); 2] = [("vectorized_map_speedup", 2.0), ("taped_speedup", 1.10)];
+const FLOOR_KEYS: [(&str, f64); 3] =
+    [("vectorized_map_speedup", 2.0), ("taped_speedup", 1.10), ("bin_speedup", 2.5)];
 
 /// Extracts the first `"key": <number>` value from a JSON document.
 ///
@@ -522,6 +529,28 @@ mod tests {
         // Dropping the entry from the bench output fails too.
         let err = run(&with_taped(1.4), &doc(10.0, 10.0, 10.0), 0.25).unwrap_err();
         assert!(err.contains("taped_speedup") && err.contains("missing"), "{err}");
+    }
+
+    #[test]
+    fn gates_bin_speedup_against_the_absolute_floor() {
+        let with_bin = |speedup: f64| {
+            let d = doc(10.0, 10.0, 10.0);
+            format!(
+                r#"{}, "bin": {{ "build_ms": 0.25, "bin_speedup_min": 0.5,
+                   "bin_speedup": {speedup} }} }}"#,
+                &d[..d.rfind('}').unwrap()]
+            )
+        };
+        // The sibling `_min` key must not shadow the gated one.
+        assert_eq!(extract_metric(&with_bin(3.4), "bin_speedup"), Some(3.4));
+        assert!(run(&with_bin(3.4), &with_bin(2.55), 0.25).is_ok());
+        // A build that sorts every tile again reads about 2.0 and trips the
+        // gate, whatever the baseline read.
+        let err = run(&with_bin(1.5), &with_bin(2.0), 0.25).unwrap_err();
+        assert!(err.contains("bin_speedup") && err.contains("below the absolute floor"), "{err}");
+        // Dropping the entry from the bench output fails too.
+        let err = run(&with_bin(3.4), &doc(10.0, 10.0, 10.0), 0.25).unwrap_err();
+        assert!(err.contains("bin_speedup") && err.contains("missing"), "{err}");
     }
 
     /// Appends a `migration` entry to a `doc()` document the way

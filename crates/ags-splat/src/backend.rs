@@ -45,6 +45,22 @@
 //! are never touched ([`crate::render::RenderStats::walked_pairs`] against
 //! `pairs`).
 //!
+//! # Which table a tile walks
+//!
+//! Blending follows [`GaussianTables::canonical`] — the historical per-tile
+//! sort's order, ties included (the contract in [`crate::tiles`]). The
+//! reference kernels are the oracle and take that table up front. The
+//! vectorized kernel walks the sort-once table and fills its slab no further
+//! than the tile's first depth tie; the first row that needs the tied entry
+//! switches the tile to the canonical table (built then, once). On an opaque
+//! map rows saturate first and no tile sorts anything
+//! ([`crate::render::RenderStats::canonical_tiles`]).
+//!
+//! **Row cull:** a splat whose α-cut ellipse `q ≤ qcut` ends above or below a
+//! pixel row is negligible on all of it; the slab keeps the ellipse's squared
+//! y half-extent (`cut_half_height_sq`) and such a row books its counters
+//! without evaluating the quadratic — most (entry, row) pairs of a thin map.
+//!
 //! Tape memory: 8 bytes per blend operation (`backward::TapeEntry`), so a
 //! pass holds `8 × RenderStats::blend_ops` bytes — bounded by pixels ×
 //! blends-to-saturation, never by table depth. On the 96×72 kernel-bench
@@ -56,9 +72,9 @@
 //! thread-local like the slab. Renders that are not differentiated
 //! (`render`, `rasterize`, densify pre-renders, audits) record nothing.
 //!
-//! A future `wgpu` backend implements the same trait; the sorted table
-//! layout produced by [`RenderBackend::build_tables`] is the inter-stage
-//! contract it must honour.
+//! A future `wgpu` backend implements the same trait; the tables produced by
+//! [`RenderBackend::build_tables`], blended in their canonical order, are the
+//! inter-stage contract it must honour.
 
 use crate::backward::{
     chunk_with_scratch, reverse_tile, BlendTape, ChunkGrads, TapeEntry, TileTape,
@@ -132,8 +148,8 @@ impl BackendKind {
 /// Steps ① (projection) and ② (binning) have shared default bodies — their
 /// outputs are the inter-stage contract (sorted per-tile tables of
 /// [`TableEntry`]), and a backend overriding them must reproduce the same
-/// entries in the same order. Steps ③ and ④ are the per-tile hot loops each
-/// backend supplies.
+/// entries in the same canonical order. Steps ③ and ④ are the per-tile hot
+/// loops each backend supplies.
 pub trait RenderBackend: Send + Sync + std::fmt::Debug {
     /// Which [`BackendKind`] this backend implements.
     fn kind(&self) -> BackendKind;
@@ -158,14 +174,16 @@ pub trait RenderBackend: Send + Sync + std::fmt::Debug {
         GaussianTables::build_with(projection, camera, parallelism)
     }
 
-    /// Step ③: rasterizes one tile into tile-local buffers. `tape` is `Some`
+    /// Step ③: rasterizes tile `tile_idx` of `tables` into tile-local
+    /// buffers, blending in the order of [`GaussianTables::canonical`] — by
+    /// walking it, or by walking the fast table up to the first depth tie and
+    /// switching (the order contract in [`crate::tiles`]). `tape` is `Some`
     /// when the render is going to be differentiated: a backend that tapes
     /// records the tile's blends into it, one that replays ignores it.
     fn rasterize_tile(
         &self,
         projection: &Projection,
-        table: &[TableEntry],
-        bounds: (usize, usize, usize, usize),
+        tables: &GaussianTables,
         tile_idx: usize,
         options: &RenderOptions,
         tape: Option<&mut TileTape>,
@@ -199,13 +217,12 @@ impl RenderBackend for ReferenceBackend {
     fn rasterize_tile(
         &self,
         projection: &Projection,
-        table: &[TableEntry],
-        bounds: (usize, usize, usize, usize),
+        tables: &GaussianTables,
         tile_idx: usize,
         options: &RenderOptions,
         _tape: Option<&mut TileTape>,
     ) -> TileRaster {
-        rasterize_tile(projection, table, bounds, tile_idx, options)
+        rasterize_tile(projection, tables, tile_idx, options)
     }
 
     fn backward_chunk(
@@ -234,16 +251,14 @@ impl RenderBackend for VectorizedBackend {
     fn rasterize_tile(
         &self,
         projection: &Projection,
-        table: &[TableEntry],
-        bounds: (usize, usize, usize, usize),
+        tables: &GaussianTables,
         tile_idx: usize,
         options: &RenderOptions,
         tape: Option<&mut TileTape>,
     ) -> TileRaster {
         rasterize_tile_vec(
             projection,
-            table,
-            bounds,
+            tables,
             tile_idx,
             options.skip.as_deref(),
             options.record_contributions,
@@ -268,8 +283,7 @@ impl RenderBackend for VectorizedBackend {
             // recorded here, by the same kernel, just before its reverse stage.
             let mut standalone = TileTape::default();
             for tile_idx in tile_range {
-                let table = &tables.tables[tile_idx];
-                if table.is_empty() {
+                if tables.tables()[tile_idx].is_empty() {
                     continue;
                 }
                 let bounds = tables.grid.tile_bounds(tile_idx);
@@ -277,9 +291,7 @@ impl RenderBackend for VectorizedBackend {
                     tape.map(|t| t.tiles[tile_idx].lock().expect("a worker panicked while taping"));
                 if forward.is_none() {
                     let tape = Some(&mut standalone);
-                    rasterize_tile_vec(
-                        projection, table, bounds, tile_idx, skip, false, false, tape,
-                    );
+                    rasterize_tile_vec(projection, tables, tile_idx, skip, false, false, tape);
                 }
                 let tile_tape = forward.as_deref().unwrap_or(&standalone);
                 reverse_tile(projection, loss, camera.width, bounds, tile_tape, slot_of, &mut out);
@@ -471,6 +483,29 @@ fn qcut(opacity: f32) -> f32 {
     (2.0 * (opacity as f64 / ALPHA_THRESHOLD as f64).ln() + 0.5) as f32
 }
 
+/// Squared y half-extent of the ellipse `q ≤ qcut`: a pixel row with
+/// `dy² > hy²` has `q > qcut` on every pixel, so the row kernel books the
+/// negligible evaluations without computing a single `q`.
+///
+/// For fixed `dy` the quadratic's minimum over `dx` is `(ac − b²)/a · dy²`,
+/// which exceeds `qcut` exactly when `dy² > qcut·a/(ac − b²)`. Derived in f64
+/// under the guards of `render::splat_covers_tile` — `b² < 0.998·ac` keeps
+/// every f32 evaluation of `q` within 10⁻³ of its exact value — and inflated by
+/// 1 %; a faint splat (`qcut < 0`, negligible wherever `q` is a number) gets
+/// extent zero. A conic outside the guards is never cut (`+∞`).
+fn cut_half_height_sq((a, b, c): (f32, f32, f32), qcut: f32) -> f32 {
+    if !(a > 0.0 && c > 0.0 && b * b < 0.998 * a * c) {
+        return f32::INFINITY;
+    }
+    let (a, b, c) = (a as f64, b as f64, c as f64);
+    let hy2 = 1.01 * (qcut.max(0.0) as f64) * a / (a * c - b * b);
+    if hy2.is_finite() {
+        hy2 as f32
+    } else {
+        f32::INFINITY
+    }
+}
+
 // ---------------------------------------------------------------------------
 // SoA tile slab.
 // ---------------------------------------------------------------------------
@@ -490,6 +525,8 @@ struct TileSlab {
     c: Vec<f32>,
     opacity: Vec<f32>,
     qcut: Vec<f32>,
+    /// Squared y half-extent of the α-cut ellipse ([`cut_half_height_sq`]).
+    hy2: Vec<f32>,
     color: Vec<Vec3>,
     depth: Vec<f32>,
     skipped: Vec<bool>,
@@ -506,6 +543,7 @@ impl TileSlab {
             c: Vec::new(),
             opacity: Vec::new(),
             qcut: Vec::new(),
+            hy2: Vec::new(),
             color: Vec::new(),
             depth: Vec::new(),
             skipped: Vec::new(),
@@ -521,6 +559,7 @@ impl TileSlab {
         self.c.clear();
         self.opacity.clear();
         self.qcut.clear();
+        self.hy2.clear();
         self.color.clear();
         self.depth.clear();
         self.skipped.clear();
@@ -532,7 +571,8 @@ impl TileSlab {
         self.mean_x.len()
     }
 
-    /// Repacks and classifies the next [`SLAB_BLOCK`] entries of `table`.
+    /// Repacks and classifies the next [`SLAB_BLOCK`] entries of `table` (or
+    /// as many as it has left).
     fn fill_block(
         &mut self,
         projection: &Projection,
@@ -550,12 +590,20 @@ impl TileSlab {
             self.a.push(ca);
             self.s2b.push(2.0 * cb);
             self.c.push(cc);
+            let interior = !skipped && splat_covers_tile(splat, bounds);
+            let cut = qcut(splat.opacity);
             self.opacity.push(splat.opacity);
-            self.qcut.push(qcut(splat.opacity));
+            self.qcut.push(cut);
+            // Interior entries blend on every pixel: no row of theirs is cut.
+            self.hy2.push(if interior {
+                f32::INFINITY
+            } else {
+                cut_half_height_sq(splat.conic, cut)
+            });
             self.color.push(splat.color);
             self.depth.push(splat.depth);
             self.skipped.push(skipped);
-            self.interior.push(!skipped && splat_covers_tile(splat, bounds));
+            self.interior.push(interior);
         }
     }
 }
@@ -603,6 +651,9 @@ struct VecRowPass<'a> {
     row_d: &'a mut [f32],
     row_evals: &'a mut [u32],
     row_blends: &'a mut [u32],
+    /// Entries the row cull has skipped so far in this row: α evaluations a
+    /// pixel is owed when it leaves the active list.
+    culled: u32,
     early_terminated: &'a mut u64,
 }
 
@@ -657,6 +708,7 @@ fn blend_entry_row_vec<const INTERIOR: bool, const TAPED: bool>(pass: &mut VecRo
         pass.row_t[px_off] = t;
         if t < TRANSMITTANCE_MIN {
             *pass.early_terminated += 1;
+            pass.row_evals[px_off] += pass.culled;
             pass.active.swap_remove(i);
         } else {
             i += 1;
@@ -669,17 +721,24 @@ fn blend_entry_row_vec<const INTERIOR: bool, const TAPED: bool>(pass: &mut VecRo
 /// like `render::rasterize_tile` so outputs and every workload counter are
 /// bit-identical to it. With a `tape`, each row's blends are recorded per
 /// lane while the row runs and flushed in pixel order when it ends.
-#[allow(clippy::too_many_arguments)]
+///
+/// The walk starts on the tile's fast table and moves to its canonical table
+/// when a row first needs the entry at `unique_len` (the order contract in
+/// [`crate::tiles`]): everything before that index is the same entry in both.
 fn rasterize_tile_vec(
     projection: &Projection,
-    table: &[TableEntry],
-    bounds: (usize, usize, usize, usize),
+    tables: &GaussianTables,
     tile_idx: usize,
     skip: Option<&IdSet>,
     record_contributions: bool,
     collect_tile_work: bool,
     mut tape: Option<&mut TileTape>,
 ) -> TileRaster {
+    let mut table: &[TableEntry] = &tables.tables()[tile_idx];
+    // How far into `table` the slab may fill: to the first depth tie until
+    // the walk has switched tables, to the end after.
+    let mut trusted = tables.unique_len(tile_idx);
+    let bounds = tables.grid.tile_bounds(tile_idx);
     let (x0, y0, x1, y1) = bounds;
     let tile_w = x1 - x0;
     let tile_h = y1 - y0;
@@ -729,22 +788,45 @@ fn rasterize_tile_vec(
             active.extend(0..tile_w as u32);
             let fy = py as f32;
             let mut reached = table.len();
+            // Entries of this row the cull skipped: each is one α evaluation
+            // on every pixel active at the time, booked when the pixel leaves
+            // the active list or the row ends.
+            let mut culled = 0u32;
 
-            for (k, entry) in table.iter().enumerate() {
+            for k in 0..table.len() {
                 if k == slab.len() {
-                    slab.fill_block(projection, table, skip, bounds);
+                    if k == trusted {
+                        table = tables.canonical(tile_idx);
+                        trusted = table.len();
+                        // No row has touched an entry from here on: only the
+                        // ids the counters are booked under change.
+                        for (stats, entry) in out.contributions.iter_mut().zip(table).skip(k) {
+                            stats.0 = projection.splats[entry.splat_index as usize].id;
+                        }
+                    }
+                    slab.fill_block(projection, &table[..trusted], skip, bounds);
                 }
                 if slab.skipped[k] {
                     continue;
                 }
                 let dy = fy - slab.mean_y[k];
+                let contrib = record_contributions.then(|| out.contributions.get_mut(k)).flatten();
+                if dy * dy > slab.hy2[k] {
+                    // The α-cut ellipse ends above or below this row: every
+                    // lane would take the kernel's negligible branch.
+                    culled += 1;
+                    if let Some(entry_stats) = contrib {
+                        entry_stats.1 += active.len() as u32;
+                        entry_stats.2 += active.len() as u32;
+                    }
+                    continue;
+                }
                 let t3 = (slab.c[k] * dy) * dy;
                 let coeffs =
                     QuadCoeffs { mean_x: slab.mean_x[k], a: slab.a[k], s2b: slab.s2b[k], dy, t3 };
                 quad_row(&fx[..tile_w], &mut qrow[..tile_w], &coeffs);
-                let contrib = record_contributions.then(|| out.contributions.get_mut(k)).flatten();
                 let mut pass = VecRowPass {
-                    splat_index: entry.splat_index,
+                    splat_index: table[k].splat_index,
                     opacity: slab.opacity[k],
                     color: slab.color[k],
                     depth: slab.depth[k],
@@ -758,6 +840,7 @@ fn rasterize_tile_vec(
                     row_d: &mut row_d,
                     row_evals: &mut row_evals,
                     row_blends: &mut row_blends,
+                    culled,
                     early_terminated: &mut out.early_terminated,
                 };
                 match (slab.interior[k], tape.is_some()) {
@@ -775,6 +858,9 @@ fn rasterize_tile_vec(
                 }
             }
             walked = walked.max(reached);
+            for &px_off in active.iter() {
+                row_evals[px_off as usize] += culled;
+            }
 
             let row_base = (py - y0) * tile_w;
             for px_off in 0..tile_w {
@@ -799,13 +885,6 @@ fn rasterize_tile_vec(
         out.walked_pairs = walked as u64;
         out.interior_pairs = slab.interior[..walked].iter().filter(|&&fast| fast).count() as u64;
     });
-
-    if let Some(skip) = skip {
-        out.skipped_pairs = table
-            .iter()
-            .filter(|e| skip.contains(projection.splats[e.splat_index as usize].id as usize))
-            .count() as u64;
-    }
     out
 }
 
@@ -815,7 +894,8 @@ mod tests {
     use crate::backward::{backward_with, BackwardOutput, GradMode};
     use crate::gaussian::Gaussian;
     use crate::loss::{compute_loss, LossConfig, LossKind};
-    use crate::render::{rasterize, render, RenderOutput};
+    use crate::render::{rasterize, render, RenderOutput, RenderStats};
+    use crate::tiles::TileGrid;
     use crate::train::{train_pass, TrainScratch};
     use ags_image::{DepthImage, RgbImage};
     use ags_math::{Pcg32, Vec3};
@@ -900,6 +980,71 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// A culled row must be one the lane loop would have booked as negligible
+    /// on every pixel: random conics down to the degeneracy guard, opacities on
+    /// both sides of `qcut`'s sign change, rows on both sides of the bound,
+    /// full and edge-tile widths.
+    #[test]
+    fn culled_rows_are_negligible_on_every_lane() {
+        let mut rng = Pcg32::seeded(77);
+        let (mut culled_rows, mut kept_rows, mut unguarded) = (0u32, 0u32, 0u32);
+        let mut q = [0.0f32; TILE_SIZE];
+        for trial in 0..4000 {
+            let (a, c) = (rng.range_f32(1e-3, 3.3), rng.range_f32(1e-3, 3.3));
+            // Half the correlations are mild, half within 10⁻¹…10⁻⁵ of ±1:
+            // up to and past the degeneracy guard (|ρ| < 0.999).
+            let near_one = 1.0 - 10f32.powf(-rng.range_f32(1.0, 5.0));
+            let rho = rng.range_f32(-1.0, 1.0) * [1.0, near_one][trial % 2];
+            let rho = if trial % 4 == 3 { near_one.copysign(rho) } else { rho };
+            let conic = (a, rho * (a * c).sqrt(), c);
+            // ALPHA_THRESHOLD·e^-0.25 ≈ 0.00305 is where qcut changes sign.
+            let opacity = [rng.range_f32(1e-4, 0.004), rng.range_f32(0.004, 0.999)][trial / 4 % 2];
+            let cut = qcut(opacity);
+            let hy2 = cut_half_height_sq(conic, cut);
+            if hy2 == f32::INFINITY {
+                unguarded += 1;
+                continue;
+            }
+            let width = [16, 13, 3][trial % 3];
+            let x0 = rng.range_f32(0.0, 600.0).floor();
+            let fx: Vec<f32> = (0..width).map(|i| x0 + i as f32).collect();
+            let mean_x = x0 + rng.range_f32(-40.0, 56.0);
+            let bound = hy2.sqrt();
+            for row in 0..32 {
+                // Rows from well inside the ellipse to well outside, dense
+                // around the bound.
+                let dy = bound * (0.9 + 0.2 * row as f32 / 31.0) * [1.0, -1.0][row % 2]
+                    + [0.0, 0.0, 7.5, -30.0][row % 4];
+                let coeffs = QuadCoeffs {
+                    mean_x,
+                    a: conic.0,
+                    s2b: 2.0 * conic.1,
+                    dy,
+                    t3: (conic.2 * dy) * dy,
+                };
+                quad_row(&fx, &mut q[..width], &coeffs);
+                if dy * dy > hy2 {
+                    culled_rows += 1;
+                    for (lane, &q) in q[..width].iter().enumerate() {
+                        assert!(
+                            q < 0.0 || q > cut,
+                            "trial {trial} lane {lane}: conic {conic:?} opacity {opacity} dy {dy} \
+                             culled (hy² {hy2}) but q {q} ≤ qcut {cut}"
+                        );
+                    }
+                } else {
+                    kept_rows += 1;
+                }
+            }
+        }
+        assert!(culled_rows > 10_000 && kept_rows > 10_000, "{culled_rows} / {kept_rows}");
+        assert!(unguarded > 100, "near-degenerate conics must fall outside the guard");
+        // Outside the guards nothing is culled.
+        assert_eq!(cut_half_height_sq((1.0, 1.0, 1.0), 5.0), f32::INFINITY);
+        assert_eq!(cut_half_height_sq((0.0, 0.0, 1.0), 5.0), f32::INFINITY);
+        assert_eq!(cut_half_height_sq((f32::NAN, 0.0, 1.0), 5.0), f32::INFINITY);
     }
 
     fn random_cloud(seed: u64, n: usize, opacity_range: (f32, f32)) -> GaussianCloud {
@@ -1112,7 +1257,7 @@ mod tests {
         let (cloud, _, cam) = deep_scene();
         let projection = project_gaussians(&cloud, &cam, &Se3::IDENTITY);
         let tables = GaussianTables::build(&projection, &cam);
-        let shallowest = tables.tables.iter().map(Vec::len).min().unwrap();
+        let shallowest = tables.tables().iter().map(Vec::len).min().unwrap();
         assert!(shallowest >= 2000, "every table must be deep, got {shallowest}");
         let options = RenderOptions {
             collect_tile_work: true,
@@ -1136,27 +1281,30 @@ mod tests {
         assert!(uneven, "fixture must mix row depths within a tile");
     }
 
-    /// Frame-filling faint splats, depth-ordered by id, so every tile's table
-    /// is exactly `0..n` and skip ids land on chosen table indices.
+    /// Frame-filling faint splats on `n` distinct depths, so every tile's
+    /// table holds all of them and skip ids land on chosen table indices. Ids
+    /// are scattered over the depth ranks: a table in index order would be
+    /// sorted already, and a sort that finds nothing to do tells ties nothing.
     fn layered_cloud(n: usize) -> (GaussianCloud, IdSet) {
         let mut rng = Pcg32::seeded(n as u64 + 1);
         let mut cloud = GaussianCloud::new();
-        for i in 0..n {
+        let mut skip = IdSet::with_capacity(n);
+        for id in 0..n {
+            // 37 divides none of the sizes used, so this permutes the ranks.
+            let rank = (id * 37 + 11) % n;
             cloud.push(Gaussian::isotropic(
                 Vec3::new(
                     rng.range_f32(-0.3, 0.3),
                     rng.range_f32(-0.3, 0.3),
-                    1.5 + 1.5 * i as f32 / n as f32,
+                    1.5 + 1.5 * rank as f32 / n as f32,
                 ),
                 2.5,
                 Vec3::new(rng.next_f32(), rng.next_f32(), rng.next_f32()),
                 rng.range_f32(0.001, 0.03),
             ));
-        }
-        // Skip ids on both sides of the first two block edges and at the ends.
-        let mut skip = IdSet::with_capacity(n);
-        for id in [0, 62, 63, 64, 65, 127, 128, n.saturating_sub(1)] {
-            if id < n {
+            // Skipped entries on both sides of the first two block edges and
+            // at the ends.
+            if [0, 62, 63, 64, 65, 127, 128, n - 1].contains(&rank) {
                 skip.insert(id);
             }
         }
@@ -1172,7 +1320,7 @@ mod tests {
                 let (cloud, skip) = layered_cloud(n);
                 let projection = project_gaussians(&cloud, &cam, &Se3::IDENTITY);
                 let tables = GaussianTables::build(&projection, &cam);
-                assert!(tables.tables.iter().all(|t| t.len() == n), "tables must hold all {n}");
+                assert!(tables.tables().iter().all(|t| t.len() == n), "tables must hold all {n}");
                 for skip in [None, Some(Arc::new(skip))] {
                     let what = format!("{w}x{h}, {n} entries, skip {}", skip.is_some());
                     let base = RenderOptions {
@@ -1234,24 +1382,48 @@ mod tests {
         (rgb, depth)
     }
 
-    /// The taped vectorized training pass and the stand-alone vectorized
-    /// backward against the scalar replay, bit for bit: three gradient modes,
-    /// with and without the skip set, three losses, three thread counts.
-    fn check_taped_against_replay((cloud, skip, cam): (GaussianCloud, IdSet, PinholeCamera)) {
+    /// Everything that consumes the sorted tables against the oracle — the
+    /// scalar kernels over the per-tile build's tables
+    /// ([`GaussianTables::build_reference`]) — bit for bit: renders by both
+    /// backends, the stand-alone backward of both and the taped vectorized
+    /// training pass, at three thread counts; with and without the skip set,
+    /// three losses, three gradient modes. Returns the stats of the
+    /// vectorized render without the skip set.
+    fn check_against_oracle(
+        (cloud, skip, cam): (GaussianCloud, IdSet, PinholeCamera),
+    ) -> RenderStats {
         let pose = Se3::IDENTITY;
         let projection = project_gaussians(&cloud, &cam, &pose);
+        let oracle = GaussianTables::build_reference(&projection, &cam);
         let tables = GaussianTables::build(&projection, &cam);
         let skip = Arc::new(skip);
         let mut scratch = TrainScratch::default();
+        let mut unskipped = None;
+        let pars = || [1, 2, 7].map(|threads| Parallelism::with_threads(threads).min_items(0));
         for skip in [None, Some(&skip)] {
             let reference_options = RenderOptions {
                 skip: skip.cloned(),
                 record_contributions: true,
-                collect_tile_work: false,
+                collect_tile_work: true,
                 parallelism: Parallelism::serial(),
                 backend: BackendKind::Reference,
             };
-            let reference = rasterize(&cloud, &projection, &tables, &cam, &reference_options);
+            let reference = rasterize(&cloud, &projection, &oracle, &cam, &reference_options);
+            assert_eq!(reference.stats.canonical_tiles, 0, "the oracle's tables claim no ties");
+            for backend in [BackendKind::Reference, BackendKind::Vectorized] {
+                for parallelism in pars() {
+                    let what =
+                        format!("render, skip {}, {backend:?}, {parallelism:?}", skip.is_some());
+                    let options =
+                        RenderOptions { parallelism, backend, ..reference_options.clone() };
+                    let got = rasterize(&cloud, &projection, &tables, &cam, &options);
+                    assert_renders_equal(&reference, &got, &what);
+                    let first = unskipped.get_or_insert_with(|| got.stats.clone());
+                    if skip.is_none() {
+                        assert_eq!(first.canonical_tiles, got.stats.canonical_tiles, "{what}");
+                    }
+                }
+            }
             let (gt_rgb, gt_depth) = gt_for(&reference, 5);
             // The mask threshold sits between saturated and thin pixels.
             let masked = LossConfig { mask_threshold: 0.9995, ..LossConfig::tracking() };
@@ -1259,32 +1431,40 @@ mod tests {
                 let loss = compute_loss(&reference, &gt_rgb, &gt_depth, &loss_config);
                 for mode in [GradMode::Map, GradMode::Track, GradMode::Both] {
                     let what = format!("skip {}, {loss_config:?}, {mode:?}", skip.is_some());
-                    let backward = |backend: BackendKind| {
+                    let backward = |backend, tables: &GaussianTables, par: &Parallelism| {
                         let skip = skip.map(Arc::as_ref);
-                        let par = Parallelism::serial();
                         backward_with(
                             backend,
                             &cloud,
                             &projection,
-                            &tables,
+                            tables,
                             &cam,
                             &loss,
                             mode,
                             skip,
-                            &par,
+                            par,
                         )
                     };
-                    let replay = backward(BackendKind::Reference);
-                    assert!(replay.stats.grad_ops > 0, "{what}: fixture must produce gradients");
+                    let replay = backward(BackendKind::Reference, &oracle, &Parallelism::serial());
+                    // Thin fixtures have no pixel above the masked loss's threshold.
+                    let some = replay.stats.grad_ops > 0 || loss_config.silhouette_mask;
+                    assert!(some, "{what}: fixture must produce gradients");
                     assert!(
                         (replay.stats.pixels as usize) < cam.num_pixels() * 3 / 4,
                         "{what}: pixels without a loss gradient must be skipped"
                     );
-                    assert_backward_equal(&replay, &backward(BackendKind::Vectorized), &what);
-                    for threads in [1, 2, 7] {
-                        let what = format!("{what}, {threads} threads");
+                    for parallelism in pars() {
+                        let what = format!("{what}, {parallelism:?}");
+                        for backend in [BackendKind::Reference, BackendKind::Vectorized] {
+                            let standalone = backward(backend, &tables, &parallelism);
+                            assert_backward_equal(
+                                &replay,
+                                &standalone,
+                                &format!("{what}, {backend:?}"),
+                            );
+                        }
                         let options = RenderOptions {
-                            parallelism: Parallelism::with_threads(threads).min_items(0),
+                            parallelism,
                             backend: BackendKind::Vectorized,
                             ..reference_options.clone()
                         };
@@ -1309,16 +1489,98 @@ mod tests {
                 }
             }
         }
+        unskipped.expect("rendered")
     }
 
     #[test]
     fn taped_backward_is_bit_identical_to_reference_replay_on_the_stress_scene() {
-        check_taped_against_replay(stress_scene());
+        check_against_oracle(stress_scene());
     }
 
     #[test]
     fn taped_backward_is_bit_identical_to_reference_replay_on_the_deep_scene() {
-        check_taped_against_replay(deep_scene());
+        check_against_oracle(deep_scene());
+    }
+
+    /// Gives the `group` entries from depth rank `rank` on one depth: a tie
+    /// group starting at table index `rank` of every tile they all cover.
+    /// Returns their ids.
+    fn tie_depths(cloud: &mut GaussianCloud, rank: usize, group: usize) -> Vec<usize> {
+        let mut order: Vec<usize> = (0..cloud.len()).collect();
+        let splats = cloud.gaussians_mut();
+        order.sort_by(|&a, &b| {
+            splats[a].position.z.total_cmp(&splats[b].position.z).then(a.cmp(&b))
+        });
+        let tied = order[rank..rank + group].to_vec();
+        for &id in &tied {
+            splats[id].position.z = splats[tied[0]].position.z;
+        }
+        tied
+    }
+
+    /// Tiles whose canonical order differs from `(depth, index)`.
+    fn reordered_tiles(cloud: &GaussianCloud, cam: &PinholeCamera) -> usize {
+        let projection = project_gaussians(cloud, cam, &Se3::IDENTITY);
+        let tables = GaussianTables::build(&projection, cam);
+        let reordered = |t: &usize| tables.tables()[*t] != tables.canonical(*t);
+        (0..tables.tables().len()).filter(reordered).count()
+    }
+
+    /// The switch to the canonical table at every slab-block phase: the first
+    /// tie at index 0, 1 and around the first block edge of tables every row
+    /// walks to the end, with skip ids inside the tie group.
+    #[test]
+    fn walks_that_reach_a_tie_continue_on_the_canonical_table() {
+        // 61×45 has 13-pixel edge tiles, 51×35 has 3-pixel ones.
+        for (w, h) in [(61, 45), (51, 35)] {
+            let cam = PinholeCamera::from_fov(w, h, 1.2);
+            let tiles = TileGrid::for_camera(&cam).num_tiles() as u64;
+            let mut reordered = 0;
+            for first_tie in [0, 1, SLAB_BLOCK - 1, SLAB_BLOCK, SLAB_BLOCK + 1] {
+                let (mut cloud, skip) = layered_cloud(3 * SLAB_BLOCK);
+                let tied = tie_depths(&mut cloud, first_tie, SLAB_BLOCK);
+                assert!(tied.iter().any(|&id| skip.contains(id)), "no skip id in the tie group");
+                reordered += reordered_tiles(&cloud, &cam);
+                let stats = check_against_oracle((cloud, skip, cam));
+                assert_eq!(stats.walked_pairs, stats.pairs, "every row walks every entry");
+                assert_eq!(stats.canonical_tiles, tiles, "first tie at {first_tie}");
+            }
+            // Otherwise walking the fast table to the end would pass too.
+            assert!(reordered > 0, "no fixture's tie group sorts differently by index");
+        }
+    }
+
+    /// Ties no row reaches cost nothing: the walk never leaves the fast table.
+    #[test]
+    fn ties_behind_the_walk_never_build_a_canonical_table() {
+        let cam = PinholeCamera::from_fov(61, 45, 1.2);
+        let (mut cloud, skip) = layered_cloud(4096);
+        tie_depths(&mut cloud, 4000, 40);
+        assert!(reordered_tiles(&cloud, &cam) > 0);
+        let stats = check_against_oracle((cloud, skip, cam));
+        assert!(stats.saturated_rows > 0 && stats.walked_pairs < stats.pairs, "{stats:?}");
+        assert_eq!(stats.canonical_tiles, 0);
+    }
+
+    /// Rows of one tile stopping on both sides of the first tie: the rows
+    /// before it never see the switch, the rows after it all walk the
+    /// canonical table, whichever row got there first.
+    #[test]
+    fn rows_on_both_sides_of_the_first_tie_agree_with_the_oracle() {
+        let (mut cloud, skip, cam) = deep_scene();
+        let first_tie = 40;
+        tie_depths(&mut cloud, first_tie, 60);
+        assert!(reordered_tiles(&cloud, &cam) > 0);
+        let stats = check_against_oracle((cloud, skip, cam));
+        let grid = TileGrid::for_camera(&cam);
+        assert!(stats.canonical_tiles > 0, "{stats:?}");
+        let straddled = stats.tile_work.iter().any(|w| {
+            let (x0, _, x1, _) = grid.tile_bounds(w.tile as usize);
+            let deepest = |row: &[u16]| *row.iter().max().unwrap() as usize;
+            let rows: Vec<usize> = w.per_pixel_evals.chunks(x1 - x0).map(deepest).collect();
+            rows.iter().any(|&d| d < first_tie) && rows.iter().any(|&d| d > first_tie + 60)
+        });
+        assert!(straddled, "fixture must stop rows of one tile before and after the tie");
     }
 
     #[test]

@@ -309,7 +309,8 @@ fn backward_tile_chunk_with(
     let mut scratch: Vec<Contribution> = Vec::with_capacity(64);
 
     for tile_idx in tile_range {
-        let table = &tables.tables[tile_idx];
+        // The oracle replays the order blending must follow from entry 0.
+        let table = tables.canonical(tile_idx);
         if table.is_empty() {
             continue;
         }
@@ -559,7 +560,7 @@ pub(crate) fn backward_taped(
     let mut d_opacity = vec![0.0f32; n_splats];
     let mut stats = BackwardStats::default();
 
-    let num_tiles = tables.tables.len();
+    let num_tiles = tables.grid.num_tiles();
     let num_chunks = num_tiles.div_ceil(TILES_PER_CHUNK);
     // Small frames carry too little gradient work to amortise thread spawns;
     // auto mode drops to the serial path there (the chunk partition — and

@@ -13,7 +13,7 @@ use crate::backward::BlendTape;
 use crate::gaussian::GaussianCloud;
 use crate::idset::IdSet;
 use crate::project::{falloff, Projection, Splat2d};
-use crate::tiles::{GaussianTables, TableEntry};
+use crate::tiles::GaussianTables;
 use crate::{ALPHA_THRESHOLD, TRANSMITTANCE_MIN};
 use ags_image::{DepthImage, GrayImage, RgbImage};
 use ags_math::parallel::{par_map, Parallelism};
@@ -132,6 +132,10 @@ pub struct RenderStats {
     /// before saturating. The table depth actually paid for, beside `pairs`
     /// (the depth binned). Diagnostic only — not part of any work model.
     pub walked_pairs: u64,
+    /// Tiles whose walk reached the first depth tie of their table and so
+    /// continued on [`GaussianTables::canonical`] — the tiles that paid the
+    /// historical per-tile sort. Diagnostic only, like `walked_pairs`.
+    pub canonical_tiles: u64,
     /// Walked (splat, tile) pairs that took the tile-interior fast path: the
     /// splat's α provably stays at or above [`ALPHA_THRESHOLD`] on every
     /// pixel of the tile, so the per-pixel falloff bound check before the
@@ -183,7 +187,6 @@ pub struct TileRaster {
     pub(crate) saturated_rows: u64,
     pub(crate) walked_pairs: u64,
     pub(crate) interior_pairs: u64,
-    pub(crate) skipped_pairs: u64,
     pub(crate) work: Option<TileWork>,
     /// `(gaussian id, touched pixels, negligible pixels)` per table entry.
     pub(crate) contributions: Vec<(u32, u32, u32)>,
@@ -212,7 +215,6 @@ impl TileRaster {
             saturated_rows: 0,
             walked_pairs: 0,
             interior_pairs: 0,
-            skipped_pairs: 0,
             work,
             contributions: Vec::new(),
         }
@@ -330,13 +332,17 @@ fn blend_entry_row<const INTERIOR: bool>(pass: &mut RowPass<'_>) {
 /// sees the same entries in the same order as the classic pixel-major loop,
 /// so outputs and workload counters are bit-identical to it (enforced by
 /// `row_kernel_matches_pixel_major_reference`).
+///
+/// As the oracle it takes the tile's canonical table up front instead of
+/// switching to it when a row reaches the first depth tie.
 pub(crate) fn rasterize_tile(
     projection: &Projection,
-    table: &[TableEntry],
-    bounds: (usize, usize, usize, usize),
+    tables: &GaussianTables,
     tile_idx: usize,
     options: &RenderOptions,
 ) -> TileRaster {
+    let table = tables.canonical(tile_idx);
+    let bounds = tables.grid.tile_bounds(tile_idx);
     let (x0, y0, x1, y1) = bounds;
     let tile_w = x1 - x0;
     let tile_h = y1 - y0;
@@ -461,14 +467,6 @@ pub(crate) fn rasterize_tile(
 
     out.walked_pairs = walked as u64;
     out.interior_pairs = interior[..walked].iter().filter(|&&fast| fast).count() as u64;
-
-    // Skip accounting: pairs whose splat is in the skip set.
-    if let Some(skip) = &options.skip {
-        out.skipped_pairs = table
-            .iter()
-            .filter(|e| skip.contains(projection.splats[e.splat_index as usize].id as usize))
-            .count() as u64;
-    }
     out
 }
 
@@ -502,7 +500,7 @@ pub(crate) fn rasterize_taped(
     mut tape: Option<&mut BlendTape>,
 ) -> RenderOutput {
     if let Some(tape) = tape.as_deref_mut() {
-        tape.reset(tables.tables.len());
+        tape.reset(tables.grid.num_tiles());
     }
     let tape = tape.as_deref();
     let mut color = RgbImage::filled(camera.width, camera.height, Vec3::ZERO);
@@ -512,6 +510,7 @@ pub(crate) fn rasterize_taped(
         pairs: tables.total_pairs,
         visible_splats: projection.splats.len() as u64,
         culled: projection.culled as u64,
+        skipped_pairs: options.skip.as_ref().map_or(0, |s| tables.skipped_pairs(projection, s)),
         ..RenderStats::default()
     };
     let mut contributions =
@@ -527,17 +526,10 @@ pub(crate) fn rasterize_taped(
     let par =
         options.parallelism.for_workload(tables.total_pairs as usize * pair_work, 1024 * pair_work);
     let backend = options.backend.backend();
-    let outcomes = par_map(&par, tables.tables.len(), 1, |tile_idx| {
+    let outcomes = par_map(&par, tables.grid.num_tiles(), 1, |tile_idx| {
         let mut tile_tape =
             tape.map(|t| t.tiles[tile_idx].lock().expect("a worker panicked while taping"));
-        backend.rasterize_tile(
-            projection,
-            &tables.tables[tile_idx],
-            tables.grid.tile_bounds(tile_idx),
-            tile_idx,
-            options,
-            tile_tape.as_deref_mut(),
-        )
+        backend.rasterize_tile(projection, tables, tile_idx, options, tile_tape.as_deref_mut())
     });
 
     for (tile_idx, outcome) in outcomes.into_iter().enumerate() {
@@ -546,8 +538,10 @@ pub(crate) fn rasterize_taped(
         stats.early_terminated_pixels += outcome.early_terminated;
         stats.saturated_rows += outcome.saturated_rows;
         stats.walked_pairs += outcome.walked_pairs;
+        // A walk deeper than the unique prefix needed the first tied entry.
+        stats.canonical_tiles +=
+            u64::from(outcome.walked_pairs as usize > tables.unique_len(tile_idx));
         stats.interior_pairs += outcome.interior_pairs;
-        stats.skipped_pairs += outcome.skipped_pairs;
         if let Some(w) = outcome.work {
             stats.tile_work.push(w);
         }
@@ -718,8 +712,8 @@ mod tests {
         };
         let mut contributions =
             options.record_contributions.then(|| ContributionStats::new(cloud.len()));
-        for tile_idx in 0..tables.tables.len() {
-            let table = &tables.tables[tile_idx];
+        for tile_idx in 0..tables.grid.num_tiles() {
+            let table = tables.canonical(tile_idx);
             let (x0, y0, x1, y1) = tables.grid.tile_bounds(tile_idx);
             let mut per_entry = vec![(0u32, 0u32); table.len()];
             let mut work = options.collect_tile_work.then(|| TileWork {

@@ -272,9 +272,7 @@ fn parallel_rasterize_matches_serial() {
             &Parallelism::with_threads(4).min_items(0),
         );
         assert_eq!(serial_tables.total_pairs, parallel_tables.total_pairs, "seed {seed}");
-        for (a, b) in serial_tables.tables.iter().zip(&parallel_tables.tables) {
-            assert_eq!(a, b, "seed {seed}");
-        }
+        assert_eq!(serial_tables.tables(), parallel_tables.tables(), "seed {seed}");
 
         let serial = render(
             &cloud,
