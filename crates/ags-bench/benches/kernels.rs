@@ -17,13 +17,15 @@ use ags_codec::{sad_kernel_name, CodecConfig, LumaPlane, MotionEstimator, Search
 use ags_core::config::PipelineConfig;
 use ags_core::{AgsConfig, AgsSlam, PipelinedAgsSlam};
 use ags_math::parallel::Parallelism;
-use ags_math::{Se3, Vec3};
+use ags_math::{Se3, Vec2, Vec3};
 use ags_neural::DroidBackbone;
 use ags_scene::dataset::{Dataset, DatasetConfig, SceneId};
 use ags_scene::PinholeCamera;
 use ags_sim::{GpeArrayConfig, GpeArraySim};
 use ags_splat::backward::{backward_with, GradMode};
+use ags_splat::cache::ProjectionCache;
 use ags_splat::loss::compute_loss;
+use ags_splat::project::{project_gaussians, SplatTerms};
 use ags_splat::render::{rasterize, render, RenderOptions};
 use ags_splat::tiles::GaussianTables;
 use ags_splat::train::{train_pass, TrainScratch};
@@ -1551,6 +1553,131 @@ fn bench_bin() -> BinResult {
     }
 }
 
+struct FrontEndResult {
+    width: usize,
+    height: usize,
+    samples: usize,
+    splats: usize,
+    visible: usize,
+    /// In front of the near plane, culled: by the early reject, and of those
+    /// it let by, by the radius test at the end of the covariance chain.
+    early_rejected: usize,
+    late_culled: usize,
+    /// `project_gaussians`: terms derived on the fly, then projected.
+    project_cold_ms: Spread,
+    /// A cache that kept the terms, at a pose it has not seen.
+    project_warm_ms: Spread,
+}
+
+impl FrontEndResult {
+    fn json(&self) -> String {
+        format!(
+            r#"{{
+    "frame": [{}, {}],
+    "samples": {},
+    "splats": {},
+    "visible": {},
+    "early_rejected": {},
+    "late_culled": {},
+    {},
+    {},
+    "terms_speedup": {:.3},
+    "terms_speedup_min": {:.3}
+  }}"#,
+            self.width,
+            self.height,
+            self.samples,
+            self.splats,
+            self.visible,
+            self.early_rejected,
+            self.late_culled,
+            self.project_cold_ms.json_ms("project_cold"),
+            self.project_warm_ms.json_ms("project_warm"),
+            self.project_cold_ms.median / self.project_warm_ms.median,
+            self.project_cold_ms.min / self.project_warm_ms.max,
+        )
+    }
+}
+
+/// Step ① on a late-stream-shaped map: 56 k splats, two fifths in view, a
+/// quarter in front of the camera but off screen, the rest behind it — what a
+/// pose-refinement iteration re-projects twenty times a frame on
+/// `jerky_track`.
+fn bench_front_end() -> FrontEndResult {
+    const SAMPLES: usize = 9;
+    let camera = PinholeCamera::from_fov(60, 45, 1.2);
+    let (w, h) = (camera.width as f32, camera.height as f32);
+    let mut rng = ags_math::Pcg32::seeded(16);
+    let mut cloud = GaussianCloud::new();
+    for i in 0..56_000 {
+        let z = rng.range_f32(0.5, 6.0);
+        let position = match i % 20 {
+            0..=7 => camera.unproject(Vec2::new(rng.range_f32(0.0, w), rng.range_f32(0.0, h)), z),
+            8..=12 => {
+                // Past an image edge by 30 to 400 pixels.
+                let past = rng.range_f32(30.0, 400.0);
+                let (u, v) = (rng.range_f32(-400.0, w + 400.0), rng.range_f32(-400.0, h + 400.0));
+                let pixel = match rng.next_u32() % 4 {
+                    0 => Vec2::new(-past, v),
+                    1 => Vec2::new(w + past, v),
+                    2 => Vec2::new(u, -past),
+                    _ => Vec2::new(u, h + past),
+                };
+                camera.unproject(pixel, z)
+            }
+            _ => Vec3::new(rng.range_f32(-5.0, 5.0), rng.range_f32(-4.0, 4.0), -z),
+        };
+        cloud.push(Gaussian::isotropic(
+            position,
+            rng.range_f32(0.02, 0.12),
+            Vec3::new(rng.next_f32(), rng.next_f32(), rng.next_f32()),
+            rng.range_f32(0.2, 0.9),
+        ));
+    }
+    // A refinement's poses: small steps away from where the map was seen.
+    let pose_at = |step: usize| Se3::from_translation(Vec3::new(1e-3 * step as f32, -5e-4, 2e-3));
+
+    let projection = project_gaussians(&cloud, &camera, &pose_at(0));
+    let world_to_cam = pose_at(0).inverse();
+    let (mut early_rejected, mut in_front) = (0, 0);
+    for g in cloud.gaussians() {
+        let p_cam = world_to_cam.transform_point(g.position);
+        if let Some(mean) = camera.project(p_cam).filter(|_| p_cam.z >= 0.05) {
+            in_front += 1;
+            early_rejected += usize::from(SplatTerms::of(g).rejects_early(&camera, p_cam, mean));
+        }
+    }
+    let visible = projection.splats.len();
+    assert!(visible * 100 >= cloud.len() * 35, "two fifths must be in view, got {visible}");
+    assert!(early_rejected * 5 >= cloud.len(), "a fifth must be rejected early: {early_rejected}");
+
+    let mut cache = ProjectionCache::with_capacity(1);
+    let warm = cache.project_unkeyed(&cloud, &camera, &pose_at(0));
+    assert_eq!(warm.splats, projection.splats, "kept terms must not move a bit");
+    assert_eq!(warm.culled, projection.culled);
+
+    let mut step = 0;
+    let cold_time = time_spread(SAMPLES, 10, || {
+        step += 1;
+        black_box(project_gaussians(&cloud, &camera, &pose_at(step)));
+    });
+    let warm_time = time_spread(SAMPLES, 10, || {
+        step += 1;
+        black_box(cache.project_unkeyed(&cloud, &camera, &pose_at(step)));
+    });
+    FrontEndResult {
+        width: camera.width,
+        height: camera.height,
+        samples: SAMPLES,
+        splats: cloud.len(),
+        visible,
+        early_rejected,
+        late_culled: in_front - visible - early_rejected,
+        project_cold_ms: cold_time.scaled(1e3),
+        project_warm_ms: warm_time.scaled(1e3),
+    }
+}
+
 fn bench_gpe_sim() -> f64 {
     let sim = GpeArraySim::new(GpeArrayConfig::default());
     let evals: Vec<u16> = (0..256).map(|i| 10 + (i % 37) as u16).collect();
@@ -1640,6 +1767,23 @@ fn main() {
         train.pairs,
         train.walked_pairs,
         train.tape_bytes / 1024
+    );
+    let front = bench_front_end();
+    println!(
+        "projection (late-stream map)    {}x{}:  cold {:>7.3} ms [{:.3}..{:.3}]  terms kept {:>7.3} ms [{:.3}..{:.3}]  ({:.2}x)   visible {} of {}  early-rejected {}  late-culled {}",
+        front.width,
+        front.height,
+        front.project_cold_ms.median,
+        front.project_cold_ms.min,
+        front.project_cold_ms.max,
+        front.project_warm_ms.median,
+        front.project_warm_ms.min,
+        front.project_warm_ms.max,
+        front.project_cold_ms.median / front.project_warm_ms.median,
+        front.visible,
+        front.splats,
+        front.early_rejected,
+        front.late_culled
     );
     let bin = bench_bin();
     println!(
@@ -1811,6 +1955,7 @@ fn main() {
     "coarse_track_ms_max": {:.4}
   }},
   "train_iteration": {},
+  "front_end": {},
   "bin": {},
   "end_to_end": {{
     "frame": [{}, {}],
@@ -1934,6 +2079,7 @@ fn main() {
         bb.coarse_track_ms.min,
         bb.coarse_track_ms.max,
         train.json(),
+        front.json(),
         bin.json(),
         e2e.width,
         e2e.height,

@@ -740,9 +740,7 @@ impl MapStage {
         self.contribution.remap(remap);
         self.trainable_from = remap.survivors_below(self.trainable_from);
         self.last_touched = remap.gather(&self.last_touched);
-        // Ids shift under a remap and the cache keys by id, so every cached
-        // projection is invalid; the cache restarts cold.
-        self.cache.invalidate_all();
+        self.cache.remap(remap);
         // Chunks wholly below the first removed id keep their alignment and
         // stay snapped. Chunks at or past it shift — but where every
         // survivor came out of a snapped (hence cold) chunk, the chunk
@@ -766,7 +764,12 @@ impl MapStage {
                 let all_cold = old_of[lo..hi].iter().all(|&old| {
                     was_quantized.get(old as usize / QUANT_CHUNK).copied().unwrap_or(false)
                 });
-                all_cold && quantize_chunk_in_place(&mut splats[lo..hi])
+                let snapped = all_cold && quantize_chunk_in_place(&mut splats[lo..hi]);
+                if snapped {
+                    // Snapping onto the new grid rewrites the chunk.
+                    (lo..hi).for_each(|id| self.cache.mark_dirty(id));
+                }
+                snapped
             })
             .collect();
         remap.removed()

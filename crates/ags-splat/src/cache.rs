@@ -1,29 +1,46 @@
 //! Epoch-delta projection cache.
 //!
-//! During mapping iterations the camera pose is fixed while only a sparse
-//! subset of Gaussians moves per optimizer step (Adam skips untouched ids),
-//! so most of projection (step ①) recomputes results identical to the
-//! previous iteration. [`ProjectionCache`] memoises per-splat projection
-//! outputs keyed on the exact camera geometry and replays them for splats
-//! whose parameters have not changed since the cached pass — recomputing
-//! only the dirty ones with [`crate::project::project_one`], whose
-//! arithmetic is identical to a full [`project_gaussians`] pass. The cached
-//! projection is therefore **bit-identical** to projecting from scratch;
-//! the cache only changes how much work that takes.
+//! Projection (step ①) runs once per training iteration, and most of what it
+//! computes was computed before. The cache keeps two layers, both refreshed
+//! under one set of per-Gaussian change stamps:
 //!
-//! Change tracking is epoch-based: a monotone counter stamps every
-//! [`ProjectionCache::project`] call, [`ProjectionCache::mark_dirty`]
-//! records when a Gaussian last changed, and a cache slot refreshes exactly
-//! the splats whose change stamp is at or after the slot's last projection.
-//! Mapping windows cycle through a handful of poses (current frame +
-//! keyframe window), so slots are kept per pose key with LRU eviction.
+//! * **Terms** — what a projection needs of a Gaussian that no pose changes
+//!   ([`SplatTerms`]: Σ3, peak opacity, largest scale), derived when a
+//!   projection first asks for them and kept until the Gaussian's parameters
+//!   change. Every pass projects from them, whatever the pose.
+//! * **Pose slots** — during mapping the camera cycles through a handful of
+//!   poses (current frame + key-frame window) while only a sparse subset of
+//!   Gaussians moves per optimizer step, so a slot memoises per-splat
+//!   outcomes keyed on the exact camera geometry and replays them for splats
+//!   unchanged since the slot's last pass (LRU eviction).
+//!
+//! **Tracking takes no slot.** Under [`crate::backward::GradMode::Track`] the
+//! pose is the variable being optimised: it never repeats, and a slot costs a
+//! 64-byte `Option<Splat2d>` per Gaussian per new pose.
+//! [`crate::train::train_pass`] therefore sends tracking passes through
+//! [`ProjectionCache::project_unkeyed`], which uses the terms alone, and
+//! everything else through [`ProjectionCache::project`].
+//!
+//! Whatever the path, a splat is projected by
+//! [`crate::project::project_with_terms`] from terms that equal
+//! `SplatTerms::of` its current parameters, which is exactly what
+//! [`crate::project::project_gaussians`] does: the cached projection is
+//! **bit-identical** to projecting from scratch; the cache only changes how
+//! much work that takes.
+//!
+//! Change tracking is epoch-based: a monotone counter stamps every pass,
+//! [`ProjectionCache::mark_dirty`] records when a Gaussian last changed (and
+//! drops its terms), and a slot refreshes exactly the splats whose change
+//! stamp is at or after the slot's last pass. A prune hands its id remap to
+//! [`ProjectionCache::remap`], which keeps terms and stamps under the new ids.
 //!
 //! The cache is transient: it is rebuilt cold after checkpoint restore
 //! (projection results are derived state), which keeps durability formats
 //! untouched while remaining result-identical.
 
+use crate::compact::Remap;
 use crate::gaussian::GaussianCloud;
-use crate::project::{project_one, Projection, Splat2d};
+use crate::project::{project_cloud, project_with_terms, Projection, Splat2d, SplatTerms};
 use ags_math::Se3;
 use ags_scene::PinholeCamera;
 
@@ -61,22 +78,26 @@ struct CacheSlot {
     cached: Vec<Option<Splat2d>>,
 }
 
-/// Memoises per-splat projection results across mapping iterations.
+/// Memoises projection work across training iterations.
 ///
-/// See the module docs for the invalidation protocol. Typical use:
+/// See the module docs for the two layers and the invalidation protocol.
+/// Typical use:
 ///
-/// * call [`ProjectionCache::project`] instead of
+/// * hand the cache to [`crate::train::train_pass`], or call
+///   [`ProjectionCache::project`] instead of
 ///   [`crate::project::project_gaussians`];
 /// * after an optimizer step, call [`ProjectionCache::mark_dirty`] for every
 ///   Gaussian whose parameters changed (appended Gaussians are tracked
 ///   automatically by length growth);
-/// * call [`ProjectionCache::invalidate_all`] after id remaps (pruning).
-#[derive(Default)]
+/// * call [`ProjectionCache::remap`] after a prune.
 pub struct ProjectionCache {
-    /// Monotone epoch counter, advanced once per `project` call.
+    /// Monotone epoch counter, advanced once per pass.
     counter: u64,
     /// Per-Gaussian epoch of the last parameter change.
     changed_at: Vec<u64>,
+    /// Per-Gaussian terms; `None` until a projection needs them and again
+    /// once the Gaussian changes (36 bytes each).
+    terms: Vec<Option<SplatTerms>>,
     slots: Vec<CacheSlot>,
     /// Maximum pose slots kept (mapping window + current frame headroom).
     capacity: usize,
@@ -85,60 +106,79 @@ pub struct ProjectionCache {
 }
 
 impl ProjectionCache {
-    /// Default slot capacity: a mapping window of keyframes plus the
-    /// in-flight frame and one spare.
-    pub const DEFAULT_SLOTS: usize = 8;
-
-    /// Creates a cache holding at most `capacity` pose slots.
+    /// Creates a cache holding at most `capacity` pose slots (at least one).
     pub fn with_capacity(capacity: usize) -> Self {
-        Self { capacity: capacity.max(1), ..Self::default() }
-    }
-
-    /// Marks Gaussian `id` dirty: its cached projection (under every pose)
-    /// is refreshed on next use. Ids at or beyond the tracked length are
-    /// ignored — growth is detected by length instead.
-    pub fn mark_dirty(&mut self, id: usize) {
-        if let Some(slot) = self.changed_at.get_mut(id) {
-            *slot = self.counter;
+        Self {
+            counter: 0,
+            changed_at: Vec::new(),
+            terms: Vec::new(),
+            slots: Vec::new(),
+            capacity: capacity.max(1),
+            hits: 0,
+            misses: 0,
         }
     }
 
-    /// Drops every cached projection (id remap / structural change).
-    /// Change-tracking length is reset too; counters are kept.
-    pub fn invalidate_all(&mut self) {
-        self.slots.clear();
-        self.changed_at.clear();
+    /// Marks Gaussian `id` dirty: its terms are re-derived and its cached
+    /// projection (under every pose) refreshed on next use. Ids at or beyond
+    /// the tracked length are ignored — growth is detected by length instead.
+    pub fn mark_dirty(&mut self, id: usize) {
+        if let Some(changed) = self.changed_at.get_mut(id) {
+            *changed = self.counter;
+            self.terms[id] = None;
+        }
     }
 
-    /// `(hits, misses)` — cumulative per-splat cache outcomes.
+    /// Follows a prune: surviving Gaussians keep their terms and change
+    /// stamps under their new ids (the way [`crate::optim::Adam::remap`]
+    /// keeps moments), so the next pass derives nothing it already had. Pose
+    /// slots restart cold.
+    pub fn remap(&mut self, remap: &Remap) {
+        self.slots.clear();
+        self.changed_at = remap.gather(&self.changed_at);
+        self.terms = remap.gather(&self.terms);
+    }
+
+    /// Drops everything indexed by id; counters are kept.
+    fn invalidate_all(&mut self) {
+        self.slots.clear();
+        self.changed_at.clear();
+        self.terms.clear();
+    }
+
+    /// `(hits, misses)` — cumulative per-splat pose-slot outcomes. Terms and
+    /// [`project_unkeyed`](Self::project_unkeyed) passes are not counted.
     pub fn stats(&self) -> (u64, u64) {
         (self.hits, self.misses)
     }
 
-    /// Projects the cloud, reusing cached per-splat results where valid.
-    /// Bit-identical to [`crate::project::project_gaussians`] on the same
-    /// inputs.
+    /// Opens a pass over a cloud of `n` Gaussians and returns its epoch.
+    fn begin_pass(&mut self, n: usize) -> u64 {
+        // A shrink nobody remapped means ids moved — nothing indexed by id
+        // is valid.
+        if n < self.changed_at.len() {
+            self.invalidate_all();
+        }
+        // Appended Gaussians are stamped with the last completed pass's
+        // epoch — like any mutation since that pass — so this pass projects
+        // them and later passes reuse the result.
+        self.changed_at.resize(n, self.counter);
+        self.terms.resize(n, None);
+        self.counter += 1;
+        self.counter
+    }
+
+    /// Projects the cloud, reusing the pose's cached per-splat results where
+    /// valid and the kept terms elsewhere. Bit-identical to
+    /// [`crate::project::project_gaussians`] on the same inputs.
     pub fn project(
         &mut self,
         cloud: &GaussianCloud,
         camera: &PinholeCamera,
         pose: &Se3,
     ) -> Projection {
-        if self.capacity == 0 {
-            self.capacity = Self::DEFAULT_SLOTS;
-        }
         let n = cloud.len();
-        // A shrink means ids were remapped — all cached indexing is invalid.
-        if n < self.changed_at.len() {
-            self.slots.clear();
-            self.changed_at.truncate(n);
-        }
-        // Appended Gaussians are stamped with the last completed pass's
-        // epoch — like any mutation since that pass — so this pass projects
-        // them and later passes reuse the result.
-        self.changed_at.resize(n, self.counter);
-        self.counter += 1;
-        let stamp_now = self.counter;
+        let stamp_now = self.begin_pass(n);
 
         let key = pose_key(camera, pose);
         let slot_idx = match self.slots.iter().position(|s| s.key == key) {
@@ -164,7 +204,6 @@ impl ProjectionCache {
         let rot_wc = world_to_cam.rotation_matrix();
         let slot = &mut self.slots[slot_idx];
         slot.cached.resize(n, None);
-        slot.cached.truncate(n);
 
         let mut splats = Vec::with_capacity(n);
         let mut culled = 0usize;
@@ -176,7 +215,10 @@ impl ProjectionCache {
             let stale = slot.stamp == 0 || self.changed_at[id] >= slot.stamp;
             if stale {
                 self.misses += 1;
-                slot.cached[id] = project_one(g, id as u32, camera, &world_to_cam, &rot_wc);
+                let terms = &mut self.terms[id];
+                let terms = || *terms.get_or_insert_with(|| SplatTerms::of(g));
+                slot.cached[id] =
+                    project_with_terms(g, terms, id as u32, camera, &world_to_cam, &rot_wc);
             } else {
                 self.hits += 1;
             }
@@ -189,6 +231,22 @@ impl ProjectionCache {
         slot.last_used = stamp_now;
 
         Projection { splats, culled, world_to_cam }
+    }
+
+    /// [`project`](Self::project) for a pose that will not come back: every
+    /// splat is projected from its kept terms and no pose slot is taken or
+    /// consulted (the tracking rule of the module docs).
+    pub fn project_unkeyed(
+        &mut self,
+        cloud: &GaussianCloud,
+        camera: &PinholeCamera,
+        pose: &Se3,
+    ) -> Projection {
+        self.begin_pass(cloud.len());
+        let terms = &mut self.terms;
+        project_cloud(cloud, camera, pose, |id, g| {
+            *terms[id].get_or_insert_with(|| SplatTerms::of(g))
+        })
     }
 }
 
@@ -324,6 +382,89 @@ mod tests {
         assert_projection_eq(&project_gaussians(&cloud, &cam, &pose), &got);
         let (_, m_after) = cache.stats();
         assert_eq!(m_after - m_before, cloud.len() as u64);
+    }
+
+    /// The life of a map — Adam steps, densify growth, cold chunks snapping
+    /// onto their grid, a prune with its remap — seen through a cache that
+    /// cycles pose slots and one that follows a pose which never repeats.
+    #[test]
+    fn cache_is_exact_across_adam_growth_snaps_and_prunes() {
+        use crate::backward::GradBuffers;
+        use crate::compact::{prune_cloud, quantize_chunk_in_place, QUANT_CHUNK};
+        use crate::optim::Adam;
+
+        let mut rng = Pcg32::seeded(41);
+        let mut cloud = random_cloud(&mut rng, 4 * QUANT_CHUNK);
+        let cam = PinholeCamera::from_fov(61, 45, 1.2);
+        let poses = [
+            Se3::IDENTITY,
+            Se3::from_translation(Vec3::new(0.1, 0.0, 0.0)),
+            Se3::from_translation(Vec3::new(0.0, -0.05, 0.02)),
+        ];
+        let mut keyed = ProjectionCache::with_capacity(poses.len());
+        let mut unkeyed = ProjectionCache::with_capacity(1);
+        let mut adam = Adam::default();
+        for step in 0..60 {
+            match step % 6 {
+                0 | 3 => {
+                    let mut grads = GradBuffers::zeros(cloud.len());
+                    for _ in 0..12 {
+                        let id = rng.next_u32() as usize % cloud.len();
+                        grads.touched[id] = true;
+                        grads.position[id] = Vec3::new(rng.next_f32(), rng.next_f32(), 0.1);
+                        grads.log_scale[id] = Vec3::splat(rng.range_f32(-1.0, 1.0));
+                        grads.rotation[id] = [0.1, rng.next_f32(), -0.2, 0.3];
+                        grads.opacity_logit[id] = rng.range_f32(-1.0, 1.0);
+                    }
+                    adam.step(&mut cloud, &grads);
+                    for (id, _) in grads.touched.iter().enumerate().filter(|(_, &t)| t) {
+                        keyed.mark_dirty(id);
+                        unkeyed.mark_dirty(id);
+                    }
+                }
+                1 => cloud.extend((0..9).map(|_| random_gaussian(&mut rng))),
+                2 => {
+                    let chunk = rng.next_u32() as usize % (cloud.len() / QUANT_CHUNK);
+                    let ids = chunk * QUANT_CHUNK..(chunk + 1) * QUANT_CHUNK;
+                    assert!(quantize_chunk_in_place(&mut cloud.gaussians_mut()[ids.clone()]));
+                    for id in ids {
+                        keyed.mark_dirty(id);
+                        unkeyed.mark_dirty(id);
+                    }
+                }
+                4 => {
+                    let kept_terms = |cache: &ProjectionCache, keep: &dyn Fn(usize) -> bool| {
+                        let kept = cache.terms.iter().enumerate();
+                        kept.filter(|(id, terms)| keep(*id) && terms.is_some()).count()
+                    };
+                    let keep = |id: usize| id % 7 != step % 7;
+                    let expect = (kept_terms(&keyed, &keep), kept_terms(&unkeyed, &keep));
+                    let remap = prune_cloud(&mut cloud, |id, _| keep(id));
+                    assert!(!remap.is_identity());
+                    adam.remap(&remap);
+                    keyed.remap(&remap);
+                    unkeyed.remap(&remap);
+                    // Survivors' terms came along: nothing to re-derive.
+                    let all = |_| true;
+                    assert_eq!((kept_terms(&keyed, &all), kept_terms(&unkeyed, &all)), expect);
+                    assert!(expect.0 > 0 && expect.1 > 0);
+                }
+                _ => {}
+            }
+            let pose = &poses[step % poses.len()];
+            let got = keyed.project(&cloud, &cam, pose);
+            assert_projection_eq(&project_gaussians(&cloud, &cam, pose), &got);
+            let moving = Se3::from_translation(Vec3::new(0.004 * step as f32, 0.01, -0.002));
+            let expect = project_gaussians(&cloud, &cam, &moving);
+            assert_projection_eq(&expect, &unkeyed.project_unkeyed(&cloud, &cam, &moving));
+            // Both paths may share one cache; the unkeyed one leaves no slot.
+            assert_projection_eq(&expect, &keyed.project_unkeyed(&cloud, &cam, &moving));
+            assert!(keyed.slots.len() <= poses.len());
+        }
+        let (hits, misses) = keyed.stats();
+        assert!(hits > 0 && misses > 0);
+        assert_eq!(unkeyed.stats(), (0, 0), "only pose-slot outcomes are counted");
+        assert!(unkeyed.slots.is_empty());
     }
 
     #[test]

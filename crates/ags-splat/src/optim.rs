@@ -66,9 +66,9 @@ impl Moments {
 ///
 /// The state resizes automatically as the cloud grows (densification); newly
 /// added Gaussians start with zero moments. When Gaussians are *removed*
-/// (pruning) the caller must [`Adam::remap`] with the prune's remap table
-/// (or [`Adam::reset`]) — ids shift, so stale moments would otherwise be
-/// applied to the wrong parameters.
+/// (pruning) the caller must [`Adam::remap`] with the prune's remap table —
+/// ids shift, so stale moments would otherwise be applied to the wrong
+/// parameters.
 #[derive(Debug, Clone, Default)]
 pub struct Adam {
     config: AdamConfig,
@@ -143,13 +143,6 @@ impl Adam {
             color: import(state.color),
             opacity: import(state.opacity),
         }
-    }
-
-    /// Clears all moments (legacy alternative to [`Adam::remap`] after a
-    /// prune; loses the survivors' momentum).
-    pub fn reset(&mut self) {
-        let config = self.config;
-        *self = Self::new(config);
     }
 
     /// Compacts the moment arrays after a prune so every surviving Gaussian

@@ -49,7 +49,9 @@ pub struct TrainPass {
 ///
 /// `options.skip` excludes Gaussians from the render *and* from the
 /// gradients — the hook selective mapping uses. `cache` routes the projection
-/// through an epoch-delta [`ProjectionCache`] (result-identical).
+/// through an epoch-delta [`ProjectionCache`] (result-identical): kept terms
+/// always, and a pose slot unless `mode` is [`GradMode::Track`], whose pose
+/// moves every pass.
 #[allow(clippy::too_many_arguments)]
 pub fn train_pass(
     scratch: &mut TrainScratch,
@@ -65,6 +67,7 @@ pub fn train_pass(
 ) -> TrainPass {
     let backend = options.backend.backend();
     let projection = match cache {
+        Some(cache) if mode == GradMode::Track => cache.project_unkeyed(cloud, camera, pose),
         Some(cache) => cache.project(cloud, camera, pose),
         None => backend.project(cloud, camera, pose),
     };
@@ -90,30 +93,8 @@ pub fn train_pass(
 /// Runs one *tracking* gradient evaluation: render → loss → pose gradient.
 /// Gaussians are left untouched; the caller applies the pose update (see
 /// [`crate::optim::PoseAdam`]). `par` drives both the forward rasterizer and
-/// the backward tile walk.
-pub fn tracking_gradient(
-    cloud: &GaussianCloud,
-    camera: &PinholeCamera,
-    pose: &Se3,
-    gt_rgb: &RgbImage,
-    gt_depth: &DepthImage,
-    loss_config: &LossConfig,
-    par: &Parallelism,
-) -> (LossResult, BackwardOutput, RenderOutput) {
-    tracking_gradient_with(
-        BackendKind::default(),
-        cloud,
-        camera,
-        pose,
-        gt_rgb,
-        gt_depth,
-        loss_config,
-        par,
-    )
-}
-
-/// [`tracking_gradient`] with an explicit render backend. One-shot: loops
-/// should call [`train_pass`] with a [`TrainScratch`] they keep.
+/// the backward tile walk. One-shot: loops should call [`train_pass`] with a
+/// [`TrainScratch`] they keep.
 #[allow(clippy::too_many_arguments)]
 pub fn tracking_gradient_with(
     backend: BackendKind,
@@ -275,7 +256,8 @@ mod tests {
     fn tracking_gradient_is_nonzero_off_pose() {
         let (gt_cloud, gt_rgb, gt_depth) = gt_setup();
         let off_pose = Se3::from_translation(Vec3::new(0.03, 0.0, 0.0));
-        let (_, back, _) = tracking_gradient(
+        let (_, back, _) = tracking_gradient_with(
+            BackendKind::default(),
             &gt_cloud,
             &camera(),
             &off_pose,

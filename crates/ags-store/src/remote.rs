@@ -53,6 +53,10 @@ const MAX_KEY_BYTES: usize = 4096;
 /// Blobs are framed checkpoint records; a full base snapshot of a huge map
 /// stays far below this.
 const MAX_BLOB_BYTES: usize = 1 << 30;
+/// What a frame body's buffer reserves before any of its bytes arrive; past
+/// this it grows with the bytes received, so a forged length costs its
+/// sender bandwidth, not the receiver memory.
+const BODY_RESERVE_BYTES: usize = 64 << 10;
 
 const OP_PUT: u8 = 1;
 const OP_GET: u8 = 2;
@@ -95,7 +99,8 @@ pub(crate) fn write_frame(
 }
 
 /// Parses a header already read off the wire; returns `(seq, tag, len_a,
-/// len_b)`.
+/// len_b)`. Field `a` of a request is a key and capped as one; a response
+/// carries its payload there.
 pub(crate) fn parse_header(
     header: &[u8; HEADER_LEN],
     magic: &[u8; 4],
@@ -107,7 +112,8 @@ pub(crate) fn parse_header(
     let tag = header[8];
     let len_a = u32::from_le_bytes(header[9..13].try_into().expect("4 bytes")) as usize;
     let len_b = u32::from_le_bytes(header[13..17].try_into().expect("4 bytes")) as usize;
-    if len_a > MAX_KEY_BYTES.max(MAX_BLOB_BYTES) || len_b > MAX_BLOB_BYTES {
+    let cap_a = if magic == &REQUEST_MAGIC { MAX_KEY_BYTES } else { MAX_BLOB_BYTES };
+    if len_a > cap_a || len_b > MAX_BLOB_BYTES {
         return Err(std::io::Error::new(std::io::ErrorKind::InvalidData, "frame length over cap"));
     }
     Ok((seq, tag, len_a, len_b))
@@ -127,11 +133,19 @@ pub(crate) fn read_frame_after_header(
     magic: &[u8; 4],
 ) -> std::io::Result<Frame> {
     let (seq, tag, len_a, len_b) = parse_header(header, magic)?;
-    let mut a = vec![0u8; len_a];
-    r.read_exact(&mut a)?;
-    let mut b = vec![0u8; len_b];
-    r.read_exact(&mut b)?;
+    let a = read_body(r, len_a)?;
+    let b = read_body(r, len_b)?;
     Ok(Frame { seq, tag, a, b })
+}
+
+/// Reads exactly `len` body bytes into a buffer that grows as they arrive.
+fn read_body(r: &mut impl Read, len: usize) -> std::io::Result<Vec<u8>> {
+    let mut body = Vec::with_capacity(len.min(BODY_RESERVE_BYTES));
+    r.take(len as u64).read_to_end(&mut body)?;
+    if body.len() != len {
+        return Err(std::io::ErrorKind::UnexpectedEof.into());
+    }
+    Ok(body)
 }
 
 fn encode_key_list(keys: &[String]) -> Vec<u8> {
@@ -679,5 +693,50 @@ mod tests {
         assert_eq!(decode_key_list(&encoded).unwrap(), keys);
         assert!(decode_key_list(&encoded[..encoded.len() - 1]).is_err());
         assert!(decode_key_list(&[1, 0, 0]).is_err());
+    }
+
+    /// A frame's wire bytes with its two length fields overwritten.
+    fn forged(magic: &[u8; 4], frame: &Frame, len_a: u32, len_b: u32) -> Vec<u8> {
+        let mut bytes = encode_frame(magic, frame);
+        bytes[9..13].copy_from_slice(&len_a.to_le_bytes());
+        bytes[13..17].copy_from_slice(&len_b.to_le_bytes());
+        bytes
+    }
+
+    #[test]
+    fn request_keys_are_capped_as_keys_and_response_payloads_as_blobs() {
+        let frame = |a: Vec<u8>| Frame { seq: 7, tag: OP_PUT, a, b: vec![1, 2, 3] };
+        let longest = encode_frame(&REQUEST_MAGIC, &frame(vec![b'k'; MAX_KEY_BYTES]));
+        let read = read_frame(&mut &longest[..], &REQUEST_MAGIC).expect("a key at the cap");
+        assert_eq!(
+            (read.seq, read.tag, read.a.len(), read.b),
+            (7, OP_PUT, MAX_KEY_BYTES, vec![1, 2, 3])
+        );
+
+        let over = encode_frame(&REQUEST_MAGIC, &frame(vec![b'k'; MAX_KEY_BYTES + 1]));
+        let err = read_frame(&mut &over[..], &REQUEST_MAGIC).err().expect("oversize key");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+
+        // The same length is an ordinary payload on a response.
+        let response = encode_frame(&RESPONSE_MAGIC, &frame(vec![0xab; MAX_KEY_BYTES + 1]));
+        let read = read_frame(&mut &response[..], &RESPONSE_MAGIC).expect("response payload");
+        assert_eq!(read.a.len(), MAX_KEY_BYTES + 1);
+        let huge = forged(&RESPONSE_MAGIC, &frame(Vec::new()), MAX_BLOB_BYTES as u32 + 1, 0);
+        let err = read_frame(&mut &huge[..], &RESPONSE_MAGIC).err().expect("oversize blob");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+    }
+
+    #[test]
+    fn forged_length_with_a_short_body_fails_without_reserving_it() {
+        // A gibibyte announced, ten bytes sent: the buffer starts at the
+        // reserve and follows the bytes that arrive, so this neither
+        // allocates the gibibyte nor waits for it.
+        let frame = Frame { seq: 1, tag: OP_PUT, a: b"key".to_vec(), b: vec![9; 10] };
+        let bytes = forged(&REQUEST_MAGIC, &frame, 3, MAX_BLOB_BYTES as u32);
+        let err = read_frame(&mut &bytes[..], &REQUEST_MAGIC).err().expect("short body");
+        assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof);
+        let body = read_body(&mut &[5u8; 100][..], 100).expect("exact body");
+        assert!(body.len() == 100 && body.capacity() <= BODY_RESERVE_BYTES);
+        assert!(read_body(&mut &[5u8; 99][..], 100).is_err());
     }
 }

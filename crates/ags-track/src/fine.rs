@@ -10,6 +10,7 @@ use ags_math::parallel::Parallelism;
 use ags_math::Se3;
 use ags_scene::PinholeCamera;
 use ags_splat::backward::GradMode;
+use ags_splat::cache::ProjectionCache;
 use ags_splat::loss::LossConfig;
 use ags_splat::optim::PoseAdam;
 use ags_splat::render::{RenderOptions, RenderStats};
@@ -134,6 +135,33 @@ impl GsPoseRefiner {
         gt_depth: &DepthImage,
         iterations: u32,
     ) -> RefineResult {
+        // The map is frozen for the call, so each Gaussian's pose-independent
+        // terms are derived once and serve every iteration; tracking passes
+        // never take one of the cache's pose slots.
+        let mut cache = ProjectionCache::with_capacity(1);
+        self.refine_loop(
+            cloud,
+            camera,
+            initial_pose,
+            gt_rgb,
+            gt_depth,
+            iterations,
+            Some(&mut cache),
+        )
+    }
+
+    /// The refinement loop, projecting through `cache` when there is one.
+    #[allow(clippy::too_many_arguments)]
+    fn refine_loop(
+        &self,
+        cloud: &GaussianCloud,
+        camera: &PinholeCamera,
+        initial_pose: Se3,
+        gt_rgb: &RgbImage,
+        gt_depth: &DepthImage,
+        iterations: u32,
+        mut cache: Option<&mut ProjectionCache>,
+    ) -> RefineResult {
         let mut pose = initial_pose;
         let mut best_pose = initial_pose;
         let mut adam = PoseAdam::new(self.config.learning_rate);
@@ -160,7 +188,7 @@ impl GsPoseRefiner {
                 &self.config.loss,
                 GradMode::Track,
                 &options,
-                None,
+                cache.as_deref_mut(),
             );
             accumulate_stats(&mut workload.render, &render.stats);
             workload.grad_ops += back.stats.grad_ops;
@@ -271,6 +299,92 @@ mod tests {
         assert_eq!(direct.pose, via_snapshot.pose);
         assert_eq!(direct.final_loss, via_snapshot.final_loss);
         assert_eq!(direct.workload.iterations, via_snapshot.workload.iterations);
+    }
+
+    /// A few frames of a mapping loop over a generated sequence: seeded from
+    /// depth, trained, partly snapped onto the quantized tier — the mixed,
+    /// partly off-screen map refinement meets mid-stream.
+    fn mid_stream_map() -> (GaussianCloud, ags_scene::dataset::Dataset) {
+        use ags_scene::dataset::{Dataset, DatasetConfig, SceneId};
+        use ags_splat::compact::{quantize_chunk_in_place, QUANT_CHUNK};
+        use ags_splat::densify::{densify_from_frame, DensifyConfig};
+        use ags_splat::optim::Adam;
+
+        let data = Dataset::generate(SceneId::Room, &DatasetConfig::tiny());
+        let mut cloud = GaussianCloud::new();
+        let (mut adam, mut scratch) = (Adam::default(), TrainScratch::default());
+        let mut rng = Pcg32::seeded(3);
+        let options = RenderOptions::default();
+        for frame in data.frames.iter().step_by(3) {
+            let rendered = render(&cloud, &data.camera, &frame.gt_pose, &options);
+            densify_from_frame(
+                &mut cloud,
+                &data.camera,
+                &frame.gt_pose,
+                &frame.rgb,
+                &frame.depth,
+                &rendered,
+                &DensifyConfig::default(),
+                &mut rng,
+            );
+            for _ in 0..4 {
+                let pass = train_pass(
+                    &mut scratch,
+                    &cloud,
+                    &data.camera,
+                    &frame.gt_pose,
+                    &frame.rgb,
+                    &frame.depth,
+                    &LossConfig::mapping(),
+                    GradMode::Map,
+                    &options,
+                    None,
+                );
+                adam.step(&mut cloud, pass.backward.grads.as_ref().expect("map grads"));
+            }
+        }
+        for chunk in cloud.gaussians_mut().chunks_exact_mut(QUANT_CHUNK).step_by(2) {
+            quantize_chunk_in_place(chunk);
+        }
+        (cloud, data)
+    }
+
+    /// Projecting from kept terms moves nothing: pose bits, losses and every
+    /// workload counter equal the uncached loop's.
+    #[test]
+    fn refinement_with_kept_terms_equals_the_uncached_loop() {
+        let wall = wall_cloud();
+        let cam = camera();
+        let gt = render(&wall, &cam, &Se3::IDENTITY, &RenderOptions::default());
+        let off = Se3::new(Quat::from_axis_angle(Vec3::Y, 0.015), Vec3::new(0.02, -0.01, 0.015));
+        let (map, data) = mid_stream_map();
+        let late = data.frames.last().expect("frames");
+        let earlier = data.frames[data.frames.len() - 3].gt_pose;
+        assert!(map.len() > 1000, "the fixture must hold a real map, got {}", map.len());
+        let cases = [
+            (&wall, &cam, off, &gt.color, &gt.depth),
+            (&map, &data.camera, earlier, &late.rgb, &late.depth),
+        ];
+        for backend in [BackendKind::Reference, BackendKind::Vectorized] {
+            let refiner = GsPoseRefiner::new(RefineConfig {
+                iterations: 12,
+                convergence_eps: 0.0,
+                backend,
+                ..Default::default()
+            });
+            for (cloud, camera, start, rgb, depth) in cases {
+                let kept = refiner.refine(cloud, camera, start, rgb, depth);
+                let plain = refiner.refine_loop(cloud, camera, start, rgb, depth, 12, None);
+                assert_eq!(kept.pose, plain.pose);
+                assert_ne!(kept.pose, start, "the pose must have moved");
+                assert_eq!(kept.initial_loss.to_bits(), plain.initial_loss.to_bits());
+                assert_eq!(kept.final_loss.to_bits(), plain.final_loss.to_bits());
+                let (k, p) = (&kept.workload, &plain.workload);
+                assert_eq!((k.iterations, k.grad_ops), (p.iterations, p.grad_ops));
+                assert!(k.render.culled > 0 || cloud.len() == wall.len());
+                assert_eq!(format!("{:?}", k.render), format!("{:?}", p.render));
+            }
+        }
     }
 
     #[test]
