@@ -376,6 +376,9 @@ fn e2e_config() -> AgsConfig {
     // through one estimate_batch submission (the batched FC path).
     config.codec.keyframe_window = 4;
     config.parallelism = Parallelism::serial();
+    // The end-to-end rows time the scalar reference kernels, as they always
+    // have; `vectorized_map_ms` is the row that overrides this.
+    config.backend = BackendKind::Reference;
     config
 }
 
@@ -838,24 +841,20 @@ struct MigrationResult {
     width: usize,
     height: usize,
     migration_gap_ms: f64,
-    eager_restore_bytes: u64,
-    lazy_restore_bytes: u64,
+    restore_bytes: u64,
 }
 
 /// Elastic stream migration: the cut-over gap of a live cross-server
 /// hand-off through a loopback remote store (`StoreServer` + `RemoteStore`
-/// over real TCP), and the store bytes a restore fetches eagerly vs lazily.
+/// over real TCP), and the store bytes an attach + restore fetches.
 /// `migration_gap_ms` — final source checkpoint → destination restored and
 /// accepting frames — is gated in CI as an **absolute** ceiling;
-/// `lazy_restore_bytes` must stay strictly below `eager_restore_bytes`
-/// (the lazy path fetches the delta chain once instead of twice) and is
-/// gated as a lower-is-better baseline regression. Hand-off fidelity is
+/// `restore_bytes` (the delta chain, fetched once) is gated as a
+/// lower-is-better baseline regression. Hand-off fidelity is
 /// asserted before any timing: the migrated stream must finish
 /// bit-identical to checkpointing and continuing in place.
 fn bench_migration() -> MigrationResult {
-    use ags_core::{
-        migrate_stream, MultiStreamServer, ServerConfig, StoreAttachOptions, StreamPolicy,
-    };
+    use ags_core::{migrate_stream, MultiStreamServer, ServerConfig, StreamPolicy};
     use ags_store::{
         CheckpointConfig, MapStore, MemoryStore, RemoteStore, RetryPolicy, StoreError, StoreServer,
     };
@@ -949,7 +948,7 @@ fn bench_migration() -> MigrationResult {
         migration_gap_ms = migration_gap_ms.min(run_migration().0);
     }
 
-    // Restore cost, eager vs lazy, over a 3-generation chain (all kept).
+    // Restore cost over a 3-generation chain (all kept).
     let config = CheckpointConfig { keep_manifests: 3, ..CheckpointConfig::default() };
     let backing = MemoryStore::new();
     {
@@ -964,41 +963,13 @@ fn bench_migration() -> MigrationResult {
         server.finish_all();
         server.checkpoint_stream(0).unwrap();
     }
-    let restore = |lazy: bool| {
-        let mut server = MultiStreamServer::new(ServerConfig::uniform(1, base.clone()));
-        if lazy {
-            server
-                .attach_store_with(
-                    0,
-                    Box::new(backing.clone()),
-                    config.clone(),
-                    StoreAttachOptions { prefix: None, lazy_open: true },
-                )
-                .unwrap();
-            server.restore_stream_lazy(0).unwrap();
-        } else {
-            server.attach_store(0, Box::new(backing.clone()), config.clone()).unwrap();
-            server.restore_stream(0).unwrap();
-        }
-        let stats = server.store_stats(0).unwrap();
-        (stats.read_bytes, result_of(&server, 0))
-    };
-    let (eager_restore_bytes, eager_state) = restore(false);
-    let (lazy_restore_bytes, lazy_state) = restore(true);
-    assert_eq!(eager_state, lazy_state, "both restore paths load the same stream state");
-    assert!(
-        lazy_restore_bytes > 0 && lazy_restore_bytes < eager_restore_bytes,
-        "lazy restore must fetch strictly fewer bytes ({lazy_restore_bytes} vs {eager_restore_bytes})"
-    );
+    let mut server = MultiStreamServer::new(ServerConfig::uniform(1, base.clone()));
+    server.attach_store(0, Box::new(backing), config).unwrap();
+    server.restore_stream(0).unwrap();
+    let restore_bytes = server.store_stats(0).unwrap().read_bytes;
+    assert!(restore_bytes > 0, "a restore must fetch the chain");
 
-    MigrationResult {
-        frames,
-        width,
-        height,
-        migration_gap_ms,
-        eager_restore_bytes,
-        lazy_restore_bytes,
-    }
+    MigrationResult { frames, width, height, migration_gap_ms, restore_bytes }
 }
 
 struct OverloadResult {
@@ -1879,14 +1850,8 @@ fn main() {
     );
     let migration = bench_migration();
     println!(
-        "stream migration (remote store) {}x{}:  cut-over gap {:>7.2} ms  restore eager {:>8} B  lazy {:>8} B (-{:.1}%)",
-        migration.width,
-        migration.height,
-        migration.migration_gap_ms,
-        migration.eager_restore_bytes,
-        migration.lazy_restore_bytes,
-        100.0
-            * (1.0 - migration.lazy_restore_bytes as f64 / migration.eager_restore_bytes as f64)
+        "stream migration (remote store) {}x{}:  cut-over gap {:>7.2} ms  restore {:>8} B",
+        migration.width, migration.height, migration.migration_gap_ms, migration.restore_bytes,
     );
 
     let json = format!(
@@ -2036,8 +2001,7 @@ fn main() {
     "frames": {},
     "pipeline": "map_overlapped(1, 1)",
     "migration_gap_ms": {:.3},
-    "eager_restore_bytes": {},
-    "lazy_restore_bytes": {}
+    "restore_bytes": {}
   }}
 }}
 "#,
@@ -2146,8 +2110,7 @@ fn main() {
         migration.height,
         migration.frames,
         migration.migration_gap_ms,
-        migration.eager_restore_bytes,
-        migration.lazy_restore_bytes,
+        migration.restore_bytes,
     );
     let path = out_path();
     match std::fs::write(&path, &json) {

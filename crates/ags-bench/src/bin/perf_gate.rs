@@ -39,11 +39,8 @@
 //! (fail when the current value exceeds `baseline * (1 + max_regression)`):
 //! `compaction_delta_bytes_per_epoch` (the epoch-delta log bytes of the
 //! compacted run — quantization churn rewrites snapped chunks through the
-//! delta log) and `lazy_restore_bytes` (the store bytes a lazy restore
-//! fetches over a multi-generation chain). The latter is additionally held
-//! to a **relation within the current run**: it must stay strictly below
-//! `eager_restore_bytes`, the point of streaming the delta chain once
-//! instead of materializing it twice.
+//! delta log) and `restore_bytes` (the store bytes an attach + restore
+//! fetches over a multi-generation chain).
 //!
 //! Four same-host ratios are gated against an **absolute floor** (higher is
 //! better, no baseline needed; the hardware class mostly cancels out of
@@ -116,7 +113,7 @@ const GATED_KEYS: [&str; 8] = [
 /// may cost the hot path. The `migration_gap_ms` ceiling sits an order of
 /// magnitude above the loopback cut-over gap measured at the time of
 /// writing (~540 ms: source quiesce + final synchronous remote commit +
-/// lazy restore) — wall-clock enough to absorb runner noise, tight enough
+/// restore) — wall-clock enough to absorb runner noise, tight enough
 /// that a hand-off degenerating into an outage trips it.
 const CEILING_KEYS: [(&str, f64); 4] = [
     ("checkpoint_overhead_pct", 5.0),
@@ -129,8 +126,7 @@ const CEILING_KEYS: [(&str, f64); 4] = [
 /// the current value exceeds `baseline * (1 + max_regression)`. Same
 /// missing-key rules as the floors: no baseline skips, a dropped current
 /// value fails.
-const REGRESSION_CEILING_KEYS: [&str; 2] =
-    ["compaction_delta_bytes_per_epoch", "lazy_restore_bytes"];
+const REGRESSION_CEILING_KEYS: [&str; 2] = ["compaction_delta_bytes_per_epoch", "restore_bytes"];
 
 /// Metrics with a hardware-independent floor (higher is better): the gate
 /// fails when the *current* value falls below the floor. Same missing-key
@@ -241,24 +237,6 @@ fn run(
             ));
         }
         report.push(format!("{key}: {current:.3} vs baseline {base:.3} ({delta:+.1}%) ok"));
-    }
-    // The lazy-restore contract is a relation within one bench run, not a
-    // number against a baseline: streaming the delta chain once must fetch
-    // strictly fewer store bytes than the eager restore's double
-    // materialization of the same chain, on any hardware.
-    match (
-        extract_metric(current_json, "lazy_restore_bytes"),
-        extract_metric(current_json, "eager_restore_bytes"),
-    ) {
-        (Some(lazy), Some(eager)) if lazy >= eager => {
-            return Err(format!(
-                "lazy_restore_bytes: {lazy:.0} is not strictly below eager_restore_bytes {eager:.0}"
-            ));
-        }
-        (Some(lazy), Some(eager)) => {
-            report.push(format!("lazy_restore_bytes: {lazy:.0} below eager {eager:.0} ok"));
-        }
-        _ => report.push("lazy_restore_bytes vs eager: not emitted, skipped".to_string()),
     }
     Ok(report)
 }
@@ -589,23 +567,22 @@ mod tests {
 
     /// Appends a `migration` entry to a `doc()` document the way
     /// `with_overhead` appends `checkpoint`.
-    fn with_migration(gap_ms: f64, eager: f64, lazy: f64) -> String {
+    fn with_migration(gap_ms: f64, restore_bytes: f64) -> String {
         let d = doc(10.0, 10.0, 10.0);
         format!(
             r#"{}, "migration": {{ "migration_gap_ms": {gap_ms},
-               "eager_restore_bytes": {eager},
-               "lazy_restore_bytes": {lazy} }} }}"#,
+               "restore_bytes": {restore_bytes} }} }}"#,
             &d[..d.rfind('}').unwrap()]
         )
     }
 
     #[test]
     fn gates_migration_gap_against_the_absolute_ceiling() {
-        let baseline = with_migration(500.0, 40000.0, 20000.0);
+        let baseline = with_migration(500.0, 20000.0);
         // Within the ceiling: passes regardless of the baseline's value.
-        assert!(run(&baseline, &with_migration(4999.0, 40000.0, 20000.0), 0.25).is_ok());
+        assert!(run(&baseline, &with_migration(4999.0, 20000.0), 0.25).is_ok());
         // Above the ceiling: fails even though the baseline never saw it.
-        let err = run(&baseline, &with_migration(6000.0, 40000.0, 20000.0), 0.25).unwrap_err();
+        let err = run(&baseline, &with_migration(6000.0, 20000.0), 0.25).unwrap_err();
         assert!(err.contains("migration_gap_ms"), "{err}");
         assert!(err.contains("exceeds the absolute ceiling"), "{err}");
         // Absent from both files: skipped (pre-metric baselines).
@@ -618,27 +595,15 @@ mod tests {
     }
 
     #[test]
-    fn gates_lazy_restore_bytes_lower_is_better() {
-        let baseline = with_migration(12.0, 40000.0, 20000.0);
+    fn gates_restore_bytes_lower_is_better() {
+        let baseline = with_migration(12.0, 20000.0);
         // Fetching less always passes; +20% is inside the budget.
-        assert!(run(&baseline, &with_migration(12.0, 40000.0, 15000.0), 0.25).is_ok());
-        assert!(run(&baseline, &with_migration(12.0, 40000.0, 24000.0), 0.25).is_ok());
+        assert!(run(&baseline, &with_migration(12.0, 15000.0), 0.25).is_ok());
+        assert!(run(&baseline, &with_migration(12.0, 24000.0), 0.25).is_ok());
         // +30% fails against the baseline regression ceiling.
-        let err = run(&baseline, &with_migration(12.0, 40000.0, 26000.0), 0.25).unwrap_err();
-        assert!(err.contains("lazy_restore_bytes"), "{err}");
+        let err = run(&baseline, &with_migration(12.0, 26000.0), 0.25).unwrap_err();
+        assert!(err.contains("restore_bytes"), "{err}");
         assert!(err.contains("above the allowed ceiling"), "{err}");
-    }
-
-    #[test]
-    fn lazy_restore_must_stay_strictly_below_eager_within_one_run() {
-        let baseline = with_migration(12.0, 40000.0, 20000.0);
-        // Lazy matching eager fails even with a generous baseline: the
-        // relation holds within the current run, not against history.
-        let err = run(&baseline, &with_migration(12.0, 20000.0, 20000.0), 0.25).unwrap_err();
-        assert!(err.contains("not strictly below"), "{err}");
-        // The relation is skipped when the bench predates the metric.
-        let report = run(&baseline, &baseline, 0.25).unwrap();
-        assert!(report.iter().any(|l| l.contains("below eager")), "{report:?}");
     }
 
     #[test]

@@ -37,8 +37,9 @@ use std::sync::Arc;
 /// Version tag of the auxiliary payload layout. Version 2 added the
 /// compaction tracking (per-splat touch epochs and cold-tier chunk flags)
 /// to the mapping-stage state; version 3 added the per-frame load-shedding
-/// fields (`shed_level`, `dropped`) to the trace codec.
-const AUX_VERSION: u16 = 3;
+/// fields (`shed_level`, `dropped`) to the trace codec; version 4 dropped
+/// the adaptive-slack stall samples.
+const AUX_VERSION: u16 = 4;
 
 /// Complete per-stream checkpoint state minus the map clouds (those travel
 /// through the epoch-delta store; the window here holds the same snapshots
@@ -57,12 +58,8 @@ pub struct StreamState {
     pub track: CoarseTrackerState,
     /// Mapping stage (tables, optimizer, key frames, RNG, counters).
     pub map: MapStageState,
-    /// Current snapshot staleness (adaptive slack may have grown it past
-    /// the configured starting point).
+    /// Snapshot staleness the stream runs at.
     pub slack: usize,
-    /// Rolling stall samples of the adaptive-slack policy since its last
-    /// decision (must survive restore for deterministic slack schedules).
-    pub stall_window: Vec<f64>,
     /// The snapshot window, ascending by epoch; the last entry is the
     /// newest map state. Zero-slack modes store exactly one snapshot.
     pub window: Vec<CloudSnapshot>,
@@ -563,10 +560,6 @@ pub fn encode_aux(state: &StreamState) -> Vec<u8> {
     put_track(&mut w, &state.track);
     put_map(&mut w, &state.map);
     w.put_usize(state.slack);
-    w.put_usize(state.stall_window.len());
-    for &s in &state.stall_window {
-        w.put_f64(s);
-    }
     w.put_usize(state.window.len());
     for snap in &state.window {
         w.put_u64(snap.epoch());
@@ -604,11 +597,6 @@ pub fn decode_aux(bytes: &[u8], window: Vec<CloudSnapshot>) -> Result<StreamStat
     let track = get_track(&mut r)?;
     let map = get_map(&mut r)?;
     let slack = r.get_usize()?;
-    let n_stalls = r.get_count(8)?;
-    let mut stall_window = Vec::with_capacity(n_stalls);
-    for _ in 0..n_stalls {
-        stall_window.push(r.get_f64()?);
-    }
     let n_epochs = r.get_count(8)?;
     let mut epochs = Vec::with_capacity(n_epochs);
     for _ in 0..n_epochs {
@@ -621,7 +609,7 @@ pub fn decode_aux(bytes: &[u8], window: Vec<CloudSnapshot>) -> Result<StreamStat
             "aux window epochs {epochs:?} do not match restored window {restored:?}"
         )));
     }
-    Ok(StreamState { frame_count, trajectory, trace, fc, track, map, slack, stall_window, window })
+    Ok(StreamState { frame_count, trajectory, trace, fc, track, map, slack, window })
 }
 
 #[cfg(test)]
@@ -726,7 +714,6 @@ mod tests {
                 quantized_chunks: vec![true, false],
             },
             slack: 2,
-            stall_window: vec![0.001, 0.5],
             window: vec![snap],
         }
     }
@@ -754,7 +741,6 @@ mod tests {
         assert_eq!(restored.map.last_touched, state.map.last_touched);
         assert_eq!(restored.map.quantized_chunks, state.map.quantized_chunks);
         assert_eq!(restored.slack, state.slack);
-        assert_eq!(restored.stall_window, state.stall_window);
         assert_eq!(restored.window.len(), 1);
     }
 
@@ -775,5 +761,10 @@ mod tests {
         let wrong = vec![CloudSnapshot::from_parts(Arc::new(GaussianCloud::default()), 7)];
         assert!(matches!(decode_aux(&bytes, wrong), Err(StoreError::Corrupt(_))));
         assert!(matches!(decode_aux(&bytes, Vec::new()), Err(StoreError::Corrupt(_))));
+        // Version skew: a payload tagged with the previous layout version is
+        // rejected before any field is read.
+        let mut old = bytes;
+        old[..2].copy_from_slice(&3u16.to_le_bytes());
+        assert!(matches!(decode_aux(&old, state.window), Err(StoreError::Corrupt(_))));
     }
 }

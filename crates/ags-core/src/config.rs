@@ -27,51 +27,6 @@ pub enum PipelineMode {
     MapOverlapped,
 }
 
-/// Optional adaptive `map_slack` policy for
-/// [`PipelineMode::MapOverlapped`] (see [`PipelineConfig::adaptive_slack`]).
-///
-/// Every [`window`](Self::window) frames the driver looks at the rolling
-/// mean of tracking's snapshot-wait time
-/// (`StageTimes::stall_s`, map wait only): above
-/// [`stall_threshold_s`](Self::stall_threshold_s) the effective slack is
-/// bumped by 1, **clamped to [`PipelineConfig::map_slack`]**; below
-/// [`decay_threshold_s`](Self::decay_threshold_s) it decays by 1 back
-/// toward its starting point `min(1, map_slack)` (the bump check wins when
-/// both thresholds would fire). Slack starts at `min(1, map_slack)`:
-/// trading staleness for latency this way is how an oversubscribed host
-/// keeps tracking off the map worker's critical path, and decaying when the
-/// stalls vanish hands the staleness back.
-///
-/// Because the decision input is measured wall time, mid-range thresholds
-/// make the slack schedule — and therefore the results — depend on machine
-/// timing, unlike every other pipeline mode. The degenerate thresholds are
-/// still fully deterministic: a negative `stall_threshold_s` bumps on every
-/// window (fixed schedule), `f64::INFINITY` never bumps; a
-/// `decay_threshold_s` of `0.0` (the default) never decays — waits are
-/// non-negative and the comparison is strict — while `f64::INFINITY` decays
-/// on every window the bump check passed on. The determinism tests pin
-/// those, including the bump-then-decay oscillation both degenerate
-/// settings produce together.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AdaptiveSlackConfig {
-    /// Rolling mean stall per frame (seconds) above which slack bumps by 1.
-    pub stall_threshold_s: f64,
-    /// Rolling mean stall per frame (seconds) below which slack decays by 1
-    /// toward `min(1, map_slack)`. `0.0` disables decay (PR-5 behaviour).
-    pub decay_threshold_s: f64,
-    /// Frames per bump/decay decision (clamped to at least 1 by the driver).
-    pub window: usize,
-}
-
-impl Default for AdaptiveSlackConfig {
-    /// Bump past 250 ms mean stall, decay below 50 ms, decide every 8
-    /// frames. Mid-range thresholds: deterministic only in the degenerate
-    /// settings documented above.
-    fn default() -> Self {
-        Self { stall_threshold_s: 0.25, decay_threshold_s: 0.05, window: 8 }
-    }
-}
-
 /// How the stage graph is driven (see `ags_core::pipelined`).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PipelineConfig {
@@ -87,14 +42,8 @@ pub struct PipelineConfig {
     /// snapshot published by Map(N − `map_slack`). `1` (the default) is the
     /// minimum that lets Track(N+1) run while Map(N) is still in flight;
     /// `0` degenerates to the classic serial read-after-map semantics (no
-    /// overlap, but still two threads). Ignored in the other modes. Under
-    /// [`PipelineConfig::adaptive_slack`] this is the *cap* the adaptive
-    /// policy may grow slack up to.
+    /// overlap, but still two threads). Ignored in the other modes.
     pub map_slack: usize,
-    /// Optional adaptive slack policy (`None` — the default — keeps the
-    /// fixed `map_slack`). Only meaningful in
-    /// [`PipelineMode::MapOverlapped`].
-    pub adaptive_slack: Option<AdaptiveSlackConfig>,
     /// Test-only backpressure knob: stalls every map-stage invocation by
     /// this many milliseconds so stress tests can force the FC worker to
     /// run ahead and block on the bounded channel. Keep `0` in production.
@@ -119,7 +68,6 @@ impl Default for PipelineConfig {
             mode: PipelineMode::Serial,
             depth: 1,
             map_slack: 1,
-            adaptive_slack: None,
             stress_map_stall_ms: 0,
             stress_map_stall_frames: 0,
             stress_fc_stall_ms: 0,
@@ -155,24 +103,6 @@ impl PipelineConfig {
             _ => 0,
         }
     }
-
-    /// This config with an adaptive slack policy installed (the fixed
-    /// `map_slack` becomes the policy's cap).
-    pub fn adaptive(mut self, policy: AdaptiveSlackConfig) -> Self {
-        self.adaptive_slack = Some(policy);
-        self
-    }
-
-    /// The slack the `MapOverlapped` driver starts at: the full
-    /// [`effective_map_slack`](Self::effective_map_slack) when fixed, or
-    /// `min(1, cap)` when an adaptive policy may still grow it.
-    pub fn initial_map_slack(&self) -> usize {
-        let cap = self.effective_map_slack();
-        match self.adaptive_slack {
-            Some(_) => cap.min(1),
-            None => cap,
-        }
-    }
 }
 
 /// Graceful-degradation ladder of the per-stream QoS controller
@@ -194,7 +124,7 @@ pub enum ShedLevel {
     /// read-after-map semantics of `StreamPolicy::serial()` — so the stream
     /// stops holding divergent copy-on-write snapshots and queued map
     /// epochs. (Frames still flow through the stream's worker threads; only
-    /// the overlap semantics degrade.) Adaptive slack is frozen while shed.
+    /// the overlap semantics degrade.)
     ForceSerial = 1,
     /// On top of [`ForceSerial`](Self::ForceSerial): non-key frames skip
     /// tracking and mapping entirely after the (cheap, CODEC-side) FC
@@ -254,11 +184,11 @@ impl ShedLevel {
 /// *rejected* pushes count as one quiet window instead, so the stream walks
 /// back down the ladder under a caller that keeps offering frames.
 ///
-/// Determinism: the decision inputs are measured wall times, so like
-/// [`AdaptiveSlackConfig`] the schedule is machine-dependent at mid-range
-/// budgets and fully deterministic at decisive ones (budgets far below or
-/// above every real stage time, e.g. against the `stress_map_stall_ms`
-/// pulse the overload tests force).
+/// Determinism: the decision inputs are measured wall times, so the shed
+/// schedule is machine-dependent at mid-range budgets and fully
+/// deterministic at decisive ones (budgets far below or above every real
+/// stage time, e.g. against the `stress_map_stall_ms` pulse the overload
+/// tests force).
 ///
 /// [`stall_budget_s`]: Self::stall_budget_s
 /// [`stage_budget_s`]: Self::stage_budget_s
@@ -315,11 +245,6 @@ pub enum CheckpointPolicy {
     /// Commit every N completed frames (one map epoch per frame), so a
     /// crash loses at most N epochs. N is clamped to at least 1.
     EveryNEpochs(usize),
-    /// Commit whenever the adaptive map slack changes — the moments the
-    /// pipeline is provably under (or recovering from) memory/latency
-    /// pressure, and the stream's in-flight window is about to change
-    /// shape.
-    OnSlackBump,
     /// Commit whenever the QoS controller changes the stream's
     /// [`ShedLevel`] — overload is exactly when a crash is most likely and
     /// a fresh restore point is cheapest relative to the work being shed.
@@ -368,8 +293,8 @@ pub struct AgsConfig {
     pub pipeline: PipelineConfig,
     /// Render backend the splat kernels (projection, rasterization,
     /// backward) execute on. Every backend is bit-identical to the scalar
-    /// reference; the knob trades nothing but speed. The default follows
-    /// the `AGS_RENDER_BACKEND` environment variable.
+    /// reference; the knob trades nothing but speed. Defaults to the
+    /// vectorized backend.
     pub backend: BackendKind,
     /// Reuse per-splat projections across mapping iterations and frames
     /// whose pose and splat parameters are unchanged
@@ -520,22 +445,6 @@ mod tests {
         assert_eq!(PipelineConfig::map_overlapped(1, 2).effective_map_slack(), 2);
         assert_eq!(PipelineConfig::map_overlapped(2, 0).effective_map_slack(), 0);
         assert_eq!(PipelineConfig::map_overlapped(1, 99).effective_map_slack(), 8, "clamped");
-    }
-
-    #[test]
-    fn adaptive_slack_starts_low_and_caps_at_map_slack() {
-        let fixed = PipelineConfig::map_overlapped(1, 3);
-        assert_eq!(fixed.initial_map_slack(), 3, "fixed slack starts at the configured value");
-        let policy =
-            AdaptiveSlackConfig { stall_threshold_s: 0.01, decay_threshold_s: 0.0, window: 4 };
-        let adaptive = PipelineConfig::map_overlapped(1, 3).adaptive(policy);
-        assert_eq!(adaptive.initial_map_slack(), 1, "adaptive slack starts at 1");
-        assert_eq!(adaptive.effective_map_slack(), 3, "map_slack is the adaptive cap");
-        let zero = PipelineConfig::map_overlapped(1, 0).adaptive(policy);
-        assert_eq!(zero.initial_map_slack(), 0, "a zero cap leaves nothing to adapt");
-        // Outside MapOverlapped the policy is inert.
-        let serial = PipelineConfig { adaptive_slack: Some(policy), ..PipelineConfig::default() };
-        assert_eq!(serial.initial_map_slack(), 0);
     }
 
     #[test]

@@ -61,10 +61,7 @@ pub mod stages;
 pub mod trace;
 
 pub use checkpoint::{decode_aux, encode_aux, StreamState};
-pub use config::{
-    AdaptiveSlackConfig, AgsConfig, CheckpointPolicy, PipelineConfig, PipelineMode, QosConfig,
-    ShedLevel,
-};
+pub use config::{AgsConfig, CheckpointPolicy, PipelineConfig, PipelineMode, QosConfig, ShedLevel};
 pub use contribution::{ContributionState, ContributionTracker};
 pub use fc::{FcDetector, FcDetectorState};
 pub use pipeline::{AgsFrameRecord, AgsSlam};

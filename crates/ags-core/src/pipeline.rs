@@ -182,7 +182,6 @@ impl SlamBody {
             track: self.track.export_state(),
             map: self.map.export_state(),
             slack: self.slack,
-            stall_window: Vec::new(),
             window,
         }
     }
@@ -193,10 +192,6 @@ impl SlamBody {
 
     pub(crate) fn set_shed(&mut self, level: ShedLevel) {
         self.shed = level;
-    }
-
-    pub(crate) fn map_slack(&self) -> usize {
-        self.slack
     }
 
     pub(crate) fn config(&self) -> &AgsConfig {

@@ -152,10 +152,14 @@ struct PendingRecord {
 /// export the stage state, and respawn without cloning either.
 #[allow(clippy::type_complexity)]
 fn spawn_map_worker(
-    capacity: usize,
+    slack: usize,
     mut map: MapStage,
     mut shared: SharedCloud,
 ) -> (SyncSender<MapJob>, Receiver<MapDone>, JoinHandle<(MapStage, SharedCloud)>) {
+    // Bounded job/result channels sized to the maximum in-flight frames
+    // (slack + 1 maps can be outstanding before tracking must wait); one
+    // extra slot keeps the worker off the send() edge.
+    let capacity = slack + 2;
     let (jobs_tx, jobs_rx) = sync_channel::<MapJob>(capacity);
     let (done_tx, done_rx) = sync_channel::<MapDone>(capacity);
     let handle = std::thread::Builder::new()
@@ -191,16 +195,10 @@ fn spawn_map_worker(
 struct MapOverlapBody {
     config: AgsConfig,
     track: TrackStage,
-    /// Current snapshot staleness. Fixed at
-    /// `PipelineConfig::effective_map_slack` — unless an adaptive policy is
-    /// installed, in which case it starts at `min(1, cap)` and may grow.
+    /// Snapshot staleness (`PipelineConfig::effective_map_slack`, or the
+    /// checkpointed value on restore). It sizes the worker channels and the
+    /// retained window, and sets the drain rule.
     slack: usize,
-    /// Upper bound the adaptive policy may grow [`Self::slack`] to.
-    slack_cap: usize,
-    /// Adaptive slack policy, if any.
-    adaptive: Option<crate::config::AdaptiveSlackConfig>,
-    /// Rolling snapshot-wait samples since the last adaptive decision.
-    stall_window: Vec<f64>,
     /// Current load-shedding level. `ForceSerial`+ collapses the effective
     /// slack to 0 (serial read-after-map semantics on the existing worker);
     /// `DropNonKey`+ sheds non-key frames entirely. Not part of the
@@ -221,7 +219,7 @@ struct MapOverlapBody {
     /// pump consumes them *without* record side effects — they only advance
     /// `latest` along the exact epoch schedule the original run followed.
     replay: VecDeque<CloudSnapshot>,
-    /// The last `slack_cap + 1` drained snapshots — exactly the window a
+    /// The last `slack + 1` drained snapshots — exactly the window a
     /// checkpoint must capture so a restored run can replay the staleness
     /// schedule bit-identically.
     retained: SnapshotWindow,
@@ -243,24 +241,31 @@ impl std::fmt::Debug for MapOverlapBody {
     }
 }
 
+/// Splits a checkpoint window (ascending by epoch) around the contractual
+/// epoch the next frame must read, `frame_count − slack`: entries up to and
+/// including it re-seed the retained window, the entry at it becomes
+/// `latest`, fresher ones queue as replay. `None` when the window does not
+/// hold the contractual epoch.
+fn split_at_contract(
+    window: Vec<CloudSnapshot>,
+    frame_count: usize,
+    slack: usize,
+) -> Option<(SnapshotWindow, CloudSnapshot, VecDeque<CloudSnapshot>)> {
+    let needed = frame_count.saturating_sub(slack) as u64;
+    let (retained, replay): (Vec<_>, Vec<_>) =
+        window.into_iter().partition(|snap| snap.epoch() <= needed);
+    let latest = retained.last().filter(|snap| snap.epoch() == needed)?.clone();
+    Some((SnapshotWindow::from_snapshots(slack, retained), latest, replay.into()))
+}
+
 impl MapOverlapBody {
     fn new(config: AgsConfig) -> Self {
-        let slack = config.pipeline.initial_map_slack();
-        let slack_cap = config.pipeline.effective_map_slack();
-        let adaptive = config.pipeline.adaptive_slack;
-        // Bounded result/job channels sized to the maximum in-flight frames
-        // (slack + 1 maps can be outstanding before tracking must wait, and
-        // adaptive slack may grow to its cap); one extra slot keeps the
-        // worker off the send() edge.
-        let capacity = slack_cap + 2;
+        let slack = config.pipeline.effective_map_slack();
         let (jobs_tx, done_rx, handle) =
-            spawn_map_worker(capacity, MapStage::new(&config), SharedCloud::new());
+            spawn_map_worker(slack, MapStage::new(&config), SharedCloud::new());
         Self {
             track: TrackStage::new(&config),
             slack,
-            slack_cap,
-            adaptive,
-            stall_window: Vec::new(),
             shed: ShedLevel::Full,
             config,
             latest: CloudSnapshot::empty(),
@@ -270,7 +275,7 @@ impl MapOverlapBody {
             awaiting: VecDeque::new(),
             completed: VecDeque::new(),
             replay: VecDeque::new(),
-            retained: SnapshotWindow::new(slack_cap),
+            retained: SnapshotWindow::new(slack),
             sink: None,
             jobs_tx: Some(jobs_tx),
             done_rx,
@@ -286,40 +291,20 @@ impl MapOverlapBody {
     /// restored run walks the identical staleness schedule instead of
     /// seeing the head early.
     fn from_state(config: AgsConfig, state: StreamState) -> Self {
-        let slack_cap = config.pipeline.effective_map_slack();
-        let adaptive = config.pipeline.adaptive_slack;
         let slack = state.slack;
-        let needed = state.frame_count.saturating_sub(slack) as u64;
-        let mut retained_snaps = Vec::new();
-        let mut replay = VecDeque::new();
-        let mut latest = None;
-        for snap in state.window {
-            if snap.epoch() <= needed {
-                if snap.epoch() == needed {
-                    latest = Some(snap.clone());
-                }
-                retained_snaps.push(snap);
-            } else {
-                replay.push_back(snap);
-            }
-        }
-        let latest = latest.expect("checkpoint window covers the contractual epoch");
+        let (retained, latest, replay) = split_at_contract(state.window, state.frame_count, slack)
+            .expect("checkpoint window covers the contractual epoch");
         let head = replay.back().cloned().unwrap_or_else(|| latest.clone());
-        let retained = SnapshotWindow::from_snapshots(slack_cap, retained_snaps);
         let mut track = TrackStage::new(&config);
         track.restore_state(&state.track);
         let map = MapStage::from_state(&config, state.map);
         // The worker resumes from the checkpoint head: its first live
         // publish is epoch head + 1, contiguous with the replay queue.
         let shared = SharedCloud::from_parts(head.cloud_arc(), head.epoch());
-        let capacity = slack_cap + 2;
-        let (jobs_tx, done_rx, handle) = spawn_map_worker(capacity, map, shared);
+        let (jobs_tx, done_rx, handle) = spawn_map_worker(slack, map, shared);
         Self {
             track,
             slack,
-            slack_cap,
-            adaptive,
-            stall_window: state.stall_window,
             shed: ShedLevel::Full,
             config,
             latest,
@@ -378,7 +363,7 @@ impl MapOverlapBody {
     /// Restarts the map worker around the stage and map returned by
     /// [`Self::stop_worker`].
     fn respawn_worker(&mut self, map: MapStage, shared: SharedCloud) {
-        let (jobs_tx, done_rx, handle) = spawn_map_worker(self.slack_cap + 2, map, shared);
+        let (jobs_tx, done_rx, handle) = spawn_map_worker(self.slack, map, shared);
         self.jobs_tx = Some(jobs_tx);
         self.done_rx = done_rx;
         self.handle = Some(handle);
@@ -397,7 +382,6 @@ impl MapOverlapBody {
             track: self.track.export_state(),
             map: map.export_state(),
             slack: self.slack,
-            stall_window: self.stall_window.clone(),
             window: self.retained.snapshots().cloned().collect(),
         };
         self.respawn_worker(map, shared);
@@ -440,7 +424,6 @@ impl MapOverlapBody {
             self.pump_one();
         }
         let map_wait_s = wait_start.elapsed().as_secs_f64();
-        self.update_adaptive_slack(map_wait_s);
         let stall_s = fc_wait_s + map_wait_s;
 
         let mut record = begin_trace_frame(frame_index, &decision);
@@ -500,38 +483,6 @@ impl MapOverlapBody {
             .expect("map stage worker alive");
     }
 
-    /// Feeds one frame's snapshot-wait time to the adaptive slack policy:
-    /// every `window` frames the rolling mean is compared against both
-    /// thresholds — above `stall_threshold_s` bumps the slack by 1 (clamped
-    /// to the configured `map_slack` cap), below `decay_threshold_s` decays
-    /// it by 1 (floored at the starting slack). Either direction only moves
-    /// the drain condition between frames (`needed_epoch` stays a pure
-    /// function of the frame index), so in-flight jobs are unaffected.
-    /// Frozen while load shedding is active: shed levels already override
-    /// the effective slack, and freezing keeps the sample stream — and thus
-    /// the slack schedule after recovery — independent of shed timing.
-    fn update_adaptive_slack(&mut self, map_wait_s: f64) {
-        let Some(policy) = self.adaptive else {
-            return;
-        };
-        if self.shed != ShedLevel::Full {
-            return;
-        }
-        self.stall_window.push(map_wait_s);
-        if self.stall_window.len() < policy.window.max(1) {
-            return;
-        }
-        let mean = self.stall_window.iter().sum::<f64>() / self.stall_window.len() as f64;
-        if mean > policy.stall_threshold_s && self.slack < self.slack_cap {
-            self.slack += 1;
-        } else if mean < policy.decay_threshold_s
-            && self.slack > self.config.pipeline.initial_map_slack()
-        {
-            self.slack -= 1;
-        }
-        self.stall_window.clear();
-    }
-
     /// Re-winds `latest` to the contractual epoch the *next* frame must
     /// read (`frame_count − slack`), queueing the fresher retained
     /// snapshots as replay — the same split [`Self::from_state`] performs.
@@ -543,30 +494,17 @@ impl MapOverlapBody {
     /// seam than either an uninterrupted or a restored run — breaking
     /// checkpoint-is-invisible bit-identity under `MapOverlapped`.
     fn rewind_to_contract(&mut self) {
-        let needed = self.frame_count.saturating_sub(self.slack) as u64;
-        if self.latest.epoch() <= needed {
-            return;
-        }
-        let mut retained_snaps = Vec::new();
-        let mut replay = VecDeque::new();
-        let mut latest = None;
-        for snap in self.retained.snapshots().cloned().collect::<Vec<_>>() {
-            if snap.epoch() <= needed {
-                if snap.epoch() == needed {
-                    latest = Some(snap.clone());
-                }
-                retained_snaps.push(snap);
-            } else {
-                replay.push_back(snap);
-            }
-        }
+        let window = self.retained.snapshots().cloned().collect();
         // A window that does not reach back to the contractual epoch (a
         // checkpoint taken within the first `slack` frames) keeps the
         // drained head — exactly what a restored run sees in that case.
-        let Some(latest) = latest else { return };
-        self.retained = SnapshotWindow::from_snapshots(self.slack_cap, retained_snaps);
-        self.replay = replay;
-        self.latest = latest;
+        if let Some((retained, latest, replay)) =
+            split_at_contract(window, self.frame_count, self.slack)
+        {
+            self.retained = retained;
+            self.latest = latest;
+            self.replay = replay;
+        }
     }
 
     /// Drains every outstanding mapping result — and any un-replayed
@@ -679,13 +617,6 @@ impl SlamBackEnd {
         match self {
             SlamBackEnd::Inline(body) => body.set_shed(level),
             SlamBackEnd::MapWorker(body) => body.shed = level,
-        }
-    }
-
-    fn map_slack(&self) -> usize {
-        match self {
-            SlamBackEnd::Inline(body) => body.map_slack(),
-            SlamBackEnd::MapWorker(body) => body.slack,
         }
     }
 
@@ -840,12 +771,6 @@ impl PipelinedAgsSlam {
     /// bit-identically.
     pub fn set_shed_level(&mut self, level: ShedLevel) {
         self.back.set_shed(level);
-    }
-
-    /// The current snapshot staleness (fixed, or the adaptive policy's
-    /// latest value). Shedding overrides are not reflected here.
-    pub fn map_slack(&self) -> usize {
-        self.back.map_slack()
     }
 
     /// The configuration in use.
@@ -1108,110 +1033,6 @@ mod tests {
         slam.finish();
         let totals = slam.trace().stage_time_totals();
         assert!(totals.stall_s > 0.0, "FC-channel wait must show up as stall time");
-    }
-
-    #[test]
-    fn adaptive_slack_is_deterministic_at_degenerate_thresholds() {
-        use crate::config::AdaptiveSlackConfig;
-        // Force refinement on every frame so the snapshot epoch a frame
-        // reads is visible in its refine workload (and the canonical trace).
-        let mut base = AgsConfig::tiny();
-        base.thresh_t = 1.01;
-        let data = tiny_dataset(6);
-        let run_pipeline = |pipeline: PipelineConfig| {
-            let config = AgsConfig { pipeline, ..base.clone() };
-            let mut slam = PipelinedAgsSlam::new(config);
-            for frame in &data.frames {
-                slam.push_frame_cloned(&data.camera, &frame.rgb, &frame.depth);
-            }
-            slam.finish();
-            (slam.trajectory().to_vec(), slam.trace().canonical_bytes())
-        };
-
-        // Never-bump (threshold ∞): identical to the fixed starting slack 1,
-        // even though the cap is 2 — timing cannot leak into results.
-        let never = AdaptiveSlackConfig {
-            stall_threshold_s: f64::INFINITY,
-            decay_threshold_s: 0.0,
-            window: 2,
-        };
-        assert_eq!(
-            run_pipeline(PipelineConfig::map_overlapped(1, 2).adaptive(never)),
-            run_pipeline(PipelineConfig::map_overlapped(1, 1)),
-            "an infinite threshold must behave exactly like fixed slack 1"
-        );
-
-        // Always-bump (negative threshold): slack grows 1 → 2 after the
-        // first window — a fixed, timing-independent schedule. Two runs are
-        // bit-identical, and the schedule differs from both fixed slacks
-        // (the bump lands mid-stream, after epochs stopped clamping to 0).
-        let always =
-            AdaptiveSlackConfig { stall_threshold_s: -1.0, decay_threshold_s: 0.0, window: 4 };
-        let adaptive = PipelineConfig::map_overlapped(1, 2).adaptive(always);
-        let first = run_pipeline(adaptive);
-        let second = run_pipeline(adaptive);
-        assert_eq!(first, second, "adaptive runs at a degenerate threshold are reproducible");
-        assert_ne!(
-            first.1,
-            run_pipeline(PipelineConfig::map_overlapped(1, 1)).1,
-            "the mid-stream bump must actually change the staleness schedule"
-        );
-        assert_ne!(
-            first.1,
-            run_pipeline(PipelineConfig::map_overlapped(1, 2)).1,
-            "starting at slack 1 must differ from running at the cap throughout"
-        );
-    }
-
-    #[test]
-    fn adaptive_slack_decay_is_deterministic_at_degenerate_thresholds() {
-        use crate::config::AdaptiveSlackConfig;
-        // The decay twin of the bump test above: stall threshold −1 bumps
-        // at every window boundary while below the cap, decay threshold ∞
-        // decays at every boundary while above the initial slack — so the
-        // slack oscillates 1 → 2 → 1 → … on a fixed, timing-independent
-        // schedule. Two runs are bit-identical, and the oscillation differs
-        // from both fixed slacks *and* from bump-only (decay disabled),
-        // proving the decay branch itself shapes the canonical trace.
-        let mut base = AgsConfig::tiny();
-        base.thresh_t = 1.01;
-        let data = tiny_dataset(8);
-        let run_pipeline = |pipeline: PipelineConfig| {
-            let config = AgsConfig { pipeline, ..base.clone() };
-            let mut slam = PipelinedAgsSlam::new(config);
-            for frame in &data.frames {
-                slam.push_frame_cloned(&data.camera, &frame.rgb, &frame.depth);
-            }
-            slam.finish();
-            (slam.trajectory().to_vec(), slam.trace().canonical_bytes())
-        };
-
-        let oscillate = AdaptiveSlackConfig {
-            stall_threshold_s: -1.0,
-            decay_threshold_s: f64::INFINITY,
-            window: 2,
-        };
-        let adaptive = PipelineConfig::map_overlapped(1, 2).adaptive(oscillate);
-        let first = run_pipeline(adaptive);
-        let second = run_pipeline(adaptive);
-        assert_eq!(first, second, "degenerate decay runs are reproducible");
-        let bump_only =
-            AdaptiveSlackConfig { stall_threshold_s: -1.0, decay_threshold_s: 0.0, window: 2 };
-        assert_ne!(
-            first.1,
-            run_pipeline(PipelineConfig::map_overlapped(1, 2).adaptive(bump_only)).1,
-            "decaying back down must change the staleness schedule vs bump-only"
-        );
-        assert_ne!(
-            first.1,
-            run_pipeline(PipelineConfig::map_overlapped(1, 1)).1,
-            "the oscillation must differ from fixed slack 1"
-        );
-        assert_ne!(
-            first.1,
-            run_pipeline(PipelineConfig::map_overlapped(1, 2)).1,
-            "the oscillation must differ from fixed slack 2"
-        );
     }
 
     #[test]

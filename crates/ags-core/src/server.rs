@@ -25,9 +25,9 @@
 //!   round-robin, so one stream's mapping burst cannot starve another
 //!   stream's batch (see `ags_math::parallel`).
 //! * **Policy** — [`StreamPolicy`] picks the pipeline mode per stream
-//!   (`Serial` / `Overlapped` / `MapOverlapped` + `map_slack`, optionally
-//!   adaptive): a latency-critical stream can run serially while
-//!   throughput streams overlap their stages, on the same pool.
+//!   (`Serial` / `Overlapped` / `MapOverlapped` + `map_slack`): a
+//!   latency-critical stream can run serially while throughput streams
+//!   overlap their stages, on the same pool.
 //!
 //! [`MultiStreamServer::stats`] aggregates per-stream [`StageTimes`]
 //! (sums and per-stage maxima, including the backpressure `stall_s`) so a
@@ -48,8 +48,8 @@
 //! canonical trace, so a shed schedule is part of the stream's semantic
 //! output and replays bit-identically at any worker count. A
 //! [`CheckpointPolicy`] can additionally drive the attached store
-//! automatically (every N epochs, on slack bumps, or on shed
-//! transitions) — checkpoint-on-pressure without caller involvement.
+//! automatically (every N epochs, or on shed transitions) —
+//! checkpoint-on-pressure without caller involvement.
 //!
 //! [`attach_stream`]: MultiStreamServer::attach_stream
 //! [`detach_stream`]: MultiStreamServer::detach_stream
@@ -72,8 +72,8 @@ use std::time::{Duration, Instant};
 /// Per-stream execution policy.
 ///
 /// Today this is the stage-graph configuration (pipeline mode, FC lookahead
-/// depth, map slack and the optional adaptive-slack policy); the struct
-/// exists so per-stream knobs can grow without touching [`ServerConfig`].
+/// depth, map slack); the struct exists so per-stream knobs can grow
+/// without touching [`ServerConfig`].
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct StreamPolicy {
     /// Stage-graph execution of this stream.
@@ -253,6 +253,14 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
+/// The rejection of a durability operation on a stream without a store.
+fn no_store(stream: usize) -> StreamError {
+    StreamError::Storage {
+        stream,
+        source: StoreError::Missing("no store attached to stream".into()),
+    }
+}
+
 /// Per-stream overload controller: a deterministic state machine over the
 /// stream's *recorded* stage times. Each completed frame is classified as
 /// pressured or not against fixed budgets; every `window` frames the
@@ -404,9 +412,6 @@ struct StreamSlot {
     checkpoint_top_ups: u64,
     /// Completed frames since the last commit (for `EveryNEpochs`).
     epochs_since_commit: usize,
-    /// Map slack at the last commit decision (for `OnSlackBump`); `None`
-    /// adopts the current value without committing.
-    last_slack: Option<usize>,
     /// A shed transition happened since the last commit (for `OnShed`).
     shed_transition: bool,
 }
@@ -432,7 +437,6 @@ impl StreamSlot {
             checkpoint_errors: 0,
             checkpoint_top_ups: 0,
             epochs_since_commit: 0,
-            last_slack: None,
             shed_transition: false,
         }
     }
@@ -474,43 +478,73 @@ impl StreamSlot {
     }
 
     /// Whether the automatic checkpoint policy wants a commit now.
-    fn auto_commit_due(&mut self) -> bool {
+    fn auto_commit_due(&self) -> bool {
         if self.writer.is_none() || self.slam.is_none() || self.poisoned {
             return false;
         }
         match self.policy.checkpoint_policy {
             CheckpointPolicy::Manual => false,
             CheckpointPolicy::EveryNEpochs(n) => self.epochs_since_commit >= n.max(1),
-            CheckpointPolicy::OnSlackBump => {
-                let current = self.slam.as_ref().expect("checked above").map_slack();
-                match self.last_slack {
-                    None => {
-                        self.last_slack = Some(current);
-                        false
-                    }
-                    Some(previous) => current != previous,
-                }
-            }
             CheckpointPolicy::OnShed => self.shed_transition,
         }
     }
 
-    /// Commits `state` (already captured by a quiesce) to the attached
-    /// store. Automatic-path errors are counted, never fatal — the stream
-    /// stays healthy and the policy simply retries at its next trigger.
-    fn commit_captured(&mut self, state: &crate::checkpoint::StreamState) {
-        let writer = self.writer.as_ref().expect("auto commit requires a writer");
-        let aux = encode_aux(state);
-        match writer.commit(state.window.clone(), aux) {
-            Ok(report) => {
-                self.auto_checkpoints += 1;
-                self.checkpoint_top_ups += report.topped_up as u64;
-            }
-            Err(_) => self.checkpoint_errors += 1,
+    /// Spawns the checkpoint writer around `store` and installs its sink
+    /// into the running pipeline (one spawned later picks the sink up in
+    /// [`Self::slam_mut`]) — the only way a writer enters a slot, so a live
+    /// pipeline never keeps offering into a stopped writer's queue.
+    fn install_writer(&mut self, store: EpochStore) {
+        let writer = CheckpointWriter::spawn(store);
+        if let Some(slam) = self.slam.as_mut() {
+            slam.set_checkpoint_sink(Some(writer.sink()));
+        }
+        self.writer = Some(writer);
+    }
+
+    /// Drains the pipeline (if one is running), absorbing its remaining
+    /// records. A panicking stage poisons the slot.
+    fn drain(&mut self, stream: usize) -> Result<(), StreamError> {
+        let Some(slam) = self.slam.as_mut() else { return Ok(()) };
+        let records = match catch_unwind(AssertUnwindSafe(|| slam.finish())) {
+            Ok(records) => records,
+            Err(payload) => return Err(self.poison(stream, payload)),
+        };
+        for record in records {
+            self.absorb(record);
+        }
+        Ok(())
+    }
+
+    /// The one commit sequence: quiesce the pipeline, absorb the records it
+    /// drained, and commit the captured state as a checkpoint generation to
+    /// the attached store. The policy triggers restart from this attempt
+    /// whether or not the store accepted it. A panicking quiesce poisons the
+    /// slot; a rejected commit comes back as [`StreamError::Storage`] with
+    /// the stream healthy — the caller decides whether that is fatal (manual
+    /// checkpoint, final checkpoint of a detach) or merely counted (policy).
+    fn commit_checkpoint(&mut self, stream: usize) -> Result<(), StreamError> {
+        if self.writer.is_none() {
+            return Err(no_store(stream));
+        }
+        let slam = self.slam_mut();
+        let (records, state) = match catch_unwind(AssertUnwindSafe(|| slam.checkpoint())) {
+            Ok(pair) => pair,
+            Err(payload) => return Err(self.poison(stream, payload)),
+        };
+        for record in records {
+            self.absorb(record);
         }
         self.epochs_since_commit = 0;
         self.shed_transition = false;
-        self.last_slack = self.slam.as_ref().map(|s| s.map_slack());
+        let aux = encode_aux(&state);
+        let report = self
+            .writer
+            .as_ref()
+            .expect("checked above")
+            .commit(state.window, aux)
+            .map_err(|source| StreamError::Storage { stream, source })?;
+        self.checkpoint_top_ups += report.topped_up as u64;
+        Ok(())
     }
 }
 
@@ -716,35 +750,9 @@ impl MultiStreamServer {
         }
         if !slot.poisoned && slot.slam.is_some() {
             if final_checkpoint {
-                if slot.writer.is_none() {
-                    return Err(StreamError::Storage {
-                        stream,
-                        source: StoreError::Missing("no store attached to stream".into()),
-                    });
-                }
-                let slam = slot.slam.as_mut().expect("checked above");
-                let (records, state) = match catch_unwind(AssertUnwindSafe(|| slam.checkpoint())) {
-                    Ok(pair) => pair,
-                    Err(payload) => return Err(slot.poison(stream, payload)),
-                };
-                for record in records {
-                    slot.absorb(record);
-                }
-                let aux = encode_aux(&state);
-                if let Err(source) =
-                    slot.writer.as_ref().expect("checked above").commit(state.window, aux)
-                {
-                    return Err(StreamError::Storage { stream, source });
-                }
+                slot.commit_checkpoint(stream)?;
             } else {
-                let slam = slot.slam.as_mut().expect("checked above");
-                let records = match catch_unwind(AssertUnwindSafe(|| slam.finish())) {
-                    Ok(records) => records,
-                    Err(payload) => return Err(slot.poison(stream, payload)),
-                };
-                for record in records {
-                    slot.absorb(record);
-                }
+                slot.drain(stream)?;
             }
         }
         // Snapshot the final stats while the pipeline and writer are still
@@ -825,15 +833,12 @@ impl MultiStreamServer {
             Err(payload) => return Err(slot.poison(stream, payload)),
         }
         if slot.auto_commit_due() {
-            let slam = slot.slam.as_mut().expect("active stream");
-            match catch_unwind(AssertUnwindSafe(|| slam.checkpoint())) {
-                Ok((records, state)) => {
-                    for record in records {
-                        slot.absorb(record);
-                    }
-                    slot.commit_captured(&state);
-                }
-                Err(payload) => return Err(slot.poison(stream, payload)),
+            // Automatic-path store errors are counted, never fatal — the
+            // stream stays healthy and the policy retries at its next trigger.
+            match slot.commit_checkpoint(stream) {
+                Ok(()) => slot.auto_checkpoints += 1,
+                Err(StreamError::Storage { .. }) => slot.checkpoint_errors += 1,
+                Err(poisoned) => return Err(poisoned),
             }
         }
         Ok(slot.buffered.pop_front())
@@ -843,16 +848,7 @@ impl MultiStreamServer {
     /// records (buffered ones included) in stream order.
     pub fn finish_stream(&mut self, stream: usize) -> Result<Vec<AgsFrameRecord>, StreamError> {
         let slot = self.slot(stream)?;
-        if let Some(slam) = slot.slam.as_mut() {
-            match catch_unwind(AssertUnwindSafe(|| slam.finish())) {
-                Ok(records) => {
-                    for record in records {
-                        slot.absorb(record);
-                    }
-                }
-                Err(payload) => return Err(slot.poison(stream, payload)),
-            }
-        }
+        slot.drain(stream)?;
         Ok(slot.buffered.drain(..).collect())
     }
 
@@ -882,10 +878,12 @@ impl MultiStreamServer {
     }
 
     /// Attaches a durability store to stream `stream` under the key prefix
-    /// `s{stream}` (so many streams can share one backing store). An async
-    /// [`CheckpointWriter`] is spawned around it and its non-blocking sink
-    /// is installed into the stream's pipeline: every published map epoch
-    /// is offered for incremental persistence off the hot path, and
+    /// `s{stream}` (so many streams can share one backing store). The newest
+    /// durable chain is adopted from its manifest alone — no chain record is
+    /// fetched until [`restore_stream`](Self::restore_stream) asks. An async
+    /// [`CheckpointWriter`] is spawned around the store and its non-blocking
+    /// sink is installed into the stream's pipeline: every published map
+    /// epoch is offered for incremental persistence off the hot path, and
     /// [`checkpoint_stream`](Self::checkpoint_stream) commits durable
     /// generations.
     pub fn attach_store(
@@ -897,12 +895,10 @@ impl MultiStreamServer {
         self.attach_store_with(stream, store, config, StoreAttachOptions::default())
     }
 
-    /// [`attach_store`](Self::attach_store) with explicit [`StoreAttachOptions`]:
-    /// a caller-chosen key prefix (so a migrated stream can keep reading the
-    /// checkpoint generations its source wrote under the source's id), and a
-    /// lazy open that adopts the newest durable chain without fetching its
-    /// records — the fast path before [`restore_stream_lazy`]
-    /// (Self::restore_stream_lazy) streams them exactly once.
+    /// [`attach_store`](Self::attach_store) with explicit
+    /// [`StoreAttachOptions`]: a caller-chosen key prefix, so a migrated
+    /// stream can keep reading the checkpoint generations its source wrote
+    /// under the source's id.
     pub fn attach_store_with(
         &mut self,
         stream: usize,
@@ -912,17 +908,9 @@ impl MultiStreamServer {
     ) -> Result<(), StreamError> {
         let slot = self.streams.get_mut(stream).ok_or(StreamError::UnknownStream(stream))?;
         let prefix = options.prefix.unwrap_or_else(|| format!("s{stream}"));
-        let epoch_store = if options.lazy_open {
-            EpochStore::open_lazy(store, &prefix, config)
-        } else {
-            EpochStore::open(store, &prefix, config)
-        }
-        .map_err(|source| StreamError::Storage { stream, source })?;
-        let writer = CheckpointWriter::spawn(epoch_store);
-        if let Some(slam) = slot.slam.as_mut() {
-            slam.set_checkpoint_sink(Some(writer.sink()));
-        }
-        slot.writer = Some(writer);
+        let epoch_store = EpochStore::open(store, &prefix, config)
+            .map_err(|source| StreamError::Storage { stream, source })?;
+        slot.install_writer(epoch_store);
         slot.store_prefix = Some(prefix);
         Ok(())
     }
@@ -951,31 +939,7 @@ impl MultiStreamServer {
     /// the stream itself stays healthy either way.
     pub fn checkpoint_stream(&mut self, stream: usize) -> Result<Vec<AgsFrameRecord>, StreamError> {
         let slot = self.slot(stream)?;
-        if slot.writer.is_none() {
-            return Err(StreamError::Storage {
-                stream,
-                source: StoreError::Missing("no store attached to stream".into()),
-            });
-        }
-        let slam = slot.slam_mut();
-        let (records, state) = match catch_unwind(AssertUnwindSafe(|| slam.checkpoint())) {
-            Ok(pair) => pair,
-            Err(payload) => return Err(slot.poison(stream, payload)),
-        };
-        for record in records {
-            slot.absorb(record);
-        }
-        let aux = encode_aux(&state);
-        let report = slot
-            .writer
-            .as_ref()
-            .expect("writer checked above")
-            .commit(state.window.clone(), aux)
-            .map_err(|source| StreamError::Storage { stream, source })?;
-        slot.checkpoint_top_ups += report.topped_up as u64;
-        slot.epochs_since_commit = 0;
-        slot.shed_transition = false;
-        slot.last_slack = slot.slam.as_ref().map(|s| s.map_slack());
+        slot.commit_checkpoint(stream)?;
         Ok(slot.buffered.drain(..).collect())
     }
 
@@ -994,52 +958,26 @@ impl MultiStreamServer {
     /// schedule survives a restore bit-identically. (Rejection probation is
     /// the one piece that resets: rejected pushes leave no trace record.)
     ///
-    /// Torn or corrupted generations are skipped (newest-first) rather than
-    /// loaded; if no valid generation exists the slot is left untouched and
+    /// The store's delta chain is fetched in one pass and only the snapshot
+    /// window is materialized ([`EpochStore::restore_latest`]). Torn or
+    /// corrupted generations are skipped (newest-first) rather than loaded;
+    /// if no valid generation exists the slot is left untouched — a running
+    /// pipeline keeps checkpointing into the store — and
     /// [`StreamError::Storage`] is returned.
     pub fn restore_stream(&mut self, stream: usize) -> Result<(), StreamError> {
-        self.restore_stream_impl(stream, false)
-    }
-
-    /// [`restore_stream`](Self::restore_stream) through the store's
-    /// streaming path ([`EpochStore::restore_lazy`]): the delta chain is
-    /// fetched in one pass and only the snapshot window is materialized.
-    /// Bit-identical result to the eager restore; strictly fewer store
-    /// bytes when the store was attached with `lazy_open` (the chain is
-    /// fetched once instead of twice).
-    pub fn restore_stream_lazy(&mut self, stream: usize) -> Result<(), StreamError> {
-        self.restore_stream_impl(stream, true)
-    }
-
-    fn restore_stream_impl(&mut self, stream: usize, lazy: bool) -> Result<(), StreamError> {
         let slot = self.streams.get_mut(stream).ok_or(StreamError::UnknownStream(stream))?;
-        let storage = |source| StreamError::Storage { stream, source };
-        let writer = slot
-            .writer
-            .take()
-            .ok_or_else(|| storage(StoreError::Missing("no store attached to stream".into())))?;
         // The writer owns the store; stop it for synchronous read access.
-        let mut store = writer.stop();
-        let restored = if lazy { store.restore_lazy() } else { store.restore_latest() };
-        let restored = match restored {
-            Ok(Some(restored)) => restored,
-            Ok(None) => {
-                // Nothing durable yet: hand the store back and report.
-                slot.writer = Some(CheckpointWriter::spawn(store));
-                return Err(storage(StoreError::Missing(
-                    "no checkpoint generation to restore".into(),
-                )));
-            }
-            Err(source) => {
-                slot.writer = Some(CheckpointWriter::spawn(store));
-                return Err(storage(source));
-            }
-        };
-        let state = match decode_aux(&restored.aux, restored.window) {
+        let mut store = slot.writer.take().ok_or_else(|| no_store(stream))?.stop();
+        let state = store.restore_latest().and_then(|restored| match restored {
+            Some(restored) => decode_aux(&restored.aux, restored.window),
+            None => Err(StoreError::Missing("no checkpoint generation to restore".into())),
+        });
+        let state = match state {
             Ok(state) => state,
             Err(source) => {
-                slot.writer = Some(CheckpointWriter::spawn(store));
-                return Err(storage(source));
+                // Nothing restorable: hand the store back and report.
+                slot.install_writer(store);
+                return Err(StreamError::Storage { stream, source });
             }
         };
         let frame_count = state.frame_count;
@@ -1051,10 +989,8 @@ impl MultiStreamServer {
         // and stream tag; `restore` re-resolves it, which is idempotent.
         let mut slam = PipelinedAgsSlam::restore(slot.cfg.clone(), state);
         slam.set_shed_level(qos.level());
-        let writer = CheckpointWriter::spawn(store);
-        slam.set_checkpoint_sink(Some(writer.sink()));
         slot.slam = Some(slam);
-        slot.writer = Some(writer);
+        slot.install_writer(store);
         slot.qos = qos;
         slot.poisoned = false;
         slot.panic_msg = None;
@@ -1064,8 +1000,15 @@ impl MultiStreamServer {
         slot.completed = frame_count;
         slot.epochs_since_commit = 0;
         slot.shed_transition = false;
-        slot.last_slack = None;
         Ok(())
+    }
+
+    /// Only user: `benchmark/src/sut.rs:492`. Former name of
+    /// [`restore_stream`](Self::restore_stream), kept until the next
+    /// `benchmark` PR renames that call (`benchmark/` may not be edited).
+    #[doc(hidden)]
+    pub fn restore_stream_lazy(&mut self, stream: usize) -> Result<(), StreamError> {
+        self.restore_stream(stream)
     }
 
     /// Folds a persisted trace through a fresh [`QosController`] — the
@@ -1084,17 +1027,9 @@ impl MultiStreamServer {
     /// stream itself is not interrupted.
     pub fn store_stats(&mut self, stream: usize) -> Result<StoreStats, StreamError> {
         let slot = self.slot(stream)?;
-        let writer = slot.writer.take().ok_or(StreamError::Storage {
-            stream,
-            source: StoreError::Missing("no store attached to stream".into()),
-        })?;
-        let store = writer.stop();
+        let store = slot.writer.take().ok_or_else(|| no_store(stream))?.stop();
         let stats = store.stats();
-        let writer = CheckpointWriter::spawn(store);
-        if let Some(slam) = slot.slam.as_mut() {
-            slam.set_checkpoint_sink(Some(writer.sink()));
-        }
-        slot.writer = Some(writer);
+        slot.install_writer(store);
         Ok(stats)
     }
 
@@ -1170,10 +1105,10 @@ pub struct StoreAttachOptions {
     /// **source's** prefix here so it reads the generations the source
     /// wrote.
     pub prefix: Option<String>,
-    /// Open lazily ([`EpochStore::open_lazy`]): adopt the newest durable
-    /// chain from its manifest alone instead of materializing it. Pair with
-    /// [`MultiStreamServer::restore_stream_lazy`] to fetch the chain exactly
-    /// once end to end.
+    /// Read nowhere: every attach opens from the manifest alone. Only user:
+    /// the struct literal at `benchmark/src/sut.rs:483`; kept until the next
+    /// `benchmark` PR drops it there (`benchmark/` may not be edited).
+    #[doc(hidden)]
     pub lazy_open: bool,
 }
 
@@ -1272,10 +1207,9 @@ impl std::error::Error for MigrationError {
 ///   durable in the store.
 ///
 /// On success the destination stream reads checkpoints under the source's
-/// key prefix (see [`StoreAttachOptions::prefix`]), restores through the
-/// lazy path ([`MultiStreamServer::restore_stream_lazy`] — the chain is
-/// fetched exactly once), and the report carries the drained source records
-/// and the cut-over gap.
+/// key prefix (see [`StoreAttachOptions::prefix`]), fetching the chain
+/// exactly once, and the report carries the drained source records and the
+/// cut-over gap.
 pub fn migrate_stream(
     source: &mut MultiStreamServer,
     src: usize,
@@ -1300,14 +1234,17 @@ pub fn migrate_stream(
     // stream is still attached (detach_stream's contract) — nothing moved.
     let drained = source.detach_stream(src, true).map_err(MigrationError::Source)?;
 
-    // Bring the stream up on the destination under the source's prefix.
+    // Bring a stream up from the source's prefix: the destination first,
+    // the source again if that fails.
+    let options = StoreAttachOptions { prefix: Some(prefix), ..Default::default() };
+    let revive = |server: &mut MultiStreamServer, stream, store| {
+        server.attach_store_with(stream, store, config.clone(), options.clone())?;
+        server.restore_stream(stream)
+    };
     let dest_stream = dest.attach_stream(policy);
-    let restored =
-        dial(MigrationEnd::Destination).map_err(|e| storage(dest_stream, e)).and_then(|store| {
-            let options = StoreAttachOptions { prefix: Some(prefix.clone()), lazy_open: true };
-            dest.attach_store_with(dest_stream, store, config.clone(), options)?;
-            dest.restore_stream_lazy(dest_stream)
-        });
+    let restored = dial(MigrationEnd::Destination)
+        .map_err(|e| storage(dest_stream, e))
+        .and_then(|store| revive(dest, dest_stream, store));
     match restored {
         Ok(()) => Ok(MigrationReport { dest_stream, drained, cutover: cutover_start.elapsed() }),
         Err(error) => {
@@ -1316,12 +1253,7 @@ pub fn migrate_stream(
             let _ = dest.detach_stream(dest_stream, false);
             let source_revived = dial(MigrationEnd::Source)
                 .map_err(|e| storage(src, e))
-                .and_then(|store| {
-                    let options =
-                        StoreAttachOptions { prefix: Some(prefix.clone()), lazy_open: true };
-                    source.attach_store_with(src, store, config.clone(), options)?;
-                    source.restore_stream_lazy(src)
-                })
+                .and_then(|store| revive(source, src, store))
                 .is_ok();
             Err(MigrationError::Destination { error, source_revived })
         }

@@ -10,9 +10,7 @@
 //! recovery path must also revive a panic-poisoned stream without
 //! disturbing its neighbours.
 
-use ags_core::{
-    AdaptiveSlackConfig, AgsConfig, MultiStreamServer, ServerConfig, StreamError, StreamPolicy,
-};
+use ags_core::{AgsConfig, MultiStreamServer, ServerConfig, StreamError, StreamPolicy};
 use ags_scene::dataset::{Dataset, DatasetConfig, SceneId};
 use ags_store::{
     CheckpointConfig, FaultPlan, FaultStore, FileStore, MapStore, MemoryStore, StoreError,
@@ -441,21 +439,4 @@ fn compaction_state_survives_restore_bit_identical() {
         recovered.finish_all();
         assert_eq!(reference, result_of(&recovered, 0), "{label}: {policy:?}");
     }
-}
-
-#[test]
-fn adaptive_slack_state_survives_restore_deterministically() {
-    // Always-bump policy (negative threshold): the slack schedule is a pure
-    // function of the frame count. Checkpointing mid-window (3 of 4 stall
-    // samples collected) must carry the rolling samples so the restored run
-    // bumps its slack at exactly the same frame as the uninterrupted one.
-    let always = AdaptiveSlackConfig { stall_threshold_s: -1.0, decay_threshold_s: 0.0, window: 4 };
-    let mut policy = StreamPolicy::map_overlapped(1, 2);
-    policy.pipeline = policy.pipeline.adaptive(always);
-    let frames = 7;
-    let cut = 3;
-    let data = dataset(SceneId::Xyz, frames);
-    let reference = uninterrupted(policy, 2, &data);
-    let recovered = crash_and_recover(policy, 2, &data, cut);
-    assert_eq!(reference, recovered);
 }

@@ -2,20 +2,20 @@
 //!
 //! The contract: `migrate_stream` hands a live stream from one
 //! [`MultiStreamServer`] to another through a shared map store — final
-//! checkpoint on the source, lazy restore on the destination — and the
+//! checkpoint on the source, restore on the destination — and the
 //! migrated stream finishes **bit-identical** to checkpointing and
 //! continuing in place. This must hold when the store is a real
 //! [`RemoteStore`] over loopback TCP and the destination's restore traffic
 //! is dragged through injected latency, a torn response, a mid-transfer
 //! disconnect and a stalled response (absorbed by bounded retry); and when
 //! retries are exhausted entirely, the source must be revived from its own
-//! final checkpoint — no stream is ever lost. The lazy restore path itself
-//! must be bit-identical to the eager one across pipeline modes and worker
-//! counts, while fetching strictly fewer store bytes.
+//! final checkpoint — no stream is ever lost. Attach + restore must fetch
+//! each record of the adopted generation exactly once (restore fidelity
+//! across pipeline modes and worker counts is the durability suite's job).
 
 use ags_core::{
     migrate_stream, AgsConfig, MigrationEnd, MigrationError, MultiStreamServer, ServerConfig,
-    StoreAttachOptions, StreamError, StreamPolicy,
+    StreamError, StreamPolicy,
 };
 use ags_scene::dataset::{Dataset, DatasetConfig, SceneId};
 use ags_store::{
@@ -255,132 +255,43 @@ fn exhausted_retries_revive_the_source_and_lose_no_stream() {
     );
 }
 
-/// Crash dance through the **lazy** attach + restore path: checkpoint at
-/// `cut`, lose the server, revive in a fresh one via
-/// `attach_store_with(lazy_open)` + `restore_stream_lazy`, finish.
-fn crash_and_recover_lazy(
-    policy: StreamPolicy,
-    workers: usize,
-    data: &Dataset,
-    cut: usize,
-) -> StreamResult {
-    let backing = MemoryStore::new();
-    let mut crashed = MultiStreamServer::new(one_stream_config(policy, workers));
-    crashed.attach_store(0, Box::new(backing.clone()), fast_store_config()).unwrap();
-    for f in 0..cut {
-        push(&mut crashed, 0, data, f);
-    }
-    crashed.checkpoint_stream(0).expect("checkpoint commits");
-    for f in cut..data.frames.len().saturating_sub(1) {
-        push(&mut crashed, 0, data, f);
-    }
-    drop(crashed);
-
-    let mut server = MultiStreamServer::new(one_stream_config(policy, workers));
-    server
-        .attach_store_with(
-            0,
-            Box::new(backing),
-            fast_store_config(),
-            StoreAttachOptions { prefix: None, lazy_open: true },
-        )
-        .unwrap();
-    server.restore_stream_lazy(0).expect("lazy restore succeeds");
-    assert_eq!(
-        server.stream(0).unwrap().trajectory().len(),
-        cut,
-        "lazy restore resumes at the checkpointed frame"
-    );
-    for f in cut..data.frames.len() {
-        push(&mut server, 0, data, f);
-    }
-    server.finish_all();
-    result_of(&server, 0)
-}
-
 #[test]
-fn lazy_restore_is_bit_identical_across_modes_and_worker_counts() {
-    // The eager restore is proven bit-identical to an uninterrupted run in
-    // the durability suite; holding the lazy path to the same uninterrupted
-    // reference pins lazy ≡ eager across the whole matrix.
-    let frames = 6;
-    let cut = 3;
-    let data = dataset(SceneId::Xyz, frames);
-    let policies =
-        [StreamPolicy::serial(), StreamPolicy::overlapped(2), StreamPolicy::map_overlapped(1, 2)];
-    for policy in policies {
-        for workers in [1usize, 2, 8] {
-            let reference = {
-                let mut server = MultiStreamServer::new(one_stream_config(policy, workers));
-                for f in 0..frames {
-                    push(&mut server, 0, &data, f);
-                }
-                server.finish_all();
-                result_of(&server, 0)
-            };
-            let recovered = crash_and_recover_lazy(policy, workers, &data, cut);
-            assert_eq!(
-                reference, recovered,
-                "lazy restore must be bit-identical: {policy:?}, {workers} pool workers"
-            );
-        }
-    }
-}
-
-#[test]
-fn lazy_restore_fetches_strictly_fewer_store_bytes_than_eager() {
+fn attach_plus_restore_fetches_each_record_of_the_generation_exactly_once() {
     let frames = 6;
     let workers = 2;
     let policy = StreamPolicy::map_overlapped(1, 1);
     let data = dataset(SceneId::Desk2, frames);
-    // Three durable generations, all retained, so the restored chain is a
-    // real base + delta sequence rather than a lone base.
+    // Three generations committed, one kept: GC leaves exactly the records
+    // the newest generation references (its chain, aux and manifest),
+    // whether or not dropped offers forced a rebase along the way.
     let config =
-        CheckpointConfig { retry_backoff_ms: 0, keep_manifests: 3, ..CheckpointConfig::default() };
+        CheckpointConfig { retry_backoff_ms: 0, keep_manifests: 1, ..CheckpointConfig::default() };
 
     let backing = MemoryStore::new();
-    {
-        let mut server = MultiStreamServer::new(one_stream_config(policy, workers));
-        server.attach_store(0, Box::new(backing.clone()), config.clone()).unwrap();
-        for f in 0..frames {
-            push(&mut server, 0, &data, f);
-            if f % 2 == 1 {
-                server.checkpoint_stream(0).expect("checkpoint commits");
-            }
+    let mut server = MultiStreamServer::new(one_stream_config(policy, workers));
+    server.attach_store(0, Box::new(backing.clone()), config.clone()).unwrap();
+    for f in 0..frames {
+        push(&mut server, 0, &data, f);
+        if f % 2 == 1 {
+            server.checkpoint_stream(0).expect("checkpoint commits");
         }
-        drop(server);
     }
+    let committed = result_of(&server, 0);
+    drop(server);
 
-    let restore_bytes = |lazy: bool| -> (u64, u64, StreamResult) {
-        let mut server = MultiStreamServer::new(one_stream_config(policy, workers));
-        server
-            .attach_store_with(
-                0,
-                Box::new(backing.clone()),
-                config.clone(),
-                StoreAttachOptions { prefix: None, lazy_open: lazy },
-            )
-            .unwrap();
-        if lazy {
-            server.restore_stream_lazy(0).expect("lazy restore");
-        } else {
-            server.restore_stream(0).expect("eager restore");
-        }
-        let stats = server.store_stats(0).expect("store attached");
-        (stats.read_bytes, stats.read_records, result_of(&server, 0))
-    };
+    let mut server = MultiStreamServer::new(one_stream_config(policy, workers));
+    server.attach_store(0, Box::new(backing.clone()), config).unwrap();
+    server.restore_stream(0).expect("restore");
+    assert_eq!(result_of(&server, 0), committed, "restore loads the committed stream state");
 
-    let (eager_bytes, eager_records, eager_state) = restore_bytes(false);
-    let (lazy_bytes, lazy_records, lazy_state) = restore_bytes(true);
-
-    assert_eq!(lazy_state, eager_state, "both restore paths load the same stream state");
-    assert!(lazy_bytes > 0, "lazy restore still reads the chain");
-    assert!(
-        lazy_bytes < eager_bytes,
-        "lazy restore must fetch strictly fewer bytes ({lazy_bytes} vs {eager_bytes})"
-    );
-    assert!(
-        lazy_records < eager_records,
-        "lazy restore must fetch strictly fewer records ({lazy_records} vs {eager_records})"
-    );
+    // Each base, delta and aux record once; the manifest at attach and
+    // again at restore.
+    let keys = backing.keys("s0/").unwrap();
+    let chain = keys.iter().filter(|k| k.contains("/base/") || k.contains("/delta/")).count();
+    assert!(chain > 1, "the restored chain must hold deltas, keys: {keys:?}");
+    assert_eq!(keys.len(), chain + 2, "one aux, one manifest, keys: {keys:?}");
+    let manifest = backing.get(keys.last().unwrap()).unwrap().unwrap();
+    let stats = server.store_stats(0).expect("store attached");
+    assert_eq!(stats.read_records, keys.len() as u64 + 1);
+    assert_eq!(stats.read_bytes, backing.total_bytes() + manifest.len() as u64);
 }

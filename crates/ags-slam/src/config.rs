@@ -64,8 +64,8 @@ pub struct SlamConfig {
     /// (0 = never) for the cycle-level simulator.
     pub tile_work_interval: usize,
     /// Render backend for the splat kernels (tracking refinement and
-    /// mapping). Bit-identical across backends; defaults follow the
-    /// `AGS_RENDER_BACKEND` environment variable.
+    /// mapping). Bit-identical across backends; defaults to the vectorized
+    /// one.
     pub backend: BackendKind,
 }
 

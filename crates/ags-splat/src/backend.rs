@@ -18,8 +18,8 @@
 //!   mul/add/sub are IEEE-exact, the quadratic replicates the scalar
 //!   operation order term for term, and blending keeps the scalar branch
 //!   structure — so outputs, gradients and every workload counter match the
-//!   reference bit for bit (enforced by the tests in this module and by the
-//!   determinism suites running under `AGS_RENDER_BACKEND=vectorized`).
+//!   reference bit for bit (enforced by the tests in this module; the
+//!   determinism suites run on it, since it is the default).
 //!
 //! # One blend walk per training iteration
 //!
@@ -89,35 +89,20 @@ use crate::{ALPHA_THRESHOLD, TILE_SIZE, TRANSMITTANCE_MIN};
 use ags_math::parallel::Parallelism;
 use ags_math::{Se3, Vec3};
 use ags_scene::PinholeCamera;
-use std::sync::OnceLock;
 
 /// Which render backend executes the splat kernels.
-///
-/// The default is read once from the `AGS_RENDER_BACKEND` environment
-/// variable (`"reference"` or `"vectorized"`), falling back to
-/// [`BackendKind::Reference`] — which lets CI re-run the entire test suite
-/// under the vectorized kernels without touching any call site.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BackendKind {
-    /// Scalar row kernels — the bit-exact reference implementation.
+    /// Scalar row kernels — the bit-exact reference implementation, kept as
+    /// the oracle the tests compare the vectorized kernels against.
     Reference,
     /// SoA + SIMD kernels, bit-identical to the reference (see module docs).
+    #[default]
     Vectorized,
 }
 
-impl Default for BackendKind {
-    fn default() -> Self {
-        static DEFAULT: OnceLock<BackendKind> = OnceLock::new();
-        *DEFAULT.get_or_init(|| match std::env::var("AGS_RENDER_BACKEND") {
-            Ok(name) => BackendKind::from_name(&name)
-                .unwrap_or_else(|| panic!("unknown AGS_RENDER_BACKEND value: {name:?}")),
-            Err(_) => BackendKind::Reference,
-        })
-    }
-}
-
 impl BackendKind {
-    /// Stable lower-case name (used in stats, benches and the env knob).
+    /// Stable lower-case name (used in stats and benches).
     pub fn name(self) -> &'static str {
         match self {
             BackendKind::Reference => "reference",

@@ -5,12 +5,16 @@ use ags_image::{DepthImage, RgbImage};
 use ags_math::parallel::Parallelism;
 use ags_math::{Pcg32, Se3, Vec3};
 use ags_scene::PinholeCamera;
-use ags_splat::backward::{backward, GradMode};
+use ags_splat::backward::{backward_with, GradMode};
 use ags_splat::loss::{compute_loss, LossConfig, LossKind};
 use ags_splat::project::project_gaussians;
 use ags_splat::render::{rasterize, RenderOptions};
 use ags_splat::tiles::GaussianTables;
-use ags_splat::{Gaussian, GaussianCloud};
+use ags_splat::{BackendKind, Gaussian, GaussianCloud};
+
+/// The gradients checked against finite differences are the scalar replay's
+/// — the oracle the vectorized tape is held bit-identical to in `backend.rs`.
+const ORACLE: BackendKind = BackendKind::Reference;
 
 fn l2() -> LossConfig {
     LossConfig {
@@ -86,7 +90,8 @@ fn pose_gradient_descends_on_dense_scenes() {
         let tables = GaussianTables::build(&projection, &cam);
         let out = rasterize(&cloud, &projection, &tables, &cam, &RenderOptions::default());
         let loss = compute_loss(&out, &gt_rgb, &gt_depth, &l2());
-        let back = backward(
+        let back = backward_with(
+            ORACLE,
             &cloud,
             &projection,
             &tables,
@@ -128,7 +133,8 @@ fn parameter_gradient_matches_fd_directional() {
     let tables = GaussianTables::build(&projection, &cam);
     let out = rasterize(&cloud, &projection, &tables, &cam, &RenderOptions::default());
     let loss = compute_loss(&out, &gt_rgb, &gt_depth, &l2());
-    let back = backward(
+    let back = backward_with(
+        ORACLE,
         &cloud,
         &projection,
         &tables,

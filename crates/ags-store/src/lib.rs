@@ -28,9 +28,9 @@
 //!   transient transport failures, and [`NetFaultProxy`] injecting
 //!   deterministic network faults (latency, disconnects, torn or duplicated
 //!   responses) for tests.
-//! - [`EpochStore::open_lazy`] + [`EpochStore::restore_lazy`] stream a
-//!   restore incrementally, fetching each chain record exactly once —
-//!   strictly fewer remote bytes than the eager open + restore pair.
+//! - [`EpochStore::open`] adopts the newest generation from its manifest
+//!   alone and [`EpochStore::restore_latest`] streams the chain in one
+//!   pass, so a restore fetches each chain record exactly once.
 
 #![warn(missing_docs)]
 
