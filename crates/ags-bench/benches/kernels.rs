@@ -700,23 +700,46 @@ struct CheckpointResult {
     frames: usize,
     width: usize,
     height: usize,
-    plain_fps: f64,
-    durable_fps: f64,
-    overhead_pct: f64,
     delta_bytes_per_epoch: f64,
     full_snapshot_bytes: f64,
 }
 
-/// The durability layer on the Track ‖ Map hot path: with a store attached,
-/// every published map epoch is offered to the async checkpoint writer (a
-/// bounded `try_send` of an `Arc` clone — the delta encode runs on the
-/// writer's own thread), so the stream's frame rate must be unaffected.
-/// `checkpoint_overhead_pct` is the durable-vs-plain slowdown of the
-/// map-overlapped driver and is gated in CI as an **absolute** ceiling
-/// (≤ 5 %), not a baseline ratio; `delta_bytes_per_epoch` and
-/// `full_snapshot_bytes` size the epoch-delta log itself. Restore fidelity
-/// is asserted before any timing: a crash mid-sequence, restored into a
-/// fresh server, must finish bit-identical to the uninterrupted run.
+/// Sizes the epoch-delta log of one stream over `base`: a checkpoint is
+/// committed after every frame, so each epoch is persisted as its own
+/// delta. The store is attached once the first frame is in, so the chain's
+/// base is that frame's full snapshot rather than the empty map.
+fn size_epoch_log(
+    base: AgsConfig,
+    camera: &PinholeCamera,
+    frames: &[(Arc<ags_image::RgbImage>, Arc<ags_image::DepthImage>)],
+) -> ags_store::StoreStats {
+    use ags_core::{MultiStreamServer, ServerConfig};
+    use ags_store::{CheckpointConfig, MemoryStore};
+    let mut server = MultiStreamServer::new(ServerConfig::uniform(1, base));
+    for (f, (rgb, depth)) in frames.iter().enumerate() {
+        black_box(
+            server
+                .push_frame(0, camera, Arc::clone(rgb), Arc::clone(depth))
+                .expect("healthy stream"),
+        );
+        if f == 0 {
+            let store = Box::new(MemoryStore::new());
+            server.attach_store(0, store, CheckpointConfig::default()).unwrap();
+        } else {
+            server.checkpoint_stream(0).unwrap();
+        }
+    }
+    server.store_stats(0).unwrap()
+}
+
+/// The durability layer of the Track ‖ Map driver. Nothing is written
+/// between commits, so a stream with a store attached runs the same code as
+/// one without until it checkpoints — there is no hot-path overhead to
+/// time. What is measured is the epoch-delta log itself:
+/// `delta_bytes_per_epoch` and `full_snapshot_bytes`, from a run that
+/// commits every epoch ([`size_epoch_log`]). Restore fidelity is asserted
+/// first: a crash mid-sequence, restored into a fresh server, must finish
+/// bit-identical to the uninterrupted run.
 fn bench_checkpoint() -> CheckpointResult {
     use ags_core::{MultiStreamServer, ServerConfig};
     use ags_store::{CheckpointConfig, MemoryStore};
@@ -749,8 +772,8 @@ fn bench_checkpoint() -> CheckpointResult {
         }
     };
 
-    // Restore fidelity before any timing: checkpoint at the cut, crash with
-    // later frames unpersisted, restore into a fresh server, finish.
+    // Restore fidelity: checkpoint at the cut, crash with later frames
+    // unpersisted, restore into a fresh server, finish.
     let reference = {
         let mut server = MultiStreamServer::new(ServerConfig::uniform(1, base.clone()));
         push_range(&mut server, 0..frames);
@@ -778,46 +801,7 @@ fn bench_checkpoint() -> CheckpointResult {
     );
     drop(restored);
 
-    // Interleaved min-of-N: the plain map-overlapped driver vs the same
-    // driver with the async checkpoint sink streaming every epoch.
-    let run_plain = || {
-        let mut server = MultiStreamServer::new(ServerConfig::uniform(1, base.clone()));
-        let start = Instant::now();
-        push_range(&mut server, 0..frames);
-        black_box(server.finish_all());
-        start.elapsed().as_secs_f64()
-    };
-    let run_durable = || {
-        let mut server = MultiStreamServer::new(ServerConfig::uniform(1, base.clone()));
-        server.attach_store(0, Box::new(MemoryStore::new()), CheckpointConfig::default()).unwrap();
-        let start = Instant::now();
-        push_range(&mut server, 0..frames);
-        black_box(server.finish_all());
-        start.elapsed().as_secs_f64()
-    };
-    let samples = 5usize;
-    let mut plain_times = Vec::with_capacity(samples);
-    let mut durable_times = Vec::with_capacity(samples);
-    for sample in 0..samples {
-        if sample % 2 == 0 {
-            plain_times.push(run_plain());
-            durable_times.push(run_durable());
-        } else {
-            durable_times.push(run_durable());
-            plain_times.push(run_plain());
-        }
-    }
-    let min = |times: &[f64]| times.iter().copied().fold(f64::INFINITY, f64::min);
-    let (t_plain, t_durable) = (min(&plain_times), min(&durable_times));
-
-    // Size the epoch-delta log: one durable run whose epochs all persisted
-    // (the synchronous commit tops up anything the bounded queue dropped).
-    let mut server = MultiStreamServer::new(ServerConfig::uniform(1, base.clone()));
-    server.attach_store(0, Box::new(MemoryStore::new()), CheckpointConfig::default()).unwrap();
-    push_range(&mut server, 0..frames);
-    server.finish_all();
-    server.checkpoint_stream(0).unwrap();
-    let stats = server.store_stats(0).unwrap();
+    let stats = size_epoch_log(base, &data.camera, &shared);
     let full_snapshot_bytes = if stats.base_records == 0 {
         0.0
     } else {
@@ -828,9 +812,6 @@ fn bench_checkpoint() -> CheckpointResult {
         frames,
         width,
         height,
-        plain_fps: frames as f64 / t_plain,
-        durable_fps: frames as f64 / t_durable,
-        overhead_pct: (t_durable / t_plain - 1.0) * 100.0,
         delta_bytes_per_epoch: stats.delta_bytes_per_record(),
         full_snapshot_bytes,
     }
@@ -1188,23 +1169,10 @@ fn bench_compaction() -> CompactionResult {
     // Size the epoch-delta log under compaction: snapped cold chunks ride
     // the quantized wire encoding, pruned splats shrink the base snapshots.
     let delta_bytes_per_epoch = {
-        use ags_core::{MultiStreamServer, ServerConfig};
-        use ags_store::{CheckpointConfig, MemoryStore};
         let mut durable_base = compact_config.clone();
         durable_base.parallelism = Parallelism::default();
         durable_base.pipeline = PipelineConfig::map_overlapped(1, 1);
-        let mut server = MultiStreamServer::new(ServerConfig::uniform(1, durable_base));
-        server.attach_store(0, Box::new(MemoryStore::new()), CheckpointConfig::default()).unwrap();
-        for (rgb, depth) in &shared {
-            black_box(
-                server
-                    .push_frame(0, &data.camera, Arc::clone(rgb), Arc::clone(depth))
-                    .expect("healthy stream"),
-            );
-        }
-        server.finish_all();
-        server.checkpoint_stream(0).unwrap();
-        server.store_stats(0).unwrap().delta_bytes_per_record()
+        size_epoch_log(durable_base, &data.camera, &shared).delta_bytes_per_record()
     };
 
     CompactionResult {
@@ -1817,14 +1785,8 @@ fn main() {
     println!("  per-frame stall: {stall_line}");
     let ckpt = bench_checkpoint();
     println!(
-        "durable checkpoint sink        {}x{}:  plain {:>8.2} frames/s  durable {:>8.2} frames/s  (overhead {:+.2}%, delta {:.0} B/epoch, base {:.0} B)",
-        ckpt.width,
-        ckpt.height,
-        ckpt.plain_fps,
-        ckpt.durable_fps,
-        ckpt.overhead_pct,
-        ckpt.delta_bytes_per_epoch,
-        ckpt.full_snapshot_bytes
+        "durable checkpoint log         {}x{}:  delta {:.0} B/epoch, base {:.0} B",
+        ckpt.width, ckpt.height, ckpt.delta_bytes_per_epoch, ckpt.full_snapshot_bytes
     );
     let overload = bench_overload();
     println!(
@@ -1967,9 +1929,6 @@ fn main() {
     "frame": [{}, {}],
     "frames": {},
     "pipeline": "map_overlapped(1, 1)",
-    "plain_frames_per_s": {:.3},
-    "durable_frames_per_s": {:.3},
-    "checkpoint_overhead_pct": {:.3},
     "delta_bytes_per_epoch": {:.1},
     "full_snapshot_bytes": {:.1}
   }},
@@ -2082,9 +2041,6 @@ fn main() {
         ckpt.width,
         ckpt.height,
         ckpt.frames,
-        ckpt.plain_fps,
-        ckpt.durable_fps,
-        ckpt.overhead_pct,
         ckpt.delta_bytes_per_epoch,
         ckpt.full_snapshot_bytes,
         overload.width,

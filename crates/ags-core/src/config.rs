@@ -234,6 +234,8 @@ impl Default for QosConfig {
 /// When `MultiStreamServer` commits a checkpoint generation to a stream's
 /// attached store on its own (`StreamPolicy::with_checkpoint_policy`),
 /// instead of — in addition to — caller-driven `checkpoint_stream` calls.
+/// Nothing is written to the store between commits, so the commit points
+/// alone decide what a crash loses and what the store holds.
 /// Automatic commits quiesce the stream exactly like a manual checkpoint;
 /// any frame records drained on the way are buffered and handed back on
 /// subsequent `push_frame` calls.

@@ -34,7 +34,6 @@ use ags_math::Se3;
 use ags_scene::PinholeCamera;
 use ags_splat::snapshot::{CloudSnapshot, SharedCloud, SnapshotWindow};
 use ags_splat::GaussianCloud;
-use ags_store::CheckpointSink;
 use std::time::Instant;
 
 /// Per-frame AGS processing record.
@@ -102,9 +101,6 @@ pub(crate) struct SlamBody {
     trajectory: Vec<Se3>,
     frame_count: usize,
     trace: WorkloadTrace,
-    /// Durability tap: each frame's map state is offered to the checkpoint
-    /// writer (non-blocking; drops under backpressure).
-    sink: Option<CheckpointSink>,
     /// Current QoS shed level (server-driven; `Full` outside a server).
     /// `ForceSerial`+ reads the live map regardless of the configured
     /// slack; `DropNonKey`+ sheds non-key frames entirely. Not part of the
@@ -127,7 +123,6 @@ impl SlamBody {
             trajectory: Vec::new(),
             frame_count: 0,
             trace: WorkloadTrace::default(),
-            sink: None,
             shed: ShedLevel::Full,
         }
     }
@@ -159,7 +154,6 @@ impl SlamBody {
             trajectory: state.trajectory,
             frame_count: state.frame_count,
             trace: state.trace,
-            sink: None,
             shed: ShedLevel::Full,
         }
     }
@@ -184,10 +178,6 @@ impl SlamBody {
             slack: self.slack,
             window,
         }
-    }
-
-    pub(crate) fn set_sink(&mut self, sink: Option<CheckpointSink>) {
-        self.sink = sink;
     }
 
     pub(crate) fn set_shed(&mut self, level: ShedLevel) {
@@ -286,22 +276,12 @@ impl SlamBody {
         AgsFrameRecord { trace: record, estimated_pose: pose, skipped_gaussians }
     }
 
-    /// Publishes this frame's map epoch. With a snapshot window the new
-    /// epoch lands in the window (and is offered to the checkpoint sink);
-    /// zero-slack drivers never publish — they stamp the live map with its
-    /// frame count for the epoch-delta log instead. The writer briefly
-    /// holds the slab either way, so the next mutation pays one
-    /// copy-on-write — the price of checkpointing without stalling the
-    /// pipeline.
+    /// Publishes this frame's map epoch into the snapshot window.
+    /// Zero-slack drivers never publish (no snapshot, no copy): a checkpoint
+    /// stamps the live map with its frame count instead.
     fn publish_epoch(&mut self) {
         if self.slack > 0 {
-            let snapshot = self.shared.publish();
-            if let Some(sink) = &self.sink {
-                sink.offer(&snapshot);
-            }
-            self.window.push(snapshot);
-        } else if let Some(sink) = &self.sink {
-            sink.offer(&self.shared.snapshot_at(self.frame_count as u64));
+            self.window.push(self.shared.publish());
         }
     }
 }

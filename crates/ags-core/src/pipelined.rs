@@ -43,7 +43,6 @@ use ags_math::Se3;
 use ags_scene::PinholeCamera;
 use ags_splat::snapshot::{CloudSnapshot, SharedCloud, SnapshotWindow};
 use ags_splat::GaussianCloud;
-use ags_store::CheckpointSink;
 use std::collections::VecDeque;
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::Arc;
@@ -223,9 +222,6 @@ struct MapOverlapBody {
     /// checkpoint must capture so a restored run can replay the staleness
     /// schedule bit-identically.
     retained: SnapshotWindow,
-    /// Durability sink: every drained snapshot is offered (non-blocking;
-    /// dropped offers are topped up by the next synchronous commit).
-    sink: Option<CheckpointSink>,
     jobs_tx: Option<SyncSender<MapJob>>,
     done_rx: Receiver<MapDone>,
     handle: Option<JoinHandle<(MapStage, SharedCloud)>>,
@@ -276,7 +272,6 @@ impl MapOverlapBody {
             completed: VecDeque::new(),
             replay: VecDeque::new(),
             retained: SnapshotWindow::new(slack),
-            sink: None,
             jobs_tx: Some(jobs_tx),
             done_rx,
             handle: Some(handle),
@@ -315,7 +310,6 @@ impl MapOverlapBody {
             completed: VecDeque::new(),
             replay,
             retained,
-            sink: None,
             jobs_tx: Some(jobs_tx),
             done_rx,
             handle: Some(handle),
@@ -345,9 +339,6 @@ impl MapOverlapBody {
             done.snapshot
         };
         debug_assert_eq!(snapshot.epoch(), self.latest.epoch() + 1, "epochs arrive in order");
-        if let Some(sink) = &self.sink {
-            sink.offer(&snapshot);
-        }
         self.retained.push(snapshot.clone());
         self.latest = snapshot;
     }
@@ -606,13 +597,6 @@ impl SlamBackEnd {
         }
     }
 
-    fn set_sink(&mut self, sink: Option<CheckpointSink>) {
-        match self {
-            SlamBackEnd::Inline(body) => body.set_sink(sink),
-            SlamBackEnd::MapWorker(body) => body.sink = sink,
-        }
-    }
-
     fn set_shed(&mut self, level: ShedLevel) {
         match self {
             SlamBackEnd::Inline(body) => body.set_shed(level),
@@ -711,7 +695,7 @@ impl PipelinedAgsSlam {
     /// stopped to read their stage state and respawned around the same
     /// stages, so the stream keeps accepting frames afterwards. Not a
     /// hot-path operation: call it at checkpoint cadence, not per frame
-    /// (per-frame durability is the [`CheckpointSink`]'s job).
+    /// (nothing is persisted between checkpoints).
     pub fn checkpoint(&mut self) -> (Vec<AgsFrameRecord>, StreamState) {
         let records = self.finish();
         let config = self.config().clone();
@@ -742,14 +726,6 @@ impl PipelinedAgsSlam {
         // bit-identical to restoring this very state elsewhere.
         self.back.rewind_to_contract();
         (records, state)
-    }
-
-    /// Installs (or removes) the non-blocking durability sink that receives
-    /// every published map epoch. Offers are `try_send`-cheap and never
-    /// stall tracking; a dropped offer is topped up by the next synchronous
-    /// commit ([`ags_store::CheckpointWriter::commit`]).
-    pub fn set_checkpoint_sink(&mut self, sink: Option<CheckpointSink>) {
-        self.back.set_sink(sink);
     }
 
     /// Sets the load-shedding level applied to frames pushed from now on.

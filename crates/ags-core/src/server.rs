@@ -63,7 +63,7 @@ use ags_image::{DepthImage, RgbImage};
 use ags_math::{Parallelism, WorkerPool};
 use ags_scene::PinholeCamera;
 use ags_splat::BackendKind;
-use ags_store::{CheckpointConfig, CheckpointWriter, EpochStore, MapStore, StoreError, StoreStats};
+use ags_store::{CheckpointConfig, EpochStore, MapStore, StoreError, StoreStats};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -375,7 +375,7 @@ impl QosController {
 
 /// One stream slot: its pipelined SLAM instance plus server-side health,
 /// progress and overload bookkeeping — and, when a store is attached, the
-/// async checkpoint writer that makes the stream durable.
+/// epoch log that makes the stream durable.
 #[derive(Debug)]
 struct StreamSlot {
     /// The stream's resolved config (shared pool handle + tag installed) —
@@ -390,7 +390,7 @@ struct StreamSlot {
     /// The panic payload message stashed when the stream poisoned, replayed
     /// into every subsequent [`StreamError::Poisoned`].
     panic_msg: Option<String>,
-    writer: Option<CheckpointWriter>,
+    store: Option<EpochStore>,
     /// The key prefix the attached store was opened under (kept across
     /// detach so a migration can hand the same prefix to the destination).
     store_prefix: Option<String>,
@@ -408,8 +408,6 @@ struct StreamSlot {
     /// Automatic checkpoint commits that succeeded / failed.
     auto_checkpoints: u64,
     checkpoint_errors: u64,
-    /// Window epochs commits persisted synchronously (dropped-offer heal).
-    checkpoint_top_ups: u64,
     /// Completed frames since the last commit (for `EveryNEpochs`).
     epochs_since_commit: usize,
     /// A shed transition happened since the last commit (for `OnShed`).
@@ -424,7 +422,7 @@ impl StreamSlot {
             slam,
             poisoned: false,
             panic_msg: None,
-            writer: None,
+            store: None,
             store_prefix: None,
             pushed: 0,
             completed: 0,
@@ -435,7 +433,6 @@ impl StreamSlot {
             rejected: 0,
             auto_checkpoints: 0,
             checkpoint_errors: 0,
-            checkpoint_top_ups: 0,
             epochs_since_commit: 0,
             shed_transition: false,
         }
@@ -449,17 +446,9 @@ impl StreamSlot {
     }
 
     /// The slot's SLAM instance, spawned on first use for lazily attached
-    /// streams (with the checkpoint sink installed if a store is already
-    /// attached).
+    /// streams.
     fn slam_mut(&mut self) -> &mut PipelinedAgsSlam {
-        if self.slam.is_none() {
-            let mut slam = PipelinedAgsSlam::new(self.cfg.clone());
-            if let Some(writer) = &self.writer {
-                slam.set_checkpoint_sink(Some(writer.sink()));
-            }
-            self.slam = Some(slam);
-        }
-        self.slam.as_mut().expect("just spawned")
+        self.slam.get_or_insert_with(|| PipelinedAgsSlam::new(self.cfg.clone()))
     }
 
     /// Absorbs one completed record in stream order: feeds the QoS
@@ -479,7 +468,7 @@ impl StreamSlot {
 
     /// Whether the automatic checkpoint policy wants a commit now.
     fn auto_commit_due(&self) -> bool {
-        if self.writer.is_none() || self.slam.is_none() || self.poisoned {
+        if self.store.is_none() || self.slam.is_none() || self.poisoned {
             return false;
         }
         match self.policy.checkpoint_policy {
@@ -487,18 +476,6 @@ impl StreamSlot {
             CheckpointPolicy::EveryNEpochs(n) => self.epochs_since_commit >= n.max(1),
             CheckpointPolicy::OnShed => self.shed_transition,
         }
-    }
-
-    /// Spawns the checkpoint writer around `store` and installs its sink
-    /// into the running pipeline (one spawned later picks the sink up in
-    /// [`Self::slam_mut`]) — the only way a writer enters a slot, so a live
-    /// pipeline never keeps offering into a stopped writer's queue.
-    fn install_writer(&mut self, store: EpochStore) {
-        let writer = CheckpointWriter::spawn(store);
-        if let Some(slam) = self.slam.as_mut() {
-            slam.set_checkpoint_sink(Some(writer.sink()));
-        }
-        self.writer = Some(writer);
     }
 
     /// Drains the pipeline (if one is running), absorbing its remaining
@@ -523,7 +500,7 @@ impl StreamSlot {
     /// the stream healthy — the caller decides whether that is fatal (manual
     /// checkpoint, final checkpoint of a detach) or merely counted (policy).
     fn commit_checkpoint(&mut self, stream: usize) -> Result<(), StreamError> {
-        if self.writer.is_none() {
+        if self.store.is_none() {
             return Err(no_store(stream));
         }
         let slam = self.slam_mut();
@@ -537,13 +514,11 @@ impl StreamSlot {
         self.epochs_since_commit = 0;
         self.shed_transition = false;
         let aux = encode_aux(&state);
-        let report = self
-            .writer
-            .as_ref()
+        self.store
+            .as_mut()
             .expect("checked above")
-            .commit(state.window, aux)
+            .commit(&state.window, &aux)
             .map_err(|source| StreamError::Storage { stream, source })?;
-        self.checkpoint_top_ups += report.topped_up as u64;
         Ok(())
     }
 }
@@ -587,15 +562,6 @@ pub struct StreamStats {
     pub watchdog_flags: u64,
     /// Pushes rejected while at [`ShedLevel::RejectAdmission`].
     pub rejected: u64,
-    /// Snapshot offers the stream's checkpoint sink made (accepted +
-    /// dropped); zero without an attached store.
-    pub checkpoint_offers: u64,
-    /// Of those, offers dropped under queue backpressure (healed by commit
-    /// top-ups).
-    pub checkpoint_offers_dropped: u64,
-    /// Window epochs that commits had to persist synchronously because the
-    /// async path never delivered them.
-    pub checkpoint_top_ups: u64,
     /// Automatic checkpoint commits ([`CheckpointPolicy`]) that succeeded.
     pub auto_checkpoints: u64,
     /// Checkpoint commits (automatic path) that failed; the stream stays
@@ -720,8 +686,8 @@ impl MultiStreamServer {
     }
 
     /// Detaches stream `stream`: drains its pipeline, optionally commits a
-    /// final checkpoint generation to the attached store, stops the
-    /// checkpoint writer, joins the stage threads and **retires the
+    /// final checkpoint generation to the attached store, drops the
+    /// store, joins the stage threads and **retires the
     /// stream's fairness lane** in the shared pool — after this the lane
     /// slot is reclaimed, so attach/detach churn never accumulates pool
     /// state. Returns the drained records.
@@ -755,13 +721,11 @@ impl MultiStreamServer {
                 slot.drain(stream)?;
             }
         }
-        // Snapshot the final stats while the pipeline and writer are still
-        // alive (the trace and offer counters die with them).
+        // Snapshot the final stats while the pipeline is still alive (the
+        // trace dies with it).
         let mut final_stats = Self::slot_stats(slot);
         final_stats.retired = true;
-        if let Some(writer) = slot.writer.take() {
-            drop(writer.stop());
-        }
+        slot.store = None;
         // Dropping the instance joins its stage threads; the pipeline was
         // just drained, so this does not discard frames.
         slot.slam = None;
@@ -880,12 +844,11 @@ impl MultiStreamServer {
     /// Attaches a durability store to stream `stream` under the key prefix
     /// `s{stream}` (so many streams can share one backing store). The newest
     /// durable chain is adopted from its manifest alone — no chain record is
-    /// fetched until [`restore_stream`](Self::restore_stream) asks. An async
-    /// [`CheckpointWriter`] is spawned around the store and its non-blocking
-    /// sink is installed into the stream's pipeline: every published map
-    /// epoch is offered for incremental persistence off the hot path, and
-    /// [`checkpoint_stream`](Self::checkpoint_stream) commits durable
-    /// generations.
+    /// fetched until [`restore_stream`](Self::restore_stream) asks. Nothing
+    /// is written between commits:
+    /// [`checkpoint_stream`](Self::checkpoint_stream) (or the stream's
+    /// [`CheckpointPolicy`]) commits a durable generation — the window's
+    /// deltas, the aux state and the manifest — synchronously.
     pub fn attach_store(
         &mut self,
         stream: usize,
@@ -910,16 +873,16 @@ impl MultiStreamServer {
         let prefix = options.prefix.unwrap_or_else(|| format!("s{stream}"));
         let epoch_store = EpochStore::open(store, &prefix, config)
             .map_err(|source| StreamError::Storage { stream, source })?;
-        slot.install_writer(epoch_store);
+        slot.store = Some(epoch_store);
         slot.store_prefix = Some(prefix);
         Ok(())
     }
 
-    /// Whether stream `stream` currently has a store (checkpoint writer)
-    /// attached. Works on retired slots — a detach stops and drops the
-    /// writer, so this turns `false` until a store is re-attached.
+    /// Whether stream `stream` currently has a store attached. Works on
+    /// retired slots — a detach drops the store, so this turns `false`
+    /// until a store is re-attached.
     pub fn has_store(&self, stream: usize) -> bool {
-        self.streams.get(stream).is_some_and(|s| s.writer.is_some())
+        self.streams.get(stream).is_some_and(|s| s.store.is_some())
     }
 
     /// The key prefix stream `stream`'s store was (last) attached under.
@@ -948,7 +911,7 @@ impl MultiStreamServer {
     /// poisoned streams — a slot killed by a panic is re-spawned from its
     /// last durable state and un-poisoned — and for **detached** streams,
     /// which are revived into active service (re-attach a store first if
-    /// the detach stopped the writer). It works on healthy streams too
+    /// the detach dropped it). It works on healthy streams too
     /// (e.g. after a process restart, on a server whose streams were just
     /// constructed).
     ///
@@ -966,20 +929,14 @@ impl MultiStreamServer {
     /// [`StreamError::Storage`] is returned.
     pub fn restore_stream(&mut self, stream: usize) -> Result<(), StreamError> {
         let slot = self.streams.get_mut(stream).ok_or(StreamError::UnknownStream(stream))?;
-        // The writer owns the store; stop it for synchronous read access.
-        let mut store = slot.writer.take().ok_or_else(|| no_store(stream))?.stop();
-        let state = store.restore_latest().and_then(|restored| match restored {
-            Some(restored) => decode_aux(&restored.aux, restored.window),
-            None => Err(StoreError::Missing("no checkpoint generation to restore".into())),
-        });
-        let state = match state {
-            Ok(state) => state,
-            Err(source) => {
-                // Nothing restorable: hand the store back and report.
-                slot.install_writer(store);
-                return Err(StreamError::Storage { stream, source });
-            }
-        };
+        let store = slot.store.as_mut().ok_or_else(|| no_store(stream))?;
+        let state = store
+            .restore_latest()
+            .and_then(|restored| match restored {
+                Some(restored) => decode_aux(&restored.aux, restored.window),
+                None => Err(StoreError::Missing("no checkpoint generation to restore".into())),
+            })
+            .map_err(|source| StreamError::Storage { stream, source })?;
         let frame_count = state.frame_count;
         // Replay the persisted trace through a fresh controller: shed state
         // is a pure function of the recorded stage times, so this lands in
@@ -990,7 +947,6 @@ impl MultiStreamServer {
         let mut slam = PipelinedAgsSlam::restore(slot.cfg.clone(), state);
         slam.set_shed_level(qos.level());
         slot.slam = Some(slam);
-        slot.install_writer(store);
         slot.qos = qos;
         slot.poisoned = false;
         slot.panic_msg = None;
@@ -1022,15 +978,11 @@ impl MultiStreamServer {
     }
 
     /// Byte/record counters of stream `stream`'s attached store — what the
-    /// durability layer actually wrote (full bases, deltas, retries). Pauses
-    /// the stream's checkpoint writer to read them, then respawns it; the
-    /// stream itself is not interrupted.
-    pub fn store_stats(&mut self, stream: usize) -> Result<StoreStats, StreamError> {
-        let slot = self.slot(stream)?;
-        let store = slot.writer.take().ok_or_else(|| no_store(stream))?.stop();
-        let stats = store.stats();
-        slot.install_writer(store);
-        Ok(stats)
+    /// durability layer actually wrote and fetched (full bases, deltas,
+    /// retries).
+    pub fn store_stats(&self, stream: usize) -> Result<StoreStats, StreamError> {
+        let slot = self.streams.get(stream).ok_or(StreamError::UnknownStream(stream))?;
+        slot.store.as_ref().map(EpochStore::stats).ok_or_else(|| no_store(stream))
     }
 
     /// Aggregated per-stream stage times: the sum locates machine-wide
@@ -1057,7 +1009,6 @@ impl MultiStreamServer {
         let empty = WorkloadTrace::default();
         let trace = slot.slam.as_ref().map_or(&empty, |s| s.trace());
         let newest = trace.frames.last();
-        let (offers, offers_dropped) = slot.writer.as_ref().map_or((0, 0), |w| w.offer_counts());
         StreamStats {
             pushed: slot.pushed,
             completed: slot.completed,
@@ -1074,9 +1025,6 @@ impl MultiStreamServer {
             sheds: slot.qos.sheds,
             watchdog_flags: slot.qos.watchdog_flags,
             rejected: slot.rejected,
-            checkpoint_offers: offers,
-            checkpoint_offers_dropped: offers_dropped,
-            checkpoint_top_ups: slot.checkpoint_top_ups,
             auto_checkpoints: slot.auto_checkpoints,
             checkpoint_errors: slot.checkpoint_errors,
         }

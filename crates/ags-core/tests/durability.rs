@@ -78,15 +78,20 @@ fn uninterrupted(policy: StreamPolicy, workers: usize, data: &Dataset) -> Stream
     result_of(&server, 0)
 }
 
+/// What a crashed server left on its store: every key, and the total
+/// payload bytes under them.
+type StoreFootprint = (Vec<String>, u64);
+
 /// Runs the crash dance: a server checkpoints stream 0 at `cut`, keeps
 /// running (those frames die with it), and is dropped; a fresh server
-/// restores from the surviving backing and finishes the sequence.
+/// restores from the surviving backing and finishes the sequence. Also
+/// returns what the crashed server left on the store.
 fn crash_and_recover(
     policy: StreamPolicy,
     workers: usize,
     data: &Dataset,
     cut: usize,
-) -> StreamResult {
+) -> (StreamResult, StoreFootprint) {
     let backing = MemoryStore::new();
     let mut crashed = MultiStreamServer::new(server_config(policy, workers));
     crashed.attach_store(0, Box::new(backing.clone()), fast_store_config()).unwrap();
@@ -100,6 +105,7 @@ fn crash_and_recover(
         push(&mut crashed, 0, data, f);
     }
     drop(crashed);
+    let footprint = (backing.keys("").unwrap(), backing.total_bytes());
 
     let mut server = MultiStreamServer::new(server_config(policy, workers));
     server.attach_store(0, Box::new(backing), fast_store_config()).unwrap();
@@ -113,7 +119,7 @@ fn crash_and_recover(
         push(&mut server, 0, data, f);
     }
     server.finish_all();
-    result_of(&server, 0)
+    (result_of(&server, 0), footprint)
 }
 
 #[test]
@@ -124,14 +130,22 @@ fn restore_fidelity_across_modes_and_worker_counts() {
     let policies =
         [StreamPolicy::serial(), StreamPolicy::overlapped(2), StreamPolicy::map_overlapped(1, 2)];
     for policy in policies {
+        let mut footprints = Vec::new();
         for workers in [1usize, 2, 8] {
             let reference = uninterrupted(policy, workers, &data);
-            let recovered = crash_and_recover(policy, workers, &data, cut);
+            let (recovered, footprint) = crash_and_recover(policy, workers, &data, cut);
             assert_eq!(
                 reference, recovered,
                 "restored run must be bit-identical: {policy:?}, {workers} pool workers"
             );
+            footprints.push(footprint);
         }
+        // Nothing is written between commits, so what the crashed server
+        // left behind is a function of the stream and the commit points.
+        assert!(
+            footprints.windows(2).all(|p| p[0] == p[1]),
+            "store contents must not depend on the worker count: {policy:?}, {footprints:?}"
+        );
     }
 }
 
@@ -347,7 +361,7 @@ fn restore_at_epoch_zero_replays_the_whole_stream() {
     let data = dataset(SceneId::Xyz, frames);
     for policy in [StreamPolicy::serial(), StreamPolicy::map_overlapped(1, 2)] {
         let reference = uninterrupted(policy, 2, &data);
-        let recovered = crash_and_recover(policy, 2, &data, 0);
+        let (recovered, _) = crash_and_recover(policy, 2, &data, 0);
         assert_eq!(reference, recovered, "{policy:?}");
     }
 }
@@ -362,7 +376,7 @@ fn slack_larger_than_persisted_epochs_restores() {
     let policy = StreamPolicy::map_overlapped(1, 4);
     let data = dataset(SceneId::Xyz, frames);
     let reference = uninterrupted(policy, 2, &data);
-    let recovered = crash_and_recover(policy, 2, &data, cut);
+    let (recovered, _) = crash_and_recover(policy, 2, &data, cut);
     assert_eq!(reference, recovered);
 }
 

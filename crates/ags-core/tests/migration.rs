@@ -262,8 +262,7 @@ fn attach_plus_restore_fetches_each_record_of_the_generation_exactly_once() {
     let policy = StreamPolicy::map_overlapped(1, 1);
     let data = dataset(SceneId::Desk2, frames);
     // Three generations committed, one kept: GC leaves exactly the records
-    // the newest generation references (its chain, aux and manifest),
-    // whether or not dropped offers forced a rebase along the way.
+    // the newest generation references (its chain, aux and manifest).
     let config =
         CheckpointConfig { retry_backoff_ms: 0, keep_manifests: 1, ..CheckpointConfig::default() };
 

@@ -459,14 +459,18 @@ fn on_shed_policy_commits_on_its_trigger() {
 
 #[test]
 fn auto_checkpoints_survive_store_faults() {
-    // Checkpoint-on-pressure against a store that fails its first 15
-    // writes outright: automatic commits must fail *quietly* (counted, not
-    // poisoning), then succeed once the faults exhaust — and the stream's
-    // SLAM output is never disturbed.
+    // Checkpoint-on-pressure against a store that fails one write of each
+    // kind a commit makes: automatic commits must fail *quietly* (counted,
+    // not poisoning), then succeed once the faults exhaust — and the
+    // stream's SLAM output is never disturbed. Nothing is written between
+    // commits, so the fault indices land on exactly these puts: the first
+    // commit's base (0), the second's aux (2, after its base), the third's
+    // manifest (5, after its delta and aux).
     let frames = 16;
     let data = dataset(SceneId::Desk, frames);
     let backing = MemoryStore::new();
-    let flaky = FaultStore::new(backing.clone(), FaultPlan::none().fail_writes(0..15));
+    let flaky = FaultStore::new(backing.clone(), FaultPlan::none().fail_writes([0, 2, 5]));
+    let counters = flaky.counters();
     let policy = StreamPolicy::serial().with_checkpoint_policy(CheckpointPolicy::EveryNEpochs(2));
     let store_config =
         CheckpointConfig { retry_attempts: 1, retry_backoff_ms: 0, ..CheckpointConfig::default() };
@@ -485,8 +489,10 @@ fn auto_checkpoints_survive_store_faults() {
     let stats = server.stats().per_stream[0];
     assert!(!stats.poisoned, "storage faults must never poison the stream");
     assert_eq!(stats.completed, frames, "every frame still processed");
-    assert!(stats.checkpoint_errors >= 1, "early commits must fail against the fault plan");
-    assert!(stats.auto_checkpoints >= 1, "commits must succeed once faults exhaust");
+    assert_eq!(stats.checkpoint_errors, 3, "one failed commit per injected fault");
+    assert_eq!(stats.auto_checkpoints, 5, "every commit after the faults succeeds");
+    // 1 + 2 + 3 puts by the failed commits, then delta + aux + manifest each.
+    assert_eq!(counters.puts(), 6 + 5 * 3, "store traffic is a function of the stream");
     assert_eq!(
         result_of(&server, 0),
         solo_reference(StreamPolicy::serial(), &data),
@@ -505,60 +511,51 @@ fn auto_checkpoints_survive_store_faults() {
 }
 
 #[test]
-fn checkpoint_offer_counters_surface_in_stream_stats() {
-    // With a store attached, every published epoch is offered to the async
-    // writer; the counters must surface through `StreamStats` and survive
-    // detach as part of the final snapshot.
-    let frames = 8;
-    let cut = 3;
+fn failed_restore_leaves_the_stream_checkpointing() {
+    // A restore that finds nothing to restore must leave the live stream —
+    // pipeline and store — as it was: frames keep flowing, a later
+    // checkpoint commits a generation, and a fresh server resumes from it
+    // bit-identical to a stream that never stopped.
+    let (frames, cut, handoff) = (8, 3, 6);
     let data = dataset(SceneId::Desk, frames);
-    let mut server = MultiStreamServer::new(ServerConfig {
-        streams: 1,
-        base: pooled_base(),
-        per_stream: vec![StreamPolicy::serial()],
-        pool_workers: Some(2),
-    });
-    server.attach_store(0, Box::new(MemoryStore::new()), fast_store_config()).expect("attach");
+    let backing = MemoryStore::new();
+    let serial_server = || {
+        MultiStreamServer::new(ServerConfig {
+            streams: 1,
+            base: pooled_base(),
+            per_stream: vec![StreamPolicy::serial()],
+            pool_workers: Some(2),
+        })
+    };
+    let mut server = serial_server();
+    server.attach_store(0, Box::new(backing.clone()), fast_store_config()).expect("attach");
     for f in 0..cut {
         push(&mut server, 0, &data, f);
     }
-    // Nothing is committed yet, so a restore fails — and must leave the
-    // live pipeline offering into the respawned writer, not into the queue
-    // of the one the restore stopped.
-    let before = server.stats().per_stream[0];
+    // Nothing is committed yet, so a restore fails.
     assert!(matches!(server.restore_stream(0), Err(StreamError::Storage { .. })));
-    for f in cut..frames {
+    for f in cut..handoff {
         push(&mut server, 0, &data, f);
     }
-    server.finish_all();
-    let live = server.stats().per_stream[0];
-    assert_eq!(live.checkpoint_offers, frames as u64, "one offer per published epoch");
-    assert!(
-        live.checkpoint_offers_dropped - before.checkpoint_offers_dropped < (frames - cut) as u64,
-        "offers after a failed restore must reach the writer ({} of {} dropped)",
-        live.checkpoint_offers_dropped - before.checkpoint_offers_dropped,
-        frames - cut
-    );
+    server.checkpoint_stream(0).expect("checkpoint after the failed restore");
 
+    let mut fresh = serial_server();
+    fresh.attach_store(0, Box::new(backing), fast_store_config()).expect("attach");
+    fresh.restore_stream(0).expect("restore the committed generation");
+    for f in handoff..frames {
+        push(&mut fresh, 0, &data, f);
+    }
+    fresh.finish_all();
+    assert_eq!(result_of(&fresh, 0), solo_reference(StreamPolicy::serial(), &data));
+
+    // The original stream is still healthy too, and its counters survive
+    // detach as part of the final snapshot.
+    for f in handoff..frames {
+        push(&mut server, 0, &data, f);
+    }
     server.detach_stream(0, true).expect("final checkpoint");
     let retired = server.stats().per_stream[0];
     assert!(retired.retired);
-    assert_eq!(
-        retired.checkpoint_offers, frames as u64,
-        "offer counters must survive into the retired snapshot"
-    );
     assert_eq!(retired.completed, frames);
-
-    // A store attached after the last frame saw no offer at all: the final
-    // checkpoint of the detach persists its whole window (one snapshot in
-    // serial mode) synchronously, and the frozen stats must say so.
-    let late = server.attach_stream(StreamPolicy::serial());
-    for f in 0..cut {
-        push(&mut server, late, &data, f);
-    }
-    server.attach_store(late, Box::new(MemoryStore::new()), fast_store_config()).expect("attach");
-    server.detach_stream(late, true).expect("final checkpoint");
-    let retired = server.stats().per_stream[late];
-    assert_eq!(retired.checkpoint_offers, 0);
-    assert_eq!(retired.checkpoint_top_ups, 1, "the final commit's top-ups must be counted");
+    assert_eq!(retired.auto_checkpoints, 0, "manual commits are not policy commits");
 }

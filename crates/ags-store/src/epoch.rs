@@ -30,10 +30,6 @@ use std::time::Duration;
 /// Tuning for the durability layer.
 #[derive(Debug, Clone)]
 pub struct CheckpointConfig {
-    /// Bounded depth of the async offer channel between the mapping hot
-    /// path and the checkpoint writer thread. Offers beyond this are
-    /// dropped (the next commit tops them up synchronously).
-    pub queue_depth: usize,
     /// Total attempts per store write before an I/O error is returned
     /// (so `retry_attempts - 1` retries).
     pub retry_attempts: usize,
@@ -50,13 +46,7 @@ pub struct CheckpointConfig {
 
 impl Default for CheckpointConfig {
     fn default() -> Self {
-        Self {
-            queue_depth: 4,
-            retry_attempts: 3,
-            retry_backoff_ms: 1,
-            rebase_after_deltas: 32,
-            keep_manifests: 2,
-        }
+        Self { retry_attempts: 3, retry_backoff_ms: 1, rebase_after_deltas: 32, keep_manifests: 2 }
     }
 }
 
@@ -94,18 +84,15 @@ pub struct StoreStats {
     pub read_records: u64,
     /// Bytes of those fetched records (framed).
     pub read_bytes: u64,
-    /// Async offers that failed persistently (healed by the next commit).
-    pub async_write_errors: u64,
     /// Checkpoint generations committed.
     pub commits: u64,
-    /// Window epochs commits had to persist synchronously because the async
-    /// path never delivered them (dropped offers, async errors). A high
-    /// rate means the offer queue is undersized for the publish cadence.
+    /// Always 0. Only user: `benchmark/src/sut.rs:387`; `benchmark/` may
+    /// not be edited, the next `benchmark` PR drops the field.
+    #[doc(hidden)]
     pub commit_top_ups: u64,
-    /// Snapshot offers made to the async sink (accepted + dropped). Read
-    /// live from the shared [`OfferCounters`].
-    pub sink_offers: u64,
-    /// Of those, offers dropped because the bounded queue was full.
+    /// Always 0. Only user: `benchmark/src/sut.rs:386`; goes with the field
+    /// above.
+    #[doc(hidden)]
     pub sink_dropped: u64,
 }
 
@@ -120,37 +107,6 @@ impl StoreStats {
     }
 }
 
-/// Shared counters for the async offer path. The sink side (pipeline
-/// threads) increments them lock-free; they live in the [`EpochStore`] so
-/// they survive writer stop/respawn cycles (restore, stats reads) and show
-/// up in [`StoreStats`].
-#[derive(Debug, Clone, Default)]
-pub struct OfferCounters {
-    offered: Arc<std::sync::atomic::AtomicU64>,
-    dropped: Arc<std::sync::atomic::AtomicU64>,
-}
-
-impl OfferCounters {
-    /// Total snapshot offers made (accepted + dropped).
-    pub fn offered(&self) -> u64 {
-        self.offered.load(std::sync::atomic::Ordering::Relaxed)
-    }
-
-    /// Offers dropped because the bounded queue was full (or the writer was
-    /// gone). Each one is healed by the next synchronous commit's top-up.
-    pub fn dropped(&self) -> u64 {
-        self.dropped.load(std::sync::atomic::Ordering::Relaxed)
-    }
-
-    /// Records one offer and its outcome.
-    pub fn note(&self, accepted: bool) {
-        self.offered.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        if !accepted {
-            self.dropped.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        }
-    }
-}
-
 /// Outcome of a committed checkpoint generation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CommitReport {
@@ -160,9 +116,6 @@ pub struct CommitReport {
     pub rebased: bool,
     /// Records in the generation's chain (base + deltas).
     pub chain_len: usize,
-    /// Window epochs this commit persisted synchronously because the async
-    /// offer path had not already written them.
-    pub topped_up: usize,
     /// Store writes this commit retried after transient errors.
     pub retries: u64,
 }
@@ -187,8 +140,8 @@ struct ChainEntry {
 
 /// The epoch-delta checkpoint log over a [`MapStore`], scoped to one stream
 /// prefix. All writes for a stream go through exactly one `EpochStore`
-/// (owned by its [`CheckpointWriter`](crate::CheckpointWriter) thread), so
-/// the chain is single-writer by construction.
+/// (owned by the stream's slot in the server), so the chain is
+/// single-writer by construction.
 pub struct EpochStore {
     store: Box<dyn MapStore>,
     prefix: String,
@@ -205,7 +158,15 @@ pub struct EpochStore {
     adopted_head: Option<u64>,
     next_seq: u64,
     stats: StoreStats,
-    offers: OfferCounters,
+}
+
+impl std::fmt::Debug for EpochStore {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("EpochStore")
+            .field("prefix", &self.prefix)
+            .field("chain_len", &self.chain.len())
+            .finish_non_exhaustive()
+    }
 }
 
 impl EpochStore {
@@ -230,7 +191,6 @@ impl EpochStore {
             adopted_head: None,
             next_seq: 0,
             stats: StoreStats::default(),
-            offers: OfferCounters::default(),
         };
         let manifests = log.manifest_keys()?;
         log.next_seq = manifests
@@ -263,30 +223,9 @@ impl EpochStore {
         &self.prefix
     }
 
-    /// The configured async offer-queue depth.
-    pub fn config_queue_depth(&self) -> usize {
-        self.config.queue_depth
-    }
-
-    /// Write/retry counters, with the live sink-offer counters folded in.
+    /// Write, read and retry counters.
     pub fn stats(&self) -> StoreStats {
-        let mut stats = self.stats;
-        stats.sink_offers = self.offers.offered();
-        stats.sink_dropped = self.offers.dropped();
-        stats
-    }
-
-    /// A handle to the shared offer counters (the
-    /// [`CheckpointWriter`](crate::CheckpointWriter) wires it into every
-    /// sink it hands out).
-    pub fn offer_counters(&self) -> OfferCounters {
-        self.offers.clone()
-    }
-
-    /// Records that an async (off-hot-path) persist failed; the next commit
-    /// re-persists the window synchronously.
-    pub fn note_async_error(&mut self) {
-        self.stats.async_write_errors += 1;
+        self.stats
     }
 
     /// Consumes the log, returning the backing store.
@@ -343,10 +282,11 @@ impl EpochStore {
         w.put_u64(snap.epoch());
         encode_cloud_payload(&mut w, snap.cloud());
         let bytes = frame(RecordKind::Base, &w.into_bytes());
-        self.stats.base_records += 1;
-        self.stats.base_bytes += bytes.len() as u64;
+        let len = bytes.len() as u64;
         let key = self.key_base(snap.epoch());
         self.put_with_retry(&key, bytes)?;
+        self.stats.base_records += 1;
+        self.stats.base_bytes += len;
         self.chain = vec![ChainEntry { epoch: snap.epoch(), base: true }];
         self.last = Some(snap.clone());
         self.adopted_head = None;
@@ -357,18 +297,20 @@ impl EpochStore {
         let parent = self.last.clone().expect("delta writes require a persisted parent");
         let delta = CloudDelta::diff(parent.cloud(), parent.epoch(), snap.cloud(), snap.epoch());
         let bytes = frame(RecordKind::Delta, &delta.encode());
-        self.stats.delta_records += 1;
-        self.stats.delta_bytes += bytes.len() as u64;
+        let len = bytes.len() as u64;
         let key = self.key_delta(snap.epoch());
         self.put_with_retry(&key, bytes)?;
+        self.stats.delta_records += 1;
+        self.stats.delta_bytes += len;
         self.chain.push(ChainEntry { epoch: snap.epoch(), base: false });
         self.last = Some(snap.clone());
         Ok(())
     }
 
-    /// Persists one published epoch incrementally. Epochs at or below the
-    /// newest persisted one are skipped (returns `Ok(false)`) — the async
-    /// path may deliver an epoch the commit path already wrote.
+    /// Persists one published epoch incrementally: a base if the chain is
+    /// empty, else a delta against the newest persisted epoch. Epochs at or
+    /// below that one are skipped (returns `Ok(false)`) — consecutive
+    /// commit windows overlap.
     pub fn persist_epoch(&mut self, snap: &CloudSnapshot) -> Result<bool, StoreError> {
         // Before the first restore or write, the head of the chain adopted
         // at open stands in for `last`.
@@ -400,11 +342,11 @@ impl EpochStore {
         w.into_bytes()
     }
 
-    /// Commits a checkpoint generation: ensures every window epoch is
-    /// persisted (topping up whatever async backpressure dropped, or
-    /// rebasing onto a fresh base when the chain got long or holey), writes
-    /// the aux payload, and finally the manifest — the atomicity point.
-    /// Superseded generations are garbage-collected afterwards.
+    /// Commits a checkpoint generation: persists every window epoch the
+    /// chain does not hold yet (rebasing onto a fresh base when the chain
+    /// got long or holey), writes the aux payload, and finally the manifest
+    /// — the atomicity point. Superseded generations are garbage-collected
+    /// afterwards.
     ///
     /// `window` must be ascending in epoch and non-empty; its last entry is
     /// the stream's newest map state.
@@ -419,19 +361,14 @@ impl EpochStore {
             window.windows(2).all(|p| p[0].epoch() < p[1].epoch()),
             "checkpoint window must be ascending in epoch"
         );
-        // Top up epochs the async path never saw (newer than the chain head).
-        let mut topped_up = 0usize;
         for snap in window {
-            if self.persist_epoch(snap)? {
-                topped_up += 1;
-            }
+            self.persist_epoch(snap)?;
         }
-        self.stats.commit_top_ups += topped_up as u64;
         // The restore path replays the chain from its base; every window
-        // epoch must sit on it. Dropped offers leave holes *inside* the
-        // window range, and long runs grow unbounded chains — both are
-        // fixed by rebasing: a fresh base at the window start plus deltas
-        // between consecutive window epochs.
+        // epoch must sit on it. A caller's own `persist_epoch` calls can
+        // leave holes *inside* the window range, and long runs grow
+        // unbounded chains — both are fixed by rebasing: a fresh base at
+        // the window start plus deltas between consecutive window epochs.
         let on_chain = |chain: &[ChainEntry], e: u64| chain.iter().any(|c| c.epoch == e);
         let holey = !window.iter().all(|s| on_chain(&self.chain, s.epoch()));
         let too_long = self.chain.len().saturating_sub(1) > self.config.rebase_after_deltas;
@@ -466,7 +403,6 @@ impl EpochStore {
             seq,
             rebased,
             chain_len: self.chain.len(),
-            topped_up,
             retries: self.stats.write_retries - retries_before,
         })
     }
@@ -734,11 +670,11 @@ mod tests {
     }
 
     #[test]
-    fn dropped_offers_force_a_rebase_that_still_restores() {
+    fn a_hole_inside_the_committed_window_forces_a_rebase_that_still_restores() {
         let mut log = EpochStore::open(Box::new(MemoryStore::new()), "s0", fast_config()).unwrap();
         let snaps = epochs(6);
-        // Async path saw epochs 0..=2 and 5, but backpressure dropped 3 and
-        // 4 — the chain has a hole inside the window range [4, 6].
+        // The caller persisted epochs 0..=2 and 5 itself, skipping 3 and 4 —
+        // the chain has a hole inside the window range [4, 6].
         for s in &snaps[..=2] {
             log.persist_epoch(s).unwrap();
         }
@@ -844,6 +780,8 @@ mod tests {
         let fault = FaultStore::new(MemoryStore::new(), plan);
         let mut log = EpochStore::open(Box::new(fault), "s0", fast_config()).unwrap();
         assert!(matches!(log.persist_epoch(&snaps[1]), Err(StoreError::Io(_))));
+        // A record whose retries ran out was never written: not counted.
+        assert_eq!((log.stats().base_records, log.stats().base_bytes), (0, 0));
     }
 
     /// Grows a shared chain across `gens` committed generations (no

@@ -53,16 +53,30 @@ impl RecordKind {
     }
 }
 
+/// One byte's worth of the bitwise CRC-32 recurrence per entry, derived at
+/// compile time from the reflected polynomial.
+const CRC_TABLE: [u32; 256] = {
+    let mut table = [0u32; 256];
+    let mut i = 0;
+    while i < 256 {
+        let mut crc = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = (crc >> 1) ^ (0xEDB8_8320 & (crc & 1).wrapping_neg());
+            bit += 1;
+        }
+        table[i] = crc;
+        i += 1;
+    }
+    table
+};
+
 /// CRC-32 (IEEE 802.3, reflected polynomial `0xEDB88320`) — the classic
-/// zlib/PNG checksum, implemented bitwise so no table needs baking in.
+/// zlib/PNG checksum, one [`CRC_TABLE`] lookup per byte.
 pub fn crc32(bytes: &[u8]) -> u32 {
     let mut crc = !0u32;
     for &b in bytes {
-        crc ^= b as u32;
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
+        crc = (crc >> 8) ^ CRC_TABLE[usize::from(crc as u8 ^ b)];
     }
     !crc
 }

@@ -15,10 +15,10 @@
 //!   splats diffed against the last persisted epoch), a **manifest** written
 //!   last as the atomicity point of each checkpoint generation, and GC of
 //!   superseded generations.
-//! - [`CheckpointWriter`] runs the store on its own thread behind a bounded
-//!   channel: the mapping hot path *offers* snapshots ([`CheckpointSink`])
-//!   without ever blocking, and an explicit commit synchronously tops up
-//!   whatever backpressure dropped.
+//! - Nothing is written between commits: [`EpochStore::commit`] persists
+//!   its window's epochs, the aux payload and the manifest synchronously on
+//!   the caller's thread, so what is on the store is a function of the
+//!   stream and its checkpoint policy.
 //! - [`FaultPlan`] / [`FaultStore`] inject write failures, corruption and
 //!   read errors for crash testing; transient errors are retried through a
 //!   deterministic [`RetryPolicy`] on the write path.
@@ -44,17 +44,13 @@ mod net_fault;
 mod remote;
 mod retry;
 mod wire;
-mod writer;
 
 pub use backend::{FileStore, MapStore, MemoryStore};
 pub use delta::{decode_cloud_payload, encode_cloud_payload, CloudDelta};
-pub use epoch::{
-    CheckpointConfig, CommitReport, EpochStore, OfferCounters, RestoredCheckpoint, StoreStats,
-};
+pub use epoch::{CheckpointConfig, CommitReport, EpochStore, RestoredCheckpoint, StoreStats};
 pub use error::StoreError;
 pub use fault::{FaultCounters, FaultPlan, FaultStore};
 pub use net_fault::{NetFaultPlan, NetFaultProxy};
 pub use remote::{RemoteCounters, RemoteStore, StoreServer};
 pub use retry::{RetryPolicy, RetryTelemetry};
 pub use wire::{ByteReader, ByteWriter};
-pub use writer::{CheckpointSink, CheckpointWriter};

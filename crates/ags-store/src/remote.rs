@@ -195,7 +195,7 @@ fn net_err(e: std::io::Error) -> StoreError {
 }
 
 /// Per-client transport counters, cloneable so tests and benches can keep a
-/// handle while the store is boxed away into a checkpoint writer.
+/// handle while the store is boxed away into an [`EpochStore`](crate::EpochStore).
 #[derive(Debug, Clone, Default)]
 pub struct RemoteCounters {
     ops: Arc<AtomicU64>,

@@ -24,7 +24,7 @@ pub struct RetryPolicy {
     /// Per-attempt deadline. Local stores ignore it; [`crate::RemoteStore`]
     /// applies it as the socket connect/read/write timeout, so a stalled
     /// peer fails the attempt as [`StoreError::Timeout`] instead of
-    /// hanging the checkpoint writer.
+    /// hanging the checkpoint commit.
     pub timeout: Duration,
     /// Base backoff slept after the first failed attempt; doubles per
     /// retry up to [`RetryPolicy::BACKOFF_CAP_FACTOR`]× the base.
