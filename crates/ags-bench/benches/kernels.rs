@@ -3,9 +3,9 @@
 //! Times the hot paths the AGS hardware accelerates — the SAD row kernel,
 //! CODEC motion estimation and tile rasterization — in serial and parallel
 //! mode, checks the parallel output is bit-identical before trusting its
-//! timing, then times the **end-to-end** `process_frame` pipeline (serial
-//! driver vs the thread-parallel kernels vs the FC-overlapped pipelined
-//! driver of Fig. 9b), prints a table and writes the machine-readable
+//! timing, then times the **end-to-end** driver (every stage inline vs the
+//! thread-parallel kernels vs FC overlapped on its worker as in Fig. 9b),
+//! prints a table and writes the machine-readable
 //! `BENCH_kernels.json` into the workspace root so the perf trajectory is
 //! tracked from PR 1 onwards (the CI perf gate compares the end-to-end
 //! numbers against the committed file).
@@ -15,7 +15,7 @@
 
 use ags_codec::{sad_kernel_name, CodecConfig, LumaPlane, MotionEstimator, SearchKind};
 use ags_core::config::PipelineConfig;
-use ags_core::{AgsConfig, AgsSlam, PipelinedAgsSlam};
+use ags_core::{AgsConfig, AgsSlam};
 use ags_math::parallel::Parallelism;
 use ags_math::{Se3, Vec2, Vec3};
 use ags_neural::DroidBackbone;
@@ -361,10 +361,10 @@ struct E2eResult {
     vectorized_map_speedup_range: (f64, f64),
 }
 
-/// End-to-end `process_frame` workload: a short synthetic stream through the
+/// End-to-end driver workload: a short synthetic stream through the
 /// full AGS pipeline. FullSearch ME over a widened window keeps the FC stage
 /// a meaningful share of the frame so the Fig. 9(b) overlap is measurable on
-/// multi-core hosts (on a single core the two drivers time-share and should
+/// multi-core hosts (on a single core the two placements time-share and should
 /// land at parity — the overlap can hide FC time only behind real idle
 /// cycles).
 fn e2e_config() -> AgsConfig {
@@ -389,44 +389,37 @@ fn e2e_dataset(frames: usize, width: usize, height: usize) -> Dataset {
     data
 }
 
-fn run_serial_driver(config: &AgsConfig, data: &Dataset) -> (f64, ags_core::WorkloadTrace) {
+/// Streams `data` through the one driver under `pipeline` and drains it;
+/// returns the wall time (construction included, image sharing not) and the
+/// drained driver.
+fn run_driver(config: &AgsConfig, pipeline: PipelineConfig, data: &Dataset) -> (f64, AgsSlam) {
+    let shared: Vec<_> =
+        data.frames.iter().map(|f| (Arc::new(f.rgb.clone()), Arc::new(f.depth.clone()))).collect();
     let start = Instant::now();
-    let mut slam = AgsSlam::new(config.clone());
-    for frame in &data.frames {
-        black_box(slam.process_frame(&data.camera, &frame.rgb, &frame.depth));
-    }
-    (start.elapsed().as_secs_f64(), slam.into_trace())
-}
-
-fn run_overlapped_driver(
-    config: &AgsConfig,
-    data: &Dataset,
-    shared: &[(Arc<ags_image::RgbImage>, Arc<ags_image::DepthImage>)],
-) -> (f64, ags_core::WorkloadTrace) {
-    let mut config = config.clone();
-    config.pipeline = PipelineConfig::overlapped(1);
-    let start = Instant::now();
-    let mut slam = PipelinedAgsSlam::new(config);
+    let mut slam = AgsSlam::new(AgsConfig { pipeline, ..config.clone() });
     for (rgb, depth) in shared {
-        black_box(slam.push_frame(&data.camera, Arc::clone(rgb), Arc::clone(depth)));
+        black_box(slam.push_frame(&data.camera, rgb, depth));
     }
     black_box(slam.finish());
-    let elapsed = start.elapsed().as_secs_f64();
-    (elapsed, slam.take_trace())
+    (start.elapsed().as_secs_f64(), slam)
+}
+
+/// Every stage inline at `slack` — the deferred-map reference at `slack > 0`.
+fn serial(slack: usize) -> PipelineConfig {
+    PipelineConfig { map_slack: slack, ..PipelineConfig::default() }
 }
 
 fn bench_end_to_end(parallel: Parallelism) -> E2eResult {
     let (frames, width, height) = (10usize, 96usize, 72usize);
     let data = e2e_dataset(frames, width, height);
     let config = e2e_config();
-    let shared: Vec<_> =
-        data.frames.iter().map(|f| (Arc::new(f.rgb.clone()), Arc::new(f.depth.clone()))).collect();
+    let overlapped = PipelineConfig::overlapped(1);
 
-    // Bit-identity between the serial and overlapped drivers before trusting
-    // any timing (the determinism tests enforce this too; the bench refuses
-    // to publish numbers for diverging pipelines).
-    let (_, serial_trace) = run_serial_driver(&config, &data);
-    let (_, overlapped_trace) = run_overlapped_driver(&config, &data, &shared);
+    // Bit-identity between the serial and overlapped placements before
+    // trusting any timing (the determinism tests enforce this too; the bench
+    // refuses to publish numbers for diverging pipelines).
+    let serial_trace = run_driver(&config, serial(0), &data).1.take_trace();
+    let overlapped_trace = run_driver(&config, overlapped, &data).1.take_trace();
     assert_eq!(
         serial_trace.canonical_bytes(),
         overlapped_trace.canonical_bytes(),
@@ -439,7 +432,7 @@ fn bench_end_to_end(parallel: Parallelism) -> E2eResult {
     let mut vectorized_config = e2e_config();
     vectorized_config.backend = BackendKind::Vectorized;
     vectorized_config.projection_cache = true;
-    let (_, vectorized_trace) = run_serial_driver(&vectorized_config, &data);
+    let vectorized_trace = run_driver(&vectorized_config, serial(0), &data).1.take_trace();
     assert_eq!(
         serial_trace.canonical_bytes(),
         vectorized_trace.canonical_bytes(),
@@ -448,7 +441,7 @@ fn bench_end_to_end(parallel: Parallelism) -> E2eResult {
 
     // Interleaved min-of-N timing: the minimum is the least noise-sensitive
     // statistic for a fixed workload, and interleaving decorrelates slow
-    // drift (thermal, background load) from the driver comparison.
+    // drift (thermal, background load) from the placement comparison.
     let samples = 5usize;
     let mut parallel_config = e2e_config();
     parallel_config.parallelism = parallel;
@@ -459,14 +452,14 @@ fn bench_end_to_end(parallel: Parallelism) -> E2eResult {
     let mut vectorized_map_times = Vec::new();
     let mut last_serial_trace = serial_trace;
     for _ in 0..samples {
-        let (t, trace) = run_serial_driver(&config, &data);
+        let (t, mut slam) = run_driver(&config, serial(0), &data);
         serial_times.push(t);
-        map_times.push(trace.stage_time_totals().map_s);
-        last_serial_trace = trace;
-        let (_, trace) = run_serial_driver(&vectorized_config, &data);
-        vectorized_map_times.push(trace.stage_time_totals().map_s);
-        overlapped_times.push(run_overlapped_driver(&config, &data, &shared).0);
-        parallel_times.push(run_serial_driver(&parallel_config, &data).0);
+        map_times.push(slam.trace().stage_time_totals().map_s);
+        last_serial_trace = slam.take_trace();
+        let (_, slam) = run_driver(&vectorized_config, serial(0), &data);
+        vectorized_map_times.push(slam.trace().stage_time_totals().map_s);
+        overlapped_times.push(run_driver(&config, overlapped, &data).0);
+        parallel_times.push(run_driver(&parallel_config, serial(0), &data).0);
     }
     let min = |times: &[f64]| times.iter().copied().fold(f64::INFINITY, f64::min);
     let t_serial = min(&serial_times);
@@ -509,25 +502,8 @@ struct MapHeavyResult {
     stall_ms_per_frame: f64,
 }
 
-fn run_map_overlapped_driver(
-    config: &AgsConfig,
-    data: &Dataset,
-    shared: &[(Arc<ags_image::RgbImage>, Arc<ags_image::DepthImage>)],
-) -> (f64, ags_core::WorkloadTrace) {
-    let mut config = config.clone();
-    config.pipeline = PipelineConfig::map_overlapped(1, 1);
-    let start = Instant::now();
-    let mut slam = PipelinedAgsSlam::new(config);
-    for (rgb, depth) in shared {
-        black_box(slam.push_frame(&data.camera, Arc::clone(rgb), Arc::clone(depth)));
-    }
-    black_box(slam.finish());
-    let elapsed = start.elapsed().as_secs_f64();
-    (elapsed, slam.take_trace())
-}
-
 /// The Track ‖ Map axis on a map-heavy configuration (mapping ≥ 2× the
-/// tracking time): the FC-overlapped driver still serialises Track(N+1)
+/// tracking time): the FC-overlapped run still serialises Track(N+1)
 /// after Map(N), while `PipelineMode::MapOverlapped` runs them concurrently
 /// under the one-epoch-stale snapshot contract.
 ///
@@ -535,7 +511,7 @@ fn run_map_overlapped_driver(
 /// below `ThreshT` so 3DGS refinement runs on every frame — the regime the
 /// Track ‖ Map axis targets. On multi-core hosts the overlap can hide the
 /// whole tracking stage (up to `1 + track/map` ≈ 1.4× here); on a single
-/// core the drivers time-share and the measured win reduces to the
+/// core the threads time-share and the measured win reduces to the
 /// stale-read savings the one-epoch-stale contract buys tracking (warmup
 /// refinements are structurally skipped and every refinement reads the
 /// previous, smaller epoch).
@@ -549,21 +525,13 @@ fn bench_map_heavy_overlap() -> MapHeavyResult {
     // Map-heavy: grow the tiny mapping budget until map ≥ 2× track, the
     // paper's full-scale stage balance.
     config.slam.mapping_iterations = 10;
-    let shared: Vec<_> =
-        data.frames.iter().map(|f| (Arc::new(f.rgb.clone()), Arc::new(f.depth.clone()))).collect();
+    let (fc_overlapped, map_overlapped) =
+        (PipelineConfig::overlapped(1), PipelineConfig::map_overlapped(1, 1));
 
-    // Determinism before timing: the threaded Track ‖ Map driver must match
-    // the serial deferred-map reference on this exact configuration.
-    let reference_trace = {
-        let mut c = config.clone();
-        c.pipeline = PipelineConfig::map_overlapped(1, 1);
-        let mut slam = AgsSlam::new(c);
-        for frame in &data.frames {
-            black_box(slam.process_frame(&data.camera, &frame.rgb, &frame.depth));
-        }
-        slam.into_trace()
-    };
-    let (_, overlapped_trace) = run_map_overlapped_driver(&config, &data, &shared);
+    // Determinism before timing: the threaded Track ‖ Map run must match the
+    // serial deferred-map reference on this exact configuration.
+    let reference_trace = run_driver(&config, serial(1), &data).1.take_trace();
+    let overlapped_trace = run_driver(&config, map_overlapped, &data).1.take_trace();
     assert_eq!(
         reference_trace.canonical_bytes(),
         overlapped_trace.canonical_bytes(),
@@ -575,10 +543,10 @@ fn bench_map_heavy_overlap() -> MapHeavyResult {
     let mut map_times = Vec::new();
     let mut last_trace = overlapped_trace;
     for _ in 0..samples {
-        fc_times.push(run_overlapped_driver(&config, &data, &shared).0);
-        let (t, trace) = run_map_overlapped_driver(&config, &data, &shared);
+        fc_times.push(run_driver(&config, fc_overlapped, &data).0);
+        let (t, mut slam) = run_driver(&config, map_overlapped, &data);
         map_times.push(t);
-        last_trace = trace;
+        last_trace = slam.take_trace();
     }
     let min = |times: &[f64]| times.iter().copied().fold(f64::INFINITY, f64::min);
     let (t_fc, t_map) = (min(&fc_times), min(&map_times));
@@ -651,13 +619,8 @@ fn bench_multi_stream() -> MultiStreamResult {
     // bit-identical to the stream run alone serially (deferred-map
     // reference).
     let reference_trace = {
-        let mut c = base.clone();
-        c.parallelism = Parallelism::serial();
-        let mut slam = AgsSlam::new(c);
-        for frame in &data.frames {
-            black_box(slam.process_frame(&data.camera, &frame.rgb, &frame.depth));
-        }
-        slam.into_trace()
+        let c = AgsConfig { parallelism: Parallelism::serial(), ..base.clone() };
+        run_driver(&c, serial(1), &data).1.take_trace()
     };
     let (_, check) = run_server(2);
     for s in 0..2 {
@@ -732,7 +695,7 @@ fn size_epoch_log(
     server.store_stats(0).unwrap()
 }
 
-/// The durability layer of the Track ‖ Map driver. Nothing is written
+/// The durability layer of the Track ‖ Map placement. Nothing is written
 /// between commits, so a stream with a store attached runs the same code as
 /// one without until it checkpoints — there is no hot-path overhead to
 /// time. What is measured is the epoch-delta log itself:
@@ -953,102 +916,6 @@ fn bench_migration() -> MigrationResult {
     MigrationResult { frames, width, height, migration_gap_ms, restore_bytes }
 }
 
-struct OverloadResult {
-    frames: usize,
-    width: usize,
-    height: usize,
-    plain_fps: f64,
-    qos_fps: f64,
-    shed_overhead_pct: f64,
-}
-
-/// The overload-control machinery on the hot path: a stream with a QoS
-/// controller installed but never pressured (budgets far above any real
-/// stage time, so the ladder never leaves `Full`) vs the same stream with
-/// no controller at all. The per-frame cost is one stage-time
-/// classification per completed record plus a shed-level check per frame;
-/// `shed_overhead_pct` is gated in CI as an **absolute** ceiling (≤ 5 %).
-/// An idle controller must also be semantically invisible — canonical
-/// traces are asserted identical before any timing (the shed-level stamps
-/// are `Full` either way).
-fn bench_overload() -> OverloadResult {
-    use ags_core::{MultiStreamServer, QosConfig, ServerConfig, ShedLevel, StreamPolicy};
-    let (frames, width, height) = (8usize, 96usize, 72usize);
-    let dconfig = DatasetConfig { width, height, num_frames: frames, ..DatasetConfig::tiny() };
-    let data = Dataset::generate(SceneId::S2, &dconfig);
-    let shared: Vec<_> =
-        data.frames.iter().map(|f| (Arc::new(f.rgb.clone()), Arc::new(f.depth.clone()))).collect();
-    let mut base = e2e_config();
-    base.parallelism = Parallelism::default();
-    base.pipeline = PipelineConfig::map_overlapped(1, 1);
-    base.slam.mapping_iterations = 10;
-
-    let idle_qos = QosConfig {
-        stall_budget_s: 1e9,
-        stage_budget_s: 1e9,
-        window: 4,
-        escalate_at: 2,
-        decay_after: 2,
-        max_level: ShedLevel::RejectAdmission,
-    };
-    let server_with = |qos: Option<QosConfig>| {
-        let mut policy = StreamPolicy::map_overlapped(1, 1);
-        if let Some(qos) = qos {
-            policy = policy.with_qos(qos);
-        }
-        MultiStreamServer::new(ServerConfig {
-            streams: 1,
-            base: base.clone(),
-            per_stream: vec![policy],
-            pool_workers: None,
-        })
-    };
-    let run = |qos: Option<QosConfig>| -> (f64, Vec<u8>) {
-        let mut server = server_with(qos);
-        let start = Instant::now();
-        for (rgb, depth) in &shared {
-            black_box(
-                server
-                    .push_frame(0, &data.camera, Arc::clone(rgb), Arc::clone(depth))
-                    .expect("healthy stream"),
-            );
-        }
-        black_box(server.finish_all());
-        let t = start.elapsed().as_secs_f64();
-        (t, server.stream(0).unwrap().trace().canonical_bytes())
-    };
-
-    // Invisibility before timing: an idle controller must not perturb the
-    // canonical trace.
-    let (_, plain_bytes) = run(None);
-    let (_, qos_bytes) = run(Some(idle_qos));
-    assert_eq!(plain_bytes, qos_bytes, "an idle QoS controller must be semantically invisible");
-
-    // Interleaved min-of-N, as in the checkpoint bench.
-    let samples = 5usize;
-    let mut plain_times = Vec::with_capacity(samples);
-    let mut qos_times = Vec::with_capacity(samples);
-    for sample in 0..samples {
-        if sample % 2 == 0 {
-            plain_times.push(run(None).0);
-            qos_times.push(run(Some(idle_qos)).0);
-        } else {
-            qos_times.push(run(Some(idle_qos)).0);
-            plain_times.push(run(None).0);
-        }
-    }
-    let min = |times: &[f64]| times.iter().copied().fold(f64::INFINITY, f64::min);
-    let (t_plain, t_qos) = (min(&plain_times), min(&qos_times));
-    OverloadResult {
-        frames,
-        width,
-        height,
-        plain_fps: frames as f64 / t_plain,
-        qos_fps: frames as f64 / t_qos,
-        shed_overhead_pct: (t_qos / t_plain - 1.0) * 100.0,
-    }
-}
-
 struct CompactionResult {
     frames: usize,
     width: usize,
@@ -1076,7 +943,7 @@ struct CompactionResult {
 /// so the gate tracks that churn cost against the committed baseline, while
 /// snapped splats themselves ride the ~4× chunked wire encoding in base
 /// snapshots and `added` runs. Compaction decisions are asserted
-/// bit-identical in the threaded Track ‖ Map driver before anything is
+/// bit-identical in the threaded Track ‖ Map placement before anything is
 /// timed.
 fn bench_compaction() -> CompactionResult {
     use ags_track::ate::ate_rmse;
@@ -1086,14 +953,7 @@ fn bench_compaction() -> CompactionResult {
     let mut full_config = e2e_config();
     full_config.slam.mapping_iterations = 10;
 
-    let run = |config: &AgsConfig| -> (f64, AgsSlam) {
-        let start = Instant::now();
-        let mut slam = AgsSlam::new(config.clone());
-        for frame in &data.frames {
-            black_box(slam.process_frame(&data.camera, &frame.rgb, &frame.depth));
-        }
-        (start.elapsed().as_secs_f64(), slam)
-    };
+    let run = |config: &AgsConfig| run_driver(config, serial(0), &data);
 
     let (_, full_slam) = run(&full_config);
     let full_bytes = full_slam.trace().frames.last().expect("frames ran").map_bytes;
@@ -1113,23 +973,14 @@ fn bench_compaction() -> CompactionResult {
     };
 
     // Determinism before timing: the compacted map (pruned ids, snapped
-    // bits, byte accounting) must be identical in the threaded driver.
-    let reference_trace = {
-        let mut c = compact_config.clone();
-        c.pipeline = PipelineConfig::map_overlapped(1, 1);
-        let mut slam = AgsSlam::new(c);
-        for frame in &data.frames {
-            black_box(slam.process_frame(&data.camera, &frame.rgb, &frame.depth));
-        }
-        slam.into_trace()
-    };
-    let shared: Vec<_> =
-        data.frames.iter().map(|f| (Arc::new(f.rgb.clone()), Arc::new(f.depth.clone()))).collect();
-    let (_, threaded_trace) = run_map_overlapped_driver(&compact_config, &data, &shared);
+    // bits, byte accounting) must be identical with mapping on its worker.
+    let reference_trace = run_driver(&compact_config, serial(1), &data).1.take_trace();
+    let map_overlapped = PipelineConfig::map_overlapped(1, 1);
+    let threaded_trace = run_driver(&compact_config, map_overlapped, &data).1.take_trace();
     assert_eq!(
         reference_trace.canonical_bytes(),
         threaded_trace.canonical_bytes(),
-        "compaction must be bit-identical across drivers"
+        "compaction must be bit-identical across placements"
     );
 
     let (_, compact_slam) = run(&compact_config);
@@ -1149,7 +1000,7 @@ fn bench_compaction() -> CompactionResult {
         "compaction must not wreck tracking: {ate_compacted} vs {ate_uncompacted}"
     );
 
-    // Interleaved min-of-N timing of the serial driver with and without
+    // Interleaved min-of-N timing of the serial placement with and without
     // compaction (see bench_motion_estimation for the discipline).
     let samples = 5usize;
     let mut full_times = Vec::with_capacity(samples);
@@ -1169,6 +1020,11 @@ fn bench_compaction() -> CompactionResult {
     // Size the epoch-delta log under compaction: snapped cold chunks ride
     // the quantized wire encoding, pruned splats shrink the base snapshots.
     let delta_bytes_per_epoch = {
+        let shared: Vec<_> = data
+            .frames
+            .iter()
+            .map(|f| (Arc::new(f.rgb.clone()), Arc::new(f.depth.clone())))
+            .collect();
         let mut durable_base = compact_config.clone();
         durable_base.parallelism = Parallelism::default();
         durable_base.pipeline = PipelineConfig::map_overlapped(1, 1);
@@ -1301,17 +1157,14 @@ impl TrainIterationResult {
 }
 
 /// One mapping iteration's render work (forward + loss + backward, no Adam)
-/// on the end-to-end bench scene: the map the vectorized serial driver has
+/// on the end-to-end bench scene: the map the vectorized serial run has
 /// built after its ten 96×72 frames, trained against the last frame.
 fn bench_train_iteration() -> TrainIterationResult {
     const SAMPLES: usize = 9;
     let data = e2e_dataset(10, 96, 72);
     let mut config = e2e_config();
     config.backend = BackendKind::Vectorized;
-    let mut slam = AgsSlam::new(config.clone());
-    for frame in &data.frames {
-        black_box(slam.process_frame(&data.camera, &frame.rgb, &frame.depth));
-    }
+    let (_, slam) = run_driver(&config, serial(0), &data);
     let (cloud, camera) = (slam.cloud(), &data.camera);
     let pose = *slam.trajectory().last().expect("ten frames tracked");
     let frame = data.frames.last().expect("ten frames");
@@ -1744,7 +1597,7 @@ fn main() {
     );
     let e2e = bench_end_to_end(parallel);
     println!(
-        "end-to-end process_frame       {}x{}:  serial {:>8.2} frames/s  parallel {:>8.2} frames/s  overlapped {:>8.2} frames/s ({:.2}x)",
+        "end-to-end driver              {}x{}:  serial {:>8.2} frames/s  parallel {:>8.2} frames/s  overlapped {:>8.2} frames/s ({:.2}x)",
         e2e.width, e2e.height, e2e.serial_fps, e2e.parallel_fps, e2e.overlapped_fps, e2e.overlap_speedup
     );
     println!(
@@ -1787,12 +1640,6 @@ fn main() {
     println!(
         "durable checkpoint log         {}x{}:  delta {:.0} B/epoch, base {:.0} B",
         ckpt.width, ckpt.height, ckpt.delta_bytes_per_epoch, ckpt.full_snapshot_bytes
-    );
-    let overload = bench_overload();
-    println!(
-        "overload control (idle QoS)    {}x{}:  plain {:>8.2} frames/s  qos {:>8.2} frames/s  (shed overhead {:+.2}%)",
-        overload.width, overload.height, overload.plain_fps, overload.qos_fps,
-        overload.shed_overhead_pct
     );
     let compaction = bench_compaction();
     println!(
@@ -1932,14 +1779,6 @@ fn main() {
     "delta_bytes_per_epoch": {:.1},
     "full_snapshot_bytes": {:.1}
   }},
-  "overload": {{
-    "frame": [{}, {}],
-    "frames": {},
-    "pipeline": "map_overlapped(1, 1)",
-    "plain_frames_per_s": {:.3},
-    "qos_frames_per_s": {:.3},
-    "shed_overhead_pct": {:.3}
-  }},
   "compaction": {{
     "frame": [{}, {}],
     "frames": {},
@@ -2043,12 +1882,6 @@ fn main() {
         ckpt.frames,
         ckpt.delta_bytes_per_epoch,
         ckpt.full_snapshot_bytes,
-        overload.width,
-        overload.height,
-        overload.frames,
-        overload.plain_fps,
-        overload.qos_fps,
-        overload.shed_overhead_pct,
         compaction.width,
         compaction.height,
         compaction.frames,

@@ -159,8 +159,9 @@ pub fn run_scene(id: SceneId, profile: &BenchProfile, ags_config: AgsConfig) -> 
     // AGS.
     let mut ags = AgsSlam::new(ags_config);
     for frame in &dataset.frames {
-        ags.process_frame(&dataset.camera, &frame.rgb, &frame.depth);
+        ags.push_frame_cloned(&dataset.camera, &frame.rgb, &frame.depth);
     }
+    ags.finish();
     let eval_ags = evaluate_map(ags.cloud(), &dataset.camera, ags.trajectory(), &dataset, 4);
 
     // Fig. 5 measurement on the final AGS map at sampled poses.
@@ -179,7 +180,7 @@ pub fn run_scene(id: SceneId, profile: &BenchProfile, ags_config: AgsConfig) -> 
     };
     let ags_cloud = ags.cloud().clone();
     let ags_trajectory = ags.trajectory().to_vec();
-    let trace_ags = ags.into_trace();
+    let trace_ags = ags.take_trace();
 
     // Classical tracker (Orb-SLAM2 stand-in).
     let mut classical = ClassicalTracker::new(ClassicalConfig::default());

@@ -19,6 +19,7 @@
 //! through IEEE-754 bit patterns — the restored stream's future output is
 //! the uninterrupted stream's output to the last mantissa bit.
 
+use crate::config::MAX_MAP_SLACK;
 use crate::fc::FcDetectorState;
 use crate::stages::MapStageState;
 use crate::trace::{StageTimes, TraceFrame, WorkloadTrace};
@@ -568,9 +569,10 @@ pub fn encode_aux(state: &StreamState) -> Vec<u8> {
 }
 
 /// Decodes an [`encode_aux`] payload and marries it to the snapshot
-/// `window` restored from the epoch-delta store. Rejects version skew and
-/// any mismatch between the persisted window epochs and the ones the aux
-/// payload was captured against.
+/// `window` restored from the epoch-delta store. Rejects version skew, any
+/// mismatch between the persisted window epochs and the ones the aux
+/// payload was captured against, and a slack above `8` or a window that
+/// does not hold the epoch the stream resumes at (`frame_count − slack`).
 pub fn decode_aux(bytes: &[u8], window: Vec<CloudSnapshot>) -> Result<StreamState, StoreError> {
     let mut r = ByteReader::new(bytes);
     let version = r.get_u16()?;
@@ -607,6 +609,18 @@ pub fn decode_aux(bytes: &[u8], window: Vec<CloudSnapshot>) -> Result<StreamStat
     if restored != epochs {
         return Err(StoreError::Corrupt(format!(
             "aux window epochs {epochs:?} do not match restored window {restored:?}"
+        )));
+    }
+    // A CRC-valid payload can still describe a stream no driver could have
+    // written: the driver resumes at epoch `frame_count − slack`, which an
+    // ascending window must hold.
+    if slack > MAX_MAP_SLACK {
+        return Err(StoreError::Corrupt(format!("map slack {slack} above {MAX_MAP_SLACK}")));
+    }
+    let contract = frame_count.saturating_sub(slack) as u64;
+    if !epochs.windows(2).all(|p| p[0] < p[1]) || !epochs.contains(&contract) {
+        return Err(StoreError::Corrupt(format!(
+            "window epochs {epochs:?} miss epoch {contract} (frame {frame_count}, slack {slack})"
         )));
     }
     Ok(StreamState { frame_count, trajectory, trace, fc, track, map, slack, window })
@@ -713,7 +727,7 @@ mod tests {
                 last_touched: vec![3, 4, 4],
                 quantized_chunks: vec![true, false],
             },
-            slack: 2,
+            slack: 1,
             window: vec![snap],
         }
     }
@@ -766,5 +780,20 @@ mod tests {
         let mut old = bytes;
         old[..2].copy_from_slice(&3u16.to_le_bytes());
         assert!(matches!(decode_aux(&old, state.window), Err(StoreError::Corrupt(_))));
+    }
+
+    #[test]
+    fn slack_or_window_no_driver_resumes_from_is_rejected() {
+        // Frame 4 at slack 1 resumes at epoch 3, the window's only entry.
+        // Any other slack moves the contract off the window; an empty
+        // window holds no contract at all.
+        let state = sample_state();
+        for slack in [0, 2, MAX_MAP_SLACK + 1, usize::MAX] {
+            let bytes = encode_aux(&StreamState { slack, ..state.clone() });
+            let err = decode_aux(&bytes, state.window.clone());
+            assert!(matches!(err, Err(StoreError::Corrupt(_))), "slack {slack}: {err:?}");
+        }
+        let empty = encode_aux(&StreamState { window: Vec::new(), ..state });
+        assert!(matches!(decode_aux(&empty, Vec::new()), Err(StoreError::Corrupt(_))));
     }
 }

@@ -7,7 +7,9 @@ use ags_splat::BackendKind;
 use ags_track::coarse::CoarseConfig;
 use std::sync::Arc;
 
-/// Execution strategy of the assembled pipeline (paper Fig. 9).
+/// Where the stages of the pipeline run (paper Fig. 9). Placement never
+/// changes results: at equal [`PipelineConfig::map_slack`] every mode is
+/// bit-identical.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PipelineMode {
     /// One thread runs FC → track → map per frame, in order.
@@ -15,15 +17,11 @@ pub enum PipelineMode {
     Serial,
     /// CODEC FC detection runs on a dedicated worker thread connected by a
     /// bounded channel, overlapping frame `N+1`'s FC work with frame `N`'s
-    /// tracking/mapping (Fig. 9b). Bit-identical to [`PipelineMode::Serial`].
+    /// tracking/mapping (Fig. 9b).
     Overlapped,
     /// The second pipeline axis on top of [`PipelineMode::Overlapped`]:
     /// mapping also moves to its own worker thread, so Track(N+1) overlaps
-    /// Map(N). Tracking reads an epoch-stale map snapshot — Track(N+1)
-    /// always sees the map published by Map(N − [`PipelineConfig::map_slack`]),
-    /// **independent of thread timing** — so the mode is bit-identical to
-    /// the serial *deferred-map* reference ([`crate::pipeline::AgsSlam`]
-    /// constructed with this same mode), not to [`PipelineMode::Serial`].
+    /// Map(N) — which needs `map_slack ≥ 1` to overlap anything.
     MapOverlapped,
 }
 
@@ -37,12 +35,13 @@ pub struct PipelineConfig {
     /// most this many frames ahead of the SLAM stage (clamped to `1..=8` by
     /// the driver). The paper's Fig. 9(b) corresponds to a depth of 1.
     pub depth: usize,
-    /// Staleness of the map snapshot tracking reads in
-    /// [`PipelineMode::MapOverlapped`], in epochs: Track(N+1) reads the
-    /// snapshot published by Map(N − `map_slack`). `1` (the default) is the
-    /// minimum that lets Track(N+1) run while Map(N) is still in flight;
-    /// `0` degenerates to the classic serial read-after-map semantics (no
-    /// overlap, but still two threads). Ignored in the other modes.
+    /// Staleness of the map snapshot tracking reads, in epochs, in every
+    /// mode: Track(N+1) reads the snapshot published by Map(N − `map_slack`),
+    /// independent of thread timing (clamped to `0..=8`). `0` (the default)
+    /// is the classic read-after-map semantics; `1` is the minimum that lets
+    /// Track(N+1) run while Map(N) is still in flight under
+    /// [`PipelineMode::MapOverlapped`]. `Serial` with slack `k` is the
+    /// deferred-map reference a `MapOverlapped` run at slack `k` matches.
     pub map_slack: usize,
     /// Test-only backpressure knob: stalls every map-stage invocation by
     /// this many milliseconds so stress tests can force the FC worker to
@@ -67,7 +66,7 @@ impl Default for PipelineConfig {
         Self {
             mode: PipelineMode::Serial,
             depth: 1,
-            map_slack: 1,
+            map_slack: 0,
             stress_map_stall_ms: 0,
             stress_map_stall_frames: 0,
             stress_fc_stall_ms: 0,
@@ -92,18 +91,15 @@ impl PipelineConfig {
         self.depth.clamp(1, 8)
     }
 
-    /// The map staleness the configured mode actually uses: `map_slack`
-    /// (clamped to `0..=8`) under [`PipelineMode::MapOverlapped`], `0` —
-    /// tracking always reads the freshest map — otherwise. Both drivers
-    /// derive their semantics from this one value, which is what makes the
-    /// serial deferred-map reference and the threaded driver comparable.
+    /// The map staleness the driver uses: `map_slack` clamped to `0..=8`,
+    /// whatever the mode.
     pub fn effective_map_slack(&self) -> usize {
-        match self.mode {
-            PipelineMode::MapOverlapped => self.map_slack.min(8),
-            _ => 0,
-        }
+        self.map_slack.min(MAX_MAP_SLACK)
     }
 }
+
+/// The largest map slack a driver runs at (and a checkpoint may carry).
+pub(crate) const MAX_MAP_SLACK: usize = 8;
 
 /// Graceful-degradation ladder of the per-stream QoS controller
 /// (`MultiStreamServer`): each level does deterministically *less* work per
@@ -290,8 +286,8 @@ pub struct AgsConfig {
     /// `codec.parallelism` by [`AgsConfig::resolve`]; parallel execution is
     /// bit-identical to [`Parallelism::serial()`].
     pub parallelism: Parallelism,
-    /// Stage-graph execution strategy: serial, or FC overlapped with
-    /// tracking/mapping on a worker thread (Fig. 9b).
+    /// Stage-graph execution: where FC and mapping run (Fig. 9b) and how
+    /// stale a map tracking reads.
     pub pipeline: PipelineConfig,
     /// Render backend the splat kernels (projection, rasterization,
     /// backward) execute on. Every backend is bit-identical to the scalar
@@ -336,8 +332,7 @@ impl AgsConfig {
         ((width * height) as f32 * self.thresh_n_fraction).round().max(1.0) as u32
     }
 
-    /// Resolves derived settings. Both pipeline drivers call this on
-    /// construction:
+    /// Resolves derived settings. The driver calls this on construction:
     ///
     /// * One knob rules the whole pipeline — the CODEC inherits the
     ///   system-level parallelism setting unless the caller configured the
@@ -345,7 +340,7 @@ impl AgsConfig {
     /// * One **executor** rules the whole pipeline — a single shared
     ///   [`WorkerPool`] handle is installed into every stage's knob, so the
     ///   FC worker thread and the SLAM stages of
-    ///   [`crate::pipelined::PipelinedAgsSlam`] submit to the same set of
+    ///   [`crate::pipeline::AgsSlam`] submit to the same set of
     ///   threads instead of oversubscribing the machine. A caller-installed
     ///   pool handle (multi-stream servers share one pool across streams)
     ///   is respected and propagated.
@@ -439,14 +434,18 @@ mod tests {
     }
 
     #[test]
-    fn map_slack_only_applies_in_map_overlapped_mode() {
+    fn map_slack_applies_in_every_mode() {
         let mut c = PipelineConfig::default();
-        assert_eq!(c.effective_map_slack(), 0, "serial mode reads the freshest map");
-        c.mode = PipelineMode::Overlapped;
-        assert_eq!(c.effective_map_slack(), 0, "FC overlap alone changes nothing");
-        assert_eq!(PipelineConfig::map_overlapped(1, 2).effective_map_slack(), 2);
+        assert_eq!(c.effective_map_slack(), 0, "the default reads the freshest map");
+        assert_eq!(PipelineConfig::overlapped(2).effective_map_slack(), 0);
+        for mode in [PipelineMode::Serial, PipelineMode::Overlapped, PipelineMode::MapOverlapped] {
+            c.mode = mode;
+            c.map_slack = 2;
+            assert_eq!(c.effective_map_slack(), 2, "{mode:?}");
+            c.map_slack = 99;
+            assert_eq!(c.effective_map_slack(), MAX_MAP_SLACK, "{mode:?}: clamped");
+        }
         assert_eq!(PipelineConfig::map_overlapped(2, 0).effective_map_slack(), 0);
-        assert_eq!(PipelineConfig::map_overlapped(1, 99).effective_map_slack(), 8, "clamped");
     }
 
     #[test]

@@ -17,22 +17,20 @@
 //! * [`stages`] — the pipeline decomposed into an explicit stage graph:
 //!   [`stages::FcStage`], [`stages::TrackStage`] and [`stages::MapStage`]
 //!   with typed inputs/outputs.
-//! * [`pipeline::AgsSlam`] — the assembled system (serial stage execution),
-//!   emitting a [`trace::WorkloadTrace`] the `ags-sim` hardware models
-//!   consume.
-//! * [`pipelined::PipelinedAgsSlam`] — the execution flow of Fig. 9(b) with
-//!   real threads, on two axes: FC detection of frame `N+1` overlaps
-//!   tracking/mapping of frame `N` over a bounded channel
-//!   ([`config::PipelineMode::Overlapped`], bit-identical to the serial
-//!   driver), and mapping runs on its own worker so Track(N+1) ‖ Map(N)
-//!   over an epoch-snapshotted copy-on-write map
-//!   ([`config::PipelineMode::MapOverlapped`], bit-identical to the serial
-//!   deferred-map reference under the same `map_slack`).
+//! * [`pipeline::AgsSlam`] — the assembled system and the one driver of the
+//!   stage graph, emitting a [`trace::WorkloadTrace`] the `ags-sim`
+//!   hardware models consume. It runs the execution flow of Fig. 9(b) with
+//!   real threads ([`pipelined`]) on two axes: FC detection of frame `N+1`
+//!   overlaps tracking/mapping of frame `N` over a bounded channel
+//!   ([`config::PipelineMode::Overlapped`]), and mapping runs on its own
+//!   worker so Track(N+1) ‖ Map(N) over an epoch-snapshotted copy-on-write
+//!   map ([`config::PipelineMode::MapOverlapped`]). Tracking reads the map
+//!   `map_slack` epochs stale in every mode, so at equal slack every mode is
+//!   bit-identical to the serial one.
 //! * [`server::MultiStreamServer`] — `S` concurrent streams, one
-//!   [`PipelinedAgsSlam`] each with a per-stream pipeline policy, all
-//!   sharing a single stream-tagged worker pool with round-robin fairness
-//!   lanes; per-stream results stay bit-identical to running the stream
-//!   alone.
+//!   [`AgsSlam`] each with a per-stream pipeline policy, all sharing a
+//!   single stream-tagged worker pool with round-robin fairness lanes;
+//!   per-stream results stay bit-identical to running the stream alone.
 //!
 //! # Example
 //!
@@ -43,8 +41,9 @@
 //! let data = Dataset::generate(SceneId::Desk, &DatasetConfig::default());
 //! let mut slam = AgsSlam::new(AgsConfig::default());
 //! for frame in &data.frames {
-//!     slam.process_frame(&data.camera, &frame.rgb, &frame.depth);
+//!     slam.push_frame_cloned(&data.camera, &frame.rgb, &frame.depth);
 //! }
+//! slam.finish();
 //! println!("ATE available via ags_track::ate::ate_rmse");
 //! ```
 
@@ -65,7 +64,6 @@ pub use config::{AgsConfig, CheckpointPolicy, PipelineConfig, PipelineMode, QosC
 pub use contribution::{ContributionState, ContributionTracker};
 pub use fc::{FcDetector, FcDetectorState};
 pub use pipeline::{AgsFrameRecord, AgsSlam};
-pub use pipelined::PipelinedAgsSlam;
 pub use server::{
     migrate_stream, MigrationEnd, MigrationError, MigrationReport, MultiStreamServer, ServerConfig,
     ServerStats, StoreAttachOptions, StreamError, StreamPolicy, StreamStats,

@@ -14,26 +14,28 @@
 //!    other frames run selective mapping that skips the predicted
 //!    non-contributory Gaussians.
 //!
-//! [`AgsSlam`] drives the three stages serially on the calling thread —
-//! including, under [`crate::config::PipelineMode::MapOverlapped`], the
-//! serial *deferred-map reference* semantics where tracking reads a
-//! `map_slack`-stale snapshot of the map. [`crate::pipelined::PipelinedAgsSlam`]
-//! runs the same stage graph with real threads (FC worker, and a map worker
-//! in `MapOverlapped`) — with bit-identical results to this driver under
-//! the matching mode.
+//! [`AgsSlam`] is the one driver of that stage graph. Tracking always runs
+//! on the calling thread; FC and mapping run inline or on their own worker
+//! threads as [`crate::config::PipelineMode`] says (see
+//! [`crate::pipelined`]). Frame `N` is tracked against the map published
+//! after frame `N − map_slack` ([`crate::config::PipelineConfig::map_slack`])
+//! in every mode, so the modes are bit-identical at equal slack: `Serial`
+//! with `map_slack = k` is the deferred-map reference the threaded
+//! `MapOverlapped` run is checked against.
 
 use crate::checkpoint::StreamState;
 use crate::config::{AgsConfig, ShedLevel};
-use crate::fc::{FcDecision, FcDetectorState};
-use crate::stages::{
-    FcStage, FrameImages, FrameInput, MapOutput, MapStage, TrackOutput, TrackStage,
-};
+use crate::fc::FcDecision;
+use crate::pipelined::{map_publishes, Decided, FcFrontEnd, Frame, MapBackEnd, MapDone, MapJob};
+use crate::stages::{FcStage, MapOutput, MapStage, TrackOutput, TrackStage};
 use crate::trace::{StageTimes, TraceFrame, WorkloadTrace};
 use ags_image::{DepthImage, RgbImage};
 use ags_math::Se3;
 use ags_scene::PinholeCamera;
 use ags_splat::snapshot::{CloudSnapshot, SharedCloud, SnapshotWindow};
 use ags_splat::GaussianCloud;
+use std::collections::VecDeque;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Per-frame AGS processing record.
@@ -47,9 +49,8 @@ pub struct AgsFrameRecord {
     pub skipped_gaussians: usize,
 }
 
-/// Starts a frame's trace record from its FC decision. Shared by both
-/// drivers so their records are constructed field-for-field identically.
-pub(crate) fn begin_trace_frame(frame_index: usize, decision: &FcDecision) -> TraceFrame {
+/// Starts a frame's trace record from its FC decision.
+fn begin_trace_frame(frame_index: usize, decision: &FcDecision) -> TraceFrame {
     let mut record = TraceFrame { frame_index, ..TraceFrame::default() };
     record.fc_prev = decision.fc_prev.map(|c| c.value());
     record.fc_keyframe = decision.fc_keyframe.map(|c| c.value());
@@ -59,14 +60,14 @@ pub(crate) fn begin_trace_frame(frame_index: usize, decision: &FcDecision) -> Tr
 }
 
 /// Copies a tracking result into the frame's trace record.
-pub(crate) fn apply_track_output(record: &mut TraceFrame, tracked: &TrackOutput) {
+fn apply_track_output(record: &mut TraceFrame, tracked: &TrackOutput) {
     record.coarse = tracked.coarse;
     record.refine = tracked.refine;
     record.refined = tracked.refined;
 }
 
 /// Moves a mapping result into the frame's trace record.
-pub(crate) fn apply_map_output(record: &mut TraceFrame, mapped: MapOutput, num_gaussians: usize) {
+fn apply_map_output(record: &mut TraceFrame, mapped: MapOutput, num_gaussians: usize) {
     record.mapping = mapped.mapping;
     record.tile_work = mapped.tile_work;
     record.fp_rate = mapped.fp_rate;
@@ -79,263 +80,384 @@ pub(crate) fn apply_map_output(record: &mut TraceFrame, mapped: MapOutput, num_g
     record.projection_cache_misses = mapped.projection_cache_misses;
 }
 
-/// Everything downstream of FC detection: the tracking and mapping stages
-/// plus the state they share (map, trajectory, trace), executed serially.
-///
-/// The map lives behind a copy-on-write [`SharedCloud`]. With zero map
-/// slack (modes `Serial`/`Overlapped`) tracking peeks at the live map —
-/// classic read-after-map semantics, no snapshot is ever published and no
-/// copy is ever paid. With `MapOverlapped` slack this body becomes the
-/// **serial deferred-map reference**: after each frame's mapping the map is
-/// published into a [`SnapshotWindow`], and tracking reads the window's
-/// `slack`-stale epoch — byte-identical semantics to the threaded
-/// Track ‖ Map driver, enforced by the determinism suite.
-#[derive(Debug)]
-pub(crate) struct SlamBody {
-    config: AgsConfig,
-    track: TrackStage,
-    map: MapStage,
-    shared: SharedCloud,
-    window: SnapshotWindow,
+/// Splits a checkpoint window (ascending by epoch) around the contractual
+/// epoch the next frame must read, `frame_count − slack`: entries up to and
+/// including it re-seed the retained window, the entry at it becomes
+/// `latest`, fresher ones queue as `ahead`. `None` when the window does not
+/// hold the contractual epoch.
+fn split_at_contract(
+    window: Vec<CloudSnapshot>,
+    frame_count: usize,
     slack: usize,
+) -> Option<(SnapshotWindow, CloudSnapshot, VecDeque<CloudSnapshot>)> {
+    let needed = frame_count.saturating_sub(slack) as u64;
+    let (retained, ahead): (Vec<_>, Vec<_>) =
+        window.into_iter().partition(|snap| snap.epoch() <= needed);
+    let latest = retained.last().filter(|snap| snap.epoch() == needed)?.clone();
+    Some((SnapshotWindow::from_snapshots(slack, retained), latest, ahead.into()))
+}
+
+/// The AGS-accelerated 3DGS-SLAM system: one driver over the stage graph
+/// `FcStage → TrackStage → MapStage`.
+///
+/// [`PipelineMode::Serial`](crate::config::PipelineMode::Serial) runs every
+/// stage on the calling thread and every [`push_frame`](Self::push_frame)
+/// returns its record immediately. `Overlapped` moves FC to a worker
+/// thread; `MapOverlapped` additionally moves mapping to its own worker, so
+/// Track(N+1) overlaps Map(N).
+///
+/// Streaming protocol (overlapped modes): [`push_frame`](Self::push_frame)
+/// returns `None` while the FC lookahead (and the map pipeline) fills, then
+/// one completed record per push. Call [`finish`](Self::finish) after the
+/// last frame to drain everything.
+pub struct AgsSlam {
+    config: AgsConfig,
+    fc: FcFrontEnd,
+    track: TrackStage,
+    map: MapBackEnd,
+    /// Snapshot staleness: frame `N` tracks against epoch
+    /// `max(0, N − slack)` (`PipelineConfig::effective_map_slack`, or the
+    /// checkpoint's on restore).
+    slack: usize,
+    /// Current load-shedding level (server-driven; `Full` outside a
+    /// server). Not checkpointed: the server re-derives it from the trace.
+    shed: ShedLevel,
+    /// Newest snapshot tracking has advanced to. The drain advances it to
+    /// **exactly** the epoch a frame must read — never further, even when
+    /// fresher epochs are already at hand. Unused by a map that never
+    /// publishes.
+    latest: CloudSnapshot,
+    /// The last `slack + 1` snapshots `latest` advanced through — the
+    /// window a checkpoint captures.
+    retained: SnapshotWindow,
+    /// Published epochs `latest` has not advanced to yet whose records are
+    /// already complete: inline maps, and fresher checkpoint epochs after a
+    /// restore.
+    ahead: VecDeque<CloudSnapshot>,
+    /// Tracked frames whose map result the worker still owes.
+    awaiting: VecDeque<AgsFrameRecord>,
+    /// Completed records not yet returned.
+    completed: VecDeque<AgsFrameRecord>,
     trajectory: Vec<Se3>,
     frame_count: usize,
     trace: WorkloadTrace,
-    /// Current QoS shed level (server-driven; `Full` outside a server).
-    /// `ForceSerial`+ reads the live map regardless of the configured
-    /// slack; `DropNonKey`+ sheds non-key frames entirely. Not part of the
-    /// checkpoint state: the server re-derives and re-applies it on restore
-    /// from the persisted trace.
-    shed: ShedLevel,
 }
 
-impl SlamBody {
-    /// Builds the body from a **resolved** configuration.
-    pub(crate) fn new(config: AgsConfig) -> Self {
-        let slack = config.pipeline.effective_map_slack();
-        Self {
-            track: TrackStage::new(&config),
-            map: MapStage::new(&config),
-            config,
-            shared: SharedCloud::new(),
-            window: SnapshotWindow::new(slack),
-            slack,
-            trajectory: Vec::new(),
-            frame_count: 0,
-            trace: WorkloadTrace::default(),
-            shed: ShedLevel::Full,
-        }
+impl std::fmt::Debug for AgsSlam {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("AgsSlam")
+            .field("mode", &self.config.pipeline.mode)
+            .field("slack", &self.slack)
+            .field("frame_count", &self.frame_count)
+            .finish_non_exhaustive()
     }
-
-    /// Rebuilds the body from a checkpoint (`state.fc` is the front end's
-    /// share and is ignored here). The map clouds come back as the restored
-    /// snapshots' slabs — refcount bumps, not copies; normal copy-on-write
-    /// diverges them on the first post-restore mutation.
-    pub(crate) fn from_state(config: AgsConfig, state: StreamState) -> Self {
-        let slack = config.pipeline.effective_map_slack();
-        let head = state.window.last().expect("checkpoint window is never empty");
-        let (shared, window) = if slack == 0 {
-            // Zero-slack drivers never publish: the writer handle stays at
-            // epoch 0 (see `MapStage::process`'s publish contract).
-            (SharedCloud::from_parts(head.cloud_arc(), 0), SnapshotWindow::new(0))
-        } else {
-            let shared = SharedCloud::from_parts(head.cloud_arc(), head.epoch());
-            (shared, SnapshotWindow::from_snapshots(slack, state.window))
-        };
-        let mut track = TrackStage::new(&config);
-        track.restore_state(&state.track);
-        Self {
-            track,
-            map: MapStage::from_state(&config, state.map),
-            config,
-            shared,
-            window,
-            slack,
-            trajectory: state.trajectory,
-            frame_count: state.frame_count,
-            trace: state.trace,
-            shed: ShedLevel::Full,
-        }
-    }
-
-    /// Captures the body's half of a [`StreamState`]; the caller supplies
-    /// the FC front end's share.
-    pub(crate) fn export_state(&self, fc: FcDetectorState) -> StreamState {
-        let window: Vec<CloudSnapshot> = if self.slack == 0 {
-            // Never-published live map: stamp it with its frame count so the
-            // epoch-delta log has a monotonic id.
-            vec![self.shared.snapshot_at(self.frame_count as u64)]
-        } else {
-            self.window.snapshots().cloned().collect()
-        };
-        StreamState {
-            frame_count: self.frame_count,
-            trajectory: self.trajectory.clone(),
-            trace: self.trace.clone(),
-            fc,
-            track: self.track.export_state(),
-            map: self.map.export_state(),
-            slack: self.slack,
-            window,
-        }
-    }
-
-    pub(crate) fn set_shed(&mut self, level: ShedLevel) {
-        self.shed = level;
-    }
-
-    pub(crate) fn config(&self) -> &AgsConfig {
-        &self.config
-    }
-
-    pub(crate) fn cloud(&self) -> &GaussianCloud {
-        self.shared.read()
-    }
-
-    pub(crate) fn trajectory(&self) -> &[Se3] {
-        &self.trajectory
-    }
-
-    pub(crate) fn trace(&self) -> &WorkloadTrace {
-        &self.trace
-    }
-
-    pub(crate) fn into_trace(self) -> WorkloadTrace {
-        self.trace
-    }
-
-    pub(crate) fn take_trace(&mut self) -> WorkloadTrace {
-        std::mem::take(&mut self.trace)
-    }
-
-    /// Runs tracking + mapping for one frame whose FC decision is already
-    /// available, recording the trace entry. `stall_s` is backpressure wait
-    /// the driver already paid for this frame (FC-channel wait in the
-    /// pipelined driver; `0` in the serial one).
-    pub(crate) fn advance(
-        &mut self,
-        camera: &PinholeCamera,
-        images: FrameImages<'_>,
-        decision: FcDecision,
-        fc_s: f64,
-        stall_s: f64,
-    ) -> AgsFrameRecord {
-        if self.trace.frames.is_empty() {
-            self.trace.width = camera.width;
-            self.trace.height = camera.height;
-        }
-        let frame_index = self.frame_count;
-        self.frame_count += 1;
-        let input = FrameInput { frame_index, camera, images };
-        let mut record = begin_trace_frame(frame_index, &decision);
-        record.shed_level = self.shed as u8;
-
-        if self.shed >= ShedLevel::DropNonKey && !decision.is_keyframe {
-            // Shed: after the (cheap) FC decision the frame does no
-            // tracking or mapping — it repeats the last pose and publishes
-            // an unchanged map epoch so the frame↔epoch contract holds.
-            // Frame 0 is always a key frame, so a previous pose exists.
-            record.dropped = true;
-            let pose = self.trajectory.last().copied().unwrap_or(Se3::IDENTITY);
-            self.trajectory.push(pose);
-            let map_start = Instant::now();
-            let mapped = self.map.process_dropped(&self.shared);
-            let map_s = map_start.elapsed().as_secs_f64();
-            self.publish_epoch();
-            apply_map_output(&mut record, mapped, self.shared.read().len());
-            record.stage_times = StageTimes { fc_s, track_s: 0.0, map_s, stall_s };
-            self.trace.frames.push(record.clone());
-            return AgsFrameRecord { trace: record, estimated_pose: pose, skipped_gaussians: 0 };
-        }
-
-        let track_start = Instant::now();
-        // Zero slack: peek at the live map (dropped before mapping mutates,
-        // so the copy-on-write never triggers). Deferred reference: read the
-        // window's stale epoch — exactly what the threaded driver waits for.
-        // A shed level of `ForceSerial`+ reads the live map even when the
-        // configured slack keeps a window (serial read-after-map semantics).
-        let serial_read = self.slack == 0 || self.shed >= ShedLevel::ForceSerial;
-        let snapshot = if serial_read { self.shared.peek() } else { self.window.stale().clone() };
-        let tracked = self.track.process(&input, &decision, &snapshot);
-        drop(snapshot);
-        let track_s = track_start.elapsed().as_secs_f64();
-        apply_track_output(&mut record, &tracked);
-        let pose = tracked.pose;
-        self.trajectory.push(pose);
-
-        let map_start = Instant::now();
-        let mapped = self.map.process(&input, &decision, pose, &mut self.shared);
-        let map_s = map_start.elapsed().as_secs_f64();
-        self.publish_epoch();
-        let skipped_gaussians = mapped.skipped_gaussians;
-        apply_map_output(&mut record, mapped, self.shared.read().len());
-        record.stage_times = StageTimes { fc_s, track_s, map_s, stall_s };
-
-        let trace_frame = record.clone();
-        self.trace.frames.push(trace_frame);
-        AgsFrameRecord { trace: record, estimated_pose: pose, skipped_gaussians }
-    }
-
-    /// Publishes this frame's map epoch into the snapshot window.
-    /// Zero-slack drivers never publish (no snapshot, no copy): a checkpoint
-    /// stamps the live map with its frame count instead.
-    fn publish_epoch(&mut self) {
-        if self.slack > 0 {
-            self.window.push(self.shared.publish());
-        }
-    }
-}
-
-/// The AGS-accelerated 3DGS-SLAM system (serial stage execution).
-#[derive(Debug)]
-pub struct AgsSlam {
-    fc: FcStage,
-    body: SlamBody,
 }
 
 impl AgsSlam {
-    /// Creates an AGS system.
+    /// Creates an AGS system; `config.pipeline` selects where the stages run
+    /// and the map slack.
     pub fn new(config: AgsConfig) -> Self {
         let config = config.resolve();
-        Self { fc: FcStage::new(&config), body: SlamBody::new(config) }
+        let slack = config.pipeline.effective_map_slack();
+        let (fc, track, map) =
+            (FcStage::new(&config), TrackStage::new(&config), MapStage::new(&config));
+        Self::with_stages(config, slack, fc, track, map, SharedCloud::new())
+    }
+
+    /// A driver at frame 0 around the given stages.
+    fn with_stages(
+        config: AgsConfig,
+        slack: usize,
+        fc: FcStage,
+        track: TrackStage,
+        map: MapStage,
+        shared: SharedCloud,
+    ) -> Self {
+        Self {
+            fc: FcFrontEnd::new(&config, fc),
+            track,
+            map: MapBackEnd::new(&config, slack, map, shared),
+            slack,
+            shed: ShedLevel::Full,
+            latest: CloudSnapshot::empty(),
+            retained: SnapshotWindow::new(slack),
+            ahead: VecDeque::new(),
+            awaiting: VecDeque::new(),
+            completed: VecDeque::new(),
+            trajectory: Vec::new(),
+            frame_count: 0,
+            trace: WorkloadTrace::default(),
+            config,
+        }
+    }
+
+    /// Rebuilds a driver from a [`StreamState`] captured by
+    /// [`checkpoint`](Self::checkpoint). The restored driver continues the
+    /// stream bit-identically to one that was never interrupted — in any
+    /// pipeline mode and at any worker count, as long as `config` matches
+    /// the checkpointing run's. The checkpoint's slack wins over the
+    /// config's.
+    ///
+    /// # Panics
+    ///
+    /// When `state.window` does not hold the contractual epoch
+    /// `frame_count − slack` (`decode_aux` rejects such states).
+    pub fn restore(config: AgsConfig, state: StreamState) -> Self {
+        let config = config.resolve();
+        let slack = state.slack;
+        let (retained, latest, ahead) = split_at_contract(state.window, state.frame_count, slack)
+            .expect("checkpoint window covers the contractual epoch");
+        let head = ahead.back().unwrap_or(&latest);
+        let publishes = map_publishes(&config, slack);
+        // A publishing map resumes from the checkpoint head: its next publish
+        // is head + 1, contiguous with `ahead`. One that never publishes
+        // stays at epoch 0 (see `MapStage::process`).
+        let shared =
+            SharedCloud::from_parts(head.cloud_arc(), if publishes { head.epoch() } else { 0 });
+        let fc = FcStage::from_state(&config, state.fc);
+        let mut track = TrackStage::new(&config);
+        track.restore_state(&state.track);
+        let map = MapStage::from_state(&config, state.map);
+        let mut slam = Self::with_stages(config, slack, fc, track, map, shared);
+        if publishes {
+            (slam.retained, slam.latest, slam.ahead) = (retained, latest, ahead);
+        }
+        slam.trajectory = state.trajectory;
+        slam.frame_count = state.frame_count;
+        slam.trace = state.trace;
+        slam
+    }
+
+    /// Quiesces the pipeline and captures a restorable [`StreamState`].
+    ///
+    /// Equivalent to [`finish`](Self::finish) — the drained records are
+    /// returned — followed by a state capture; worker threads are stopped to
+    /// read their stage state and respawned around the same stages, so the
+    /// stream keeps accepting frames afterwards. Not a hot-path operation:
+    /// call it at checkpoint cadence, not per frame.
+    pub fn checkpoint(&mut self) -> (Vec<AgsFrameRecord>, StreamState) {
+        let records = self.finish();
+        let window = if self.map.publishes() {
+            while !self.ahead.is_empty() {
+                self.pump_one();
+            }
+            let window: Vec<_> = self.retained.snapshots().cloned().collect();
+            // Continue from exactly the state a restore of this checkpoint
+            // builds, so checkpointing in place is invisible to the stream.
+            (self.retained, self.latest, self.ahead) =
+                split_at_contract(window.clone(), self.frame_count, self.slack)
+                    .expect("the retained window covers the contractual epoch");
+            window
+        } else {
+            // A never-published live map is stamped with its frame count so
+            // the epoch-delta log has a monotonic id.
+            let live = self.map.live().expect("only inline maps skip publishing");
+            vec![live.snapshot_at(self.frame_count as u64)]
+        };
+        let state = StreamState {
+            frame_count: self.frame_count,
+            trajectory: self.trajectory.clone(),
+            trace: self.trace.clone(),
+            fc: self.fc.export_state(&self.config),
+            track: self.track.export_state(),
+            map: self.map.export_state(&self.config),
+            slack: self.slack,
+            window,
+        };
+        (records, state)
+    }
+
+    /// Sets the load-shedding level applied to frames pushed from now on.
+    ///
+    /// Shedding is a *dynamic* overlay on the configured pipeline mode — no
+    /// threads are stopped or respawned, so escalating and decaying are both
+    /// cheap and cannot disturb in-flight frames. [`ShedLevel::ForceSerial`]
+    /// collapses the effective snapshot slack to 0 (serial read-after-map
+    /// semantics); [`ShedLevel::DropNonKey`] additionally sheds non-key
+    /// frames — their pose repeats the last estimate and the map consumes an
+    /// unchanged epoch, keeping the frame↔epoch contract intact.
+    /// [`ShedLevel::RejectAdmission`] is enforced by the caller (the server
+    /// rejects pushes before they reach the driver); inside the driver it
+    /// behaves like `DropNonKey`.
+    ///
+    /// The level is stamped into every frame's
+    /// [`TraceFrame::shed_level`], so a shed schedule is part of the
+    /// canonical trace and must replay bit-identically.
+    pub fn set_shed_level(&mut self, level: ShedLevel) {
+        self.shed = level;
     }
 
     /// The configuration in use.
     pub fn config(&self) -> &AgsConfig {
-        self.body.config()
+        &self.config
     }
 
-    /// The current Gaussian map.
+    /// The current Gaussian map: the live map when mapping runs inline, the
+    /// newest published snapshot when it runs on a worker — the final map
+    /// once [`finish`](Self::finish) has run.
     pub fn cloud(&self) -> &GaussianCloud {
-        self.body.cloud()
+        match self.map.live() {
+            Some(shared) => shared.read(),
+            None => self.ahead.back().unwrap_or(&self.latest).cloud(),
+        }
     }
 
-    /// Estimated trajectory so far.
+    /// Estimated trajectory of all *tracked* frames.
     pub fn trajectory(&self) -> &[Se3] {
-        self.body.trajectory()
+        &self.trajectory
     }
 
-    /// The workload trace accumulated so far.
+    /// The workload trace of all completed frames.
     pub fn trace(&self) -> &WorkloadTrace {
-        self.body.trace()
+        &self.trace
     }
 
-    /// Consumes the system, returning the trace.
-    pub fn into_trace(self) -> WorkloadTrace {
-        self.body.into_trace()
+    /// Takes the accumulated trace out of the driver, leaving an empty one.
+    /// Call [`finish`](Self::finish) first so all pushed frames are in it.
+    pub fn take_trace(&mut self) -> WorkloadTrace {
+        std::mem::take(&mut self.trace)
     }
 
-    /// Processes the next RGB-D frame.
-    pub fn process_frame(
+    /// Frames pushed but not yet tracked.
+    pub fn pending_frames(&self) -> usize {
+        self.fc.pending()
+    }
+
+    /// Submits the next RGB-D frame.
+    ///
+    /// Serial mode at zero slack returns the frame's record immediately;
+    /// otherwise this returns the oldest newly completed record — or `None`
+    /// while the pipeline is still filling.
+    pub fn push_frame(
+        &mut self,
+        camera: &PinholeCamera,
+        rgb: Arc<RgbImage>,
+        depth: Arc<DepthImage>,
+    ) -> Option<AgsFrameRecord> {
+        let decided = self.fc.push(Frame { camera: *camera, rgb, depth })?;
+        self.advance(decided)
+    }
+
+    /// Convenience wrapper for borrowed images (pays one copy per frame to
+    /// share them with the stages; prefer [`push_frame`](Self::push_frame)
+    /// with pre-shared frames on the hot path).
+    pub fn push_frame_cloned(
         &mut self,
         camera: &PinholeCamera,
         rgb: &RgbImage,
         depth: &DepthImage,
-    ) -> AgsFrameRecord {
-        let fc_start = Instant::now();
-        let decision = self.fc.process(rgb);
-        let fc_s = fc_start.elapsed().as_secs_f64();
-        self.body.advance(camera, FrameImages::Borrowed { rgb, depth }, decision, fc_s, 0.0)
+    ) -> Option<AgsFrameRecord> {
+        self.push_frame(camera, Arc::new(rgb.clone()), Arc::new(depth.clone()))
+    }
+
+    /// Drains the pipeline after the last [`push_frame`](Self::push_frame),
+    /// returning the remaining records in stream order. Tracking's place on
+    /// the staleness schedule is untouched, so pushing on afterwards is
+    /// still bit-identical to never having drained.
+    pub fn finish(&mut self) -> Vec<AgsFrameRecord> {
+        let mut records = Vec::new();
+        while let Some(decided) = self.fc.pop() {
+            records.extend(self.advance(decided));
+        }
+        while !self.awaiting.is_empty() {
+            let done = self.map.recv();
+            self.complete(done);
+        }
+        records.extend(self.completed.drain(..));
+        records
+    }
+
+    /// Tracks one frame against its contractual snapshot epoch and maps it
+    /// (inline, or by submitting the job to the map worker); returns the
+    /// oldest completed record, if any.
+    fn advance(&mut self, decided: Decided) -> Option<AgsFrameRecord> {
+        let Decided { frame, decision, fc_s, wait_s } = decided;
+        if self.trace.frames.is_empty() {
+            self.trace.width = frame.camera.width;
+            self.trace.height = frame.camera.height;
+        }
+        let frame_index = self.frame_count;
+        self.frame_count += 1;
+
+        // The staleness contract: frame N reads epoch max(0, N − slack) —
+        // the map published after Map(N − slack − 1). Drain exactly up to it,
+        // blocking if mapping is behind (backpressure), ignoring fresher
+        // epochs if it is ahead. `ForceSerial` shedding collapses the slack
+        // to 0 (read-after-map). Dropped frames drain too, so the bounded
+        // channels never fill during a long shed episode.
+        let publishes = self.map.publishes();
+        let mut stall_s = wait_s;
+        if publishes {
+            let slack = if self.shed >= ShedLevel::ForceSerial { 0 } else { self.slack };
+            let needed = frame_index.saturating_sub(slack) as u64;
+            let start = Instant::now();
+            while self.latest.epoch() < needed {
+                self.pump_one();
+            }
+            stall_s += start.elapsed().as_secs_f64();
+        }
+
+        let mut record = begin_trace_frame(frame_index, &decision);
+        record.shed_level = self.shed as u8;
+        let dropped = self.shed >= ShedLevel::DropNonKey && !decision.is_keyframe;
+        let (pose, track_s) = if dropped {
+            // Shed: no tracking, no map integration. The pose repeats the
+            // last estimate and the map still consumes the frame's epoch, so
+            // the one-epoch-per-frame contract holds. Frame 0 is always a key
+            // frame, so a previous pose exists.
+            record.dropped = true;
+            (self.trajectory.last().copied().unwrap_or(Se3::IDENTITY), 0.0)
+        } else {
+            let start = Instant::now();
+            // A map that never publishes is peeked at live; the handle is
+            // dropped before mapping mutates, so copy-on-write never copies.
+            let snapshot = if publishes {
+                self.latest.clone()
+            } else {
+                self.map.live().expect("only inline maps skip publishing").peek()
+            };
+            let tracked = self.track.process(&frame.input(frame_index), &decision, &snapshot);
+            drop(snapshot);
+            apply_track_output(&mut record, &tracked);
+            (tracked.pose, start.elapsed().as_secs_f64())
+        };
+        self.trajectory.push(pose);
+        record.stage_times = StageTimes { fc_s, track_s, map_s: 0.0, stall_s };
+        self.awaiting.push_back(AgsFrameRecord {
+            trace: record,
+            estimated_pose: pose,
+            skipped_gaussians: 0,
+        });
+        let job = MapJob { frame_index, frame, decision, pose, dropped };
+        if let Some(done) = self.map.submit(job) {
+            self.complete(done);
+        }
+        self.completed.pop_front()
+    }
+
+    /// Completes the oldest awaiting record with its map result, queueing the
+    /// epoch it published.
+    fn complete(&mut self, done: MapDone) {
+        let mut record = self.awaiting.pop_front().expect("one awaiting record per map job");
+        record.skipped_gaussians = done.mapped.skipped_gaussians;
+        record.trace.stage_times.map_s = done.map_s;
+        apply_map_output(&mut record.trace, done.mapped, done.num_gaussians);
+        self.trace.frames.push(record.trace.clone());
+        self.completed.push_back(record);
+        self.ahead.extend(done.snapshot);
+    }
+
+    /// Advances `latest` by exactly one epoch, receiving the map worker's
+    /// next result when no published epoch is at hand.
+    fn pump_one(&mut self) {
+        if self.ahead.is_empty() {
+            let done = self.map.recv();
+            self.complete(done);
+        }
+        let snapshot = self.ahead.pop_front().expect("a publishing map yields one epoch per job");
+        debug_assert_eq!(snapshot.epoch(), self.latest.epoch() + 1, "epochs arrive in order");
+        self.retained.push(snapshot.clone());
+        self.latest = snapshot;
     }
 }
 
@@ -357,8 +479,9 @@ mod tests {
         data.truncate(frames);
         let mut slam = AgsSlam::new(config);
         for frame in &data.frames {
-            slam.process_frame(&data.camera, &frame.rgb, &frame.depth);
+            slam.push_frame_cloned(&data.camera, &frame.rgb, &frame.depth);
         }
+        slam.finish();
         (slam, data)
     }
 
@@ -492,6 +615,39 @@ mod tests {
         assert_eq!(slam.trace().frames.len(), 4);
         for f in &slam.trace().frames {
             assert!(f.stage_times.map_s > 0.0, "frame {} map time", f.frame_index);
+        }
+    }
+
+    #[test]
+    fn zero_slack_inline_map_never_publishes_or_copies() {
+        // Serial and Overlapped at zero slack track against the live map: it
+        // stays at epoch 0 and its slab is mutated in place on every frame —
+        // a copy-on-write copy would put the map behind a new allocation.
+        use crate::config::PipelineConfig;
+        let data = {
+            let dconfig =
+                DatasetConfig { width: 48, height: 36, num_frames: 24, ..DatasetConfig::tiny() };
+            let mut data = Dataset::generate(SceneId::Xyz, &dconfig);
+            data.truncate(6);
+            data
+        };
+        for pipeline in [PipelineConfig::default(), PipelineConfig::overlapped(1)] {
+            let mut slam = AgsSlam::new(AgsConfig { pipeline, ..AgsConfig::tiny() });
+            let slab = |slam: &AgsSlam| {
+                let live = slam.map.live().expect("inline map");
+                assert_eq!(live.epoch(), 0, "{pipeline:?}: the map never publishes");
+                Arc::as_ptr(&live.peek().cloud_arc())
+            };
+            let first = slab(&slam);
+            for frame in &data.frames {
+                slam.push_frame_cloned(&data.camera, &frame.rgb, &frame.depth);
+                assert_eq!(slab(&slam), first, "{pipeline:?}: no copy-on-write copy");
+            }
+            slam.finish();
+            assert_eq!(slab(&slam), first);
+            assert_eq!(slam.latest.epoch(), 0, "{pipeline:?}: tracking never drains");
+            assert!(slam.ahead.is_empty() && slam.retained.snapshots().count() == 1);
+            assert_eq!(slam.trace().frames.len(), data.frames.len());
         }
     }
 }

@@ -1,10 +1,10 @@
-//! Multi-stream SLAM server: `S × PipelinedAgsSlam` on one shared
+//! Multi-stream SLAM server: `S × AgsSlam` on one shared
 //! [`WorkerPool`].
 //!
 //! The paper's end-game is serving many concurrent capture streams per
 //! host — CODEC-assisted FC detection exists to free CPU budget so more
 //! SLAM instances fit per machine. [`MultiStreamServer`] is that driver:
-//! it owns one [`PipelinedAgsSlam`] per stream, all constructed over a
+//! it owns one [`AgsSlam`] per stream, all constructed over a
 //! **single** worker pool (one `Parallelism::with_pool` handle, tagged per
 //! stream), so `S` streams × up to three stage threads each (FC / track /
 //! map) never oversubscribe the machine with competing kernel thread sets.
@@ -36,7 +36,7 @@
 //! # Lifecycle & overload control
 //!
 //! Streams are not fixed at construction: [`attach_stream`] adds a slot at
-//! runtime (its `PipelinedAgsSlam` spawns lazily on the first frame) and
+//! runtime (its `AgsSlam` spawns lazily on the first frame) and
 //! [`detach_stream`] drains it, optionally commits a final checkpoint, and
 //! retires its fairness lane in the shared pool — lanes are reclaimed, not
 //! leaked, so attach/detach churn is unbounded. A per-stream QoS
@@ -56,8 +56,7 @@
 
 use crate::checkpoint::{decode_aux, encode_aux};
 use crate::config::{AgsConfig, CheckpointPolicy, PipelineConfig, QosConfig, ShedLevel};
-use crate::pipeline::AgsFrameRecord;
-use crate::pipelined::PipelinedAgsSlam;
+use crate::pipeline::{AgsFrameRecord, AgsSlam};
 use crate::trace::{StageTimes, WorkloadTrace};
 use ags_image::{DepthImage, RgbImage};
 use ags_math::{Parallelism, WorkerPool};
@@ -385,7 +384,7 @@ struct StreamSlot {
     policy: StreamPolicy,
     /// `None` before the first frame of a lazily attached stream, and after
     /// a detach.
-    slam: Option<PipelinedAgsSlam>,
+    slam: Option<AgsSlam>,
     poisoned: bool,
     /// The panic payload message stashed when the stream poisoned, replayed
     /// into every subsequent [`StreamError::Poisoned`].
@@ -416,7 +415,7 @@ struct StreamSlot {
 
 impl StreamSlot {
     fn new(cfg: AgsConfig, policy: StreamPolicy, eager: bool) -> Self {
-        let slam = eager.then(|| PipelinedAgsSlam::new(cfg.clone()));
+        let slam = eager.then(|| AgsSlam::new(cfg.clone()));
         Self {
             cfg,
             slam,
@@ -447,8 +446,8 @@ impl StreamSlot {
 
     /// The slot's SLAM instance, spawned on first use for lazily attached
     /// streams.
-    fn slam_mut(&mut self) -> &mut PipelinedAgsSlam {
-        self.slam.get_or_insert_with(|| PipelinedAgsSlam::new(self.cfg.clone()))
+    fn slam_mut(&mut self) -> &mut AgsSlam {
+        self.slam.get_or_insert_with(|| AgsSlam::new(self.cfg.clone()))
     }
 
     /// Absorbs one completed record in stream order: feeds the QoS
@@ -653,7 +652,7 @@ fn stream_config(
 
 impl MultiStreamServer {
     /// Builds the server: spawns the shared pool and one
-    /// [`PipelinedAgsSlam`] per stream, each with the pool handle and its
+    /// [`AgsSlam`] per stream, each with the pool handle and its
     /// stream tag installed into every stage's `Parallelism` knob.
     pub fn new(config: ServerConfig) -> Self {
         let workers = config
@@ -671,7 +670,7 @@ impl MultiStreamServer {
     }
 
     /// Attaches a new stream at runtime and returns its id. The slot is
-    /// registered immediately, but its [`PipelinedAgsSlam`] (and stage
+    /// registered immediately, but its [`AgsSlam`] (and stage
     /// threads) spawn lazily on the first frame — attaching is cheap and
     /// an attached-but-idle stream costs nothing.
     ///
@@ -751,7 +750,7 @@ impl MultiStreamServer {
     }
 
     /// Submits the next RGB-D frame of stream `stream`. Semantics per
-    /// stream match [`PipelinedAgsSlam::push_frame`]: serial-mode streams
+    /// stream match [`AgsSlam::push_frame`]: serial-mode streams
     /// return their record immediately, overlapped streams stream records
     /// once their pipeline has filled.
     ///
@@ -826,7 +825,7 @@ impl MultiStreamServer {
     /// trace). `None` for out-of-range indices, detached streams and
     /// lazily attached streams that have not seen a frame; poisoned streams
     /// are readable (their state is whatever completed before the panic).
-    pub fn stream(&self, stream: usize) -> Option<&PipelinedAgsSlam> {
+    pub fn stream(&self, stream: usize) -> Option<&AgsSlam> {
         self.streams.get(stream).and_then(|s| s.slam.as_ref())
     }
 
@@ -944,7 +943,7 @@ impl MultiStreamServer {
         let qos = Self::rebuild_qos(slot.policy.qos, &state.trace);
         // The slot's stored config already carries the shared pool handle
         // and stream tag; `restore` re-resolves it, which is idempotent.
-        let mut slam = PipelinedAgsSlam::restore(slot.cfg.clone(), state);
+        let mut slam = AgsSlam::restore(slot.cfg.clone(), state);
         slam.set_shed_level(qos.level());
         slot.slam = Some(slam);
         slot.qos = qos;

@@ -5,18 +5,17 @@
 //!   reference marking. Consumes **only** the RGB stream and its own
 //!   key-frame decisions — never poses or the map — so it can legally run
 //!   ahead of the SLAM stages on another thread with bit-identical results
-//!   (the property [`crate::pipelined::PipelinedAgsSlam`] exploits).
+//!   (the property the FC worker of [`crate::pipelined`] exploits).
 //! * [`TrackStage`] — movement-adaptive tracking: coarse Droid-style
 //!   estimate on every frame, conditional 3DGS refinement below `ThreshT`.
 //! * [`MapStage`] — Gaussian contribution-aware mapping: densification,
 //!   selective mapping with the skip set, contribution recording, the
 //!   optional FP audit and key-frame storage.
 //!
-//! The two drivers ([`crate::pipeline::AgsSlam`] — serial — and
-//! [`crate::pipelined::PipelinedAgsSlam`] — FC and optionally mapping on
-//! worker threads) are thin compositions of these stages; for the same
-//! frame stream and pipeline mode both produce identical traces,
-//! trajectories and maps. Tracking reads the map only through epoch-tagged
+//! The one driver, [`crate::pipeline::AgsSlam`], composes these stages with
+//! FC and mapping inline or on worker threads; at equal map slack every
+//! placement produces identical traces, trajectories and maps. Tracking
+//! reads the map only through epoch-tagged
 //! [`CloudSnapshot`]s and mapping mutates it only through the
 //! copy-on-write [`SharedCloud`], which is what makes the Track ‖ Map
 //! overlap legal.
@@ -43,18 +42,13 @@ use ags_track::coarse::{CoarseTracker, CoarseTrackerState};
 use ags_track::fine::{GsPoseRefiner, RefineConfig};
 use std::sync::Arc;
 
-/// Frame images as either plain borrows (serial driver, no extra copies) or
-/// shared `Arc` handles (pipelined driver, which must hand the RGB plane to
-/// the FC worker thread while the SLAM stages keep using it).
+/// A frame's images as reference-counted handles, shared with the worker
+/// threads and stored key frames without copying pixels.
+///
+/// One variant: `benchmark/src/sut.rs` names `FrameImages::Shared`, so the
+/// enum stays until the next `benchmark` PR (see ROADMAP item 4's table).
 #[derive(Debug, Clone, Copy)]
 pub enum FrameImages<'a> {
-    /// Borrowed images owned by the caller.
-    Borrowed {
-        /// Color image.
-        rgb: &'a RgbImage,
-        /// Depth image.
-        depth: &'a DepthImage,
-    },
     /// Reference-counted images shared across threads.
     Shared {
         /// Color image.
@@ -67,31 +61,20 @@ pub enum FrameImages<'a> {
 impl<'a> FrameImages<'a> {
     /// The color image.
     pub fn rgb(&self) -> &'a RgbImage {
-        match *self {
-            FrameImages::Borrowed { rgb, .. } => rgb,
-            FrameImages::Shared { rgb, .. } => rgb.as_ref(),
-        }
+        let FrameImages::Shared { rgb, .. } = *self;
+        rgb
     }
 
     /// The depth image.
     pub fn depth(&self) -> &'a DepthImage {
-        match *self {
-            FrameImages::Borrowed { depth, .. } => depth,
-            FrameImages::Shared { depth, .. } => depth.as_ref(),
-        }
+        let FrameImages::Shared { depth, .. } = *self;
+        depth
     }
 
-    /// `Arc` handles for long-term storage (key frames). Borrowed images
-    /// are deep-copied exactly once here — the same cost the pre-stage-graph
-    /// pipeline paid when storing a key frame — while shared images only
-    /// bump their reference counts.
+    /// `Arc` handles for long-term storage (key frames): refcount bumps.
     pub fn to_shared(&self) -> (Arc<RgbImage>, Arc<DepthImage>) {
-        match self {
-            FrameImages::Borrowed { rgb, depth } => {
-                (Arc::new((*rgb).clone()), Arc::new((*depth).clone()))
-            }
-            FrameImages::Shared { rgb, depth } => (Arc::clone(rgb), Arc::clone(depth)),
-        }
+        let FrameImages::Shared { rgb, depth } = *self;
+        (Arc::clone(rgb), Arc::clone(depth))
     }
 }
 
@@ -190,10 +173,9 @@ impl TrackStage {
 
     /// Estimates the frame's pose against an epoch-tagged snapshot of the
     /// map. Which epoch the caller hands in is the pipeline's staleness
-    /// contract: the serial driver passes the live map (zero slack) or the
-    /// deferred window's stale epoch; the Track ‖ Map driver passes the
-    /// snapshot published by Map(N − `map_slack`) — never the live cloud the
-    /// map worker is mutating.
+    /// contract: the live map of a zero-slack inline map, else the snapshot
+    /// published by Map(N − `map_slack`) — never a live cloud a map worker
+    /// is mutating.
     pub fn process(
         &mut self,
         input: &FrameInput<'_>,
@@ -938,10 +920,11 @@ mod tests {
         let mut shared = SharedCloud::new();
         for (i, frame) in data.frames.iter().enumerate() {
             let decision = fc.process(&frame.rgb);
+            let (rgb, depth) = (Arc::new(frame.rgb.clone()), Arc::new(frame.depth.clone()));
             let input = FrameInput {
                 frame_index: i,
                 camera: &data.camera,
-                images: FrameImages::Borrowed { rgb: &frame.rgb, depth: &frame.depth },
+                images: FrameImages::Shared { rgb: &rgb, depth: &depth },
             };
             let snapshot = shared.peek();
             let tracked = track.process(&input, &decision, &snapshot);

@@ -10,10 +10,13 @@
 //! recovery path must also revive a panic-poisoned stream without
 //! disturbing its neighbours.
 
-use ags_core::{AgsConfig, MultiStreamServer, ServerConfig, StreamError, StreamPolicy};
+use ags_core::{
+    decode_aux, encode_aux, AgsConfig, MultiStreamServer, ServerConfig, StreamError, StreamPolicy,
+};
 use ags_scene::dataset::{Dataset, DatasetConfig, SceneId};
 use ags_store::{
-    CheckpointConfig, FaultPlan, FaultStore, FileStore, MapStore, MemoryStore, StoreError,
+    CheckpointConfig, EpochStore, FaultPlan, FaultStore, FileStore, MapStore, MemoryStore,
+    StoreError,
 };
 use std::sync::Arc;
 
@@ -351,6 +354,46 @@ fn checkpoint_and_restore_without_a_store_are_storage_errors() {
     }
     assert!(matches!(server.restore_stream(0), Err(StreamError::Storage { .. })));
     assert!(matches!(server.restore_stream(7), Err(StreamError::UnknownStream(7))));
+}
+
+#[test]
+fn inconsistent_checkpoint_is_a_storage_error_not_a_panic() {
+    // A CRC-valid generation no driver could have written: a slack-1 stream
+    // checkpoints at frame 5 with window [4, 5], then the same generation is
+    // re-committed with its aux state at slack 3 (contract epoch 2, outside
+    // the window) or at usize::MAX. Restoring must reject it as corrupt and
+    // leave the slot untouched, not panic the server.
+    let frames = 5;
+    let data = dataset(SceneId::Xyz, frames);
+    let policy = StreamPolicy::map_overlapped(1, 1);
+    for forged_slack in [3, usize::MAX] {
+        let backing = MemoryStore::new();
+        let mut server = MultiStreamServer::new(server_config(policy, 1));
+        server.attach_store(0, Box::new(backing.clone()), fast_store_config()).unwrap();
+        for f in 0..frames {
+            push(&mut server, 0, &data, f);
+        }
+        server.checkpoint_stream(0).expect("checkpoint commits");
+        drop(server);
+
+        let mut log = EpochStore::open(Box::new(backing.clone()), "s0", fast_store_config())
+            .expect("open the stream's log");
+        let restored = log.restore_latest().unwrap().expect("the committed generation");
+        let mut state = decode_aux(&restored.aux, restored.window).expect("a valid checkpoint");
+        assert_eq!(state.window.iter().map(|s| s.epoch()).collect::<Vec<_>>(), [4, 5]);
+        state.slack = forged_slack;
+        log.commit(&state.window, &encode_aux(&state)).expect("re-commit");
+
+        let mut fresh = MultiStreamServer::new(server_config(policy, 1));
+        fresh.attach_store(0, Box::new(backing), fast_store_config()).unwrap();
+        match fresh.restore_stream(0) {
+            Err(StreamError::Storage { stream: 0, source: StoreError::Corrupt(_) }) => {}
+            other => panic!("slack {forged_slack}: expected a corrupt checkpoint, got {other:?}"),
+        }
+        assert!(!fresh.is_poisoned(0));
+        assert!(fresh.stream(0).unwrap().trajectory().is_empty(), "the slot is untouched");
+        push(&mut fresh, 0, &data, 0);
+    }
 }
 
 #[test]

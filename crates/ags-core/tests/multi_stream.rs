@@ -3,12 +3,14 @@
 //! The contract: `S` streams driven through one [`MultiStreamServer`] —
 //! sharing a single stream-tagged worker pool — produce, per stream,
 //! **bit-identical** trajectories, final Gaussian clouds and canonical
-//! traces to running that stream alone under the same pipeline mode
-//! (`AgsSlam` is the solo serial reference, including the deferred-map
-//! semantics of `MapOverlapped`). Sharing the executor is pure scheduling;
-//! it must never leak between streams.
+//! traces to running that stream alone (`AgsSlam` in `Serial` mode at the
+//! stream's map slack is the solo reference — for a `MapOverlapped` stream
+//! that is the deferred-map reference). Sharing the executor is pure
+//! scheduling; it must never leak between streams.
 
-use ags_core::{AgsConfig, AgsSlam, MultiStreamServer, ServerConfig, StreamError, StreamPolicy};
+use ags_core::{
+    AgsConfig, AgsSlam, MultiStreamServer, PipelineConfig, ServerConfig, StreamError, StreamPolicy,
+};
 use ags_scene::dataset::{Dataset, DatasetConfig, SceneId};
 use std::sync::Arc;
 
@@ -45,16 +47,15 @@ fn pooled_base() -> AgsConfig {
     base
 }
 
-/// The solo serial reference for one stream: `AgsSlam` under the stream's
-/// pipeline mode (for `MapOverlapped` that is the deferred-map reference),
-/// serial kernels.
+/// The solo serial reference for one stream: `AgsSlam` with every stage
+/// inline at the stream's map slack, serial kernels.
 fn solo_reference(policy: StreamPolicy, data: &Dataset) -> StreamResult {
     let mut config = AgsConfig::tiny();
-    config.pipeline = policy.pipeline;
+    config.pipeline = PipelineConfig { map_slack: policy.pipeline.map_slack, ..Default::default() };
     config.parallelism = ags_math::Parallelism::serial();
     let mut slam = AgsSlam::new(config);
     for frame in &data.frames {
-        slam.process_frame(&data.camera, &frame.rgb, &frame.depth);
+        slam.push_frame_cloned(&data.camera, &frame.rgb, &frame.depth);
     }
     (slam.trajectory().to_vec(), slam.cloud().gaussians().to_vec(), slam.trace().canonical_bytes())
 }

@@ -1,10 +1,11 @@
-//! Determinism of the pipelined driver: `PipelinedAgsSlam` in `Overlapped`
-//! mode must produce **byte-identical** traces (canonical encoding),
-//! trajectories and final Gaussian clouds to the serial `AgsSlam` driver —
-//! the FC stage only moves off the critical path, it never changes results.
+//! Determinism of the one driver across stage placements: `AgsSlam` with FC
+//! on a worker (`Overlapped`) and with mapping on a worker too
+//! (`MapOverlapped`) must produce **byte-identical** traces (canonical
+//! encoding), trajectories and final Gaussian clouds to `Serial` at the same
+//! map slack — moving a stage off the critical path never changes results.
 
 use ags_core::config::PipelineConfig;
-use ags_core::{AgsConfig, AgsSlam, PipelinedAgsSlam};
+use ags_core::{AgsConfig, AgsSlam, PipelineMode};
 use ags_scene::dataset::{Dataset, DatasetConfig, SceneId};
 use std::sync::Arc;
 
@@ -16,17 +17,12 @@ fn dataset(scene: SceneId, frames: usize) -> Dataset {
     data
 }
 
-fn run_serial(config: AgsConfig, data: &Dataset) -> AgsSlam {
+/// Streams `data` through the driver under `mode` — keeping the config's
+/// map slack — and drains it.
+fn run(mut config: AgsConfig, mode: PipelineMode, depth: usize, data: &Dataset) -> AgsSlam {
+    config.pipeline.mode = mode;
+    config.pipeline.depth = depth;
     let mut slam = AgsSlam::new(config);
-    for frame in &data.frames {
-        slam.process_frame(&data.camera, &frame.rgb, &frame.depth);
-    }
-    slam
-}
-
-fn run_overlapped(mut config: AgsConfig, data: &Dataset, depth: usize) -> PipelinedAgsSlam {
-    config.pipeline = PipelineConfig { depth, ..PipelineConfig::overlapped(depth) };
-    let mut slam = PipelinedAgsSlam::new(config);
     // Pre-share the images once, as a zero-copy producer would.
     let shared: Vec<_> =
         data.frames.iter().map(|f| (Arc::new(f.rgb.clone()), Arc::new(f.depth.clone()))).collect();
@@ -37,16 +33,30 @@ fn run_overlapped(mut config: AgsConfig, data: &Dataset, depth: usize) -> Pipeli
     slam
 }
 
-fn assert_bit_identical(serial: &AgsSlam, overlapped: &PipelinedAgsSlam, label: &str) {
-    assert_eq!(serial.trajectory(), overlapped.trajectory(), "{label}: trajectory");
+/// The reference: every stage inline, at the config's map slack (for a
+/// `MapOverlapped` config that is the deferred-map reference).
+fn run_serial(config: AgsConfig, data: &Dataset) -> AgsSlam {
+    run(config, PipelineMode::Serial, 1, data)
+}
+
+fn run_overlapped(config: AgsConfig, data: &Dataset, depth: usize) -> AgsSlam {
+    run(config, PipelineMode::Overlapped, depth, data)
+}
+
+fn run_map_overlapped(config: AgsConfig, data: &Dataset, depth: usize) -> AgsSlam {
+    run(config, PipelineMode::MapOverlapped, depth, data)
+}
+
+fn assert_bit_identical(reference: &AgsSlam, subject: &AgsSlam, label: &str) {
+    assert_eq!(reference.trajectory(), subject.trajectory(), "{label}: trajectory");
     assert_eq!(
-        serial.cloud().gaussians(),
-        overlapped.cloud().gaussians(),
+        reference.cloud().gaussians(),
+        subject.cloud().gaussians(),
         "{label}: final Gaussian cloud"
     );
     assert_eq!(
-        serial.trace().canonical_bytes(),
-        overlapped.trace().canonical_bytes(),
+        reference.trace().canonical_bytes(),
+        subject.trace().canonical_bytes(),
         "{label}: canonical trace bytes"
     );
 }
@@ -66,7 +76,7 @@ fn overlapped_is_bit_identical_to_serial_across_scenes() {
 #[test]
 fn overlapped_matches_serial_with_audit_and_tile_work() {
     // Exercise the optional trace payloads (FP audit renders, sampled tile
-    // work) through both drivers.
+    // work) through both placements.
     let mut config = AgsConfig::tiny();
     config.audit_false_positives = true;
     config.slam.tile_work_interval = 2;
@@ -96,7 +106,7 @@ fn depth_one_with_slow_map_stage_stays_correct_under_backpressure() {
 fn batched_window_fc_is_bit_identical_across_drivers_and_thread_counts() {
     // The batched mapping-FC path: the codec retains an 8-keyframe window,
     // estimates it as one batch per frame, and mapping selects its window by
-    // covisibility. Serial driver ≡ overlapped driver ≡ any worker count —
+    // covisibility. Serial ≡ overlapped ≡ any worker count —
     // the full serial ≡ overlapped ≡ batched chain.
     use ags_math::Parallelism;
     let mut config = AgsConfig::tiny();
@@ -156,39 +166,11 @@ fn covis_window_changes_selection_but_not_decisions() {
 }
 
 // ---------------------------------------------------------------------------
-// Track ‖ Map overlap (PipelineMode::MapOverlapped): the threaded driver must
-// be bit-identical to the serial *deferred-map* reference — AgsSlam under the
-// same mode, where tracking reads the snapshot window's slack-stale epoch —
-// independent of worker counts, FC lookahead depth, map slack and map-stage
-// timing.
+// Track ‖ Map overlap (PipelineMode::MapOverlapped): the threaded map must be
+// bit-identical to the serial *deferred-map* reference — `Serial` at the same
+// map slack, where tracking reads the slack-stale epoch inline — independent
+// of worker counts, FC lookahead depth, map slack and map-stage timing.
 // ---------------------------------------------------------------------------
-
-fn run_map_overlapped(mut config: AgsConfig, data: &Dataset, depth: usize) -> PipelinedAgsSlam {
-    config.pipeline.mode = ags_core::PipelineMode::MapOverlapped;
-    config.pipeline.depth = depth;
-    let mut slam = PipelinedAgsSlam::new(config);
-    let shared: Vec<_> =
-        data.frames.iter().map(|f| (Arc::new(f.rgb.clone()), Arc::new(f.depth.clone()))).collect();
-    for (rgb, depth_img) in &shared {
-        slam.push_frame(&data.camera, Arc::clone(rgb), Arc::clone(depth_img));
-    }
-    slam.finish();
-    slam
-}
-
-fn assert_matches_reference(reference: &AgsSlam, overlapped: &PipelinedAgsSlam, label: &str) {
-    assert_eq!(reference.trajectory(), overlapped.trajectory(), "{label}: trajectory");
-    assert_eq!(
-        reference.cloud().gaussians(),
-        overlapped.cloud().gaussians(),
-        "{label}: final Gaussian cloud"
-    );
-    assert_eq!(
-        reference.trace().canonical_bytes(),
-        overlapped.trace().canonical_bytes(),
-        "{label}: canonical trace bytes"
-    );
-}
 
 #[test]
 fn map_overlapped_matches_deferred_serial_across_workers_depths_and_slack() {
@@ -213,7 +195,7 @@ fn map_overlapped_matches_deferred_serial_across_workers_depths_and_slack() {
                     Parallelism::with_threads(threads).min_items(0)
                 };
                 let overlapped = run_map_overlapped(c, &data, depth);
-                assert_matches_reference(
+                assert_bit_identical(
                     &reference,
                     &overlapped,
                     &format!("slack {slack} depth {depth} workers {threads}"),
@@ -234,14 +216,14 @@ fn map_overlapped_survives_slow_map_backpressure() {
     let data = dataset(SceneId::Xyz, 6);
     let reference = run_serial(config.clone(), &data);
     let overlapped = run_map_overlapped(config, &data, 1);
-    assert_matches_reference(&reference, &overlapped, "slow map stage, slack 1, depth 1");
+    assert_bit_identical(&reference, &overlapped, "slow map stage, slack 1, depth 1");
 }
 
 #[test]
 fn map_overlapped_matches_reference_with_audit_tile_work_and_covis_window() {
     // The optional trace payloads (FP audit, sampled tile work) and the
-    // batched covisibility-window mapping path through the Track ‖ Map
-    // driver.
+    // batched covisibility-window mapping path through the threaded
+    // map.
     let mut config = AgsConfig::tiny();
     config.audit_false_positives = true;
     config.slam.tile_work_interval = 2;
@@ -252,45 +234,42 @@ fn map_overlapped_matches_reference_with_audit_tile_work_and_covis_window() {
     let data = dataset(SceneId::Desk2, 6);
     let reference = run_serial(config.clone(), &data);
     let overlapped = run_map_overlapped(config, &data, 2);
-    assert_matches_reference(&reference, &overlapped, "audit+tile-work+covis window");
+    assert_bit_identical(&reference, &overlapped, "audit+tile-work+covis window");
     assert!(reference.trace().frames.iter().any(|f| f.fp_rate.is_some()));
     assert!(reference.trace().frames.iter().any(|f| !f.tile_work.is_empty()));
 }
 
 #[test]
 fn map_slack_defers_refinement_by_exactly_slack_epochs() {
-    // White-box staleness semantics: force every frame to want refinement
-    // (thresh_t > 1). With slack s, frames 1..=s still read the initial
-    // empty snapshot — their refinement is structurally skipped — and frame
-    // s+1 is the first to refine against Map(0)'s output. The classic
-    // serial driver (slack 0) refines from frame 1 on.
+    // White-box staleness semantics, the same in every mode: force every
+    // frame to want refinement (thresh_t > 1). With slack s, frames 1..=s
+    // still read the initial empty snapshot — their refinement is
+    // structurally skipped — and frame s+1 is the first to refine against
+    // Map(0)'s output. Slack 0 refines from frame 1 on.
     let data = dataset(SceneId::Xyz, 6);
-    let refined =
-        |slam: &AgsSlam| -> Vec<bool> { slam.trace().frames.iter().map(|f| f.refined).collect() };
-    let mut classic = AgsConfig::tiny();
-    classic.thresh_t = 1.01;
-    let classic_run = run_serial(classic.clone(), &data);
-    assert!(refined(&classic_run)[1..].iter().all(|&r| r), "slack 0 refines every frame");
-    for slack in [1usize, 2] {
-        let mut config = classic.clone();
-        config.pipeline = PipelineConfig::map_overlapped(1, slack);
-        let deferred = run_serial(config.clone(), &data);
-        let flags = refined(&deferred);
-        assert!(flags[0], "frame 0 anchors the trajectory");
-        for (f, &flag) in flags.iter().enumerate().take(slack + 1).skip(1) {
-            assert!(!flag, "slack {slack}: frame {f} sees the empty epoch-0 map");
+    let mut config = AgsConfig::tiny();
+    config.thresh_t = 1.01;
+    for slack in [0usize, 1, 2] {
+        config.pipeline.map_slack = slack;
+        for mode in [PipelineMode::Serial, PipelineMode::Overlapped, PipelineMode::MapOverlapped] {
+            let slam = run(config.clone(), mode, 1, &data);
+            let flags: Vec<bool> = slam.trace().frames.iter().map(|f| f.refined).collect();
+            assert!(flags[0], "{mode:?}: frame 0 anchors the trajectory");
+            for (f, &flag) in flags.iter().enumerate().take(slack + 1).skip(1) {
+                assert!(!flag, "{mode:?} slack {slack}: frame {f} sees the empty epoch-0 map");
+            }
+            assert!(
+                flags[slack + 1..].iter().all(|&r| r),
+                "{mode:?} slack {slack}: later frames refine"
+            );
         }
-        assert!(flags[slack + 1..].iter().all(|&r| r), "slack {slack}: later frames refine");
-        // And the threaded driver implements the same contract.
-        let overlapped = run_map_overlapped(config, &data, 1);
-        assert_eq!(flags, overlapped.trace().frames.iter().map(|f| f.refined).collect::<Vec<_>>());
     }
 }
 
 // ---------------------------------------------------------------------------
 // Map compaction (contribution-driven pruning, cold-splat quantization and
 // the per-stream byte budget) runs inside the map stage, so its decisions
-// must be part of the same bit-identity contract: every driver, worker count
+// must be part of the same bit-identity contract: every placement, worker count
 // and lookahead depth sees the exact same prunes, the exact same snapped
 // parameters and the exact same byte accounting. The compaction trace fields
 // are covered by `canonical_bytes()`, so the assertions below check them for
@@ -386,7 +365,7 @@ fn compaction_map_overlapped_matches_deferred_serial() {
                 let mut c = config.clone();
                 c.parallelism = Parallelism::with_threads(threads).min_items(0);
                 let overlapped = run_map_overlapped(c, &data, depth);
-                assert_matches_reference(
+                assert_bit_identical(
                     &reference,
                     &overlapped,
                     &format!("{label} depth {depth} workers {threads}"),
@@ -422,20 +401,4 @@ fn compaction_shrinks_the_map_within_ate_tolerance() {
         compact_bytes * 10 <= full_bytes * 8,
         "steady-state map at least 20% smaller: {compact_bytes} vs {full_bytes} bytes"
     );
-}
-
-#[test]
-fn serial_pipelined_driver_matches_monolithic_driver() {
-    // PipelineMode::Serial in the pipelined driver is the degenerate stage
-    // graph — it must also reproduce the monolithic AgsSlam exactly.
-    let data = dataset(SceneId::Xyz, 5);
-    let serial = run_serial(AgsConfig::tiny(), &data);
-    let mut inline = PipelinedAgsSlam::new(AgsConfig::tiny());
-    for frame in &data.frames {
-        let record = inline.push_frame_cloned(&data.camera, &frame.rgb, &frame.depth);
-        assert!(record.is_some());
-    }
-    assert_eq!(serial.trajectory(), inline.trajectory());
-    assert_eq!(serial.trace().canonical_bytes(), inline.trace().canonical_bytes());
-    assert_eq!(serial.cloud().gaussians(), inline.cloud().gaussians());
 }

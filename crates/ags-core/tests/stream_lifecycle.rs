@@ -10,8 +10,8 @@
 //! one that never left.
 
 use ags_core::{
-    AgsConfig, AgsSlam, CheckpointPolicy, MultiStreamServer, QosConfig, ServerConfig, ShedLevel,
-    StreamError, StreamPolicy,
+    AgsConfig, AgsSlam, CheckpointPolicy, MultiStreamServer, PipelineConfig, QosConfig,
+    ServerConfig, ShedLevel, StreamError, StreamPolicy,
 };
 use ags_scene::dataset::{Dataset, DatasetConfig, SceneId};
 use ags_store::{CheckpointConfig, FaultPlan, FaultStore, MemoryStore};
@@ -58,14 +58,15 @@ fn result_of(server: &MultiStreamServer, stream: usize) -> StreamResult {
     (slam.trajectory().to_vec(), slam.cloud().gaussians().to_vec(), slam.trace().canonical_bytes())
 }
 
-/// The solo serial reference for one stream.
+/// The solo serial reference for one stream: every stage inline at the
+/// stream's map slack.
 fn solo_reference(policy: StreamPolicy, data: &Dataset) -> StreamResult {
     let mut config = AgsConfig::tiny();
-    config.pipeline = policy.pipeline;
+    config.pipeline = PipelineConfig { map_slack: policy.pipeline.map_slack, ..Default::default() };
     config.parallelism = ags_math::Parallelism::serial();
     let mut slam = AgsSlam::new(config);
     for frame in &data.frames {
-        slam.process_frame(&data.camera, &frame.rgb, &frame.depth);
+        slam.push_frame_cloned(&data.camera, &frame.rgb, &frame.depth);
     }
     (slam.trajectory().to_vec(), slam.cloud().gaussians().to_vec(), slam.trace().canonical_bytes())
 }
@@ -267,6 +268,9 @@ fn watchdog_flags_stuck_stages_without_shedding() {
     assert_eq!(stats.shed_level, ShedLevel::Full);
     let trace = server.stream(0).expect("live").trace();
     assert!(trace.frames.iter().all(|f| f.shed_level == 0 && !f.dropped));
+    // A controller that never sheds is semantically invisible: the stream
+    // is bit-identical to its solo reference, which has none.
+    assert_eq!(result_of(&server, 0), solo_reference(policy, &data));
 }
 
 #[test]

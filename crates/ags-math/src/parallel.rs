@@ -13,7 +13,7 @@
 //! Compared to the previous per-call `std::thread::scope` fork-join this
 //! removes the thread spawn/join cost from every kernel call (the dominant
 //! overhead for small SLAM frames) and lets *concurrent* pipeline stages —
-//! e.g. the FC worker and the SLAM thread of `PipelinedAgsSlam` — share one
+//! e.g. the FC worker and the SLAM thread of `AgsSlam` — share one
 //! set of OS threads instead of oversubscribing the machine: submissions
 //! from different threads queue up and drain through the same workers.
 //!

@@ -13,9 +13,9 @@
 //! epoch `e > 0` is the state after the `e`-th mapping frame. The pipeline's
 //! deterministic staleness contract — Track(N+1) reads the snapshot
 //! published by Map(N−`map_slack`) — is expressed over these ids;
-//! [`SnapshotWindow`] keeps the serial reference driver's bounded history of
-//! the last `slack + 1` published epochs so it can hand tracking exactly the
-//! epoch the overlapped driver would wait for.
+//! [`SnapshotWindow`] keeps the bounded history of the last `slack + 1`
+//! epochs a driver's tracking advanced through — the window a checkpoint
+//! captures so a restored run replays the same staleness schedule.
 
 use crate::gaussian::GaussianCloud;
 use std::collections::VecDeque;
@@ -154,7 +154,7 @@ impl Default for SharedCloud {
 }
 
 /// Bounded history of published snapshots implementing the deterministic
-/// staleness rule of the serial deferred-map reference driver.
+/// staleness rule of the deferred-map pipeline.
 ///
 /// After mapping frame `f` (publishing epoch `f + 1`) the window holds the
 /// last `slack + 1` epochs; [`SnapshotWindow::stale`] — the oldest of them —

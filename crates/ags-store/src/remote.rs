@@ -390,11 +390,20 @@ const SERVER_POLL: Duration = Duration::from_millis(20);
 /// Once a request has started arriving, how long the server waits for the
 /// rest of the frame.
 const SERVER_FRAME_TIMEOUT: Duration = Duration::from_secs(10);
+/// Connections served at once, one handler thread each. The accept loop
+/// closes a connection beyond the cap without serving it; the client sees a
+/// transport failure and its retry policy redials later.
+const MAX_CONNECTIONS: usize = 32;
+/// Pause after an accept error other than `WouldBlock` — an aborted
+/// handshake (`ECONNABORTED`) or descriptor exhaustion (`EMFILE`) — before
+/// accepting again.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(20);
 
 /// An embeddable TCP server exposing any [`MapStore`] over the blob
 /// protocol. Accepts on a background thread, one handler thread per
-/// connection; the backing store is mutex-serialized (matching the
-/// single-writer discipline of the epoch log).
+/// connection up to [`MAX_CONNECTIONS`]; the backing store is
+/// mutex-serialized (matching the single-writer discipline of the epoch
+/// log).
 pub struct StoreServer {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
@@ -420,7 +429,10 @@ impl StoreServer {
             std::thread::spawn(move || {
                 let mut handlers: Vec<JoinHandle<()>> = Vec::new();
                 while !stop.load(Ordering::Relaxed) {
+                    handlers.retain(|h| !h.is_finished());
                     match listener.accept() {
+                        // Over the cap: closed unserved.
+                        Ok((conn, _peer)) if handlers.len() >= MAX_CONNECTIONS => drop(conn),
                         Ok((conn, _peer)) => {
                             let stop = Arc::clone(&stop);
                             let ops = Arc::clone(&ops);
@@ -432,9 +444,10 @@ impl StoreServer {
                         Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                             std::thread::sleep(Duration::from_millis(2));
                         }
-                        Err(_) => break,
+                        // One failed handshake or a full descriptor table
+                        // must not end the server: back off, keep accepting.
+                        Err(_) => std::thread::sleep(ACCEPT_BACKOFF),
                     }
-                    handlers.retain(|h| !h.is_finished());
                 }
                 for handler in handlers {
                     let _ = handler.join();
@@ -684,6 +697,37 @@ mod tests {
         assert_eq!(client.counters().connects(), 1);
         server.shutdown();
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn connections_beyond_the_cap_are_closed_and_the_cap_frees_on_close() {
+        let server = StoreServer::spawn("127.0.0.1:0", Box::new(MemoryStore::new())).unwrap();
+        let dial = |attempts| {
+            let policy = RetryPolicy::new(attempts, Duration::from_millis(500), Duration::ZERO);
+            RemoteStore::connect(server.local_addr(), policy).unwrap()
+        };
+        // One round trip each: every client holds a handler before the next.
+        let mut clients: Vec<RemoteStore> = (0..MAX_CONNECTIONS).map(|_| dial(1)).collect();
+        for (i, client) in clients.iter_mut().enumerate() {
+            client.put(&format!("k{i}"), vec![i as u8]).unwrap();
+        }
+        let mut refused = dial(1);
+        let err = refused.put("over", vec![0]).unwrap_err();
+        assert!(err.is_transient(), "a connection over the cap is closed: {err:?}");
+        for (i, client) in clients.iter().enumerate() {
+            assert_eq!(client.get(&format!("k{i}")).unwrap(), Some(vec![i as u8]), "client {i}");
+        }
+        // Once the served clients hang up, their handlers end and a newcomer
+        // is served (its retries cover the handlers' exit).
+        drop(clients);
+        let mut late = RemoteStore::connect(
+            server.local_addr(),
+            RetryPolicy::new(100, Duration::from_millis(500), Duration::from_millis(5)),
+        )
+        .unwrap();
+        late.put("late", vec![1]).unwrap();
+        assert_eq!(late.get("over").unwrap(), None, "the refused put never landed");
+        server.shutdown();
     }
 
     #[test]

@@ -26,9 +26,9 @@ fn main() {
 
     let mut ags = AgsSlam::new(AgsConfig::default());
     for frame in &data.frames {
-        ags.process_frame(&data.camera, &frame.rgb, &frame.depth);
+        ags.push_frame_cloned(&data.camera, &frame.rgb, &frame.depth);
     }
-    let ags_trace = ags.into_trace();
+    let ags_trace = ags.take_trace();
 
     let gpu = GpuModel::a100();
     let gpu_base = gpu.run_trace(&base_trace).total_ms;

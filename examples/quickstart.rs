@@ -21,7 +21,9 @@ fn main() {
     // Run the AGS-accelerated SLAM system.
     let mut slam = AgsSlam::new(AgsConfig { iter_t: 4, ..AgsConfig::default() });
     for frame in &data.frames {
-        let record = slam.process_frame(&data.camera, &frame.rgb, &frame.depth);
+        let record = slam
+            .push_frame_cloned(&data.camera, &frame.rgb, &frame.depth)
+            .expect("serial mode completes every frame on push");
         let fc = record
             .trace
             .fc_prev

@@ -28,10 +28,10 @@ fn main() {
     // AGS run.
     let mut ags = AgsSlam::new(AgsConfig::default());
     for frame in &data.frames {
-        ags.process_frame(&data.camera, &frame.rgb, &frame.depth);
+        ags.push_frame_cloned(&data.camera, &frame.rgb, &frame.depth);
     }
     let ags_eval = evaluate_map(ags.cloud(), &data.camera, ags.trajectory(), &data, 4);
-    let ags_trace = ags.into_trace();
+    let ags_trace = ags.take_trace();
 
     // Model edge-device execution.
     let gpu = GpuModel::xavier();

@@ -4,7 +4,9 @@
 //! This façade crate re-exports the whole workspace. The typical entry
 //! points are:
 //!
-//! * [`core::AgsSlam`] — the AGS-accelerated SLAM system.
+//! * [`core::AgsSlam`] — the AGS-accelerated SLAM system, one driver whose
+//!   [`core::PipelineConfig`] places FC and mapping inline or on worker
+//!   threads (paper Fig. 9b) at the same results.
 //! * [`slam::BaselineSlam`] — the SplaTAM-style baseline it accelerates.
 //! * [`scene::Dataset`] — procedural RGB-D benchmark sequences.
 //! * [`sim`] — the hardware cost models turning workload traces into
@@ -17,10 +19,12 @@
 //!
 //! let config = DatasetConfig { width: 48, height: 36, num_frames: 4, ..Default::default() };
 //! let data = Dataset::generate(SceneId::Desk, &config);
-//! let mut slam = AgsSlam::new(AgsConfig::tiny());
+//! let pipeline = PipelineConfig::overlapped(1); // FC on its own thread
+//! let mut slam = AgsSlam::new(AgsConfig { pipeline, ..AgsConfig::tiny() });
 //! for frame in &data.frames {
-//!     slam.process_frame(&data.camera, &frame.rgb, &frame.depth);
+//!     slam.push_frame_cloned(&data.camera, &frame.rgb, &frame.depth);
 //! }
+//! slam.finish(); // drain the frames still in flight
 //! assert_eq!(slam.trajectory().len(), 4);
 //! ```
 
@@ -41,7 +45,7 @@ pub use ags_track as track;
 /// The most commonly used types, re-exported flat.
 pub mod prelude {
     pub use ags_codec::{CodecConfig, Covisibility, LumaPlane, MotionEstimator, VideoCodec};
-    pub use ags_core::{AgsConfig, AgsSlam, WorkloadTrace};
+    pub use ags_core::{AgsConfig, AgsSlam, PipelineConfig, PipelineMode, WorkloadTrace};
     pub use ags_image::{DepthImage, GrayImage, RgbImage};
     pub use ags_math::{Parallelism, Pcg32, Quat, Se3, Vec2, Vec3, WorkerPool};
     pub use ags_scene::dataset::{Dataset, DatasetConfig, SceneId};

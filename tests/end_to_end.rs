@@ -28,10 +28,10 @@ fn ags_pipeline_to_speedup() {
 
     let mut ags = AgsSlam::new(AgsConfig::tiny());
     for frame in &data.frames {
-        ags.process_frame(&data.camera, &frame.rgb, &frame.depth);
+        ags.push_frame_cloned(&data.camera, &frame.rgb, &frame.depth);
     }
     let ags_eval = evaluate_map(ags.cloud(), &data.camera, ags.trajectory(), &data, 2);
-    let ags_trace = ags.into_trace();
+    let ags_trace = ags.take_trace();
 
     // Quality: bounded trajectory error on this easy prefix.
     assert!(ags_eval.ate_cm < 10.0, "ATE {} cm", ags_eval.ate_cm);
@@ -55,9 +55,9 @@ fn ablation_ladder_is_monotone() {
     let data = tiny_dataset(SceneId::Desk2, 8);
     let mut ags = AgsSlam::new(AgsConfig::tiny());
     for frame in &data.frames {
-        ags.process_frame(&data.camera, &frame.rgb, &frame.depth);
+        ags.push_frame_cloned(&data.camera, &frame.rgb, &frame.depth);
     }
-    let trace = ags.into_trace();
+    let trace = ags.take_trace();
 
     let mat = AgsFeatures { mat: true, gcm: false, scheduler: false, overlap: false };
     let gcm = AgsFeatures { gcm: true, ..mat };
@@ -106,7 +106,7 @@ fn selective_mapping_reduces_work_only() {
     let data = tiny_dataset(SceneId::Xyz, 8);
     let mut ags = AgsSlam::new(AgsConfig::tiny());
     for frame in &data.frames {
-        ags.process_frame(&data.camera, &frame.rgb, &frame.depth);
+        ags.push_frame_cloned(&data.camera, &frame.rgb, &frame.depth);
     }
     let trace = ags.trace();
     let skipped: u64 = trace.frames.iter().map(|f| f.mapping.skipped_pairs).sum();
