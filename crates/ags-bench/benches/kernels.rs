@@ -1235,15 +1235,20 @@ struct BinResult {
     splats: usize,
     visible: usize,
     pairs: u64,
-    /// Tiles with a depth tie in their table, and those of them a vectorized
-    /// render's walk reached the tie in.
+    /// Entries the prefix build puts into the tables, of `pairs`.
+    prefix_pairs: u64,
+    /// Tiles with a depth tie in their table; of a vectorized render, the
+    /// tiles whose walk left the prefix and those whose walk reached the tie.
     tied_tiles: usize,
+    deepened_tiles: u64,
     canonical_tiles: u64,
     /// `GaussianTables::build_with`: one sort of the visible splats, one
-    /// scatter.
+    /// scatter that stops once every tile holds its prefix.
     build_ms: Spread,
-    /// The build plus every tile's canonical table — what each build cost
-    /// while every tile ran its own comparator sort.
+    /// `GaussianTables::build_complete`: the same sort, every table filled.
+    build_complete_ms: Spread,
+    /// The complete build plus every tile's canonical table — what each
+    /// build cost while every tile ran its own comparator sort.
     build_plus_canonical_all_ms: Spread,
 }
 
@@ -1256,10 +1261,15 @@ impl BinResult {
     "splats": {},
     "visible": {},
     "pairs": {},
+    "prefix_pairs": {},
     "tied_tiles": {},
+    "deepened_tiles": {},
     "canonical_tiles": {},
     {},
     {},
+    {},
+    "prefix_speedup": {:.3},
+    "prefix_speedup_min": {:.3},
     "bin_speedup": {:.3},
     "bin_speedup_min": {:.3}
   }}"#,
@@ -1269,12 +1279,17 @@ impl BinResult {
             self.splats,
             self.visible,
             self.pairs,
+            self.prefix_pairs,
             self.tied_tiles,
+            self.deepened_tiles,
             self.canonical_tiles,
             self.build_ms.json_ms("build"),
+            self.build_complete_ms.json_ms("build_complete"),
             self.build_plus_canonical_all_ms.json_ms("build_plus_canonical_all"),
-            self.build_plus_canonical_all_ms.median / self.build_ms.median,
-            self.build_plus_canonical_all_ms.min / self.build_ms.max,
+            self.build_complete_ms.median / self.build_ms.median,
+            self.build_complete_ms.min / self.build_ms.max,
+            self.build_plus_canonical_all_ms.median / self.build_complete_ms.median,
+            self.build_plus_canonical_all_ms.min / self.build_complete_ms.max,
         )
     }
 }
@@ -1312,21 +1327,30 @@ fn bench_bin() -> BinResult {
     };
     let projection = options.backend.backend().project(&cloud, &camera, &Se3::IDENTITY);
     let build = || GaussianTables::build_with(&projection, &camera, &options.parallelism);
+    let build_complete = || GaussianTables::build_complete(&projection, &camera);
 
-    let tables = build();
+    let (tables, complete) = (build(), build_complete());
     let tiles = tables.grid.num_tiles();
-    let shallowest = tables.tables().iter().map(Vec::len).min().unwrap_or(0);
+    let shallowest = (0..tiles).map(|t| tables.table_len(t)).min().unwrap_or(0);
     assert!(shallowest >= 2000, "late-stream tables must be deep, got {shallowest}");
-    let tied_tiles =
-        (0..tiles).filter(|&t| tables.unique_len(t) < tables.tables()[t].len()).count();
+    let tied = |&t: &usize| complete.unique_len(t) < complete.table_len(t);
+    let tied_tiles = (0..tiles).filter(tied).count();
     assert!(tied_tiles > 0, "the wall must put depth ties into the tables");
+    let prefix_pairs = (0..tiles).map(|t| tables.prefix(t).len() as u64).sum();
     let stats = rasterize(&cloud, &projection, &tables, &camera, &options).stats;
+    // The two builds must blend the same order once the prefixes deepen.
+    for t in 0..tiles {
+        assert_eq!(tables.canonical(t), complete.canonical(t), "tile {t}: deepening diverged");
+    }
 
     let build_time = time_spread(SAMPLES, 20, || {
         black_box(build());
     });
+    let complete_time = time_spread(SAMPLES, 20, || {
+        black_box(build_complete());
+    });
     let all_time = time_spread(SAMPLES, 20, || {
-        let tables = build();
+        let tables = build_complete();
         for t in 0..tiles {
             black_box(tables.canonical(t));
         }
@@ -1338,9 +1362,12 @@ fn bench_bin() -> BinResult {
         splats: cloud.len(),
         visible: projection.splats.len(),
         pairs: tables.total_pairs,
+        prefix_pairs,
         tied_tiles,
+        deepened_tiles: stats.deepened_tiles,
         canonical_tiles: stats.canonical_tiles,
         build_ms: build_time.scaled(1e3),
+        build_complete_ms: complete_time.scaled(1e3),
         build_plus_canonical_all_ms: all_time.scaled(1e3),
     }
 }
@@ -1579,20 +1606,26 @@ fn main() {
     );
     let bin = bench_bin();
     println!(
-        "tile binning (late-stream map)  {}x{}:  build {:>7.3} ms [{:.3}..{:.3}]  + canonical on every tile {:>7.3} ms [{:.3}..{:.3}]  ({:.2}x)   visible {} of {}  pairs {}  tied tiles {}  canonical tiles {}",
+        "tile binning (late-stream map)  {}x{}:  prefix build {:>7.3} ms [{:.3}..{:.3}]  complete build {:>7.3} ms [{:.3}..{:.3}]  ({:.2}x)  + canonical on every tile {:>7.3} ms [{:.3}..{:.3}]  ({:.2}x)   visible {} of {}  pairs {} prefix pairs {}  tied tiles {}  deepened tiles {}  canonical tiles {}",
         bin.width,
         bin.height,
         bin.build_ms.median,
         bin.build_ms.min,
         bin.build_ms.max,
+        bin.build_complete_ms.median,
+        bin.build_complete_ms.min,
+        bin.build_complete_ms.max,
+        bin.build_complete_ms.median / bin.build_ms.median,
         bin.build_plus_canonical_all_ms.median,
         bin.build_plus_canonical_all_ms.min,
         bin.build_plus_canonical_all_ms.max,
-        bin.build_plus_canonical_all_ms.median / bin.build_ms.median,
+        bin.build_plus_canonical_all_ms.median / bin.build_complete_ms.median,
         bin.visible,
         bin.splats,
         bin.pairs,
+        bin.prefix_pairs,
         bin.tied_tiles,
+        bin.deepened_tiles,
         bin.canonical_tiles
     );
     let e2e = bench_end_to_end(parallel);

@@ -28,6 +28,7 @@ use ags_image::{DepthImage, GrayImage, Image, RgbImage};
 use ags_math::{Quat, Se3, Vec3};
 use ags_slam::keyframes::StoredKeyframe;
 use ags_slam::WorkUnits;
+use ags_splat::compact::QUANT_CHUNK;
 use ags_splat::render::TileWork;
 use ags_splat::snapshot::CloudSnapshot;
 use ags_splat::{BackendKind, IdSet};
@@ -380,8 +381,10 @@ fn put_idset(w: &mut ByteWriter, set: &IdSet) {
     }
 }
 
-fn get_idset(r: &mut ByteReader<'_>) -> Result<IdSet, StoreError> {
-    let capacity = r.get_usize()?;
+fn get_idset(r: &mut ByteReader<'_>, max_capacity: usize) -> Result<IdSet, StoreError> {
+    // Checked before the set is allocated: its capacity is not bounded by
+    // the bytes left, and an allocation too large aborts the process.
+    let capacity = at_most(r.get_usize()?, max_capacity, "id set capacity")?;
     let n = r.get_count(8)?;
     let mut set = IdSet::with_capacity(capacity);
     for _ in 0..n {
@@ -392,6 +395,15 @@ fn get_idset(r: &mut ByteReader<'_>) -> Result<IdSet, StoreError> {
         set.insert(id);
     }
     Ok(set)
+}
+
+/// `value`, or `Corrupt` when it exceeds `limit` — the splat count (or chunk
+/// count) of the snapshot the field describes.
+fn at_most(value: usize, limit: usize, what: &str) -> Result<usize, StoreError> {
+    if value > limit {
+        return Err(StoreError::Corrupt(format!("{what} {value} above the head map's {limit}")));
+    }
+    Ok(value)
 }
 
 fn put_f32_slice(w: &mut ByteWriter, v: &[f32]) {
@@ -461,18 +473,20 @@ fn put_map(w: &mut ByteWriter, map: &MapStageState) {
     }
 }
 
-fn get_map(r: &mut ByteReader<'_>) -> Result<MapStageState, StoreError> {
+/// Reads a map state whose id-indexed fields describe a map of `splats`
+/// splats, rejecting any field that indexes past it.
+fn get_map(r: &mut ByteReader<'_>, splats: usize) -> Result<MapStageState, StoreError> {
     let skip = match r.get_u8()? {
         0 => None,
-        1 => Some(get_idset(r)?),
+        1 => Some(get_idset(r, splats)?),
         b => return Err(StoreError::Corrupt(format!("invalid option tag {b}"))),
     };
-    let n_counts = r.get_count(4)?;
+    let n_counts = at_most(r.get_count(4)?, splats, "contribution counts")?;
     let mut counts = Vec::with_capacity(n_counts);
     for _ in 0..n_counts {
         counts.push(r.get_u32()?);
     }
-    let recorded_len = r.get_usize()?;
+    let recorded_len = at_most(r.get_usize()?, splats, "recorded length")?;
     let contribution = crate::contribution::ContributionState { skip, counts, recorded_len };
 
     let step_count = r.get_u64()?;
@@ -507,14 +521,14 @@ fn get_map(r: &mut ByteReader<'_>) -> Result<MapStageState, StoreError> {
     let rng_inc = r.get_u64()?;
     let keyframe_count = r.get_usize()?;
     let frames_mapped = r.get_u64()?;
-    let trainable_from = r.get_usize()?;
+    let trainable_from = at_most(r.get_usize()?, splats, "trainable-from id")?;
 
-    let n_touched = r.get_count(8)?;
+    let n_touched = at_most(r.get_count(8)?, splats, "last-touched epochs")?;
     let mut last_touched = Vec::with_capacity(n_touched);
     for _ in 0..n_touched {
         last_touched.push(r.get_u64()?);
     }
-    let n_chunks = r.get_count(1)?;
+    let n_chunks = at_most(r.get_count(1)?, splats / QUANT_CHUNK, "quantized chunk flags")?;
     let mut quantized_chunks = Vec::with_capacity(n_chunks);
     for _ in 0..n_chunks {
         quantized_chunks.push(match r.get_u8()? {
@@ -571,8 +585,10 @@ pub fn encode_aux(state: &StreamState) -> Vec<u8> {
 /// Decodes an [`encode_aux`] payload and marries it to the snapshot
 /// `window` restored from the epoch-delta store. Rejects version skew, any
 /// mismatch between the persisted window epochs and the ones the aux
-/// payload was captured against, and a slack above `8` or a window that
-/// does not hold the epoch the stream resumes at (`frame_count − slack`).
+/// payload was captured against, a slack above `8` or a window that does
+/// not hold the epoch the stream resumes at (`frame_count − slack`), and a
+/// map state with an id-indexed field past the window head's splats (the
+/// map the stream resumes from).
 pub fn decode_aux(bytes: &[u8], window: Vec<CloudSnapshot>) -> Result<StreamState, StoreError> {
     let mut r = ByteReader::new(bytes);
     let version = r.get_u16()?;
@@ -597,7 +613,7 @@ pub fn decode_aux(bytes: &[u8], window: Vec<CloudSnapshot>) -> Result<StreamStat
     let trace = WorkloadTrace { width, height, frames };
     let fc = get_fc(&mut r)?;
     let track = get_track(&mut r)?;
-    let map = get_map(&mut r)?;
+    let map = get_map(&mut r, window.last().map_or(0, |head| head.cloud().len()))?;
     let slack = r.get_usize()?;
     let n_epochs = r.get_count(8)?;
     let mut epochs = Vec::with_capacity(n_epochs);
@@ -648,9 +664,9 @@ mod tests {
         skip.insert(1);
         skip.insert(4);
         let moments = MomentState { m: vec![0.1, -0.2], v: vec![0.5, 0.25] };
-        let cloud: GaussianCloud =
-            std::iter::once(Gaussian::isotropic(Vec3::splat(1.0), 0.1, Vec3::splat(0.5), 0.7))
-                .collect();
+        // Two quantization chunks: room for every id-indexed field below.
+        let splat = Gaussian::isotropic(Vec3::splat(1.0), 0.1, Vec3::splat(0.5), 0.7);
+        let cloud: GaussianCloud = std::iter::repeat(splat).take(2 * QUANT_CHUNK).collect();
         let snap = CloudSnapshot::from_parts(Arc::new(cloud), 3);
         let pose = Se3 {
             rotation: Quat { w: 0.9, x: 0.1, y: -0.2, z: 0.3 },
@@ -780,6 +796,55 @@ mod tests {
         let mut old = bytes;
         old[..2].copy_from_slice(&3u16.to_le_bytes());
         assert!(matches!(decode_aux(&old, state.window), Err(StoreError::Corrupt(_))));
+    }
+
+    /// A map state indexing past the head snapshot's splats is one no driver
+    /// wrote: every id-indexed field one past its bound is `Corrupt`.
+    #[test]
+    fn map_fields_past_the_head_map_are_rejected() {
+        let state = sample_state();
+        let splats = state.window.last().unwrap().cloud().len();
+        let decode = |state: &StreamState| decode_aux(&encode_aux(state), state.window.clone());
+        assert!(decode(&state).is_ok());
+        let mut at_bound = state.clone();
+        at_bound.map.contribution.skip = Some(IdSet::with_capacity(splats));
+        at_bound.map.trainable_from = splats;
+        at_bound.map.quantized_chunks = vec![false; splats / QUANT_CHUNK];
+        assert!(decode(&at_bound).is_ok());
+        type Corruption = fn(&mut MapStageState, usize);
+        let past: [(&str, Corruption); 6] = [
+            ("skip capacity", |m, n| m.contribution.skip = Some(IdSet::with_capacity(n + 1))),
+            ("recorded length", |m, n| m.contribution.recorded_len = n + 1),
+            ("counts", |m, n| m.contribution.counts = vec![0; n + 1]),
+            ("trainable from", |m, n| m.trainable_from = n + 1),
+            ("last touched", |m, n| m.last_touched = vec![0; n + 1]),
+            ("chunk flags", |m, n| m.quantized_chunks = vec![false; n / QUANT_CHUNK + 1]),
+        ];
+        for (what, corrupt) in past {
+            let mut state = state.clone();
+            corrupt(&mut state.map, splats);
+            assert!(matches!(decode(&state), Err(StoreError::Corrupt(_))), "{what}");
+        }
+    }
+
+    /// A skip set claiming 2⁴⁶ ids once aborted the process allocating its
+    /// 8 TiB of words; it is rejected before anything is allocated.
+    #[test]
+    fn a_huge_skip_set_capacity_is_corrupt_not_an_abort() {
+        let state = sample_state();
+        let with_capacity = |capacity: usize| {
+            let mut state = state.clone();
+            state.map.contribution.skip = Some(IdSet::with_capacity(capacity));
+            encode_aux(&state)
+        };
+        // The capacity field is where two encodings of different capacities
+        // start to differ (little-endian: its low byte).
+        let (a, b) = (with_capacity(1), with_capacity(2));
+        let at = a.iter().zip(&b).position(|(x, y)| x != y).expect("capacities differ");
+        let mut bytes = a;
+        bytes[at..at + 8].copy_from_slice(&(1u64 << 46).to_le_bytes());
+        let err = decode_aux(&bytes, state.window);
+        assert!(matches!(err, Err(StoreError::Corrupt(_))), "{err:?}");
     }
 
     #[test]

@@ -43,18 +43,23 @@
 //! into tables that are thousands deep (the benchmark's `steady_map` bins
 //! ≈ 2 070 entries per tile and walks ≈ 240), and the entries behind that
 //! are never touched ([`crate::render::RenderStats::walked_pairs`] against
-//! `pairs`).
+//! `pairs`) — past the build's [`crate::tiles::PREFIX`] not even binned.
 //!
 //! # Which table a tile walks
 //!
 //! Blending follows [`GaussianTables::canonical`] — the historical per-tile
 //! sort's order, ties included (the contract in [`crate::tiles`]). The
-//! reference kernels are the oracle and take that table up front. The
-//! vectorized kernel walks the sort-once table and fills its slab no further
-//! than the tile's first depth tie; the first row that needs the tied entry
-//! switches the tile to the canonical table (built then, once). On an opaque
-//! map rows saturate first and no tile sorts anything
-//! ([`crate::render::RenderStats::canonical_tiles`]).
+//! reference kernels are the oracle and take that table up front, so they
+//! complete every truncated table of a build. The vectorized kernel loops to
+//! the tile's full [`GaussianTables::table_len`] but walks the order
+//! contract's stages as rows need them ([`GaussianTables::walk_table`]): the
+//! prefix the build filled, up to its first depth tie and at most
+//! `PREFIX − 1` entries; then, once a row needs more, the tile's complete
+//! table (deepening the build, once, for every tile) up to its first tie;
+//! then the canonical tail, sorted then. On an opaque map rows saturate
+//! inside the prefix and no tile deepens or sorts anything
+//! ([`crate::render::RenderStats::deepened_tiles`],
+//! [`crate::render::RenderStats::canonical_tiles`]).
 //!
 //! **Row cull:** a splat whose α-cut ellipse `q ≤ qcut` ends above or below a
 //! pixel row is negligible on all of it; the slab keeps the ellipse's squared
@@ -268,7 +273,7 @@ impl RenderBackend for VectorizedBackend {
             // recorded here, by the same kernel, just before its reverse stage.
             let mut standalone = TileTape::default();
             for tile_idx in tile_range {
-                if tables.tables()[tile_idx].is_empty() {
+                if tables.table_len(tile_idx) == 0 {
                     continue;
                 }
                 let bounds = tables.grid.tile_bounds(tile_idx);
@@ -707,9 +712,12 @@ fn blend_entry_row_vec<const INTERIOR: bool, const TAPED: bool>(pass: &mut VecRo
 /// bit-identical to it. With a `tape`, each row's blends are recorded per
 /// lane while the row runs and flushed in pixel order when it ends.
 ///
-/// The walk starts on the tile's fast table and moves to its canonical table
-/// when a row first needs the entry at `unique_len` (the order contract in
-/// [`crate::tiles`]): everything before that index is the same entry in both.
+/// The walk starts on the tile's prefix and moves to the next table of the
+/// order contract ([`GaussianTables::walk_table`]) when a row first needs an
+/// entry the current one is not trusted for: everything before that index is
+/// the same entry in both. It loops to the tile's full
+/// [`GaussianTables::table_len`], so a row that walks past the prefix deepens
+/// the build.
 fn rasterize_tile_vec(
     projection: &Projection,
     tables: &GaussianTables,
@@ -719,10 +727,10 @@ fn rasterize_tile_vec(
     collect_tile_work: bool,
     mut tape: Option<&mut TileTape>,
 ) -> TileRaster {
-    let mut table: &[TableEntry] = &tables.tables()[tile_idx];
-    // How far into `table` the slab may fill: to the first depth tie until
-    // the walk has switched tables, to the end after.
-    let mut trusted = tables.unique_len(tile_idx);
+    let len = tables.table_len(tile_idx);
+    // How far into `table` the slab may fill before the walk asks for the
+    // next table.
+    let (mut table, mut trusted) = tables.walk_table(tile_idx, 0);
     let bounds = tables.grid.tile_bounds(tile_idx);
     let (x0, y0, x1, y1) = bounds;
     let tile_w = x1 - x0;
@@ -731,15 +739,15 @@ fn rasterize_tile_vec(
     if let Some(tape) = tape.as_deref_mut() {
         tape.clear();
     }
-    if table.is_empty() {
+    if len == 0 {
         return out;
     }
     out.color = vec![Vec3::ZERO; tile_w * tile_h];
     out.depth = vec![0.0; tile_w * tile_h];
     out.silhouette = vec![0.0; tile_w * tile_h];
+    let id_of = |entry: &TableEntry| (projection.splats[entry.splat_index as usize].id, 0, 0);
     if record_contributions {
-        out.contributions =
-            table.iter().map(|e| (projection.splats[e.splat_index as usize].id, 0, 0)).collect();
+        out.contributions = table.iter().map(id_of).collect();
     }
 
     VEC_SCRATCH.with(|cell| {
@@ -772,21 +780,21 @@ fn rasterize_tile_vec(
             active.clear();
             active.extend(0..tile_w as u32);
             let fy = py as f32;
-            let mut reached = table.len();
+            let mut reached = len;
             // Entries of this row the cull skipped: each is one α evaluation
             // on every pixel active at the time, booked when the pixel leaves
             // the active list or the row ends.
             let mut culled = 0u32;
 
-            for k in 0..table.len() {
+            for k in 0..len {
                 if k == slab.len() {
                     if k == trusted {
-                        table = tables.canonical(tile_idx);
-                        trusted = table.len();
+                        (table, trusted) = tables.walk_table(tile_idx, k);
                         // No row has touched an entry from here on: only the
                         // ids the counters are booked under change.
-                        for (stats, entry) in out.contributions.iter_mut().zip(table).skip(k) {
-                            stats.0 = projection.splats[entry.splat_index as usize].id;
+                        if record_contributions {
+                            out.contributions.truncate(k);
+                            out.contributions.extend(table[k..].iter().map(id_of));
                         }
                     }
                     slab.fill_block(projection, &table[..trusted], skip, bounds);
@@ -835,7 +843,7 @@ fn rasterize_tile_vec(
                     (false, false) => blend_entry_row_vec::<false, false>(&mut pass),
                 }
                 if active.is_empty() {
-                    if k + 1 < table.len() {
+                    if k + 1 < len {
                         out.saturated_rows += 1;
                     }
                     reached = k + 1;
@@ -880,7 +888,7 @@ mod tests {
     use crate::gaussian::Gaussian;
     use crate::loss::{compute_loss, LossConfig, LossKind};
     use crate::render::{rasterize, render, RenderOutput, RenderStats};
-    use crate::tiles::TileGrid;
+    use crate::tiles::{TileGrid, PREFIX};
     use crate::train::{train_pass, TrainScratch};
     use ags_image::{DepthImage, RgbImage};
     use ags_math::{Pcg32, Vec3};
@@ -1208,6 +1216,11 @@ mod tests {
     /// discs saturates most pixels within a few entries, and its soft edge
     /// crosses tiles, so rows of one tile walk to very different depths.
     fn deep_scene() -> (GaussianCloud, IdSet, PinholeCamera) {
+        deep_scene_with((0.002, 0.06))
+    }
+
+    /// [`deep_scene`] with the background's opacities drawn from `faint`.
+    fn deep_scene_with(faint: (f32, f32)) -> (GaussianCloud, IdSet, PinholeCamera) {
         let mut cloud = GaussianCloud::new();
         for i in 0..6 {
             cloud.push(Gaussian::isotropic(
@@ -1227,7 +1240,7 @@ mod tests {
                 ),
                 rng.range_f32(2.5, 3.5),
                 Vec3::new(rng.next_f32(), rng.next_f32(), rng.next_f32()),
-                rng.range_f32(0.002, 0.06),
+                rng.range_f32(faint.0, faint.1),
             ));
         }
         let mut skip = IdSet::with_capacity(cloud.len());
@@ -1242,7 +1255,8 @@ mod tests {
         let (cloud, _, cam) = deep_scene();
         let projection = project_gaussians(&cloud, &cam, &Se3::IDENTITY);
         let tables = GaussianTables::build(&projection, &cam);
-        let shallowest = tables.tables().iter().map(Vec::len).min().unwrap();
+        let tiles = tables.grid.num_tiles();
+        let shallowest = (0..tiles).map(|t| tables.table_len(t)).min().unwrap();
         assert!(shallowest >= 2000, "every table must be deep, got {shallowest}");
         let options = RenderOptions {
             collect_tile_work: true,
@@ -1305,7 +1319,8 @@ mod tests {
                 let (cloud, skip) = layered_cloud(n);
                 let projection = project_gaussians(&cloud, &cam, &Se3::IDENTITY);
                 let tables = GaussianTables::build(&projection, &cam);
-                assert!(tables.tables().iter().all(|t| t.len() == n), "tables must hold all {n}");
+                let tiles = tables.grid.num_tiles();
+                assert!((0..tiles).all(|t| tables.table_len(t) == n), "tables must hold all {n}");
                 for skip in [None, Some(Arc::new(skip))] {
                     let what = format!("{w}x{h}, {n} entries, skip {}", skip.is_some());
                     let base = RenderOptions {
@@ -1374,8 +1389,17 @@ mod tests {
     /// training pass, at three thread counts; with and without the skip set,
     /// three losses, three gradient modes. Returns the stats of the
     /// vectorized render without the skip set.
-    fn check_against_oracle(
+    fn check_against_oracle(scene: (GaussianCloud, IdSet, PinholeCamera)) -> RenderStats {
+        check_against_oracle_with(scene, true)
+    }
+
+    /// [`check_against_oracle`] for fixtures that test which tables a walk
+    /// reads: every table-walking path, but `all_losses` false trains with
+    /// one loss in one gradient mode — the losses and modes differ after the
+    /// walk, not in it.
+    fn check_against_oracle_with(
         (cloud, skip, cam): (GaussianCloud, IdSet, PinholeCamera),
+        all_losses: bool,
     ) -> RenderStats {
         let pose = Se3::IDENTITY;
         let projection = project_gaussians(&cloud, &cam, &pose);
@@ -1395,6 +1419,7 @@ mod tests {
             };
             let reference = rasterize(&cloud, &projection, &oracle, &cam, &reference_options);
             assert_eq!(reference.stats.canonical_tiles, 0, "the oracle's tables claim no ties");
+            assert_eq!(reference.stats.deepened_tiles, 0, "the oracle's tables are complete");
             for backend in [BackendKind::Reference, BackendKind::Vectorized] {
                 for parallelism in pars() {
                     let what =
@@ -1406,15 +1431,26 @@ mod tests {
                     let first = unskipped.get_or_insert_with(|| got.stats.clone());
                     if skip.is_none() {
                         assert_eq!(first.canonical_tiles, got.stats.canonical_tiles, "{what}");
+                        assert_eq!(first.deepened_tiles, got.stats.deepened_tiles, "{what}");
                     }
                 }
             }
             let (gt_rgb, gt_depth) = gt_for(&reference, 5);
             // The mask threshold sits between saturated and thin pixels.
             let masked = LossConfig { mask_threshold: 0.9995, ..LossConfig::tracking() };
-            for loss_config in [LossConfig::mapping(), masked, l2_config()] {
+            let losses = if all_losses {
+                &[LossConfig::mapping(), masked, l2_config()][..]
+            } else {
+                &[l2_config()]
+            };
+            let modes = if all_losses {
+                &[GradMode::Map, GradMode::Track, GradMode::Both][..]
+            } else {
+                &[GradMode::Both]
+            };
+            for &loss_config in losses {
                 let loss = compute_loss(&reference, &gt_rgb, &gt_depth, &loss_config);
-                for mode in [GradMode::Map, GradMode::Track, GradMode::Both] {
+                for &mode in modes {
                     let what = format!("skip {}, {loss_config:?}, {mode:?}", skip.is_some());
                     let backward = |backend, tables: &GaussianTables, par: &Parallelism| {
                         let skip = skip.map(Arc::as_ref);
@@ -1487,28 +1523,44 @@ mod tests {
         check_against_oracle(deep_scene());
     }
 
+    /// The deep scene behind a fainter background: rows off the opaque front
+    /// walk past the prefix before they saturate, rows under it do not.
+    #[test]
+    fn taped_backward_is_bit_identical_to_reference_replay_where_walks_cross_the_prefix() {
+        let (cam, tiles) = (deep_scene().2, deep_scene().2.width.div_ceil(TILE_SIZE) * 3);
+        let stats = check_against_oracle(deep_scene_with((0.002, 0.02)));
+        let (deepened, walked) = (stats.deepened_tiles, stats.walked_pairs);
+        assert!(deepened > 0 && stats.saturated_rows > 0, "{deepened} deepened");
+        assert!(walked > (PREFIX * tiles) as u64 / 2 && walked < stats.pairs / 2, "{walked}");
+        assert_eq!(TileGrid::for_camera(&cam).num_tiles(), tiles);
+    }
+
     /// Gives the `group` entries from depth rank `rank` on one depth: a tie
     /// group starting at table index `rank` of every tile they all cover.
     /// Returns their ids.
     fn tie_depths(cloud: &mut GaussianCloud, rank: usize, group: usize) -> Vec<usize> {
-        let mut order: Vec<usize> = (0..cloud.len()).collect();
+        let tied = by_depth(cloud)[rank..rank + group].to_vec();
         let splats = cloud.gaussians_mut();
-        order.sort_by(|&a, &b| {
-            splats[a].position.z.total_cmp(&splats[b].position.z).then(a.cmp(&b))
-        });
-        let tied = order[rank..rank + group].to_vec();
         for &id in &tied {
             splats[id].position.z = splats[tied[0]].position.z;
         }
         tied
     }
 
+    /// Splat ids by `(depth, id)`: table order for frame-filling splats.
+    fn by_depth(cloud: &GaussianCloud) -> Vec<usize> {
+        let mut order: Vec<usize> = (0..cloud.len()).collect();
+        let z = |id: usize| cloud.gaussians()[id].position.z;
+        order.sort_by(|&a, &b| z(a).total_cmp(&z(b)).then(a.cmp(&b)));
+        order
+    }
+
     /// Tiles whose canonical order differs from `(depth, index)`.
     fn reordered_tiles(cloud: &GaussianCloud, cam: &PinholeCamera) -> usize {
         let projection = project_gaussians(cloud, cam, &Se3::IDENTITY);
-        let tables = GaussianTables::build(&projection, cam);
-        let reordered = |t: &usize| tables.tables()[*t] != tables.canonical(*t);
-        (0..tables.tables().len()).filter(reordered).count()
+        let tables = GaussianTables::build_complete(&projection, cam);
+        let reordered = |t: &usize| tables.prefix(*t) != tables.canonical(*t);
+        (0..tables.grid.num_tiles()).filter(reordered).count()
     }
 
     /// The switch to the canonical table at every slab-block phase: the first
@@ -1566,6 +1618,90 @@ mod tests {
             rows.iter().any(|&d| d < first_tie) && rows.iter().any(|&d| d > first_tie + 60)
         });
         assert!(straddled, "fixture must stop rows of one tile before and after the tie");
+    }
+
+    /// Tables one short of the prefix, exactly it, one past it and twice it,
+    /// all of which rows walk into: built whole up to the cap, truncated past
+    /// it and completed by the first row that walks off the prefix.
+    #[test]
+    fn tables_around_the_prefix_match_the_oracle() {
+        let cam = PinholeCamera::from_fov(61, 45, 1.2);
+        let tiles = TileGrid::for_camera(&cam).num_tiles() as u64;
+        for n in [PREFIX - 1, PREFIX, PREFIX + 1, 2 * PREFIX] {
+            let (cloud, skip) = layered_cloud(n);
+            let stats = check_against_oracle_with((cloud, skip, cam), false);
+            assert_eq!(stats.deepened_tiles, if n > PREFIX { tiles } else { 0 }, "{n} entries");
+            if n <= PREFIX + 1 {
+                assert_eq!(stats.walked_pairs, stats.pairs, "{n} entries: rows walk every entry");
+            } else {
+                let walked = stats.walked_pairs;
+                assert!(walked > tiles * PREFIX as u64 && walked < stats.pairs, "{n}: {walked}");
+            }
+            assert_eq!(stats.canonical_tiles, 0, "{n} entries");
+        }
+    }
+
+    /// Tie groups around the cap, in tables rows walk to the end of: first
+    /// ties a block before it, just before it, on its last entry (the group
+    /// straddles the cap), on its first unbuilt entry and past it.
+    #[test]
+    fn ties_around_the_prefix_match_the_oracle() {
+        let cam = PinholeCamera::from_fov(51, 35, 1.2);
+        let tiles = TileGrid::for_camera(&cam).num_tiles() as u64;
+        let mut reordered = 0;
+        for (first_tie, group) in [
+            (PREFIX - SLAB_BLOCK - 1, 4),
+            (PREFIX - 3, 2),
+            (PREFIX - 2, 5),
+            (PREFIX - 1, 2),
+            (PREFIX - 1, SLAB_BLOCK),
+            (PREFIX, 3),
+            (PREFIX + SLAB_BLOCK - 1, 4),
+        ] {
+            let (mut cloud, skip) = layered_cloud(PREFIX + 2 * SLAB_BLOCK);
+            tie_depths(&mut cloud, first_tie, group);
+            reordered += reordered_tiles(&cloud, &cam);
+            let what = format!("tie of {group} at {first_tie}");
+            let stats = check_against_oracle_with((cloud, skip, cam), false);
+            assert_eq!(stats.walked_pairs, stats.pairs, "{what}: every row walks every entry");
+            assert_eq!(stats.deepened_tiles, tiles, "{what}");
+            assert_eq!(stats.canonical_tiles, tiles, "{what}");
+        }
+        assert!(reordered > 0, "no fixture's tie group sorts differently by index");
+    }
+
+    /// Every row stops in a run of opaque frame-filling splats starting a
+    /// few entries either side of the cap and up to a slab block past it, so
+    /// walks end on the prefix, just off it and at every phase of the block
+    /// after it — with a tie in the complete table the walks never reach.
+    #[test]
+    fn walks_ending_around_the_prefix_match_the_oracle() {
+        let cam = PinholeCamera::from_fov(61, 45, 1.2);
+        let tiles = TileGrid::for_camera(&cam).num_tiles();
+        for stop in [
+            PREFIX - 4,
+            PREFIX - 1,
+            PREFIX,
+            PREFIX + 1,
+            PREFIX + SLAB_BLOCK / 2,
+            PREFIX + SLAB_BLOCK - 1,
+            PREFIX + SLAB_BLOCK,
+        ] {
+            let (mut cloud, skip) = layered_cloud(2 * PREFIX);
+            tie_depths(&mut cloud, 2 * PREFIX - 8, 4);
+            let order = by_depth(&cloud);
+            for &id in &order[stop..stop + 8] {
+                let splat = &mut cloud.gaussians_mut()[id];
+                splat.opacity_logit = crate::gaussian::logit(0.999);
+            }
+            let what = format!("opaque from {stop}");
+            let stats = check_against_oracle_with((cloud, skip, cam), false);
+            let walked = stats.walked_pairs as usize;
+            assert!(walked > tiles * stop && walked <= tiles * (stop + 8), "{what}: {walked}");
+            let deepened = if walked > tiles * (PREFIX - 1) { tiles } else { 0 };
+            assert_eq!(stats.deepened_tiles as usize, deepened, "{what}");
+            assert_eq!(stats.canonical_tiles, 0, "{what}");
+        }
     }
 
     #[test]

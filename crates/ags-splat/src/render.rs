@@ -136,6 +136,10 @@ pub struct RenderStats {
     /// continued on [`GaussianTables::canonical`] — the tiles that paid the
     /// historical per-tile sort. Diagnostic only, like `walked_pairs`.
     pub canonical_tiles: u64,
+    /// Tiles the build truncated ([`crate::tiles::PREFIX`]) whose walk
+    /// needed an entry the prefix does not vouch for, so the build's tables
+    /// were completed. Diagnostic only, like `walked_pairs`.
+    pub deepened_tiles: u64,
     /// Walked (splat, tile) pairs that took the tile-interior fast path: the
     /// splat's α provably stays at or above [`ALPHA_THRESHOLD`] on every
     /// pixel of the tile, so the per-pixel falloff bound check before the
@@ -538,9 +542,14 @@ pub(crate) fn rasterize_taped(
         stats.early_terminated_pixels += outcome.early_terminated;
         stats.saturated_rows += outcome.saturated_rows;
         stats.walked_pairs += outcome.walked_pairs;
-        // A walk deeper than the unique prefix needed the first tied entry.
-        stats.canonical_tiles +=
-            u64::from(outcome.walked_pairs as usize > tables.unique_len(tile_idx));
+        // A walk deeper than the prefix's trusted entries needed the complete
+        // table (already built then), and one deeper than its first tie the
+        // canonical one.
+        let walked = outcome.walked_pairs as usize;
+        if walked > tables.unique_len(tile_idx) {
+            stats.deepened_tiles += u64::from(tables.truncated(tile_idx));
+            stats.canonical_tiles += u64::from(walked > tables.first_tie(tile_idx));
+        }
         stats.interior_pairs += outcome.interior_pairs;
         if let Some(w) = outcome.work {
             stats.tile_work.push(w);

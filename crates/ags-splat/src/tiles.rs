@@ -6,7 +6,7 @@
 //! *Gaussian tables* — the structures that both the rasterizer and the AGS
 //! mapping engine's GS logging/skipping tables consume.
 //!
-//! # Sort once, bin in depth order, in two passes
+//! # Sort once, bin a prefix, deepen on demand
 //!
 //! [`GaussianTables::build`] sorts the *visible splats* once by
 //! `(depth under f32::total_cmp, splat_index)` — a strict total order, so the
@@ -14,12 +14,26 @@
 //! their tiles in that order: no per-tile sort. The push is the second of
 //! two passes. The first walks the splats in index order — sequentially
 //! through memory — and leaves each one's tile rectangle and depth in a
-//! 12-byte record, counting what every tile and every splat will hold. The
-//! second walks the depth order, which is a random order over the splats,
-//! reading those records instead of the 60-byte [`Splat2d`]s (a fifth of the
-//! cache lines), and pushes into tables allocated at their final length.
+//! 12-byte record, counting what every tile and every splat will hold, so
+//! [`total_pairs`](GaussianTables::total_pairs), the per-splat tile counts
+//! and every tile's full length ([`GaussianTables::table_len`]) are exact
+//! whatever the second pass builds. The second walks the depth order, which
+//! is a random order over the splats, reading those records instead of the
+//! 60-byte [`Splat2d`]s (a fifth of the cache lines).
 //!
-//! # The order contract: unique prefix, canonical tail
+//! Rows walk a table front to back and stop when they saturate, which on an
+//! opaque map is a few hundred entries into tables thousands deep (the
+//! benchmark's `jerky_track` bins 29 M pairs a pass and walks 3 % of them).
+//! So the second pass fills each tile only to its first
+//! `min(`[`PREFIX`]`, table_len)` entries — a tile deeper than that is
+//! *truncated* — and stops as soon as every tile holds that many. The first
+//! walk that needs an entry behind a truncated prefix *deepens*: one pass
+//! over the kept depth order, from the first position any prefix filled at,
+//! completes every truncated tile of the build at once. The result sits in
+//! one [`OnceLock`] per build, so tile workers that need it at the same time
+//! share one pass.
+//!
+//! # The order contract: prefix, complete table, canonical tail
 //!
 //! Depth ties are common (coplanar seeds, duplicates, the quantized tier's
 //! snapped positions) and blending is order-sensitive, so the order *within*
@@ -30,16 +44,26 @@
 //! crate — is what trajectories, PSNRs and map sizes were produced with.
 //!
 //! Any two depth-sorted arrangements of a tile agree on every position before
-//! the first tie, so each table carries [`GaussianTables::unique_len`] — the
-//! index of the first entry whose depth equals its successor's — and a lazily
-//! built [`GaussianTables::canonical`] table: the same entries put back into
-//! index order and sorted by the historical call. A tile kernel may walk the
-//! fast table while `k < unique_len(t)` and must continue on `canonical(t)`
-//! once a row needs entry `unique_len(t)`; what it accumulated stays valid
-//! because the prefixes are equal. Rows usually saturate before the first
-//! tie, and then the historical sort never runs. A change that accepts the
-//! `(depth, index)` order everywhere deletes `canonical`, the kernels' switch
-//! and the test oracle — and moves numerics, so it owes an accuracy study.
+//! its first tie (the first entry whose depth equals its successor's). A walk
+//! therefore moves through up to three tables, each agreeing with the next on
+//! every entry it is trusted for ([`GaussianTables::walk_table`]):
+//!
+//! 1. the prefix ([`GaussianTables::prefix`]), trusted for its first
+//!    [`GaussianTables::unique_len`] entries: up to its first tie, and in a
+//!    truncated tile no further than `PREFIX − 1`, because the unbuilt next
+//!    entry may tie with the last built one;
+//! 2. a truncated tile's complete table, in `(depth, index)` order, trusted
+//!    up to its first tie;
+//! 3. [`GaussianTables::canonical`]: the same entries put back into index
+//!    order and sorted by the historical call — trusted to the end, built on
+//!    first use, and only for a tile that has a tie.
+//!
+//! A tile kernel may switch tables whenever a row needs the first entry the
+//! current one is not trusted for; what it accumulated stays valid because
+//! the tables agree before that. Rows usually saturate inside the prefix, and
+//! then nothing deepens and nothing sorts. A change that accepts the
+//! `(depth, index)` order everywhere deletes `canonical`, the third stage and
+//! the test oracle — and moves numerics, so it owes an accuracy study.
 
 use crate::idset::IdSet;
 use crate::project::{Projection, Splat2d};
@@ -48,6 +72,11 @@ use ags_math::parallel::Parallelism;
 use ags_scene::PinholeCamera;
 use std::cell::RefCell;
 use std::sync::OnceLock;
+
+/// Entries [`GaussianTables::build`] puts into a tile's table up front: eight
+/// of the vectorized kernel's 64-entry slab blocks, about twice what rows of
+/// the benchmark's late-stream maps walk before they saturate.
+pub const PREFIX: usize = 512;
 
 /// The tile decomposition of an image.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -100,20 +129,47 @@ pub struct TableEntry {
 }
 
 /// Per-tile, depth-sorted Gaussian tables (see the module docs for the order
-/// contract between [`tables`](Self::tables), [`unique_len`](Self::unique_len)
-/// and [`canonical`](Self::canonical)).
-#[derive(Debug, Clone)]
+/// contract between [`prefix`](Self::prefix), the complete tables and
+/// [`canonical`](Self::canonical)).
+#[derive(Debug)]
 pub struct GaussianTables {
     /// Tile decomposition.
     pub grid: TileGrid,
     /// Total number of (splat, tile) pairs — the paper's per-frame workload
     /// proxy for sorting and table construction.
     pub total_pairs: u64,
-    tables: Vec<Vec<TableEntry>>,
+    prefixes: Vec<Vec<TableEntry>>,
+    table_len: Vec<u32>,
     unique_len: Vec<u32>,
+    /// What deepening needs; `None` when no tile is truncated.
+    rest: Option<Rest>,
+    complete: OnceLock<Complete>,
     canonical: Vec<OnceLock<Vec<TableEntry>>>,
     /// Tiles each splat was binned into, by splat index.
     tiles_per_splat: Vec<u32>,
+}
+
+/// The part of a build that completing its truncated tiles reads again.
+#[derive(Debug)]
+struct Rest {
+    /// Depth-order position of `order[0]`: the first position after the
+    /// earliest one at which a truncated tile's prefix filled.
+    start: usize,
+    /// The depth order's splat indices from `start` on.
+    order: Vec<u32>,
+    footprints: Vec<Footprint>,
+    /// Per tile, the depth-order position its built table filled at
+    /// (`u32::MAX` for an empty tile). A truncated tile's missing entries are
+    /// exactly the splats covering it at later positions.
+    filled_at: Vec<u32>,
+}
+
+/// The truncated tiles' complete tables in `(depth, index)` order (empty for
+/// the other tiles), and the index of each one's first depth tie.
+#[derive(Debug)]
+struct Complete {
+    tables: Vec<Vec<TableEntry>>,
+    first_tie: Vec<u32>,
 }
 
 /// Maps `f32::total_cmp`'s order onto `u32`'s: negative floats have all bits
@@ -124,13 +180,29 @@ fn depth_key(depth: f32) -> u32 {
     bits ^ (((bits as i32 >> 31) as u32) | 0x8000_0000)
 }
 
+/// Index of the first entry whose depth equals its successor's, or the
+/// table's length when no two depths are equal.
+fn first_tie(table: &[TableEntry]) -> u32 {
+    let tied = |pair: &[TableEntry]| pair[0].depth.to_bits() == pair[1].depth.to_bits();
+    table.windows(2).position(tied).unwrap_or(table.len()) as u32
+}
+
 /// Pass 1's record of one splat: the inclusive tile-column and tile-row
 /// ranges it covers, and its depth.
-#[derive(Clone, Copy)]
+#[derive(Debug, Clone, Copy)]
 struct Footprint {
     cols: [u16; 2],
     rows: [u16; 2],
     depth: f32,
+}
+
+impl Footprint {
+    /// Indices of the tiles covered in one tile row of `grid`.
+    #[inline]
+    fn tiles_in_row(&self, row: u16, grid: &TileGrid) -> std::ops::RangeInclusive<usize> {
+        let row_start = row as usize * grid.cols;
+        row_start + self.cols[0] as usize..=row_start + self.cols[1] as usize
+    }
 }
 
 /// A build's buffers — the radix sort's pair and the footprints.
@@ -183,15 +255,11 @@ fn depth_order(splats: &[Splat2d], items: &mut Vec<u64>, scratch: &mut Vec<u64>)
 }
 
 impl GaussianTables {
-    /// Bins the splats of a projection into depth-sorted per-tile tables:
-    /// one radix sort and the two passes of the module docs, on the calling
-    /// thread.
+    /// Bins the splats of a projection into depth-sorted per-tile tables
+    /// filled to [`PREFIX`] entries: one radix sort and the two passes of the
+    /// module docs, on the calling thread.
     pub fn build(projection: &Projection, camera: &PinholeCamera) -> Self {
-        BIN_SCRATCH.with(|cell| {
-            let BinScratch { items, scratch, footprints } = &mut *cell.borrow_mut();
-            depth_order(&projection.splats, items, scratch);
-            Self::bin(projection, camera, footprints, items.iter().map(|&item| item as u32))
-        })
+        Self::build_to(projection, camera, PREFIX)
     }
 
     /// [`build`](Self::build) for callers that carry a parallelism knob. The
@@ -206,43 +274,65 @@ impl GaussianTables {
         Self::build(projection, camera)
     }
 
+    /// [`build`](Self::build) with every table filled to its full length up
+    /// front: what the build cost before it stopped at a prefix.
+    pub fn build_complete(projection: &Projection, camera: &PinholeCamera) -> Self {
+        Self::build_to(projection, camera, usize::MAX)
+    }
+
     /// The per-tile build this module replaced, kept as the oracle
     /// [`canonical`](Self::canonical) and the tile kernels are tested against:
-    /// bin in splat-index order, sort every tile with the historical call.
-    /// Its tables claim no ties, so kernels walk them as they are.
+    /// every tile in index order, sorted by the historical call. Its tables
+    /// claim no ties, so kernels walk them as they are.
     #[cfg(test)]
     pub(crate) fn build_reference(projection: &Projection, camera: &PinholeCamera) -> Self {
-        let order = 0..projection.splats.len() as u32;
-        let mut reference = Self::bin(projection, camera, &mut Vec::new(), order);
-        for (table, unique_len) in reference.tables.iter_mut().zip(&mut reference.unique_len) {
+        let mut reference = Self::build_complete(projection, camera);
+        for (table, unique_len) in reference.prefixes.iter_mut().zip(&mut reference.unique_len) {
+            table.sort_unstable_by_key(|entry| entry.splat_index);
             table.sort_unstable_by(|a, b| a.depth.total_cmp(&b.depth));
             *unique_len = table.len() as u32;
         }
         reference
     }
 
-    /// Pushes the splats into the tiles they overlap, in `order`.
+    /// Sorts the splats by depth and bins them, each tile to `prefix` entries.
+    pub(crate) fn build_to(projection: &Projection, camera: &PinholeCamera, prefix: usize) -> Self {
+        BIN_SCRATCH.with(|cell| {
+            let BinScratch { items, scratch, footprints } = &mut *cell.borrow_mut();
+            depth_order(&projection.splats, items, scratch);
+            Self::bin(projection, camera, footprints, items, prefix)
+        })
+    }
+
+    /// Pushes the splats into the tiles they overlap in `order` (splat
+    /// indices in the low 32 bits), each tile to at most `prefix` entries.
     fn bin(
         projection: &Projection,
         camera: &PinholeCamera,
         footprints: &mut Vec<Footprint>,
-        order: impl Iterator<Item = u32>,
+        order: &[u64],
+        prefix: usize,
     ) -> Self {
         let grid = TileGrid::for_camera(camera);
         assert!(grid.cols.max(grid.rows) <= 1 << 16, "tile coordinates are kept in 16 bits");
+        assert!(prefix > 0, "a prefix holds at least the entry a walk starts on");
 
         // Pass 1, index order: where each splat goes, how much goes where.
+        // A splat adds its tile rectangle to a difference grid with four
+        // updates, whatever its size; a prefix sum turns the grid into every
+        // tile's count.
         footprints.clear();
-        let mut counts = vec![0u32; grid.num_tiles()];
+        footprints.reserve(projection.splats.len());
+        let stride = grid.cols + 1;
+        let mut corners = vec![0i32; stride * (grid.rows + 1)];
         let mut tiles_per_splat = Vec::with_capacity(projection.splats.len());
         let mut total_pairs = 0u64;
         for splat in &projection.splats {
             let (c0, c1, r0, r1) = splat_tile_range(splat, &grid);
-            for row in r0..=r1 {
-                for count in &mut counts[row * grid.cols + c0..=row * grid.cols + c1] {
-                    *count += 1;
-                }
-            }
+            corners[r0 * stride + c0] += 1;
+            corners[r0 * stride + c1 + 1] -= 1;
+            corners[(r1 + 1) * stride + c0] -= 1;
+            corners[(r1 + 1) * stride + c1 + 1] += 1;
             let tiles = (c1 - c0 + 1) * (r1 - r0 + 1);
             tiles_per_splat.push(tiles as u32);
             total_pairs += tiles as u64;
@@ -252,59 +342,201 @@ impl GaussianTables {
                 depth: splat.depth,
             });
         }
+        let mut table_len = vec![0u32; grid.num_tiles()];
+        for row in 0..grid.rows {
+            // This row's corners summed up to `col`, plus the tile above.
+            let mut run = 0;
+            for col in 0..grid.cols {
+                run += corners[row * stride + col];
+                let above = if row > 0 { table_len[(row - 1) * grid.cols + col] } else { 0 };
+                table_len[row * grid.cols + col] = (above as i32 + run) as u32;
+            }
+        }
 
-        // Pass 2, in `order`: fill tables that never grow.
-        let mut tables: Vec<Vec<TableEntry>> =
-            counts.iter().map(|&count| Vec::with_capacity(count as usize)).collect();
-        for si in order {
-            let Footprint { cols, rows, depth } = footprints[si as usize];
-            let entry = TableEntry { splat_index: si, depth };
-            for row in rows[0]..=rows[1] {
-                let row_start = row as usize * grid.cols;
-                let covered = row_start + cols[0] as usize..=row_start + cols[1] as usize;
-                for table in &mut tables[covered] {
-                    table.push(entry);
+        // Pass 2, in `order`: fill tables that never grow, each to its
+        // prefix, and stop once every one is full.
+        let prefix = prefix.min(u32::MAX as usize) as u32;
+        let mut room: Vec<u32> = table_len.iter().map(|&len| len.min(prefix)).collect();
+        let mut prefixes: Vec<Vec<TableEntry>> =
+            room.iter().map(|&room| Vec::with_capacity(room as usize)).collect();
+        let mut filled_at = vec![u32::MAX; grid.num_tiles()];
+        let mut unfilled = room.iter().filter(|&&room| room > 0).count();
+        for (pos, &item) in order.iter().enumerate() {
+            if unfilled == 0 {
+                break;
+            }
+            let si = item as u32;
+            let footprint = footprints[si as usize];
+            let entry = TableEntry { splat_index: si, depth: footprint.depth };
+            for row in footprint.rows[0]..=footprint.rows[1] {
+                let covered = footprint.tiles_in_row(row, &grid);
+                let tiles = prefixes[covered.clone()].iter_mut().zip(&mut room[covered.clone()]);
+                for ((table, room), filled_at) in tiles.zip(&mut filled_at[covered]) {
+                    if *room > 0 {
+                        table.push(entry);
+                        *room -= 1;
+                        if *room == 0 {
+                            *filled_at = pos as u32;
+                            unfilled -= 1;
+                        }
+                    }
                 }
             }
         }
-        let first_tie = |table: &Vec<TableEntry>| {
-            let tied = |pair: &[TableEntry]| pair[0].depth.to_bits() == pair[1].depth.to_bits();
-            table.windows(2).position(tied).unwrap_or(table.len()) as u32
-        };
-        let unique_len = tables.iter().map(first_tie).collect();
-        let canonical = vec![OnceLock::new(); grid.num_tiles()];
-        Self { grid, total_pairs, tables, unique_len, canonical, tiles_per_splat }
+
+        let truncated = |t: &usize| prefixes[*t].len() < table_len[*t] as usize;
+        let start =
+            (0..grid.num_tiles()).filter(truncated).map(|t| filled_at[t] as usize + 1).min();
+        // Copies, not the scratch buffers themselves: those are refilled by
+        // the next build (see `BIN_SCRATCH`; taking them cost +10 MiB of peak
+        // RSS on `steady_map`).
+        let rest = start.map(|start| Rest {
+            start,
+            order: order[start..].iter().map(|&item| item as u32).collect(),
+            footprints: footprints.clone(),
+            filled_at,
+        });
+        let unique_len = prefixes
+            .iter()
+            .zip(&table_len)
+            .map(|(table, &len)| {
+                let unique = first_tie(table);
+                // The unbuilt successor of a truncated prefix may tie with its
+                // last entry.
+                if table.len() < len as usize {
+                    unique.min(table.len() as u32 - 1)
+                } else {
+                    unique
+                }
+            })
+            .collect();
+        let canonical = (0..grid.num_tiles()).map(|_| OnceLock::new()).collect();
+        Self {
+            grid,
+            total_pairs,
+            prefixes,
+            table_len,
+            unique_len,
+            rest,
+            complete: OnceLock::new(),
+            canonical,
+            tiles_per_splat,
+        }
     }
 
-    /// `tables()[t]` lists the splats intersecting tile `t` by
+    /// Tile `t`'s built entries: the first `min(PREFIX, table_len(t))` by
     /// `(depth, splat_index)`. Only the first [`unique_len`](Self::unique_len)
-    /// entries are in the order blending must follow.
+    /// are in the order blending must follow.
     #[inline]
-    pub fn tables(&self) -> &[Vec<TableEntry>] {
-        &self.tables
+    pub fn prefix(&self, t: usize) -> &[TableEntry] {
+        &self.prefixes[t]
     }
 
-    /// Index of tile `t`'s first entry whose depth equals its successor's, or
-    /// the table's length when no two depths are equal.
+    /// Number of splats intersecting tile `t` — its table's full length,
+    /// whether or not the build has filled it.
+    #[inline]
+    pub fn table_len(&self, t: usize) -> usize {
+        self.table_len[t] as usize
+    }
+
+    /// How many leading entries of [`prefix`](Self::prefix) are in blending
+    /// order: the index of its first entry whose depth equals its
+    /// successor's, its length when no two depths are equal — and in a
+    /// truncated tile at most `PREFIX − 1`.
     #[inline]
     pub fn unique_len(&self, t: usize) -> usize {
         self.unique_len[t] as usize
     }
 
+    /// Whether tile `t`'s build stopped short of its full length.
+    #[inline]
+    pub(crate) fn truncated(&self, t: usize) -> bool {
+        self.prefixes[t].len() < self.table_len(t)
+    }
+
+    /// Completes every truncated tile in one pass over the kept depth order,
+    /// on first use.
+    fn complete(&self) -> &Complete {
+        self.complete.get_or_init(|| {
+            let rest = self.rest.as_ref().expect("only a build with a truncated tile deepens");
+            let mut tables: Vec<Vec<TableEntry>> = (0..self.grid.num_tiles())
+                .map(|t| {
+                    if !self.truncated(t) {
+                        return Vec::new();
+                    }
+                    let mut table = Vec::with_capacity(self.table_len(t));
+                    table.extend_from_slice(&self.prefixes[t]);
+                    table
+                })
+                .collect();
+            for (pos, &si) in (rest.start..).zip(&rest.order) {
+                let footprint = rest.footprints[si as usize];
+                let entry = TableEntry { splat_index: si, depth: footprint.depth };
+                for row in footprint.rows[0]..=footprint.rows[1] {
+                    let covered = footprint.tiles_in_row(row, &self.grid);
+                    for (table, &filled_at) in
+                        tables[covered.clone()].iter_mut().zip(&rest.filled_at[covered])
+                    {
+                        // A tile that is not truncated holds no splat past
+                        // the position it filled at.
+                        if pos > filled_at as usize {
+                            table.push(entry);
+                        }
+                    }
+                }
+            }
+            let first_tie = tables.iter().map(|table| first_tie(table)).collect();
+            Complete { tables, first_tie }
+        })
+    }
+
+    /// Tile `t`'s complete table in `(depth, index)` order and the index of
+    /// its first depth tie (deepening the build if `t` is truncated).
+    fn complete_table(&self, t: usize) -> (&[TableEntry], usize) {
+        if !self.truncated(t) {
+            return (&self.prefixes[t], self.unique_len(t));
+        }
+        let complete = self.complete();
+        (&complete.tables[t], complete.first_tie[t] as usize)
+    }
+
+    /// Index of the first depth tie in tile `t`'s complete table (its length
+    /// when it has none).
+    pub(crate) fn first_tie(&self, t: usize) -> usize {
+        self.complete_table(t).1
+    }
+
     /// Tile `t`'s table in the order blending must follow: the per-tile
     /// build's (see the module docs). Built on first use; a tile without
-    /// depth ties is its fast table.
+    /// depth ties is its `(depth, index)` table.
     pub fn canonical(&self, t: usize) -> &[TableEntry] {
-        let table = &self.tables[t];
-        if self.unique_len(t) == table.len() {
+        let (table, first_tie) = self.complete_table(t);
+        if first_tie == table.len() {
             return table;
         }
         self.canonical[t].get_or_init(|| {
-            let mut entries = table.clone();
+            let mut entries = table.to_vec();
             entries.sort_unstable_by_key(|entry| entry.splat_index);
             entries.sort_unstable_by(|a, b| a.depth.total_cmp(&b.depth));
             entries
         })
+    }
+
+    /// The table a walk of tile `t` continues on once a row needs entry `k`,
+    /// and how many of its leading entries are in blending order — the next
+    /// stage of the module docs' contract whose trust reaches past `k`. A
+    /// kernel starts with `walk_table(t, 0)` and asks again when a row needs
+    /// the first entry it was not trusted for.
+    pub fn walk_table(&self, t: usize, k: usize) -> (&[TableEntry], usize) {
+        if k < self.unique_len(t) {
+            return (&self.prefixes[t], self.unique_len(t));
+        }
+        let (complete, first_tie) = self.complete_table(t);
+        if k < first_tie {
+            return (complete, first_tie);
+        }
+        let canonical = self.canonical(t);
+        (canonical, canonical.len())
     }
 
     /// (splat, tile) pairs whose splat is in `skip`.
@@ -316,8 +548,10 @@ impl GaussianTables {
 
 /// Inclusive tile-coordinate range `(col0, col1, row0, row1)` a splat covers.
 fn splat_tile_range(splat: &Splat2d, grid: &TileGrid) -> (usize, usize, usize, usize) {
-    let clamp_col = |v: f32| (v.max(0.0) as usize).min(grid.cols.saturating_sub(1));
-    let clamp_row = |v: f32| (v.max(0.0) as usize).min(grid.rows.saturating_sub(1));
+    // Through `i32`: a cheaper saturating conversion than `usize`'s, and the
+    // same result once clamped to a 16-bit grid.
+    let clamp_col = |v: f32| (v.max(0.0) as i32 as usize).min(grid.cols.saturating_sub(1));
+    let clamp_row = |v: f32| (v.max(0.0) as i32 as usize).min(grid.rows.saturating_sub(1));
     let c0 = clamp_col((splat.mean.x - splat.radius) / TILE_SIZE as f32);
     let c1 = clamp_col((splat.mean.x + splat.radius) / TILE_SIZE as f32);
     let r0 = clamp_row((splat.mean.y - splat.radius) / TILE_SIZE as f32);
@@ -416,13 +650,8 @@ mod tests {
         let proj = project_gaussians(&cloud, &cam, &Se3::IDENTITY);
         assert_eq!(proj.splats.len(), 1);
         let tables = GaussianTables::build(&proj, &cam);
-        let occupied: Vec<usize> = tables
-            .tables()
-            .iter()
-            .enumerate()
-            .filter(|(_, t)| !t.is_empty())
-            .map(|(i, _)| i)
-            .collect();
+        let occupied: Vec<usize> =
+            (0..tables.grid.num_tiles()).filter(|&t| tables.table_len(t) > 0).collect();
         assert_eq!(occupied.len(), 1, "tiny splat should occupy one tile, got {occupied:?}");
     }
 
@@ -433,7 +662,7 @@ mod tests {
         let cam = camera();
         let proj = project_gaussians(&cloud, &cam, &Se3::IDENTITY);
         let tables = GaussianTables::build(&proj, &cam);
-        let occupied = tables.tables().iter().filter(|t| !t.is_empty()).count();
+        let occupied = (0..tables.grid.num_tiles()).filter(|&t| tables.table_len(t) > 0).count();
         assert!(occupied > 4, "large splat should cover many tiles, got {occupied}");
         assert_eq!(tables.total_pairs, occupied as u64);
     }
@@ -447,8 +676,8 @@ mod tests {
         let cam = camera();
         let proj = project_gaussians(&cloud, &cam, &Se3::IDENTITY);
         let tables = GaussianTables::build(&proj, &cam);
-        for table in tables.tables() {
-            for pair in table.windows(2) {
+        for t in 0..tables.grid.num_tiles() {
+            for pair in tables.prefix(t).windows(2) {
                 assert!(pair[0].depth <= pair[1].depth, "table not sorted");
             }
         }
@@ -485,7 +714,7 @@ mod tests {
             );
             assert_eq!(serial.total_pairs, parallel.total_pairs);
             assert_eq!(serial.grid, parallel.grid);
-            assert_eq!(serial.tables(), parallel.tables(), "{threads} threads");
+            assert_eq!(serial.prefixes, parallel.prefixes, "{threads} threads");
             assert_eq!(serial.unique_len, parallel.unique_len, "{threads} threads");
         }
     }
@@ -503,6 +732,33 @@ mod tests {
         assert_eq!(entries[0].splat_index, 2);
         assert_eq!(entries[1].splat_index, 1);
         assert!(entries[2].depth.is_nan());
+    }
+
+    #[test]
+    fn tile_ranges_clamp_like_a_usize_conversion() {
+        let grid = TileGrid::for_camera(&camera());
+        let usize_clamp = |v: f32, n: usize| (v.max(0.0) as usize).min(n - 1);
+        let edges = [f32::NAN, f32::NEG_INFINITY, -1e30, -3.5, -0.5, 0.0, 0.99, 1.0, 2.5, 3.0];
+        let far = [4.0, 1e9, 2147483648.0, 4294967296.0, 1e30, f32::INFINITY];
+        for &x in edges.iter().chain(&far) {
+            for radius in [0.0, 16.0, 1e20] {
+                let splat = Splat2d {
+                    id: 0,
+                    mean: ags_math::Vec2::new(16.0 * x, 16.0 * x),
+                    depth: 1.0,
+                    conic: (1.0, 0.0, 1.0),
+                    radius,
+                    color: Vec3::ONE,
+                    opacity: 0.5,
+                    p_cam: Vec3::ONE,
+                };
+                let (c0, c1, r0, r1) = splat_tile_range(&splat, &grid);
+                let at = |v: f32, n| usize_clamp(v / TILE_SIZE as f32, n);
+                let (lo, hi) = (splat.mean.x - radius, splat.mean.x + radius);
+                assert_eq!((c0, c1), (at(lo, grid.cols), at(hi, grid.cols)), "{x} ± {radius}");
+                assert_eq!((r0, r1), (at(lo, grid.rows), at(hi, grid.rows)), "{x} ± {radius}");
+            }
+        }
     }
 
     #[test]
@@ -555,22 +811,47 @@ mod tests {
         assert!(items.is_empty());
     }
 
-    /// The contract of the module docs, against the per-tile build.
-    fn assert_contract(name: &str, proj: &Projection, cam: &PinholeCamera) -> (usize, usize) {
-        let tables = GaussianTables::build(proj, cam);
+    /// The contract of the module docs for tables built to `cap` entries,
+    /// against the eager build and the per-tile build: what the build keeps,
+    /// what every stage of a walk is trusted for, and the canonical tables.
+    /// Returns the tiles with a tie and those whose `(depth, index)` order
+    /// differs from the canonical one.
+    fn assert_contract(
+        name: &str,
+        proj: &Projection,
+        cam: &PinholeCamera,
+        cap: usize,
+    ) -> (usize, usize) {
+        let tables = GaussianTables::build_to(proj, cam, cap);
+        let eager = GaussianTables::build_complete(proj, cam);
         let reference = GaussianTables::build_reference(proj, cam);
         assert_eq!(tables.total_pairs, reference.total_pairs, "{name}");
         assert_eq!(tables.tiles_per_splat, reference.tiles_per_splat, "{name}");
+        assert!(eager.rest.is_none(), "{name}: the eager build truncates nothing");
         let (mut tied, mut reordered) = (0, 0);
-        for (t, expect) in reference.tables().iter().enumerate() {
-            let unique = tables.unique_len(t);
-            assert_eq!(tables.canonical(t), &expect[..], "{name}: tile {t}");
-            assert_eq!(tables.tables()[t][..unique], expect[..unique], "{name}: tile {t}");
-            assert_eq!(reference.unique_len(t), expect.len(), "{name}: tile {t}");
+        for t in 0..reference.grid.num_tiles() {
+            let name = format!("{name}, cap {cap}: tile {t}");
+            let (expect, complete) = (reference.prefix(t), eager.prefix(t));
+            assert_eq!(tables.table_len(t), expect.len(), "{name}");
+            assert_eq!(reference.unique_len(t), expect.len(), "{name}");
+            assert_eq!(tables.prefix(t), &complete[..complete.len().min(cap)], "{name}");
             let first_tie = expect.windows(2).position(|pair| pair[0].depth == pair[1].depth);
-            assert_eq!(unique, first_tie.unwrap_or(expect.len()), "{name}: tile {t}");
-            tied += usize::from(unique < expect.len());
-            reordered += usize::from(tables.tables()[t] != *expect);
+            let first_tie = first_tie.unwrap_or(expect.len());
+            let trusted = if tables.truncated(t) { cap - 1 } else { expect.len() };
+            assert_eq!(tables.unique_len(t), first_tie.min(trusted), "{name}");
+            // Every stage hands out entries in blending order, and trusts
+            // itself past the entry it was asked for.
+            for k in [0, tables.unique_len(t), first_tie, expect.len().saturating_sub(1)] {
+                if k < expect.len() {
+                    let (table, trusted) = tables.walk_table(t, k);
+                    assert!(trusted > k && trusted <= table.len(), "{name}: k {k}");
+                    assert_eq!(table[..trusted], expect[..trusted], "{name}: k {k}");
+                }
+            }
+            assert_eq!(tables.first_tie(t), first_tie, "{name}");
+            assert_eq!(tables.canonical(t), expect, "{name}");
+            tied += usize::from(first_tie < expect.len());
+            reordered += usize::from(complete != expect);
         }
         (tied, reordered)
     }
@@ -581,7 +862,7 @@ mod tests {
         let mut reordered_somewhere = false;
         for (name, cloud) in tied_clouds() {
             let proj = project_gaussians(&cloud, &cam, &Se3::IDENTITY);
-            let (tied, reordered) = assert_contract(name, &proj, &cam);
+            let (tied, reordered) = assert_contract(name, &proj, &cam, PREFIX);
             assert!(tied > 0, "{name}: fixture must hold depth ties");
             reordered_somewhere |= reordered > 0;
         }
@@ -592,7 +873,85 @@ mod tests {
             let cloud = random_cloud(seed, 2000);
             let pose = Se3::from_translation(Vec3::new(0.1 * seed as f32, 0.0, -0.3));
             let proj = project_gaussians(&cloud, &cam, &pose);
-            assert_contract("random", &proj, &cam);
+            assert_contract("random", &proj, &cam, PREFIX);
+        }
+    }
+
+    /// Truncation at caps from one entry up: each cap puts the end of some
+    /// prefix before, on and after some tile's first tie, and the wall
+    /// fixtures tie whole tables.
+    #[test]
+    fn truncated_tables_deepen_to_the_eager_build_at_every_cap() {
+        let cam = camera();
+        let clouds = tied_clouds().into_iter().chain([("random", random_cloud(9, 2000))]);
+        for (name, cloud) in clouds {
+            let proj = project_gaussians(&cloud, &cam, &Se3::IDENTITY);
+            for cap in [1, 2, 3, 7, 64, 200] {
+                assert_contract(name, &proj, &cam, cap);
+            }
+        }
+        // A cap too small to hold a whole tie group.
+        let mut cloud = GaussianCloud::new();
+        for i in 0..40 {
+            let x = (i % 8) as f32 * 0.1 - 0.35;
+            cloud.push(Gaussian::isotropic(Vec3::new(x, 0.0, 2.0), 0.3, Vec3::ONE, 0.5));
+        }
+        let proj = project_gaussians(&cloud, &cam, &Se3::IDENTITY);
+        let (tied, _) = assert_contract("one depth", &proj, &cam, 3);
+        assert!(tied > 0);
+    }
+
+    /// The build stops scanning the depth order once every prefix is full,
+    /// and deepening scans only from where the first one filled.
+    #[test]
+    fn the_scatter_stops_when_every_prefix_is_full() {
+        let cam = PinholeCamera::from_fov(13, 9, 1.2);
+        let proj = project_gaussians(&random_cloud(21, 300), &cam, &Se3::IDENTITY);
+        let n = proj.splats.len();
+        assert!(n > 100);
+        let tables = GaussianTables::build_to(&proj, &cam, 10);
+        let rest = tables.rest.as_ref().expect("one deep tile truncates");
+        // One tile: its prefix is the first ten splats by depth.
+        assert_eq!(rest.filled_at[0], 9);
+        assert_eq!((rest.start, rest.order.len()), (10, n - 10));
+        assert_eq!(tables.canonical(0).len(), n);
+        let untruncated = GaussianTables::build_to(&proj, &cam, n);
+        assert!(untruncated.rest.is_none());
+    }
+
+    /// Walks of many tiles deepening one build at the same time share one
+    /// pass and read the same tables.
+    #[test]
+    fn concurrent_walks_deepen_one_build_once() {
+        let cam = camera();
+        for (name, cloud) in tied_clouds() {
+            let proj = project_gaussians(&cloud, &cam, &Se3::IDENTITY);
+            let tables = GaussianTables::build_to(&proj, &cam, 5);
+            let reference = GaussianTables::build_reference(&proj, &cam);
+            let tiles = tables.grid.num_tiles();
+            let barrier = std::sync::Barrier::new(7);
+            // Per worker, the address of the table each tile's walk moved to.
+            let seen: Vec<Vec<usize>> = std::thread::scope(|scope| {
+                let walkers: Vec<_> = (0..7)
+                    .map(|worker| {
+                        let (tables, reference, barrier) = (&tables, &reference, &barrier);
+                        scope.spawn(move || {
+                            barrier.wait();
+                            let mut seen = vec![0; tiles];
+                            for i in 0..tiles {
+                                let t = (i + worker * 5) % tiles;
+                                let (table, _) = tables.walk_table(t, tables.unique_len(t));
+                                assert_eq!(tables.canonical(t), reference.prefix(t), "tile {t}");
+                                seen[t] = table.as_ptr() as usize;
+                            }
+                            seen
+                        })
+                    })
+                    .collect();
+                walkers.into_iter().map(|walker| walker.join().unwrap()).collect()
+            });
+            assert!(seen.iter().all(|s| *s == seen[0]), "{name}: workers read different tables");
+            assert!((0..tiles).any(|t| tables.truncated(t)), "{name}");
         }
     }
 
@@ -602,16 +961,16 @@ mod tests {
     fn tables_are_sized_exactly_from_nothing_visible_to_full_cover() {
         let exact = |name: &str, cloud: &GaussianCloud, cam: &PinholeCamera| {
             let proj = project_gaussians(cloud, cam, &Se3::IDENTITY);
-            assert_contract(name, &proj, cam);
+            assert_contract(name, &proj, cam, PREFIX);
             let tables = GaussianTables::build(&proj, cam);
-            for table in tables.tables() {
+            for table in &tables.prefixes {
                 assert_eq!(
                     table.capacity(),
                     table.len(),
                     "{name}: pass 1 counts what pass 2 pushes"
                 );
             }
-            let pairs: usize = tables.tables().iter().map(Vec::len).sum();
+            let pairs: usize = (0..tables.grid.num_tiles()).map(|t| tables.table_len(t)).sum();
             assert_eq!(tables.total_pairs, pairs as u64, "{name}");
             (proj, tables)
         };
@@ -630,17 +989,17 @@ mod tests {
         let (proj, tables) = exact("one tile", &cloud, &one_tile);
         assert_eq!(tables.grid.num_tiles(), 1);
         assert!(!proj.splats.is_empty());
-        assert_eq!(tables.tables()[0].len(), proj.splats.len());
+        assert_eq!(tables.table_len(0), proj.splats.len());
 
         let mut cloud = random_cloud(22, 300);
         cloud.push(Gaussian::isotropic(Vec3::new(0.0, 0.0, 1.5), 2.0, Vec3::ONE, 0.5));
         let (proj, tables) = exact("full cover", &cloud, &cam);
         let big = proj.splats.iter().position(|s| s.id as usize == cloud.len() - 1).unwrap();
         assert_eq!(tables.tiles_per_splat[big], 12);
-        let holds_big = |table: &Vec<TableEntry>| {
-            table.iter().filter(|e| e.splat_index as usize == big).count() == 1
+        let holds_big = |t: usize| {
+            tables.canonical(t).iter().filter(|e| e.splat_index as usize == big).count() == 1
         };
-        assert!(tables.tables().iter().all(holds_big));
+        assert!((0..12).all(holds_big));
     }
 
     #[test]
@@ -653,10 +1012,8 @@ mod tests {
         for id in (0..cloud.len()).step_by(3) {
             skip.insert(id);
         }
-        let expect = tables
-            .tables()
-            .iter()
-            .flatten()
+        let expect = (0..tables.grid.num_tiles())
+            .flat_map(|t| tables.canonical(t))
             .filter(|e| skip.contains(proj.splats[e.splat_index as usize].id as usize))
             .count() as u64;
         assert!(expect > 0);
