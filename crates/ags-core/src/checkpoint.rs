@@ -38,10 +38,11 @@ use std::sync::Arc;
 
 /// Version tag of the auxiliary payload layout. Version 2 added the
 /// compaction tracking (per-splat touch epochs and cold-tier chunk flags)
-/// to the mapping-stage state; version 3 added the per-frame load-shedding
-/// fields (`shed_level`, `dropped`) to the trace codec; version 4 dropped
-/// the adaptive-slack stall samples.
-const AUX_VERSION: u16 = 4;
+/// to the mapping-stage state; version 3 added two per-frame load-shedding
+/// bytes (the shed level and a dropped flag) to the trace codec; version 4
+/// dropped the adaptive-slack stall samples; version 5 dropped the two
+/// load-shedding bytes again with the shed ladder.
+const AUX_VERSION: u16 = 5;
 
 /// Complete per-stream checkpoint state minus the map clouds (those travel
 /// through the epoch-delta store; the window here holds the same snapshots
@@ -215,8 +216,6 @@ fn put_trace_frame(w: &mut ByteWriter, f: &TraceFrame) {
         }
     }
     w.put_opt_f32(f.fp_rate);
-    w.put_u8(f.shed_level);
-    w.put_u8(f.dropped as u8);
     // Stage times are observational (excluded from canonical_bytes), but
     // dropping them across a restore would make the restored trace's timing
     // totals lie about work that did happen — keep them.
@@ -266,8 +265,6 @@ fn get_trace_frame(r: &mut ByteReader<'_>) -> Result<TraceFrame, StoreError> {
         tile_work.push(TileWork { tile, per_pixel_evals, per_pixel_blends });
     }
     let fp_rate = r.get_opt_f32()?;
-    let shed_level = r.get_u8()?;
-    let dropped = r.get_u8()? != 0;
     let stage_times = StageTimes {
         fc_s: r.get_f64()?,
         track_s: r.get_f64()?,
@@ -297,8 +294,7 @@ fn get_trace_frame(r: &mut ByteReader<'_>) -> Result<TraceFrame, StoreError> {
         map_bytes,
         tile_work,
         fp_rate,
-        shed_level,
-        dropped,
+        dropped: false,
         stage_times,
         backend,
         projection_cache_hits,
@@ -693,8 +689,7 @@ mod tests {
                 per_pixel_blends: vec![0, 1, 1],
             }],
             fp_rate: Some(0.125),
-            shed_level: 1,
-            dropped: true,
+            dropped: false,
             stage_times: StageTimes { fc_s: 0.5, track_s: 1.5, map_s: 2.5, stall_s: 0.25 },
             backend: BackendKind::Vectorized.name(),
             projection_cache_hits: 17,
@@ -794,7 +789,7 @@ mod tests {
         // Version skew: a payload tagged with the previous layout version is
         // rejected before any field is read.
         let mut old = bytes;
-        old[..2].copy_from_slice(&3u16.to_le_bytes());
+        old[..2].copy_from_slice(&(AUX_VERSION - 1).to_le_bytes());
         assert!(matches!(decode_aux(&old, state.window), Err(StoreError::Corrupt(_))));
     }
 

@@ -47,13 +47,6 @@ pub struct PipelineConfig {
     /// this many milliseconds so stress tests can force the FC worker to
     /// run ahead and block on the bounded channel. Keep `0` in production.
     pub stress_map_stall_ms: u64,
-    /// Bounds [`stress_map_stall_ms`](Self::stress_map_stall_ms) to a
-    /// *pulse*: when nonzero, only frames with index below this value stall.
-    /// Overload tests use the pulse to model a burst that clears — escalate
-    /// under pressure, then verify the decay back to full service — with a
-    /// schedule that is a pure function of the frame index. `0` means every
-    /// frame stalls (the PR-4 behaviour).
-    pub stress_map_stall_frames: u64,
     /// Test-only backpressure knob: stalls the FC worker by this many
     /// milliseconds per frame so tests can force the driver to wait on the
     /// FC result channel (counted in `StageTimes::stall_s`). Never changes
@@ -68,7 +61,6 @@ impl Default for PipelineConfig {
             depth: 1,
             map_slack: 0,
             stress_map_stall_ms: 0,
-            stress_map_stall_frames: 0,
             stress_fc_stall_ms: 0,
         }
     }
@@ -101,132 +93,6 @@ impl PipelineConfig {
 /// The largest map slack a driver runs at (and a checkpoint may carry).
 pub(crate) const MAX_MAP_SLACK: usize = 8;
 
-/// Graceful-degradation ladder of the per-stream QoS controller
-/// (`MultiStreamServer`): each level does deterministically *less* work per
-/// frame than the one before. Levels are totally ordered; the controller
-/// escalates one rung at a time under sustained pressure and decays one
-/// rung at a time once pressure clears (see [`QosConfig`]).
-///
-/// Every level's effect is a pure function of the frame stream and the
-/// admission schedule — never of thread timing — so a shed schedule replays
-/// bit-identically on any worker count. The level each frame was admitted
-/// under is a semantic field of `TraceFrame` (part of `canonical_bytes`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
-pub enum ShedLevel {
-    /// Full service: the stream's configured policy, untouched.
-    #[default]
-    Full = 0,
-    /// The map snapshot slack is forced to `0` — the classic serial
-    /// read-after-map semantics of `StreamPolicy::serial()` — so the stream
-    /// stops holding divergent copy-on-write snapshots and queued map
-    /// epochs. (Frames still flow through the stream's worker threads; only
-    /// the overlap semantics degrade.)
-    ForceSerial = 1,
-    /// On top of [`ForceSerial`](Self::ForceSerial): non-key frames skip
-    /// tracking and mapping entirely after the (cheap, CODEC-side) FC
-    /// decision. The frame repeats the last estimated pose and publishes an
-    /// unchanged map epoch, so the frame↔epoch contract every driver and
-    /// checkpoint relies on still holds. Key frames are always processed in
-    /// full — the map keeps absorbing genuinely new content.
-    DropNonKey = 2,
-    /// `push_frame` refuses new frames with `StreamError::Overloaded`
-    /// (non-sticky). Rejected pushes count toward the decay probation, so a
-    /// caller that keeps offering frames re-admits automatically once
-    /// pressure clears.
-    RejectAdmission = 3,
-}
-
-impl ShedLevel {
-    /// One rung up the ladder (saturating).
-    pub fn escalate(self) -> Self {
-        Self::from_u8(self as u8 + 1)
-    }
-
-    /// One rung down the ladder (saturating).
-    pub fn decay(self) -> Self {
-        Self::from_u8((self as u8).saturating_sub(1))
-    }
-
-    /// The level encoded in traces/checkpoints (values above the ladder
-    /// clamp to [`RejectAdmission`](Self::RejectAdmission)).
-    pub fn from_u8(value: u8) -> Self {
-        match value {
-            0 => Self::Full,
-            1 => Self::ForceSerial,
-            2 => Self::DropNonKey,
-            _ => Self::RejectAdmission,
-        }
-    }
-}
-
-/// Per-stream QoS / admission-control policy of `MultiStreamServer`
-/// (`StreamPolicy::with_qos`).
-///
-/// The controller consumes each frame's *recorded* stage times — already
-/// part of the deterministic trace — in completion order. A frame is
-/// **pressured** when its `stall_s` exceeds [`stall_budget_s`] or its map
-/// or track stage exceeds [`stage_budget_s`] (the watchdog: exceeding it
-/// also increments `StreamStats::watchdog_flags`). Every [`window`]
-/// completed frames the controller decides once:
-///
-/// * at least [`escalate_at`] pressured frames → escalate one
-///   [`ShedLevel`] (clamped to [`max_level`]);
-/// * zero pressured frames → after [`decay_after`] consecutive such
-///   windows, decay one level (hysteresis — a single quiet window does not
-///   flap the ladder);
-/// * anything in between → hold, and reset the decay streak.
-///
-/// While admission is rejected no frames complete; every [`window`]
-/// *rejected* pushes count as one quiet window instead, so the stream walks
-/// back down the ladder under a caller that keeps offering frames.
-///
-/// Determinism: the decision inputs are measured wall times, so the shed
-/// schedule is machine-dependent at mid-range budgets and fully
-/// deterministic at decisive ones (budgets far below or above every real
-/// stage time, e.g. against the `stress_map_stall_ms` pulse the overload
-/// tests force).
-///
-/// [`stall_budget_s`]: Self::stall_budget_s
-/// [`stage_budget_s`]: Self::stage_budget_s
-/// [`window`]: Self::window
-/// [`escalate_at`]: Self::escalate_at
-/// [`decay_after`]: Self::decay_after
-/// [`max_level`]: Self::max_level
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct QosConfig {
-    /// Per-frame pipeline stall (seconds) above which a frame is pressured.
-    pub stall_budget_s: f64,
-    /// Watchdog budget (seconds) on the map and track stages: a frame whose
-    /// map or track time exceeds it is flagged *and* pressured.
-    /// `f64::INFINITY` disables the watchdog.
-    pub stage_budget_s: f64,
-    /// Completed frames per shed decision (clamped to at least 1).
-    pub window: usize,
-    /// Pressured frames within a window that trigger an escalation.
-    pub escalate_at: usize,
-    /// Consecutive fully-quiet windows before one level of decay.
-    pub decay_after: usize,
-    /// The worst level the controller may escalate to. `ShedLevel::Full`
-    /// turns the controller into a pure watchdog (flags, never sheds).
-    pub max_level: ShedLevel,
-}
-
-impl Default for QosConfig {
-    /// Pressure past 250 ms stalls or 1 s stages, decide every 8 frames,
-    /// escalate when half the window is pressured, decay after 2 quiet
-    /// windows, full ladder available.
-    fn default() -> Self {
-        Self {
-            stall_budget_s: 0.25,
-            stage_budget_s: 1.0,
-            window: 8,
-            escalate_at: 4,
-            decay_after: 2,
-            max_level: ShedLevel::RejectAdmission,
-        }
-    }
-}
-
 /// When `MultiStreamServer` commits a checkpoint generation to a stream's
 /// attached store on its own (`StreamPolicy::with_checkpoint_policy`),
 /// instead of — in addition to — caller-driven `checkpoint_stream` calls.
@@ -243,10 +109,6 @@ pub enum CheckpointPolicy {
     /// Commit every N completed frames (one map epoch per frame), so a
     /// crash loses at most N epochs. N is clamped to at least 1.
     EveryNEpochs(usize),
-    /// Commit whenever the QoS controller changes the stream's
-    /// [`ShedLevel`] — overload is exactly when a crash is most likely and
-    /// a fresh restore point is cheapest relative to the work being shed.
-    OnShed,
 }
 
 /// Configuration of the AGS pipeline.
@@ -446,21 +308,6 @@ mod tests {
             assert_eq!(c.effective_map_slack(), MAX_MAP_SLACK, "{mode:?}: clamped");
         }
         assert_eq!(PipelineConfig::map_overlapped(2, 0).effective_map_slack(), 0);
-    }
-
-    #[test]
-    fn shed_ladder_is_ordered_and_saturates() {
-        use ShedLevel::*;
-        assert!(Full < ForceSerial && ForceSerial < DropNonKey && DropNonKey < RejectAdmission);
-        assert_eq!(Full.escalate(), ForceSerial);
-        assert_eq!(DropNonKey.escalate(), RejectAdmission);
-        assert_eq!(RejectAdmission.escalate(), RejectAdmission, "top rung saturates");
-        assert_eq!(RejectAdmission.decay(), DropNonKey);
-        assert_eq!(Full.decay(), Full, "bottom rung saturates");
-        for level in [Full, ForceSerial, DropNonKey, RejectAdmission] {
-            assert_eq!(ShedLevel::from_u8(level as u8), level, "u8 round-trip");
-        }
-        assert_eq!(ShedLevel::from_u8(250), RejectAdmission, "out-of-ladder clamps");
     }
 
     #[test]

@@ -24,7 +24,7 @@
 //! `MapOverlapped` run is checked against.
 
 use crate::checkpoint::StreamState;
-use crate::config::{AgsConfig, ShedLevel};
+use crate::config::AgsConfig;
 use crate::fc::FcDecision;
 use crate::pipelined::{map_publishes, Decided, FcFrontEnd, Frame, MapBackEnd, MapDone, MapJob};
 use crate::stages::{FcStage, MapOutput, MapStage, TrackOutput, TrackStage};
@@ -119,9 +119,6 @@ pub struct AgsSlam {
     /// `max(0, N − slack)` (`PipelineConfig::effective_map_slack`, or the
     /// checkpoint's on restore).
     slack: usize,
-    /// Current load-shedding level (server-driven; `Full` outside a
-    /// server). Not checkpointed: the server re-derives it from the trace.
-    shed: ShedLevel,
     /// Newest snapshot tracking has advanced to. The drain advances it to
     /// **exactly** the epoch a frame must read — never further, even when
     /// fresher epochs are already at hand. Unused by a map that never
@@ -178,7 +175,6 @@ impl AgsSlam {
             track,
             map: MapBackEnd::new(&config, slack, map, shared),
             slack,
-            shed: ShedLevel::Full,
             latest: CloudSnapshot::empty(),
             retained: SnapshotWindow::new(slack),
             ahead: VecDeque::new(),
@@ -265,26 +261,6 @@ impl AgsSlam {
             window,
         };
         (records, state)
-    }
-
-    /// Sets the load-shedding level applied to frames pushed from now on.
-    ///
-    /// Shedding is a *dynamic* overlay on the configured pipeline mode — no
-    /// threads are stopped or respawned, so escalating and decaying are both
-    /// cheap and cannot disturb in-flight frames. [`ShedLevel::ForceSerial`]
-    /// collapses the effective snapshot slack to 0 (serial read-after-map
-    /// semantics); [`ShedLevel::DropNonKey`] additionally sheds non-key
-    /// frames — their pose repeats the last estimate and the map consumes an
-    /// unchanged epoch, keeping the frame↔epoch contract intact.
-    /// [`ShedLevel::RejectAdmission`] is enforced by the caller (the server
-    /// rejects pushes before they reach the driver); inside the driver it
-    /// behaves like `DropNonKey`.
-    ///
-    /// The level is stamped into every frame's
-    /// [`TraceFrame::shed_level`], so a shed schedule is part of the
-    /// canonical trace and must replay bit-identically.
-    pub fn set_shed_level(&mut self, level: ShedLevel) {
-        self.shed = level;
     }
 
     /// The configuration in use.
@@ -382,14 +358,11 @@ impl AgsSlam {
         // The staleness contract: frame N reads epoch max(0, N − slack) —
         // the map published after Map(N − slack − 1). Drain exactly up to it,
         // blocking if mapping is behind (backpressure), ignoring fresher
-        // epochs if it is ahead. `ForceSerial` shedding collapses the slack
-        // to 0 (read-after-map). Dropped frames drain too, so the bounded
-        // channels never fill during a long shed episode.
+        // epochs if it is ahead.
         let publishes = self.map.publishes();
         let mut stall_s = wait_s;
         if publishes {
-            let slack = if self.shed >= ShedLevel::ForceSerial { 0 } else { self.slack };
-            let needed = frame_index.saturating_sub(slack) as u64;
+            let needed = frame_index.saturating_sub(self.slack) as u64;
             let start = Instant::now();
             while self.latest.epoch() < needed {
                 self.pump_one();
@@ -398,29 +371,19 @@ impl AgsSlam {
         }
 
         let mut record = begin_trace_frame(frame_index, &decision);
-        record.shed_level = self.shed as u8;
-        let dropped = self.shed >= ShedLevel::DropNonKey && !decision.is_keyframe;
-        let (pose, track_s) = if dropped {
-            // Shed: no tracking, no map integration. The pose repeats the
-            // last estimate and the map still consumes the frame's epoch, so
-            // the one-epoch-per-frame contract holds. Frame 0 is always a key
-            // frame, so a previous pose exists.
-            record.dropped = true;
-            (self.trajectory.last().copied().unwrap_or(Se3::IDENTITY), 0.0)
+        let start = Instant::now();
+        // A map that never publishes is peeked at live; the handle is
+        // dropped before mapping mutates, so copy-on-write never copies.
+        let snapshot = if publishes {
+            self.latest.clone()
         } else {
-            let start = Instant::now();
-            // A map that never publishes is peeked at live; the handle is
-            // dropped before mapping mutates, so copy-on-write never copies.
-            let snapshot = if publishes {
-                self.latest.clone()
-            } else {
-                self.map.live().expect("only inline maps skip publishing").peek()
-            };
-            let tracked = self.track.process(&frame.input(frame_index), &decision, &snapshot);
-            drop(snapshot);
-            apply_track_output(&mut record, &tracked);
-            (tracked.pose, start.elapsed().as_secs_f64())
+            self.map.live().expect("only inline maps skip publishing").peek()
         };
+        let tracked = self.track.process(&frame.input(frame_index), &decision, &snapshot);
+        drop(snapshot);
+        apply_track_output(&mut record, &tracked);
+        let pose = tracked.pose;
+        let track_s = start.elapsed().as_secs_f64();
         self.trajectory.push(pose);
         record.stage_times = StageTimes { fc_s, track_s, map_s: 0.0, stall_s };
         self.awaiting.push_back(AgsFrameRecord {
@@ -428,7 +391,7 @@ impl AgsSlam {
             estimated_pose: pose,
             skipped_gaussians: 0,
         });
-        let job = MapJob { frame_index, frame, decision, pose, dropped };
+        let job = MapJob { frame_index, frame, decision, pose };
         if let Some(done) = self.map.submit(job) {
             self.complete(done);
         }

@@ -204,8 +204,6 @@ pub(crate) struct MapJob {
     pub frame: Frame,
     pub decision: FcDecision,
     pub pose: Se3,
-    /// Load shedding: the frame skips mapping but still consumes its epoch.
-    pub dropped: bool,
 }
 
 /// One frame's mapping result, with the epoch it published (a refcount
@@ -227,11 +225,7 @@ pub(crate) fn map_publishes(config: &AgsConfig, slack: usize) -> bool {
 
 fn map_frame(map: &mut MapStage, shared: &mut SharedCloud, job: &MapJob, publish: bool) -> MapDone {
     let start = Instant::now();
-    let mapped = if job.dropped {
-        map.process_dropped(shared)
-    } else {
-        map.process(&job.frame.input(job.frame_index), &job.decision, job.pose, shared)
-    };
+    let mapped = map.process(&job.frame.input(job.frame_index), &job.decision, job.pose, shared);
     let snapshot = publish.then(|| shared.publish());
     let map_s = start.elapsed().as_secs_f64();
     MapDone { mapped, snapshot, num_gaussians: shared.read().len(), map_s }
@@ -351,7 +345,7 @@ impl Drop for MapBackEnd {
 
 #[cfg(test)]
 mod tests {
-    use crate::config::{AgsConfig, PipelineConfig, ShedLevel};
+    use crate::config::{AgsConfig, PipelineConfig};
     use crate::pipeline::AgsSlam;
     use ags_scene::dataset::{Dataset, DatasetConfig, SceneId};
     use std::sync::Arc;
@@ -477,48 +471,6 @@ mod tests {
         slam.finish();
         let totals = slam.trace().stage_time_totals();
         assert!(totals.stall_s > 0.0, "FC-channel wait must show up as stall time");
-    }
-
-    #[test]
-    fn drop_non_key_repeats_pose_and_keeps_the_epoch_contract() {
-        // Inline driver under DropNonKey: non-key frames skip track+map,
-        // repeat the previous pose and still consume their (unchanged)
-        // epoch — one epoch per frame survives shedding.
-        let data = tiny_dataset(8);
-        let mut slam = AgsSlam::new(AgsConfig::tiny());
-        for (i, frame) in data.frames.iter().enumerate() {
-            if i == 2 {
-                slam.set_shed_level(ShedLevel::DropNonKey);
-            }
-            if i == 6 {
-                slam.set_shed_level(ShedLevel::Full);
-            }
-            slam.push_frame_cloned(&data.camera, &frame.rgb, &frame.depth);
-        }
-        slam.finish();
-        let trace = slam.trace();
-        assert_eq!(trace.frames.len(), 8);
-        assert!(
-            trace.frames.iter().any(|f| f.dropped),
-            "the shed window must drop at least one non-key frame"
-        );
-        for (i, frame) in trace.frames.iter().enumerate() {
-            if frame.dropped {
-                assert!((2..6).contains(&i), "drops only inside the shed window");
-                assert_eq!(frame.shed_level, ShedLevel::DropNonKey as u8);
-                assert_eq!(
-                    slam.trajectory()[i],
-                    slam.trajectory()[i - 1],
-                    "a dropped frame repeats the previous pose"
-                );
-                assert_eq!(frame.stage_times.track_s, 0.0);
-                // `map_s` is the measured `process_dropped` bookkeeping —
-                // O(1), nowhere near a real mapping pass.
-                assert!(frame.stage_times.map_s < 0.01);
-            }
-        }
-        assert!(!trace.frames[7].dropped, "full service resumes after the window");
-        assert_eq!(trace.frames[7].shed_level, ShedLevel::Full as u8);
     }
 
     #[test]

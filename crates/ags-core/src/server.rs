@@ -33,29 +33,24 @@
 //! (sums and per-stage maxima, including the backpressure `stall_s`) so a
 //! deployment can see *where* shared-pool contention lands.
 //!
-//! # Lifecycle & overload control
+//! # Lifecycle
 //!
 //! Streams are not fixed at construction: [`attach_stream`] adds a slot at
 //! runtime (its `AgsSlam` spawns lazily on the first frame) and
 //! [`detach_stream`] drains it, optionally commits a final checkpoint, and
 //! retires its fairness lane in the shared pool — lanes are reclaimed, not
-//! leaked, so attach/detach churn is unbounded. A per-stream QoS
-//! controller ([`QosConfig`] via [`StreamPolicy::with_qos`]) watches each
-//! completed frame's recorded stage times and walks the deterministic
-//! [`ShedLevel`] ladder — full service → forced-serial slack → dropping
-//! non-key frames → rejecting admission ([`StreamError::Overloaded`]) —
-//! with hysteresis on the way down. Shed levels are stamped into the
-//! canonical trace, so a shed schedule is part of the stream's semantic
-//! output and replays bit-identically at any worker count. A
-//! [`CheckpointPolicy`] can additionally drive the attached store
-//! automatically (every N epochs, or on shed transitions) —
-//! checkpoint-on-pressure without caller involvement.
+//! leaked, so attach/detach churn is unbounded. A [`CheckpointPolicy`] can
+//! commit to the attached store on its own every N epochs; a failed
+//! automatic commit is counted (`StreamStats::checkpoint_errors`), never
+//! fatal. Every stream does the full work for every frame it is given:
+//! nothing the server decides depends on wall-clock time, so a stream's
+//! semantic output is a function of its frames alone.
 //!
 //! [`attach_stream`]: MultiStreamServer::attach_stream
 //! [`detach_stream`]: MultiStreamServer::detach_stream
 
 use crate::checkpoint::{decode_aux, encode_aux};
-use crate::config::{AgsConfig, CheckpointPolicy, PipelineConfig, QosConfig, ShedLevel};
+use crate::config::{AgsConfig, CheckpointPolicy, PipelineConfig};
 use crate::pipeline::{AgsFrameRecord, AgsSlam};
 use crate::trace::{StageTimes, WorkloadTrace};
 use ags_image::{DepthImage, RgbImage};
@@ -68,19 +63,14 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Per-stream execution policy.
-///
-/// Today this is the stage-graph configuration (pipeline mode, FC lookahead
-/// depth, map slack); the struct exists so per-stream knobs can grow
-/// without touching [`ServerConfig`].
+/// Per-stream execution policy: where the stream's stages run, when it
+/// checkpoints on its own, its map memory ceiling and its render backend.
+/// Streams without an entry in [`ServerConfig::per_stream`] take the base
+/// config's pipeline and the defaults of everything else.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct StreamPolicy {
     /// Stage-graph execution of this stream.
     pub pipeline: PipelineConfig,
-    /// Admission/overload controller for this stream. `None` (the default)
-    /// disables shedding entirely — the stream always runs at
-    /// [`ShedLevel::Full`].
-    pub qos: Option<QosConfig>,
     /// When the server commits checkpoint generations to this stream's
     /// attached store on its own. [`CheckpointPolicy::Manual`] (the
     /// default) keeps commits caller-driven.
@@ -124,12 +114,6 @@ impl StreamPolicy {
     /// This policy with an explicit render backend for the stream.
     pub fn with_backend(mut self, backend: BackendKind) -> Self {
         self.backend = Some(backend);
-        self
-    }
-
-    /// This policy with an overload controller installed.
-    pub fn with_qos(mut self, qos: QosConfig) -> Self {
-        self.qos = Some(qos);
         self
     }
 
@@ -199,14 +183,6 @@ pub enum StreamError {
         /// The underlying store error.
         source: StoreError,
     },
-    /// The stream's QoS controller is at [`ShedLevel::RejectAdmission`] and
-    /// the frame was not admitted. Unlike poisoning this is **not
-    /// sticky** — rejected pushes count toward the controller's recovery
-    /// probation, so retrying later succeeds once pressure clears.
-    Overloaded {
-        /// The overloaded stream's index.
-        stream: usize,
-    },
     /// The stream was detached ([`MultiStreamServer::detach_stream`]); only
     /// its final stats remain.
     Detached(usize),
@@ -221,9 +197,6 @@ impl std::fmt::Display for StreamError {
             }
             StreamError::Storage { stream, source } => {
                 write!(f, "stream {stream} storage failure: {source}")
-            }
-            StreamError::Overloaded { stream } => {
-                write!(f, "stream {stream} is overloaded: admission rejected")
             }
             StreamError::Detached(s) => write!(f, "stream {s} was detached"),
         }
@@ -260,121 +233,9 @@ fn no_store(stream: usize) -> StreamError {
     }
 }
 
-/// Per-stream overload controller: a deterministic state machine over the
-/// stream's *recorded* stage times. Each completed frame is classified as
-/// pressured or not against fixed budgets; every `window` frames the
-/// controller makes one ladder decision (escalate / hold / decay with
-/// hysteresis). Because the inputs are the trace's own `StageTimes` — which
-/// a checkpoint persists verbatim — a restored stream can rebuild the
-/// controller by re-feeding the persisted trace and land in the exact same
-/// state (`rejected` probation is the one exception: rejected pushes leave
-/// no trace record, so that counter restarts at zero after a restore).
-#[derive(Debug, Clone)]
-struct QosController {
-    config: Option<QosConfig>,
-    level: ShedLevel,
-    /// Frames classified in the current window.
-    seen: usize,
-    /// Of those, frames over a budget.
-    pressured: usize,
-    /// Consecutive fully-quiet windows (hysteresis for decay).
-    quiet_windows: usize,
-    /// Rejected pushes since the last decision (recovery probation while at
-    /// `RejectAdmission` — no frames complete there, so rejections must
-    /// tick the clock or the stream could never recover).
-    rejected_run: usize,
-    /// Frames whose map or track stage exceeded the watchdog budget.
-    watchdog_flags: u64,
-    /// Ladder escalations (not decays).
-    sheds: u64,
-}
-
-impl QosController {
-    fn new(config: Option<QosConfig>) -> Self {
-        Self {
-            config,
-            level: ShedLevel::Full,
-            seen: 0,
-            pressured: 0,
-            quiet_windows: 0,
-            rejected_run: 0,
-            watchdog_flags: 0,
-            sheds: 0,
-        }
-    }
-
-    fn level(&self) -> ShedLevel {
-        self.level
-    }
-
-    /// Classifies one completed frame (in stream order) and, at window
-    /// boundaries, makes a ladder decision. Returns the new level if it
-    /// changed.
-    fn feed(&mut self, times: &StageTimes) -> Option<ShedLevel> {
-        let config = self.config?;
-        let flagged = times.map_s > config.stage_budget_s || times.track_s > config.stage_budget_s;
-        if flagged {
-            self.watchdog_flags += 1;
-        }
-        let pressured = flagged || times.stall_s > config.stall_budget_s;
-        self.seen += 1;
-        self.pressured += pressured as usize;
-        if self.seen < config.window.max(1) {
-            return None;
-        }
-        let pressured_frames = self.pressured;
-        self.seen = 0;
-        self.pressured = 0;
-        if pressured_frames >= config.escalate_at.max(1) {
-            self.quiet_windows = 0;
-            let next = self.level.escalate().min(config.max_level);
-            return self.shift(next, true);
-        }
-        if pressured_frames == 0 {
-            self.quiet_windows += 1;
-            if self.quiet_windows >= config.decay_after.max(1) {
-                self.quiet_windows = 0;
-                return self.shift(self.level.decay(), false);
-            }
-        } else {
-            self.quiet_windows = 0;
-        }
-        None
-    }
-
-    /// A rejected push at `RejectAdmission`: every `window` rejections
-    /// count as one quiet window, so sustained rejected demand decays the
-    /// stream back toward admission once nothing else reports pressure.
-    fn note_rejected(&mut self) -> Option<ShedLevel> {
-        let config = self.config?;
-        self.rejected_run += 1;
-        if self.rejected_run < config.window.max(1) {
-            return None;
-        }
-        self.rejected_run = 0;
-        self.quiet_windows += 1;
-        if self.quiet_windows >= config.decay_after.max(1) {
-            self.quiet_windows = 0;
-            return self.shift(self.level.decay(), false);
-        }
-        None
-    }
-
-    fn shift(&mut self, next: ShedLevel, escalation: bool) -> Option<ShedLevel> {
-        if next == self.level {
-            return None;
-        }
-        self.level = next;
-        if escalation {
-            self.sheds += 1;
-        }
-        Some(next)
-    }
-}
-
-/// One stream slot: its pipelined SLAM instance plus server-side health,
-/// progress and overload bookkeeping — and, when a store is attached, the
-/// epoch log that makes the stream durable.
+/// One stream slot: its pipelined SLAM instance plus server-side health
+/// and progress bookkeeping — and, when a store is attached, the epoch log
+/// that makes the stream durable.
 #[derive(Debug)]
 struct StreamSlot {
     /// The stream's resolved config (shared pool handle + tag installed) —
@@ -395,22 +256,17 @@ struct StreamSlot {
     store_prefix: Option<String>,
     pushed: usize,
     completed: usize,
-    qos: QosController,
     /// Completed records not yet handed to the caller. Normally at most one
     /// deep; automatic checkpoints quiesce the pipeline mid-stream and park
     /// the drained records here, to be returned by subsequent pushes.
     buffered: VecDeque<AgsFrameRecord>,
     /// Final stats snapshot of a detached stream (`Some` ⇒ retired).
     retired: Option<StreamStats>,
-    /// Rejected pushes ([`StreamError::Overloaded`]).
-    rejected: u64,
     /// Automatic checkpoint commits that succeeded / failed.
     auto_checkpoints: u64,
     checkpoint_errors: u64,
     /// Completed frames since the last commit (for `EveryNEpochs`).
     epochs_since_commit: usize,
-    /// A shed transition happened since the last commit (for `OnShed`).
-    shed_transition: bool,
 }
 
 impl StreamSlot {
@@ -425,15 +281,12 @@ impl StreamSlot {
             store_prefix: None,
             pushed: 0,
             completed: 0,
-            qos: QosController::new(policy.qos),
             policy,
             buffered: VecDeque::new(),
             retired: None,
-            rejected: 0,
             auto_checkpoints: 0,
             checkpoint_errors: 0,
             epochs_since_commit: 0,
-            shed_transition: false,
         }
     }
 
@@ -450,18 +303,11 @@ impl StreamSlot {
         self.slam.get_or_insert_with(|| AgsSlam::new(self.cfg.clone()))
     }
 
-    /// Absorbs one completed record in stream order: feeds the QoS
-    /// controller, applies any ladder transition to the pipeline, and parks
-    /// the record for the caller.
+    /// Absorbs one completed record in stream order and parks it for the
+    /// caller.
     fn absorb(&mut self, record: AgsFrameRecord) {
         self.completed += 1;
         self.epochs_since_commit += 1;
-        if let Some(next) = self.qos.feed(&record.trace.stage_times) {
-            self.shed_transition = true;
-            if let Some(slam) = self.slam.as_mut() {
-                slam.set_shed_level(next);
-            }
-        }
         self.buffered.push_back(record);
     }
 
@@ -473,7 +319,6 @@ impl StreamSlot {
         match self.policy.checkpoint_policy {
             CheckpointPolicy::Manual => false,
             CheckpointPolicy::EveryNEpochs(n) => self.epochs_since_commit >= n.max(1),
-            CheckpointPolicy::OnShed => self.shed_transition,
         }
     }
 
@@ -511,7 +356,6 @@ impl StreamSlot {
             self.absorb(record);
         }
         self.epochs_since_commit = 0;
-        self.shed_transition = false;
         let aux = encode_aux(&state);
         self.store
             .as_mut()
@@ -553,13 +397,10 @@ pub struct StreamStats {
     /// final snapshot taken at detach time (so aggregate counters stay
     /// monotonic across churn).
     pub retired: bool,
-    /// The stream's current shed level.
-    pub shed_level: ShedLevel,
-    /// QoS ladder escalations so far.
-    pub sheds: u64,
-    /// Frames whose map or track stage tripped the watchdog budget.
-    pub watchdog_flags: u64,
-    /// Pushes rejected while at [`ShedLevel::RejectAdmission`].
+    /// Always `0`: every push is admitted. Only reader:
+    /// `benchmark/src/sut.rs:602`; kept until the next `benchmark` PR drops
+    /// it there (`benchmark/` may not be edited).
+    #[doc(hidden)]
     pub rejected: u64,
     /// Automatic checkpoint commits ([`CheckpointPolicy`]) that succeeded.
     pub auto_checkpoints: u64,
@@ -713,7 +554,7 @@ impl MultiStreamServer {
         if slot.retired.is_some() {
             return Err(StreamError::Detached(stream));
         }
-        if !slot.poisoned && slot.slam.is_some() {
+        if !slot.poisoned {
             if final_checkpoint {
                 slot.commit_checkpoint(stream)?;
             } else {
@@ -758,11 +599,7 @@ impl MultiStreamServer {
     /// is caught here: the stream is marked poisoned and every further
     /// operation on it returns [`StreamError::Poisoned`], while the other
     /// streams — and the shared pool, which survives submitter panics by
-    /// design — continue unaffected.
-    /// A frame rejected at [`ShedLevel::RejectAdmission`] returns
-    /// [`StreamError::Overloaded`] — non-sticky; rejected pushes count
-    /// toward the QoS controller's recovery probation, so pushing again
-    /// after pressure clears is admitted. Records drained by automatic
+    /// design — continue unaffected. Records drained by automatic
     /// checkpoints are buffered and returned (in stream order) by
     /// subsequent pushes.
     pub fn push_frame(
@@ -773,16 +610,6 @@ impl MultiStreamServer {
         depth: Arc<DepthImage>,
     ) -> Result<Option<AgsFrameRecord>, StreamError> {
         let slot = self.slot(stream)?;
-        if slot.qos.level() == ShedLevel::RejectAdmission {
-            slot.rejected += 1;
-            if let Some(next) = slot.qos.note_rejected() {
-                slot.shed_transition = true;
-                if let Some(slam) = slot.slam.as_mut() {
-                    slam.set_shed_level(next);
-                }
-            }
-            return Err(StreamError::Overloaded { stream });
-        }
         slot.pushed += 1;
         slot.slam_mut(); // lazy spawn outside the catch: construction panics are config bugs
         let slam = slot.slam.as_mut().expect("just spawned");
@@ -832,12 +659,6 @@ impl MultiStreamServer {
     /// Whether stream `s` has been detached.
     pub fn is_retired(&self, stream: usize) -> bool {
         self.streams.get(stream).is_some_and(|s| s.retired.is_some())
-    }
-
-    /// The current shed level of stream `s` (`None` for unknown streams).
-    /// [`ShedLevel::Full`] for streams without a QoS controller.
-    pub fn shed_level(&self, stream: usize) -> Option<ShedLevel> {
-        self.streams.get(stream).map(|s| s.qos.level())
     }
 
     /// Attaches a durability store to stream `stream` under the key prefix
@@ -914,12 +735,6 @@ impl MultiStreamServer {
     /// (e.g. after a process restart, on a server whose streams were just
     /// constructed).
     ///
-    /// The stream's QoS controller is rebuilt deterministically by
-    /// re-feeding the persisted trace's recorded stage times, and the
-    /// resulting shed level is re-applied to the revived pipeline — a shed
-    /// schedule survives a restore bit-identically. (Rejection probation is
-    /// the one piece that resets: rejected pushes leave no trace record.)
-    ///
     /// The store's delta chain is fetched in one pass and only the snapshot
     /// window is materialized ([`EpochStore::restore_latest`]). Torn or
     /// corrupted generations are skipped (newest-first) rather than loaded;
@@ -937,16 +752,9 @@ impl MultiStreamServer {
             })
             .map_err(|source| StreamError::Storage { stream, source })?;
         let frame_count = state.frame_count;
-        // Replay the persisted trace through a fresh controller: shed state
-        // is a pure function of the recorded stage times, so this lands in
-        // exactly the state the checkpointing run was in.
-        let qos = Self::rebuild_qos(slot.policy.qos, &state.trace);
         // The slot's stored config already carries the shared pool handle
         // and stream tag; `restore` re-resolves it, which is idempotent.
-        let mut slam = AgsSlam::restore(slot.cfg.clone(), state);
-        slam.set_shed_level(qos.level());
-        slot.slam = Some(slam);
-        slot.qos = qos;
+        slot.slam = Some(AgsSlam::restore(slot.cfg.clone(), state));
         slot.poisoned = false;
         slot.panic_msg = None;
         slot.retired = None;
@@ -954,7 +762,6 @@ impl MultiStreamServer {
         slot.pushed = frame_count;
         slot.completed = frame_count;
         slot.epochs_since_commit = 0;
-        slot.shed_transition = false;
         Ok(())
     }
 
@@ -964,16 +771,6 @@ impl MultiStreamServer {
     #[doc(hidden)]
     pub fn restore_stream_lazy(&mut self, stream: usize) -> Result<(), StreamError> {
         self.restore_stream(stream)
-    }
-
-    /// Folds a persisted trace through a fresh [`QosController`] — the
-    /// deterministic state rebuild used by [`restore_stream`](Self::restore_stream).
-    fn rebuild_qos(config: Option<QosConfig>, trace: &WorkloadTrace) -> QosController {
-        let mut qos = QosController::new(config);
-        for frame in &trace.frames {
-            qos.feed(&frame.stage_times);
-        }
-        qos
     }
 
     /// Byte/record counters of stream `stream`'s attached store — what the
@@ -1020,10 +817,7 @@ impl MultiStreamServer {
             projection_cache_hits: newest.map_or(0, |f| f.projection_cache_hits),
             projection_cache_misses: newest.map_or(0, |f| f.projection_cache_misses),
             retired: false,
-            shed_level: slot.qos.level(),
-            sheds: slot.qos.sheds,
-            watchdog_flags: slot.qos.watchdog_flags,
-            rejected: slot.rejected,
+            rejected: 0,
             auto_checkpoints: slot.auto_checkpoints,
             checkpoint_errors: slot.checkpoint_errors,
         }

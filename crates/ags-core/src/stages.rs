@@ -400,16 +400,10 @@ impl MapStage {
         pose: Se3,
         shared: &mut SharedCloud,
     ) -> MapOutput {
-        let stress = &self.config.pipeline;
-        if stress.stress_map_stall_ms > 0
-            && (stress.stress_map_stall_frames == 0
-                || (input.frame_index as u64) < stress.stress_map_stall_frames)
-        {
-            // Test-only backpressure: see `PipelineConfig::stress_map_stall_ms`
-            // and the `stress_map_stall_frames` pulse bound (keyed on the
-            // frame index, so the pulse is identical on every worker count
-            // and unaffected by shed-dropped frames).
-            std::thread::sleep(std::time::Duration::from_millis(stress.stress_map_stall_ms));
+        let stall_ms = self.config.pipeline.stress_map_stall_ms;
+        if stall_ms > 0 {
+            // Test-only backpressure: see `PipelineConfig::stress_map_stall_ms`.
+            std::thread::sleep(std::time::Duration::from_millis(stall_ms));
         }
         // The epoch under which this frame's map update becomes visible to
         // tracking: one epoch per mapped frame, counted by the stage itself
@@ -633,35 +627,6 @@ impl MapStage {
         out.projection_cache_hits = hits;
         out.projection_cache_misses = misses;
         out
-    }
-
-    /// The shed counterpart of [`process`](Self::process): a frame dropped
-    /// at `ShedLevel::DropNonKey` skips densification, mapping and all
-    /// bookkeeping but still **consumes its epoch** — `frames_mapped`
-    /// advances and the caller publishes the (unchanged) map under it, so
-    /// the one-epoch-per-frame contract every driver, checkpoint and the
-    /// deferred-map reference rely on holds across shed frames. The output
-    /// restates the current map size/tier occupancy with zero work.
-    pub fn process_dropped(&mut self, shared: &SharedCloud) -> MapOutput {
-        self.frames_mapped += 1;
-        debug_assert!(
-            shared.epoch() == 0 || self.frames_mapped == shared.next_epoch(),
-            "publishing drivers must publish exactly once per mapped frame"
-        );
-        let quantized_splats = self.quantized_splat_count();
-        let (hits, misses) = self.cache.stats();
-        MapOutput {
-            mapping: WorkUnits::default(),
-            skipped_gaussians: 0,
-            tile_work: Vec::new(),
-            fp_rate: None,
-            pruned: 0,
-            quantized_splats,
-            map_bytes: ags_splat::compact::map_bytes(shared.read().len(), quantized_splats),
-            backend: self.config.backend.name(),
-            projection_cache_hits: hits,
-            projection_cache_misses: misses,
-        }
     }
 
     /// Projects the cloud through the epoch-delta cache when enabled, else

@@ -86,14 +86,11 @@ pub struct TraceFrame {
     pub tile_work: Vec<TileWork>,
     /// Measured false-positive rate of the skip prediction, when audited.
     pub fp_rate: Option<f32>,
-    /// QoS shed level the frame was admitted under
-    /// (`ShedLevel as u8`; `0` = full service). **Semantic**: shedding
-    /// changes what work the frame does, so a shed schedule is part of the
-    /// canonical bytes and replays bit-identically or not at all.
-    pub shed_level: u8,
-    /// Whether the frame was shed at `ShedLevel::DropNonKey`: tracking and
-    /// mapping were skipped, the last pose repeated and an unchanged map
-    /// epoch published. Semantic, like [`shed_level`](Self::shed_level).
+    /// Always `false`: no frame skips tracking and mapping. Only reader:
+    /// `benchmark/src/sut.rs:901`; kept out of the canonical bytes and the
+    /// checkpoint codec until the next `benchmark` PR drops it there
+    /// (`benchmark/` may not be edited).
+    #[doc(hidden)]
     pub dropped: bool,
     /// Measured per-stage wall time (observational; not part of the
     /// canonical byte encoding).
@@ -167,7 +164,6 @@ impl WorkloadTrace {
                 map_bytes: r.num_gaussians as u64 * ags_splat::compact::FULL_SPLAT_BYTES,
                 tile_work: r.tile_work.clone(),
                 fp_rate: None,
-                shed_level: 0,
                 dropped: false,
                 stage_times: StageTimes::default(),
                 backend: "",
@@ -246,8 +242,6 @@ impl WorkloadTrace {
                 }
             }
             push_opt_f32(&mut out, f.fp_rate);
-            out.push(f.shed_level);
-            out.push(f.dropped as u8);
         }
         out
     }
@@ -376,14 +370,6 @@ mod tests {
         let mut d = a.clone();
         d.frames[0].is_keyframe = false;
         assert_ne!(a.canonical_bytes(), d.canonical_bytes());
-        // Shed decisions change what work a frame does — semantic, so two
-        // runs with different shed schedules must never compare equal.
-        let mut e = a.clone();
-        e.frames[0].shed_level = 1;
-        assert_ne!(a.canonical_bytes(), e.canonical_bytes());
-        let mut g = a.clone();
-        g.frames[0].dropped = true;
-        assert_ne!(a.canonical_bytes(), g.canonical_bytes());
     }
 
     #[test]

@@ -294,3 +294,50 @@ fn attach_plus_restore_fetches_each_record_of_the_generation_exactly_once() {
     assert_eq!(stats.read_records, keys.len() as u64 + 1);
     assert_eq!(stats.read_bytes, backing.total_bytes() + manifest.len() as u64);
 }
+
+#[test]
+fn a_stream_that_has_not_seen_a_frame_migrates_and_finishes_bit_identical() {
+    let frames = 6;
+    let workers = 2;
+    let data = dataset(SceneId::Xyz, frames);
+    for policy in [StreamPolicy::serial(), StreamPolicy::map_overlapped(1, 1)] {
+        let solo = {
+            let mut server = MultiStreamServer::new(one_stream_config(policy, workers));
+            for f in 0..frames {
+                push(&mut server, 0, &data, f);
+            }
+            server.finish_all();
+            result_of(&server, 0)
+        };
+
+        let mut source = MultiStreamServer::new(empty_server_config(workers));
+        let src = source.attach_stream(policy);
+        // Without a store the final checkpoint cannot be written: the detach
+        // fails and leaves the stream attached.
+        assert!(matches!(source.detach_stream(src, true), Err(StreamError::Storage { .. })));
+        assert!(!source.is_retired(src), "a failed detach leaves the stream attached");
+
+        let backing = MemoryStore::new();
+        let mut dest = MultiStreamServer::new(empty_server_config(workers));
+        let report = migrate_stream(
+            &mut source,
+            src,
+            &mut dest,
+            policy,
+            &fast_store_config(),
+            &mut |_| -> Result<Box<dyn MapStore>, StoreError> { Ok(Box::new(backing.clone())) },
+        )
+        .expect("an idle stream migrates");
+        assert!(source.is_retired(src));
+        assert!(report.drained.is_empty(), "{policy:?}: nothing was pushed");
+        for f in 0..frames {
+            push(&mut dest, report.dest_stream, &data, f);
+        }
+        dest.finish_all();
+        assert_eq!(
+            result_of(&dest, report.dest_stream),
+            solo,
+            "{policy:?}: the migrated stream must finish bit-identical to a solo run"
+        );
+    }
+}

@@ -1,25 +1,23 @@
-//! Stream lifecycle and overload control.
+//! Stream lifecycle.
 //!
 //! The contract: streams attach and detach dynamically without leaking
-//! shared-pool state; an overloaded stream degrades through a
-//! **deterministic** shed ladder (recorded in its canonical trace, so the
-//! schedule replays bit-identically across worker counts) and returns to
-//! full service once pressure clears; the watchdog flags stuck stages; and
-//! checkpoint policies drive automatic commits — including under injected
-//! storage faults — so a detached stream can be revived bit-identical to
-//! one that never left.
+//! shared-pool state, and retired ids stay retired; a detached stream is
+//! revived from its final checkpoint bit-identical to one that never left;
+//! `EveryNEpochs` checkpoint policies commit automatically, and a commit
+//! the store rejects is counted — never fatal, never visible in the
+//! stream's output; a restore that finds nothing leaves the live stream
+//! checkpointing as before.
 
 use ags_core::{
-    AgsConfig, AgsSlam, CheckpointPolicy, MultiStreamServer, PipelineConfig, QosConfig,
-    ServerConfig, ShedLevel, StreamError, StreamPolicy,
+    AgsConfig, AgsSlam, CheckpointPolicy, MultiStreamServer, PipelineConfig, ServerConfig,
+    StreamError, StreamPolicy,
 };
 use ags_scene::dataset::{Dataset, DatasetConfig, SceneId};
 use ags_store::{CheckpointConfig, FaultPlan, FaultStore, MemoryStore};
 use std::sync::Arc;
 
 fn dataset(scene: SceneId, frames: usize) -> Dataset {
-    // 32×24: small enough that real stage times sit an order of magnitude
-    // under the injected-stall budgets the QoS tests classify against.
+    // 32×24 keeps every stream in this suite to a few ms per frame.
     let dconfig =
         DatasetConfig { width: 32, height: 24, num_frames: frames * 4, ..DatasetConfig::tiny() };
     let mut data = Dataset::generate(scene, &dconfig);
@@ -69,96 +67,6 @@ fn solo_reference(policy: StreamPolicy, data: &Dataset) -> StreamResult {
         slam.push_frame_cloned(&data.camera, &frame.rgb, &frame.depth);
     }
     (slam.trajectory().to_vec(), slam.cloud().gaussians().to_vec(), slam.trace().canonical_bytes())
-}
-
-/// A QoS config whose pressure signal is the *injected* map stall — budgets
-/// sit far from real stage times on both sides (32×24 stages run a few tens
-/// of ms at worst; the injected stall is 400 ms against a 200 ms budget),
-/// so the pressured/quiet classification is identical on any machine and at
-/// any pool width. The stall budget is effectively infinite: these tests
-/// drive shedding through the stage watchdog alone, because snapshot-wait
-/// time genuinely varies with scheduling.
-fn stress_qos(max_level: ShedLevel) -> QosConfig {
-    QosConfig {
-        stall_budget_s: 1e9,
-        stage_budget_s: 0.2,
-        window: 2,
-        escalate_at: 2,
-        decay_after: 2,
-        max_level,
-    }
-}
-
-/// The overload subject: a map-overlapped stream whose map stage stalls
-/// 400 ms on the first `stalled_frames` frames — far over the 200 ms
-/// watchdog budget — then runs free.
-fn stressed_policy(stalled_frames: u64, max_level: ShedLevel) -> StreamPolicy {
-    let mut policy = StreamPolicy::map_overlapped(1, 1).with_qos(stress_qos(max_level));
-    policy.pipeline.stress_map_stall_ms = 400;
-    policy.pipeline.stress_map_stall_frames = stalled_frames;
-    policy
-}
-
-#[test]
-fn overload_shed_schedule_is_deterministic_across_worker_counts() {
-    // Stream 1 is deliberately overloaded for its first 8 frames; the QoS
-    // controller must escalate Full → ForceSerial → DropNonKey, hold while
-    // the pressure lasts, and decay back to Full — and the *same* shed
-    // schedule (stamped into the canonical trace) must emerge at 1, 2 and
-    // 8 pool workers, with the innocent neighbour bit-identical to its
-    // solo reference throughout.
-    let frames = 24;
-    let neighbour_data = dataset(SceneId::Desk2, frames);
-    let shed_data = dataset(SceneId::Xyz, frames);
-    let neighbour_ref = solo_reference(StreamPolicy::serial(), &neighbour_data);
-
-    let mut runs = Vec::new();
-    for workers in [1usize, 2, 8] {
-        let config = ServerConfig {
-            streams: 2,
-            base: AgsConfig::tiny(),
-            per_stream: vec![StreamPolicy::serial(), stressed_policy(8, ShedLevel::DropNonKey)],
-            pool_workers: Some(workers),
-        };
-        let mut server = MultiStreamServer::new(config);
-        for f in 0..frames {
-            push(&mut server, 0, &neighbour_data, f);
-            push(&mut server, 1, &shed_data, f);
-        }
-        server.finish_all();
-
-        assert_eq!(
-            result_of(&server, 0),
-            neighbour_ref,
-            "neighbour must stay bit-identical to solo at {workers} workers"
-        );
-        let shed = server.stream(1).expect("stream 1 live");
-        let schedule: Vec<(u8, bool)> =
-            shed.trace().frames.iter().map(|f| (f.shed_level, f.dropped)).collect();
-        assert!(
-            schedule.iter().any(|&(level, _)| level == ShedLevel::DropNonKey as u8),
-            "the overloaded stream must reach DropNonKey at {workers} workers"
-        );
-        assert!(
-            schedule.iter().any(|&(_, dropped)| dropped),
-            "some non-key frames must actually be dropped at {workers} workers"
-        );
-        assert_eq!(
-            schedule.last().copied(),
-            Some((ShedLevel::Full as u8, false)),
-            "the stream must return to full service once pressure clears"
-        );
-        assert_eq!(server.shed_level(1), Some(ShedLevel::Full));
-        let stats = server.stats().per_stream[1];
-        assert!(stats.sheds >= 2, "two ladder escalations were exercised");
-        assert!(stats.watchdog_flags >= 2, "stalled map stages must trip the watchdog");
-        runs.push((schedule, result_of(&server, 1).2));
-    }
-    let (first_schedule, first_bytes) = &runs[0];
-    for (schedule, bytes) in &runs[1..] {
-        assert_eq!(schedule, first_schedule, "shed schedule must not depend on pool width");
-        assert_eq!(bytes, first_bytes, "canonical trace must not depend on pool width");
-    }
 }
 
 #[test]
@@ -235,113 +143,16 @@ fn attach_detach_churn_reclaims_lanes_and_ids_stay_retired() {
 }
 
 #[test]
-fn watchdog_flags_stuck_stages_without_shedding() {
-    // `max_level: Full` turns the QoS controller into a pure monitor: the
-    // watchdog must count every over-budget map stage while the ladder
-    // never moves and the trace stays clean.
-    let frames = 8;
-    let data = dataset(SceneId::Desk, frames);
-    let mut policy = StreamPolicy::serial().with_qos(QosConfig {
-        stall_budget_s: 1e9,
-        stage_budget_s: 0.005,
-        window: 4,
-        escalate_at: 1,
-        decay_after: 2,
-        max_level: ShedLevel::Full,
-    });
-    policy.pipeline.stress_map_stall_ms = 15;
-    let config = ServerConfig {
-        streams: 1,
-        base: pooled_base(),
-        per_stream: vec![policy],
-        pool_workers: Some(2),
-    };
-    let mut server = MultiStreamServer::new(config);
-    for f in 0..frames {
-        push(&mut server, 0, &data, f);
-    }
-    server.finish_all();
-
-    let stats = server.stats().per_stream[0];
-    assert_eq!(stats.watchdog_flags, frames as u64, "every stalled map stage must be flagged");
-    assert_eq!(stats.sheds, 0, "a Full-capped ladder must never escalate");
-    assert_eq!(stats.shed_level, ShedLevel::Full);
-    let trace = server.stream(0).expect("live").trace();
-    assert!(trace.frames.iter().all(|f| f.shed_level == 0 && !f.dropped));
-    // A controller that never sheds is semantically invisible: the stream
-    // is bit-identical to its solo reference, which has none.
-    assert_eq!(result_of(&server, 0), solo_reference(policy, &data));
-}
-
-#[test]
-fn reject_admission_is_non_sticky_and_recovers() {
-    // Drive the ladder all the way to RejectAdmission, then keep pushing:
-    // rejections must surface as `Overloaded` (not poison), count toward
-    // the controller's probation, and eventually re-admit frames.
-    let frames = 40;
-    let data = dataset(SceneId::Desk, frames);
-    let mut policy = StreamPolicy::serial().with_qos(QosConfig {
-        stall_budget_s: 1e9,
-        stage_budget_s: 0.005,
-        window: 1,
-        escalate_at: 1,
-        decay_after: 4,
-        max_level: ShedLevel::RejectAdmission,
-    });
-    // Every admitted frame stalls 20 ms — permanently over budget.
-    policy.pipeline.stress_map_stall_ms = 20;
-    // Force every frame to be a key frame: at DropNonKey nothing can be
-    // dropped, so the ladder cannot stall short of RejectAdmission on
-    // dropped frames' quiet (zero-cost) windows.
-    let mut base = AgsConfig::tiny();
-    base.thresh_m = 1.5;
-    let config = ServerConfig { streams: 1, base, per_stream: vec![policy], pool_workers: Some(2) };
-    let mut server = MultiStreamServer::new(config);
-    let mut rejected = 0usize;
-    let mut admitted_after_first_rejection = 0usize;
-    for f in 0..frames {
-        let outcome = server.push_frame(
-            0,
-            &data.camera,
-            Arc::new(data.frames[f].rgb.clone()),
-            Arc::new(data.frames[f].depth.clone()),
-        );
-        match outcome {
-            Ok(_) => {
-                if rejected > 0 {
-                    admitted_after_first_rejection += 1;
-                }
-            }
-            Err(StreamError::Overloaded { stream }) => {
-                assert_eq!(stream, 0);
-                rejected += 1;
-            }
-            Err(other) => panic!("unexpected error: {other}"),
-        }
-    }
-    server.finish_all();
-
-    assert!(rejected > 0, "sustained pressure must reach admission rejection");
-    assert!(
-        admitted_after_first_rejection > 0,
-        "rejection must not be sticky: probation re-admits frames"
-    );
-    let stats = server.stats().per_stream[0];
-    assert_eq!(stats.rejected, rejected as u64);
-    assert!(!stats.poisoned);
-    assert_eq!(stats.pushed + rejected, frames, "every frame either admitted or rejected");
-}
-
-#[test]
 fn detached_stream_restores_bit_identical_to_checkpoint_and_continue() {
     // detach(final_checkpoint) → fresh server → restore must equal
-    // checkpoint-and-keep-going on the original server, *for a stream that
-    // is mid-shed at the cut*: the QoS ladder state, the dropped-frame
-    // schedule and the map must all survive the round trip bit-identically.
+    // checkpoint-and-keep-going on the original server, for a stream whose
+    // map runs on its own worker one epoch behind tracking: the snapshot
+    // window, the trajectory and the map all survive the round trip
+    // bit-identically.
     let frames = 24;
     let cut = 12;
     let data = dataset(SceneId::Xyz, frames);
-    let policy = stressed_policy(8, ShedLevel::DropNonKey);
+    let policy = StreamPolicy::map_overlapped(1, 1);
     let server_config = || ServerConfig {
         streams: 1,
         base: AgsConfig::tiny(),
@@ -389,11 +200,7 @@ fn detached_stream_restores_bit_identical_to_checkpoint_and_continue() {
     let restored = result_of(&server, 0);
 
     assert_eq!(restored, reference, "detach→restore must be invisible to the stream");
-    // The cut really landed mid-shed: the first half of the schedule shows
-    // ladder activity.
-    let shed_before_cut =
-        server.stream(0).expect("live").trace().frames.iter().take(cut).any(|f| f.shed_level > 0);
-    assert!(shed_before_cut, "test must cut while the ladder is engaged");
+    assert_eq!(restored, solo_reference(policy, &data), "and so is the checkpoint");
 }
 
 #[test]
@@ -432,38 +239,8 @@ fn every_n_epochs_policy_commits_automatically() {
 }
 
 #[test]
-fn on_shed_policy_commits_on_its_trigger() {
-    // The stressed stream escalates at least once → at least one automatic
-    // commit.
-    let frames = 16;
-    let data = dataset(SceneId::Xyz, frames);
-    let policy =
-        stressed_policy(8, ShedLevel::DropNonKey).with_checkpoint_policy(CheckpointPolicy::OnShed);
-    let backing = MemoryStore::new();
-    let mut server = MultiStreamServer::new(ServerConfig {
-        streams: 1,
-        base: AgsConfig::tiny(),
-        per_stream: vec![policy],
-        pool_workers: Some(2),
-    });
-    server.attach_store(0, Box::new(backing), fast_store_config()).expect("attach");
-    for f in 0..frames {
-        push(&mut server, 0, &data, f);
-    }
-    server.finish_all();
-    let stats = server.stats().per_stream[0];
-    assert!(stats.sheds >= 1, "the stressed stream must shed");
-    assert!(
-        stats.auto_checkpoints >= 1,
-        "OnShed must checkpoint when the ladder moves (got {})",
-        stats.auto_checkpoints
-    );
-    assert_eq!(stats.checkpoint_errors, 0);
-}
-
-#[test]
 fn auto_checkpoints_survive_store_faults() {
-    // Checkpoint-on-pressure against a store that fails one write of each
+    // Automatic commits against a store that fails one write of each
     // kind a commit makes: automatic commits must fail *quietly* (counted,
     // not poisoning), then succeed once the faults exhaust — and the
     // stream's SLAM output is never disturbed. Nothing is written between
