@@ -13,11 +13,17 @@
 //! * [`VectorizedBackend`] — one tile kernel that repacks the tile's
 //!   Gaussian table into structure-of-arrays slabs, evaluates the Mahalanobis
 //!   quadratic four pixels wide with `std::arch` SSE2/NEON kernels (portable
-//!   chunked fallback elsewhere), and skips the `exp` for provably negligible
-//!   pixels (α-cut). **Bit-identical to the reference**: per-lane SIMD
-//!   mul/add/sub are IEEE-exact, the quadratic replicates the scalar
-//!   operation order term for term, and blending keeps the scalar branch
-//!   structure — so outputs, gradients and every workload counter match the
+//!   chunked fallback elsewhere), and visits only the pixels whose α can
+//!   pass: the row kernel also returns the α-cut's reject mask (`q < 0` or
+//!   `q > qcut`), and the row's still-active pixels are a lane mask, so a
+//!   blend walks `active & !reject` bit by bit and books the rejected lanes
+//!   by popcount, without an `exp` or a visit. **Bit-identical to the
+//!   reference**: per-lane SIMD mul/add/sub are IEEE-exact, the quadratic
+//!   replicates the scalar operation order term for term, and every pixel
+//!   gets the same value by the same branches — only the order in which the
+//!   pixels of a row are visited differs (lane-mask order, not the
+//!   reference's swap-remove list order), and no pixel's state depends on
+//!   another's. Outputs, gradients and every workload counter match the
 //!   reference bit for bit (enforced by the tests in this module; the
 //!   determinism suites run on it, since it is the default).
 //!
@@ -64,7 +70,12 @@
 //! **Row cull:** a splat whose α-cut ellipse `q ≤ qcut` ends above or below a
 //! pixel row is negligible on all of it; the slab keeps the ellipse's squared
 //! y half-extent (`cut_half_height_sq`) and such a row books its counters
-//! without evaluating the quadratic — most (entry, row) pairs of a thin map.
+//! without evaluating the quadratic — about half the (entry, row) pairs the
+//! benchmark's `steady_map` walks. Within the rows that are evaluated, the
+//! reject mask drops ≈ 60 % of the active pixels before the lane loop.
+//! Neither is counted per visit: a row counts the non-skipped entries it has
+//! walked and stamps that count into a pixel's α evaluations when the pixel
+//! saturates or the row ends.
 //!
 //! Tape memory: 8 bytes per blend operation (`backward::TapeEntry`), so a
 //! pass holds `8 × RenderStats::blend_ops` bytes — bounded by pixels ×
@@ -321,17 +332,33 @@ fn quad_lane(fx: f32, c: &QuadCoeffs) -> f32 {
     (t1 + t2) + c.t3
 }
 
-/// Evaluates the quadratic for a row of pixel centers `fx` into `out`.
+/// The α-cut's per-pixel predicate: `q` is negative (α = 0) or above the
+/// entry's `qcut` (α provably below [`ALPHA_THRESHOLD`]). A NaN `q` or `qcut`
+/// rejects nothing, like the scalar comparisons it mirrors.
+#[inline(always)]
+fn rejects(q: f32, qcut: f32) -> bool {
+    q < 0.0 || q > qcut
+}
+
+/// Bit `i` set where [`rejects`] holds for `q[i]`.
 #[inline]
-fn quad_row(fx: &[f32], out: &mut [f32], c: &QuadCoeffs) {
-    debug_assert!(out.len() >= fx.len());
+fn reject_mask(q: &[f32], qcut: f32) -> u32 {
+    q.iter().enumerate().fold(0, |mask, (i, &q)| mask | u32::from(rejects(q, qcut)) << i)
+}
+
+/// Evaluates the quadratic for a row of pixel centers `fx` into `out` and
+/// returns the lanes the α-cut rejects: bit `i` is [`rejects`]`(out[i], qcut)`.
+#[inline]
+fn quad_row(fx: &[f32], out: &mut [f32], c: &QuadCoeffs, qcut: f32) -> u32 {
+    debug_assert!(out.len() >= fx.len() && fx.len() <= 32);
     #[cfg(all(target_arch = "x86_64", target_feature = "sse2"))]
     {
-        quad_row_sse2(fx, out, c);
+        quad_row_sse2(fx, out, c, qcut)
     }
     #[cfg(target_arch = "aarch64")]
     {
         quad_row_neon(fx, out, c);
+        reject_mask(&out[..fx.len()], qcut)
     }
     #[cfg(not(any(
         all(target_arch = "x86_64", target_feature = "sse2"),
@@ -339,6 +366,7 @@ fn quad_row(fx: &[f32], out: &mut [f32], c: &QuadCoeffs) {
     )))]
     {
         quad_row_portable(fx, out, c);
+        reject_mask(&out[..fx.len()], qcut)
     }
 }
 
@@ -363,15 +391,19 @@ pub fn quad_kernel_name() -> &'static str {
 
 /// SSE2 quadratic row: four lanes of `dx = fx - μx`, `(a·dx)·dx`,
 /// `(2b·dx)·dy` and the final adds — each a per-lane IEEE operation, so the
-/// result is bit-identical to [`quad_lane`].
+/// result is bit-identical to [`quad_lane`]. The α-cut's reject mask comes
+/// from the same registers: `cmplt`/`cmpgt` are ordered compares (false on
+/// NaN, `-0.0 < 0.0` false), exactly [`rejects`].
 #[cfg(all(target_arch = "x86_64", target_feature = "sse2"))]
 #[inline]
-fn quad_row_sse2(fx: &[f32], out: &mut [f32], c: &QuadCoeffs) {
+fn quad_row_sse2(fx: &[f32], out: &mut [f32], c: &QuadCoeffs, qcut: f32) -> u32 {
     use std::arch::x86_64::{
-        _mm_add_ps, _mm_loadu_ps, _mm_mul_ps, _mm_set1_ps, _mm_storeu_ps, _mm_sub_ps,
+        _mm_add_ps, _mm_cmpgt_ps, _mm_cmplt_ps, _mm_loadu_ps, _mm_movemask_ps, _mm_mul_ps,
+        _mm_or_ps, _mm_set1_ps, _mm_setzero_ps, _mm_storeu_ps, _mm_sub_ps,
     };
     let n = fx.len();
     let mut i = 0usize;
+    let mut reject = 0u32;
     // SAFETY: SSE2 is statically enabled (cfg above); each unaligned load and
     // store touches 4 f32s at `i` with `i + 4 <= n`, inside both slices
     // (`out.len() >= fx.len()` is debug-asserted by the dispatcher and
@@ -382,6 +414,8 @@ fn quad_row_sse2(fx: &[f32], out: &mut [f32], c: &QuadCoeffs) {
         let vdy = _mm_set1_ps(c.dy);
         let vt3 = _mm_set1_ps(c.t3);
         let vmx = _mm_set1_ps(c.mean_x);
+        let vcut = _mm_set1_ps(qcut);
+        let zero = _mm_setzero_ps();
         while i + 4 <= n {
             let vfx = _mm_loadu_ps(fx.as_ptr().add(i));
             let dx = _mm_sub_ps(vfx, vmx);
@@ -389,13 +423,20 @@ fn quad_row_sse2(fx: &[f32], out: &mut [f32], c: &QuadCoeffs) {
             let t2 = _mm_mul_ps(_mm_mul_ps(vs2b, dx), vdy);
             let q = _mm_add_ps(_mm_add_ps(t1, t2), vt3);
             _mm_storeu_ps(out.as_mut_ptr().add(i), q);
+            let cut = _mm_or_ps(_mm_cmplt_ps(q, zero), _mm_cmpgt_ps(q, vcut));
+            reject |= (_mm_movemask_ps(cut) as u32) << i;
             i += 4;
         }
     }
+    let tail = i;
     while i < n {
         out[i] = quad_lane(fx[i], c);
         i += 1;
     }
+    if tail < n {
+        reject |= reject_mask(&out[tail..n], qcut) << tail;
+    }
+    reject
 }
 
 /// NEON quadratic row: the same per-lane IEEE operations as the SSE2 kernel
@@ -621,6 +662,31 @@ std::thread_local! {
 // Vectorized tile kernel.
 // ---------------------------------------------------------------------------
 
+// A row's pixels are one `u32` lane mask.
+const _: () = assert!(TILE_SIZE <= 32);
+
+/// Accumulators of the pixel row being walked, one slot per pixel of a
+/// full-width tile (slots past a narrower tile's width are never active).
+#[derive(Default)]
+struct PixelRow {
+    t: [f32; TILE_SIZE],
+    color: [Vec3; TILE_SIZE],
+    depth: [f32; TILE_SIZE],
+    evals: [u32; TILE_SIZE],
+    blends: [u32; TILE_SIZE],
+}
+
+impl PixelRow {
+    /// A row no entry has blended into yet. `evals` is stamped per pixel
+    /// when it saturates or the row ends, so it needs no reset.
+    fn start(&mut self) {
+        self.t = [1.0; TILE_SIZE];
+        self.color = [Vec3::ZERO; TILE_SIZE];
+        self.depth = [0.0; TILE_SIZE];
+        self.blends = [0; TILE_SIZE];
+    }
+}
+
 /// One slab entry's walk over a pixel row: the SoA fields plus the row-local
 /// accumulators it blends into (the vectorized twin of `render::RowPass`).
 struct VecRowPass<'a> {
@@ -628,89 +694,83 @@ struct VecRowPass<'a> {
     opacity: f32,
     color: Vec3,
     depth: f32,
-    qcut: f32,
     /// Precomputed `q` per pixel of the row (from [`quad_row`]).
-    qrow: &'a [f32],
+    qrow: &'a [f32; TILE_SIZE],
+    /// Pixels whose `q` the α-cut rejects (bit per pixel, from [`quad_row`]).
+    reject: u32,
     /// `(id, touched, negligible)` counters of this entry, when recording.
     contrib: Option<&'a mut (u32, u32, u32)>,
     /// Per-pixel tape buffers of the row (only pushed to when `TAPED`).
-    lanes: &'a mut [Vec<TapeEntry>],
-    active: &'a mut Vec<u32>,
-    row_t: &'a mut [f32],
-    row_c: &'a mut [Vec3],
-    row_d: &'a mut [f32],
-    row_evals: &'a mut [u32],
-    row_blends: &'a mut [u32],
-    /// Entries the row cull has skipped so far in this row: α evaluations a
-    /// pixel is owed when it leaves the active list.
-    culled: u32,
+    lanes: &'a mut [Vec<TapeEntry>; TILE_SIZE],
+    /// Pixels of the row still accumulating, one bit per pixel.
+    active: &'a mut u32,
+    row: &'a mut PixelRow,
+    /// Non-skipped entries of the row so far, this one included: the α
+    /// evaluations of a pixel that saturates here, stamped when it does.
+    evals: u32,
     early_terminated: &'a mut u64,
 }
 
 /// Blends one slab entry across a row's active pixels, consuming the
-/// vector-evaluated `q` row. Branch structure and blend arithmetic replicate
-/// `render::blend_entry_row` exactly; the only deviation is the α-cut
-/// (`q > qcut`), which skips an `exp` whose value the scalar path provably
-/// discards — so counters and outputs stay bit-identical. `TAPED` also
-/// records each blend's [`TapeEntry`] from the values already in registers:
-/// what the reference backward's replay re-derives pixel by pixel.
+/// vector-evaluated `q` row. Each pixel gets the same value as in
+/// `render::blend_entry_row` — same branches, same blend arithmetic, same
+/// counters — but pixels are visited in lane-mask order, and only those
+/// whose α can pass: the α-cut's rejects (`q < 0` or `q > qcut`) skip an
+/// `exp` whose value the scalar path provably discards, and are booked as
+/// negligible by popcount. No pixel's state depends on another's, so the
+/// order changes no value. α evaluations are not counted per visit: the
+/// row's `evals` is stamped into the pixel's slot when it saturates (or, by
+/// the caller, when the row ends). `TAPED` also records each blend's
+/// [`TapeEntry`] from the values already in registers: what the reference
+/// backward's replay re-derives pixel by pixel.
 #[inline(always)]
 fn blend_entry_row_vec<const INTERIOR: bool, const TAPED: bool>(pass: &mut VecRowPass<'_>) {
-    let mut i = 0usize;
-    while i < pass.active.len() {
-        let px_off = pass.active[i] as usize;
-        pass.row_evals[px_off] += 1;
+    let active = *pass.active;
+    let reject = if INTERIOR { 0 } else { pass.reject };
+    // Candidates whose α still falls below the threshold.
+    let mut faint = 0u32;
+    let mut lanes = active & !reject;
+    while lanes != 0 {
+        let px_off = lanes.trailing_zeros() as usize;
+        lanes &= lanes - 1;
         let q = pass.qrow[px_off];
-        if !INTERIOR && (q < 0.0 || q > pass.qcut) {
-            // Provably negligible: the scalar path computes α here, records
-            // the same counters, and takes its `alpha < ALPHA_THRESHOLD`
-            // continue. α's value is never observed, so exp is skipped.
-            if let Some(entry_stats) = pass.contrib.as_deref_mut() {
-                entry_stats.1 += 1;
-                entry_stats.2 += 1;
-            }
-            i += 1;
-            continue;
-        }
         let g = if q < 0.0 { 0.0 } else { (-0.5 * q).exp() };
         let alpha = (pass.opacity * g).min(0.99);
         if INTERIOR {
             debug_assert!(alpha >= ALPHA_THRESHOLD, "interior test must be conservative");
         }
-        if let Some(entry_stats) = pass.contrib.as_deref_mut() {
-            entry_stats.1 += 1;
-            if !INTERIOR && alpha < ALPHA_THRESHOLD {
-                entry_stats.2 += 1;
-            }
-        }
         if !INTERIOR && alpha < ALPHA_THRESHOLD {
-            i += 1;
+            faint += 1;
             continue;
         }
-        pass.row_blends[px_off] += 1;
-        let t = pass.row_t[px_off];
+        let row = &mut *pass.row;
+        row.blends[px_off] += 1;
+        let t = row.t[px_off];
         if TAPED {
             pass.lanes[px_off].push(TapeEntry { splat_index: pass.splat_index, weight: g });
         }
-        pass.row_c[px_off] += pass.color * (t * alpha);
-        pass.row_d[px_off] += pass.depth * (t * alpha);
+        row.color[px_off] += pass.color * (t * alpha);
+        row.depth[px_off] += pass.depth * (t * alpha);
         let t = t * (1.0 - alpha);
-        pass.row_t[px_off] = t;
+        row.t[px_off] = t;
         if t < TRANSMITTANCE_MIN {
             *pass.early_terminated += 1;
-            pass.row_evals[px_off] += pass.culled;
-            pass.active.swap_remove(i);
-        } else {
-            i += 1;
+            row.evals[px_off] = pass.evals;
+            *pass.active &= !(1 << px_off);
         }
+    }
+    if let Some(entry_stats) = pass.contrib.as_deref_mut() {
+        entry_stats.1 += active.count_ones();
+        entry_stats.2 += (active & reject).count_ones() + faint;
     }
 }
 
 /// The vectorized backend's one blend walk: SoA slab (filled only as deep as
-/// rows walk) + row-wide quadratic evaluation + α-cut, structured exactly
-/// like `render::rasterize_tile` so outputs and every workload counter are
-/// bit-identical to it. With a `tape`, each row's blends are recorded per
-/// lane while the row runs and flushed in pixel order when it ends.
+/// rows walk) + row-wide quadratic evaluation + α-cut lane masks, walking
+/// entries and rows like `render::rasterize_tile` and giving every pixel the
+/// same value, so outputs and every workload counter are bit-identical to
+/// it. With a `tape`, each row's blends are recorded per lane while the row
+/// runs and flushed in pixel order when it ends.
 ///
 /// The walk starts on the tile's prefix and moves to the next table of the
 /// order contract ([`GaussianTables::walk_table`]) when a row first needs an
@@ -764,27 +824,17 @@ fn rasterize_tile_vec(
         let mut qrow = [0.0f32; TILE_SIZE];
 
         // Row-local accumulators, reused across rows.
-        let mut row_t = vec![1.0f32; tile_w];
-        let mut row_c = vec![Vec3::ZERO; tile_w];
-        let mut row_d = vec![0.0f32; tile_w];
-        let mut row_evals = vec![0u32; tile_w];
-        let mut row_blends = vec![0u32; tile_w];
-        let mut active: Vec<u32> = Vec::with_capacity(tile_w);
+        let mut row = PixelRow::default();
+        let all_pixels = u32::MAX >> (32 - tile_w);
 
         for py in y0..y1 {
-            row_t.fill(1.0);
-            row_c.fill(Vec3::ZERO);
-            row_d.fill(0.0);
-            row_evals.fill(0);
-            row_blends.fill(0);
-            active.clear();
-            active.extend(0..tile_w as u32);
+            row.start();
+            let mut active = all_pixels;
             let fy = py as f32;
             let mut reached = len;
-            // Entries of this row the cull skipped: each is one α evaluation
-            // on every pixel active at the time, booked when the pixel leaves
-            // the active list or the row ends.
-            let mut culled = 0u32;
+            // Non-skipped entries this row has walked: one α evaluation each
+            // on every pixel still active.
+            let mut evals = 0u32;
 
             for k in 0..len {
                 if k == slab.len() {
@@ -802,38 +852,34 @@ fn rasterize_tile_vec(
                 if slab.skipped[k] {
                     continue;
                 }
+                evals += 1;
                 let dy = fy - slab.mean_y[k];
                 let contrib = record_contributions.then(|| out.contributions.get_mut(k)).flatten();
                 if dy * dy > slab.hy2[k] {
                     // The α-cut ellipse ends above or below this row: every
                     // lane would take the kernel's negligible branch.
-                    culled += 1;
                     if let Some(entry_stats) = contrib {
-                        entry_stats.1 += active.len() as u32;
-                        entry_stats.2 += active.len() as u32;
+                        entry_stats.1 += active.count_ones();
+                        entry_stats.2 += active.count_ones();
                     }
                     continue;
                 }
                 let t3 = (slab.c[k] * dy) * dy;
                 let coeffs =
                     QuadCoeffs { mean_x: slab.mean_x[k], a: slab.a[k], s2b: slab.s2b[k], dy, t3 };
-                quad_row(&fx[..tile_w], &mut qrow[..tile_w], &coeffs);
+                let reject = quad_row(&fx[..tile_w], &mut qrow[..tile_w], &coeffs, slab.qcut[k]);
                 let mut pass = VecRowPass {
                     splat_index: table[k].splat_index,
                     opacity: slab.opacity[k],
                     color: slab.color[k],
                     depth: slab.depth[k],
-                    qcut: slab.qcut[k],
-                    qrow: &qrow[..tile_w],
+                    qrow: &qrow,
+                    reject,
                     contrib,
-                    lanes: &mut lanes[..],
+                    lanes,
                     active: &mut active,
-                    row_t: &mut row_t,
-                    row_c: &mut row_c,
-                    row_d: &mut row_d,
-                    row_evals: &mut row_evals,
-                    row_blends: &mut row_blends,
-                    culled,
+                    row: &mut row,
+                    evals,
                     early_terminated: &mut out.early_terminated,
                 };
                 match (slab.interior[k], tape.is_some()) {
@@ -842,7 +888,7 @@ fn rasterize_tile_vec(
                     (false, true) => blend_entry_row_vec::<false, true>(&mut pass),
                     (false, false) => blend_entry_row_vec::<false, false>(&mut pass),
                 }
-                if active.is_empty() {
+                if active == 0 {
                     if k + 1 < len {
                         out.saturated_rows += 1;
                     }
@@ -851,21 +897,22 @@ fn rasterize_tile_vec(
                 }
             }
             walked = walked.max(reached);
-            for &px_off in active.iter() {
-                row_evals[px_off as usize] += culled;
+            while active != 0 {
+                row.evals[active.trailing_zeros() as usize] = evals;
+                active &= active - 1;
             }
 
             let row_base = (py - y0) * tile_w;
             for px_off in 0..tile_w {
-                out.alpha_evals += row_evals[px_off] as u64;
-                out.blend_ops += row_blends[px_off] as u64;
+                out.alpha_evals += row.evals[px_off] as u64;
+                out.blend_ops += row.blends[px_off] as u64;
                 let i = row_base + px_off;
-                out.color[i] = row_c[px_off];
-                out.depth[i] = row_d[px_off];
-                out.silhouette[i] = 1.0 - row_t[px_off];
+                out.color[i] = row.color[px_off];
+                out.depth[i] = row.depth[px_off];
+                out.silhouette[i] = 1.0 - row.t[px_off];
                 if let Some(w) = out.work.as_mut() {
-                    w.per_pixel_evals[i] = row_evals[px_off].min(u16::MAX as u32) as u16;
-                    w.per_pixel_blends[i] = row_blends[px_off].min(u16::MAX as u32) as u16;
+                    w.per_pixel_evals[i] = row.evals[px_off].min(u16::MAX as u32) as u16;
+                    w.per_pixel_blends[i] = row.blends[px_off].min(u16::MAX as u32) as u16;
                 }
             }
             if let Some(tape) = tape.as_deref_mut() {
@@ -935,7 +982,7 @@ mod tests {
             let offset = trial % 5; // exercises unaligned starts
             let fx = &buf[offset..offset + width];
             let coeffs = QuadCoeffs { mean_x, a: c0, s2b: 2.0 * c1, dy, t3: (c2 * dy) * dy };
-            quad_row(fx, &mut out[offset..offset + width], &coeffs);
+            quad_row(fx, &mut out[offset..offset + width], &coeffs, f32::INFINITY);
             for (lane, &x) in fx.iter().enumerate() {
                 let dx = x - mean_x;
                 // The scalar reference expression, verbatim from `falloff`.
@@ -1017,9 +1064,10 @@ mod tests {
                     dy,
                     t3: (conic.2 * dy) * dy,
                 };
-                quad_row(&fx, &mut q[..width], &coeffs);
+                let reject = quad_row(&fx, &mut q[..width], &coeffs, cut);
                 if dy * dy > hy2 {
                     culled_rows += 1;
+                    assert_eq!(reject, u32::MAX >> (32 - width), "trial {trial}: dy {dy}");
                     for (lane, &q) in q[..width].iter().enumerate() {
                         assert!(
                             q < 0.0 || q > cut,
@@ -1038,6 +1086,72 @@ mod tests {
         assert_eq!(cut_half_height_sq((1.0, 1.0, 1.0), 5.0), f32::INFINITY);
         assert_eq!(cut_half_height_sq((0.0, 0.0, 1.0), 5.0), f32::INFINITY);
         assert_eq!(cut_half_height_sq((f32::NAN, 0.0, 1.0), 5.0), f32::INFINITY);
+    }
+
+    /// The reject mask [`quad_row`] returns is the scalar α-cut predicate,
+    /// bit for bit, at every row width: `q` ∈ {±0, NaN, ±∞, subnormals,
+    /// `qcut` and its neighbouring floats, ordinary values} against `qcut` ∈
+    /// {NaN, −∞ (a zero-opacity splat), 0, finite of both signs}.
+    #[test]
+    fn reject_mask_matches_the_scalar_predicate() {
+        assert_eq!(qcut(0.0), f32::NEG_INFINITY, "a zero-opacity splat cuts every q");
+        let tiny = f32::from_bits(1);
+        let neighbours = |x: f32| {
+            let bits = x.to_bits();
+            if x == 0.0 {
+                [-tiny, tiny]
+            } else {
+                [f32::from_bits(bits - 1), f32::from_bits(bits + 1)]
+            }
+        };
+        let mut q = [0.0f32; TILE_SIZE];
+        for cut in [f32::NAN, qcut(0.0), 0.0, 7.25, -3.0, qcut(0.5)] {
+            let mut values = vec![
+                -0.0,
+                0.0,
+                f32::NAN,
+                f32::INFINITY,
+                f32::NEG_INFINITY,
+                f32::MIN_POSITIVE / 2.0,
+                -f32::MIN_POSITIVE / 3.0,
+                tiny,
+                -tiny,
+                1.0,
+                -1.0,
+                1e30,
+            ];
+            if cut.is_finite() {
+                values.push(cut);
+                values.extend(neighbours(cut));
+            }
+            let expected = |q: &[f32]| {
+                let lane = |(i, &q): (usize, &f32)| u32::from(q < 0.0 || q > cut) << i;
+                q.iter().enumerate().map(lane).fold(0, |mask, bit| mask | bit)
+            };
+            for width in 1..=TILE_SIZE {
+                // One value in every lane: `q = ((−0·dx)·dx + (−0·dx)·1) + v`
+                // is `(−0 + −0) + v = v` for `dx > 0`, signed zeros included.
+                let fx: Vec<f32> = (1..=width).map(|x| x as f32).collect();
+                for &v in &values {
+                    let coeffs = QuadCoeffs { mean_x: 0.0, a: -0.0, s2b: -0.0, dy: 1.0, t3: v };
+                    let mask = quad_row(&fx, &mut q[..width], &coeffs, cut);
+                    for &got in &q[..width] {
+                        let planted = got.to_bits() == v.to_bits() || got.is_nan() && v.is_nan();
+                        assert!(planted, "{v} planted as {got}");
+                    }
+                    assert_eq!(mask, expected(&q[..width]), "q {v}, qcut {cut}, width {width}");
+                }
+                // A different value in every lane: `q = ((0·x)·x + x) − 0`,
+                // which is `x` for finite non-zero `x`.
+                for shift in 0..values.len() {
+                    let fx: Vec<f32> =
+                        (0..width).map(|i| values[(i + shift) % values.len()]).collect();
+                    let coeffs = QuadCoeffs { mean_x: 0.0, a: 0.0, s2b: 1.0, dy: 1.0, t3: -0.0 };
+                    let mask = quad_row(&fx, &mut q[..width], &coeffs, cut);
+                    assert_eq!(mask, expected(&q[..width]), "q {:?}, qcut {cut}", &q[..width]);
+                }
+            }
+        }
     }
 
     fn random_cloud(seed: u64, n: usize, opacity_range: (f32, f32)) -> GaussianCloud {
@@ -1343,6 +1457,61 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    /// Rows whose pixels saturate at different entries: small opaque splats
+    /// in front of a frame-filling opaque back layer, faint splats among
+    /// them, a skip set, and a zero-opacity splat (`qcut = −∞`) centred on a
+    /// pixel row, so that row evaluates its quadratic and rejects every lane.
+    fn lane_mask_scene(width: usize, height: usize) -> (GaussianCloud, IdSet, PinholeCamera) {
+        let mut cloud = random_cloud(11, 240, (0.9, 0.995));
+        cloud.extend(random_cloud(12, 160, (0.001, 0.02)).gaussians().iter().copied());
+        for i in 0..3 {
+            let back = Vec3::new(0.1 * i as f32, -0.1, 6.0 + i as f32);
+            cloud.push(Gaussian::isotropic(back, 4.0, Vec3::new(0.2, 0.3, 0.4), 0.99));
+        }
+        // Centred on the optical axis: its mean is the principal point, a
+        // pixel row for an odd height.
+        let mut zero = Gaussian::isotropic(Vec3::new(0.0, 0.0, 0.8), 0.3, Vec3::ONE, 0.5);
+        zero.opacity_logit = -200.0;
+        assert_eq!(zero.opacity(), 0.0);
+        cloud.push(zero);
+        let mut skip = IdSet::with_capacity(cloud.len());
+        for id in (0..cloud.len()).step_by(6) {
+            skip.insert(id);
+        }
+        (cloud, skip, PinholeCamera::from_fov(width, height, 1.2))
+    }
+
+    /// The lane-mask walk against the oracle where it differs most from a
+    /// pixel list: pixels of one row leaving it at different entries, every
+    /// lane rejected at once, and 16-, 13- and 3-pixel tile widths.
+    #[test]
+    fn lane_mask_walk_matches_the_oracle_where_rows_saturate_unevenly() {
+        // 61 px wide: 16- and 13-pixel tiles; 51: 16- and 3-pixel ones.
+        for (w, h) in [(61, 45), (51, 35)] {
+            let scene = lane_mask_scene(w, h);
+            let (cloud, cam) = (&scene.0, scene.2);
+            let projection = project_gaussians(cloud, &cam, &Se3::IDENTITY);
+            let zero = projection.splats.iter().find(|s| s.opacity == 0.0).expect("visible");
+            assert_eq!(zero.mean.y, cam.cy, "{w}x{h}");
+            assert_eq!(cam.cy.fract(), 0.0, "{w}x{h}: the principal point must be a pixel row");
+            let stats = check_against_oracle_with(scene, false);
+            assert!(stats.saturated_rows > 0, "{w}x{h}: rows must saturate");
+            let grid = TileGrid::for_camera(&cam);
+            // Three distinct counts in a row: at least two pixels left it at
+            // different entries before the row ended.
+            let uneven = stats.tile_work.iter().any(|work| {
+                let (x0, _, x1, _) = grid.tile_bounds(work.tile as usize);
+                work.per_pixel_evals.chunks(x1 - x0).any(|row| {
+                    let mut counts = row.to_vec();
+                    counts.sort_unstable();
+                    counts.dedup();
+                    counts.len() >= 3
+                })
+            });
+            assert!(uneven, "{w}x{h}: pixels of a row must saturate at different entries");
         }
     }
 

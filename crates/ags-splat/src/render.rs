@@ -150,6 +150,42 @@ pub struct RenderStats {
     pub tile_work: Vec<TileWork>,
 }
 
+impl RenderStats {
+    /// Adds `other`'s counters to these, field by field, and appends its
+    /// per-tile work: the statistics of both renders together.
+    pub fn merge(&mut self, other: &RenderStats) {
+        // Destructured so a new field cannot be left out of the sum.
+        let RenderStats {
+            alpha_evals,
+            blend_ops,
+            pairs,
+            visible_splats,
+            culled,
+            skipped_pairs,
+            early_terminated_pixels,
+            saturated_rows,
+            walked_pairs,
+            canonical_tiles,
+            deepened_tiles,
+            interior_pairs,
+            tile_work,
+        } = other;
+        self.alpha_evals += alpha_evals;
+        self.blend_ops += blend_ops;
+        self.pairs += pairs;
+        self.visible_splats += visible_splats;
+        self.culled += culled;
+        self.skipped_pairs += skipped_pairs;
+        self.early_terminated_pixels += early_terminated_pixels;
+        self.saturated_rows += saturated_rows;
+        self.walked_pairs += walked_pairs;
+        self.canonical_tiles += canonical_tiles;
+        self.deepened_tiles += deepened_tiles;
+        self.interior_pairs += interior_pairs;
+        self.tile_work.extend_from_slice(tile_work);
+    }
+}
+
 /// Output of a render pass.
 #[derive(Debug, Clone)]
 pub struct RenderOutput {

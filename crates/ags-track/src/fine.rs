@@ -190,7 +190,7 @@ impl GsPoseRefiner {
                 &options,
                 cache.as_deref_mut(),
             );
-            accumulate_stats(&mut workload.render, &render.stats);
+            workload.render.merge(&render.stats);
             workload.grad_ops += back.stats.grad_ops;
             workload.iterations += 1;
 
@@ -221,16 +221,6 @@ impl GsPoseRefiner {
             workload,
         }
     }
-}
-
-fn accumulate_stats(into: &mut RenderStats, from: &RenderStats) {
-    into.alpha_evals += from.alpha_evals;
-    into.blend_ops += from.blend_ops;
-    into.pairs += from.pairs;
-    into.visible_splats += from.visible_splats;
-    into.culled += from.culled;
-    into.skipped_pairs += from.skipped_pairs;
-    into.early_terminated_pixels += from.early_terminated_pixels;
 }
 
 #[cfg(test)]
@@ -385,6 +375,65 @@ mod tests {
                 assert_eq!(format!("{:?}", k.render), format!("{:?}", p.render));
             }
         }
+    }
+
+    /// The workload's render statistics are the field-wise sum of every
+    /// iteration's `train_pass` render, walk diagnostics included.
+    #[test]
+    fn refinement_render_stats_sum_every_iteration() {
+        let cloud = wall_cloud();
+        let cam = camera();
+        let gt = render(&cloud, &cam, &Se3::IDENTITY, &RenderOptions::default());
+        let start = Se3::from_translation(Vec3::new(0.02, -0.01, 0.0));
+        let iterations = 5;
+        let config = RefineConfig { iterations, convergence_eps: 0.0, ..Default::default() };
+        let refiner = GsPoseRefiner::new(config.clone());
+        let result = refiner.refine(&cloud, &cam, start, &gt.color, &gt.depth);
+        assert_eq!(result.workload.iterations, iterations);
+
+        // The same iterations, one `train_pass` at a time.
+        let options = RenderOptions {
+            parallelism: config.parallelism.clone(),
+            backend: config.backend,
+            ..RenderOptions::default()
+        };
+        let (mut pose, mut adam) = (start, PoseAdam::new(config.learning_rate));
+        let mut scratch = TrainScratch::default();
+        let mut renders = Vec::new();
+        for _ in 0..iterations {
+            let pass = train_pass(
+                &mut scratch,
+                &cloud,
+                &cam,
+                &pose,
+                &gt.color,
+                &gt.depth,
+                &config.loss,
+                GradMode::Track,
+                &options,
+                None,
+            );
+            pose = adam.step(&pose, &pass.backward.pose.expect("pose gradient"));
+            renders.push(pass.render.stats);
+        }
+        let sum = |field: fn(&RenderStats) -> u64| renders.iter().map(field).sum::<u64>();
+        let got = &result.workload.render;
+        assert_eq!(got.alpha_evals, sum(|s| s.alpha_evals));
+        assert_eq!(got.blend_ops, sum(|s| s.blend_ops));
+        assert_eq!(got.pairs, sum(|s| s.pairs));
+        assert_eq!(got.visible_splats, sum(|s| s.visible_splats));
+        assert_eq!(got.culled, sum(|s| s.culled));
+        assert_eq!(got.skipped_pairs, sum(|s| s.skipped_pairs));
+        assert_eq!(got.early_terminated_pixels, sum(|s| s.early_terminated_pixels));
+        assert_eq!(got.saturated_rows, sum(|s| s.saturated_rows));
+        assert_eq!(got.walked_pairs, sum(|s| s.walked_pairs));
+        assert_eq!(got.canonical_tiles, sum(|s| s.canonical_tiles));
+        assert_eq!(got.deepened_tiles, sum(|s| s.deepened_tiles));
+        assert_eq!(got.interior_pairs, sum(|s| s.interior_pairs));
+        assert!(got.tile_work.is_empty() && renders.iter().all(|s| s.tile_work.is_empty()));
+        // The walk diagnostics the sum used to drop are not zero here.
+        let walk = (got.walked_pairs, got.canonical_tiles, got.interior_pairs);
+        assert!(walk.0 > 0 && walk.1 > 0 && walk.2 > 0, "{got:?}");
     }
 
     #[test]
