@@ -10,6 +10,12 @@
 //! tracked from PR 1 onwards (the CI perf gate compares the end-to-end
 //! numbers against the committed file).
 //!
+//! The end-to-end rows (and the map-heavy, multi-stream and compaction rows
+//! built on the same configuration) run the reference backend: the scalar
+//! per-pixel blend walk, forward and replayed backward — the oracle, not the
+//! default vectorized kernel, which `vectorized_map_ms` times on the same
+//! frames.
+//!
 //! Run: `cargo bench -p ags-bench --bench kernels`
 //! Env: `AGS_BENCH_THREADS=<n>` overrides the parallel worker count.
 
@@ -376,8 +382,9 @@ fn e2e_config() -> AgsConfig {
     // through one estimate_batch submission (the batched FC path).
     config.codec.keyframe_window = 4;
     config.parallelism = Parallelism::serial();
-    // The end-to-end rows time the scalar reference kernels, as they always
-    // have; `vectorized_map_ms` is the row that overrides this.
+    // The end-to-end rows run the reference backend: its scalar per-pixel
+    // walk, in the forward raster and replayed in the backward pass, is what
+    // they time. `vectorized_map_ms` is the row that overrides this.
     config.backend = BackendKind::Reference;
     config
 }
@@ -1174,11 +1181,9 @@ fn bench_train_iteration() -> TrainIterationResult {
         backend: BackendKind::Vectorized,
         ..RenderOptions::default()
     };
-    let backend = options.backend.backend();
-
     let forward = || {
-        let projection = backend.project(cloud, camera, &pose);
-        let tables = backend.build_tables(&projection, camera, &options.parallelism);
+        let projection = project_gaussians(cloud, camera, &pose);
+        let tables = GaussianTables::build_with(&projection, camera, &options.parallelism);
         let out = rasterize(cloud, &projection, &tables, camera, &options);
         (projection, tables, out)
     };
@@ -1325,7 +1330,7 @@ fn bench_bin() -> BinResult {
         backend: BackendKind::Vectorized,
         ..RenderOptions::default()
     };
-    let projection = options.backend.backend().project(&cloud, &camera, &Se3::IDENTITY);
+    let projection = project_gaussians(&cloud, &camera, &Se3::IDENTITY);
     let build = || GaussianTables::build_with(&projection, &camera, &options.parallelism);
     let build_complete = || GaussianTables::build_complete(&projection, &camera);
 

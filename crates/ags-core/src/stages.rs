@@ -33,9 +33,10 @@ use ags_splat::cache::ProjectionCache;
 use ags_splat::compact::{prune_cloud, quantize_chunk_in_place, FULL_SPLAT_BYTES, QUANT_CHUNK};
 use ags_splat::densify::densify_from_frame;
 use ags_splat::optim::{Adam, AdamState};
-use ags_splat::project::Projection;
+use ags_splat::project::{project_gaussians, Projection};
 use ags_splat::render::{rasterize, RenderOptions, RenderOutput, TileWork};
 use ags_splat::snapshot::{CloudSnapshot, SharedCloud};
+use ags_splat::tiles::GaussianTables;
 use ags_splat::train::{train_pass, TrainPass, TrainScratch};
 use ags_splat::{GaussianCloud, IdSet, Remap};
 use ags_track::coarse::{CoarseTracker, CoarseTrackerState};
@@ -635,7 +636,7 @@ impl MapStage {
         if self.config.projection_cache {
             self.cache.project(cloud, camera, pose)
         } else {
-            self.config.backend.backend().project(cloud, camera, pose)
+            project_gaussians(cloud, camera, pose)
         }
     }
 
@@ -651,8 +652,7 @@ impl MapStage {
         options: &RenderOptions,
     ) -> RenderOutput {
         let projection = self.project(cloud, camera, pose);
-        let backend = self.config.backend.backend();
-        let tables = backend.build_tables(&projection, camera, &options.parallelism);
+        let tables = GaussianTables::build_with(&projection, camera, &options.parallelism);
         rasterize(cloud, &projection, &tables, camera, options)
     }
 

@@ -257,7 +257,7 @@ impl WorkerPool {
     }
 
     /// Retires stream `stream`'s fairness lane. Call after the stream's last
-    /// submission drained (detach quiesces first); see [`PoolQueue::retire`].
+    /// submission drained (detach quiesces first); see `PoolQueue::retire`.
     /// Retiring an unknown or already-reclaimed tag is a no-op, and the tag
     /// may be reused later — `push` recreates lanes on first use.
     pub fn retire_stream(&self, stream: u64) {

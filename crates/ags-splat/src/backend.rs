@@ -1,31 +1,32 @@
-//! Pluggable render backends behind one trait.
+//! Render backends: which tile kernel runs steps ③ and ④.
 //!
-//! The splat pipeline's four kernels — projection (①), tile binning (②),
-//! forward rasterization (③) and the backward pass (④) — sit behind
-//! [`RenderBackend`] so alternative implementations can slot in per stream.
-//! Two CPU backends ship today:
+//! Projection (①) and tile binning (②) are one implementation for every
+//! backend ([`crate::project::project_gaussians`],
+//! [`GaussianTables::build_with`]); their tables, blended in canonical order,
+//! are the inter-stage contract. The forward raster (③) and the backward
+//! pass (④) each pick a tile kernel with a `match` on [`BackendKind`]:
 //!
-//! * [`ReferenceBackend`] — the scalar row kernels in [`crate::render`] /
-//!   [`crate::backward`], the bit-exactness anchor every other backend is
-//!   measured against. Its backward pass *replays* the forward traversal per
-//!   pixel; that scalar replay is the oracle the tape below is tested
-//!   against.
-//! * [`VectorizedBackend`] — one tile kernel that repacks the tile's
+//! * [`BackendKind::Reference`] — the scalar oracle: one per-pixel blend walk
+//!   (`render::walk_pixel`, Eqn. 1–2 written once), which the forward kernel
+//!   runs per pixel and the backward pass *replays* per pixel to collect the
+//!   blends it reverses. Every other kernel is measured against it.
+//! * [`BackendKind::Vectorized`] — one tile kernel that repacks the tile's
 //!   Gaussian table into structure-of-arrays slabs, evaluates the Mahalanobis
 //!   quadratic four pixels wide with `std::arch` SSE2/NEON kernels (portable
-//!   chunked fallback elsewhere), and visits only the pixels whose α can
-//!   pass: the row kernel also returns the α-cut's reject mask (`q < 0` or
-//!   `q > qcut`), and the row's still-active pixels are a lane mask, so a
-//!   blend walks `active & !reject` bit by bit and books the rejected lanes
-//!   by popcount, without an `exp` or a visit. **Bit-identical to the
-//!   reference**: per-lane SIMD mul/add/sub are IEEE-exact, the quadratic
-//!   replicates the scalar operation order term for term, and every pixel
-//!   gets the same value by the same branches — only the order in which the
-//!   pixels of a row are visited differs (lane-mask order, not the
-//!   reference's swap-remove list order), and no pixel's state depends on
-//!   another's. Outputs, gradients and every workload counter match the
-//!   reference bit for bit (enforced by the tests in this module; the
-//!   determinism suites run on it, since it is the default).
+//!   chunked fallback elsewhere), walks the table row by row, stopping a row
+//!   once every pixel of it saturates and skipping the α-threshold check for
+//!   entries that provably pass it on the whole tile (the tile-interior fast
+//!   path), and visits only the pixels whose α can pass: the row kernel also
+//!   returns the α-cut's reject mask (`q < 0` or `q > qcut`), and the row's
+//!   still-active pixels are a lane mask, so a blend walks `active & !reject`
+//!   bit by bit and books the rejected lanes by popcount, without an `exp` or
+//!   a visit. **Bit-identical to the reference**: per-lane SIMD mul/add/sub
+//!   are IEEE-exact, the quadratic replicates the scalar operation order term
+//!   for term, and every pixel gets the same value by the same branches —
+//!   only the order in which pixels are visited differs, and no pixel's state
+//!   depends on another's. Outputs, gradients and every workload counter
+//!   match the reference bit for bit (enforced by the tests in this module;
+//!   the determinism suites run on it, since it is the default).
 //!
 //! # One blend walk per training iteration
 //!
@@ -55,8 +56,8 @@
 //!
 //! Blending follows [`GaussianTables::canonical`] — the historical per-tile
 //! sort's order, ties included (the contract in [`crate::tiles`]). The
-//! reference kernels are the oracle and take that table up front, so they
-//! complete every truncated table of a build. The vectorized kernel loops to
+//! reference walk is the oracle and takes that table up front, so it
+//! completes every truncated table of a build. The vectorized kernel loops to
 //! the tile's full [`GaussianTables::table_len`] but walks the order
 //! contract's stages as rows need them ([`GaussianTables::walk_table`]): the
 //! prefix the build filled, up to its first depth tie and at most
@@ -88,29 +89,27 @@
 //! thread-local like the slab. Renders that are not differentiated
 //! (`render`, `rasterize`, densify pre-renders, audits) record nothing.
 //!
-//! A future `wgpu` backend implements the same trait; the tables produced by
-//! [`RenderBackend::build_tables`], blended in their canonical order, are the
-//! inter-stage contract it must honour.
+//! A future `wgpu` backend adds a [`BackendKind`] arm in those two matches;
+//! the tables [`GaussianTables::build_with`] produces, blended in their
+//! canonical order, are the inter-stage contract it must honour.
 
 use crate::backward::{
     chunk_with_scratch, reverse_tile, BlendTape, ChunkGrads, TapeEntry, TileTape,
 };
-use crate::gaussian::GaussianCloud;
 use crate::idset::IdSet;
 use crate::loss::LossResult;
-use crate::project::{project_gaussians, Projection};
-use crate::render::{rasterize_tile, splat_covers_tile, RenderOptions, TileRaster};
+use crate::project::Projection;
+use crate::render::{splat_covers_tile, TileRaster};
 use crate::tiles::{GaussianTables, TableEntry};
 use crate::{ALPHA_THRESHOLD, TILE_SIZE, TRANSMITTANCE_MIN};
-use ags_math::parallel::Parallelism;
-use ags_math::{Se3, Vec3};
+use ags_math::Vec3;
 use ags_scene::PinholeCamera;
 
 /// Which render backend executes the splat kernels.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BackendKind {
-    /// Scalar row kernels — the bit-exact reference implementation, kept as
-    /// the oracle the tests compare the vectorized kernels against.
+    /// The scalar per-pixel walk — the bit-exact reference implementation,
+    /// kept as the oracle the tests compare the vectorized kernels against.
     Reference,
     /// SoA + SIMD kernels, bit-identical to the reference (see module docs).
     #[default]
@@ -134,172 +133,39 @@ impl BackendKind {
             _ => None,
         }
     }
-
-    /// The backend implementation for this kind (static, zero-cost).
-    pub fn backend(self) -> &'static dyn RenderBackend {
-        match self {
-            BackendKind::Reference => &ReferenceBackend,
-            BackendKind::Vectorized => &VectorizedBackend,
-        }
-    }
 }
 
-/// One implementation of the four splat kernels.
-///
-/// Steps ① (projection) and ② (binning) have shared default bodies — their
-/// outputs are the inter-stage contract (sorted per-tile tables of
-/// [`TableEntry`]), and a backend overriding them must reproduce the same
-/// entries in the same canonical order. Steps ③ and ④ are the per-tile hot
-/// loops each backend supplies.
-pub trait RenderBackend: Send + Sync + std::fmt::Debug {
-    /// Which [`BackendKind`] this backend implements.
-    fn kind(&self) -> BackendKind;
-
-    /// Stable short name (used in stream stats and bench output).
-    fn name(&self) -> &'static str {
-        self.kind().name()
-    }
-
-    /// Step ①: projects the cloud to screen-space splats.
-    fn project(&self, cloud: &GaussianCloud, camera: &PinholeCamera, pose: &Se3) -> Projection {
-        project_gaussians(cloud, camera, pose)
-    }
-
-    /// Step ②: bins projected splats into depth-sorted per-tile tables.
-    fn build_tables(
-        &self,
-        projection: &Projection,
-        camera: &PinholeCamera,
-        parallelism: &Parallelism,
-    ) -> GaussianTables {
-        GaussianTables::build_with(projection, camera, parallelism)
-    }
-
-    /// Step ③: rasterizes tile `tile_idx` of `tables` into tile-local
-    /// buffers, blending in the order of [`GaussianTables::canonical`] — by
-    /// walking it, or by walking the fast table up to the first depth tie and
-    /// switching (the order contract in [`crate::tiles`]). `tape` is `Some`
-    /// when the render is going to be differentiated: a backend that tapes
-    /// records the tile's blends into it, one that replays ignores it.
-    fn rasterize_tile(
-        &self,
-        projection: &Projection,
-        tables: &GaussianTables,
-        tile_idx: usize,
-        options: &RenderOptions,
-        tape: Option<&mut TileTape>,
-    ) -> TileRaster;
-
-    /// Step ④: accumulates screen-space gradients over a chunk of tiles.
-    /// `tape` is what [`rasterize_tile`](Self::rasterize_tile) recorded for
-    /// the same projection, tables and skip set, when the caller kept it.
-    #[allow(clippy::too_many_arguments)]
-    fn backward_chunk(
-        &self,
-        projection: &Projection,
-        tables: &GaussianTables,
-        camera: &PinholeCamera,
-        loss: &LossResult,
-        skip: Option<&IdSet>,
-        tile_range: std::ops::Range<usize>,
-        tape: Option<&BlendTape>,
-    ) -> ChunkGrads;
-}
-
-/// The scalar reference backend — today's row kernels, unchanged.
-#[derive(Debug)]
-pub struct ReferenceBackend;
-
-impl RenderBackend for ReferenceBackend {
-    fn kind(&self) -> BackendKind {
-        BackendKind::Reference
-    }
-
-    fn rasterize_tile(
-        &self,
-        projection: &Projection,
-        tables: &GaussianTables,
-        tile_idx: usize,
-        options: &RenderOptions,
-        _tape: Option<&mut TileTape>,
-    ) -> TileRaster {
-        rasterize_tile(projection, tables, tile_idx, options)
-    }
-
-    fn backward_chunk(
-        &self,
-        projection: &Projection,
-        tables: &GaussianTables,
-        camera: &PinholeCamera,
-        loss: &LossResult,
-        skip: Option<&IdSet>,
-        tile_range: std::ops::Range<usize>,
-        _tape: Option<&BlendTape>,
-    ) -> ChunkGrads {
-        crate::backward::backward_tile_chunk(projection, tables, camera, loss, skip, tile_range)
-    }
-}
-
-/// The SoA/SIMD backend (see module docs for the bit-identity argument).
-#[derive(Debug)]
-pub struct VectorizedBackend;
-
-impl RenderBackend for VectorizedBackend {
-    fn kind(&self) -> BackendKind {
-        BackendKind::Vectorized
-    }
-
-    fn rasterize_tile(
-        &self,
-        projection: &Projection,
-        tables: &GaussianTables,
-        tile_idx: usize,
-        options: &RenderOptions,
-        tape: Option<&mut TileTape>,
-    ) -> TileRaster {
-        rasterize_tile_vec(
-            projection,
-            tables,
-            tile_idx,
-            options.skip.as_deref(),
-            options.record_contributions,
-            options.collect_tile_work,
-            tape,
-        )
-    }
-
-    fn backward_chunk(
-        &self,
-        projection: &Projection,
-        tables: &GaussianTables,
-        camera: &PinholeCamera,
-        loss: &LossResult,
-        skip: Option<&IdSet>,
-        tile_range: std::ops::Range<usize>,
-        tape: Option<&BlendTape>,
-    ) -> ChunkGrads {
-        chunk_with_scratch(projection.splats.len(), |slot_of| {
-            let mut out = ChunkGrads::default();
-            // A stand-alone backward has no forward tape: each tile's is
-            // recorded here, by the same kernel, just before its reverse stage.
-            let mut standalone = TileTape::default();
-            for tile_idx in tile_range {
-                if tables.table_len(tile_idx) == 0 {
-                    continue;
-                }
-                let bounds = tables.grid.tile_bounds(tile_idx);
-                let forward =
-                    tape.map(|t| t.tiles[tile_idx].lock().expect("a worker panicked while taping"));
-                if forward.is_none() {
-                    let tape = Some(&mut standalone);
-                    rasterize_tile_vec(projection, tables, tile_idx, skip, false, false, tape);
-                }
-                let tile_tape = forward.as_deref().unwrap_or(&standalone);
-                reverse_tile(projection, loss, camera.width, bounds, tile_tape, slot_of, &mut out);
+/// The vectorized backward over a chunk of tiles: each tile's reverse stage
+/// over the tape the forward pass recorded, or, without one, over a tape
+/// recorded here by the same kernel just before it.
+pub(crate) fn backward_chunk_vec(
+    projection: &Projection,
+    tables: &GaussianTables,
+    camera: &PinholeCamera,
+    loss: &LossResult,
+    skip: Option<&IdSet>,
+    tile_range: std::ops::Range<usize>,
+    tape: Option<&BlendTape>,
+) -> ChunkGrads {
+    chunk_with_scratch(projection.splats.len(), |slot_of| {
+        let mut out = ChunkGrads::default();
+        let mut standalone = TileTape::default();
+        for tile_idx in tile_range {
+            if tables.table_len(tile_idx) == 0 {
+                continue;
             }
-            out
-        })
-    }
+            let bounds = tables.grid.tile_bounds(tile_idx);
+            let forward =
+                tape.map(|t| t.tiles[tile_idx].lock().expect("a worker panicked while taping"));
+            if forward.is_none() {
+                let tape = Some(&mut standalone);
+                rasterize_tile_vec(projection, tables, tile_idx, skip, false, false, tape);
+            }
+            let tile_tape = forward.as_deref().unwrap_or(&standalone);
+            reverse_tile(projection, loss, camera.width, bounds, tile_tape, slot_of, &mut out);
+        }
+        out
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -688,7 +554,7 @@ impl PixelRow {
 }
 
 /// One slab entry's walk over a pixel row: the SoA fields plus the row-local
-/// accumulators it blends into (the vectorized twin of `render::RowPass`).
+/// accumulators it blends into.
 struct VecRowPass<'a> {
     splat_index: u32,
     opacity: f32,
@@ -712,9 +578,9 @@ struct VecRowPass<'a> {
 }
 
 /// Blends one slab entry across a row's active pixels, consuming the
-/// vector-evaluated `q` row. Each pixel gets the same value as in
-/// `render::blend_entry_row` — same branches, same blend arithmetic, same
-/// counters — but pixels are visited in lane-mask order, and only those
+/// vector-evaluated `q` row. Each pixel gets the same value as in the
+/// reference's `render::walk_pixel` — same branches, same blend arithmetic,
+/// same counters — but pixels are visited in lane-mask order, and only those
 /// whose α can pass: the α-cut's rejects (`q < 0` or `q > qcut`) skip an
 /// `exp` whose value the scalar path provably discards, and are booked as
 /// negligible by popcount. No pixel's state depends on another's, so the
@@ -767,10 +633,12 @@ fn blend_entry_row_vec<const INTERIOR: bool, const TAPED: bool>(pass: &mut VecRo
 
 /// The vectorized backend's one blend walk: SoA slab (filled only as deep as
 /// rows walk) + row-wide quadratic evaluation + α-cut lane masks, walking
-/// entries and rows like `render::rasterize_tile` and giving every pixel the
-/// same value, so outputs and every workload counter are bit-identical to
-/// it. With a `tape`, each row's blends are recorded per lane while the row
-/// runs and flushed in pixel order when it ends.
+/// entries per row and giving every pixel the value `render::walk_pixel`
+/// gives it, so outputs and every workload counter are bit-identical to the
+/// reference's `render::rasterize_tile`. A row stops once every pixel of it
+/// saturates (booked in [`crate::render::RenderStats::saturated_rows`]).
+/// With a `tape`, each row's blends are recorded per lane while the row runs
+/// and flushed in pixel order when it ends.
 ///
 /// The walk starts on the tile's prefix and moves to the next table of the
 /// order contract ([`GaussianTables::walk_table`]) when a row first needs an
@@ -778,7 +646,7 @@ fn blend_entry_row_vec<const INTERIOR: bool, const TAPED: bool>(pass: &mut VecRo
 /// the same entry in both. It loops to the tile's full
 /// [`GaussianTables::table_len`], so a row that walks past the prefix deepens
 /// the build.
-fn rasterize_tile_vec(
+pub(crate) fn rasterize_tile_vec(
     projection: &Projection,
     tables: &GaussianTables,
     tile_idx: usize,
@@ -932,21 +800,20 @@ fn rasterize_tile_vec(
 mod tests {
     use super::*;
     use crate::backward::{backward_with, BackwardOutput, GradMode};
-    use crate::gaussian::Gaussian;
+    use crate::gaussian::{logit, Gaussian, GaussianCloud};
     use crate::loss::{compute_loss, LossConfig, LossKind};
-    use crate::render::{rasterize, render, RenderOutput, RenderStats};
+    use crate::project::project_gaussians;
+    use crate::render::{rasterize, render, RenderOptions, RenderOutput, RenderStats};
     use crate::tiles::{TileGrid, PREFIX};
     use crate::train::{train_pass, TrainScratch};
     use ags_image::{DepthImage, RgbImage};
-    use ags_math::{Pcg32, Vec3};
+    use ags_math::{Parallelism, Pcg32, Se3, Vec3};
     use std::sync::Arc;
 
     #[test]
     fn backend_names_round_trip() {
         for kind in [BackendKind::Reference, BackendKind::Vectorized] {
             assert_eq!(BackendKind::from_name(kind.name()), Some(kind));
-            assert_eq!(kind.backend().kind(), kind);
-            assert_eq!(kind.backend().name(), kind.name());
         }
         assert_eq!(BackendKind::from_name("gpu"), None);
     }
@@ -1513,6 +1380,84 @@ mod tests {
             });
             assert!(uneven, "{w}x{h}: pixels of a row must saturate at different entries");
         }
+    }
+
+    /// A splat whose mean projects to pixel `(u, v)` at depth `z`, with
+    /// screen-space standard deviations `(sx, sy)` (before the blur).
+    fn splat_at(cam: &PinholeCamera, (u, v): (f32, f32), z: f32, (sx, sy): (f32, f32)) -> Gaussian {
+        let world = |px: f32| px * z / cam.fx;
+        let mean = Vec3::new(world(u - cam.cx), world(v - cam.cy), z);
+        let mut splat = Gaussian::isotropic(mean, 1.0, Vec3::new(0.6, 0.5, 0.4), 0.95);
+        splat.log_scale = Vec3::new(world(sx).ln(), world(sy).ln(), world(sx.min(sy)).ln());
+        splat
+    }
+
+    /// One tile row of four tiles, A | B | X | C, each holding a boundary of
+    /// the reference's row statistics. Front to back: a band on pixel row 3
+    /// across the frame (α 0.95 there), a wide opaque blob centred on C, two
+    /// frame-filling walls (α 0.95 each, so T ≈ 0.0025 behind them), then
+    /// tile-local splats. A pixel saturates on the second wall where the band
+    /// or the blob took T down far enough in front of it, and nowhere else.
+    ///
+    /// * A's table ends on the second wall: its band row's pixels saturate on
+    ///   the final entry, so it is not a saturated row and A walks it all.
+    /// * B's table ends in two skipped splats: its band row is a saturated
+    ///   row whose walk stops before them.
+    /// * X holds the blob's edge: rows whose pixels saturate on one side and
+    ///   never on the other.
+    /// * C saturates every row on the blob, and a splat covering C sits
+    ///   behind the walls, unskipped and never walked.
+    fn row_boundary_scene() -> (GaussianCloud, IdSet, PinholeCamera) {
+        let cam = PinholeCamera::from_fov(64, 16, 1.2);
+        let (cx, cy) = (cam.cx, cam.cy);
+        let mut cloud = GaussianCloud::new();
+        cloud.push(splat_at(&cam, (cx, 3.0), 2.0, (1000.0, 0.5)));
+        let mut blob = splat_at(&cam, (55.5, cy), 3.0, (60.0, 60.0));
+        blob.opacity_logit = logit(0.999);
+        cloud.push(blob);
+        for z in [10.0, 11.0] {
+            cloud.push(splat_at(&cam, (cx, cy), z, (1000.0, 1000.0)));
+        }
+        cloud.push(splat_at(&cam, (55.5, cy), 25.0, (6.0, 6.0)));
+        let mut skip = IdSet::with_capacity(cloud.len() + 2);
+        for (v, z) in [(4.0, 30.0), (11.0, 31.0)] {
+            skip.insert(cloud.push(splat_at(&cam, (24.0, v), z, (1.0, 1.0))));
+        }
+        (cloud, skip, cam)
+    }
+
+    #[test]
+    fn derived_row_statistics_match_the_oracle_at_their_boundaries() {
+        let scene = row_boundary_scene();
+        let (cloud, cam) = (&scene.0, scene.2);
+        let projection = project_gaussians(cloud, &cam, &Se3::IDENTITY);
+        let tables = GaussianTables::build_reference(&projection, &cam);
+        let options = RenderOptions {
+            skip: Some(Arc::new(scene.1.clone())),
+            collect_tile_work: true,
+            backend: BackendKind::Reference,
+            ..RenderOptions::default()
+        };
+        let tile = |t| crate::render::rasterize_tile(&projection, &tables, t, &options);
+        let [a, b, x, c] = [0, 1, 2, 3].map(tile);
+        // (table length, walked pairs, saturated rows, interior pairs)
+        let rows = |t: usize, r: &TileRaster| {
+            (tables.table_len(t) as u64, r.walked_pairs, r.saturated_rows, r.interior_pairs)
+        };
+        // A: the band row's 16 pixels saturate on the final entry.
+        assert_eq!(rows(0, &a), (4, 4, 0, 3));
+        let band_row = &a.work.as_ref().expect("collected").per_pixel_evals[3 * TILE_SIZE..][..16];
+        assert_eq!((a.early_terminated, band_row), (16, &[4; 16][..]));
+        // B: the band row stops on the walls, ahead of the two skipped splats;
+        // the other rows walk to the end.
+        assert_eq!(rows(1, &b), (6, 6, 1, 3));
+        // X: pixels saturate in rows that are not saturated rows.
+        assert!(x.saturated_rows < 16 && x.early_terminated > 16 * x.saturated_rows);
+        // C: every row stops on the walls; the entry behind them covers C.
+        assert_eq!(rows(3, &c), (5, 4, 16, 3));
+        let behind = &projection.splats[tables.canonical(3)[4].splat_index as usize];
+        assert!(splat_covers_tile(behind, tables.grid.tile_bounds(3)));
+        check_against_oracle_with(scene, false);
     }
 
     fn assert_backward_equal(a: &BackwardOutput, b: &BackwardOutput, what: &str) {

@@ -18,12 +18,14 @@
 //!
 //! The per-pixel reverse traversal (`reverse_blend_pixel`) consumes the
 //! pixel's `Contribution`s in forward blend order. The reference backend
-//! obtains them by replaying the forward traversal pixel by pixel
-//! (`backward_tile_chunk`); a backend that tapes hands over the
-//! [`BlendTape`] its forward pass recorded and only the reverse stage runs
-//! (`reverse_tile`, see [`crate::backend`]). Either way tiles are cut into
-//! fixed chunks merged in chunk order, so gradients are bit-identical across
-//! backends, thread counts and taped/stand-alone calls.
+//! obtains them by replaying, pixel by pixel, the same scalar walk its
+//! forward pass runs (`render::walk_pixel`, in `backward_tile_chunk`); the
+//! vectorized backend hands over the [`BlendTape`] its forward pass recorded
+//! and only the reverse stage runs (`reverse_tile`, see [`crate::backend`]).
+//! A `match` on [`BackendKind`] picks the chunk kernel. Either way tiles are
+//! cut into fixed chunks merged in chunk order, so gradients are
+//! bit-identical across backends, thread counts and taped/stand-alone
+//! calls.
 //!
 //! All covariance dependencies are differentiated, including the projection
 //! Jacobian's dependence on the camera-space mean (∂J/∂p_cam) and, for pose
@@ -32,12 +34,12 @@
 //! fixtures; the integration test bounds error on dense random scenes, where
 //! the piecewise-smooth rasterizer makes finite differences noisier).
 
-use crate::backend::BackendKind;
+use crate::backend::{backward_chunk_vec, BackendKind};
 use crate::gaussian::GaussianCloud;
 use crate::loss::LossResult;
-use crate::project::{falloff, projection_jacobian, Projection};
+use crate::project::{projection_jacobian, Projection};
+use crate::render::{walk_entries, walk_pixel, Blend};
 use crate::tiles::GaussianTables;
-use crate::{ALPHA_THRESHOLD, TRANSMITTANCE_MIN};
 use ags_math::parallel::{par_map, Parallelism};
 use ags_math::{Mat2, Mat3, Quat, Se3, Vec2, Vec3};
 use ags_scene::PinholeCamera;
@@ -118,14 +120,11 @@ pub struct BackwardOutput {
     pub stats: BackwardStats,
 }
 
-/// Scratch entry for one pixel's forward replay.
+/// One blend of a pixel, as the reverse stage consumes it.
 #[derive(Clone, Copy)]
 pub(crate) struct Contribution {
     pub(crate) splat_index: u32,
-    pub(crate) alpha: f32,
-    pub(crate) weight: f32, // falloff g
-    pub(crate) t_before: f32,
-    pub(crate) clamped: bool,
+    pub(crate) blend: Blend,
 }
 
 /// One blend the forward walk performed, as taped: 8 bytes. α, the clamp
@@ -167,9 +166,9 @@ impl TileTape {
 }
 
 /// A frame's blend tape, one [`TileTape`] per tile: recorded by a taped
-/// forward pass ([`crate::render::rasterize_taped`]), consumed by
-/// [`backward_taped`]. The per-tile locks are uncontended — each tile is
-/// written by the one worker that rasterizes it.
+/// forward pass (`render::rasterize_taped`), consumed by `backward_taped`.
+/// The per-tile locks are uncontended — each tile is written by the one
+/// worker that rasterizes it.
 #[derive(Debug, Default)]
 pub struct BlendTape {
     pub(crate) tiles: Vec<Mutex<TileTape>>,
@@ -218,10 +217,10 @@ impl ScreenGrad {
 }
 
 /// Per-chunk sparse gradient buffer: splats in first-touch order plus their
-/// accumulated screen-space gradients. Returned by
-/// [`crate::backend::RenderBackend::backward_chunk`].
+/// accumulated screen-space gradients. Returned by the chunk kernels,
+/// [`backward_tile_chunk`] and [`crate::backend::backward_chunk_vec`].
 #[derive(Default)]
-pub struct ChunkGrads {
+pub(crate) struct ChunkGrads {
     pub(crate) splats: Vec<u32>,
     pub(crate) grads: Vec<ScreenGrad>,
     pub(crate) stats: BackwardStats,
@@ -256,8 +255,8 @@ std::thread_local! {
 }
 
 /// Runs a chunk body against the thread-local splat→slot scratch table,
-/// restoring the all-`u32::MAX` invariant afterwards. Shared by every
-/// backend's [`crate::backend::RenderBackend::backward_chunk`].
+/// restoring the all-`u32::MAX` invariant afterwards. Shared by both chunk
+/// kernels.
 pub(crate) fn chunk_with_scratch<F>(n_splats: usize, body: F) -> ChunkGrads
 where
     F: FnOnce(&mut [u32]) -> ChunkGrads,
@@ -276,7 +275,10 @@ where
     })
 }
 
-/// Accumulates the screen-space gradients of one chunk of tiles.
+/// The reference backward over a chunk of tiles: every pixel with a loss
+/// gradient replays its forward walk ([`walk_pixel`]) over the tile's
+/// canonical table, collecting its [`Contribution`]s for
+/// [`reverse_blend_pixel`].
 pub(crate) fn backward_tile_chunk(
     projection: &Projection,
     tables: &GaussianTables,
@@ -286,90 +288,41 @@ pub(crate) fn backward_tile_chunk(
     tile_range: std::ops::Range<usize>,
 ) -> ChunkGrads {
     chunk_with_scratch(projection.splats.len(), |slot_of| {
-        backward_tile_chunk_with(projection, tables, camera, loss, skip, tile_range, slot_of)
-    })
-}
-
-/// [`backward_tile_chunk`] body operating on a caller-provided slot table
-/// whose entries are all `u32::MAX` on entry.
-#[allow(clippy::too_many_arguments)]
-fn backward_tile_chunk_with(
-    projection: &Projection,
-    tables: &GaussianTables,
-    camera: &PinholeCamera,
-    loss: &LossResult,
-    skip: Option<&crate::idset::IdSet>,
-    tile_range: std::ops::Range<usize>,
-    slot_of: &mut [u32],
-) -> ChunkGrads {
-    let mut splats: Vec<u32> = Vec::new();
-    let mut grads: Vec<ScreenGrad> = Vec::new();
-    let mut stats = BackwardStats::default();
-    let width = camera.width;
-    let mut scratch: Vec<Contribution> = Vec::with_capacity(64);
-
-    for tile_idx in tile_range {
-        // The oracle replays the order blending must follow from entry 0.
-        let table = tables.canonical(tile_idx);
-        if table.is_empty() {
-            continue;
-        }
-        let (x0, y0, x1, y1) = tables.grid.tile_bounds(tile_idx);
-        for py in y0..y1 {
-            for px in x0..x1 {
-                let pi = py * width + px;
-                let dl_dc = loss.d_color[pi];
-                let dl_dd = loss.d_depth[pi];
-                if dl_dc == Vec3::ZERO && dl_dd == 0.0 {
-                    continue;
-                }
-                stats.pixels += 1;
-                let pixel = Vec2::new(px as f32, py as f32);
-
-                // Replay the forward traversal, recording contributions.
-                scratch.clear();
-                let mut t = 1.0f32;
-                for entry in table {
-                    let splat = &projection.splats[entry.splat_index as usize];
-                    if let Some(skip) = skip {
-                        if skip.contains(splat.id as usize) {
-                            continue;
-                        }
-                    }
-                    let g = falloff(splat.conic, pixel - splat.mean);
-                    let raw_alpha = splat.opacity * g;
-                    let alpha = raw_alpha.min(0.99);
-                    if alpha < ALPHA_THRESHOLD {
+        let mut out = ChunkGrads::default();
+        let width = camera.width;
+        let mut scratch: Vec<Contribution> = Vec::with_capacity(64);
+        for tile_idx in tile_range {
+            let table = tables.canonical(tile_idx);
+            if table.is_empty() {
+                continue;
+            }
+            let entries = walk_entries(projection, table, skip);
+            let (x0, y0, x1, y1) = tables.grid.tile_bounds(tile_idx);
+            for py in y0..y1 {
+                for px in x0..x1 {
+                    let pi = py * width + px;
+                    let dl_dc = loss.d_color[pi];
+                    let dl_dd = loss.d_depth[pi];
+                    if dl_dc == Vec3::ZERO && dl_dd == 0.0 {
                         continue;
                     }
-                    scratch.push(Contribution {
-                        splat_index: entry.splat_index,
-                        alpha,
-                        weight: g,
-                        t_before: t,
-                        clamped: raw_alpha > 0.99,
-                    });
-                    t *= 1.0 - alpha;
-                    if t < TRANSMITTANCE_MIN {
-                        break;
-                    }
-                }
+                    out.stats.pixels += 1;
+                    let pixel = Vec2::new(px as f32, py as f32);
 
-                reverse_blend_pixel(
-                    projection,
-                    pixel,
-                    dl_dc,
-                    dl_dd,
-                    &scratch,
-                    slot_of,
-                    &mut splats,
-                    &mut grads,
-                    &mut stats,
-                );
+                    scratch.clear();
+                    walk_pixel(&entries, pixel, |k, _, blend| {
+                        if let Some(blend) = blend {
+                            scratch.push(Contribution { splat_index: table[k].splat_index, blend });
+                        }
+                    });
+                    reverse_blend_pixel(
+                        projection, pixel, dl_dc, dl_dd, &scratch, slot_of, &mut out,
+                    );
+                }
             }
         }
-    }
-    ChunkGrads { splats, grads, stats }
+        out
+    })
 }
 
 /// Reverse traversal of one pixel's recorded contributions with suffix
@@ -377,7 +330,6 @@ fn backward_tile_chunk_with(
 /// arithmetic. Both backends call it with contributions recorded in forward
 /// blend order, so the accumulation (and the chunk's first-touch slot order)
 /// is bit-identical between them.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn reverse_blend_pixel(
     projection: &Projection,
     pixel: Vec2,
@@ -385,35 +337,34 @@ pub(crate) fn reverse_blend_pixel(
     dl_dd: f32,
     scratch: &[Contribution],
     slot_of: &mut [u32],
-    splats: &mut Vec<u32>,
-    grads: &mut Vec<ScreenGrad>,
-    stats: &mut BackwardStats,
+    out: &mut ChunkGrads,
 ) {
     let mut accum_c = Vec3::ZERO;
     let mut accum_z = 0.0f32;
     for contrib in scratch.iter().rev() {
         let si = contrib.splat_index as usize;
         let splat = &projection.splats[si];
-        let w = contrib.t_before * contrib.alpha;
-        let one_minus = (1.0 - contrib.alpha).max(1e-6);
-        let slot = chunk_slot(contrib.splat_index, slot_of, splats, grads);
-        let acc = &mut grads[slot];
+        let Blend { alpha, g, t_before, clamped } = contrib.blend;
+        let w = t_before * alpha;
+        let one_minus = (1.0 - alpha).max(1e-6);
+        let slot = chunk_slot(contrib.splat_index, slot_of, &mut out.splats, &mut out.grads);
+        let acc = &mut out.grads[slot];
 
         // Color gradient.
         acc.d_color += dl_dc * w;
 
         // Alpha gradient through color and depth channels.
-        let dc_dalpha = splat.color * contrib.t_before - accum_c / one_minus;
-        let dd_dalpha = splat.depth * contrib.t_before - accum_z / one_minus;
+        let dc_dalpha = splat.color * t_before - accum_c / one_minus;
+        let dd_dalpha = splat.depth * t_before - accum_z / one_minus;
         let dl_dalpha = dl_dc.dot(dc_dalpha) + dl_dd * dd_dalpha;
 
         // Depth gradient (z enters blending linearly).
         acc.d_z += dl_dd * w;
 
-        if !contrib.clamped {
+        if !clamped {
             // α = o·g: ∂α/∂o = g ; ∂α/∂q = -½α.
-            acc.d_opacity += dl_dalpha * contrib.weight;
-            let dl_dq = dl_dalpha * (-0.5 * contrib.alpha);
+            acc.d_opacity += dl_dalpha * g;
+            let dl_dq = dl_dalpha * (-0.5 * alpha);
 
             // q = dᵀ K d.
             let d = pixel - splat.mean;
@@ -429,7 +380,7 @@ pub(crate) fn reverse_blend_pixel(
 
         accum_c += splat.color * w;
         accum_z += splat.depth * w;
-        stats.grad_ops += 1;
+        out.stats.grad_ops += 1;
     }
 }
 
@@ -463,17 +414,13 @@ pub(crate) fn reverse_tile(
 
             scratch.clear();
             let mut t = 1.0f32;
-            for blend in tape.pixel((py - y0) * (x1 - x0) + (px - x0)) {
-                let raw_alpha =
-                    projection.splats[blend.splat_index as usize].opacity * blend.weight;
+            for &TapeEntry { splat_index, weight: g } in
+                tape.pixel((py - y0) * (x1 - x0) + (px - x0))
+            {
+                let raw_alpha = projection.splats[splat_index as usize].opacity * g;
                 let alpha = raw_alpha.min(0.99);
-                scratch.push(Contribution {
-                    splat_index: blend.splat_index,
-                    alpha,
-                    weight: blend.weight,
-                    t_before: t,
-                    clamped: raw_alpha > 0.99,
-                });
+                let blend = Blend { alpha, g, t_before: t, clamped: raw_alpha > 0.99 };
+                scratch.push(Contribution { splat_index, blend });
                 t *= 1.0 - alpha;
             }
 
@@ -484,9 +431,7 @@ pub(crate) fn reverse_tile(
                 dl_dd,
                 &scratch,
                 slot_of,
-                &mut out.splats,
-                &mut out.grads,
-                &mut out.stats,
+                out,
             );
         }
     }
@@ -569,11 +514,17 @@ pub(crate) fn backward_taped(
     // to a full tile of gradient work.
     let pair_work = crate::TILE_SIZE * crate::TILE_SIZE;
     let par = par.for_workload(tables.total_pairs as usize * pair_work, 1024 * pair_work);
-    let backend = backend.backend();
     let chunks = par_map(&par, num_chunks, 1, |ci| {
         let start = ci * TILES_PER_CHUNK;
-        let end = (start + TILES_PER_CHUNK).min(num_tiles);
-        backend.backward_chunk(projection, tables, camera, loss, skip, start..end, tape)
+        let tiles = start..(start + TILES_PER_CHUNK).min(num_tiles);
+        match backend {
+            BackendKind::Reference => {
+                backward_tile_chunk(projection, tables, camera, loss, skip, tiles)
+            }
+            BackendKind::Vectorized => {
+                backward_chunk_vec(projection, tables, camera, loss, skip, tiles, tape)
+            }
+        }
     });
     for chunk in chunks {
         stats.grad_ops += chunk.stats.grad_ops;

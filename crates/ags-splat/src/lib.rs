@@ -55,7 +55,7 @@ pub mod snapshot;
 pub mod tiles;
 pub mod train;
 
-pub use backend::{BackendKind, RenderBackend};
+pub use backend::BackendKind;
 pub use cache::ProjectionCache;
 pub use compact::{CompactionConfig, Remap};
 pub use gaussian::{Gaussian, GaussianCloud};

@@ -7,13 +7,19 @@
 //! (and optionally *recorded* — the raw signal behind AGS's
 //! contribution-aware mapping), and pixels terminate early once
 //! `T < `[`crate::TRANSMITTANCE_MIN`].
+//!
+//! A `match` on [`BackendKind`] picks the tile kernel. The reference kernel
+//! here walks each pixel on its own (`walk_pixel`, the scalar oracle the
+//! reference backward replays as well); the vectorized kernel in
+//! [`crate::backend`] — the default — walks rows, with the row early-out
+//! and the tile-interior fast path, and is bit-identical to it.
 
-use crate::backend::BackendKind;
+use crate::backend::{rasterize_tile_vec, BackendKind};
 use crate::backward::BlendTape;
 use crate::gaussian::GaussianCloud;
 use crate::idset::IdSet;
-use crate::project::{falloff, Projection, Splat2d};
-use crate::tiles::GaussianTables;
+use crate::project::{falloff, project_gaussians, Projection, Splat2d};
+use crate::tiles::{GaussianTables, TableEntry};
 use crate::{ALPHA_THRESHOLD, TRANSMITTANCE_MIN};
 use ags_image::{DepthImage, GrayImage, RgbImage};
 use ags_math::parallel::{par_map, Parallelism};
@@ -208,16 +214,15 @@ pub fn render(
     pose: &Se3,
     options: &RenderOptions,
 ) -> RenderOutput {
-    let backend = options.backend.backend();
-    let projection = backend.project(cloud, camera, pose);
-    let tables = backend.build_tables(&projection, camera, &options.parallelism);
+    let projection = project_gaussians(cloud, camera, pose);
+    let tables = GaussianTables::build_with(&projection, camera, &options.parallelism);
     rasterize(cloud, &projection, &tables, camera, options)
 }
 
 /// Everything one tile produces: local framebuffers plus workload counters,
-/// merged into the frame-level output in tile order. Returned by
-/// [`crate::backend::RenderBackend::rasterize_tile`].
-pub struct TileRaster {
+/// merged into the frame-level output in tile order. Returned by the tile
+/// kernels, [`rasterize_tile`] and [`crate::backend::rasterize_tile_vec`].
+pub(crate) struct TileRaster {
     pub(crate) color: Vec<Vec3>,
     pub(crate) depth: Vec<f32>,
     pub(crate) silhouette: Vec<f32>,
@@ -301,80 +306,70 @@ pub(crate) fn splat_covers_tile(splat: &Splat2d, bounds: (usize, usize, usize, u
     splat.opacity * (-0.5 * q_max * 1.01).exp() >= ALPHA_THRESHOLD * 1.05
 }
 
-/// One table entry's walk over a pixel row: the splat plus the row-local
-/// accumulators it blends into.
-struct RowPass<'a> {
-    splat: &'a Splat2d,
-    /// `(id, touched, negligible)` counters of this entry, when recording.
-    contrib: Option<&'a mut (u32, u32, u32)>,
-    x0: usize,
-    fy: f32,
-    active: &'a mut Vec<u32>,
-    row_t: &'a mut [f32],
-    row_c: &'a mut [Vec3],
-    row_d: &'a mut [f32],
-    row_evals: &'a mut [u32],
-    row_blends: &'a mut [u32],
-    early_terminated: &'a mut u64,
+/// One blend of a [`walk_pixel`]: Eqn. 2's operands for one entry on one
+/// pixel.
+#[derive(Clone, Copy)]
+pub(crate) struct Blend {
+    pub(crate) alpha: f32,
+    /// The falloff `g` that α came from (`α = min(o·g, 0.99)`).
+    pub(crate) g: f32,
+    pub(crate) t_before: f32,
+    /// Whether `o·g` exceeded 0.99, so α was clamped there.
+    pub(crate) clamped: bool,
 }
 
-/// Blends one table entry across a row's active pixels. The single source
-/// of truth for the blending arithmetic: `INTERIOR = true` monomorphises
-/// away the α-threshold branch (and the negligible counter it guards) that
-/// `splat_covers_tile` proved dead, everything else is byte-for-byte the
-/// checked path.
-#[inline(always)]
-fn blend_entry_row<const INTERIOR: bool>(pass: &mut RowPass<'_>) {
-    let splat = pass.splat;
-    let mut i = 0usize;
-    while i < pass.active.len() {
-        let px_off = pass.active[i] as usize;
-        let pixel = Vec2::new((pass.x0 + px_off) as f32, pass.fy);
-        pass.row_evals[px_off] += 1;
+/// A tile's canonical table with its skipped entries resolved away: (table
+/// position, splat) for every entry [`walk_pixel`] evaluates, in blend order.
+pub(crate) fn walk_entries<'a>(
+    projection: &'a Projection,
+    table: &[TableEntry],
+    skip: Option<&IdSet>,
+) -> Vec<(usize, &'a Splat2d)> {
+    let splats = table.iter().map(|entry| &projection.splats[entry.splat_index as usize]);
+    let unskipped =
+        |(_, splat): &(usize, &Splat2d)| !skip.is_some_and(|s| s.contains(splat.id as usize));
+    splats.enumerate().filter(unskipped).collect()
+}
+
+/// The scalar blend walk of Eqn. 1–2, the oracle both reference passes run:
+/// one pixel front to back over a tile's [`walk_entries`]. Per entry, `visit`
+/// gets its table position, the splat and the blend — `None` when α falls
+/// below [`ALPHA_THRESHOLD`] (evaluated, negligible, not blended). The walk
+/// stops once `T < `[`TRANSMITTANCE_MIN`] and returns the final `T` with,
+/// when it saturated, the table position past the entry that saturated it.
+pub(crate) fn walk_pixel<'a>(
+    entries: &[(usize, &'a Splat2d)],
+    pixel: Vec2,
+    mut visit: impl FnMut(usize, &'a Splat2d, Option<Blend>),
+) -> (f32, Option<usize>) {
+    let mut t = 1.0f32;
+    for &(k, splat) in entries {
         let g = falloff(splat.conic, pixel - splat.mean);
-        let alpha = (splat.opacity * g).min(0.99);
-        if INTERIOR {
-            debug_assert!(alpha >= ALPHA_THRESHOLD, "interior test must be conservative");
-        }
-        if let Some(entry_stats) = pass.contrib.as_deref_mut() {
-            entry_stats.1 += 1;
-            if !INTERIOR && alpha < ALPHA_THRESHOLD {
-                entry_stats.2 += 1;
-            }
-        }
-        if !INTERIOR && alpha < ALPHA_THRESHOLD {
-            i += 1;
+        let raw_alpha = splat.opacity * g;
+        let alpha = raw_alpha.min(0.99);
+        if alpha < ALPHA_THRESHOLD {
+            visit(k, splat, None);
             continue;
         }
-        pass.row_blends[px_off] += 1;
-        let t = pass.row_t[px_off];
-        pass.row_c[px_off] += splat.color * (t * alpha);
-        pass.row_d[px_off] += splat.depth * (t * alpha);
-        let t = t * (1.0 - alpha);
-        pass.row_t[px_off] = t;
+        visit(k, splat, Some(Blend { alpha, g, t_before: t, clamped: raw_alpha > 0.99 }));
+        t *= 1.0 - alpha;
         if t < TRANSMITTANCE_MIN {
-            *pass.early_terminated += 1;
-            pass.active.swap_remove(i);
-        } else {
-            i += 1;
+            return (t, Some(k + 1));
         }
     }
+    (t, None)
 }
 
-/// Rasterizes one tile into tile-local buffers (row-major within the tile).
+/// Rasterizes one tile into tile-local buffers (row-major within the tile):
+/// the reference kernel, [`walk_pixel`] per pixel over the tile's canonical
+/// table, taken up front instead of switching to it when a walk reaches the
+/// first depth tie.
 ///
-/// Pixel rows are processed **entry-major**: per row, the tile's Gaussian
-/// table is walked once while an active-pixel list tracks which pixels still
-/// accumulate. A pixel leaves the list when its transmittance saturates
-/// (`T < `[`TRANSMITTANCE_MIN`]), and once the list empties the remaining
-/// table entries are skipped for the whole row — the per-tile T-saturation
-/// early-out, counted in [`RenderStats::saturated_rows`]. Each pixel still
-/// sees the same entries in the same order as the classic pixel-major loop,
-/// so outputs and workload counters are bit-identical to it (enforced by
-/// `row_kernel_matches_pixel_major_reference`).
-///
-/// As the oracle it takes the tile's canonical table up front instead of
-/// switching to it when a row reaches the first depth tie.
+/// The row counters the vectorized kernel books as its rows walk follow from
+/// each pixel's stop point: a row reaches as deep as its deepest pixel, and
+/// is a saturated row ([`RenderStats::saturated_rows`]) when that is short of
+/// the table's end. The tile's walk depth is its deepest row; its interior
+/// pairs are the walked, unskipped entries [`splat_covers_tile`] accepts.
 pub(crate) fn rasterize_tile(
     projection: &Projection,
     tables: &GaussianTables,
@@ -397,116 +392,53 @@ pub(crate) fn rasterize_tile(
         out.contributions =
             table.iter().map(|e| (projection.splats[e.splat_index as usize].id, 0, 0)).collect();
     }
+    let entries = walk_entries(projection, table, options.skip.as_deref());
 
-    // Tile-interior classification, once per (entry, tile) instead of a
-    // bound check per (entry, pixel). Skipped splats are never classified
-    // (nor counted) — the row loop drops them before either path runs.
-    let interior: Vec<bool> = table
-        .iter()
-        .map(|entry| {
-            let splat = &projection.splats[entry.splat_index as usize];
-            let skipped =
-                options.skip.as_ref().is_some_and(|skip| skip.contains(splat.id as usize));
-            !skipped && splat_covers_tile(splat, bounds)
-        })
-        .collect();
     // Deepest table index (+1) any row of this tile walks to.
     let mut walked = 0usize;
-
-    // Row-local accumulators, reused across rows.
-    let mut row_t = vec![1.0f32; tile_w];
-    let mut row_c = vec![Vec3::ZERO; tile_w];
-    let mut row_d = vec![0.0f32; tile_w];
-    let mut row_evals = vec![0u32; tile_w];
-    let mut row_blends = vec![0u32; tile_w];
-    let mut active: Vec<u32> = Vec::with_capacity(tile_w);
-
     for py in y0..y1 {
-        row_t.fill(1.0);
-        row_c.fill(Vec3::ZERO);
-        row_d.fill(0.0);
-        row_evals.fill(0);
-        row_blends.fill(0);
-        active.clear();
-        active.extend(0..tile_w as u32);
-        let fy = py as f32;
-        let mut reached = table.len();
-
-        for (k, entry) in table.iter().enumerate() {
-            // Splat data and the skip decision are hoisted per (entry, row)
-            // instead of per (entry, pixel) — the cache-residency half of
-            // the row kernel's win.
-            let splat = &projection.splats[entry.splat_index as usize];
-            if let Some(skip) = &options.skip {
-                if skip.contains(splat.id as usize) {
-                    continue;
+        let mut reached = 0usize;
+        for px in x0..x1 {
+            let (mut color, mut depth) = (Vec3::ZERO, 0.0f32);
+            let (mut evals, mut blends) = (0u32, 0u32);
+            let pixel = Vec2::new(px as f32, py as f32);
+            let (t, stop) = walk_pixel(&entries, pixel, |k, splat, blend| {
+                evals += 1;
+                // `contributions` is empty unless they are recorded.
+                if let Some(entry_stats) = out.contributions.get_mut(k) {
+                    entry_stats.1 += 1;
+                    entry_stats.2 += u32::from(blend.is_none());
                 }
-            }
-            let contrib =
-                options.record_contributions.then(|| out.contributions.get_mut(k)).flatten();
-            if interior[k] {
-                // Interior fast path: every pixel's α is provably at or
-                // above the threshold (`splat_covers_tile`), so the bound
-                // check — and the negligible counter it guards — compiles
-                // out of the monomorphised row kernel. α itself is computed
-                // with the identical arithmetic.
-                blend_entry_row::<true>(&mut RowPass {
-                    splat,
-                    contrib,
-                    x0,
-                    fy,
-                    active: &mut active,
-                    row_t: &mut row_t,
-                    row_c: &mut row_c,
-                    row_d: &mut row_d,
-                    row_evals: &mut row_evals,
-                    row_blends: &mut row_blends,
-                    early_terminated: &mut out.early_terminated,
-                });
-            } else {
-                blend_entry_row::<false>(&mut RowPass {
-                    splat,
-                    contrib,
-                    x0,
-                    fy,
-                    active: &mut active,
-                    row_t: &mut row_t,
-                    row_c: &mut row_c,
-                    row_d: &mut row_d,
-                    row_evals: &mut row_evals,
-                    row_blends: &mut row_blends,
-                    early_terminated: &mut out.early_terminated,
-                });
-            }
-            if active.is_empty() {
-                if k + 1 < table.len() {
-                    out.saturated_rows += 1;
+                if let Some(Blend { alpha, t_before, .. }) = blend {
+                    blends += 1;
+                    color += splat.color * (t_before * alpha);
+                    depth += splat.depth * (t_before * alpha);
                 }
-                reached = k + 1;
-                break;
-            }
-        }
-        walked = walked.max(reached);
+            });
+            out.early_terminated += u64::from(stop.is_some());
+            reached = reached.max(stop.unwrap_or(table.len()));
 
-        let row_base = (py - y0) * tile_w;
-        for px_off in 0..tile_w {
-            out.alpha_evals += row_evals[px_off] as u64;
-            out.blend_ops += row_blends[px_off] as u64;
-            let i = row_base + px_off;
-            out.color[i] = row_c[px_off];
-            out.depth[i] = row_d[px_off];
-            out.silhouette[i] = 1.0 - row_t[px_off];
+            out.alpha_evals += evals as u64;
+            out.blend_ops += blends as u64;
+            let i = (py - y0) * tile_w + (px - x0);
+            out.color[i] = color;
+            out.depth[i] = depth;
+            out.silhouette[i] = 1.0 - t;
             if let Some(w) = out.work.as_mut() {
                 // The cycle model's per-pixel counters are u16; tables deeper
                 // than 65535 entries saturate instead of wrapping.
-                w.per_pixel_evals[i] = row_evals[px_off].min(u16::MAX as u32) as u16;
-                w.per_pixel_blends[i] = row_blends[px_off].min(u16::MAX as u32) as u16;
+                w.per_pixel_evals[i] = evals.min(u16::MAX as u32) as u16;
+                w.per_pixel_blends[i] = blends.min(u16::MAX as u32) as u16;
             }
         }
+        out.saturated_rows += u64::from(reached < table.len());
+        walked = walked.max(reached);
     }
 
     out.walked_pairs = walked as u64;
-    out.interior_pairs = interior[..walked].iter().filter(|&&fast| fast).count() as u64;
+    let interior =
+        |&&(k, splat): &&(usize, &Splat2d)| k < walked && splat_covers_tile(splat, bounds);
+    out.interior_pairs = entries.iter().filter(interior).count() as u64;
     out
 }
 
@@ -565,11 +497,21 @@ pub(crate) fn rasterize_taped(
     let pair_work = crate::TILE_SIZE * crate::TILE_SIZE;
     let par =
         options.parallelism.for_workload(tables.total_pairs as usize * pair_work, 1024 * pair_work);
-    let backend = options.backend.backend();
-    let outcomes = par_map(&par, tables.grid.num_tiles(), 1, |tile_idx| {
-        let mut tile_tape =
-            tape.map(|t| t.tiles[tile_idx].lock().expect("a worker panicked while taping"));
-        backend.rasterize_tile(projection, tables, tile_idx, options, tile_tape.as_deref_mut())
+    let outcomes = par_map(&par, tables.grid.num_tiles(), 1, |tile_idx| match options.backend {
+        BackendKind::Reference => rasterize_tile(projection, tables, tile_idx, options),
+        BackendKind::Vectorized => {
+            let mut tile_tape =
+                tape.map(|t| t.tiles[tile_idx].lock().expect("a worker panicked while taping"));
+            rasterize_tile_vec(
+                projection,
+                tables,
+                tile_idx,
+                options.skip.as_deref(),
+                options.record_contributions,
+                options.collect_tile_work,
+                tile_tape.as_deref_mut(),
+            )
+        }
     });
 
     for (tile_idx, outcome) in outcomes.into_iter().enumerate() {
@@ -620,7 +562,6 @@ pub(crate) fn rasterize_taped(
 mod tests {
     use super::*;
     use crate::gaussian::Gaussian;
-    use crate::project::project_gaussians;
     use ags_math::Parallelism;
 
     fn camera() -> PinholeCamera {
@@ -737,102 +678,18 @@ mod tests {
         assert_eq!(out.stats.saturated_rows, 0);
     }
 
-    /// The classic pixel-major blending loop, kept as the reference the
-    /// row-major active-list kernel must reproduce bit for bit.
-    fn reference_pixel_major(
+    /// Renders `cloud` with the reference backend: the scalar walk.
+    fn reference(
         cloud: &GaussianCloud,
         cam: &PinholeCamera,
         options: &RenderOptions,
     ) -> RenderOutput {
-        let projection = project_gaussians(cloud, cam, &Se3::IDENTITY);
-        let tables = GaussianTables::build_with(&projection, cam, &Parallelism::serial());
-        let mut color = RgbImage::filled(cam.width, cam.height, Vec3::ZERO);
-        let mut depth = DepthImage::new(cam.width, cam.height);
-        let mut silhouette = GrayImage::new(cam.width, cam.height);
-        let mut stats = RenderStats {
-            pairs: tables.total_pairs,
-            visible_splats: projection.splats.len() as u64,
-            culled: projection.culled as u64,
-            ..RenderStats::default()
-        };
-        let mut contributions =
-            options.record_contributions.then(|| ContributionStats::new(cloud.len()));
-        for tile_idx in 0..tables.grid.num_tiles() {
-            let table = tables.canonical(tile_idx);
-            let (x0, y0, x1, y1) = tables.grid.tile_bounds(tile_idx);
-            let mut per_entry = vec![(0u32, 0u32); table.len()];
-            let mut work = options.collect_tile_work.then(|| TileWork {
-                tile: tile_idx as u32,
-                per_pixel_evals: vec![0; (x1 - x0) * (y1 - y0)],
-                per_pixel_blends: vec![0; (x1 - x0) * (y1 - y0)],
-            });
-            for py in y0..y1 {
-                for px in x0..x1 {
-                    let pixel = Vec2::new(px as f32, py as f32);
-                    let (mut t, mut c, mut d) = (1.0f32, Vec3::ZERO, 0.0f32);
-                    let (mut evals, mut blends) = (0u32, 0u32);
-                    for (k, entry) in table.iter().enumerate() {
-                        let splat = &projection.splats[entry.splat_index as usize];
-                        if options.skip.as_ref().is_some_and(|s| s.contains(splat.id as usize)) {
-                            continue;
-                        }
-                        evals += 1;
-                        let alpha =
-                            (splat.opacity * falloff(splat.conic, pixel - splat.mean)).min(0.99);
-                        if options.record_contributions {
-                            per_entry[k].0 += 1;
-                            if alpha < ALPHA_THRESHOLD {
-                                per_entry[k].1 += 1;
-                            }
-                        }
-                        if alpha < ALPHA_THRESHOLD {
-                            continue;
-                        }
-                        blends += 1;
-                        c += splat.color * (t * alpha);
-                        d += splat.depth * (t * alpha);
-                        t *= 1.0 - alpha;
-                        if t < TRANSMITTANCE_MIN {
-                            stats.early_terminated_pixels += 1;
-                            break;
-                        }
-                    }
-                    stats.alpha_evals += evals as u64;
-                    stats.blend_ops += blends as u64;
-                    color.set(px, py, c);
-                    depth.set(px, py, d);
-                    silhouette.set(px, py, 1.0 - t);
-                    if let Some(w) = work.as_mut() {
-                        let i = (py - y0) * (x1 - x0) + (px - x0);
-                        w.per_pixel_evals[i] = evals.min(u16::MAX as u32) as u16;
-                        w.per_pixel_blends[i] = blends.min(u16::MAX as u32) as u16;
-                    }
-                }
-            }
-            if let Some(skip) = &options.skip {
-                stats.skipped_pairs += table
-                    .iter()
-                    .filter(|e| {
-                        skip.contains(projection.splats[e.splat_index as usize].id as usize)
-                    })
-                    .count() as u64;
-            }
-            if let Some(c) = contributions.as_mut() {
-                for (entry, &(touched, negligible)) in table.iter().zip(&per_entry) {
-                    let id = projection.splats[entry.splat_index as usize].id as usize;
-                    c.touched[id] += touched;
-                    c.negligible[id] += negligible;
-                }
-            }
-            if let Some(w) = work.take() {
-                stats.tile_work.push(w);
-            }
-        }
-        RenderOutput { color, depth, silhouette, stats, contributions }
+        let options = RenderOptions { backend: BackendKind::Reference, ..options.clone() };
+        render(cloud, cam, &Se3::IDENTITY, &options)
     }
 
     #[test]
-    fn row_kernel_matches_pixel_major_reference() {
+    fn default_render_matches_the_reference_walk() {
         use ags_math::Pcg32;
         let mut cloud = GaussianCloud::new();
         let mut rng = Pcg32::seeded(7);
@@ -860,7 +717,7 @@ mod tests {
             parallelism: Parallelism::serial(),
             backend: BackendKind::default(),
         };
-        let expect = reference_pixel_major(&cloud, &cam, &options);
+        let expect = reference(&cloud, &cam, &options);
         let got = render(&cloud, &cam, &Se3::IDENTITY, &options);
         assert_eq!(expect.color.pixels(), got.color.pixels());
         assert_eq!(expect.depth.pixels(), got.depth.pixels());
@@ -885,8 +742,8 @@ mod tests {
         use ags_math::Pcg32;
         // Frame-filling opaque splats trigger the tile-interior fast path on
         // interior tiles; a mix of small faint splats keeps the checked path
-        // busy too. Output and every counter must match the pixel-major
-        // reference bit for bit.
+        // busy too. Output and every counter must match the reference walk
+        // bit for bit.
         let mut cloud = GaussianCloud::new();
         let mut rng = Pcg32::seeded(21);
         for i in 0..4 {
@@ -923,7 +780,7 @@ mod tests {
         };
         let got = render(&cloud, &cam, &Se3::IDENTITY, &options);
         assert!(got.stats.interior_pairs > 0, "frame-filling splats must take the fast path");
-        let expect = reference_pixel_major(&cloud, &cam, &options);
+        let expect = reference(&cloud, &cam, &options);
         assert_eq!(expect.color.pixels(), got.color.pixels());
         assert_eq!(expect.depth.pixels(), got.depth.pixels());
         assert_eq!(expect.silhouette.pixels(), got.silhouette.pixels());

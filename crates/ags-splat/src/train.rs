@@ -11,7 +11,9 @@ use crate::backward::{backward_taped, BackwardOutput, BlendTape, GradMode};
 use crate::cache::ProjectionCache;
 use crate::gaussian::GaussianCloud;
 use crate::loss::{compute_loss, LossConfig, LossResult};
+use crate::project::project_gaussians;
 use crate::render::{rasterize_taped, RenderOptions, RenderOutput};
+use crate::tiles::GaussianTables;
 use ags_image::{DepthImage, RgbImage};
 use ags_math::parallel::Parallelism;
 use ags_math::Se3;
@@ -65,13 +67,12 @@ pub fn train_pass(
     options: &RenderOptions,
     cache: Option<&mut ProjectionCache>,
 ) -> TrainPass {
-    let backend = options.backend.backend();
     let projection = match cache {
         Some(cache) if mode == GradMode::Track => cache.project_unkeyed(cloud, camera, pose),
         Some(cache) => cache.project(cloud, camera, pose),
-        None => backend.project(cloud, camera, pose),
+        None => project_gaussians(cloud, camera, pose),
     };
-    let tables = backend.build_tables(&projection, camera, &options.parallelism);
+    let tables = GaussianTables::build_with(&projection, camera, &options.parallelism);
     let tape = Some(&mut scratch.tape);
     let render = rasterize_taped(cloud, &projection, &tables, camera, options, tape);
     let loss = compute_loss(&render, gt_rgb, gt_depth, loss_config);

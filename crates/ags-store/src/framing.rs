@@ -84,7 +84,7 @@ const CRC_TABLES: [[u32; 256]; 8] = {
 };
 
 /// CRC-32 (IEEE 802.3, reflected polynomial `0xEDB88320`) — the classic
-/// zlib/PNG checksum, eight bytes per step of [`CRC_TABLES`] lookups.
+/// zlib/PNG checksum, eight bytes per step of `CRC_TABLES` lookups.
 pub fn crc32(bytes: &[u8]) -> u32 {
     let t = &CRC_TABLES;
     let mut crc = !0u32;

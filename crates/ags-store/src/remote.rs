@@ -401,7 +401,7 @@ const ACCEPT_BACKOFF: Duration = Duration::from_millis(20);
 
 /// An embeddable TCP server exposing any [`MapStore`] over the blob
 /// protocol. Accepts on a background thread, one handler thread per
-/// connection up to [`MAX_CONNECTIONS`]; the backing store is
+/// connection up to `MAX_CONNECTIONS`; the backing store is
 /// mutex-serialized (matching the single-writer discipline of the epoch
 /// log).
 pub struct StoreServer {
