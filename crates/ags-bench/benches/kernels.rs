@@ -1,20 +1,15 @@
 //! Micro-benchmarks of the performance-critical kernels.
 //!
 //! Times the hot paths the AGS hardware accelerates — the SAD row kernel,
-//! CODEC motion estimation and tile rasterization — in serial and parallel
-//! mode, checks the parallel output is bit-identical before trusting its
-//! timing, then times the **end-to-end** driver (every stage inline vs the
-//! thread-parallel kernels vs FC overlapped on its worker as in Fig. 9b),
-//! prints a table and writes the machine-readable
-//! `BENCH_kernels.json` into the workspace root so the perf trajectory is
-//! tracked from PR 1 onwards (the CI perf gate compares the end-to-end
-//! numbers against the committed file).
-//!
-//! The end-to-end rows (and the map-heavy, multi-stream and compaction rows
-//! built on the same configuration) run the reference backend: the scalar
-//! per-pixel blend walk, forward and replayed backward — the oracle, not the
-//! default vectorized kernel, which `vectorized_map_ms` times on the same
-//! frames.
+//! CODEC motion estimation, tile rasterization, the coarse-tracking
+//! backbone, one training iteration, projection and tile binning — checks
+//! each fast path bit-identical to its reference (parallel vs serial, SIMD
+//! vs scalar, vectorized vs the scalar reference backend) before trusting
+//! its timing, times one live stream migration's cut-over gap, prints a
+//! table and writes the machine-readable `BENCH_kernels.json` into the
+//! workspace root (the CI perf gate compares it against the committed
+//! file). End-to-end frame rates of the configuration that ships come from
+//! the repo's benchmark (`BENCHMARK.json`, `benchmark/`), not from here.
 //!
 //! Run: `cargo bench -p ags-bench --bench kernels`
 //! Env: `AGS_BENCH_THREADS=<n>` overrides the parallel worker count.
@@ -47,7 +42,8 @@ fn time_it<F: FnMut()>(samples: usize, iters: usize, f: F) -> f64 {
     time_spread(samples, iters, f).median
 }
 
-/// Median-of-N timing with the spread it was taken from, in seconds.
+/// The median of N samples (seconds, or a ratio of two timings) with the
+/// spread it was taken from.
 struct Spread {
     median: f64,
     min: f64,
@@ -55,6 +51,15 @@ struct Spread {
 }
 
 impl Spread {
+    fn of(mut samples: Vec<f64>) -> Self {
+        samples.sort_unstable_by(f64::total_cmp);
+        Self {
+            median: samples[samples.len() / 2],
+            min: samples[0],
+            max: samples[samples.len() - 1],
+        }
+    }
+
     fn scaled(self, factor: f64) -> Self {
         Self { median: self.median * factor, min: self.min * factor, max: self.max * factor }
     }
@@ -68,24 +73,43 @@ impl Spread {
     }
 }
 
+/// Wall-clock seconds of one invocation, over one batch of `iters`.
+fn batch(iters: usize, f: &mut impl FnMut()) -> f64 {
+    let start = Instant::now();
+    for _ in 0..iters {
+        f();
+    }
+    start.elapsed().as_secs_f64() / iters as f64
+}
+
 /// Wall-clock seconds of one invocation over `samples` timed batches.
 fn time_spread<F: FnMut()>(samples: usize, iters: usize, mut f: F) -> Spread {
     f(); // warm-up
-    let mut per_iter: Vec<f64> = (0..samples)
-        .map(|_| {
-            let start = Instant::now();
-            for _ in 0..iters {
-                f();
-            }
-            start.elapsed().as_secs_f64() / iters as f64
-        })
-        .collect();
-    per_iter.sort_unstable_by(f64::total_cmp);
-    Spread {
-        median: per_iter[per_iter.len() / 2],
-        min: per_iter[0],
-        max: per_iter[per_iter.len() - 1],
+    Spread::of((0..samples).map(|_| batch(iters, &mut f)).collect())
+}
+
+/// [`time_spread`] of two workloads whose batches are interleaved (the one
+/// timed first alternates), plus the spread of the per-sample `a / b` ratio.
+fn time_pair(
+    samples: usize,
+    iters: usize,
+    mut a: impl FnMut(),
+    mut b: impl FnMut(),
+) -> (Spread, Spread, Spread) {
+    a(); // warm-up
+    b();
+    let (mut ta, mut tb) = (Vec::with_capacity(samples), Vec::with_capacity(samples));
+    for sample in 0..samples {
+        if sample % 2 == 0 {
+            ta.push(batch(iters, &mut a));
+            tb.push(batch(iters, &mut b));
+        } else {
+            tb.push(batch(iters, &mut b));
+            ta.push(batch(iters, &mut a));
+        }
     }
+    let ratios = ta.iter().zip(&tb).map(|(a, b)| a / b).collect();
+    (Spread::of(ta), Spread::of(tb), Spread::of(ratios))
 }
 
 struct MeResult {
@@ -132,27 +156,12 @@ fn bench_motion_estimation(search: SearchKind, parallel: Parallelism) -> MeResul
         SearchKind::Diamond => (10, 20),
         SearchKind::FullSearch => (6, 2),
     };
-    black_box(serial_est.estimate(&current, &reference)); // warm-up
-    let mut serial_times = Vec::with_capacity(samples);
-    let mut parallel_times = Vec::with_capacity(samples);
-    let time_leg = |est: &MotionEstimator| {
-        let start = Instant::now();
-        for _ in 0..iters {
-            black_box(est.estimate(black_box(&current), black_box(&reference)));
-        }
-        start.elapsed().as_secs_f64() / iters as f64
+    let estimate = |est: &MotionEstimator| {
+        black_box(est.estimate(black_box(&current), black_box(&reference)));
     };
-    for sample in 0..samples {
-        if sample % 2 == 0 {
-            serial_times.push(time_leg(&serial_est));
-            parallel_times.push(time_leg(&parallel_est));
-        } else {
-            parallel_times.push(time_leg(&parallel_est));
-            serial_times.push(time_leg(&serial_est));
-        }
-    }
-    let min = |times: &[f64]| times.iter().copied().fold(f64::INFINITY, f64::min);
-    let (t_serial, t_parallel) = (min(&serial_times), min(&parallel_times));
+    let (serial_times, parallel_times, _) =
+        time_pair(samples, iters, || estimate(&serial_est), || estimate(&parallel_est));
+    let (t_serial, t_parallel) = (serial_times.min, parallel_times.min);
     MeResult {
         serial_blocks_per_s: blocks / t_serial,
         parallel_blocks_per_s: blocks / t_parallel,
@@ -211,37 +220,20 @@ fn bench_batched_me(parallel: &Parallelism) -> BatchedMeResult {
     assert_eq!(expect, looped, "pooled per-pair ME must match serial");
     assert_eq!(expect, batched, "batched ME must match the per-pair loop");
 
-    let (samples, iters) = (10usize, 16usize);
-    let mut looped_times = Vec::with_capacity(samples);
-    let mut batched_times = Vec::with_capacity(samples);
-    let time_looped = || {
-        let start = Instant::now();
-        for _ in 0..iters {
+    // Interleaved min-of-N, as in bench_motion_estimation.
+    let (looped_times, batched_times, _) = time_pair(
+        10,
+        16,
+        || {
             for r in &refs {
                 black_box(est.estimate(black_box(&current), black_box(r)));
             }
-        }
-        start.elapsed().as_secs_f64() / iters as f64
-    };
-    let time_batched = || {
-        let start = Instant::now();
-        for _ in 0..iters {
+        },
+        || {
             black_box(est.estimate_batch(black_box(&current), black_box(&refs)));
-        }
-        start.elapsed().as_secs_f64() / iters as f64
-    };
-    // Alternate which schedule is timed first (see bench_motion_estimation).
-    for sample in 0..samples {
-        if sample % 2 == 0 {
-            looped_times.push(time_looped());
-            batched_times.push(time_batched());
-        } else {
-            batched_times.push(time_batched());
-            looped_times.push(time_looped());
-        }
-    }
-    let min = |times: &[f64]| times.iter().copied().fold(f64::INFINITY, f64::min);
-    let (t_looped, t_batched) = (min(&looped_times), min(&batched_times));
+        },
+    );
+    let (t_looped, t_batched) = (looped_times.min, batched_times.min);
     BatchedMeResult {
         pairs,
         looped_pairs_per_s: pairs as f64 / t_looped,
@@ -349,42 +341,17 @@ fn bench_sad_kernel(block: usize) -> SadResult {
     }
 }
 
-struct E2eResult {
-    frames: usize,
-    width: usize,
-    height: usize,
-    serial_fps: f64,
-    parallel_fps: f64,
-    overlapped_fps: f64,
-    overlap_speedup: f64,
-    fc_ms: f64,
-    track_ms: f64,
-    map_ms: f64,
-    vectorized_map_ms: f64,
-    vectorized_map_speedup: f64,
-    /// Lowest and highest reference/vectorized map-time ratio over the
-    /// interleaved sample pairs — the spread the `perf_gate` floor must clear.
-    vectorized_map_speedup_range: (f64, f64),
-}
-
-/// End-to-end driver workload: a short synthetic stream through the
-/// full AGS pipeline. FullSearch ME over a widened window keeps the FC stage
-/// a meaningful share of the frame so the Fig. 9(b) overlap is measurable on
-/// multi-core hosts (on a single core the two placements time-share and should
-/// land at parity — the overlap can hide FC time only behind real idle
-/// cycles).
+/// The driver configuration `train_iteration` builds its map with and the
+/// `migration` row streams: FullSearch ME over a widened keyframe window
+/// (every frame's references go through one `estimate_batch` submission),
+/// every stage inline on one thread, the scalar reference backend.
 fn e2e_config() -> AgsConfig {
     let mut config = AgsConfig::tiny();
     config.slam.tile_work_interval = 0;
     config.codec.search = SearchKind::FullSearch;
     config.codec.search_range = 16;
-    // Mapping-side FC over a keyframe window: every frame's references go
-    // through one estimate_batch submission (the batched FC path).
     config.codec.keyframe_window = 4;
     config.parallelism = Parallelism::serial();
-    // The end-to-end rows run the reference backend: its scalar per-pixel
-    // walk, in the forward raster and replayed in the backward pass, is what
-    // they time. `vectorized_map_ms` is the row that overrides this.
     config.backend = BackendKind::Reference;
     config
 }
@@ -394,397 +361,6 @@ fn e2e_dataset(frames: usize, width: usize, height: usize) -> Dataset {
     let mut data = Dataset::generate(SceneId::Xyz, &dconfig);
     data.truncate(frames);
     data
-}
-
-/// Streams `data` through the one driver under `pipeline` and drains it;
-/// returns the wall time (construction included, image sharing not) and the
-/// drained driver.
-fn run_driver(config: &AgsConfig, pipeline: PipelineConfig, data: &Dataset) -> (f64, AgsSlam) {
-    let shared: Vec<_> =
-        data.frames.iter().map(|f| (Arc::new(f.rgb.clone()), Arc::new(f.depth.clone()))).collect();
-    let start = Instant::now();
-    let mut slam = AgsSlam::new(AgsConfig { pipeline, ..config.clone() });
-    for (rgb, depth) in shared {
-        black_box(slam.push_frame(&data.camera, rgb, depth));
-    }
-    black_box(slam.finish());
-    (start.elapsed().as_secs_f64(), slam)
-}
-
-/// Every stage inline at `slack` — the deferred-map reference at `slack > 0`.
-fn serial(slack: usize) -> PipelineConfig {
-    PipelineConfig { map_slack: slack, ..PipelineConfig::default() }
-}
-
-fn bench_end_to_end(parallel: Parallelism) -> E2eResult {
-    let (frames, width, height) = (10usize, 96usize, 72usize);
-    let data = e2e_dataset(frames, width, height);
-    let config = e2e_config();
-    let overlapped = PipelineConfig::overlapped(1);
-
-    // Bit-identity between the serial and overlapped placements before
-    // trusting any timing (the determinism tests enforce this too; the bench
-    // refuses to publish numbers for diverging pipelines).
-    let serial_trace = run_driver(&config, serial(0), &data).1.take_trace();
-    let overlapped_trace = run_driver(&config, overlapped, &data).1.take_trace();
-    assert_eq!(
-        serial_trace.canonical_bytes(),
-        overlapped_trace.canonical_bytes(),
-        "overlapped pipeline must be bit-identical to serial"
-    );
-
-    // The vectorized backend plus the epoch-delta projection cache must
-    // reproduce the reference trajectory and map to the bit: the canonical
-    // trace comparison covers both before the speedup is published.
-    let mut vectorized_config = e2e_config();
-    vectorized_config.backend = BackendKind::Vectorized;
-    vectorized_config.projection_cache = true;
-    let vectorized_trace = run_driver(&vectorized_config, serial(0), &data).1.take_trace();
-    assert_eq!(
-        serial_trace.canonical_bytes(),
-        vectorized_trace.canonical_bytes(),
-        "vectorized backend + projection cache must be bit-identical to the reference backend"
-    );
-
-    // Interleaved min-of-N timing: the minimum is the least noise-sensitive
-    // statistic for a fixed workload, and interleaving decorrelates slow
-    // drift (thermal, background load) from the placement comparison.
-    let samples = 5usize;
-    let mut parallel_config = e2e_config();
-    parallel_config.parallelism = parallel;
-    let mut serial_times = Vec::new();
-    let mut parallel_times = Vec::new();
-    let mut overlapped_times = Vec::new();
-    let mut map_times = Vec::new();
-    let mut vectorized_map_times = Vec::new();
-    let mut last_serial_trace = serial_trace;
-    for _ in 0..samples {
-        let (t, mut slam) = run_driver(&config, serial(0), &data);
-        serial_times.push(t);
-        map_times.push(slam.trace().stage_time_totals().map_s);
-        last_serial_trace = slam.take_trace();
-        let (_, slam) = run_driver(&vectorized_config, serial(0), &data);
-        vectorized_map_times.push(slam.trace().stage_time_totals().map_s);
-        overlapped_times.push(run_driver(&config, overlapped, &data).0);
-        parallel_times.push(run_driver(&parallel_config, serial(0), &data).0);
-    }
-    let min = |times: &[f64]| times.iter().copied().fold(f64::INFINITY, f64::min);
-    let t_serial = min(&serial_times);
-    let t_parallel = min(&parallel_times);
-    let t_overlapped = min(&overlapped_times);
-    let t_map = min(&map_times);
-    let t_vectorized_map = min(&vectorized_map_times);
-    let ratios = map_times.iter().zip(&vectorized_map_times).map(|(m, v)| m / v);
-    let vectorized_map_speedup_range =
-        ratios.fold((f64::INFINITY, 0.0f64), |(lo, hi), r| (lo.min(r), hi.max(r)));
-
-    let stage = last_serial_trace.stage_time_totals();
-    let per_frame = |s: f64| s / frames as f64 * 1e3;
-    E2eResult {
-        frames,
-        width,
-        height,
-        serial_fps: frames as f64 / t_serial,
-        parallel_fps: frames as f64 / t_parallel,
-        overlapped_fps: frames as f64 / t_overlapped,
-        overlap_speedup: t_serial / t_overlapped,
-        fc_ms: per_frame(stage.fc_s),
-        track_ms: per_frame(stage.track_s),
-        map_ms: per_frame(t_map),
-        vectorized_map_ms: per_frame(t_vectorized_map),
-        vectorized_map_speedup: t_map / t_vectorized_map,
-        vectorized_map_speedup_range,
-    }
-}
-
-struct MapHeavyResult {
-    frames: usize,
-    width: usize,
-    height: usize,
-    mapping_iterations: u32,
-    map_slack: usize,
-    overlapped_fps: f64,
-    map_overlapped_fps: f64,
-    speedup: f64,
-    stall_ms_per_frame: f64,
-}
-
-/// The Track ‖ Map axis on a map-heavy configuration (mapping ≥ 2× the
-/// tracking time): the FC-overlapped run still serialises Track(N+1)
-/// after Map(N), while `PipelineMode::MapOverlapped` runs them concurrently
-/// under the one-epoch-stale snapshot contract.
-///
-/// The workload is the S2 handheld-scan stand-in, whose motion keeps FC
-/// below `ThreshT` so 3DGS refinement runs on every frame — the regime the
-/// Track ‖ Map axis targets. On multi-core hosts the overlap can hide the
-/// whole tracking stage (up to `1 + track/map` ≈ 1.4× here); on a single
-/// core the threads time-share and the measured win reduces to the
-/// stale-read savings the one-epoch-stale contract buys tracking (warmup
-/// refinements are structurally skipped and every refinement reads the
-/// previous, smaller epoch).
-fn bench_map_heavy_overlap() -> MapHeavyResult {
-    let (frames, width, height) = (8usize, 96usize, 72usize);
-    // Full S2 trajectory compressed into the bench frames: handheld-jerky
-    // inter-frame motion, low FC, refinement on every frame.
-    let dconfig = DatasetConfig { width, height, num_frames: frames, ..DatasetConfig::tiny() };
-    let data = Dataset::generate(SceneId::S2, &dconfig);
-    let mut config = e2e_config();
-    // Map-heavy: grow the tiny mapping budget until map ≥ 2× track, the
-    // paper's full-scale stage balance.
-    config.slam.mapping_iterations = 10;
-    let (fc_overlapped, map_overlapped) =
-        (PipelineConfig::overlapped(1), PipelineConfig::map_overlapped(1, 1));
-
-    // Determinism before timing: the threaded Track ‖ Map run must match the
-    // serial deferred-map reference on this exact configuration.
-    let reference_trace = run_driver(&config, serial(1), &data).1.take_trace();
-    let overlapped_trace = run_driver(&config, map_overlapped, &data).1.take_trace();
-    assert_eq!(
-        reference_trace.canonical_bytes(),
-        overlapped_trace.canonical_bytes(),
-        "Track ‖ Map must be bit-identical to the deferred-serial reference"
-    );
-
-    let samples = 5usize;
-    let mut fc_times = Vec::new();
-    let mut map_times = Vec::new();
-    let mut last_trace = overlapped_trace;
-    for _ in 0..samples {
-        fc_times.push(run_driver(&config, fc_overlapped, &data).0);
-        let (t, mut slam) = run_driver(&config, map_overlapped, &data);
-        map_times.push(t);
-        last_trace = slam.take_trace();
-    }
-    let min = |times: &[f64]| times.iter().copied().fold(f64::INFINITY, f64::min);
-    let (t_fc, t_map) = (min(&fc_times), min(&map_times));
-    MapHeavyResult {
-        frames,
-        width,
-        height,
-        mapping_iterations: config.slam.mapping_iterations,
-        map_slack: 1,
-        overlapped_fps: frames as f64 / t_fc,
-        map_overlapped_fps: frames as f64 / t_map,
-        speedup: t_fc / t_map,
-        stall_ms_per_frame: last_trace.stage_time_totals().stall_s / frames as f64 * 1e3,
-    }
-}
-
-struct MultiStreamScale {
-    streams: usize,
-    aggregate_fps: f64,
-    stall_ms_per_frame: f64,
-}
-
-struct MultiStreamResult {
-    frames: usize,
-    width: usize,
-    height: usize,
-    pool_workers: usize,
-    scales: Vec<MultiStreamScale>,
-    s2_scaling_vs_s1: f64,
-}
-
-/// The multi-stream server: S identical `MapOverlapped` streams (three
-/// threads each) over **one** stream-tagged worker pool, driven round-robin
-/// as a capture mux would. `aggregate_frames_per_s` is total frames
-/// completed across streams per wall second; per-stream results are
-/// asserted bit-identical to the solo serial reference before any timing
-/// is trusted. On multi-core hosts S=2 should land well above S=1 (each
-/// stream's stage threads fill the other's idle cycles); on a single core
-/// the streams time-share and the aggregate stays at parity — the entry
-/// then tracks scheduling overhead and the per-stream stall profile.
-fn bench_multi_stream() -> MultiStreamResult {
-    use ags_core::{MultiStreamServer, ServerConfig};
-    let (frames, width, height) = (6usize, 96usize, 72usize);
-    let dconfig = DatasetConfig { width, height, num_frames: frames, ..DatasetConfig::tiny() };
-    let data = Dataset::generate(SceneId::S2, &dconfig);
-    let shared: Vec<_> =
-        data.frames.iter().map(|f| (Arc::new(f.rgb.clone()), Arc::new(f.depth.clone()))).collect();
-    let mut base = e2e_config();
-    base.parallelism = Parallelism::default();
-    base.pipeline = PipelineConfig::map_overlapped(1, 1);
-
-    let server_config = |streams: usize| ServerConfig::uniform(streams, base.clone());
-    let run_server = |streams: usize| -> (f64, MultiStreamServer) {
-        let mut server = MultiStreamServer::new(server_config(streams));
-        let start = Instant::now();
-        for (rgb, depth) in &shared {
-            for s in 0..streams {
-                black_box(
-                    server
-                        .push_frame(s, &data.camera, Arc::clone(rgb), Arc::clone(depth))
-                        .expect("healthy stream"),
-                );
-            }
-        }
-        black_box(server.finish_all());
-        (start.elapsed().as_secs_f64(), server)
-    };
-
-    // Determinism before timing: every stream of a two-stream server must be
-    // bit-identical to the stream run alone serially (deferred-map
-    // reference).
-    let reference_trace = {
-        let c = AgsConfig { parallelism: Parallelism::serial(), ..base.clone() };
-        run_driver(&c, serial(1), &data).1.take_trace()
-    };
-    let (_, check) = run_server(2);
-    for s in 0..2 {
-        assert_eq!(
-            reference_trace.canonical_bytes(),
-            check.stream(s).unwrap().trace().canonical_bytes(),
-            "stream {s} on the shared pool must match its solo serial reference"
-        );
-    }
-    let pool_workers = check.pool().workers();
-    drop(check);
-
-    let samples = 3usize;
-    let mut scales = Vec::new();
-    for &streams in &[1usize, 2, 4] {
-        // Keep the stall profile paired with the run whose wall time is
-        // reported, so the entry never mixes best-case throughput with
-        // another run's stall behaviour.
-        let mut best_t = f64::INFINITY;
-        let mut best_stall = 0.0;
-        for _ in 0..samples {
-            let (t, server) = run_server(streams);
-            if t < best_t {
-                best_t = t;
-                best_stall = server.stats().total.stall_s;
-            }
-        }
-        let total_frames = (streams * frames) as f64;
-        scales.push(MultiStreamScale {
-            streams,
-            aggregate_fps: total_frames / best_t,
-            stall_ms_per_frame: best_stall / total_frames * 1e3,
-        });
-    }
-    let s2_scaling_vs_s1 = scales[1].aggregate_fps / scales[0].aggregate_fps;
-    MultiStreamResult { frames, width, height, pool_workers, scales, s2_scaling_vs_s1 }
-}
-
-struct CheckpointResult {
-    frames: usize,
-    width: usize,
-    height: usize,
-    delta_bytes_per_epoch: f64,
-    full_snapshot_bytes: f64,
-}
-
-/// Sizes the epoch-delta log of one stream over `base`: a checkpoint is
-/// committed after every frame, so each epoch is persisted as its own
-/// delta. The store is attached once the first frame is in, so the chain's
-/// base is that frame's full snapshot rather than the empty map.
-fn size_epoch_log(
-    base: AgsConfig,
-    camera: &PinholeCamera,
-    frames: &[(Arc<ags_image::RgbImage>, Arc<ags_image::DepthImage>)],
-) -> ags_store::StoreStats {
-    use ags_core::{MultiStreamServer, ServerConfig};
-    use ags_store::{CheckpointConfig, MemoryStore};
-    let mut server = MultiStreamServer::new(ServerConfig::uniform(1, base));
-    for (f, (rgb, depth)) in frames.iter().enumerate() {
-        black_box(
-            server
-                .push_frame(0, camera, Arc::clone(rgb), Arc::clone(depth))
-                .expect("healthy stream"),
-        );
-        if f == 0 {
-            let store = Box::new(MemoryStore::new());
-            server.attach_store(0, store, CheckpointConfig::default()).unwrap();
-        } else {
-            server.checkpoint_stream(0).unwrap();
-        }
-    }
-    server.store_stats(0).unwrap()
-}
-
-/// The durability layer of the Track ‖ Map placement. Nothing is written
-/// between commits, so a stream with a store attached runs the same code as
-/// one without until it checkpoints — there is no hot-path overhead to
-/// time. What is measured is the epoch-delta log itself:
-/// `delta_bytes_per_epoch` and `full_snapshot_bytes`, from a run that
-/// commits every epoch ([`size_epoch_log`]). Restore fidelity is asserted
-/// first: a crash mid-sequence, restored into a fresh server, must finish
-/// bit-identical to the uninterrupted run.
-fn bench_checkpoint() -> CheckpointResult {
-    use ags_core::{MultiStreamServer, ServerConfig};
-    use ags_store::{CheckpointConfig, MemoryStore};
-    let (frames, width, height) = (8usize, 96usize, 72usize);
-    let dconfig = DatasetConfig { width, height, num_frames: frames, ..DatasetConfig::tiny() };
-    let data = Dataset::generate(SceneId::S2, &dconfig);
-    let shared: Vec<_> =
-        data.frames.iter().map(|f| (Arc::new(f.rgb.clone()), Arc::new(f.depth.clone()))).collect();
-    let mut base = e2e_config();
-    base.parallelism = Parallelism::default();
-    base.pipeline = PipelineConfig::map_overlapped(1, 1);
-    base.slam.mapping_iterations = 10;
-
-    let result_of = |server: &MultiStreamServer| {
-        let slam = server.stream(0).unwrap();
-        (
-            slam.trajectory().to_vec(),
-            slam.cloud().gaussians().to_vec(),
-            slam.trace().canonical_bytes(),
-        )
-    };
-    let push_range = |server: &mut MultiStreamServer, range: std::ops::Range<usize>| {
-        for f in range {
-            let (rgb, depth) = &shared[f];
-            black_box(
-                server
-                    .push_frame(0, &data.camera, Arc::clone(rgb), Arc::clone(depth))
-                    .expect("healthy stream"),
-            );
-        }
-    };
-
-    // Restore fidelity: checkpoint at the cut, crash with later frames
-    // unpersisted, restore into a fresh server, finish.
-    let reference = {
-        let mut server = MultiStreamServer::new(ServerConfig::uniform(1, base.clone()));
-        push_range(&mut server, 0..frames);
-        server.finish_all();
-        result_of(&server)
-    };
-    let cut = frames / 2;
-    let backing = MemoryStore::new();
-    {
-        let mut crashed = MultiStreamServer::new(ServerConfig::uniform(1, base.clone()));
-        crashed.attach_store(0, Box::new(backing.clone()), CheckpointConfig::default()).unwrap();
-        push_range(&mut crashed, 0..cut);
-        crashed.checkpoint_stream(0).unwrap();
-        push_range(&mut crashed, cut..frames - 1);
-    }
-    let mut restored = MultiStreamServer::new(ServerConfig::uniform(1, base.clone()));
-    restored.attach_store(0, Box::new(backing), CheckpointConfig::default()).unwrap();
-    restored.restore_stream(0).unwrap();
-    push_range(&mut restored, cut..frames);
-    restored.finish_all();
-    assert_eq!(
-        reference,
-        result_of(&restored),
-        "restored stream must be bit-identical to the uninterrupted run"
-    );
-    drop(restored);
-
-    let stats = size_epoch_log(base, &data.camera, &shared);
-    let full_snapshot_bytes = if stats.base_records == 0 {
-        0.0
-    } else {
-        stats.base_bytes as f64 / stats.base_records as f64
-    };
-
-    CheckpointResult {
-        frames,
-        width,
-        height,
-        delta_bytes_per_epoch: stats.delta_bytes_per_record(),
-        full_snapshot_bytes,
-    }
 }
 
 struct MigrationResult {
@@ -923,138 +499,6 @@ fn bench_migration() -> MigrationResult {
     MigrationResult { frames, width, height, migration_gap_ms, restore_bytes }
 }
 
-struct CompactionResult {
-    frames: usize,
-    width: usize,
-    height: usize,
-    full_map_bytes: u64,
-    compacted_map_bytes: u64,
-    reduction_pct: f64,
-    pruned_splats: usize,
-    quantized_splats: usize,
-    uncompacted_fps: f64,
-    compacted_fps: f64,
-    ate_uncompacted: f64,
-    ate_compacted: f64,
-    delta_bytes_per_epoch: f64,
-}
-
-/// Map compaction on the map-heavy configuration: contribution-driven
-/// pruning, cold-splat quantization and the byte budget together against the
-/// same run uncompacted. The entry reports the steady-state resident map
-/// bytes of both runs (the budget is set to 60 % of the measured uncompacted
-/// footprint), the frame rates (compaction must not cost throughput — the
-/// prune work is repaid by smaller maps everywhere downstream), ATE for both
-/// (compaction must not wreck tracking) and the epoch-delta wire bytes of
-/// the compacted run — snapping rewrites cold chunks through the delta log,
-/// so the gate tracks that churn cost against the committed baseline, while
-/// snapped splats themselves ride the ~4× chunked wire encoding in base
-/// snapshots and `added` runs. Compaction decisions are asserted
-/// bit-identical in the threaded Track ‖ Map placement before anything is
-/// timed.
-fn bench_compaction() -> CompactionResult {
-    use ags_track::ate::ate_rmse;
-    let (frames, width, height) = (8usize, 96usize, 72usize);
-    let dconfig = DatasetConfig { width, height, num_frames: frames, ..DatasetConfig::tiny() };
-    let data = Dataset::generate(SceneId::S2, &dconfig);
-    let mut full_config = e2e_config();
-    full_config.slam.mapping_iterations = 10;
-
-    let run = |config: &AgsConfig| run_driver(config, serial(0), &data);
-
-    let (_, full_slam) = run(&full_config);
-    let full_bytes = full_slam.trace().frames.last().expect("frames ran").map_bytes;
-
-    let mut compact_config = full_config.clone();
-    compact_config.slam.compaction = ags_splat::CompactionConfig {
-        prune_interval: 1,
-        prune_contribution_opacity: 0.9,
-        quantize_cold_after: 1,
-        // 60 % of the uncompacted footprint. Quantization alone clears this
-        // budget, which is the intended steady state: pressure pruning
-        // un-snaps every chunk past the first removed id (the remap shifts
-        // them), so a budget tight enough to force pruning on a
-        // well-quantized map *costs* bytes. The prune paths are exercised
-        // and gated bit-identical by the determinism and durability tests.
-        map_bytes_budget: full_bytes * 3 / 5,
-    };
-
-    // Determinism before timing: the compacted map (pruned ids, snapped
-    // bits, byte accounting) must be identical with mapping on its worker.
-    let reference_trace = run_driver(&compact_config, serial(1), &data).1.take_trace();
-    let map_overlapped = PipelineConfig::map_overlapped(1, 1);
-    let threaded_trace = run_driver(&compact_config, map_overlapped, &data).1.take_trace();
-    assert_eq!(
-        reference_trace.canonical_bytes(),
-        threaded_trace.canonical_bytes(),
-        "compaction must be bit-identical across placements"
-    );
-
-    let (_, compact_slam) = run(&compact_config);
-    let compact_trace = compact_slam.trace();
-    let compacted_bytes = compact_trace.frames.last().expect("frames ran").map_bytes;
-    let pruned_splats: usize = compact_trace.frames.iter().map(|f| f.pruned).sum();
-    let quantized_splats = compact_trace.frames.last().expect("frames ran").quantized_splats;
-    assert!(
-        compacted_bytes * 10 <= full_bytes * 7,
-        "compaction must shed >= 30% of the steady-state map: {compacted_bytes} vs {full_bytes}"
-    );
-    let gt = data.gt_trajectory();
-    let ate_uncompacted = ate_rmse(full_slam.trajectory(), &gt);
-    let ate_compacted = ate_rmse(compact_slam.trajectory(), &gt);
-    assert!(
-        ate_compacted <= ate_uncompacted + 0.05,
-        "compaction must not wreck tracking: {ate_compacted} vs {ate_uncompacted}"
-    );
-
-    // Interleaved min-of-N timing of the serial placement with and without
-    // compaction (see bench_motion_estimation for the discipline).
-    let samples = 5usize;
-    let mut full_times = Vec::with_capacity(samples);
-    let mut compact_times = Vec::with_capacity(samples);
-    for sample in 0..samples {
-        if sample % 2 == 0 {
-            full_times.push(run(&full_config).0);
-            compact_times.push(run(&compact_config).0);
-        } else {
-            compact_times.push(run(&compact_config).0);
-            full_times.push(run(&full_config).0);
-        }
-    }
-    let min = |times: &[f64]| times.iter().copied().fold(f64::INFINITY, f64::min);
-    let (t_full, t_compact) = (min(&full_times), min(&compact_times));
-
-    // Size the epoch-delta log under compaction: snapped cold chunks ride
-    // the quantized wire encoding, pruned splats shrink the base snapshots.
-    let delta_bytes_per_epoch = {
-        let shared: Vec<_> = data
-            .frames
-            .iter()
-            .map(|f| (Arc::new(f.rgb.clone()), Arc::new(f.depth.clone())))
-            .collect();
-        let mut durable_base = compact_config.clone();
-        durable_base.parallelism = Parallelism::default();
-        durable_base.pipeline = PipelineConfig::map_overlapped(1, 1);
-        size_epoch_log(durable_base, &data.camera, &shared).delta_bytes_per_record()
-    };
-
-    CompactionResult {
-        frames,
-        width,
-        height,
-        full_map_bytes: full_bytes,
-        compacted_map_bytes: compacted_bytes,
-        reduction_pct: (1.0 - compacted_bytes as f64 / full_bytes as f64) * 100.0,
-        pruned_splats,
-        quantized_splats,
-        uncompacted_fps: frames as f64 / t_full,
-        compacted_fps: frames as f64 / t_compact,
-        ate_uncompacted: f64::from(ate_uncompacted),
-        ate_compacted: f64::from(ate_compacted),
-        delta_bytes_per_epoch,
-    }
-}
-
 struct BackboneResult {
     width: usize,
     height: usize,
@@ -1069,8 +513,8 @@ struct BackboneResult {
     coarse_track_ms: Spread,
 }
 
-/// The coarse tracker's always-on cost at the end-to-end bench's frame
-/// size: the neural backbone alone, and the whole coarse `track` call.
+/// The coarse tracker's always-on cost at `train_iteration`'s frame size:
+/// the neural backbone alone, and the whole coarse `track` call.
 fn bench_backbone() -> BackboneResult {
     const SAMPLES: usize = 9;
     let coarse = CoarseConfig::default();
@@ -1122,6 +566,11 @@ struct TrainIterationResult {
     /// The vectorized training pass: project → bin → taped forward → loss →
     /// reverse stage off the tape.
     taped_ms: Spread,
+    /// The same pass on the scalar reference backend, its batches
+    /// interleaved with `taped_ms`'s.
+    reference_taped_ms: Spread,
+    /// Reference over vectorized time, per interleaved sample pair.
+    vectorized_speedup: Spread,
     /// The same products from stand-alone calls: `rasterize`, then a
     /// `backward_with` that has to re-walk every tile for its tape.
     standalone_ms: Spread,
@@ -1143,8 +592,12 @@ impl TrainIterationResult {
     {},
     {},
     {},
+    {},
     "taped_speedup": {:.3},
-    "taped_speedup_min": {:.3}
+    "taped_speedup_min": {:.3},
+    "vectorized_speedup": {:.3},
+    "vectorized_speedup_min": {:.3},
+    "vectorized_speedup_max": {:.3}
   }}"#,
             self.width,
             self.height,
@@ -1155,23 +608,32 @@ impl TrainIterationResult {
             self.blend_ops,
             self.tape_bytes,
             self.taped_ms.json_ms("taped"),
+            self.reference_taped_ms.json_ms("reference_taped"),
             self.standalone_ms.json_ms("standalone"),
             self.forward_ms.json_ms("forward"),
             self.standalone_ms.median / self.taped_ms.median,
             self.standalone_ms.min / self.taped_ms.max,
+            self.vectorized_speedup.median,
+            self.vectorized_speedup.min,
+            self.vectorized_speedup.max,
         )
     }
 }
 
 /// One mapping iteration's render work (forward + loss + backward, no Adam)
-/// on the end-to-end bench scene: the map the vectorized serial run has
-/// built after its ten 96×72 frames, trained against the last frame.
+/// on the driver's 96×72 `Xyz` scene: the map a serial run has built after
+/// ten frames, trained against the last frame — on the vectorized backend,
+/// and on the scalar reference for `vectorized_speedup`.
 fn bench_train_iteration() -> TrainIterationResult {
     const SAMPLES: usize = 9;
     let data = e2e_dataset(10, 96, 72);
     let mut config = e2e_config();
     config.backend = BackendKind::Vectorized;
-    let (_, slam) = run_driver(&config, serial(0), &data);
+    let mut slam = AgsSlam::new(config.clone());
+    for f in &data.frames {
+        slam.push_frame(&data.camera, Arc::new(f.rgb.clone()), Arc::new(f.depth.clone()));
+    }
+    slam.finish();
     let (cloud, camera) = (slam.cloud(), &data.camera);
     let pose = *slam.trajectory().last().expect("ten frames tracked");
     let frame = data.frames.last().expect("ten frames");
@@ -1181,6 +643,7 @@ fn bench_train_iteration() -> TrainIterationResult {
         backend: BackendKind::Vectorized,
         ..RenderOptions::default()
     };
+    let reference = RenderOptions { backend: BackendKind::Reference, ..options.clone() };
     let forward = || {
         let projection = project_gaussians(cloud, camera, &pose);
         let tables = GaussianTables::build_with(&projection, camera, &options.parallelism);
@@ -1194,24 +657,41 @@ fn bench_train_iteration() -> TrainIterationResult {
         let mode = GradMode::Map;
         backward_with(options.backend, cloud, &projection, &tables, camera, &loss, mode, None, par)
     };
-    let taped = |scratch: &mut TrainScratch| {
+    let taped = |scratch: &mut TrainScratch, options: &RenderOptions| {
         let (rgb, depth, mode) = (&frame.rgb, &frame.depth, GradMode::Map);
-        train_pass(scratch, cloud, camera, &pose, rgb, depth, &loss_config, mode, &options, None)
+        train_pass(scratch, cloud, camera, &pose, rgb, depth, &loss_config, mode, options, None)
     };
-    let mut scratch = TrainScratch::default();
+    let (mut scratch, mut reference_scratch) = (TrainScratch::default(), TrainScratch::default());
 
-    // The tape must hand backward exactly what the stand-alone walk finds.
-    let (pass, replay) = (taped(&mut scratch), standalone());
+    // The tape must hand backward exactly what the stand-alone walk finds,
+    // and the scalar oracle must find the same gradients.
+    let (pass, replay) = (taped(&mut scratch, &options), standalone());
+    let oracle = taped(&mut reference_scratch, &reference).backward.grads.expect("map grads");
     let (tg, sg) = (pass.backward.grads.expect("map grads"), replay.grads.expect("map grads"));
     assert_eq!(tg.position, sg.position, "taped and stand-alone backward diverge");
     assert_eq!(tg.opacity_logit, sg.opacity_logit, "taped and stand-alone backward diverge");
     assert_eq!(pass.backward.stats.grad_ops, replay.stats.grad_ops);
+    assert!(
+        tg.position == oracle.position
+            && tg.log_scale == oracle.log_scale
+            && tg.rotation == oracle.rotation
+            && tg.color == oracle.color
+            && tg.opacity_logit == oracle.opacity_logit,
+        "vectorized and reference gradients diverge"
+    );
     let stats = pass.render.stats;
     let tape_bytes = scratch.taped_blend_ops() * 8;
 
-    let taped_time = time_spread(SAMPLES, 10, || {
-        black_box(taped(&mut scratch));
-    });
+    let (reference_time, taped_time, vectorized_speedup) = time_pair(
+        SAMPLES,
+        10,
+        || {
+            black_box(taped(&mut reference_scratch, &reference));
+        },
+        || {
+            black_box(taped(&mut scratch, &options));
+        },
+    );
     let standalone_time = time_spread(SAMPLES, 10, || {
         black_box(standalone());
     });
@@ -1228,6 +708,8 @@ fn bench_train_iteration() -> TrainIterationResult {
         blend_ops: stats.blend_ops,
         tape_bytes,
         taped_ms: taped_time.scaled(1e3),
+        reference_taped_ms: reference_time.scaled(1e3),
+        vectorized_speedup,
         standalone_ms: standalone_time.scaled(1e3),
         forward_ms: forward_time.scaled(1e3),
     }
@@ -1578,12 +1060,18 @@ fn main() {
     );
     let train = bench_train_iteration();
     println!(
-        "training iteration (vectorized) {}x{}:  taped {:>7.3} ms [{:.3}..{:.3}]  stand-alone {:>7.3} ms [{:.3}..{:.3}]  forward only {:>7.3} ms   pairs {} walked {}  tape {} KiB",
+        "training iteration (vectorized) {}x{}:  taped {:>7.3} ms [{:.3}..{:.3}]  reference {:>7.3} ms [{:.3}..{:.3}] ({:.2}x [{:.2}..{:.2}])  stand-alone {:>7.3} ms [{:.3}..{:.3}]  forward only {:>7.3} ms   pairs {} walked {}  tape {} KiB",
         train.width,
         train.height,
         train.taped_ms.median,
         train.taped_ms.min,
         train.taped_ms.max,
+        train.reference_taped_ms.median,
+        train.reference_taped_ms.min,
+        train.reference_taped_ms.max,
+        train.vectorized_speedup.median,
+        train.vectorized_speedup.min,
+        train.vectorized_speedup.max,
         train.standalone_ms.median,
         train.standalone_ms.min,
         train.standalone_ms.max,
@@ -1632,68 +1120,6 @@ fn main() {
         bin.tied_tiles,
         bin.deepened_tiles,
         bin.canonical_tiles
-    );
-    let e2e = bench_end_to_end(parallel);
-    println!(
-        "end-to-end driver              {}x{}:  serial {:>8.2} frames/s  parallel {:>8.2} frames/s  overlapped {:>8.2} frames/s ({:.2}x)",
-        e2e.width, e2e.height, e2e.serial_fps, e2e.parallel_fps, e2e.overlapped_fps, e2e.overlap_speedup
-    );
-    println!(
-        "  stage breakdown (serial, per frame): fc {:.2} ms | track {:.2} ms | map {:.2} ms",
-        e2e.fc_ms, e2e.track_ms, e2e.map_ms
-    );
-    println!(
-        "  map stage by backend: reference {:.2} ms | vectorized+cache {:.2} ms  speedup {:.2}x [{:.2}..{:.2}]",
-        e2e.map_ms,
-        e2e.vectorized_map_ms,
-        e2e.vectorized_map_speedup,
-        e2e.vectorized_map_speedup_range.0,
-        e2e.vectorized_map_speedup_range.1
-    );
-    let heavy = bench_map_heavy_overlap();
-    println!(
-        "map-heavy Track ‖ Map overlap  {}x{}:  fc-overlapped {:>8.2} frames/s  map-overlapped {:>8.2} frames/s ({:.2}x, stall {:.2} ms/frame)",
-        heavy.width, heavy.height, heavy.overlapped_fps, heavy.map_overlapped_fps, heavy.speedup,
-        heavy.stall_ms_per_frame
-    );
-    let multi = bench_multi_stream();
-    println!(
-        "multi-stream server            {}x{}:  S=1 {:>7.2} fps  S=2 {:>7.2} fps  S=4 {:>7.2} fps  aggregate (S=2 scaling {:.2}x, {} pool workers)",
-        multi.width,
-        multi.height,
-        multi.scales[0].aggregate_fps,
-        multi.scales[1].aggregate_fps,
-        multi.scales[2].aggregate_fps,
-        multi.s2_scaling_vs_s1,
-        multi.pool_workers
-    );
-    let stall_line = multi
-        .scales
-        .iter()
-        .map(|s| format!("S={} {:.2} ms", s.streams, s.stall_ms_per_frame))
-        .collect::<Vec<_>>()
-        .join(" | ");
-    println!("  per-frame stall: {stall_line}");
-    let ckpt = bench_checkpoint();
-    println!(
-        "durable checkpoint log         {}x{}:  delta {:.0} B/epoch, base {:.0} B",
-        ckpt.width, ckpt.height, ckpt.delta_bytes_per_epoch, ckpt.full_snapshot_bytes
-    );
-    let compaction = bench_compaction();
-    println!(
-        "map compaction                 {}x{}:  full {:>8} B  compacted {:>8} B (-{:.1}%, pruned {}, quantized {})  fps {:.2} -> {:.2}  ate {:.4} -> {:.4}  delta {:.0} B/epoch",
-        compaction.width,
-        compaction.height,
-        compaction.full_map_bytes,
-        compaction.compacted_map_bytes,
-        compaction.reduction_pct,
-        compaction.pruned_splats,
-        compaction.quantized_splats,
-        compaction.uncompacted_fps,
-        compaction.compacted_fps,
-        compaction.ate_uncompacted,
-        compaction.ate_compacted,
-        compaction.delta_bytes_per_epoch
     );
     let migration = bench_migration();
     println!(
@@ -1769,69 +1195,6 @@ fn main() {
   "train_iteration": {},
   "front_end": {},
   "bin": {},
-  "end_to_end": {{
-    "frame": [{}, {}],
-    "frames": {},
-    "pipeline_depth": 1,
-    "serial_frames_per_s": {:.3},
-    "parallel_frames_per_s": {:.3},
-    "overlapped_frames_per_s": {:.3},
-    "overlap_speedup": {:.3},
-    "stage_ms": {{
-      "fc": {:.3},
-      "track": {:.3},
-      "map": {:.3},
-      "map_vectorized": {:.3}
-    }},
-    "vectorized_map_speedup": {:.3},
-    "vectorized_map_speedup_min": {:.3},
-    "vectorized_map_speedup_max": {:.3},
-    "map_heavy": {{
-      "frame": [{}, {}],
-      "frames": {},
-      "mapping_iterations": {},
-      "map_slack": {},
-      "overlapped_frames_per_s": {:.3},
-      "map_overlapped_frames_per_s": {:.3},
-      "map_overlap_speedup": {:.3},
-      "track_stall_ms_per_frame": {:.3}
-    }}
-  }},
-  "multi_stream": {{
-    "frame": [{}, {}],
-    "frames_per_stream": {},
-    "pool_workers": {},
-    "pipeline": "map_overlapped(1, 1)",
-    "s1_aggregate_frames_per_s": {:.3},
-    "s1_stall_ms_per_frame": {:.3},
-    "s2_aggregate_frames_per_s": {:.3},
-    "s2_stall_ms_per_frame": {:.3},
-    "s4_aggregate_frames_per_s": {:.3},
-    "s4_stall_ms_per_frame": {:.3},
-    "s2_scaling_vs_s1": {:.3}
-  }},
-  "checkpoint": {{
-    "frame": [{}, {}],
-    "frames": {},
-    "pipeline": "map_overlapped(1, 1)",
-    "delta_bytes_per_epoch": {:.1},
-    "full_snapshot_bytes": {:.1}
-  }},
-  "compaction": {{
-    "frame": [{}, {}],
-    "frames": {},
-    "mapping_iterations": 10,
-    "full_map_bytes": {},
-    "compacted_map_bytes": {},
-    "map_bytes_reduction_pct": {:.1},
-    "compaction_pruned_splats": {},
-    "compaction_quantized_splats": {},
-    "uncompacted_frames_per_s": {:.3},
-    "compacted_frames_per_s": {:.3},
-    "ate_uncompacted": {:.5},
-    "ate_compacted": {:.5},
-    "compaction_delta_bytes_per_epoch": {:.1}
-  }},
   "migration": {{
     "frame": [{}, {}],
     "frames": {},
@@ -1881,58 +1244,6 @@ fn main() {
         train.json(),
         front.json(),
         bin.json(),
-        e2e.width,
-        e2e.height,
-        e2e.frames,
-        e2e.serial_fps,
-        e2e.parallel_fps,
-        e2e.overlapped_fps,
-        e2e.overlap_speedup,
-        e2e.fc_ms,
-        e2e.track_ms,
-        e2e.map_ms,
-        e2e.vectorized_map_ms,
-        e2e.vectorized_map_speedup,
-        e2e.vectorized_map_speedup_range.0,
-        e2e.vectorized_map_speedup_range.1,
-        heavy.width,
-        heavy.height,
-        heavy.frames,
-        heavy.mapping_iterations,
-        heavy.map_slack,
-        heavy.overlapped_fps,
-        heavy.map_overlapped_fps,
-        heavy.speedup,
-        heavy.stall_ms_per_frame,
-        multi.width,
-        multi.height,
-        multi.frames,
-        multi.pool_workers,
-        multi.scales[0].aggregate_fps,
-        multi.scales[0].stall_ms_per_frame,
-        multi.scales[1].aggregate_fps,
-        multi.scales[1].stall_ms_per_frame,
-        multi.scales[2].aggregate_fps,
-        multi.scales[2].stall_ms_per_frame,
-        multi.s2_scaling_vs_s1,
-        ckpt.width,
-        ckpt.height,
-        ckpt.frames,
-        ckpt.delta_bytes_per_epoch,
-        ckpt.full_snapshot_bytes,
-        compaction.width,
-        compaction.height,
-        compaction.frames,
-        compaction.full_map_bytes,
-        compaction.compacted_map_bytes,
-        compaction.reduction_pct,
-        compaction.pruned_splats,
-        compaction.quantized_splats,
-        compaction.uncompacted_fps,
-        compaction.compacted_fps,
-        compaction.ate_uncompacted,
-        compaction.ate_compacted,
-        compaction.delta_bytes_per_epoch,
         migration.width,
         migration.height,
         migration.frames,

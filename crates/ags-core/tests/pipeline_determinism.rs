@@ -402,3 +402,42 @@ fn compaction_shrinks_the_map_within_ate_tolerance() {
         "steady-state map at least 20% smaller: {compact_bytes} vs {full_bytes} bytes"
     );
 }
+
+#[test]
+fn compaction_at_a_tight_budget_sheds_a_map_heavy_stream() {
+    // Refinement on every frame (S2's handheld-jerky motion), ten mapping
+    // iterations, FullSearch FC over a keyframe window: a budget at 60 % of
+    // the uncompacted footprint must leave the steady-state map ≥ 30 %
+    // smaller without wrecking tracking.
+    use ags_track::ate::ate_rmse;
+    let dconfig = DatasetConfig { width: 96, height: 72, num_frames: 8, ..DatasetConfig::tiny() };
+    let data = Dataset::generate(SceneId::S2, &dconfig);
+    let mut config = AgsConfig::tiny();
+    config.slam.tile_work_interval = 0;
+    config.slam.mapping_iterations = 10;
+    config.codec.search = ags_codec::SearchKind::FullSearch;
+    config.codec.search_range = 16;
+    config.codec.keyframe_window = 4;
+    config.parallelism = ags_math::Parallelism::serial();
+    let full = run_serial(config.clone(), &data);
+    let resident = |slam: &AgsSlam| slam.trace().frames.last().unwrap().map_bytes;
+    config.slam.compaction = ags_splat::CompactionConfig {
+        prune_interval: 1,
+        prune_contribution_opacity: 0.9,
+        quantize_cold_after: 1,
+        map_bytes_budget: resident(&full) * 3 / 5,
+    };
+    let compacted = run_serial(config, &data);
+    let (full_bytes, compact_bytes) = (resident(&full), resident(&compacted));
+    assert!(
+        compact_bytes * 10 <= full_bytes * 7,
+        "compaction must shed >= 30% of the steady-state map: {compact_bytes} vs {full_bytes}"
+    );
+    let gt = data.gt_trajectory();
+    let (ate_full, ate_compact) =
+        (ate_rmse(full.trajectory(), &gt), ate_rmse(compacted.trajectory(), &gt));
+    assert!(
+        ate_compact <= ate_full + 0.05,
+        "compaction must not wreck tracking: {ate_compact} vs {ate_full}"
+    );
+}

@@ -96,17 +96,6 @@ pub struct StoreStats {
     pub sink_dropped: u64,
 }
 
-impl StoreStats {
-    /// Mean framed delta size, `0.0` when no delta was written.
-    pub fn delta_bytes_per_record(&self) -> f64 {
-        if self.delta_records == 0 {
-            0.0
-        } else {
-            self.delta_bytes as f64 / self.delta_records as f64
-        }
-    }
-}
-
 /// Outcome of a committed checkpoint generation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CommitReport {
