@@ -177,17 +177,18 @@ struct BatchedMeResult {
     speedup: f64,
 }
 
-/// Times one frame's mapping-FC workload — ME of the current frame against
-/// an 8-keyframe window — as 8 sequential `estimate` calls (8 executor
+/// Times the `estimate_batch` primitive at 8 pairs — ME of one frame
+/// against 8 references — as 8 sequential `estimate` calls (8 executor
 /// round-trips with a join barrier between pairs) versus one
 /// `estimate_batch` submission scheduling all rows of all pairs at once.
+/// No program workload batches 8 pairs: the streaming codec submits 2 per
+/// frame (previous frame + key frame); the entry times the primitive.
 ///
-/// Sized at SLAM frame scale (the resolution the mapping-FC stage actually
-/// pushes per frame), where per-call setup and scheduling are a real
-/// fraction of a pair's search work — the cost the batch amortises 8×.
-/// With the small-work serial fallback this window is below the
+/// Sized at SLAM frame scale, where per-call setup and scheduling are a
+/// real fraction of a pair's search work — the cost the batch amortises.
+/// With the small-work serial fallback this batch is below the
 /// `min_items_per_worker` floor for the two planned executors, so both
-/// schedules run inline: the entry now tracks the *per-call overhead* the
+/// schedules run inline: the entry tracks the *per-call overhead* the
 /// batch amortises (and would regress if a change started paying the pool
 /// on small work again). Interleaved min-of-N timing.
 fn bench_batched_me(parallel: &Parallelism) -> BatchedMeResult {
@@ -342,15 +343,14 @@ fn bench_sad_kernel(block: usize) -> SadResult {
 }
 
 /// The driver configuration `train_iteration` builds its map with and the
-/// `migration` row streams: FullSearch ME over a widened keyframe window
-/// (every frame's references go through one `estimate_batch` submission),
-/// every stage inline on one thread, the scalar reference backend.
+/// `migration` row streams: FullSearch ME (every frame's two references go
+/// through one `estimate_batch` submission), every stage inline on one
+/// thread, the scalar reference backend.
 fn e2e_config() -> AgsConfig {
     let mut config = AgsConfig::tiny();
     config.slam.tile_work_interval = 0;
     config.codec.search = SearchKind::FullSearch;
     config.codec.search_range = 16;
-    config.codec.keyframe_window = 4;
     config.parallelism = Parallelism::serial();
     config.backend = BackendKind::Reference;
     config
@@ -1035,7 +1035,7 @@ fn main() {
     );
     let batched = bench_batched_me(&parallel);
     println!(
-        "batched window ME / diamond    128x96:  looped {:>12.2} pairs/s   batched  {:>12.2} pairs/s   speedup {:.2}x ({} pairs)",
+        "batched ME / diamond           128x96:  looped {:>12.2} pairs/s   batched  {:>12.2} pairs/s   speedup {:.2}x ({} pairs)",
         batched.looped_pairs_per_s, batched.batched_pairs_per_s, batched.speedup, batched.pairs
     );
     let raster = bench_rasterization(parallel.clone());

@@ -81,7 +81,7 @@ fn main() {
         emit(experiments::table4(&mut ctx));
     }
 
-    // Sweeps and generality runs (their own scaled-down runs).
+    // Sweeps (their own scaled-down runs).
     if wants("fig04") {
         emit(experiments::fig04(&profile));
     }
@@ -96,9 +96,6 @@ fn main() {
         if wants("fig21") {
             emit(t21);
         }
-    }
-    if wants("fig23") {
-        emit(experiments::fig23(&profile));
     }
 
     println!(

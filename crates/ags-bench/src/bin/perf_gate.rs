@@ -7,7 +7,8 @@
 //! gated metric of the current run falls below
 //! `baseline * (1 - max_regression)`. Gated against the baseline:
 //!
-//! * `batched_pairs_per_s` (the one-submission keyframe-window ME path)
+//! * `batched_pairs_per_s` (the one-submission `estimate_batch` ME
+//!   primitive at 8 pairs)
 //! * `backbone_gmac_s` (multiply-accumulate rate of one coarse-tracking
 //!   `DroidBackbone::run` — the convolution kernel every frame pays for)
 //!

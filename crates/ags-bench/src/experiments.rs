@@ -556,29 +556,6 @@ pub fn fig22(ctx: &mut Context) -> Table {
     t
 }
 
-/// Fig. 23: generality — AGS accelerating the Gaussian-SLAM backbone.
-pub fn fig23(profile: &BenchProfile) -> Table {
-    let mut t = Table::new(
-        "fig23",
-        "AGS on the Gaussian-SLAM backbone: speedup over GPU-Server",
-        &["Scene", "Speedup"],
-    );
-    let gpu = GpuModel::a100();
-    let mut vals = Vec::new();
-    for id in SceneId::TUM {
-        let mut config = profile.ags_config();
-        config.slam = config.slam.gaussian_slam();
-        config.audit_false_positives = false;
-        let run = run_scene(id, profile, config);
-        let base = gpu.run_trace(&run.trace_baseline).total_ms;
-        let ags = AgsModel::new(AgsVariant::server()).run_trace(&run.trace_ags).total_ms;
-        vals.push((base / ags) as f32);
-        t.push_row(vec![id.name().into(), d2(base / ags)]);
-    }
-    t.push_row(vec!["GeoMean".into(), f2(geomean(&vals))]);
-    t
-}
-
 /// §6.2's false-positive metric as a small table.
 pub fn fp_rate(ctx: &mut Context) -> Table {
     let ids = tum(ctx);

@@ -7,10 +7,10 @@
 //! and writes markdown into `target/ags-experiments/`.
 //!
 //! Scaling: the default profile renders 64×48 frames with 32-frame
-//! sequences and proportionally reduced iteration budgets (see DESIGN.md).
-//! Absolute numbers differ from the paper's 640×480 testbed; the *shape* of
-//! each result (who wins, by what factor, which direction each sweep bends)
-//! is the reproduction target recorded in EXPERIMENTS.md.
+//! sequences and iteration budgets reduced in proportion, keeping the
+//! paper's tracking ≫ mapping ratio. Absolute numbers differ from the
+//! paper's 640×480 testbed; the *shape* of each result (who wins, by what
+//! factor, which direction each sweep bends) is the reproduction target.
 
 #![warn(missing_docs)]
 

@@ -44,4 +44,4 @@ pub mod stream;
 pub use covisibility::{Covisibility, CovisibilityBand, CovisibilityLevel};
 pub use me::{CodecConfig, MbMatch, MotionEstimator, MotionField, MotionResult, SearchKind};
 pub use plane::{sad_kernel_name, LumaPlane};
-pub use stream::{CodecFrameReport, VideoCodec, VideoCodecState, WindowCovisibility};
+pub use stream::{CodecFrameReport, VideoCodec, VideoCodecState};

@@ -31,12 +31,6 @@ pub struct CodecConfig {
     /// the paper's `ThreshT = 0.9` and fast-motion bursts (MAD ≥ 15) fall
     /// below it.
     pub norm_mad: f32,
-    /// How many recent key-frame reference pictures the streaming codec
-    /// retains. `1` reproduces the classic single key-frame reference; a
-    /// larger window makes `VideoCodec` report per-keyframe covisibility for
-    /// the whole mapping window, estimated as **one batch** per frame
-    /// (see [`MotionEstimator::estimate_batch`]).
-    pub keyframe_window: usize,
     /// Thread-level parallelism of [`MotionEstimator::estimate`] /
     /// [`MotionEstimator::estimate_batch`]. The parallel path distributes
     /// macro-block rows (of all frame pairs, for a batch) across the pool's
@@ -51,7 +45,6 @@ impl Default for CodecConfig {
             search_range: 8,
             search: SearchKind::Diamond,
             norm_mad: 80.0,
-            keyframe_window: 1,
             parallelism: Parallelism::default(),
         }
     }
@@ -154,8 +147,9 @@ impl MotionEstimator {
     }
 
     /// Runs motion estimation of `current` against **every** reference in
-    /// one executor submission — the mapping-side FC pattern, where a frame
-    /// is compared against the whole key-frame window at once.
+    /// one executor submission — the streaming codec's pattern, where a
+    /// frame is compared against the previous frame and the key frame at
+    /// once.
     ///
     /// All macro-block rows of all pairs are scheduled as a single
     /// chunk-ordered batch: scheduling cost is paid once instead of once per

@@ -1,22 +1,18 @@
 //! Streaming CODEC front end with reference-picture management.
 //!
-//! AGS needs two kinds of covisibility signal per incoming frame (paper §4):
+//! AGS needs two covisibility signals per incoming frame (paper §4):
 //!
 //! 1. FC against the **previous frame** — steers movement-adaptive tracking
 //!    (`ThreshT`).
-//! 2. FC against the **key-frame references** — the newest one steers
-//!    key/non-key frame designation (`ThreshM`), and with
-//!    [`CodecConfig::keyframe_window`]` > 1` the codec additionally reports
-//!    per-keyframe covisibility over the retained window, which mapping uses
-//!    to pick its training key frames.
+//! 2. FC against the **last key frame** — steers key/non-key frame
+//!    designation (`ThreshM`).
 //!
 //! Hardware CODECs already keep reference pictures for inter prediction, so
 //! every estimate reuses the ME engine. [`VideoCodec`] models exactly that:
 //! push frames in streaming order, read back the per-frame report, and mark
-//! key frames so the key-frame reference window is updated.
+//! key frames so the key-frame reference is updated.
 //!
-//! All reference comparisons of one frame — previous frame plus the whole
-//! key-frame window — are estimated as **one batch**
+//! Both reference comparisons of one frame are estimated as **one batch**
 //! ([`MotionEstimator::estimate_batch`]): one executor submission per frame
 //! instead of one fork-join per reference pair.
 
@@ -24,16 +20,6 @@ use crate::covisibility::Covisibility;
 use crate::me::{CodecConfig, MotionEstimator, MotionResult};
 use crate::plane::LumaPlane;
 use ags_image::RgbImage;
-use std::collections::VecDeque;
-
-/// Covisibility of the current frame against one retained key frame.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct WindowCovisibility {
-    /// Stream index of the key frame this entry compares against.
-    pub keyframe_index: usize,
-    /// Normalised covisibility of (current frame, that key frame).
-    pub covisibility: Covisibility,
-}
 
 /// Covisibility report for one streamed frame.
 #[derive(Debug, Clone)]
@@ -44,13 +30,9 @@ pub struct CodecFrameReport {
     pub fc_prev: Option<Covisibility>,
     /// FC against the last key frame (`None` before any key frame exists).
     pub fc_keyframe: Option<Covisibility>,
-    /// FC against every retained key-frame reference, oldest → newest
-    /// (empty before any key frame exists; the last entry always matches
-    /// `fc_keyframe`). All pairs of one frame are estimated as one batch.
-    pub fc_window: Vec<WindowCovisibility>,
     /// Motion-estimation result against the previous frame, if computed.
     pub me_prev: Option<MotionResult>,
-    /// Motion-estimation result against the newest key frame, if computed.
+    /// Motion-estimation result against the key frame, if computed.
     pub me_keyframe: Option<MotionResult>,
     /// Total SAD block evaluations spent on this frame (cost-model input).
     pub sad_evaluations: u64,
@@ -63,24 +45,23 @@ pub struct CodecFrameReport {
 pub struct VideoCodecState {
     /// The previous-frame reference plane.
     pub previous: Option<LumaPlane>,
-    /// Retained key-frame references, oldest → newest.
-    pub keyframes: Vec<(usize, LumaPlane)>,
+    /// The key-frame reference: its stream index and plane.
+    pub keyframe: Option<(usize, LumaPlane)>,
     /// Frames pushed so far.
     pub frame_index: usize,
     /// Cumulative SAD block evaluations.
     pub total_sad_evaluations: u64,
 }
 
-/// Streaming CODEC model holding the previous-frame reference and a bounded
-/// window of key-frame references.
+/// Streaming CODEC model holding the previous-frame and key-frame
+/// references.
 #[derive(Debug)]
 pub struct VideoCodec {
     estimator: MotionEstimator,
     config: CodecConfig,
     previous: Option<LumaPlane>,
-    /// Retained key-frame references, oldest at the front. Bounded by
-    /// `config.keyframe_window` (at least one once a key frame exists).
-    keyframes: VecDeque<(usize, LumaPlane)>,
+    /// The last marked key frame: its stream index and plane.
+    keyframe: Option<(usize, LumaPlane)>,
     frame_index: usize,
     total_sad_evaluations: u64,
 }
@@ -92,7 +73,7 @@ impl VideoCodec {
             estimator: MotionEstimator::new(config.clone()),
             config,
             previous: None,
-            keyframes: VecDeque::new(),
+            keyframe: None,
             frame_index: 0,
             total_sad_evaluations: 0,
         }
@@ -110,27 +91,20 @@ impl VideoCodec {
 
     /// Pushes the next luminance plane and returns its covisibility report.
     ///
-    /// The previous-frame pair and every key-frame-window pair are estimated
-    /// in **one** [`MotionEstimator::estimate_batch`] submission.
+    /// The previous-frame pair and the key-frame pair are estimated in
+    /// **one** [`MotionEstimator::estimate_batch`] submission.
     pub fn push_plane(&mut self, plane: LumaPlane) -> CodecFrameReport {
         let mut report = CodecFrameReport {
             frame_index: self.frame_index,
             fc_prev: None,
             fc_keyframe: None,
-            fc_window: Vec::new(),
             me_prev: None,
             me_keyframe: None,
             sad_evaluations: 0,
         };
 
-        let mut references: Vec<&LumaPlane> = Vec::with_capacity(1 + self.keyframes.len());
-        if let Some(prev) = &self.previous {
-            references.push(prev);
-        }
-        for (_, key) in &self.keyframes {
-            references.push(key);
-        }
-
+        let references: Vec<&LumaPlane> =
+            self.previous.iter().chain(self.keyframe.as_ref().map(|(_, key)| key)).collect();
         if !references.is_empty() {
             let mut results = self.estimator.estimate_batch(&plane, &references).into_iter();
             if self.previous.is_some() {
@@ -139,11 +113,9 @@ impl VideoCodec {
                 report.fc_prev = Some(me.covisibility(&self.config));
                 report.me_prev = Some(me);
             }
-            for (&(keyframe_index, _), me) in self.keyframes.iter().zip(results) {
+            if let Some(me) = results.next() {
                 report.sad_evaluations += me.sad_evaluations;
-                let covisibility = me.covisibility(&self.config);
-                report.fc_window.push(WindowCovisibility { keyframe_index, covisibility });
-                report.fc_keyframe = Some(covisibility);
+                report.fc_keyframe = Some(me.covisibility(&self.config));
                 report.me_keyframe = Some(me);
             }
         }
@@ -154,9 +126,8 @@ impl VideoCodec {
         report
     }
 
-    /// Marks the most recently pushed frame as the newest mapping key frame;
-    /// future frames report `fc_keyframe` against it and `fc_window` against
-    /// the retained window.
+    /// Marks the most recently pushed frame as the key frame; future frames
+    /// report `fc_keyframe` against it.
     ///
     /// # Panics
     ///
@@ -164,20 +135,11 @@ impl VideoCodec {
     pub fn mark_keyframe(&mut self) {
         let prev = self.previous.as_ref().expect("mark_keyframe before any frame was pushed");
         let index = self.frame_index - 1;
-        // Idempotent per frame: re-marking the same frame replaces nothing.
-        if self.keyframes.back().is_some_and(|(i, _)| *i == index) {
+        // Idempotent per frame: re-marking the same frame copies nothing.
+        if self.keyframe.as_ref().is_some_and(|(i, _)| *i == index) {
             return;
         }
-        self.keyframes.push_back((index, prev.clone()));
-        let window = self.config.keyframe_window.max(1);
-        while self.keyframes.len() > window {
-            self.keyframes.pop_front();
-        }
-    }
-
-    /// Stream indices of the retained key-frame references, oldest → newest.
-    pub fn keyframe_indices(&self) -> Vec<usize> {
-        self.keyframes.iter().map(|(i, _)| *i).collect()
+        self.keyframe = Some((index, prev.clone()));
     }
 
     /// Snapshots the reference-picture state for checkpointing. The motion
@@ -185,7 +147,7 @@ impl VideoCodec {
     pub fn export_state(&self) -> VideoCodecState {
         VideoCodecState {
             previous: self.previous.clone(),
-            keyframes: self.keyframes.iter().cloned().collect(),
+            keyframe: self.keyframe.clone(),
             frame_index: self.frame_index,
             total_sad_evaluations: self.total_sad_evaluations,
         }
@@ -197,7 +159,7 @@ impl VideoCodec {
             estimator: MotionEstimator::new(config.clone()),
             config,
             previous: state.previous,
-            keyframes: state.keyframes.into(),
+            keyframe: state.keyframe,
             frame_index: state.frame_index,
             total_sad_evaluations: state.total_sad_evaluations,
         }
@@ -222,17 +184,12 @@ mod tests {
         LumaPlane::from_fn(32, 32, |x, y| (((x + shift) * 13 + y * 7) % 240) as u8)
     }
 
-    fn windowed_config(window: usize) -> CodecConfig {
-        CodecConfig { keyframe_window: window, ..CodecConfig::default() }
-    }
-
     #[test]
     fn first_frame_has_no_references() {
         let mut codec = VideoCodec::new(CodecConfig::default());
         let report = codec.push_plane(plane(0));
         assert!(report.fc_prev.is_none());
         assert!(report.fc_keyframe.is_none());
-        assert!(report.fc_window.is_empty());
         assert_eq!(report.sad_evaluations, 0);
         assert_eq!(codec.frames_pushed(), 1);
     }
@@ -256,64 +213,22 @@ mod tests {
         let near = codec.push_plane(plane(2)).fc_keyframe.unwrap();
         let far = codec.push_plane(plane(14)).fc_keyframe.unwrap();
         assert!(near.value() > far.value(), "drifting away lowers key-frame FC");
-    }
-
-    #[test]
-    fn window_reports_covisibility_per_keyframe() {
-        let mut codec = VideoCodec::new(windowed_config(3));
-        codec.push_plane(plane(0));
-        codec.mark_keyframe(); // key 0 at shift 0
-        codec.push_plane(plane(6));
-        codec.mark_keyframe(); // key 1 at shift 6
-        let report = codec.push_plane(plane(7));
-        assert_eq!(codec.keyframe_indices(), vec![0, 1]);
-        assert_eq!(report.fc_window.len(), 2);
-        assert_eq!(report.fc_window[0].keyframe_index, 0);
-        assert_eq!(report.fc_window[1].keyframe_index, 1);
-        // Shift 7 is much closer to the shift-6 key frame than to shift 0.
-        assert!(
-            report.fc_window[1].covisibility.value() > report.fc_window[0].covisibility.value()
-        );
-        // The newest window entry is the classic fc_keyframe signal.
-        assert_eq!(report.fc_keyframe.unwrap(), report.fc_window[1].covisibility);
-    }
-
-    #[test]
-    fn window_is_bounded_and_drops_oldest() {
-        let mut codec = VideoCodec::new(windowed_config(2));
-        for shift in 0..4 {
-            codec.push_plane(plane(shift * 5));
-            codec.mark_keyframe();
-        }
-        assert_eq!(codec.keyframe_indices(), vec![2, 3], "window keeps the newest two");
+        // A newer mark replaces the reference: shift 15 is now compared
+        // against shift 14, not shift 0.
+        codec.mark_keyframe();
+        let replaced = codec.push_plane(plane(15)).fc_keyframe.unwrap();
+        assert!(replaced.value() > far.value(), "the newest key frame is the reference");
     }
 
     #[test]
     fn mark_keyframe_is_idempotent_per_frame() {
-        let mut codec = VideoCodec::new(windowed_config(4));
+        let mut codec = VideoCodec::new(CodecConfig::default());
         codec.push_plane(plane(0));
         codec.mark_keyframe();
+        let once = codec.export_state();
         codec.mark_keyframe();
-        assert_eq!(codec.keyframe_indices(), vec![0]);
-    }
-
-    #[test]
-    fn windowed_report_matches_single_reference_codec_on_shared_signals() {
-        // The windowed codec must not perturb the classic fc_prev/fc_keyframe
-        // stream — the extra references only add information.
-        let frames: Vec<LumaPlane> = (0..6).map(|i| plane(i * 2)).collect();
-        let mut classic = VideoCodec::new(windowed_config(1));
-        let mut windowed = VideoCodec::new(windowed_config(3));
-        for (i, frame) in frames.iter().enumerate() {
-            let a = classic.push_plane(frame.clone());
-            let b = windowed.push_plane(frame.clone());
-            assert_eq!(a.fc_prev, b.fc_prev, "frame {i}");
-            assert_eq!(a.fc_keyframe, b.fc_keyframe, "frame {i}");
-            if i % 2 == 0 {
-                classic.mark_keyframe();
-                windowed.mark_keyframe();
-            }
-        }
+        assert_eq!(codec.export_state(), once);
+        assert_eq!(once.keyframe.map(|(i, _)| i), Some(0));
     }
 
     #[test]
@@ -324,7 +239,7 @@ mod tests {
 
     #[test]
     fn export_restore_continues_bit_identically() {
-        let config = windowed_config(3);
+        let config = CodecConfig::default();
         let mut reference = VideoCodec::new(config.clone());
         let mut interrupted = VideoCodec::new(config.clone());
         for shift in 0..4 {
@@ -349,7 +264,7 @@ mod tests {
                 restored.mark_keyframe();
             }
         }
-        assert_eq!(reference.keyframe_indices(), restored.keyframe_indices());
+        assert_eq!(reference.export_state(), restored.export_state());
         assert_eq!(reference.total_sad_evaluations(), restored.total_sad_evaluations());
     }
 

@@ -41,8 +41,12 @@ use std::sync::Arc;
 /// to the mapping-stage state; version 3 added two per-frame load-shedding
 /// bytes (the shed level and a dropped flag) to the trace codec; version 4
 /// dropped the adaptive-slack stall samples; version 5 dropped the two
-/// load-shedding bytes again with the shed ladder.
-const AUX_VERSION: u16 = 5;
+/// load-shedding bytes again with the shed ladder; version 6 dropped the
+/// sub-map freeze boundary and the key-frame counter (the stored key frames
+/// count themselves) from the mapping-stage state and stores the CODEC's
+/// single key-frame reference as a 0/1 option tag instead of a counted
+/// window.
+const AUX_VERSION: u16 = 6;
 
 /// Complete per-stream checkpoint state minus the map clouds (those travel
 /// through the epoch-delta store; the window here holds the same snapshots
@@ -305,7 +309,7 @@ fn get_trace_frame(r: &mut ByteReader<'_>) -> Result<TraceFrame, StoreError> {
 // --- stage states --------------------------------------------------------
 
 fn put_fc(w: &mut ByteWriter, fc: &FcDetectorState) {
-    let VideoCodecState { previous, keyframes, frame_index, total_sad_evaluations } = &fc.codec;
+    let VideoCodecState { previous, keyframe, frame_index, total_sad_evaluations } = &fc.codec;
     match previous {
         Some(p) => {
             w.put_u8(1);
@@ -313,10 +317,13 @@ fn put_fc(w: &mut ByteWriter, fc: &FcDetectorState) {
         }
         None => w.put_u8(0),
     }
-    w.put_usize(keyframes.len());
-    for (idx, plane) in keyframes {
-        w.put_usize(*idx);
-        put_luma(w, plane);
+    match keyframe {
+        Some((idx, plane)) => {
+            w.put_u8(1);
+            w.put_usize(*idx);
+            put_luma(w, plane);
+        }
+        None => w.put_u8(0),
     }
     w.put_usize(*frame_index);
     w.put_u64(*total_sad_evaluations);
@@ -328,16 +335,15 @@ fn get_fc(r: &mut ByteReader<'_>) -> Result<FcDetectorState, StoreError> {
         1 => Some(get_luma(r)?),
         b => return Err(StoreError::Corrupt(format!("invalid option tag {b}"))),
     };
-    let n = r.get_count(16)?;
-    let mut keyframes = Vec::with_capacity(n);
-    for _ in 0..n {
-        let idx = r.get_usize()?;
-        keyframes.push((idx, get_luma(r)?));
-    }
+    let keyframe = match r.get_u8()? {
+        0 => None,
+        1 => Some((r.get_usize()?, get_luma(r)?)),
+        b => return Err(StoreError::Corrupt(format!("invalid option tag {b}"))),
+    };
     let frame_index = r.get_usize()?;
     let total_sad_evaluations = r.get_u64()?;
     Ok(FcDetectorState {
-        codec: VideoCodecState { previous, keyframes, frame_index, total_sad_evaluations },
+        codec: VideoCodecState { previous, keyframe, frame_index, total_sad_evaluations },
     })
 }
 
@@ -455,9 +461,7 @@ fn put_map(w: &mut ByteWriter, map: &MapStageState) {
 
     w.put_u64(map.rng_state);
     w.put_u64(map.rng_inc);
-    w.put_usize(map.keyframe_count);
     w.put_u64(map.frames_mapped);
-    w.put_usize(map.trainable_from);
 
     w.put_usize(map.last_touched.len());
     for &epoch in &map.last_touched {
@@ -515,9 +519,7 @@ fn get_map(r: &mut ByteReader<'_>, splats: usize) -> Result<MapStageState, Store
 
     let rng_state = r.get_u64()?;
     let rng_inc = r.get_u64()?;
-    let keyframe_count = r.get_usize()?;
     let frames_mapped = r.get_u64()?;
-    let trainable_from = at_most(r.get_usize()?, splats, "trainable-from id")?;
 
     let n_touched = at_most(r.get_count(8)?, splats, "last-touched epochs")?;
     let mut last_touched = Vec::with_capacity(n_touched);
@@ -540,9 +542,7 @@ fn get_map(r: &mut ByteReader<'_>, splats: usize) -> Result<MapStageState, Store
         keyframes,
         rng_state,
         rng_inc,
-        keyframe_count,
         frames_mapped,
-        trainable_from,
         last_touched,
         quantized_chunks,
     })
@@ -702,7 +702,7 @@ mod tests {
             fc: FcDetectorState {
                 codec: VideoCodecState {
                     previous: Some(LumaPlane::from_raw(2, 2, vec![0, 64, 128, 255])),
-                    keyframes: vec![(0, LumaPlane::from_raw(2, 2, vec![1, 2, 3, 4]))],
+                    keyframe: Some((0, LumaPlane::from_raw(2, 2, vec![1, 2, 3, 4]))),
                     frame_index: 4,
                     total_sad_evaluations: 99,
                 },
@@ -732,9 +732,7 @@ mod tests {
                 keyframes: vec![StoredKeyframe { frame_index: 0, pose, epoch: 1, rgb, depth }],
                 rng_state: 0xdead_beef,
                 rng_inc: 0x1357,
-                keyframe_count: 1,
                 frames_mapped: 4,
-                trainable_from: 2,
                 last_touched: vec![3, 4, 4],
                 quantized_chunks: vec![true, false],
             },
@@ -777,6 +775,55 @@ mod tests {
             let err = decode_aux(&bytes[..cut], state.window.clone());
             assert!(matches!(err, Err(StoreError::Corrupt(_))), "cut at {cut} must be rejected");
         }
+        // The CODEC's key-frame reference is a 0/1 option tag; the first
+        // byte where a payload without one differs from `bytes` is that tag.
+        let mut without = state.clone();
+        without.fc.codec.keyframe = None;
+        let at = encode_aux(&without)
+            .iter()
+            .zip(&bytes)
+            .position(|(x, y)| x != y)
+            .expect("the key-frame tag differs");
+        assert_eq!(bytes[at], 1);
+        for tag in [2, 0x80, 0xff] {
+            let mut bad = bytes.clone();
+            bad[at] = tag;
+            let err = decode_aux(&bad, state.window.clone());
+            assert!(matches!(err, Err(StoreError::Corrupt(_))), "tag {tag}: {err:?}");
+        }
+    }
+
+    /// Every prefix of a valid payload, and thousands of single-byte
+    /// mutations of it, decode to `Ok` or `Err` — never a panic.
+    #[test]
+    fn truncated_or_mutated_aux_never_panics() {
+        let state = sample_state();
+        let bytes = encode_aux(&state);
+        // `Some(decoded)`, or `None` when the decoder panicked.
+        let decode = |payload: &[u8]| {
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                decode_aux(payload, state.window.clone()).is_ok()
+            }))
+            .ok()
+        };
+        for cut in 0..bytes.len() {
+            assert_eq!(decode(&bytes[..cut]), Some(false), "decoding the first {cut} bytes");
+        }
+        let mut rng = ags_math::Pcg32::seeded(0xa0c5);
+        let mut decoded = 0;
+        let mutations = 4_000;
+        for i in 0..mutations {
+            let mut mutated = bytes.clone();
+            let at = rng.index(bytes.len());
+            // A non-zero XOR mask always changes the byte.
+            mutated[at] ^= 1 + rng.range_u32(255) as u8;
+            let outcome = decode(&mutated);
+            assert!(outcome.is_some(), "mutation {i} (byte {at} = {:#04x}) panicked", mutated[at]);
+            decoded += usize::from(outcome == Some(true));
+        }
+        // Both outcomes occur, so the mutations reach past the header:
+        // pixel and moment bytes decode, lengths and tags are rejected.
+        assert!(0 < decoded && decoded < mutations, "{decoded} of {mutations} decoded");
     }
 
     #[test]
@@ -803,15 +850,13 @@ mod tests {
         assert!(decode(&state).is_ok());
         let mut at_bound = state.clone();
         at_bound.map.contribution.skip = Some(IdSet::with_capacity(splats));
-        at_bound.map.trainable_from = splats;
         at_bound.map.quantized_chunks = vec![false; splats / QUANT_CHUNK];
         assert!(decode(&at_bound).is_ok());
         type Corruption = fn(&mut MapStageState, usize);
-        let past: [(&str, Corruption); 6] = [
+        let past: [(&str, Corruption); 5] = [
             ("skip capacity", |m, n| m.contribution.skip = Some(IdSet::with_capacity(n + 1))),
             ("recorded length", |m, n| m.contribution.recorded_len = n + 1),
             ("counts", |m, n| m.contribution.counts = vec![0; n + 1]),
-            ("trainable from", |m, n| m.trainable_from = n + 1),
             ("last touched", |m, n| m.last_touched = vec![0; n + 1]),
             ("chunk flags", |m, n| m.quantized_chunks = vec![false; n / QUANT_CHUNK + 1]),
         ];

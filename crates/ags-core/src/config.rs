@@ -206,17 +206,11 @@ impl AgsConfig {
     ///   threads instead of oversubscribing the machine. A caller-installed
     ///   pool handle (multi-stream servers share one pool across streams)
     ///   is respected and propagated.
-    /// * Covisibility-guided mapping ([`SlamConfig::covis_window`]) needs
-    ///   per-keyframe FC for the whole mapping window, so the codec's
-    ///   key-frame reference window is widened to cover it.
     pub fn resolve(mut self) -> Self {
         if self.codec.parallelism == Parallelism::default()
             && self.codec.parallelism.pool().is_none()
         {
             self.codec.parallelism = self.parallelism.clone();
-        }
-        if self.slam.covis_window {
-            self.codec.keyframe_window = self.codec.keyframe_window.max(self.slam.mapping_window);
         }
         let stages_need_pool = self.parallelism.enabled && self.parallelism.pool().is_none();
         let codec_needs_pool =
@@ -281,18 +275,6 @@ mod tests {
         let config = config.resolve();
         assert!(config.parallelism.pool().is_none());
         assert!(config.codec.parallelism.pool().is_none());
-    }
-
-    #[test]
-    fn resolve_widens_codec_window_for_covis_mapping() {
-        let mut config = AgsConfig::tiny();
-        config.slam.covis_window = true;
-        config.slam.mapping_window = 5;
-        let resolved = config.resolve();
-        assert!(resolved.codec.keyframe_window >= 5);
-        // Without the flag the codec keeps its classic single reference.
-        let classic = AgsConfig::tiny().resolve();
-        assert_eq!(classic.codec.keyframe_window, 1);
     }
 
     #[test]

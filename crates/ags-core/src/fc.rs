@@ -14,11 +14,6 @@ pub struct FcDecision {
     pub fc_prev: Option<Covisibility>,
     /// Covisibility with the last key frame (`None` before one exists).
     pub fc_keyframe: Option<Covisibility>,
-    /// Covisibility against every key frame the codec retains, as
-    /// `(keyframe stream index, FC)` pairs oldest → newest. Estimated as one
-    /// batch with the other signals; mapping uses it to pick its training
-    /// window when `covis_window` selection is enabled.
-    pub fc_window: Vec<(usize, f32)>,
     /// Whether movement-adaptive tracking must run fine refinement
     /// (low covisibility with the previous frame).
     pub needs_refinement: bool,
@@ -61,11 +56,6 @@ impl FcDetector {
         FcDecision {
             fc_prev: report.fc_prev,
             fc_keyframe: report.fc_keyframe,
-            fc_window: report
-                .fc_window
-                .iter()
-                .map(|w| (w.keyframe_index, w.covisibility.value()))
-                .collect(),
             needs_refinement,
             is_keyframe,
             sad_evals: report.sad_evaluations,

@@ -27,7 +27,7 @@ use ags_image::{DepthImage, RgbImage};
 use ags_math::{Pcg32, Se3};
 use ags_scene::PinholeCamera;
 use ags_slam::keyframes::{KeyframeStore, StoredKeyframe};
-use ags_slam::{Backbone, WorkUnits};
+use ags_slam::WorkUnits;
 use ags_splat::backward::GradMode;
 use ags_splat::cache::ProjectionCache;
 use ags_splat::compact::{prune_cloud, quantize_chunk_in_place, FULL_SPLAT_BYTES, QUANT_CHUNK};
@@ -275,12 +275,8 @@ pub struct MapStageState {
     pub rng_state: u64,
     /// PCG32 increment word.
     pub rng_inc: u64,
-    /// Key frames stored so far.
-    pub keyframe_count: usize,
     /// Frames mapped so far (the epoch counter).
     pub frames_mapped: u64,
-    /// First trainable Gaussian id (submap freezing).
-    pub trainable_from: usize,
     /// Per-splat epoch of the last parameter change (compaction coldness).
     pub last_touched: Vec<u64>,
     /// Per 64-splat chunk: resident in the cold quantized tier.
@@ -295,15 +291,13 @@ pub struct MapStage {
     adam: Adam,
     keyframes: KeyframeStore,
     rng: Pcg32,
-    keyframe_count: usize,
     /// Frames mapped so far — frame `f`'s update publishes as epoch `f + 1`.
     frames_mapped: u64,
-    trainable_from: usize,
     /// Scratch slot carrying sampled tile work out of `map_step`.
     last_tile_work: Option<Vec<TileWork>>,
-    /// Per-splat epoch of the last parameter change (Adam touch, scale
-    /// regularisation or densify birth). Drives cold detection; only
-    /// maintained while compaction is enabled.
+    /// Per-splat epoch of the last parameter change (Adam touch or densify
+    /// birth). Drives cold detection; only maintained while compaction is
+    /// enabled.
     last_touched: Vec<u64>,
     /// Per id-aligned 64-splat chunk: currently snapped onto its 8-bit
     /// affine grid. Any later touch or boundary-shifting prune evicts the
@@ -329,9 +323,7 @@ impl MapStage {
             adam: Adam::default(),
             keyframes: KeyframeStore::new(),
             rng: Pcg32::seeded(0xa65),
-            keyframe_count: 0,
             frames_mapped: 0,
-            trainable_from: 0,
             last_tile_work: None,
             last_touched: Vec::new(),
             quantized_chunks: Vec::new(),
@@ -359,9 +351,7 @@ impl MapStage {
             keyframes: self.keyframes.frames().to_vec(),
             rng_state,
             rng_inc,
-            keyframe_count: self.keyframe_count,
             frames_mapped: self.frames_mapped,
-            trainable_from: self.trainable_from,
             last_touched: self.last_touched.clone(),
             quantized_chunks: self.quantized_chunks.clone(),
         }
@@ -379,9 +369,7 @@ impl MapStage {
             adam: Adam::from_state(Default::default(), state.adam),
             keyframes,
             rng: Pcg32::from_state_parts(state.rng_state, state.rng_inc),
-            keyframe_count: state.keyframe_count,
             frames_mapped: state.frames_mapped,
-            trainable_from: state.trainable_from,
             last_tile_work: None,
             last_touched: state.last_touched,
             quantized_chunks: state.quantized_chunks,
@@ -455,13 +443,6 @@ impl MapStage {
             };
             let rendered = self.render_full(cloud, camera, &pose, &options);
             out.mapping.add_render(&rendered.stats);
-            if self.config.slam.backbone == Backbone::GaussianSlam
-                && is_keyframe
-                && self.keyframe_count > 0
-                && self.keyframe_count % self.config.slam.submap_interval == 0
-            {
-                self.trainable_from = cloud.len();
-            }
             densify_from_frame(
                 cloud,
                 camera,
@@ -480,14 +461,8 @@ impl MapStage {
 
         let thresh_n = self.config.thresh_n_pixels(camera.width, camera.height);
         // Keyframe images are Arc-shared: the window clones reference
-        // counts, never pixels. With covisibility-guided selection the
-        // window is the most covisible keyframes under the CODEC's batched
-        // per-keyframe FC instead of SplaTAM's random pick.
-        let window = if self.config.slam.covis_window && !decision.fc_window.is_empty() {
-            self.keyframes.covisibility_window(self.config.slam.mapping_window, &decision.fc_window)
-        } else {
-            self.keyframes.mapping_window(self.config.slam.mapping_window, &mut self.rng)
-        };
+        // counts, never pixels.
+        let window = self.keyframes.mapping_window(self.config.slam.mapping_window, &mut self.rng);
         let window_data: Vec<(Se3, Arc<RgbImage>, Arc<DepthImage>)> =
             window.iter().map(|kf| (kf.pose, Arc::clone(&kf.rgb), Arc::clone(&kf.depth))).collect();
         drop(window);
@@ -571,7 +546,6 @@ impl MapStage {
                 rgb: rgb_arc,
                 depth: depth_arc,
             });
-            self.keyframe_count += 1;
         }
 
         // --- Compaction: scheduled prune → cold-tier quantization → budget
@@ -581,8 +555,8 @@ impl MapStage {
         if compaction.enabled() {
             if compaction.prune_interval > 0
                 && is_keyframe
-                && self.keyframe_count > 1
-                && (self.keyframe_count - 1) % compaction.prune_interval == 0
+                && self.keyframes.len() > 1
+                && (self.keyframes.len() - 1) % compaction.prune_interval == 0
             {
                 // Every `prune_interval`-th key frame, right after this
                 // frame's mapping refreshed the contribution tables: drop
@@ -677,15 +651,14 @@ impl MapStage {
     }
 
     /// Threads a prune's id remap through every id-indexed side structure:
-    /// optimizer moments, contribution tables, the sub-map freeze boundary
-    /// and the compaction tracking itself. Returns the number removed.
+    /// optimizer moments, contribution tables, the projection cache and the
+    /// compaction tracking itself. Returns the number removed.
     fn apply_remap(&mut self, cloud: &mut GaussianCloud, remap: &Remap) -> usize {
         if remap.is_identity() {
             return 0;
         }
         self.adam.remap(remap);
         self.contribution.remap(remap);
-        self.trainable_from = remap.survivors_below(self.trainable_from);
         self.last_touched = remap.gather(&self.last_touched);
         self.cache.remap(remap);
         // Chunks wholly below the first removed id keep their alignment and
@@ -802,7 +775,7 @@ impl MapStage {
             parallelism: self.config.parallelism.clone(),
             backend: self.config.backend,
         };
-        let TrainPass { loss, mut render, backward: mut back } = train_pass(
+        let TrainPass { loss, mut render, backward: back } = train_pass(
             &mut self.train_scratch,
             cloud,
             camera,
@@ -817,10 +790,7 @@ impl MapStage {
         let track_touches = self.config.slam.compaction.enabled();
         let use_cache = self.config.projection_cache;
         let epoch = self.frames_mapped;
-        if let Some(grads) = back.grads.as_mut() {
-            for id in 0..self.trainable_from.min(grads.touched.len()) {
-                grads.touched[id] = false;
-            }
+        if let Some(grads) = back.grads.as_ref() {
             self.adam.step(cloud, grads);
             if track_touches || use_cache {
                 for (id, &touched) in grads.touched.iter().enumerate() {
@@ -831,23 +801,6 @@ impl MapStage {
                         if use_cache {
                             self.cache.mark_dirty(id);
                         }
-                    }
-                }
-            }
-        }
-        if self.config.slam.scale_regularisation > 0.0 {
-            let lambda = self.config.slam.scale_regularisation;
-            for g in cloud.gaussians_mut()[self.trainable_from..].iter_mut() {
-                let mean = (g.log_scale.x + g.log_scale.y + g.log_scale.z) / 3.0;
-                g.log_scale = g.log_scale * (1.0 - lambda) + ags_math::Vec3::splat(mean * lambda);
-            }
-            if track_touches || use_cache {
-                for id in self.trainable_from..cloud.len() {
-                    if track_touches {
-                        self.mark_touched(id, epoch);
-                    }
-                    if use_cache {
-                        self.cache.mark_dirty(id);
                     }
                 }
             }

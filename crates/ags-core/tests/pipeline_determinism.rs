@@ -104,14 +104,12 @@ fn depth_one_with_slow_map_stage_stays_correct_under_backpressure() {
 
 #[test]
 fn batched_window_fc_is_bit_identical_across_drivers_and_thread_counts() {
-    // The batched mapping-FC path: the codec retains an 8-keyframe window,
-    // estimates it as one batch per frame, and mapping selects its window by
-    // covisibility. Serial ≡ overlapped ≡ any worker count —
-    // the full serial ≡ overlapped ≡ batched chain.
+    // The codec estimates each frame's previous-frame and key-frame pairs
+    // as one batch; mapping trains over a two-key-frame window. Serial ≡
+    // overlapped ≡ any worker count — the full serial ≡ overlapped ≡
+    // batched chain.
     use ags_math::Parallelism;
     let mut config = AgsConfig::tiny();
-    config.codec.keyframe_window = 8;
-    config.slam.covis_window = true;
     config.slam.mapping_window = 2;
     let data = dataset(SceneId::Desk2, 8);
     let serial_exec = {
@@ -145,24 +143,6 @@ fn batched_window_fc_is_bit_identical_across_drivers_and_thread_counts() {
             "depth {depth}"
         );
     }
-}
-
-#[test]
-fn covis_window_changes_selection_but_not_decisions() {
-    // Covisibility-guided mapping reorders which keyframes train the map —
-    // the FC decision stream itself (refine/keyframe designation) must stay
-    // exactly the classic one, since it never depended on window selection.
-    let data = dataset(SceneId::Desk2, 8);
-    let classic = run_serial(AgsConfig::tiny(), &data);
-    let mut config = AgsConfig::tiny();
-    config.slam.covis_window = true;
-    config.slam.mapping_window = 2;
-    config.codec.keyframe_window = 4;
-    let covis = run_serial(config, &data);
-    let decisions = |slam: &AgsSlam| {
-        slam.trace().frames.iter().map(|f| (f.refined, f.is_keyframe)).collect::<Vec<_>>()
-    };
-    assert_eq!(decisions(&classic), decisions(&covis));
 }
 
 // ---------------------------------------------------------------------------
@@ -220,21 +200,18 @@ fn map_overlapped_survives_slow_map_backpressure() {
 }
 
 #[test]
-fn map_overlapped_matches_reference_with_audit_tile_work_and_covis_window() {
-    // The optional trace payloads (FP audit, sampled tile work) and the
-    // batched covisibility-window mapping path through the threaded
-    // map.
+fn map_overlapped_matches_reference_with_audit_and_tile_work() {
+    // The optional trace payloads (FP audit, sampled tile work) and a
+    // two-key-frame mapping window through the threaded map.
     let mut config = AgsConfig::tiny();
     config.audit_false_positives = true;
     config.slam.tile_work_interval = 2;
-    config.codec.keyframe_window = 4;
-    config.slam.covis_window = true;
     config.slam.mapping_window = 2;
     config.pipeline = PipelineConfig::map_overlapped(2, 1);
     let data = dataset(SceneId::Desk2, 6);
     let reference = run_serial(config.clone(), &data);
     let overlapped = run_map_overlapped(config, &data, 2);
-    assert_bit_identical(&reference, &overlapped, "audit+tile-work+covis window");
+    assert_bit_identical(&reference, &overlapped, "audit+tile-work");
     assert!(reference.trace().frames.iter().any(|f| f.fp_rate.is_some()));
     assert!(reference.trace().frames.iter().any(|f| !f.tile_work.is_empty()));
 }
@@ -406,7 +383,7 @@ fn compaction_shrinks_the_map_within_ate_tolerance() {
 #[test]
 fn compaction_at_a_tight_budget_sheds_a_map_heavy_stream() {
     // Refinement on every frame (S2's handheld-jerky motion), ten mapping
-    // iterations, FullSearch FC over a keyframe window: a budget at 60 % of
+    // iterations, FullSearch FC: a budget at 60 % of
     // the uncompacted footprint must leave the steady-state map ≥ 30 %
     // smaller without wrecking tracking.
     use ags_track::ate::ate_rmse;
@@ -417,7 +394,6 @@ fn compaction_at_a_tight_budget_sheds_a_map_heavy_stream() {
     config.slam.mapping_iterations = 10;
     config.codec.search = ags_codec::SearchKind::FullSearch;
     config.codec.search_range = 16;
-    config.codec.keyframe_window = 4;
     config.parallelism = ags_math::Parallelism::serial();
     let full = run_serial(config.clone(), &data);
     let resident = |slam: &AgsSlam| slam.trace().frames.last().unwrap().map_bytes;

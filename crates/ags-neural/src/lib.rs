@@ -16,8 +16,9 @@
 //!
 //! The learned weights of the original Droid-SLAM are not reproducible here;
 //! weights are seeded deterministically and the *geometric* pose solve is
-//! performed by `ags-track`'s Gauss–Newton core (see DESIGN.md's
-//! substitution table). What matters for the reproduction is that the
+//! performed by `ags-track`'s damped Gauss–Newton core over dense
+//! photometric + geometric residuals, which stands in for Droid-SLAM's
+//! learned update operator. What matters for the reproduction is that the
 //! *workload* — MACs, activations, memory traffic — matches a Droid-style
 //! backbone, which these kernels execute for real.
 

@@ -1,6 +1,6 @@
 //! The baseline 3DGS-SLAM system (SplaTAM-style, serial execution).
 
-use crate::config::{Backbone, SlamConfig};
+use crate::config::SlamConfig;
 use crate::keyframes::{KeyframeStore, StoredKeyframe};
 use crate::work::WorkUnits;
 use ags_image::{DepthImage, RgbImage};
@@ -54,9 +54,6 @@ pub struct BaselineSlam {
     trajectory: Vec<Se3>,
     velocity: Se3,
     frame_count: usize,
-    keyframe_count: usize,
-    /// Gaussians with id below this are frozen (Gaussian-SLAM sub-maps).
-    trainable_from: usize,
     /// Blend tape of the mapping passes, reused across iterations and frames.
     train_scratch: TrainScratch,
 }
@@ -82,8 +79,6 @@ impl BaselineSlam {
             trajectory: Vec::new(),
             velocity: Se3::IDENTITY,
             frame_count: 0,
-            keyframe_count: 0,
-            trainable_from: 0,
             train_scratch: TrainScratch::default(),
         }
     }
@@ -147,14 +142,6 @@ impl BaselineSlam {
                 &RenderOptions { backend: self.config.backend, ..RenderOptions::default() },
             );
             mapping.add_render(&rendered.stats);
-            if self.config.backbone == Backbone::GaussianSlam
-                && self.keyframe_count > 0
-                && self.keyframe_count % self.config.submap_interval == 0
-                && frame_index % self.config.keyframe_interval == 0
-            {
-                // New sub-map: freeze everything built so far.
-                self.trainable_from = self.cloud.len();
-            }
             densify_from_frame(
                 &mut self.cloud,
                 camera,
@@ -209,10 +196,8 @@ impl BaselineSlam {
             let floor = self.config.densify.prune_opacity;
             let remap = prune_cloud(&mut self.cloud, |_, g| g.opacity() >= floor);
             if !remap.is_identity() {
-                // Survivors keep their Adam momentum and the sub-map freeze
-                // boundary shifts with them.
+                // Survivors keep their Adam momentum.
                 self.adam.remap(&remap);
-                self.trainable_from = remap.survivors_below(self.trainable_from);
             }
         }
 
@@ -226,7 +211,6 @@ impl BaselineSlam {
                 rgb: Arc::new(rgb.clone()),
                 depth: Arc::new(depth.clone()),
             });
-            self.keyframe_count += 1;
         }
 
         FrameRecord {
@@ -242,8 +226,7 @@ impl BaselineSlam {
         }
     }
 
-    /// One mapping iteration with optional sub-map freezing and scale
-    /// regularisation (Gaussian-SLAM) and optional tile-work collection.
+    /// One mapping iteration with optional tile-work collection.
     fn map_step(
         &mut self,
         camera: &PinholeCamera,
@@ -254,7 +237,7 @@ impl BaselineSlam {
     ) -> TrainPass {
         let options =
             RenderOptions { collect_tile_work, backend: self.config.backend, ..Default::default() };
-        let mut pass = train_pass(
+        let pass = train_pass(
             &mut self.train_scratch,
             &self.cloud,
             camera,
@@ -266,20 +249,8 @@ impl BaselineSlam {
             &options,
             None,
         );
-        if let Some(grads) = pass.backward.grads.as_mut() {
-            // Freeze sub-map Gaussians (Gaussian-SLAM).
-            for id in 0..self.trainable_from.min(grads.touched.len()) {
-                grads.touched[id] = false;
-            }
+        if let Some(grads) = pass.backward.grads.as_ref() {
             self.adam.step(&mut self.cloud, grads);
-        }
-        // Scale regularisation: pull per-axis log-scales toward their mean.
-        if self.config.scale_regularisation > 0.0 {
-            let lambda = self.config.scale_regularisation;
-            for g in self.cloud.gaussians_mut()[self.trainable_from..].iter_mut() {
-                let mean = (g.log_scale.x + g.log_scale.y + g.log_scale.z) / 3.0;
-                g.log_scale = g.log_scale * (1.0 - lambda) + ags_math::Vec3::splat(mean * lambda);
-            }
         }
         pass
     }
@@ -350,23 +321,6 @@ mod tests {
         assert!(!records[0].tile_work.is_empty(), "frame 0 sampled");
         assert!(records[1].tile_work.is_empty(), "frame 1 not sampled");
         assert!(!records[2].tile_work.is_empty(), "frame 2 sampled");
-    }
-
-    #[test]
-    fn gaussian_slam_freezes_submaps() {
-        let config = SlamConfig { keyframe_interval: 1, submap_interval: 2, ..SlamConfig::tiny() }
-            .gaussian_slam();
-        let (slam, data, _) = run_slam(config, 5);
-        assert!(!slam.cloud().is_empty());
-        // Rendering still covers the frame even with frozen sub-maps.
-        let out = ags_splat::render::render(
-            slam.cloud(),
-            &data.camera,
-            slam.trajectory().last().unwrap(),
-            &RenderOptions::default(),
-        );
-        let coverage = out.silhouette.pixels().iter().filter(|&&s| s > 0.5).count();
-        assert!(coverage > out.silhouette.len() / 2, "coverage {coverage}");
     }
 
     #[test]

@@ -84,41 +84,6 @@ impl KeyframeStore {
         }
         selected
     }
-
-    /// Covisibility-guided window selection: always the most recent
-    /// keyframe, plus the earlier ones most covisible with the current frame.
-    ///
-    /// `covisibility` maps a keyframe's `frame_index` to its FC score
-    /// against the current frame (the CODEC's batched window estimate);
-    /// keyframes without a score — older than the codec's reference window —
-    /// are not eligible. Ties break toward the more recent keyframe, so the
-    /// selection is fully deterministic.
-    pub fn covisibility_window(
-        &self,
-        window: usize,
-        covisibility: &[(usize, f32)],
-    ) -> Vec<&StoredKeyframe> {
-        if self.frames.is_empty() || window == 0 {
-            return Vec::new();
-        }
-        let newest = self.frames.last().unwrap();
-        let mut selected = vec![newest];
-        let mut scored: Vec<(f32, usize)> = self.frames[..self.frames.len() - 1]
-            .iter()
-            .enumerate()
-            .filter_map(|(pos, kf)| {
-                covisibility
-                    .iter()
-                    .find(|(idx, _)| *idx == kf.frame_index)
-                    .map(|(_, fc)| (*fc, pos))
-            })
-            .collect();
-        scored.sort_by(|a, b| b.0.total_cmp(&a.0).then(b.1.cmp(&a.1)));
-        for &(_, pos) in scored.iter().take(window.saturating_sub(1)) {
-            selected.push(&self.frames[pos]);
-        }
-        selected
-    }
 }
 
 #[cfg(test)]
@@ -178,42 +143,6 @@ mod tests {
         store.push(kf(0));
         let mut rng = Pcg32::seeded(1);
         assert_eq!(store.mapping_window(5, &mut rng).len(), 1);
-    }
-
-    #[test]
-    fn covisibility_window_prefers_high_fc_keyframes() {
-        let mut store = KeyframeStore::new();
-        for i in 0..5 {
-            store.push(kf(i));
-        }
-        // Keyframe 1 is barely covisible, 2 is the most covisible, 3 has no
-        // score (fell out of the codec window), 4 is the newest.
-        let covis = [(0usize, 0.4f32), (1, 0.1), (2, 0.9)];
-        let window = store.covisibility_window(3, &covis);
-        assert_eq!(window.len(), 3);
-        assert_eq!(window[0].frame_index, 4, "most recent first");
-        assert_eq!(window[1].frame_index, 2, "highest covisibility next");
-        assert_eq!(window[2].frame_index, 0);
-        // Deterministic: same inputs, same selection.
-        let again = store.covisibility_window(3, &covis);
-        let idx = |w: &[&StoredKeyframe]| w.iter().map(|k| k.frame_index).collect::<Vec<_>>();
-        assert_eq!(idx(&window), idx(&again));
-        // Without any scores only the newest keyframe qualifies.
-        assert_eq!(store.covisibility_window(3, &[]).len(), 1);
-        assert!(store.covisibility_window(0, &covis).is_empty());
-    }
-
-    #[test]
-    fn covisibility_window_breaks_ties_toward_recent() {
-        let mut store = KeyframeStore::new();
-        for i in 0..4 {
-            store.push(kf(i));
-        }
-        let covis = [(0usize, 0.5f32), (1, 0.5), (2, 0.5)];
-        let window = store.covisibility_window(3, &covis);
-        assert_eq!(window[0].frame_index, 3);
-        assert_eq!(window[1].frame_index, 2, "tie goes to the newer keyframe");
-        assert_eq!(window[2].frame_index, 1);
     }
 
     #[test]

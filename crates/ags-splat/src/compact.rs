@@ -177,7 +177,7 @@ impl Remap {
     }
 
     /// Number of survivors among ids `< bound` — remaps a prefix boundary
-    /// such as a sub-map freeze index.
+    /// such as a recorded table length.
     pub fn survivors_below(&self, bound: usize) -> usize {
         self.target[..bound.min(self.target.len())].iter().filter(|&&t| t != REMOVED).count()
     }

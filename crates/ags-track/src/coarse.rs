@@ -8,7 +8,8 @@
 //! hardware model — while the pose update itself is an analytically-derived
 //! damped Gauss–Newton step over dense photometric + geometric residuals
 //! (classic direct RGB-D odometry), iterated coarse-to-fine exactly like
-//! Droid's recurrent refinement. See DESIGN.md's substitution table.
+//! Droid's recurrent refinement: the learned update operator is the one
+//! component substituted, the backbone's workload is kept.
 
 use ags_image::pyramid::RgbdPyramid;
 use ags_image::{DepthImage, GrayImage};
