@@ -170,28 +170,21 @@ fn bench_motion_estimation(search: SearchKind, parallel: Parallelism) -> MeResul
     }
 }
 
-struct BatchedMeResult {
+struct PairMeResult {
     pairs: usize,
     looped_pairs_per_s: f64,
-    batched_pairs_per_s: f64,
-    speedup: f64,
 }
 
-/// Times the `estimate_batch` primitive at 8 pairs — ME of one frame
-/// against 8 references — as 8 sequential `estimate` calls (8 executor
-/// round-trips with a join barrier between pairs) versus one
-/// `estimate_batch` submission scheduling all rows of all pairs at once.
-/// No program workload batches 8 pairs: the streaming codec submits 2 per
-/// frame (previous frame + key frame); the entry times the primitive.
+/// Times per-pair motion estimation at SLAM frame scale: one frame against
+/// 8 references as 8 sequential `estimate` calls on a pooled estimator.
+/// The streaming codec runs the same call once per reference (previous
+/// frame + key frame) on every frame.
 ///
-/// Sized at SLAM frame scale, where per-call setup and scheduling are a
-/// real fraction of a pair's search work — the cost the batch amortises.
-/// With the small-work serial fallback this batch is below the
-/// `min_items_per_worker` floor for the two planned executors, so both
-/// schedules run inline: the entry tracks the *per-call overhead* the
-/// batch amortises (and would regress if a change started paying the pool
-/// on small work again). Interleaved min-of-N timing.
-fn bench_batched_me(parallel: &Parallelism) -> BatchedMeResult {
+/// At this size each pair is below the `min_items_per_worker` floor for the
+/// two planned executors, so every call runs inline: the entry tracks the
+/// per-call cost of small-frame ME (and would regress if a change started
+/// paying the pool on small work again). Min-of-N timing.
+fn bench_pair_me(parallel: &Parallelism) -> PairMeResult {
     let (w, h, pairs) = (128usize, 96usize, 8usize);
     let current = LumaPlane::from_fn(w, h, |x, y| (((x * 13 + y * 7) ^ (x * y / 5)) % 251) as u8);
     let references: Vec<LumaPlane> = (1..=pairs)
@@ -201,7 +194,6 @@ fn bench_batched_me(parallel: &Parallelism) -> BatchedMeResult {
             })
         })
         .collect();
-    let refs: Vec<&LumaPlane> = references.iter().collect();
     let threads = parallel.effective_threads().max(2);
     let pool = Arc::new(ags_math::WorkerPool::new(threads - 1));
     let est = MotionEstimator::new(CodecConfig {
@@ -209,38 +201,21 @@ fn bench_batched_me(parallel: &Parallelism) -> BatchedMeResult {
         ..CodecConfig::default()
     });
 
-    // Bit-identity between the two schedules (and the serial reference)
-    // before trusting any timing.
+    // Bit-identity with the serial reference before trusting any timing.
     let serial = MotionEstimator::new(CodecConfig {
         parallelism: Parallelism::serial(),
         ..CodecConfig::default()
     });
-    let expect: Vec<_> = refs.iter().map(|r| serial.estimate(&current, r)).collect();
-    let looped: Vec<_> = refs.iter().map(|r| est.estimate(&current, r)).collect();
-    let batched = est.estimate_batch(&current, &refs);
-    assert_eq!(expect, looped, "pooled per-pair ME must match serial");
-    assert_eq!(expect, batched, "batched ME must match the per-pair loop");
-
-    // Interleaved min-of-N, as in bench_motion_estimation.
-    let (looped_times, batched_times, _) = time_pair(
-        10,
-        16,
-        || {
-            for r in &refs {
-                black_box(est.estimate(black_box(&current), black_box(r)));
-            }
-        },
-        || {
-            black_box(est.estimate_batch(black_box(&current), black_box(&refs)));
-        },
-    );
-    let (t_looped, t_batched) = (looped_times.min, batched_times.min);
-    BatchedMeResult {
-        pairs,
-        looped_pairs_per_s: pairs as f64 / t_looped,
-        batched_pairs_per_s: pairs as f64 / t_batched,
-        speedup: t_looped / t_batched,
+    for r in &references {
+        assert_eq!(serial.estimate(&current, r), est.estimate(&current, r), "pooled ME");
     }
+
+    let looped = time_spread(10, 16, || {
+        for r in &references {
+            black_box(est.estimate(black_box(&current), black_box(r)));
+        }
+    });
+    PairMeResult { pairs, looped_pairs_per_s: pairs as f64 / looped.min }
 }
 
 struct RasterResult {
@@ -343,9 +318,9 @@ fn bench_sad_kernel(block: usize) -> SadResult {
 }
 
 /// The driver configuration `train_iteration` builds its map with and the
-/// `migration` row streams: FullSearch ME (every frame's two references go
-/// through one `estimate_batch` submission), every stage inline on one
-/// thread, the scalar reference backend.
+/// `migration` row streams: FullSearch ME (one `estimate` per reference
+/// of every frame), every stage inline on one thread, the scalar reference
+/// backend.
 fn e2e_config() -> AgsConfig {
     let mut config = AgsConfig::tiny();
     config.slam.tile_work_interval = 0;
@@ -1033,10 +1008,10 @@ fn main() {
         "motion estimation / full       512x384: serial {:>12.0} blocks/s  parallel {:>12.0} blocks/s  speedup {:.2}x",
         full.serial_blocks_per_s, full.parallel_blocks_per_s, full.speedup
     );
-    let batched = bench_batched_me(&parallel);
+    let pair_me = bench_pair_me(&parallel);
     println!(
-        "batched ME / diamond           128x96:  looped {:>12.2} pairs/s   batched  {:>12.2} pairs/s   speedup {:.2}x ({} pairs)",
-        batched.looped_pairs_per_s, batched.batched_pairs_per_s, batched.speedup, batched.pairs
+        "per-pair ME / diamond          128x96:  looped {:>12.2} pairs/s   ({} pairs)",
+        pair_me.looped_pairs_per_s, pair_me.pairs
     );
     let raster = bench_rasterization(parallel.clone());
     println!(
@@ -1165,9 +1140,7 @@ fn main() {
     "batched_window": {{
       "frame": [128, 96],
       "pairs": {},
-      "looped_pairs_per_s": {:.2},
-      "batched_pairs_per_s": {:.2},
-      "speedup": {:.3}
+      "looped_pairs_per_s": {:.2}
     }}
   }},
   "rasterization": {{
@@ -1220,10 +1193,8 @@ fn main() {
         full.parallel_blocks_per_s,
         full.speedup,
         full.sad_evaluations,
-        batched.pairs,
-        batched.looped_pairs_per_s,
-        batched.batched_pairs_per_s,
-        batched.speedup,
+        pair_me.pairs,
+        pair_me.looped_pairs_per_s,
         raster.tiles,
         raster.serial_tiles_per_s,
         raster.parallel_tiles_per_s,

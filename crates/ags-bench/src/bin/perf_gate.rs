@@ -7,8 +7,8 @@
 //! gated metric of the current run falls below
 //! `baseline * (1 - max_regression)`. Gated against the baseline:
 //!
-//! * `batched_pairs_per_s` (the one-submission `estimate_batch` ME
-//!   primitive at 8 pairs)
+//! * `looped_pairs_per_s` (per-pair CODEC motion estimation at SLAM frame
+//!   scale: one 128×96 frame against 8 references, one `estimate` each)
 //! * `backbone_gmac_s` (multiply-accumulate rate of one coarse-tracking
 //!   `DroidBackbone::run` — the convolution kernel every frame pays for)
 //!
@@ -80,7 +80,7 @@
 use std::process::ExitCode;
 
 /// The metrics gated against the baseline (higher is better).
-const GATED_KEYS: [&str; 2] = ["batched_pairs_per_s", "backbone_gmac_s"];
+const GATED_KEYS: [&str; 2] = ["looped_pairs_per_s", "backbone_gmac_s"];
 
 /// Metrics with a hardware-independent ceiling (lower is better): the gate
 /// fails when the *current* value exceeds the ceiling, no baseline needed.
@@ -248,10 +248,9 @@ mod tests {
     use super::*;
 
     /// A bench document holding the two baseline-gated metrics.
-    fn doc(batched: f64, gmac: f64) -> String {
+    fn doc(looped: f64, gmac: f64) -> String {
         format!(
-            r#"{{ "batched_window": {{ "looped_pairs_per_s": 90.0,
-                 "batched_pairs_per_s": {batched} }},
+            r#"{{ "batched_window": {{ "pairs": 8, "looped_pairs_per_s": {looped} }},
                  "backbone": {{ "backbone_ms": 1.8, "backbone_gmac_s": {gmac} }} }}"#
         )
     }
@@ -308,7 +307,7 @@ mod tests {
     #[test]
     fn extracts_numbers_by_key() {
         let json = doc(7.5, 8.25);
-        assert_eq!(extract_metric(&json, "batched_pairs_per_s"), Some(7.5));
+        assert_eq!(extract_metric(&json, "looped_pairs_per_s"), Some(7.5));
         assert_eq!(extract_metric(&json, "backbone_gmac_s"), Some(8.25));
         assert_eq!(extract_metric(&json, "missing"), None);
     }
@@ -322,12 +321,12 @@ mod tests {
     #[test]
     fn fails_beyond_threshold() {
         let err = run(&doc(10.0, 10.0), &doc(7.0, 10.0), 0.25).unwrap_err(); // -30%
-        assert!(err.contains("batched_pairs_per_s"), "{err}");
+        assert!(err.contains("looped_pairs_per_s"), "{err}");
     }
 
     #[test]
     fn fails_when_current_drops_a_metric() {
-        let current = r#"{ "batched_window": { "batched_pairs_per_s": 10.0 } }"#;
+        let current = r#"{ "batched_window": { "looped_pairs_per_s": 10.0 } }"#;
         let err = run(&doc(10.0, 10.0), current, 0.25).unwrap_err();
         assert!(err.contains("backbone_gmac_s"), "{err}");
     }
@@ -500,8 +499,8 @@ mod tests {
 
     #[test]
     fn parses_scientific_and_negative_numbers() {
-        let json = r#"{"batched_pairs_per_s": 1.5e2, "backbone_gmac_s": -3}"#;
-        assert_eq!(extract_metric(json, "batched_pairs_per_s"), Some(150.0));
+        let json = r#"{"looped_pairs_per_s": 1.5e2, "backbone_gmac_s": -3}"#;
+        assert_eq!(extract_metric(json, "looped_pairs_per_s"), Some(150.0));
         assert_eq!(extract_metric(json, "backbone_gmac_s"), Some(-3.0));
     }
 }

@@ -110,11 +110,6 @@ impl SceneRun {
     pub fn final_cloud(&self) -> &ags_splat::GaussianCloud {
         &self.ags_cloud
     }
-
-    /// AGS pose estimate for a frame index, if present.
-    pub fn ags_pose(&self, index: usize) -> Option<ags_math::Se3> {
-        self.ags_trajectory.get(index).copied()
-    }
 }
 
 /// Runs scenes on demand and caches them.

@@ -31,10 +31,9 @@ pub struct CodecConfig {
     /// the paper's `ThreshT = 0.9` and fast-motion bursts (MAD ≥ 15) fall
     /// below it.
     pub norm_mad: f32,
-    /// Thread-level parallelism of [`MotionEstimator::estimate`] /
-    /// [`MotionEstimator::estimate_batch`]. The parallel path distributes
-    /// macro-block rows (of all frame pairs, for a batch) across the pool's
-    /// workers and is bit-identical to `Parallelism::serial()`.
+    /// Thread-level parallelism of [`MotionEstimator::estimate`]. The
+    /// parallel path distributes macro-block rows across the pool's workers
+    /// and is bit-identical to `Parallelism::serial()`.
     pub parallelism: Parallelism,
 }
 
@@ -143,49 +142,13 @@ impl MotionEstimator {
     ///
     /// Panics when plane dimensions differ or are smaller than one MB.
     pub fn estimate(&self, current: &LumaPlane, reference: &LumaPlane) -> MotionResult {
-        self.estimate_batch(current, &[reference]).pop().expect("one pair in, one result out")
-    }
-
-    /// Runs motion estimation of `current` against **every** reference in
-    /// one executor submission — the streaming codec's pattern, where a
-    /// frame is compared against the previous frame and the key frame at
-    /// once.
-    ///
-    /// All macro-block rows of all pairs are scheduled as a single
-    /// chunk-ordered batch: scheduling cost is paid once instead of once per
-    /// pair, and the shared current-frame luma plane stays cache-resident
-    /// across pairs. Results come back in reference order, and each is
-    /// **bit-identical** to the corresponding [`estimate`](Self::estimate)
-    /// call (which the batched-ME tests enforce at several thread counts).
-    ///
-    /// # Panics
-    ///
-    /// Panics when any plane dimension differs from `current` or is smaller
-    /// than one MB.
-    pub fn estimate_batch(
-        &self,
-        current: &LumaPlane,
-        references: &[&LumaPlane],
-    ) -> Vec<MotionResult> {
-        if references.is_empty() {
-            return Vec::new();
-        }
-        for reference in references {
-            assert_eq!(current.width(), reference.width(), "plane width mismatch");
-            assert_eq!(current.height(), reference.height(), "plane height mismatch");
-        }
+        assert_eq!(current.width(), reference.width(), "plane width mismatch");
+        assert_eq!(current.height(), reference.height(), "plane height mismatch");
         let mb = self.config.mb_size;
         assert!(mb > 0 && current.width() >= mb && current.height() >= mb, "plane smaller than MB");
 
         let mb_cols = current.width() / mb;
         let mb_rows = current.height() / mb;
-        let pairs = references.len();
-        // One job per (MB row, pair), **row-interleaved**: all pairs of MB
-        // row `r` are scheduled back-to-back, so the current-frame rows a
-        // search reads stay L1-resident while every reference is matched
-        // against them — the cache-sharing half of the batch win. Per-MB
-        // searches are independent, so the order never changes results.
-        let jobs = pairs * mb_rows;
 
         // The serial-fallback workload estimate counts SAD evaluations, not
         // macro-blocks: a full-search MB probes the whole (2r+1)² window
@@ -194,7 +157,7 @@ impl MotionEstimator {
         // its *effective* weight is ~6 full-cost evaluations. Weighting it
         // higher made mid-size diamond frames fan out across the pool even
         // though the per-row work couldn't amortize the queue round-trip
-        // (0.79× speedup on a 512×384 plane). Submissions too small to feed
+        // (0.79× speedup on a 512×384 plane). Frames too small to feed
         // every pool executor `min_items_per_worker` evaluations run inline
         // — bit-identical, and no queue overhead on tiny SLAM frames.
         const DIAMOND_EVALS_PER_MB: usize = 6;
@@ -205,19 +168,17 @@ impl MotionEstimator {
             }
             SearchKind::Diamond => DIAMOND_EVALS_PER_MB,
         };
-        let work = pairs * mb_cols * mb_rows * evals_per_mb;
+        let work = mb_cols * mb_rows * evals_per_mb;
         let par = self.config.parallelism.for_workload(work, 512 * DIAMOND_EVALS_PER_MB);
-        let chunks = par_map_ranges(&par, jobs, 1, |job_range| {
-            let mut entries = Vec::with_capacity(job_range.len() * mb_cols);
-            let mut row_evals = Vec::with_capacity(job_range.len());
+        // One job per MB row. Per-MB searches are independent, so the
+        // schedule never changes results.
+        let chunks = par_map_ranges(&par, mb_rows, 1, |rows| {
+            let mut entries = Vec::with_capacity(rows.len() * mb_cols);
+            let mut evals = 0u64;
             let mut scratch = SearchScratch::new(self.config.search_range);
-            for job in job_range {
-                let reference = references[job % pairs];
-                let row = job / pairs;
-                let mut evals = 0u64;
+            for row in rows {
                 for col in 0..mb_cols {
-                    let x = col * mb;
-                    let y = row * mb;
+                    let (x, y) = (col * mb, row * mb);
                     let (m, e) = match self.config.search {
                         SearchKind::FullSearch => self.full_search(current, reference, x, y),
                         SearchKind::Diamond => {
@@ -227,38 +188,22 @@ impl MotionEstimator {
                     evals += e;
                     entries.push(m);
                 }
-                row_evals.push(evals);
             }
-            (entries, row_evals)
+            (entries, evals)
         });
 
-        // Re-gather the row-interleaved job stream into per-pair row-major
-        // motion fields: job `j` is (row `j / pairs`, pair `j % pairs`), and
-        // rows of a pair appear in increasing order along the stream.
-        let mut results: Vec<MotionResult> = (0..pairs)
-            .map(|_| MotionResult {
-                field: MotionField {
-                    mb_cols,
-                    mb_rows,
-                    entries: Vec::with_capacity(mb_cols * mb_rows),
-                },
-                sad_evaluations: 0,
-                covered_pixels: (mb_cols * mb_rows * mb * mb) as u64,
-            })
-            .collect();
-        let mut job = 0usize;
-        for (entries, row_evals) in chunks {
-            let mut offset = 0usize;
-            for evals in row_evals {
-                let result = &mut results[job % pairs];
-                result.field.entries.extend_from_slice(&entries[offset..offset + mb_cols]);
-                result.sad_evaluations += evals;
-                offset += mb_cols;
-                job += 1;
-            }
+        let mut field =
+            MotionField { mb_cols, mb_rows, entries: Vec::with_capacity(mb_cols * mb_rows) };
+        let mut sad_evaluations = 0u64;
+        for (entries, evals) in chunks {
+            field.entries.extend(entries);
+            sad_evaluations += evals;
         }
-        debug_assert_eq!(job, jobs, "every (row, pair) job accounted for");
-        results
+        MotionResult {
+            field,
+            sad_evaluations,
+            covered_pixels: (mb_cols * mb_rows * mb * mb) as u64,
+        }
     }
 
     /// SAD of the candidate at displacement `(dx, dy)`, abandoned early once
@@ -523,28 +468,6 @@ mod tests {
                 assert_eq!(serial, parallel, "{search:?} with {threads} threads");
             }
         }
-    }
-
-    #[test]
-    fn estimate_batch_matches_per_pair_estimates() {
-        let current = textured_plane(96, 72, 0);
-        let refs =
-            [textured_plane(96, 72, 1), textured_plane(96, 72, 3), textured_plane(96, 72, 6)];
-        let ref_list: Vec<&LumaPlane> = refs.iter().collect();
-        for search in [SearchKind::FullSearch, SearchKind::Diamond] {
-            let est = MotionEstimator::new(CodecConfig { search, ..CodecConfig::default() });
-            let looped: Vec<MotionResult> =
-                ref_list.iter().map(|r| est.estimate(&current, r)).collect();
-            let batched = est.estimate_batch(&current, &ref_list);
-            assert_eq!(looped, batched, "{search:?}");
-        }
-    }
-
-    #[test]
-    fn estimate_batch_empty_reference_list() {
-        let p = textured_plane(32, 32, 0);
-        let est = MotionEstimator::new(CodecConfig::default());
-        assert!(est.estimate_batch(&p, &[]).is_empty());
     }
 
     #[test]

@@ -10,11 +10,8 @@
 //! Hardware CODECs already keep reference pictures for inter prediction, so
 //! every estimate reuses the ME engine. [`VideoCodec`] models exactly that:
 //! push frames in streaming order, read back the per-frame report, and mark
-//! key frames so the key-frame reference is updated.
-//!
-//! Both reference comparisons of one frame are estimated as **one batch**
-//! ([`MotionEstimator::estimate_batch`]): one executor submission per frame
-//! instead of one fork-join per reference pair.
+//! key frames so the key-frame reference is updated. Each frame runs one
+//! [`MotionEstimator::estimate`] per reference it has.
 
 use crate::covisibility::Covisibility;
 use crate::me::{CodecConfig, MotionEstimator, MotionResult};
@@ -49,8 +46,6 @@ pub struct VideoCodecState {
     pub keyframe: Option<(usize, LumaPlane)>,
     /// Frames pushed so far.
     pub frame_index: usize,
-    /// Cumulative SAD block evaluations.
-    pub total_sad_evaluations: u64,
 }
 
 /// Streaming CODEC model holding the previous-frame and key-frame
@@ -63,7 +58,6 @@ pub struct VideoCodec {
     /// The last marked key frame: its stream index and plane.
     keyframe: Option<(usize, LumaPlane)>,
     frame_index: usize,
-    total_sad_evaluations: u64,
 }
 
 impl VideoCodec {
@@ -75,7 +69,6 @@ impl VideoCodec {
             previous: None,
             keyframe: None,
             frame_index: 0,
-            total_sad_evaluations: 0,
         }
     }
 
@@ -90,37 +83,18 @@ impl VideoCodec {
     }
 
     /// Pushes the next luminance plane and returns its covisibility report.
-    ///
-    /// The previous-frame pair and the key-frame pair are estimated in
-    /// **one** [`MotionEstimator::estimate_batch`] submission.
     pub fn push_plane(&mut self, plane: LumaPlane) -> CodecFrameReport {
-        let mut report = CodecFrameReport {
+        let me_prev = self.previous.as_ref().map(|prev| self.estimator.estimate(&plane, prev));
+        let me_keyframe =
+            self.keyframe.as_ref().map(|(_, key)| self.estimator.estimate(&plane, key));
+        let report = CodecFrameReport {
             frame_index: self.frame_index,
-            fc_prev: None,
-            fc_keyframe: None,
-            me_prev: None,
-            me_keyframe: None,
-            sad_evaluations: 0,
+            fc_prev: me_prev.as_ref().map(|me| me.covisibility(&self.config)),
+            fc_keyframe: me_keyframe.as_ref().map(|me| me.covisibility(&self.config)),
+            sad_evaluations: me_prev.iter().chain(&me_keyframe).map(|me| me.sad_evaluations).sum(),
+            me_prev,
+            me_keyframe,
         };
-
-        let references: Vec<&LumaPlane> =
-            self.previous.iter().chain(self.keyframe.as_ref().map(|(_, key)| key)).collect();
-        if !references.is_empty() {
-            let mut results = self.estimator.estimate_batch(&plane, &references).into_iter();
-            if self.previous.is_some() {
-                let me = results.next().expect("previous-frame pair");
-                report.sad_evaluations += me.sad_evaluations;
-                report.fc_prev = Some(me.covisibility(&self.config));
-                report.me_prev = Some(me);
-            }
-            if let Some(me) = results.next() {
-                report.sad_evaluations += me.sad_evaluations;
-                report.fc_keyframe = Some(me.covisibility(&self.config));
-                report.me_keyframe = Some(me);
-            }
-        }
-
-        self.total_sad_evaluations += report.sad_evaluations;
         self.previous = Some(plane);
         self.frame_index += 1;
         report
@@ -149,7 +123,6 @@ impl VideoCodec {
             previous: self.previous.clone(),
             keyframe: self.keyframe.clone(),
             frame_index: self.frame_index,
-            total_sad_evaluations: self.total_sad_evaluations,
         }
     }
 
@@ -161,18 +134,12 @@ impl VideoCodec {
             previous: state.previous,
             keyframe: state.keyframe,
             frame_index: state.frame_index,
-            total_sad_evaluations: state.total_sad_evaluations,
         }
     }
 
     /// Number of frames pushed so far.
     pub fn frames_pushed(&self) -> usize {
         self.frame_index
-    }
-
-    /// Total SAD block evaluations across all frames.
-    pub fn total_sad_evaluations(&self) -> u64 {
-        self.total_sad_evaluations
     }
 }
 
@@ -265,7 +232,6 @@ mod tests {
             }
         }
         assert_eq!(reference.export_state(), restored.export_state());
-        assert_eq!(reference.total_sad_evaluations(), restored.total_sad_evaluations());
     }
 
     #[test]
@@ -274,9 +240,9 @@ mod tests {
         codec.push_plane(plane(0));
         codec.mark_keyframe();
         let r1 = codec.push_plane(plane(1));
-        // Both references were compared.
-        assert!(r1.me_prev.is_some() && r1.me_keyframe.is_some());
-        assert!(r1.sad_evaluations > 0);
-        assert_eq!(codec.total_sad_evaluations(), r1.sad_evaluations);
+        // Both references were compared, and the frame's count is theirs.
+        let (prev, key) = (r1.me_prev.unwrap(), r1.me_keyframe.unwrap());
+        assert!(prev.sad_evaluations > 0 && key.sad_evaluations > 0);
+        assert_eq!(r1.sad_evaluations, prev.sad_evaluations + key.sad_evaluations);
     }
 }

@@ -20,7 +20,6 @@
 //! the uninterrupted stream's output to the last mantissa bit.
 
 use crate::config::MAX_MAP_SLACK;
-use crate::fc::FcDetectorState;
 use crate::stages::MapStageState;
 use crate::trace::{StageTimes, TraceFrame, WorkloadTrace};
 use ags_codec::{LumaPlane, VideoCodecState};
@@ -45,8 +44,9 @@ use std::sync::Arc;
 /// sub-map freeze boundary and the key-frame counter (the stored key frames
 /// count themselves) from the mapping-stage state and stores the CODEC's
 /// single key-frame reference as a 0/1 option tag instead of a counted
-/// window.
-const AUX_VERSION: u16 = 6;
+/// window; version 7 dropped the CODEC's cumulative SAD-evaluation counter
+/// (each trace frame keeps its own count).
+const AUX_VERSION: u16 = 7;
 
 /// Complete per-stream checkpoint state minus the map clouds (those travel
 /// through the epoch-delta store; the window here holds the same snapshots
@@ -59,8 +59,8 @@ pub struct StreamState {
     pub trajectory: Vec<Se3>,
     /// Workload trace of all completed frames.
     pub trace: WorkloadTrace,
-    /// FC stage (CODEC reference pictures + counters).
-    pub fc: FcDetectorState,
+    /// FC stage (CODEC reference pictures).
+    pub fc: VideoCodecState,
     /// Tracking stage (previous-frame reference + velocity model).
     pub track: CoarseTrackerState,
     /// Mapping stage (tables, optimizer, key frames, RNG, counters).
@@ -308,8 +308,8 @@ fn get_trace_frame(r: &mut ByteReader<'_>) -> Result<TraceFrame, StoreError> {
 
 // --- stage states --------------------------------------------------------
 
-fn put_fc(w: &mut ByteWriter, fc: &FcDetectorState) {
-    let VideoCodecState { previous, keyframe, frame_index, total_sad_evaluations } = &fc.codec;
+fn put_fc(w: &mut ByteWriter, fc: &VideoCodecState) {
+    let VideoCodecState { previous, keyframe, frame_index } = fc;
     match previous {
         Some(p) => {
             w.put_u8(1);
@@ -326,10 +326,9 @@ fn put_fc(w: &mut ByteWriter, fc: &FcDetectorState) {
         None => w.put_u8(0),
     }
     w.put_usize(*frame_index);
-    w.put_u64(*total_sad_evaluations);
 }
 
-fn get_fc(r: &mut ByteReader<'_>) -> Result<FcDetectorState, StoreError> {
+fn get_fc(r: &mut ByteReader<'_>) -> Result<VideoCodecState, StoreError> {
     let previous = match r.get_u8()? {
         0 => None,
         1 => Some(get_luma(r)?),
@@ -341,10 +340,7 @@ fn get_fc(r: &mut ByteReader<'_>) -> Result<FcDetectorState, StoreError> {
         b => return Err(StoreError::Corrupt(format!("invalid option tag {b}"))),
     };
     let frame_index = r.get_usize()?;
-    let total_sad_evaluations = r.get_u64()?;
-    Ok(FcDetectorState {
-        codec: VideoCodecState { previous, keyframe, frame_index, total_sad_evaluations },
-    })
+    Ok(VideoCodecState { previous, keyframe, frame_index })
 }
 
 fn put_track(w: &mut ByteWriter, track: &CoarseTrackerState) {
@@ -699,13 +695,10 @@ mod tests {
             frame_count: 4,
             trajectory: vec![Se3::IDENTITY, pose],
             trace,
-            fc: FcDetectorState {
-                codec: VideoCodecState {
-                    previous: Some(LumaPlane::from_raw(2, 2, vec![0, 64, 128, 255])),
-                    keyframe: Some((0, LumaPlane::from_raw(2, 2, vec![1, 2, 3, 4]))),
-                    frame_index: 4,
-                    total_sad_evaluations: 99,
-                },
+            fc: VideoCodecState {
+                previous: Some(LumaPlane::from_raw(2, 2, vec![0, 64, 128, 255])),
+                keyframe: Some((0, LumaPlane::from_raw(2, 2, vec![1, 2, 3, 4]))),
+                frame_index: 4,
             },
             track: CoarseTrackerState {
                 previous: Some(PreviousFrameState {
@@ -778,7 +771,7 @@ mod tests {
         // The CODEC's key-frame reference is a 0/1 option tag; the first
         // byte where a payload without one differs from `bytes` is that tag.
         let mut without = state.clone();
-        without.fc.codec.keyframe = None;
+        without.fc.keyframe = None;
         let at = encode_aux(&without)
             .iter()
             .zip(&bytes)

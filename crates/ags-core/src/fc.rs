@@ -1,9 +1,10 @@
-//! Frame covisibility detection engine (algorithm side).
+//! Stage ①: frame covisibility detection (algorithm side).
 //!
-//! Wraps the CODEC substrate: pushes each incoming frame, accumulates the
-//! per-MB min-SADs into the covisibility metric, and converts the two
+//! Pushes each incoming frame through the CODEC substrate, which accumulates
+//! the per-MB min-SADs into the covisibility metric, and converts the two
 //! covisibility signals into the tracking/mapping decisions of §4.
 
+use crate::config::AgsConfig;
 use ags_codec::{Covisibility, VideoCodec, VideoCodecState};
 use ags_image::RgbImage;
 
@@ -24,82 +25,69 @@ pub struct FcDecision {
     pub sad_evals: u64,
 }
 
-/// The FC detection engine: CODEC + thresholds.
+/// Stage ①: CODEC-side frame-covisibility detection — the CODEC plus the
+/// `ThreshT` / `ThreshM` thresholds.
+///
+/// Self-contained: the key-frame reference is updated *inside* the stage
+/// (immediately after a frame is designated a key frame), so the decision
+/// stream depends only on the pushed RGB sequence.
 #[derive(Debug)]
-pub struct FcDetector {
+pub struct FcStage {
     codec: VideoCodec,
     thresh_t: f32,
     thresh_m: f32,
 }
 
-impl FcDetector {
-    /// Creates a detector with the AGS thresholds.
-    pub fn new(codec_config: ags_codec::CodecConfig, thresh_t: f32, thresh_m: f32) -> Self {
-        Self { codec: VideoCodec::new(codec_config), thresh_t, thresh_m }
+impl FcStage {
+    /// Builds the stage from a resolved [`AgsConfig`].
+    pub fn new(config: &AgsConfig) -> Self {
+        Self::from_codec(config, VideoCodec::new(config.codec.clone()))
     }
 
-    /// Pushes a frame and derives the AGS decisions.
+    /// Rebuilds the stage from a resolved config and [`Self::export_state`]
+    /// (the thresholds come back from the config).
+    pub fn from_state(config: &AgsConfig, state: VideoCodecState) -> Self {
+        Self::from_codec(config, VideoCodec::from_state(config.codec.clone(), state))
+    }
+
+    fn from_codec(config: &AgsConfig, codec: VideoCodec) -> Self {
+        Self { codec, thresh_t: config.thresh_t, thresh_m: config.thresh_m }
+    }
+
+    /// Pushes one frame: covisibility decisions plus key-frame marking.
     ///
     /// Convention for the first frames: with no previous frame, refinement is
     /// required (the pose cannot be trusted); with no key frame, the frame
     /// becomes one.
-    pub fn push(&mut self, rgb: &RgbImage) -> FcDecision {
+    pub fn process(&mut self, rgb: &RgbImage) -> FcDecision {
         let report = self.codec.push_rgb(rgb);
-        let needs_refinement = match report.fc_prev {
-            Some(fc) => fc.value() < self.thresh_t,
-            None => true,
-        };
-        let is_keyframe = match report.fc_keyframe {
-            Some(fc) => fc.value() < self.thresh_m,
-            None => true,
-        };
-        FcDecision {
+        let below =
+            |fc: Option<Covisibility>, thresh: f32| fc.map_or(true, |fc| fc.value() < thresh);
+        let decision = FcDecision {
             fc_prev: report.fc_prev,
             fc_keyframe: report.fc_keyframe,
-            needs_refinement,
-            is_keyframe,
+            needs_refinement: below(report.fc_prev, self.thresh_t),
+            is_keyframe: below(report.fc_keyframe, self.thresh_m),
             sad_evals: report.sad_evaluations,
+        };
+        if decision.is_keyframe {
+            // Mark immediately: equivalent to the monolithic pipeline, which
+            // marked after mapping but before the next push, and required for
+            // running ahead of the SLAM stages.
+            self.codec.mark_keyframe();
         }
+        decision
     }
 
-    /// Marks the most recently pushed frame as the key-frame reference.
-    pub fn mark_keyframe(&mut self) {
-        self.codec.mark_keyframe();
+    /// Exports the CODEC reference pictures for checkpointing.
+    pub fn export_state(&self) -> VideoCodecState {
+        self.codec.export_state()
     }
-
-    /// Total SAD evaluations spent so far.
-    pub fn total_sad_evals(&self) -> u64 {
-        self.codec.total_sad_evaluations()
-    }
-
-    /// Exports the codec-side state for checkpointing (the thresholds come
-    /// back from the config on restore).
-    pub fn export_state(&self) -> FcDetectorState {
-        FcDetectorState { codec: self.codec.export_state() }
-    }
-
-    /// Rebuilds a detector from a configuration and [`Self::export_state`].
-    pub fn from_state(
-        codec_config: ags_codec::CodecConfig,
-        thresh_t: f32,
-        thresh_m: f32,
-        state: FcDetectorState,
-    ) -> Self {
-        Self { codec: VideoCodec::from_state(codec_config, state.codec), thresh_t, thresh_m }
-    }
-}
-
-/// Serializable snapshot of an [`FcDetector`] — checkpointing support.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FcDetectorState {
-    /// Reference pictures and counters of the underlying CODEC.
-    pub codec: VideoCodecState,
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ags_codec::CodecConfig;
     use ags_math::{Pcg32, Vec3};
 
     fn noisy_frame(seed: u64) -> RgbImage {
@@ -107,10 +95,13 @@ mod tests {
         RgbImage::from_vec(32, 32, (0..32 * 32).map(|_| Vec3::splat(rng.next_f32())).collect())
     }
 
+    fn stage() -> FcStage {
+        FcStage::new(&AgsConfig { thresh_t: 0.9, thresh_m: 0.5, ..AgsConfig::default() })
+    }
+
     #[test]
     fn first_frame_needs_refinement_and_is_keyframe() {
-        let mut det = FcDetector::new(CodecConfig::default(), 0.9, 0.5);
-        let d = det.push(&noisy_frame(1));
+        let d = stage().process(&noisy_frame(1));
         assert!(d.needs_refinement);
         assert!(d.is_keyframe);
         assert!(d.fc_prev.is_none());
@@ -118,11 +109,10 @@ mod tests {
 
     #[test]
     fn identical_frame_skips_refinement() {
-        let mut det = FcDetector::new(CodecConfig::default(), 0.9, 0.5);
+        let mut fc = stage();
         let f = noisy_frame(2);
-        det.push(&f);
-        det.mark_keyframe();
-        let d = det.push(&f);
+        fc.process(&f); // the first frame is marked as the key frame
+        let d = fc.process(&f);
         assert!(!d.needs_refinement, "identical frame has full covisibility");
         assert!(!d.is_keyframe);
         assert!(d.fc_prev.unwrap().value() > 0.95);
@@ -130,10 +120,9 @@ mod tests {
 
     #[test]
     fn unrelated_frame_triggers_both() {
-        let mut det = FcDetector::new(CodecConfig::default(), 0.9, 0.5);
-        det.push(&noisy_frame(3));
-        det.mark_keyframe();
-        let d = det.push(&noisy_frame(99));
+        let mut fc = stage();
+        fc.process(&noisy_frame(3));
+        let d = fc.process(&noisy_frame(99));
         assert!(d.needs_refinement, "unrelated content -> low FC");
         assert!(d.is_keyframe);
         assert!(d.sad_evals > 0);

@@ -3,8 +3,8 @@
 //! This crate is the paper's primary contribution — the algorithm layer of
 //! the AGS framework (§4):
 //!
-//! * [`fc::FcDetector`] — frame covisibility detection from the video
-//!   CODEC's min-SAD values (§4.1): one covisibility signal against the
+//! * [`fc::FcStage`] — frame covisibility detection from the video
+//!   CODEC's min-SAD values (§4.1): one motion estimation against the
 //!   previous frame (steers tracking) and one against the last mapping key
 //!   frame (steers key/non-key designation).
 //! * **Movement-adaptive tracking** (§4.2): every frame gets a coarse
@@ -15,7 +15,7 @@
 //!   on how many pixels its α stayed below `Threshα`; Gaussians negligible
 //!   on more than `ThreshN` pixels are skipped on subsequent non-key frames.
 //! * [`stages`] — the pipeline decomposed into an explicit stage graph:
-//!   [`stages::FcStage`], [`stages::TrackStage`] and [`stages::MapStage`]
+//!   [`fc::FcStage`], [`stages::TrackStage`] and [`stages::MapStage`]
 //!   with typed inputs/outputs.
 //! * [`pipeline::AgsSlam`] — the assembled system and the one driver of the
 //!   stage graph, emitting a [`trace::WorkloadTrace`] the `ags-sim`
@@ -62,11 +62,11 @@ pub mod trace;
 pub use checkpoint::{decode_aux, encode_aux, StreamState};
 pub use config::{AgsConfig, CheckpointPolicy, PipelineConfig, PipelineMode};
 pub use contribution::{ContributionState, ContributionTracker};
-pub use fc::{FcDetector, FcDetectorState};
+pub use fc::FcStage;
 pub use pipeline::{AgsFrameRecord, AgsSlam};
 pub use server::{
     migrate_stream, MigrationEnd, MigrationError, MigrationReport, MultiStreamServer, ServerConfig,
     ServerStats, StoreAttachOptions, StreamError, StreamPolicy, StreamStats,
 };
-pub use stages::{FcStage, FrameImages, FrameInput, MapStage, TrackStage};
+pub use stages::{FrameImages, FrameInput, MapStage, TrackStage};
 pub use trace::{StageTimes, TraceFrame, WorkloadTrace};

@@ -3,7 +3,7 @@
 //! Per incoming frame:
 //!
 //! 1. The CODEC computes covisibility against the previous frame and the
-//!    last key frame ([`crate::stages::FcStage`]).
+//!    last key frame ([`crate::fc::FcStage`]).
 //! 2. **Movement-adaptive tracking** ([`crate::stages::TrackStage`]): the
 //!    coarse Droid-style estimator runs on every frame; frames with
 //!    `FC < ThreshT` additionally run `IterT` 3DGS pose-refinement
@@ -25,9 +25,9 @@
 
 use crate::checkpoint::StreamState;
 use crate::config::AgsConfig;
-use crate::fc::FcDecision;
+use crate::fc::{FcDecision, FcStage};
 use crate::pipelined::{map_publishes, Decided, FcFrontEnd, Frame, MapBackEnd, MapDone, MapJob};
-use crate::stages::{FcStage, MapOutput, MapStage, TrackOutput, TrackStage};
+use crate::stages::{MapOutput, MapStage, TrackOutput, TrackStage};
 use crate::trace::{StageTimes, TraceFrame, WorkloadTrace};
 use ags_image::{DepthImage, RgbImage};
 use ags_math::Se3;

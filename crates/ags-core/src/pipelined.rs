@@ -5,7 +5,7 @@
 //!
 //! **FC ‖ SLAM** (`Overlapped` and `MapOverlapped`, paper Fig. 9b): the FC
 //! stream is computed purely from the RGB sequence and its own key-frame
-//! decisions ([`crate::stages::FcStage`] is self-contained), so a worker
+//! decisions ([`crate::fc::FcStage`] is self-contained), so a worker
 //! computes frame `N+1`'s covisibility while the SLAM stages process frame
 //! `N`. The bounded channel ([`crate::config::PipelineConfig::depth`] frames)
 //! makes the worker block, instead of buffering, when the SLAM stages fall
@@ -24,8 +24,9 @@
 //! spawning competing thread sets.
 
 use crate::config::{AgsConfig, PipelineMode};
-use crate::fc::{FcDecision, FcDetectorState};
-use crate::stages::{FcStage, FrameImages, FrameInput, MapOutput, MapStage, MapStageState};
+use crate::fc::{FcDecision, FcStage};
+use crate::stages::{FrameImages, FrameInput, MapOutput, MapStage, MapStageState};
+use ags_codec::VideoCodecState;
 use ags_image::{DepthImage, RgbImage};
 use ags_math::Se3;
 use ags_scene::PinholeCamera;
@@ -172,7 +173,7 @@ impl FcFrontEnd {
 
     /// The FC stage's checkpoint state (call with nothing pending). A worker
     /// is stopped to read it and respawned around the same stage.
-    pub fn export_state(&mut self, config: &AgsConfig) -> FcDetectorState {
+    pub fn export_state(&mut self, config: &AgsConfig) -> VideoCodecState {
         if let Self::Inline(fc) = self {
             return fc.export_state();
         }

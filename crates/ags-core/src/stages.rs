@@ -1,11 +1,12 @@
 //! The AGS stage graph: the pipeline of Fig. 7 decomposed into three
 //! free-standing units with typed inputs/outputs.
 //!
-//! * [`FcStage`] — CODEC push, covisibility decisions and key-frame
-//!   reference marking. Consumes **only** the RGB stream and its own
-//!   key-frame decisions — never poses or the map — so it can legally run
-//!   ahead of the SLAM stages on another thread with bit-identical results
-//!   (the property the FC worker of [`crate::pipelined`] exploits).
+//! * [`FcStage`](crate::fc::FcStage) — CODEC push, covisibility decisions
+//!   and key-frame reference marking. Consumes **only** the RGB stream and
+//!   its own key-frame decisions — never poses or the map — so it can
+//!   legally run ahead of the SLAM stages on another thread with
+//!   bit-identical results (the property the FC worker of
+//!   [`crate::pipelined`] exploits).
 //! * [`TrackStage`] — movement-adaptive tracking: coarse Droid-style
 //!   estimate on every frame, conditional 3DGS refinement below `ThreshT`.
 //! * [`MapStage`] — Gaussian contribution-aware mapping: densification,
@@ -22,7 +23,7 @@
 
 use crate::config::AgsConfig;
 use crate::contribution::{ContributionState, ContributionTracker};
-use crate::fc::{FcDecision, FcDetector, FcDetectorState};
+use crate::fc::FcDecision;
 use ags_image::{DepthImage, RgbImage};
 use ags_math::{Pcg32, Se3};
 use ags_scene::PinholeCamera;
@@ -88,53 +89,6 @@ pub struct FrameInput<'a> {
     pub camera: &'a PinholeCamera,
     /// The frame's images.
     pub images: FrameImages<'a>,
-}
-
-/// Stage ①: CODEC-side frame-covisibility detection.
-///
-/// Self-contained: the key-frame reference is updated *inside* the stage
-/// (immediately after a frame is designated a key frame), so the decision
-/// stream depends only on the pushed RGB sequence.
-#[derive(Debug)]
-pub struct FcStage {
-    detector: FcDetector,
-}
-
-impl FcStage {
-    /// Builds the stage from a resolved [`AgsConfig`].
-    pub fn new(config: &AgsConfig) -> Self {
-        Self { detector: FcDetector::new(config.codec.clone(), config.thresh_t, config.thresh_m) }
-    }
-
-    /// Pushes one frame: covisibility decisions plus key-frame marking.
-    pub fn process(&mut self, rgb: &RgbImage) -> FcDecision {
-        let decision = self.detector.push(rgb);
-        if decision.is_keyframe {
-            // Mark immediately: equivalent to the monolithic pipeline, which
-            // marked after mapping but before the next push, and required for
-            // running ahead of the SLAM stages.
-            self.detector.mark_keyframe();
-        }
-        decision
-    }
-
-    /// Exports the stage state (CODEC reference pictures and counters) for
-    /// checkpointing.
-    pub fn export_state(&self) -> FcDetectorState {
-        self.detector.export_state()
-    }
-
-    /// Rebuilds the stage from a resolved config and [`Self::export_state`].
-    pub fn from_state(config: &AgsConfig, state: FcDetectorState) -> Self {
-        Self {
-            detector: FcDetector::from_state(
-                config.codec.clone(),
-                config.thresh_t,
-                config.thresh_m,
-                state,
-            ),
-        }
-    }
 }
 
 /// Output of the tracking stage.
@@ -820,6 +774,7 @@ impl MapStage {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fc::FcStage;
     use ags_scene::dataset::{Dataset, DatasetConfig, SceneId};
 
     #[test]

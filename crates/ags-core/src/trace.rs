@@ -115,15 +115,6 @@ impl TraceFrame {
         w.merge(&self.mapping);
         w
     }
-
-    /// Tracking-side work (everything except mapping).
-    pub fn tracking_total(&self) -> WorkUnits {
-        let mut w = WorkUnits::default();
-        w.merge(&self.codec);
-        w.merge(&self.coarse);
-        w.merge(&self.refine);
-        w
-    }
 }
 
 /// A full-run workload trace.

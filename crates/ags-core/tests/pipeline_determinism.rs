@@ -103,11 +103,10 @@ fn depth_one_with_slow_map_stage_stays_correct_under_backpressure() {
 }
 
 #[test]
-fn batched_window_fc_is_bit_identical_across_drivers_and_thread_counts() {
-    // The codec estimates each frame's previous-frame and key-frame pairs
-    // as one batch; mapping trains over a two-key-frame window. Serial ≡
-    // overlapped ≡ any worker count — the full serial ≡ overlapped ≡
-    // batched chain.
+fn fc_is_bit_identical_across_drivers_and_thread_counts() {
+    // The codec estimates each frame against the previous frame and the key
+    // frame, one `estimate` per pair; mapping trains over a two-key-frame
+    // window. Serial ≡ overlapped ≡ any worker count.
     use ags_math::Parallelism;
     let mut config = AgsConfig::tiny();
     config.slam.mapping_window = 2;

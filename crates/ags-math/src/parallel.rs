@@ -620,50 +620,6 @@ where
     out
 }
 
-/// Applies `f(index, &mut item)` to every element, splitting the slice into
-/// one contiguous chunk per executor. Items are mutated in place; because
-/// each element is touched by exactly one claimer the result is identical to
-/// the serial loop.
-pub fn par_for_each_mut<T, F>(par: &Parallelism, items: &mut [T], min_chunk: usize, f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut T) + Sync,
-{
-    let n = items.len();
-    let threads = par.effective_threads();
-    let workers = threads.min(n.div_ceil(min_chunk.max(1)).max(1));
-    if workers <= 1 {
-        for (i, item) in items.iter_mut().enumerate() {
-            f(i, item);
-        }
-        return;
-    }
-    let chunk = n.div_ceil(workers);
-    let num_chunks = n.div_ceil(chunk);
-
-    struct SendPtr<T>(*mut T);
-    // SAFETY: disjoint index ranges per chunk; each element mutated by the
-    // single claimer of its chunk.
-    unsafe impl<T: Send> Sync for SendPtr<T> {}
-    impl<T> SendPtr<T> {
-        fn at(&self, j: usize) -> *mut T {
-            // Method access keeps the closure capturing `&SendPtr` (Sync)
-            // rather than the raw pointer field itself.
-            unsafe { self.0.add(j) }
-        }
-    }
-    let base = SendPtr(items.as_mut_ptr());
-    let run = |ci: usize| {
-        let start = ci * chunk;
-        let end = ((ci + 1) * chunk).min(n);
-        for j in start..end {
-            // SAFETY: `j` lies in this chunk's exclusive range, in bounds.
-            f(j, unsafe { &mut *base.at(j) });
-        }
-    };
-    par.executor().run_scope_stream(par.stream, num_chunks, &run);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -772,17 +728,6 @@ mod tests {
         assert!(par_map(&par, 0, 1, |i| i).is_empty());
         assert_eq!(par_map(&par, 1, 1, |i| i), vec![0]);
         assert_eq!(par_map(&par, 3, 100, |i| i), vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn par_for_each_mut_touches_every_item_once() {
-        for par in [Parallelism::serial(), Parallelism::with_threads(4)] {
-            let mut items = vec![0u32; 257];
-            par_for_each_mut(&par, &mut items, 8, |i, v| *v += i as u32 + 1);
-            for (i, v) in items.iter().enumerate() {
-                assert_eq!(*v, i as u32 + 1, "{par:?}");
-            }
-        }
     }
 
     #[test]

@@ -58,12 +58,6 @@ impl Pcg32 {
         (self.next_u32() >> 8) as f32 * (1.0 / (1 << 24) as f32)
     }
 
-    /// Uniform `f64` in `[0, 1)`.
-    #[inline]
-    pub fn next_f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-    }
-
     /// Uniform `f32` in `[lo, hi)`.
     #[inline]
     pub fn range_f32(&mut self, lo: f32, hi: f32) -> f32 {
@@ -103,12 +97,6 @@ impl Pcg32 {
         let u1 = self.next_f32().max(1e-12);
         let u2 = self.next_f32();
         (-2.0 * u1.ln()).sqrt() * (std::f32::consts::TAU * u2).cos()
-    }
-
-    /// Returns `true` with probability `p`.
-    #[inline]
-    pub fn chance(&mut self, p: f32) -> bool {
-        self.next_f32() < p
     }
 
     /// Fisher–Yates shuffle of a slice.

@@ -442,4 +442,21 @@ mod tests {
         assert_eq!(d2.added.len(), 4);
         assert_eq!(d2.apply(&empty).unwrap(), full);
     }
+
+    #[test]
+    fn truncated_or_mutated_delta_never_panics() {
+        // Two in-place changes, then an appended tail of one snapped chunk
+        // (quantized on the wire) and five raw splats.
+        let parent = cloud(8);
+        let mut child = cloud(8 + QUANT_CHUNK + 5);
+        child.gaussians_mut()[1].opacity_logit += 0.5;
+        child.gaussians_mut()[6].opacity_logit -= 0.5;
+        assert!(ags_splat::compact::quantize_chunk_in_place(
+            &mut child.gaussians_mut()[8..8 + QUANT_CHUNK]
+        ));
+        let bytes = CloudDelta::diff(&parent, 3, &child, 4).encode();
+        crate::wire::assert_prefixes_fail_and_mutations_never_panic(&bytes, 0xde17a, |b| {
+            CloudDelta::decode(b).is_ok()
+        });
+    }
 }

@@ -217,11 +217,6 @@ impl EpochStore {
         self.stats
     }
 
-    /// Consumes the log, returning the backing store.
-    pub fn into_store(self) -> Box<dyn MapStore> {
-        self.store
-    }
-
     fn key_base(&self, epoch: u64) -> String {
         format!("{}/base/{epoch:020}", self.prefix)
     }
@@ -906,5 +901,18 @@ mod tests {
         b.commit(&snaps[2..=2], b"stream1").unwrap();
         assert_eq!(a.restore_latest().unwrap().unwrap().aux, b"stream0");
         assert_eq!(b.restore_latest().unwrap().unwrap().aux, b"stream1");
+    }
+
+    #[test]
+    fn truncated_or_mutated_manifest_never_panics() {
+        let mut log = EpochStore::open(Box::new(MemoryStore::new()), "s0", fast_config()).unwrap();
+        let snaps = epochs(4);
+        for s in &snaps {
+            log.persist_epoch(s).unwrap();
+        }
+        let bytes = log.encode_manifest(7, &snaps[2..]);
+        crate::wire::assert_prefixes_fail_and_mutations_never_panic(&bytes, 0x3a1f, |b| {
+            decode_manifest(b).is_ok()
+        });
     }
 }

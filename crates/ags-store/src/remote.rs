@@ -783,4 +783,23 @@ mod tests {
         assert!(body.len() == 100 && body.capacity() <= BODY_RESERVE_BYTES);
         assert!(read_body(&mut &[5u8; 99][..], 100).is_err());
     }
+
+    #[test]
+    fn truncated_or_mutated_frame_never_panics() {
+        let frame = Frame { seq: 41, tag: OP_PUT, a: b"s0/delta/7".to_vec(), b: vec![3; 96] };
+        let bytes = encode_frame(&REQUEST_MAGIC, &frame);
+        crate::wire::assert_prefixes_fail_and_mutations_never_panic(&bytes, 0xf4a3e, |b| {
+            read_frame(&mut std::io::Cursor::new(b), &REQUEST_MAGIC).is_ok()
+        });
+    }
+
+    #[test]
+    fn truncated_or_mutated_key_list_never_panics() {
+        let keys: Vec<String> =
+            ["s0/base/4", "s0/delta/5", "s0/manifest/2"].map(String::from).to_vec();
+        let bytes = encode_key_list(&keys);
+        crate::wire::assert_prefixes_fail_and_mutations_never_panic(&bytes, 0x6e75, |b| {
+            decode_key_list(b).is_ok()
+        });
+    }
 }

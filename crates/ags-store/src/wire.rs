@@ -195,6 +195,41 @@ impl<'a> ByteReader<'a> {
     }
 }
 
+/// Test support for decoders of bytes that arrive from disk or a socket:
+/// `bytes` (a valid encoding) decodes, every strict prefix of it decodes to
+/// `Err`, and 4 000 `seed`-drawn single-byte mutations of it each decode to
+/// `Ok` or `Err` — never a panic. `decode` returns whether its input
+/// decoded. Both outcomes must occur among the mutations, so they reach
+/// past the header: value bytes decode, lengths and tags are rejected.
+#[cfg(test)]
+pub(crate) fn assert_prefixes_fail_and_mutations_never_panic(
+    bytes: &[u8],
+    seed: u64,
+    decode: impl Fn(&[u8]) -> bool,
+) {
+    // `Some(decoded)`, or `None` when the decoder panicked.
+    let run = |payload: &[u8]| {
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| decode(payload))).ok()
+    };
+    assert_eq!(run(bytes), Some(true), "the valid encoding must decode");
+    for cut in 0..bytes.len() {
+        assert_eq!(run(&bytes[..cut]), Some(false), "decoding the first {cut} bytes");
+    }
+    let mut rng = ags_math::Pcg32::seeded(seed);
+    let mut decoded = 0;
+    let mutations = 4_000;
+    for i in 0..mutations {
+        let mut mutated = bytes.to_vec();
+        let at = rng.index(bytes.len());
+        // A non-zero XOR mask always changes the byte.
+        mutated[at] ^= 1 + rng.range_u32(255) as u8;
+        let outcome = run(&mutated);
+        assert!(outcome.is_some(), "mutation {i} (byte {at} = {:#04x}) panicked", mutated[at]);
+        decoded += usize::from(outcome == Some(true));
+    }
+    assert!(0 < decoded && decoded < mutations, "{decoded} of {mutations} decoded");
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
