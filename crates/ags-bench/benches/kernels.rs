@@ -172,7 +172,12 @@ fn bench_motion_estimation(search: SearchKind, parallel: Parallelism) -> MeResul
 
 struct PairMeResult {
     pairs: usize,
+    /// Best sample (the gated key).
     looped_pairs_per_s: f64,
+    /// Median and slowest sample: recorded so the host's spread shows
+    /// beside the gated best, not gated.
+    looped_pairs_per_s_median: f64,
+    looped_pairs_per_s_worst: f64,
 }
 
 /// Times per-pair motion estimation at SLAM frame scale: one frame against
@@ -183,7 +188,8 @@ struct PairMeResult {
 /// At this size each pair is below the `min_items_per_worker` floor for the
 /// two planned executors, so every call runs inline: the entry tracks the
 /// per-call cost of small-frame ME (and would regress if a change started
-/// paying the pool on small work again). Min-of-N timing.
+/// paying the pool on small work again). Min-of-N timing, with the median
+/// and slowest of the N reported beside it.
 fn bench_pair_me(parallel: &Parallelism) -> PairMeResult {
     let (w, h, pairs) = (128usize, 96usize, 8usize);
     let current = LumaPlane::from_fn(w, h, |x, y| (((x * 13 + y * 7) ^ (x * y / 5)) % 251) as u8);
@@ -215,7 +221,13 @@ fn bench_pair_me(parallel: &Parallelism) -> PairMeResult {
             black_box(est.estimate(black_box(&current), black_box(r)));
         }
     });
-    PairMeResult { pairs, looped_pairs_per_s: pairs as f64 / looped.min }
+    let per_s = |seconds: f64| pairs as f64 / seconds;
+    PairMeResult {
+        pairs,
+        looped_pairs_per_s: per_s(looped.min),
+        looped_pairs_per_s_median: per_s(looped.median),
+        looped_pairs_per_s_worst: per_s(looped.max),
+    }
 }
 
 struct RasterResult {
@@ -1010,8 +1022,11 @@ fn main() {
     );
     let pair_me = bench_pair_me(&parallel);
     println!(
-        "per-pair ME / diamond          128x96:  looped {:>12.2} pairs/s   ({} pairs)",
-        pair_me.looped_pairs_per_s, pair_me.pairs
+        "per-pair ME / diamond          128x96:  looped {:>12.2} pairs/s   ({} pairs; median {:.2}, worst {:.2})",
+        pair_me.looped_pairs_per_s,
+        pair_me.pairs,
+        pair_me.looped_pairs_per_s_median,
+        pair_me.looped_pairs_per_s_worst
     );
     let raster = bench_rasterization(parallel.clone());
     println!(
@@ -1140,7 +1155,9 @@ fn main() {
     "batched_window": {{
       "frame": [128, 96],
       "pairs": {},
-      "looped_pairs_per_s": {:.2}
+      "looped_pairs_per_s": {:.2},
+      "looped_pairs_per_s_median": {:.2},
+      "looped_pairs_per_s_worst": {:.2}
     }}
   }},
   "rasterization": {{
@@ -1195,6 +1212,8 @@ fn main() {
         full.sad_evaluations,
         pair_me.pairs,
         pair_me.looped_pairs_per_s,
+        pair_me.looped_pairs_per_s_median,
+        pair_me.looped_pairs_per_s_worst,
         raster.tiles,
         raster.serial_tiles_per_s,
         raster.parallel_tiles_per_s,

@@ -136,11 +136,6 @@ impl VideoCodec {
             frame_index: state.frame_index,
         }
     }
-
-    /// Number of frames pushed so far.
-    pub fn frames_pushed(&self) -> usize {
-        self.frame_index
-    }
 }
 
 #[cfg(test)]
@@ -158,7 +153,6 @@ mod tests {
         assert!(report.fc_prev.is_none());
         assert!(report.fc_keyframe.is_none());
         assert_eq!(report.sad_evaluations, 0);
-        assert_eq!(codec.frames_pushed(), 1);
     }
 
     #[test]

@@ -161,6 +161,12 @@ pub struct AgsConfig {
     /// (`ags_splat::ProjectionCache`). Result-identical to recomputing —
     /// only wall time and the observational hit counters change.
     pub projection_cache: bool,
+    /// Soft ceiling on the map's resident parameter bytes
+    /// (`ags_splat::compact::map_bytes`; 0 = unlimited). When an epoch
+    /// publishes above it, the mapping stage escalates: first it quantizes
+    /// every chunk cold for ≥ 1 epoch, then it prunes the most-negligible
+    /// recorded splats until the map fits or candidates run out.
+    pub map_bytes_budget: u64,
 }
 
 impl Default for AgsConfig {
@@ -178,6 +184,7 @@ impl Default for AgsConfig {
             pipeline: PipelineConfig::default(),
             backend: BackendKind::default(),
             projection_cache: false,
+            map_bytes_budget: 0,
         }
     }
 }

@@ -543,18 +543,14 @@ mod tests {
 
     #[test]
     fn projection_cache_is_result_identical() {
-        // Same stream, cache off vs on, with compaction active so the
-        // harder dirty sites (quantize snapping, prune remaps) are
-        // exercised. The trajectory, map and full canonical trace must be
-        // bit-identical — the cache may only change wall time and the
-        // observational hit counters.
+        // Same stream, cache off vs on, under a map budget whose escalation
+        // both snaps cold chunks and prunes, so the harder dirty sites
+        // (quantize snapping, prune remaps) are exercised. The trajectory,
+        // map and full canonical trace must be bit-identical — the cache may
+        // only change wall time and the observational hit counters.
         let mut config = AgsConfig::tiny();
         config.audit_false_positives = true;
-        config.slam.compaction = ags_splat::compact::CompactionConfig {
-            prune_interval: 2,
-            quantize_cold_after: 1,
-            ..Default::default()
-        };
+        config.map_bytes_budget = 64 * 1024;
         let (plain, _) = run_ags(config.clone(), 8);
         config.projection_cache = true;
         let (cached, _) = run_ags(config, 8);
@@ -564,6 +560,9 @@ mod tests {
         let last = cached.trace().frames.last().unwrap();
         assert!(last.projection_cache_hits > 0, "the cache must actually hit");
         assert!(last.projection_cache_misses > 0, "dirty splats must recompute");
+        let frames = &cached.trace().frames;
+        assert!(frames.iter().any(|f| f.quantized_splats > 0), "the budget must snap chunks");
+        assert!(frames.iter().any(|f| f.pruned > 0), "the budget must prune");
         let plain_last = plain.trace().frames.last().unwrap();
         assert_eq!(plain_last.projection_cache_hits, 0, "disabled cache never hits");
     }

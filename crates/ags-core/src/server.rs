@@ -77,9 +77,8 @@ pub struct StreamPolicy {
     pub checkpoint_policy: CheckpointPolicy,
     /// Per-stream soft ceiling on resident map bytes, enforced by the
     /// stream's mapping stage at every epoch publish (quantize-cold →
-    /// prune-negligible escalation; see
-    /// `ags_splat::compact::CompactionConfig::map_bytes_budget`). `0`
-    /// inherits the base config's budget.
+    /// prune-negligible escalation; see [`AgsConfig::map_bytes_budget`]).
+    /// `0` inherits the base config's budget.
     pub map_bytes_budget: u64,
     /// Per-stream render backend override (`None` inherits the base
     /// config's backend). Backends are bit-identical, so a server can mix
@@ -471,7 +470,7 @@ fn stream_config(
     let mut cfg = base.clone();
     cfg.pipeline = policy.pipeline;
     if policy.map_bytes_budget > 0 {
-        cfg.slam.compaction.map_bytes_budget = policy.map_bytes_budget;
+        cfg.map_bytes_budget = policy.map_bytes_budget;
     }
     if let Some(backend) = policy.backend {
         cfg.backend = backend;

@@ -191,14 +191,15 @@ pub struct MapOutput {
     pub tile_work: Vec<TileWork>,
     /// Measured false-positive rate of the skip prediction, when audited.
     pub fp_rate: Option<f32>,
-    /// Splats removed by compaction this frame (scheduled prune plus any
-    /// budget-pressure prune).
+    /// Splats removed this frame by the map budget's negligibility prune
+    /// (always 0 without a budget).
     pub pruned: usize,
     /// Splats currently resident in the cold quantized tier.
     pub quantized_splats: usize,
     /// Estimated resident map parameter bytes after this frame's update
     /// (full-precision splats plus the quantized tier) — the quantity
-    /// `CompactionConfig::map_bytes_budget` bounds.
+    /// [`AgsConfig::map_bytes_budget`] bounds. Without a budget nothing is
+    /// quantized, so this is the full-precision size of the map.
     pub map_bytes: u64,
     /// Name of the render backend the stage's kernels ran on
     /// (observational; every backend is bit-identical).
@@ -231,9 +232,11 @@ pub struct MapStageState {
     pub rng_inc: u64,
     /// Frames mapped so far (the epoch counter).
     pub frames_mapped: u64,
-    /// Per-splat epoch of the last parameter change (compaction coldness).
+    /// Per-splat epoch of the last parameter change (compaction coldness;
+    /// empty without a map budget).
     pub last_touched: Vec<u64>,
-    /// Per 64-splat chunk: resident in the cold quantized tier.
+    /// Per 64-splat chunk: resident in the cold quantized tier (empty
+    /// without a map budget).
     pub quantized_chunks: Vec<bool>,
 }
 
@@ -250,8 +253,7 @@ pub struct MapStage {
     /// Scratch slot carrying sampled tile work out of `map_step`.
     last_tile_work: Option<Vec<TileWork>>,
     /// Per-splat epoch of the last parameter change (Adam touch or densify
-    /// birth). Drives cold detection; only maintained while compaction is
-    /// enabled.
+    /// birth). Drives cold detection; only maintained under a map budget.
     last_touched: Vec<u64>,
     /// Per id-aligned 64-splat chunk: currently snapped onto its 8-bit
     /// affine grid. Any later touch or boundary-shifting prune evicts the
@@ -379,38 +381,36 @@ impl MapStage {
             projection_cache_hits: 0,
             projection_cache_misses: 0,
         };
-        let compaction = self.config.slam.compaction;
-        if compaction.enabled() {
+        let budget = self.config.map_bytes_budget;
+        if budget > 0 {
             // Splats unseen by the tracker (first frame after a restore from
             // a pre-compaction checkpoint) are stamped hot at this epoch.
             self.sync_splat_tracking(cloud.len(), publish_epoch);
         }
 
-        // Densification follows the baseline schedule: selective mapping
+        // Densification every frame, as in the baseline: selective mapping
         // skips *computation* on recorded Gaussians, it does not stop the map
         // from growing where new content appears.
-        if frame_index % self.config.slam.densify_interval.max(1) == 0 {
-            let options = RenderOptions {
-                parallelism: self.config.parallelism.clone(),
-                backend: self.config.backend,
-                ..RenderOptions::default()
-            };
-            let rendered = self.render_full(cloud, camera, &pose, &options);
-            out.mapping.add_render(&rendered.stats);
-            densify_from_frame(
-                cloud,
-                camera,
-                &pose,
-                rgb,
-                depth,
-                &rendered,
-                &self.config.slam.densify,
-                &mut self.rng,
-            );
-            if compaction.enabled() {
-                // Newborn splats are hot: stamped with this publish epoch.
-                self.sync_splat_tracking(cloud.len(), publish_epoch);
-            }
+        let options = RenderOptions {
+            parallelism: self.config.parallelism.clone(),
+            backend: self.config.backend,
+            ..RenderOptions::default()
+        };
+        let rendered = self.render_full(cloud, camera, &pose, &options);
+        out.mapping.add_render(&rendered.stats);
+        densify_from_frame(
+            cloud,
+            camera,
+            &pose,
+            rgb,
+            depth,
+            &rendered,
+            &self.config.slam.densify,
+            &mut self.rng,
+        );
+        if budget > 0 {
+            // Newborn splats are hot: stamped with this publish epoch.
+            self.sync_splat_tracking(cloud.len(), publish_epoch);
         }
 
         let thresh_n = self.config.thresh_n_pixels(camera.width, camera.height);
@@ -502,42 +502,15 @@ impl MapStage {
             });
         }
 
-        // --- Compaction: scheduled prune → cold-tier quantization → budget
-        // escalation. Pure functions of stage state and the frame stream, so
+        // --- Map budget: cold-tier quantization, then a negligibility
+        // prune. Pure functions of stage state and the frame stream, so
         // every driver (serial, overlapped, map-overlapped, any worker
         // count) reproduces the decisions bit-identically.
-        if compaction.enabled() {
-            if compaction.prune_interval > 0
-                && is_keyframe
-                && self.keyframes.len() > 1
-                && (self.keyframes.len() - 1) % compaction.prune_interval == 0
-            {
-                // Every `prune_interval`-th key frame, right after this
-                // frame's mapping refreshed the contribution tables: drop
-                // splats below the transparency floor, plus recorded
-                // non-contributors below the (laxer) contribution floor.
-                let floor = self.config.slam.densify.prune_opacity;
-                let cfloor = compaction.prune_contribution_opacity;
-                let skip = self.contribution.skip_set(cloud.len());
-                let remap = prune_cloud(cloud, |id, g| {
-                    let opacity = g.opacity();
-                    let negligible = cfloor > 0.0
-                        && opacity < cfloor
-                        && skip.as_ref().is_some_and(|s| s.contains(id));
-                    opacity >= floor && !negligible
-                });
-                out.pruned += self.apply_remap(cloud, &remap);
-            }
-            if compaction.quantize_cold_after > 0 {
-                self.quantize_cold_chunks(cloud, publish_epoch, compaction.quantize_cold_after);
-            }
-            if compaction.map_bytes_budget > 0
-                && self.resident_bytes(cloud.len()) > compaction.map_bytes_budget
-            {
+        if budget > 0 {
+            if self.resident_bytes(cloud.len()) > budget {
                 // Escalation 1: snap everything cold for even one epoch.
                 self.quantize_cold_chunks(cloud, publish_epoch, 1);
-                let over =
-                    self.resident_bytes(cloud.len()).saturating_sub(compaction.map_bytes_budget);
+                let over = self.resident_bytes(cloud.len()).saturating_sub(budget);
                 if over > 0 {
                     // Escalation 2: prune the most-negligible recorded
                     // splats. The ceiling is soft — candidates can run out,
@@ -546,7 +519,7 @@ impl MapStage {
                     let need = over.div_ceil(FULL_SPLAT_BYTES) as usize;
                     let victims = self.negligibility_victims(cloud.len(), need);
                     let remap = prune_cloud(cloud, |id, _| !victims[id]);
-                    out.pruned += self.apply_remap(cloud, &remap);
+                    out.pruned = self.apply_remap(cloud, &remap);
                 }
             }
             out.quantized_splats = self.quantized_splat_count();
@@ -741,7 +714,7 @@ impl MapStage {
             &options,
             self.config.projection_cache.then_some(&mut self.cache),
         );
-        let track_touches = self.config.slam.compaction.enabled();
+        let track_touches = self.config.map_bytes_budget > 0;
         let use_cache = self.config.projection_cache;
         let epoch = self.frames_mapped;
         if let Some(grads) = back.grads.as_ref() {
@@ -777,16 +750,13 @@ mod tests {
     use crate::fc::FcStage;
     use ags_scene::dataset::{Dataset, DatasetConfig, SceneId};
 
-    #[test]
-    fn keyframes_are_stamped_with_their_publish_epoch() {
-        // Drive the raw stage graph the way a publishing driver would: one
-        // publish per mapped frame. Every stored key frame must carry the
-        // epoch its map update became visible under (frame index + 1),
-        // regardless of which frames were key frames.
+    /// Drives the raw stage graph over six 48×36 Xyz frames the way a
+    /// publishing driver would: one publish per mapped frame.
+    fn drive_six_frames(config: AgsConfig) -> MapStage {
         let dconfig =
             DatasetConfig { width: 48, height: 36, num_frames: 6, ..DatasetConfig::tiny() };
         let data = Dataset::generate(SceneId::Xyz, &dconfig);
-        let config = AgsConfig::tiny().resolve();
+        let config = config.resolve();
         let mut fc = FcStage::new(&config);
         let mut track = TrackStage::new(&config);
         let mut map = MapStage::new(&config);
@@ -805,6 +775,15 @@ mod tests {
             map.process(&input, &decision, tracked.pose, &mut shared);
             shared.publish();
         }
+        map
+    }
+
+    #[test]
+    fn keyframes_are_stamped_with_their_publish_epoch() {
+        // Every stored key frame must carry the epoch its map update became
+        // visible under (frame index + 1), regardless of which frames were
+        // key frames.
+        let map = drive_six_frames(AgsConfig::tiny());
         let stored = map.keyframes();
         assert!(!stored.is_empty(), "frame 0 is always a key frame");
         for kf in stored.frames() {
@@ -815,6 +794,21 @@ mod tests {
                 kf.frame_index
             );
         }
+    }
+
+    #[test]
+    fn only_a_budgeted_stream_carries_compaction_bookkeeping() {
+        // Without a budget the map never shrinks, so the per-splat touch
+        // epochs and the quantized-chunk flags (both checkpointed in the
+        // aux record) must stay empty instead of growing with the map.
+        let unbudgeted = drive_six_frames(AgsConfig::tiny()).export_state();
+        assert!(unbudgeted.last_touched.is_empty());
+        assert!(unbudgeted.quantized_chunks.is_empty());
+        let budgeted =
+            drive_six_frames(AgsConfig { map_bytes_budget: 32 * 1024, ..AgsConfig::tiny() })
+                .export_state();
+        assert!(!budgeted.last_touched.is_empty());
+        assert!(!budgeted.quantized_chunks.is_empty());
     }
 
     #[test]

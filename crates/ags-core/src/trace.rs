@@ -263,14 +263,6 @@ impl WorkloadTrace {
         self.frames.iter().filter(|f| !f.refined).count() as f32 / self.frames.len() as f32
     }
 
-    /// Fraction of non-key frames among all frames.
-    pub fn non_key_rate(&self) -> f32 {
-        if self.frames.is_empty() {
-            return 0.0;
-        }
-        self.frames.iter().filter(|f| !f.is_keyframe).count() as f32 / self.frames.len() as f32
-    }
-
     /// Fraction of mapping (splat, tile) pairs skipped by selective mapping.
     pub fn pair_skip_rate(&self) -> f32 {
         let total = self.total();
@@ -326,7 +318,6 @@ mod tests {
         trace.frames.push(frame(false, false, 0, 5));
         trace.frames.push(frame(false, false, 0, 5));
         assert!((trace.refinement_skip_rate() - 2.0 / 3.0).abs() < 1e-6);
-        assert!((trace.non_key_rate() - 2.0 / 3.0).abs() < 1e-6);
         assert!((trace.pair_skip_rate() - 10.0 / 40.0).abs() < 1e-6);
     }
 

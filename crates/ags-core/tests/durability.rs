@@ -430,37 +430,24 @@ fn compaction_state_survives_restore_bit_identical() {
     // recovered mid-sequence must make the exact same prune and quantize
     // decisions as the uninterrupted one — down to identical snapped bits
     // and identical byte accounting in the trace.
-    let frames = 8;
     let cut = 4;
-    let data = dataset(SceneId::Xyz, frames);
 
-    let prune_base = {
-        let mut base = pooled_base();
-        // Every frame is a key frame: contribution tables stay fresh and
-        // the prune schedule fires often.
-        base.thresh_m = 1.01;
-        base.slam.compaction = ags_splat::CompactionConfig {
-            prune_interval: 2,
-            prune_contribution_opacity: 0.9,
-            quantize_cold_after: 1,
-            map_bytes_budget: 48 * 1024,
-        };
-        base
-    };
-    let quantize_base = {
-        let mut base = pooled_base();
-        base.slam.compaction =
-            ags_splat::CompactionConfig { quantize_cold_after: 1, ..Default::default() };
-        base
-    };
+    // Every frame is a key frame: no chunk goes cold, so the budget's
+    // escalation prunes on every frame.
+    let prune_base = AgsConfig { thresh_m: 1.01, map_bytes_budget: 48 * 1024, ..pooled_base() };
+    // Escalation 1 alone satisfies this budget on the 5-frame stream: the
+    // first frame's cold chunks are snapped on frames 3 and 4, one on each
+    // side of the cut, and nothing is pruned.
+    let quantize_base = AgsConfig { map_bytes_budget: 80_000, ..pooled_base() };
 
     let cases = [
-        ("prune+budget", &prune_base, StreamPolicy::serial()),
-        ("prune+budget", &prune_base, StreamPolicy::overlapped(2)),
-        ("prune+budget", &prune_base, StreamPolicy::map_overlapped(1, 2)),
-        ("quantize-cold", &quantize_base, StreamPolicy::map_overlapped(1, 2)),
+        ("budget-prune", &prune_base, StreamPolicy::serial(), 8),
+        ("budget-prune", &prune_base, StreamPolicy::overlapped(2), 8),
+        ("budget-prune", &prune_base, StreamPolicy::map_overlapped(1, 2), 8),
+        ("budget-quantize", &quantize_base, StreamPolicy::map_overlapped(1, 2), 5),
     ];
-    for (label, base, policy) in cases {
+    for (label, base, policy, frames) in cases {
+        let data = dataset(SceneId::Xyz, frames);
         let workers = 2;
         let mut server = MultiStreamServer::new(server_config_with(base.clone(), policy, workers));
         for f in 0..frames {
@@ -474,6 +461,9 @@ fn compaction_state_survives_restore_bit_identical() {
             let active = |f: &ags_core::TraceFrame| f.pruned > 0 || f.quantized_splats > 0;
             assert!(trace.frames[..cut].iter().any(active), "{label}: idle before the cut");
             assert!(trace.frames[cut..].iter().any(active), "{label}: idle after the cut");
+            if label == "budget-quantize" {
+                assert!(trace.frames.iter().all(|f| f.pruned == 0), "{label}: pruned");
+            }
         }
         let reference = result_of(&server, 0);
 

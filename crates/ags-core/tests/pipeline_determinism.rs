@@ -243,46 +243,35 @@ fn map_slack_defers_refinement_by_exactly_slack_epochs() {
 }
 
 // ---------------------------------------------------------------------------
-// Map compaction (contribution-driven pruning, cold-splat quantization and
-// the per-stream byte budget) runs inside the map stage, so its decisions
-// must be part of the same bit-identity contract: every placement, worker count
-// and lookahead depth sees the exact same prunes, the exact same snapped
-// parameters and the exact same byte accounting. The compaction trace fields
-// are covered by `canonical_bytes()`, so the assertions below check them for
-// free.
+// Map compaction (the per-stream byte budget's escalation: cold-splat
+// quantization, then a negligibility prune) runs inside the map stage, so its
+// decisions must be part of the same bit-identity contract: every placement,
+// worker count and lookahead depth sees the exact same prunes, the exact same
+// snapped parameters and the exact same byte accounting. The compaction trace
+// fields are covered by `canonical_bytes()`, so the assertions below check
+// them for free.
 // ---------------------------------------------------------------------------
 
-/// Aggressive compaction: every frame is a key frame (`thresh_m` > 1), so
-/// contribution-driven pruning is scheduled often, and a tight byte budget
-/// keeps the pressure path hot.
+/// A budget under pressure on every frame: every frame is a key frame
+/// (`thresh_m` > 1), so no chunk goes cold and the escalation falls through
+/// to its negligibility prune.
 fn compaction_prune_config() -> AgsConfig {
-    let mut config = AgsConfig::tiny();
-    config.thresh_m = 1.01;
-    config.slam.compaction = ags_splat::CompactionConfig {
-        prune_interval: 2,
-        prune_contribution_opacity: 0.9,
-        quantize_cold_after: 1,
-        map_bytes_budget: 48 * 1024,
-    };
-    config
+    AgsConfig { thresh_m: 1.01, map_bytes_budget: 48 * 1024, ..AgsConfig::tiny() }
 }
 
-/// Quantization-only compaction: chunks untouched for one published epoch
-/// are snapped onto their 8-bit grids; nothing is ever pruned.
+/// A budget escalation 1 alone satisfies on the 6-frame Xyz stream: from
+/// frame 4 on, the first frame's cold chunks are snapped onto their 8-bit
+/// grids and the map fits, so nothing is ever pruned.
 fn compaction_quantize_config() -> AgsConfig {
-    let mut config = AgsConfig::tiny();
-    config.slam.compaction =
-        ags_splat::CompactionConfig { quantize_cold_after: 1, ..Default::default() };
-    config
+    AgsConfig { map_bytes_budget: 100_000, ..AgsConfig::tiny() }
 }
 
 #[test]
 fn compaction_is_bit_identical_across_drivers_and_worker_counts() {
     use ags_math::Parallelism;
-    let data = dataset(SceneId::Xyz, 8);
-    for (label, config, engages_prune) in [
-        ("prune+budget", compaction_prune_config(), true),
-        ("quantize-cold", compaction_quantize_config(), false),
+    for (label, config, data, engages_prune) in [
+        ("budget-prune", compaction_prune_config(), dataset(SceneId::Xyz, 8), true),
+        ("budget-quantize", compaction_quantize_config(), dataset(SceneId::Xyz, 6), false),
     ] {
         let reference = {
             let mut c = config.clone();
@@ -295,6 +284,7 @@ fn compaction_is_bit_identical_across_drivers_and_worker_counts() {
         if engages_prune {
             assert!(frames.iter().any(|f| f.pruned > 0), "{label}: prune never fired");
         } else {
+            assert!(frames.iter().all(|f| f.pruned == 0), "{label}: escalation 1 must suffice");
             assert!(
                 frames.iter().any(|f| f.quantized_splats > 0),
                 "{label}: quantizer never fired"
@@ -327,8 +317,8 @@ fn compaction_map_overlapped_matches_deferred_serial() {
     use ags_math::Parallelism;
     let data = dataset(SceneId::Xyz, 6);
     for (label, mut config) in [
-        ("prune+budget", compaction_prune_config()),
-        ("quantize-cold", compaction_quantize_config()),
+        ("budget-prune", compaction_prune_config()),
+        ("budget-quantize", compaction_quantize_config()),
     ] {
         config.pipeline = PipelineConfig::map_overlapped(1, 1);
         let reference = {
@@ -356,13 +346,7 @@ fn compaction_shrinks_the_map_within_ate_tolerance() {
     use ags_track::ate::ate_rmse;
     let data = dataset(SceneId::Xyz, 8);
     let full = run_serial(AgsConfig::tiny(), &data);
-    let mut config = AgsConfig::tiny();
-    config.slam.compaction = ags_splat::CompactionConfig {
-        prune_interval: 1,
-        prune_contribution_opacity: 0.9,
-        quantize_cold_after: 1,
-        map_bytes_budget: 32 * 1024,
-    };
+    let config = AgsConfig { map_bytes_budget: 32 * 1024, ..AgsConfig::tiny() };
     let compacted = run_serial(config, &data);
     let gt = data.gt_trajectory();
     let (ate_full, ate_compact) =
@@ -396,12 +380,7 @@ fn compaction_at_a_tight_budget_sheds_a_map_heavy_stream() {
     config.parallelism = ags_math::Parallelism::serial();
     let full = run_serial(config.clone(), &data);
     let resident = |slam: &AgsSlam| slam.trace().frames.last().unwrap().map_bytes;
-    config.slam.compaction = ags_splat::CompactionConfig {
-        prune_interval: 1,
-        prune_contribution_opacity: 0.9,
-        quantize_cold_after: 1,
-        map_bytes_budget: resident(&full) * 3 / 5,
-    };
+    config.map_bytes_budget = resident(&full) * 3 / 5;
     let compacted = run_serial(config, &data);
     let (full_bytes, compact_bytes) = (resident(&full), resident(&compacted));
     assert!(

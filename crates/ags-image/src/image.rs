@@ -113,12 +113,6 @@ impl<T: Copy> Image<T> {
         &mut self.data
     }
 
-    /// Iterates `(x, y, value)` over all pixels in row-major order.
-    pub fn iter_pixels(&self) -> impl Iterator<Item = (usize, usize, T)> + '_ {
-        let w = self.width;
-        self.data.iter().enumerate().map(move |(i, &v)| (i % w, i / w, v))
-    }
-
     /// Applies `f` to every pixel, producing a new image.
     pub fn map<U: Copy>(&self, mut f: impl FnMut(T) -> U) -> Image<U> {
         Image {
@@ -164,18 +158,6 @@ impl RgbImage {
     /// Bilinearly samples RGB at floating-point coordinates.
     pub fn sample_bilinear(&self, p: Vec2) -> Option<Vec3> {
         bilinear(self.width, self.height, p, |x, y| self.at(x, y), |a, b, t| a + (b - a) * t)
-    }
-
-    /// Quantizes each channel to 8 bits (used by the codec substrate, which
-    /// operates on integer pixel values like real hardware).
-    pub fn to_quantized(&self) -> Image<[u8; 3]> {
-        self.map(|c| {
-            [
-                (c.x.clamp(0.0, 1.0) * 255.0 + 0.5) as u8,
-                (c.y.clamp(0.0, 1.0) * 255.0 + 0.5) as u8,
-                (c.z.clamp(0.0, 1.0) * 255.0 + 0.5) as u8,
-            ]
-        })
     }
 }
 
@@ -278,24 +260,9 @@ mod tests {
     }
 
     #[test]
-    fn quantization_clamps() {
-        let img = RgbImage::filled(1, 1, Vec3::new(-0.5, 0.5, 1.7));
-        let q = img.to_quantized().at(0, 0);
-        assert_eq!(q, [0, 128, 255]);
-    }
-
-    #[test]
     fn depth_valid_fraction() {
         let img = DepthImage::from_vec(2, 2, vec![0.0, 1.0, 2.0, 0.0]);
         assert_eq!(img.valid_fraction(), 0.5);
-    }
-
-    #[test]
-    fn iter_pixels_row_major() {
-        let img = GrayImage::from_vec(2, 2, vec![0.0, 1.0, 2.0, 3.0]);
-        let coords: Vec<(usize, usize, f32)> = img.iter_pixels().collect();
-        assert_eq!(coords[1], (1, 0, 1.0));
-        assert_eq!(coords[2], (0, 1, 2.0));
     }
 
     #[test]

@@ -39,24 +39,6 @@ pub fn psnr(a: &RgbImage, b: &RgbImage) -> f32 {
     (10.0 * (1.0 / m as f64).log10() as f32).min(99.0)
 }
 
-/// Mean absolute (L1) error over RGB channels.
-///
-/// # Panics
-///
-/// Panics when dimensions differ.
-pub fn l1(a: &RgbImage, b: &RgbImage) -> f32 {
-    assert_dims(a, b);
-    if a.is_empty() {
-        return 0.0;
-    }
-    let mut acc = 0.0f64;
-    for (pa, pb) in a.pixels().iter().zip(b.pixels()) {
-        let d = (*pa - *pb).abs();
-        acc += (d.x + d.y + d.z) as f64;
-    }
-    (acc / (3.0 * a.len() as f64)) as f32
-}
-
 /// Structural similarity index (global statistics variant) on luminance.
 ///
 /// This implements the standard SSIM formula with `C1 = (0.01)²`,
@@ -164,13 +146,6 @@ mod tests {
         let b = RgbImage::filled(4, 4, Vec3::splat(0.55));
         let c = RgbImage::filled(4, 4, Vec3::splat(0.7));
         assert!(psnr(&a, &b) > psnr(&a, &c));
-    }
-
-    #[test]
-    fn l1_known_value() {
-        let a = RgbImage::filled(2, 2, Vec3::splat(0.2));
-        let b = RgbImage::filled(2, 2, Vec3::splat(0.5));
-        assert!((l1(&a, &b) - 0.3).abs() < 1e-6);
     }
 
     #[test]

@@ -48,18 +48,6 @@ pub use rng::Pcg32;
 pub use se3::Se3;
 pub use vec::{Vec2, Vec3, Vec4};
 
-/// Clamps `x` into `[lo, hi]`.
-///
-/// Unlike `f32::clamp` this never panics on a reversed range; it returns `lo`
-/// in that case, which is the behaviour the threshold sweeps rely on.
-#[inline]
-pub fn clampf(x: f32, lo: f32, hi: f32) -> f32 {
-    if hi < lo {
-        return lo;
-    }
-    x.max(lo).min(hi)
-}
-
 /// Linear interpolation `a + t * (b - a)`.
 #[inline]
 pub fn lerp(a: f32, b: f32, t: f32) -> f32 {
@@ -69,15 +57,6 @@ pub fn lerp(a: f32, b: f32, t: f32) -> f32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn clampf_basics() {
-        assert_eq!(clampf(5.0, 0.0, 1.0), 1.0);
-        assert_eq!(clampf(-5.0, 0.0, 1.0), 0.0);
-        assert_eq!(clampf(0.5, 0.0, 1.0), 0.5);
-        // Reversed range does not panic.
-        assert_eq!(clampf(0.5, 1.0, 0.0), 1.0);
-    }
 
     #[test]
     fn lerp_endpoints() {

@@ -88,12 +88,6 @@ impl Se3 {
         [v.x, v.y, v.z, w.x, w.y, w.z]
     }
 
-    /// Left-multiplies this pose by the exponential of a twist:
-    /// `self ← exp(twist) ∘ self`. This is how trackers apply updates.
-    pub fn apply_update(&self, twist: &[f32; 6]) -> Self {
-        Se3::exp(twist) * *self
-    }
-
     /// Translational distance to another pose.
     #[inline]
     pub fn translation_distance(&self, other: &Se3) -> f32 {
@@ -111,14 +105,6 @@ impl Se3 {
     #[inline]
     pub fn renormalized(&self) -> Self {
         Self::new(self.rotation.normalized(), self.translation)
-    }
-
-    /// Interpolates between two poses (slerp rotation, lerp translation).
-    pub fn interpolate(&self, other: &Se3, t: f32) -> Self {
-        Self::new(
-            self.rotation.slerp(other.rotation, t),
-            self.translation + (other.translation - self.translation) * t,
-        )
     }
 
     /// Relative transform taking this pose's frame into `other`'s frame:
@@ -184,16 +170,6 @@ mod tests {
     }
 
     #[test]
-    fn apply_update_matches_manual_composition() {
-        let p = Se3::new(Quat::from_axis_angle(Vec3::Y, 0.4), Vec3::new(0.0, 1.0, 0.0));
-        let twist = [0.01, 0.0, -0.02, 0.0, 0.03, 0.0];
-        let updated = p.apply_update(&twist);
-        let manual = Se3::exp(&twist) * p;
-        assert!(updated.translation_distance(&manual) < 1e-6);
-        assert!(updated.rotation_angle_to(&manual) < 1e-6);
-    }
-
-    #[test]
     fn relative_to_recovers_other() {
         let a = Se3::new(Quat::from_axis_angle(Vec3::X, 0.2), Vec3::new(1.0, 2.0, 3.0));
         let b = Se3::new(Quat::from_axis_angle(Vec3::Z, -0.5), Vec3::new(-1.0, 0.5, 2.0));
@@ -201,14 +177,6 @@ mod tests {
         let recovered = rel * a;
         assert!(recovered.translation_distance(&b) < 1e-4);
         assert!(recovered.rotation_angle_to(&b) < 1e-4);
-    }
-
-    #[test]
-    fn interpolate_midpoint() {
-        let a = Se3::from_translation(Vec3::ZERO);
-        let b = Se3::from_translation(Vec3::new(2.0, 0.0, 0.0));
-        let m = a.interpolate(&b, 0.5);
-        assert!(close(m.translation, Vec3::new(1.0, 0.0, 0.0)));
     }
 
     #[test]

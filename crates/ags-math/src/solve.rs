@@ -74,62 +74,6 @@ pub fn solve_spd(a: &[f32], b: &[f32], n: usize) -> Result<Vec<f32>, SolveError>
     Ok(x.into_iter().map(|v| v as f32).collect())
 }
 
-/// Solves `A x = b` by Gaussian elimination with partial pivoting
-/// (general square `A`, row-major).
-///
-/// # Errors
-///
-/// Returns [`SolveError::Singular`] for singular matrices and
-/// [`SolveError::DimensionMismatch`] when slice lengths disagree.
-pub fn solve_general(a: &[f32], b: &[f32], n: usize) -> Result<Vec<f32>, SolveError> {
-    if a.len() != n * n || b.len() != n {
-        return Err(SolveError::DimensionMismatch);
-    }
-    let mut m: Vec<f64> = a.iter().map(|&v| v as f64).collect();
-    let mut rhs: Vec<f64> = b.iter().map(|&v| v as f64).collect();
-    for col in 0..n {
-        // Partial pivot.
-        let mut pivot = col;
-        let mut best = m[col * n + col].abs();
-        for row in (col + 1)..n {
-            let v = m[row * n + col].abs();
-            if v > best {
-                best = v;
-                pivot = row;
-            }
-        }
-        if best < 1e-14 {
-            return Err(SolveError::Singular);
-        }
-        if pivot != col {
-            for k in 0..n {
-                m.swap(col * n + k, pivot * n + k);
-            }
-            rhs.swap(col, pivot);
-        }
-        let diag = m[col * n + col];
-        for row in (col + 1)..n {
-            let factor = m[row * n + col] / diag;
-            if factor == 0.0 {
-                continue;
-            }
-            for k in col..n {
-                m[row * n + k] -= factor * m[col * n + k];
-            }
-            rhs[row] -= factor * rhs[col];
-        }
-    }
-    let mut x = vec![0.0f64; n];
-    for i in (0..n).rev() {
-        let mut sum = rhs[i];
-        for k in (i + 1)..n {
-            sum -= m[i * n + k] * x[k];
-        }
-        x[i] = sum / m[i * n + i];
-    }
-    Ok(x.into_iter().map(|v| v as f32).collect())
-}
-
 /// Accumulator for normal equations `JᵀJ δ = Jᵀr` of a fixed dimension.
 ///
 /// Rows are added one at a time; [`NormalEquations::solve`] applies
@@ -238,28 +182,6 @@ mod tests {
     #[test]
     fn spd_rejects_bad_dims() {
         assert_eq!(solve_spd(&[1.0], &[1.0, 2.0], 2), Err(SolveError::DimensionMismatch));
-    }
-
-    #[test]
-    fn general_solves_with_pivoting() {
-        // Requires a row swap: first pivot is 0.
-        let a = [0.0, 2.0, 1.0, 1.0, 1.0, 0.0, 3.0, 0.0, 1.0];
-        let b = [5.0, 3.0, 10.0];
-        let x = solve_general(&a, &b, 3).unwrap();
-        // Verify A x = b.
-        for row in 0..3 {
-            let mut acc = 0.0;
-            for col in 0..3 {
-                acc += a[row * 3 + col] * x[col];
-            }
-            assert!((acc - b[row]).abs() < 1e-4, "row {row}: {acc} vs {}", b[row]);
-        }
-    }
-
-    #[test]
-    fn general_detects_singular() {
-        let a = [1.0, 2.0, 2.0, 4.0];
-        assert_eq!(solve_general(&a, &[1.0, 2.0], 2), Err(SolveError::Singular));
     }
 
     #[test]

@@ -21,25 +21,6 @@ pub fn geomean(xs: &[f32]) -> f32 {
     (log_sum / xs.len() as f64).exp() as f32
 }
 
-/// Root mean square; `0.0` for an empty slice.
-pub fn rms(xs: &[f32]) -> f32 {
-    if xs.is_empty() {
-        return 0.0;
-    }
-    let sq: f64 = xs.iter().map(|&x| (x as f64) * (x as f64)).sum();
-    ((sq / xs.len() as f64) as f32).sqrt()
-}
-
-/// Population standard deviation; `0.0` for slices shorter than 2.
-pub fn stddev(xs: &[f32]) -> f32 {
-    if xs.len() < 2 {
-        return 0.0;
-    }
-    let m = mean(xs) as f64;
-    let var: f64 = xs.iter().map(|&x| (x as f64 - m).powi(2)).sum::<f64>() / xs.len() as f64;
-    var.sqrt() as f32
-}
-
 /// `p`-th percentile (0..=100) by linear interpolation; `0.0` when empty.
 pub fn percentile(xs: &[f32], p: f32) -> f32 {
     if xs.is_empty() {
@@ -77,11 +58,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn mean_and_rms() {
+    fn mean_of_values_and_of_nothing() {
         assert_eq!(mean(&[1.0, 2.0, 3.0]), 2.0);
-        assert!((rms(&[3.0, 4.0]) - (12.5f32).sqrt()).abs() < 1e-6);
         assert_eq!(mean(&[]), 0.0);
-        assert_eq!(rms(&[]), 0.0);
     }
 
     #[test]
@@ -106,13 +85,6 @@ mod tests {
         assert_eq!(percentile(&xs, 100.0), 4.0);
         assert_eq!(median(&xs), 2.5);
         assert_eq!(percentile(&xs, 50.0), 2.5);
-    }
-
-    #[test]
-    fn stddev_of_constant_is_zero() {
-        assert_eq!(stddev(&[5.0, 5.0, 5.0]), 0.0);
-        assert_eq!(stddev(&[1.0]), 0.0);
-        assert!((stddev(&[1.0, 3.0]) - 1.0).abs() < 1e-6);
     }
 
     #[test]

@@ -189,12 +189,6 @@ impl Vec2 {
     pub fn cross(self, rhs: Self) -> f32 {
         self.x * rhs.y - self.y * rhs.x
     }
-
-    /// Returns the vector rotated 90° counter-clockwise.
-    #[inline]
-    pub fn perp(self) -> Self {
-        Self::new(-self.y, self.x)
-    }
 }
 
 impl Vec3 {
@@ -337,12 +331,6 @@ mod tests {
         assert_eq!(Vec3::ZERO.normalized(), Vec3::ZERO);
         let n = Vec3::new(3.0, 4.0, 0.0).normalized();
         assert!((n.norm() - 1.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn vec2_perp_is_orthogonal() {
-        let v = Vec2::new(3.0, -2.0);
-        assert_eq!(v.dot(v.perp()), 0.0);
     }
 
     #[test]

@@ -1,7 +1,5 @@
 //! A minimal CHW float tensor.
 
-use ags_image::GrayImage;
-
 /// A `(channels, height, width)` tensor of `f32`. The default is the empty
 /// `(0, 0, 0)` tensor — the starting state of a reusable output buffer.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -33,11 +31,6 @@ impl Tensor {
     pub fn resize(&mut self, channels: usize, height: usize, width: usize) {
         (self.channels, self.height, self.width) = (channels, height, width);
         self.data.resize(channels * height * width, 0.0);
-    }
-
-    /// Wraps a luminance image as a 1-channel tensor.
-    pub fn from_gray(img: &GrayImage) -> Self {
-        Self { channels: 1, height: img.height(), width: img.width(), data: img.pixels().to_vec() }
     }
 
     /// Channel count.
@@ -196,14 +189,5 @@ mod tests {
         assert_eq!(c.channels(), 3);
         assert_eq!(c.at(0, 0, 1), 2.0);
         assert_eq!(c.at(2, 0, 0), 5.0);
-    }
-
-    #[test]
-    fn from_gray_roundtrip() {
-        let img = GrayImage::from_vec(2, 2, vec![0.1, 0.2, 0.3, 0.4]);
-        let t = Tensor::from_gray(&img);
-        assert_eq!(t.channels(), 1);
-        assert_eq!(t.at(0, 1, 0), 0.3);
-        assert!((t.mean() - 0.25).abs() < 1e-6);
     }
 }

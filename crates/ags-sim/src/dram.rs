@@ -58,15 +58,6 @@ impl DramModel {
         let bandwidth_bound = bytes as f64 / self.bandwidth_gbps; // ns for bytes at GB/s
         latency_bound.max(bandwidth_bound)
     }
-
-    /// Effective bandwidth in GB/s for a transfer with the given locality.
-    pub fn effective_bandwidth(&self, bytes: u64, locality: f32) -> f64 {
-        let ns = self.transfer_ns(bytes, locality);
-        if ns <= 0.0 {
-            return self.bandwidth_gbps;
-        }
-        bytes as f64 / ns
-    }
 }
 
 #[cfg(test)]
@@ -77,7 +68,7 @@ mod tests {
     fn streaming_hits_peak_bandwidth() {
         let d = DramModel::hbm2();
         let bytes = 100_000_000u64;
-        let eff = d.effective_bandwidth(bytes, 1.0);
+        let eff = bytes as f64 / d.transfer_ns(bytes, 1.0);
         assert!(eff > d.bandwidth_gbps * 0.8, "effective {eff} GB/s");
     }
 

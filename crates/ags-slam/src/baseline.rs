@@ -7,7 +7,6 @@ use ags_image::{DepthImage, RgbImage};
 use ags_math::{Pcg32, Se3};
 use ags_scene::PinholeCamera;
 use ags_splat::backward::GradMode;
-use ags_splat::compact::prune_cloud;
 use ags_splat::densify::densify_from_frame;
 use ags_splat::optim::Adam;
 use ags_splat::render::{RenderOptions, TileWork};
@@ -132,27 +131,25 @@ impl BaselineSlam {
         }
         self.trajectory.push(pose);
 
-        // --- Densification. ---
+        // --- Densification (every frame). ---
         let mut mapping = WorkUnits::default();
-        if frame_index % self.config.densify_interval.max(1) == 0 {
-            let rendered = ags_splat::render::render(
-                &self.cloud,
-                camera,
-                &pose,
-                &RenderOptions { backend: self.config.backend, ..RenderOptions::default() },
-            );
-            mapping.add_render(&rendered.stats);
-            densify_from_frame(
-                &mut self.cloud,
-                camera,
-                &pose,
-                rgb,
-                depth,
-                &rendered,
-                &self.config.densify,
-                &mut self.rng,
-            );
-        }
+        let rendered = ags_splat::render::render(
+            &self.cloud,
+            camera,
+            &pose,
+            &RenderOptions { backend: self.config.backend, ..RenderOptions::default() },
+        );
+        mapping.add_render(&rendered.stats);
+        densify_from_frame(
+            &mut self.cloud,
+            camera,
+            &pose,
+            rgb,
+            depth,
+            &rendered,
+            &self.config.densify,
+            &mut self.rng,
+        );
 
         // --- Mapping: N_M iterations over the window (current + keyframes). ---
         // Keyframe images are Arc-shared: the window clones reference counts,
@@ -185,19 +182,6 @@ impl BaselineSlam {
             }
             if collect {
                 tile_work = report.render.stats.tile_work.clone();
-            }
-        }
-
-        // --- Pruning (shared compaction pass, see `ags_splat::compact`). ---
-        if self.config.compaction.prune_interval > 0
-            && frame_index > 0
-            && frame_index % self.config.compaction.prune_interval == 0
-        {
-            let floor = self.config.densify.prune_opacity;
-            let remap = prune_cloud(&mut self.cloud, |_, g| g.opacity() >= floor);
-            if !remap.is_identity() {
-                // Survivors keep their Adam momentum.
-                self.adam.remap(&remap);
             }
         }
 
@@ -321,29 +305,6 @@ mod tests {
         assert!(!records[0].tile_work.is_empty(), "frame 0 sampled");
         assert!(records[1].tile_work.is_empty(), "frame 1 not sampled");
         assert!(!records[2].tile_work.is_empty(), "frame 2 sampled");
-    }
-
-    #[test]
-    fn scheduled_prune_keeps_tracking_bounded() {
-        let compaction =
-            ags_splat::compact::CompactionConfig { prune_interval: 2, ..Default::default() };
-        // Floor just above the densify init opacity (0.8): splats whose
-        // opacity mapping did not actively raise get pruned, forcing real
-        // remaps every scheduled pass.
-        let densify =
-            ags_splat::densify::DensifyConfig { prune_opacity: 0.81, ..Default::default() };
-        let config = SlamConfig { compaction, densify, ..SlamConfig::tiny() };
-        let (slam, data, _) = run_slam(config.clone(), 6);
-        let (unpruned, _, _) = run_slam(SlamConfig { compaction: Default::default(), ..config }, 6);
-        assert!(!slam.cloud().is_empty());
-        assert!(
-            slam.cloud().len() < unpruned.cloud().len(),
-            "prune should shrink the map: {} vs {} unpruned",
-            slam.cloud().len(),
-            unpruned.cloud().len()
-        );
-        let ate = ate_rmse(slam.trajectory(), &data.gt_trajectory());
-        assert!(ate < 0.1, "pruned baseline ATE {ate}");
     }
 
     #[test]

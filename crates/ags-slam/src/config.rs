@@ -1,6 +1,5 @@
 //! SLAM pipeline configuration.
 
-use ags_splat::compact::CompactionConfig;
 use ags_splat::densify::DensifyConfig;
 use ags_splat::loss::LossConfig;
 use ags_splat::optim::AdamConfig;
@@ -34,11 +33,6 @@ pub struct SlamConfig {
     /// Size of the mapping window (key frames re-trained with the current
     /// frame, SplaTAM-style).
     pub mapping_window: usize,
-    /// Densify every `densify_interval` frames.
-    pub densify_interval: usize,
-    /// Map compaction policy: scheduled pruning, cold-splat quantization and
-    /// the per-stream memory budget. Disabled by default.
-    pub compaction: CompactionConfig,
     /// Collect per-tile workload samples every `tile_work_interval` frames
     /// (0 = never) for the cycle-level simulator.
     pub tile_work_interval: usize,
@@ -60,8 +54,6 @@ impl Default for SlamConfig {
             mapping_loss: LossConfig::mapping(),
             keyframe_interval: 4,
             mapping_window: 2,
-            densify_interval: 1,
-            compaction: CompactionConfig::default(),
             tile_work_interval: 8,
             backend: BackendKind::default(),
         }

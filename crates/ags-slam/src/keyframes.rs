@@ -61,13 +61,6 @@ impl KeyframeStore {
         &self.frames
     }
 
-    /// Updates the pose of keyframe `frame_index` (after refinement).
-    pub fn update_pose(&mut self, frame_index: usize, pose: Se3) {
-        if let Some(kf) = self.frames.iter_mut().find(|k| k.frame_index == frame_index) {
-            kf.pose = pose;
-        }
-    }
-
     /// Selects up to `window` keyframes for mapping: always the most recent,
     /// plus random earlier ones (SplaTAM's window selection).
     pub fn mapping_window(&self, window: usize, rng: &mut Pcg32) -> Vec<&StoredKeyframe> {
@@ -143,16 +136,5 @@ mod tests {
         store.push(kf(0));
         let mut rng = Pcg32::seeded(1);
         assert_eq!(store.mapping_window(5, &mut rng).len(), 1);
-    }
-
-    #[test]
-    fn update_pose_by_index() {
-        let mut store = KeyframeStore::new();
-        store.push(kf(0));
-        store.push(kf(7));
-        let new_pose = Se3::from_translation(Vec3::new(9.0, 9.0, 9.0));
-        store.update_pose(7, new_pose);
-        assert_eq!(store.frames()[1].pose, new_pose);
-        assert_ne!(store.frames()[0].pose, new_pose);
     }
 }

@@ -1,24 +1,27 @@
-//! Map compaction: contribution-driven pruning and cold-splat quantization.
+//! Map compaction under a per-stream byte budget: cold-splat quantization
+//! and negligibility pruning.
 //!
 //! The mapping stage only ever grows the cloud (densify appends, Adam
 //! rewrites in place), so every map-sized cost — copy-on-write slab copies,
-//! snapshot publishes, checkpoint deltas — compounds with runtime. This
-//! module provides the two shrinking levers and the bookkeeping they need:
+//! snapshot publishes, checkpoint deltas — compounds with runtime. A stream
+//! with a map budget (`AgsConfig::map_bytes_budget` in `ags-core`) bounds
+//! [`map_bytes`] with the two shrinking levers this module provides, pulled
+//! in order whenever an epoch publishes above the budget:
 //!
-//! * **Pruning** ([`prune_cloud`]): drop splats by predicate and return a
-//!   [`Remap`] table so every id-indexed side structure (skip sets,
-//!   contribution counts, optimizer moments, freeze boundaries) can be
-//!   compacted consistently instead of invalidated.
-//! * **Cold-tier quantization** ([`quantize_chunk_in_place`]): LAQ-style
-//!   per-chunk affine quantization of splats that have not changed for K
-//!   published epochs. The **dequantized value becomes the canonical
-//!   parameter** — rendering, training, snapshots and the wire codec all see
-//!   the exact same bits, so determinism across pipeline modes and
-//!   checkpoint/restore is preserved by construction, and the wire codec can
-//!   re-derive the 8-bit codes losslessly (see `ags-store`).
+//! 1. **Cold-tier quantization** ([`quantize_chunk_in_place`]): LAQ-style
+//!    per-chunk affine quantization of every id-aligned chunk untouched for
+//!    at least one published epoch. The **dequantized value becomes the
+//!    canonical parameter** — rendering, training, snapshots and the wire
+//!    codec all see the exact same bits, so determinism across pipeline
+//!    modes and checkpoint/restore is preserved by construction, and the
+//!    wire codec can re-derive the 8-bit codes losslessly (see `ags-store`).
+//! 2. **Pruning** ([`prune_cloud`]): drop the most-negligible splats and
+//!    return a [`Remap`] table so every id-indexed side structure (skip
+//!    sets, contribution counts, optimizer moments, cold-tier flags) can be
+//!    compacted consistently instead of invalidated.
 //!
-//! All decisions are pure functions of the cloud and the caller-supplied
-//! policy — no clocks, no RNG — which is what lets compaction run inside
+//! All decisions are pure functions of the cloud and the caller's stage
+//! state — no clocks, no RNG — which is what lets compaction run inside
 //! `MapStage::process` bit-identically across the serial, overlapped and
 //! map-overlapped drivers at any worker count.
 
@@ -46,48 +49,6 @@ pub const QUANT_CHUNK_HEADER_BYTES: u64 = GAUSSIAN_LANES as u64 * 8;
 /// Largest quantization code (8-bit codes).
 pub const QUANT_MAX_CODE: u8 = u8::MAX;
 
-/// Compaction policy knobs, shared by the baseline SLAM and the AGS
-/// `MapStage`. The default is fully disabled — existing configurations keep
-/// their bit-exact behaviour.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CompactionConfig {
-    /// Run the prune pass every `prune_interval` frames (0 = never). The
-    /// AGS mapping stage additionally aligns prunes to keyframes so the
-    /// contribution counts it consults are freshly recorded.
-    pub prune_interval: usize,
-    /// On a scheduled prune, splats that are *both* predicted
-    /// non-contributory (in the GS skipping table) and below this opacity
-    /// are dropped, on top of the unconditional `DensifyConfig::prune_opacity`
-    /// transparency floor. `0.0` disables the contribution criterion.
-    pub prune_contribution_opacity: f32,
-    /// Quantize an id-aligned chunk once every splat in it has been
-    /// untouched for this many published epochs (0 = never quantize).
-    pub quantize_cold_after: u64,
-    /// Soft per-stream ceiling on [`map_bytes`] (0 = unlimited). When an
-    /// epoch publishes above the ceiling the stage escalates: first quantize
-    /// every chunk cold for ≥ 1 epoch, then prune the most-negligible
-    /// splats until the map fits (or candidates run out).
-    pub map_bytes_budget: u64,
-}
-
-impl Default for CompactionConfig {
-    fn default() -> Self {
-        Self {
-            prune_interval: 0,
-            prune_contribution_opacity: 0.05,
-            quantize_cold_after: 0,
-            map_bytes_budget: 0,
-        }
-    }
-}
-
-impl CompactionConfig {
-    /// True when any compaction mechanism is switched on.
-    pub fn enabled(&self) -> bool {
-        self.prune_interval > 0 || self.quantize_cold_after > 0 || self.map_bytes_budget > 0
-    }
-}
-
 /// Estimated resident bytes of the quantized tier: per-splat code bytes plus
 /// amortized per-chunk lane headers.
 pub fn quantized_tier_bytes(quantized: usize) -> u64 {
@@ -99,7 +60,7 @@ pub fn quantized_tier_bytes(quantized: usize) -> u64 {
 }
 
 /// Estimated map parameter bytes with `quantized` of `len` splats in the
-/// cold quantized tier. This is the quantity `map_bytes_budget` bounds.
+/// cold quantized tier. This is the quantity a stream's map budget bounds.
 pub fn map_bytes(len: usize, quantized: usize) -> u64 {
     let quantized = quantized.min(len);
     (len - quantized) as u64 * FULL_SPLAT_BYTES + quantized_tier_bytes(quantized)
@@ -221,18 +182,6 @@ impl Remap {
             }
         }
         out
-    }
-
-    /// Chains two prunes: `self` applied first, then `later` on the
-    /// compacted ids. `later.old_len()` must equal `self.new_len()`.
-    pub fn compose(&self, later: &Remap) -> Remap {
-        assert_eq!(later.old_len(), self.new_len, "remap composition length mismatch");
-        let target = self
-            .target
-            .iter()
-            .map(|&t| if t == REMOVED { REMOVED } else { later.target[t as usize] })
-            .collect();
-        Remap { target, new_len: later.new_len }
     }
 }
 
@@ -490,17 +439,16 @@ mod tests {
 
     #[test]
     fn repeated_prunes_compose() {
-        // Satellite: remap-table correctness under repeated prunes — applying
-        // two prune passes tracks identities exactly as their composition.
+        // Remap-table correctness under repeated prunes: following an old id
+        // through both passes' tables lands on the survivor it became.
         let mut c = cloud(12);
         let tagged: Vec<Vec3> = c.gaussians().iter().map(|g| g.position).collect();
         let first = prune_cloud(&mut c, |i, _| i % 2 == 0); // keep evens
         let second = prune_cloud(&mut c, |i, _| i != 1); // drop new id 1 (old 2)
-        let composed = first.compose(&second);
-        assert_eq!(composed.old_len(), 12);
-        assert_eq!(composed.new_len(), c.len());
+        assert_eq!(first.old_len(), 12);
+        assert_eq!(second.new_len(), c.len());
         for (old, tag) in tagged.iter().enumerate() {
-            match composed.target(old) {
+            match first.target(old).and_then(|mid| second.target(mid)) {
                 Some(new) => assert_eq!(c.gaussians()[new].position, *tag, "old id {old}"),
                 None => assert!(old % 2 == 1 || old == 2),
             }
@@ -611,13 +559,5 @@ mod tests {
         // Quantization must actually help for a full chunk.
         assert!(quantized_tier_bytes(QUANT_CHUNK) < QUANT_CHUNK as u64 * FULL_SPLAT_BYTES / 3);
         assert_eq!(map_bytes(10, 50), quantized_tier_bytes(10));
-    }
-
-    #[test]
-    fn compaction_config_enabled_flags() {
-        assert!(!CompactionConfig::default().enabled());
-        assert!(CompactionConfig { prune_interval: 4, ..Default::default() }.enabled());
-        assert!(CompactionConfig { quantize_cold_after: 2, ..Default::default() }.enabled());
-        assert!(CompactionConfig { map_bytes_budget: 1 << 20, ..Default::default() }.enabled());
     }
 }

@@ -1,10 +1,10 @@
-//! Map densification and pruning (SplaTAM-style).
+//! Map densification (SplaTAM-style).
 //!
 //! SplaTAM adds Gaussians where the rendered *silhouette* says the map has no
 //! geometry, or where the rendered depth disagrees strongly with the sensor.
 //! New Gaussians are back-projected from the RGB-D frame with a size matched
-//! to the pixel footprint at that depth. Pruning removes Gaussians whose
-//! opacity collapsed.
+//! to the pixel footprint at that depth. The map only shrinks under a map
+//! budget (see [`crate::compact`]).
 
 use crate::gaussian::{Gaussian, GaussianCloud};
 use crate::render::RenderOutput;
@@ -29,7 +29,9 @@ pub struct DensifyConfig {
     pub opacity_init: f32,
     /// Upper bound on Gaussians added per call.
     pub max_new: usize,
-    /// Prune Gaussians whose opacity falls below this.
+    /// Opacity floor of a transparency prune. No mapping path prunes by it:
+    /// its one reader is the benchmark's replay rig (`benchmark/src/sut.rs`),
+    /// whose `map.compact_ms` times a prune at this floor.
     pub prune_opacity: f32,
 }
 
@@ -125,15 +127,6 @@ pub fn densify_from_frame(
     report.added = new_gaussians.len();
     cloud.extend(new_gaussians);
     report
-}
-
-/// Removes Gaussians whose opacity fell below the prune threshold, returning
-/// how many were removed. Thin wrapper over [`crate::compact::prune_cloud`];
-/// callers holding id-indexed state should call that directly and apply the
-/// returned [`crate::compact::Remap`] (e.g. via [`crate::optim::Adam::remap`])
-/// instead of resetting it.
-pub fn prune_transparent(cloud: &mut GaussianCloud, config: &DensifyConfig) -> usize {
-    crate::compact::prune_cloud(cloud, |_, g| g.opacity() >= config.prune_opacity).removed()
 }
 
 #[cfg(test)]
@@ -254,19 +247,6 @@ mod tests {
             &mut rng,
         );
         assert_eq!(report.added, 0);
-    }
-
-    #[test]
-    fn prune_removes_transparent() {
-        let mut cloud = GaussianCloud::new();
-        cloud.push(Gaussian::isotropic(Vec3::new(0.0, 0.0, 2.0), 0.1, Vec3::ONE, 0.5));
-        let mut faint = Gaussian::isotropic(Vec3::new(0.1, 0.0, 2.0), 0.1, Vec3::ONE, 0.5);
-        faint.opacity_logit = -10.0; // opacity ~ 4.5e-5
-        cloud.push(faint);
-        let removed = prune_transparent(&mut cloud, &DensifyConfig::default());
-        assert_eq!(removed, 1);
-        assert_eq!(cloud.len(), 1);
-        assert!(cloud.gaussians()[0].opacity() > 0.4);
     }
 
     #[test]

@@ -17,7 +17,8 @@
 //!    tracking.
 //! 5. **Update** ([`optim`]): Adam over the parameter arrays;
 //!    [`densify`] adds Gaussians where the map is missing geometry
-//!    (silhouette-guided, SplaTAM-style) and prunes transparent ones.
+//!    (silhouette-guided, SplaTAM-style); [`compact`] shrinks a map that
+//!    outgrows its byte budget.
 //!
 //! [`train::train_pass`] runs steps 1–4 as one call — the seam every
 //! differentiated render goes through, and where the forward pass's blend
@@ -57,7 +58,7 @@ pub mod train;
 
 pub use backend::BackendKind;
 pub use cache::ProjectionCache;
-pub use compact::{CompactionConfig, Remap};
+pub use compact::Remap;
 pub use gaussian::{Gaussian, GaussianCloud};
 pub use idset::IdSet;
 pub use render::{RenderOptions, RenderOutput};

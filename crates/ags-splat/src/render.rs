@@ -77,26 +77,6 @@ impl ContributionStats {
         }
         set
     }
-
-    /// Fraction of *touched* Gaussians that never contributed above the
-    /// threshold on any pixel (the paper's Fig. 5 measurement).
-    pub fn fully_non_contributory_fraction(&self) -> f32 {
-        let mut touched = 0u32;
-        let mut silent = 0u32;
-        for (t, n) in self.touched.iter().zip(&self.negligible) {
-            if *t > 0 {
-                touched += 1;
-                if n == t {
-                    silent += 1;
-                }
-            }
-        }
-        if touched == 0 {
-            0.0
-        } else {
-            silent as f32 / touched as f32
-        }
-    }
 }
 
 /// Per-tile rasterization workload (input for the cycle-level GPE model).
@@ -836,7 +816,6 @@ mod tests {
         let non_contrib = stats.non_contributory(stats.negligible[0]);
         assert!(non_contrib.contains(1));
         assert!(!non_contrib.contains(0));
-        assert!(stats.fully_non_contributory_fraction() > 0.0);
     }
 
     #[test]
