@@ -138,15 +138,16 @@ pub struct AgsConfig {
     pub slam: SlamConfig,
     /// Coarse tracker configuration.
     pub coarse: CoarseConfig,
-    /// CODEC motion-estimation configuration.
+    /// CODEC motion-estimation configuration. [`AgsConfig::resolve`]
+    /// replaces its `parallelism` with the stage knob [`Self::parallelism`].
     pub codec: CodecConfig,
     /// Record the ground-truth non-contributory sets on non-key frames to
     /// measure the false-positive rate (§6.2). Costs an extra audit render.
     pub audit_false_positives: bool,
     /// Thread-level parallelism of the hot kernels (CODEC motion estimation,
-    /// tile binning, rasterization, backward pass). Applied on top of
-    /// `codec.parallelism` by [`AgsConfig::resolve`]; parallel execution is
-    /// bit-identical to [`Parallelism::serial()`].
+    /// tile binning, rasterization, backward pass): [`AgsConfig::resolve`]
+    /// copies it, with its pool, into `codec.parallelism`. Parallel
+    /// execution is bit-identical to [`Parallelism::serial()`].
     pub parallelism: Parallelism,
     /// Stage-graph execution: where FC and mapping run (Fig. 9b) and how
     /// stale a map tracking reads.
@@ -156,10 +157,11 @@ pub struct AgsConfig {
     /// reference; the knob trades nothing but speed. Defaults to the
     /// vectorized backend.
     pub backend: BackendKind,
-    /// Reuse per-splat projections across mapping iterations and frames
-    /// whose pose and splat parameters are unchanged
-    /// (`ags_splat::ProjectionCache`). Result-identical to recomputing —
-    /// only wall time and the observational hit counters change.
+    /// Read nowhere: mapping always projects through its epoch-delta
+    /// `ags_splat::ProjectionCache`. Only user: the struct literal at
+    /// `benchmark/src/sut.rs:198`; kept until the next `benchmark` PR drops
+    /// it there (`benchmark/` may not be edited).
+    #[doc(hidden)]
     pub projection_cache: bool,
     /// Soft ceiling on the map's resident parameter bytes
     /// (`ags_splat::compact::map_bytes`; 0 = unlimited). When an epoch
@@ -203,9 +205,9 @@ impl AgsConfig {
 
     /// Resolves derived settings. The driver calls this on construction:
     ///
-    /// * One knob rules the whole pipeline — the CODEC inherits the
-    ///   system-level parallelism setting unless the caller configured the
-    ///   codec's own knob away from its default.
+    /// * One knob rules the whole pipeline — the CODEC runs on the
+    ///   system-level parallelism setting; whatever `codec.parallelism`
+    ///   held is replaced.
     /// * One **executor** rules the whole pipeline — a single shared
     ///   [`WorkerPool`] handle is installed into every stage's knob, so the
     ///   FC worker thread and the SLAM stages of
@@ -214,28 +216,12 @@ impl AgsConfig {
     ///   pool handle (multi-stream servers share one pool across streams)
     ///   is respected and propagated.
     pub fn resolve(mut self) -> Self {
-        if self.codec.parallelism == Parallelism::default()
-            && self.codec.parallelism.pool().is_none()
-        {
-            self.codec.parallelism = self.parallelism.clone();
-        }
-        let stages_need_pool = self.parallelism.enabled && self.parallelism.pool().is_none();
-        let codec_needs_pool =
-            self.codec.parallelism.enabled && self.codec.parallelism.pool().is_none();
-        if stages_need_pool || codec_needs_pool {
+        if self.parallelism.enabled && self.parallelism.pool().is_none() {
             // Materialised lazily: a fully serial configuration must not
             // spawn the global pool's worker threads.
-            let pool: Arc<WorkerPool> = match self.parallelism.pool() {
-                Some(pool) => Arc::clone(pool),
-                None => Arc::clone(WorkerPool::global()),
-            };
-            if stages_need_pool {
-                self.parallelism = self.parallelism.on_pool(Arc::clone(&pool));
-            }
-            if codec_needs_pool {
-                self.codec.parallelism = self.codec.parallelism.on_pool(pool);
-            }
+            self.parallelism = self.parallelism.on_pool(Arc::clone(WorkerPool::global()));
         }
+        self.codec.parallelism = self.parallelism.clone();
         self
     }
 }

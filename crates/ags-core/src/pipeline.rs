@@ -82,19 +82,19 @@ fn apply_map_output(record: &mut TraceFrame, mapped: MapOutput, num_gaussians: u
 
 /// Splits a checkpoint window (ascending by epoch) around the contractual
 /// epoch the next frame must read, `frame_count − slack`: entries up to and
-/// including it re-seed the retained window, the entry at it becomes
-/// `latest`, fresher ones queue as `ahead`. `None` when the window does not
+/// including it re-seed the retained window, whose newest entry is that
+/// epoch, and fresher ones queue as `ahead`. `None` when the window does not
 /// hold the contractual epoch.
 fn split_at_contract(
     window: Vec<CloudSnapshot>,
     frame_count: usize,
     slack: usize,
-) -> Option<(SnapshotWindow, CloudSnapshot, VecDeque<CloudSnapshot>)> {
+) -> Option<(SnapshotWindow, VecDeque<CloudSnapshot>)> {
     let needed = frame_count.saturating_sub(slack) as u64;
     let (retained, ahead): (Vec<_>, Vec<_>) =
         window.into_iter().partition(|snap| snap.epoch() <= needed);
-    let latest = retained.last().filter(|snap| snap.epoch() == needed)?.clone();
-    Some((SnapshotWindow::from_snapshots(slack, retained), latest, ahead.into()))
+    retained.last().filter(|snap| snap.epoch() == needed)?;
+    Some((SnapshotWindow::from_snapshots(slack, retained), ahead.into()))
 }
 
 /// The AGS-accelerated 3DGS-SLAM system: one driver over the stage graph
@@ -119,15 +119,13 @@ pub struct AgsSlam {
     /// `max(0, N − slack)` (`PipelineConfig::effective_map_slack`, or the
     /// checkpoint's on restore).
     slack: usize,
-    /// Newest snapshot tracking has advanced to. The drain advances it to
-    /// **exactly** the epoch a frame must read — never further, even when
-    /// fresher epochs are already at hand. Unused by a map that never
-    /// publishes.
-    latest: CloudSnapshot,
-    /// The last `slack + 1` snapshots `latest` advanced through — the
-    /// window a checkpoint captures.
+    /// The last `slack + 1` snapshots tracking advanced through — the window
+    /// a checkpoint captures. Its newest, [`SnapshotWindow::latest`], is the
+    /// snapshot tracking reads: the drain advances it to **exactly** the
+    /// epoch a frame must read — never further, even when fresher epochs are
+    /// already at hand. Unused by a map that never publishes.
     retained: SnapshotWindow,
-    /// Published epochs `latest` has not advanced to yet whose records are
+    /// Published epochs tracking has not advanced to yet whose records are
     /// already complete: inline maps, and fresher checkpoint epochs after a
     /// restore.
     ahead: VecDeque<CloudSnapshot>,
@@ -175,7 +173,6 @@ impl AgsSlam {
             track,
             map: MapBackEnd::new(&config, slack, map, shared),
             slack,
-            latest: CloudSnapshot::empty(),
             retained: SnapshotWindow::new(slack),
             ahead: VecDeque::new(),
             awaiting: VecDeque::new(),
@@ -201,9 +198,9 @@ impl AgsSlam {
     pub fn restore(config: AgsConfig, state: StreamState) -> Self {
         let config = config.resolve();
         let slack = state.slack;
-        let (retained, latest, ahead) = split_at_contract(state.window, state.frame_count, slack)
+        let (retained, ahead) = split_at_contract(state.window, state.frame_count, slack)
             .expect("checkpoint window covers the contractual epoch");
-        let head = ahead.back().unwrap_or(&latest);
+        let head = ahead.back().unwrap_or(retained.latest());
         let publishes = map_publishes(&config, slack);
         // A publishing map resumes from the checkpoint head: its next publish
         // is head + 1, contiguous with `ahead`. One that never publishes
@@ -216,7 +213,7 @@ impl AgsSlam {
         let map = MapStage::from_state(&config, state.map);
         let mut slam = Self::with_stages(config, slack, fc, track, map, shared);
         if publishes {
-            (slam.retained, slam.latest, slam.ahead) = (retained, latest, ahead);
+            (slam.retained, slam.ahead) = (retained, ahead);
         }
         slam.trajectory = state.trajectory;
         slam.frame_count = state.frame_count;
@@ -240,7 +237,7 @@ impl AgsSlam {
             let window: Vec<_> = self.retained.snapshots().cloned().collect();
             // Continue from exactly the state a restore of this checkpoint
             // builds, so checkpointing in place is invisible to the stream.
-            (self.retained, self.latest, self.ahead) =
+            (self.retained, self.ahead) =
                 split_at_contract(window.clone(), self.frame_count, self.slack)
                     .expect("the retained window covers the contractual epoch");
             window
@@ -274,7 +271,7 @@ impl AgsSlam {
     pub fn cloud(&self) -> &GaussianCloud {
         match self.map.live() {
             Some(shared) => shared.read(),
-            None => self.ahead.back().unwrap_or(&self.latest).cloud(),
+            None => self.ahead.back().unwrap_or(self.retained.latest()).cloud(),
         }
     }
 
@@ -364,7 +361,7 @@ impl AgsSlam {
         if publishes {
             let needed = frame_index.saturating_sub(self.slack) as u64;
             let start = Instant::now();
-            while self.latest.epoch() < needed {
+            while self.retained.latest().epoch() < needed {
                 self.pump_one();
             }
             stall_s += start.elapsed().as_secs_f64();
@@ -375,7 +372,7 @@ impl AgsSlam {
         // A map that never publishes is peeked at live; the handle is
         // dropped before mapping mutates, so copy-on-write never copies.
         let snapshot = if publishes {
-            self.latest.clone()
+            self.retained.latest().clone()
         } else {
             self.map.live().expect("only inline maps skip publishing").peek()
         };
@@ -410,17 +407,20 @@ impl AgsSlam {
         self.ahead.extend(done.snapshot);
     }
 
-    /// Advances `latest` by exactly one epoch, receiving the map worker's
-    /// next result when no published epoch is at hand.
+    /// Advances tracking's snapshot by exactly one epoch, receiving the map
+    /// worker's next result when no published epoch is at hand.
     fn pump_one(&mut self) {
         if self.ahead.is_empty() {
             let done = self.map.recv();
             self.complete(done);
         }
         let snapshot = self.ahead.pop_front().expect("a publishing map yields one epoch per job");
-        debug_assert_eq!(snapshot.epoch(), self.latest.epoch() + 1, "epochs arrive in order");
-        self.retained.push(snapshot.clone());
-        self.latest = snapshot;
+        debug_assert_eq!(
+            snapshot.epoch(),
+            self.retained.latest().epoch() + 1,
+            "epochs arrive in order"
+        );
+        self.retained.push(snapshot);
     }
 }
 
@@ -515,19 +515,21 @@ mod tests {
     }
 
     #[test]
-    fn codec_inherits_system_parallelism_unless_set_explicitly() {
+    fn codec_runs_on_the_system_parallelism() {
         use ags_math::Parallelism;
-        // Default codec knob inherits the system-level setting.
-        let mut config = AgsConfig::tiny();
-        config.parallelism = Parallelism::with_threads(4);
-        let slam = AgsSlam::new(config);
-        assert_eq!(slam.config().codec.parallelism, Parallelism::with_threads(4));
-        // An explicitly configured codec knob survives.
-        let mut config = AgsConfig::tiny();
-        config.codec.parallelism = Parallelism::serial();
-        config.parallelism = Parallelism::with_threads(4);
-        let slam = AgsSlam::new(config);
-        assert_eq!(slam.config().codec.parallelism, Parallelism::serial());
+        // Whatever the codec knob held, the driver runs it on the
+        // system-level setting and its pool.
+        for codec in [Parallelism::default(), Parallelism::serial()] {
+            let mut config = AgsConfig::tiny();
+            config.codec.parallelism = codec;
+            config.parallelism = Parallelism::with_threads(4);
+            let slam = AgsSlam::new(config);
+            let resolved = slam.config();
+            assert_eq!(resolved.codec.parallelism, Parallelism::with_threads(4));
+            let (stage_pool, codec_pool) =
+                (resolved.parallelism.pool(), resolved.codec.parallelism.pool());
+            assert!(Arc::ptr_eq(stage_pool.unwrap(), codec_pool.unwrap()));
+        }
     }
 
     #[test]
@@ -543,28 +545,22 @@ mod tests {
 
     #[test]
     fn projection_cache_is_result_identical() {
-        // Same stream, cache off vs on, under a map budget whose escalation
-        // both snaps cold chunks and prunes, so the harder dirty sites
-        // (quantize snapping, prune remaps) are exercised. The trajectory,
-        // map and full canonical trace must be bit-identical — the cache may
-        // only change wall time and the observational hit counters.
+        // A stream under a map budget whose escalation both snaps cold chunks
+        // and prunes, so the harder dirty sites (quantize snapping, prune
+        // remaps) are exercised. Debug builds check every cached projection
+        // against projecting from scratch (`ProjectionCache::project`); this
+        // asserts the stream reaches every site and that the cache both hits
+        // and recomputes.
         let mut config = AgsConfig::tiny();
         config.audit_false_positives = true;
         config.map_bytes_budget = 64 * 1024;
-        let (plain, _) = run_ags(config.clone(), 8);
-        config.projection_cache = true;
         let (cached, _) = run_ags(config, 8);
-        assert_eq!(plain.trajectory(), cached.trajectory());
-        assert_eq!(plain.cloud().gaussians(), cached.cloud().gaussians());
-        assert_eq!(plain.trace().canonical_bytes(), cached.trace().canonical_bytes());
         let last = cached.trace().frames.last().unwrap();
         assert!(last.projection_cache_hits > 0, "the cache must actually hit");
         assert!(last.projection_cache_misses > 0, "dirty splats must recompute");
         let frames = &cached.trace().frames;
         assert!(frames.iter().any(|f| f.quantized_splats > 0), "the budget must snap chunks");
         assert!(frames.iter().any(|f| f.pruned > 0), "the budget must prune");
-        let plain_last = plain.trace().frames.last().unwrap();
-        assert_eq!(plain_last.projection_cache_hits, 0, "disabled cache never hits");
     }
 
     #[test]
@@ -607,7 +603,7 @@ mod tests {
             }
             slam.finish();
             assert_eq!(slab(&slam), first);
-            assert_eq!(slam.latest.epoch(), 0, "{pipeline:?}: tracking never drains");
+            assert_eq!(slam.retained.latest().epoch(), 0, "{pipeline:?}: tracking never drains");
             assert!(slam.ahead.is_empty() && slam.retained.snapshots().count() == 1);
             assert_eq!(slam.trace().frames.len(), data.frames.len());
         }

@@ -54,7 +54,7 @@ use crate::config::{AgsConfig, CheckpointPolicy, PipelineConfig};
 use crate::pipeline::{AgsFrameRecord, AgsSlam};
 use crate::trace::{StageTimes, WorkloadTrace};
 use ags_image::{DepthImage, RgbImage};
-use ags_math::{Parallelism, WorkerPool};
+use ags_math::WorkerPool;
 use ags_scene::PinholeCamera;
 use ags_splat::BackendKind;
 use ags_store::{CheckpointConfig, EpochStore, MapStore, StoreError, StoreStats};
@@ -387,7 +387,7 @@ pub struct StreamStats {
     /// Name of the render backend the stream's kernels run on.
     pub backend: &'static str,
     /// Cumulative projection-cache hits after the stream's newest completed
-    /// frame (zero with the cache disabled).
+    /// frame (counted since the stream was attached or last restored).
     pub projection_cache_hits: u64,
     /// Cumulative projection-cache misses after the stream's newest
     /// completed frame.
@@ -475,18 +475,8 @@ fn stream_config(
     if let Some(backend) = policy.backend {
         cfg.backend = backend;
     }
-    // A default codec knob inherits the tagged stream knob — pool, tag,
-    // fallback threshold and all — in `resolve`; leave it alone so that
-    // inheritance applies.
-    let codec_is_default = cfg.codec.parallelism == Parallelism::default()
-        && cfg.codec.parallelism.pool().is_none()
-        && cfg.codec.parallelism.stream() == 0;
+    // `resolve` copies the tagged stream knob into the codec's.
     cfg.parallelism = cfg.parallelism.on_pool(Arc::clone(pool)).tagged(tag);
-    if !codec_is_default && cfg.codec.parallelism.enabled {
-        // An explicitly configured codec knob would not inherit the stream
-        // knob in `resolve`; give it the shared pool and the tag directly.
-        cfg.codec.parallelism = cfg.codec.parallelism.on_pool(Arc::clone(pool)).tagged(tag);
-    }
     cfg
 }
 
@@ -1054,13 +1044,12 @@ mod tests {
     #[test]
     fn per_stream_backend_mix_is_bit_identical() {
         // One stream on the reference scalar backend, one forced onto the
-        // vectorized backend with the projection cache on: identical
-        // trajectories and canonical traces, because backends only trade
-        // speed. The stats must still report who ran what.
+        // vectorized backend: identical trajectories and canonical traces,
+        // because backends only trade speed. The stats must still report
+        // who ran what.
         let data = tiny_dataset(4);
         let mut base = AgsConfig::tiny();
         base.backend = BackendKind::Reference;
-        base.projection_cache = true;
         let config = ServerConfig {
             streams: 2,
             base,
@@ -1087,7 +1076,7 @@ mod tests {
         assert_eq!(stats.per_stream[0].backend, "reference");
         assert_eq!(stats.per_stream[1].backend, "vectorized");
         for s in &stats.per_stream {
-            assert!(s.projection_cache_hits > 0, "cache-enabled streams must hit");
+            assert!(s.projection_cache_hits > 0, "mapping projects through the cache");
         }
     }
 

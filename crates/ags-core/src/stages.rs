@@ -34,7 +34,6 @@ use ags_splat::cache::ProjectionCache;
 use ags_splat::compact::{prune_cloud, quantize_chunk_in_place, FULL_SPLAT_BYTES, QUANT_CHUNK};
 use ags_splat::densify::densify_from_frame;
 use ags_splat::optim::{Adam, AdamState};
-use ags_splat::project::{project_gaussians, Projection};
 use ags_splat::render::{rasterize, RenderOptions, RenderOutput, TileWork};
 use ags_splat::snapshot::{CloudSnapshot, SharedCloud};
 use ags_splat::tiles::GaussianTables;
@@ -204,11 +203,11 @@ pub struct MapOutput {
     /// Name of the render backend the stage's kernels ran on
     /// (observational; every backend is bit-identical).
     pub backend: &'static str,
-    /// Cumulative projection-cache hits over the stage's lifetime
-    /// (observational; zero with the cache disabled).
+    /// Cumulative projection-cache hits since the stage was built or
+    /// restored (observational: a restore rebuilds the cache cold).
     pub projection_cache_hits: u64,
-    /// Cumulative projection-cache misses over the stage's lifetime
-    /// (observational; zero with the cache disabled).
+    /// Cumulative projection-cache misses since the stage was built or
+    /// restored (observational).
     pub projection_cache_misses: u64,
 }
 
@@ -259,11 +258,11 @@ pub struct MapStage {
     /// affine grid. Any later touch or boundary-shifting prune evicts the
     /// chunk from the tier (it re-qualifies once cold again).
     quantized_chunks: Vec<bool>,
-    /// Epoch-delta projection cache (only consulted when
-    /// `AgsConfig::projection_cache` is set). Deliberately **transient** —
-    /// not part of [`MapStageState`] — because a restored stage producing
-    /// identical results from a cold cache is exactly the cache's
-    /// correctness contract; only the observational hit counters differ.
+    /// Epoch-delta projection cache: every projection the stage makes goes
+    /// through it. Deliberately **transient** — not part of
+    /// [`MapStageState`] — because a restored stage producing identical
+    /// results from a cold cache is exactly the cache's correctness
+    /// contract; only the observational hit counters differ.
     cache: ProjectionCache,
     /// Blend tape of the training pass, reused across iterations and frames
     /// (transient, like the cache).
@@ -531,20 +530,10 @@ impl MapStage {
         out
     }
 
-    /// Projects the cloud through the epoch-delta cache when enabled, else
-    /// straight through the configured backend.
-    fn project(&mut self, cloud: &GaussianCloud, camera: &PinholeCamera, pose: &Se3) -> Projection {
-        if self.config.projection_cache {
-            self.cache.project(cloud, camera, pose)
-        } else {
-            project_gaussians(cloud, camera, pose)
-        }
-    }
-
     /// One full forward render routed through the configured backend and
     /// the projection cache — the densify pre-render and the FP audit share
-    /// this path with `map_step`, so every projection in the stage is
-    /// cache-eligible.
+    /// this path with `map_step`, so every projection in the stage goes
+    /// through the cache.
     fn render_full(
         &mut self,
         cloud: &GaussianCloud,
@@ -552,7 +541,7 @@ impl MapStage {
         pose: &Se3,
         options: &RenderOptions,
     ) -> RenderOutput {
-        let projection = self.project(cloud, camera, pose);
+        let projection = self.cache.project(cloud, camera, pose);
         let tables = GaussianTables::build_with(&projection, camera, &options.parallelism);
         rasterize(cloud, &projection, &tables, camera, options)
     }
@@ -640,12 +629,8 @@ impl MapStage {
                 self.last_touched[lo..hi].iter().all(|&t| t.saturating_add(cold_after) <= epoch);
             if cold && quantize_chunk_in_place(&mut splats[lo..hi]) {
                 self.quantized_chunks[c] = true;
-                if self.config.projection_cache {
-                    // Snapping rewrites the chunk's parameters.
-                    for id in lo..hi {
-                        self.cache.mark_dirty(id);
-                    }
-                }
+                // Snapping rewrites the chunk's parameters.
+                (lo..hi).for_each(|id| self.cache.mark_dirty(id));
             }
         }
     }
@@ -712,24 +697,17 @@ impl MapStage {
             &self.config.slam.mapping_loss,
             GradMode::Map,
             &options,
-            self.config.projection_cache.then_some(&mut self.cache),
+            Some(&mut self.cache),
         );
         let track_touches = self.config.map_bytes_budget > 0;
-        let use_cache = self.config.projection_cache;
         let epoch = self.frames_mapped;
         if let Some(grads) = back.grads.as_ref() {
             self.adam.step(cloud, grads);
-            if track_touches || use_cache {
-                for (id, &touched) in grads.touched.iter().enumerate() {
-                    if touched {
-                        if track_touches {
-                            self.mark_touched(id, epoch);
-                        }
-                        if use_cache {
-                            self.cache.mark_dirty(id);
-                        }
-                    }
+            for (id, _) in grads.touched.iter().enumerate().filter(|(_, &t)| t) {
+                if track_touches {
+                    self.mark_touched(id, epoch);
                 }
+                self.cache.mark_dirty(id);
             }
         }
         let mut work = WorkUnits::default();

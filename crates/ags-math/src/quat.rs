@@ -160,36 +160,6 @@ impl Quat {
         q.normalized()
     }
 
-    /// Spherical linear interpolation between two rotations.
-    pub fn slerp(self, mut other: Self, t: f32) -> Self {
-        let mut dot = self.w * other.w + self.x * other.x + self.y * other.y + self.z * other.z;
-        if dot < 0.0 {
-            other = other.conjugate_neg();
-            dot = -dot;
-        }
-        if dot > 0.9995 {
-            // Nearly parallel: nlerp to avoid division by ~0.
-            return Self::new(
-                crate::lerp(self.w, other.w, t),
-                crate::lerp(self.x, other.x, t),
-                crate::lerp(self.y, other.y, t),
-                crate::lerp(self.z, other.z, t),
-            )
-            .normalized();
-        }
-        let theta = dot.clamp(-1.0, 1.0).acos();
-        let sin_theta = theta.sin();
-        let a = ((1.0 - t) * theta).sin() / sin_theta;
-        let b = (t * theta).sin() / sin_theta;
-        Self::new(
-            a * self.w + b * other.w,
-            a * self.x + b * other.x,
-            a * self.y + b * other.y,
-            a * self.z + b * other.z,
-        )
-        .normalized()
-    }
-
     /// Angular distance in radians between two rotations.
     pub fn angle_to(self, other: Self) -> f32 {
         (self.conjugate() * other).to_rotation_vector().norm()
@@ -262,16 +232,6 @@ mod tests {
         let via_quat = (a * b).rotate(v);
         let via_mat = (a.to_matrix() * b.to_matrix()).mul_vec(v);
         assert!(close(via_quat, via_mat));
-    }
-
-    #[test]
-    fn slerp_endpoints_and_midpoint() {
-        let a = Quat::IDENTITY;
-        let b = Quat::from_axis_angle(Vec3::Z, 1.0);
-        assert!(a.slerp(b, 0.0).angle_to(a) < 1e-5);
-        assert!(a.slerp(b, 1.0).angle_to(b) < 1e-5);
-        let mid = a.slerp(b, 0.5);
-        assert!((mid.angle_to(a) - 0.5).abs() < 1e-4);
     }
 
     #[test]

@@ -2,7 +2,6 @@
 
 use ags_splat::densify::DensifyConfig;
 use ags_splat::loss::LossConfig;
-use ags_splat::optim::AdamConfig;
 use ags_splat::BackendKind;
 
 /// Configuration of a baseline 3DGS-SLAM run.
@@ -20,8 +19,6 @@ pub struct SlamConfig {
     pub mapping_iterations: u32,
     /// Pose learning rate for tracking.
     pub tracking_lr: f32,
-    /// Adam configuration for mapping.
-    pub adam: AdamConfig,
     /// Densification configuration.
     pub densify: DensifyConfig,
     /// Tracking loss.
@@ -48,7 +45,6 @@ impl Default for SlamConfig {
             tracking_iterations: 24,
             mapping_iterations: 6,
             tracking_lr: 2e-3,
-            adam: AdamConfig::default(),
             densify: DensifyConfig::default(),
             tracking_loss: LossConfig::tracking(),
             mapping_loss: LossConfig::mapping(),

@@ -236,25 +236,6 @@ fn quad_row(fx: &[f32], out: &mut [f32], c: &QuadCoeffs, qcut: f32) -> u32 {
     }
 }
 
-/// Name of the active quadratic row kernel (for bench/diagnostic output).
-pub fn quad_kernel_name() -> &'static str {
-    #[cfg(all(target_arch = "x86_64", target_feature = "sse2"))]
-    {
-        "sse2"
-    }
-    #[cfg(target_arch = "aarch64")]
-    {
-        "neon"
-    }
-    #[cfg(not(any(
-        all(target_arch = "x86_64", target_feature = "sse2"),
-        target_arch = "aarch64"
-    )))]
-    {
-        "portable"
-    }
-}
-
 /// SSE2 quadratic row: four lanes of `dx = fx - μx`, `(a·dx)·dx`,
 /// `(2b·dx)·dy` and the final adds — each a per-lane IEEE operation, so the
 /// result is bit-identical to [`quad_lane`]. The α-cut's reject mask comes
@@ -816,16 +797,6 @@ mod tests {
             assert_eq!(BackendKind::from_name(kind.name()), Some(kind));
         }
         assert_eq!(BackendKind::from_name("gpu"), None);
-    }
-
-    #[test]
-    fn quad_kernel_name_matches_target() {
-        let name = quad_kernel_name();
-        #[cfg(all(target_arch = "x86_64", target_feature = "sse2"))]
-        assert_eq!(name, "sse2");
-        #[cfg(target_arch = "aarch64")]
-        assert_eq!(name, "neon");
-        assert!(!name.is_empty());
     }
 
     /// The SIMD row kernel must reproduce the scalar falloff quadratic bit

@@ -26,7 +26,8 @@
 //! `SplatTerms::of` its current parameters, which is exactly what
 //! [`crate::project::project_gaussians`] does: the cached projection is
 //! **bit-identical** to projecting from scratch; the cache only changes how
-//! much work that takes.
+//! much work that takes. Debug builds check that contract on every pass:
+//! each result is compared against projecting from scratch on the same inputs.
 //!
 //! Change tracking is epoch-based: a monotone counter stamps every pass,
 //! [`ProjectionCache::mark_dirty`] records when a Gaussian last changed (and
@@ -40,6 +41,8 @@
 
 use crate::compact::Remap;
 use crate::gaussian::GaussianCloud;
+#[cfg(any(test, debug_assertions))]
+use crate::project::project_gaussians;
 use crate::project::{project_cloud, project_with_terms, Projection, Splat2d, SplatTerms};
 use ags_math::Se3;
 use ags_scene::PinholeCamera;
@@ -230,7 +233,10 @@ impl ProjectionCache {
         slot.stamp = stamp_now;
         slot.last_used = stamp_now;
 
-        Projection { splats, culled, world_to_cam }
+        let projection = Projection { splats, culled, world_to_cam };
+        #[cfg(debug_assertions)]
+        assert_projection_eq(&project_gaussians(cloud, camera, pose), &projection);
+        projection
     }
 
     /// [`project`](Self::project) for a pose that will not come back: every
@@ -244,9 +250,24 @@ impl ProjectionCache {
     ) -> Projection {
         self.begin_pass(cloud.len());
         let terms = &mut self.terms;
-        project_cloud(cloud, camera, pose, |id, g| {
+        let projection = project_cloud(cloud, camera, pose, |id, g| {
             *terms[id].get_or_insert_with(|| SplatTerms::of(g))
-        })
+        });
+        #[cfg(debug_assertions)]
+        assert_projection_eq(&project_gaussians(cloud, camera, pose), &projection);
+        projection
+    }
+}
+
+/// Panics unless `got` equals the from-scratch projection `expect` exactly:
+/// the same culled count and the same splats, field for field, in order.
+#[cfg(any(test, debug_assertions))]
+#[track_caller]
+fn assert_projection_eq(expect: &Projection, got: &Projection) {
+    assert_eq!(expect.culled, got.culled, "cached projection culled a different count");
+    assert_eq!(expect.splats.len(), got.splats.len());
+    for (e, g) in expect.splats.iter().zip(&got.splats) {
+        assert_eq!(e, g, "cached projection differs from projecting from scratch");
     }
 }
 
@@ -265,7 +286,6 @@ impl std::fmt::Debug for ProjectionCache {
 mod tests {
     use super::*;
     use crate::gaussian::Gaussian;
-    use crate::project::project_gaussians;
     use ags_math::{Pcg32, Vec3};
 
     fn random_cloud(rng: &mut Pcg32, n: usize) -> GaussianCloud {
@@ -283,14 +303,6 @@ mod tests {
             Vec3::new(rng.next_f32(), rng.next_f32(), rng.next_f32()),
             rng.range_f32(0.05, 0.99),
         )
-    }
-
-    fn assert_projection_eq(expect: &Projection, got: &Projection) {
-        assert_eq!(expect.culled, got.culled);
-        assert_eq!(expect.splats.len(), got.splats.len());
-        for (e, g) in expect.splats.iter().zip(&got.splats) {
-            assert_eq!(e, g);
-        }
     }
 
     #[test]

@@ -153,14 +153,12 @@ impl Default for SharedCloud {
     }
 }
 
-/// Bounded history of published snapshots implementing the deterministic
-/// staleness rule of the deferred-map pipeline.
+/// Bounded history of the snapshots tracking advanced through.
 ///
-/// After mapping frame `f` (publishing epoch `f + 1`) the window holds the
-/// last `slack + 1` epochs; [`SnapshotWindow::stale`] — the oldest of them —
-/// is then exactly epoch `max(0, f + 1 − slack)`, the snapshot Track(f+1)
-/// must read so that overlapped and deferred-serial execution agree bit for
-/// bit.
+/// A driver pushes each epoch when tracking advances to it; the window keeps
+/// the last `slack + 1` of them, newest last. [`SnapshotWindow::latest`] is
+/// the snapshot tracking reads, and the older entries are what a checkpoint
+/// must persist so a restored run can re-seed the same window.
 #[derive(Debug)]
 pub struct SnapshotWindow {
     slack: usize,
@@ -198,11 +196,6 @@ impl SnapshotWindow {
         window
     }
 
-    /// The configured staleness in epochs.
-    pub fn slack(&self) -> usize {
-        self.slack
-    }
-
     /// Iterates the held snapshots oldest → newest — what a checkpoint
     /// persists so a restored run can replay the exact staleness state.
     pub fn snapshots(&self) -> impl Iterator<Item = &CloudSnapshot> {
@@ -218,13 +211,7 @@ impl SnapshotWindow {
         }
     }
 
-    /// The snapshot tracking must read: `slack` epochs behind the newest
-    /// published one (clamped to the initial empty map).
-    pub fn stale(&self) -> &CloudSnapshot {
-        self.window.front().expect("window never empty")
-    }
-
-    /// The newest published snapshot.
+    /// The newest snapshot pushed (the initial empty map before any).
     pub fn latest(&self) -> &CloudSnapshot {
         self.window.back().expect("window never empty")
     }
@@ -305,18 +292,19 @@ mod tests {
         assert_eq!(shared.next_epoch(), 2);
     }
 
+    fn epochs(window: &SnapshotWindow) -> Vec<u64> {
+        window.snapshots().map(CloudSnapshot::epoch).collect()
+    }
+
     #[test]
-    fn window_hands_tracking_the_slack_stale_epoch() {
+    fn window_keeps_the_last_slack_plus_one_epochs() {
         let mut shared = SharedCloud::new();
-        // slack 1: Track(f) must read the epoch published after Map(f-2).
         let mut window = SnapshotWindow::new(1);
-        assert_eq!(window.stale().epoch(), 0, "before any map: the empty snapshot");
+        assert_eq!(epochs(&window), [0], "before any map: the empty snapshot");
         for f in 0..5u64 {
             push_one(&mut shared, f as f32);
             window.push(shared.publish());
-            // After mapping frame f the next tracked frame is f+1, which
-            // must see epoch max(0, f + 1 - slack) = f.
-            assert_eq!(window.stale().epoch(), f, "after map({f})");
+            assert_eq!(epochs(&window), [f, f + 1], "after map({f})");
             assert_eq!(window.latest().epoch(), f + 1);
         }
     }
@@ -328,9 +316,9 @@ mod tests {
         for f in 0..3u64 {
             push_one(&mut shared, f as f32);
             window.push(shared.publish());
-            // Zero slack: tracking always reads the newest published map.
-            assert_eq!(window.stale().epoch(), f + 1);
-            assert!(window.stale().shares_slab(window.latest()));
+            // Zero slack: only the newest published map is kept.
+            assert_eq!(epochs(&window), [f + 1]);
+            assert!(window.latest().shares_slab(&shared.peek()));
         }
     }
 
@@ -340,8 +328,8 @@ mod tests {
         let mut window = SnapshotWindow::new(3);
         push_one(&mut shared, 0.0);
         window.push(shared.publish());
-        // Only one epoch published, slack 3: still reading the empty map.
-        assert_eq!(window.stale().epoch(), 0);
-        assert!(window.stale().cloud().is_empty());
+        // Only one epoch published, slack 3: the empty map is still held.
+        assert_eq!(epochs(&window), [0, 1]);
+        assert!(window.snapshots().next().unwrap().cloud().is_empty());
     }
 }

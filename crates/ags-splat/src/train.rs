@@ -6,7 +6,6 @@
 //! backward pass (forward returns state, backward takes it). Renders that are
 //! never differentiated call [`crate::render::rasterize`] and record nothing.
 
-use crate::backend::BackendKind;
 use crate::backward::{backward_taped, BackwardOutput, BlendTape, GradMode};
 use crate::cache::ProjectionCache;
 use crate::gaussian::GaussianCloud;
@@ -15,7 +14,6 @@ use crate::project::project_gaussians;
 use crate::render::{rasterize_taped, RenderOptions, RenderOutput};
 use crate::tiles::GaussianTables;
 use ags_image::{DepthImage, RgbImage};
-use ags_math::parallel::Parallelism;
 use ags_math::Se3;
 use ags_scene::PinholeCamera;
 
@@ -91,41 +89,10 @@ pub fn train_pass(
     TrainPass { loss, render, backward }
 }
 
-/// Runs one *tracking* gradient evaluation: render → loss → pose gradient.
-/// Gaussians are left untouched; the caller applies the pose update (see
-/// [`crate::optim::PoseAdam`]). `par` drives both the forward rasterizer and
-/// the backward tile walk. One-shot: loops should call [`train_pass`] with a
-/// [`TrainScratch`] they keep.
-#[allow(clippy::too_many_arguments)]
-pub fn tracking_gradient_with(
-    backend: BackendKind,
-    cloud: &GaussianCloud,
-    camera: &PinholeCamera,
-    pose: &Se3,
-    gt_rgb: &RgbImage,
-    gt_depth: &DepthImage,
-    loss_config: &LossConfig,
-    par: &Parallelism,
-) -> (LossResult, BackwardOutput, RenderOutput) {
-    let options = RenderOptions { parallelism: par.clone(), backend, ..RenderOptions::default() };
-    let pass = train_pass(
-        &mut TrainScratch::default(),
-        cloud,
-        camera,
-        pose,
-        gt_rgb,
-        gt_depth,
-        loss_config,
-        GradMode::Track,
-        &options,
-        None,
-    );
-    (pass.loss, pass.backward, pass.render)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::BackendKind;
     use crate::densify::{densify_from_frame, DensifyConfig};
     use crate::gaussian::Gaussian;
     use crate::idset::IdSet;
@@ -257,17 +224,19 @@ mod tests {
     fn tracking_gradient_is_nonzero_off_pose() {
         let (gt_cloud, gt_rgb, gt_depth) = gt_setup();
         let off_pose = Se3::from_translation(Vec3::new(0.03, 0.0, 0.0));
-        let (_, back, _) = tracking_gradient_with(
-            BackendKind::default(),
+        let pass = train_pass(
+            &mut TrainScratch::default(),
             &gt_cloud,
             &camera(),
             &off_pose,
             &gt_rgb,
             &gt_depth,
             &LossConfig::tracking(),
-            &Parallelism::default(),
+            GradMode::Track,
+            &RenderOptions::default(),
+            None,
         );
-        let pg = back.pose.unwrap();
+        let pg = pass.backward.pose.unwrap();
         let norm: f32 = pg.twist.iter().map(|t| t * t).sum::<f32>();
         assert!(norm > 0.0, "off-pose tracking gradient must be non-zero");
     }

@@ -210,6 +210,24 @@ mod tests {
         }
     }
 
+    /// Every prefix of a framed record fails, and every single-byte
+    /// mutation is rejected: a payload byte by the CRC-32, which catches any
+    /// one-byte change, a header byte by the magic, version, kind, length or
+    /// CRC check. Nothing panics.
+    #[test]
+    fn truncated_or_mutated_record_is_always_rejected() {
+        let mut rng = ags_math::Pcg32::seeded(0xf7a3);
+        let payload: Vec<u8> = (0..40).map(|_| rng.range_u32(256) as u8).collect();
+        for (kind, seed) in [(RecordKind::Base, 1), (RecordKind::Manifest, 2)] {
+            for payload in [&payload[..], &[]] {
+                let framed = frame(kind, payload);
+                let decoded =
+                    crate::wire::mutations_decoded(&framed, seed, |b| unframe(kind, b).is_ok());
+                assert_eq!(decoded, 0, "{kind:?} record of {} payload bytes", payload.len());
+            }
+        }
+    }
+
     #[test]
     fn bit_flip_is_detected() {
         let mut framed = frame(RecordKind::Aux, b"state bytes");

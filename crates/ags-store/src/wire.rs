@@ -207,6 +207,18 @@ pub(crate) fn assert_prefixes_fail_and_mutations_never_panic(
     seed: u64,
     decode: impl Fn(&[u8]) -> bool,
 ) {
+    let decoded = mutations_decoded(bytes, seed, decode);
+    assert!(0 < decoded && decoded < MUTATIONS, "{decoded} of {MUTATIONS} decoded");
+}
+
+/// Single-byte mutations [`mutations_decoded`] tries.
+#[cfg(test)]
+pub(crate) const MUTATIONS: usize = 4_000;
+
+/// The checks of [`assert_prefixes_fail_and_mutations_never_panic`] short
+/// of its last: returns how many of the [`MUTATIONS`] mutations decoded.
+#[cfg(test)]
+pub(crate) fn mutations_decoded(bytes: &[u8], seed: u64, decode: impl Fn(&[u8]) -> bool) -> usize {
     // `Some(decoded)`, or `None` when the decoder panicked.
     let run = |payload: &[u8]| {
         std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| decode(payload))).ok()
@@ -217,8 +229,7 @@ pub(crate) fn assert_prefixes_fail_and_mutations_never_panic(
     }
     let mut rng = ags_math::Pcg32::seeded(seed);
     let mut decoded = 0;
-    let mutations = 4_000;
-    for i in 0..mutations {
+    for i in 0..MUTATIONS {
         let mut mutated = bytes.to_vec();
         let at = rng.index(bytes.len());
         // A non-zero XOR mask always changes the byte.
@@ -227,7 +238,7 @@ pub(crate) fn assert_prefixes_fail_and_mutations_never_panic(
         assert!(outcome.is_some(), "mutation {i} (byte {at} = {:#04x}) panicked", mutated[at]);
         decoded += usize::from(outcome == Some(true));
     }
-    assert!(0 < decoded && decoded < mutations, "{decoded} of {mutations} decoded");
+    decoded
 }
 
 #[cfg(test)]

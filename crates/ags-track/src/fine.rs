@@ -99,69 +99,6 @@ impl GsPoseRefiner {
         gt_rgb: &RgbImage,
         gt_depth: &DepthImage,
     ) -> RefineResult {
-        self.refine_with_iterations(
-            cloud,
-            camera,
-            initial_pose,
-            gt_rgb,
-            gt_depth,
-            self.config.iterations,
-        )
-    }
-
-    /// Refines against an epoch-tagged [`CloudSnapshot`] of the map — the
-    /// form the Track ‖ Map pipeline hands tracking, which must never read
-    /// the live (concurrently mutated) cloud. The refinement itself is
-    /// identical to [`refine`](Self::refine) on the snapshotted cloud.
-    pub fn refine_snapshot(
-        &self,
-        map: &CloudSnapshot,
-        camera: &PinholeCamera,
-        initial_pose: Se3,
-        gt_rgb: &RgbImage,
-        gt_depth: &DepthImage,
-    ) -> RefineResult {
-        self.refine(map.cloud(), camera, initial_pose, gt_rgb, gt_depth)
-    }
-
-    /// Runs up to `iterations` pose-only training iterations (used by the
-    /// baseline pipeline, which has a different budget than AGS).
-    pub fn refine_with_iterations(
-        &self,
-        cloud: &GaussianCloud,
-        camera: &PinholeCamera,
-        initial_pose: Se3,
-        gt_rgb: &RgbImage,
-        gt_depth: &DepthImage,
-        iterations: u32,
-    ) -> RefineResult {
-        // The map is frozen for the call, so each Gaussian's pose-independent
-        // terms are derived once and serve every iteration; tracking passes
-        // never take one of the cache's pose slots.
-        let mut cache = ProjectionCache::with_capacity(1);
-        self.refine_loop(
-            cloud,
-            camera,
-            initial_pose,
-            gt_rgb,
-            gt_depth,
-            iterations,
-            Some(&mut cache),
-        )
-    }
-
-    /// The refinement loop, projecting through `cache` when there is one.
-    #[allow(clippy::too_many_arguments)]
-    fn refine_loop(
-        &self,
-        cloud: &GaussianCloud,
-        camera: &PinholeCamera,
-        initial_pose: Se3,
-        gt_rgb: &RgbImage,
-        gt_depth: &DepthImage,
-        iterations: u32,
-        mut cache: Option<&mut ProjectionCache>,
-    ) -> RefineResult {
         let mut pose = initial_pose;
         let mut best_pose = initial_pose;
         let mut adam = PoseAdam::new(self.config.learning_rate);
@@ -176,8 +113,12 @@ impl GsPoseRefiner {
             ..RenderOptions::default()
         };
         let mut scratch = TrainScratch::default();
+        // The map is frozen for the call, so each Gaussian's pose-independent
+        // terms are derived once and serve every iteration; tracking passes
+        // never take one of the cache's pose slots.
+        let mut cache = ProjectionCache::with_capacity(1);
 
-        for iter in 0..iterations {
+        for iter in 0..self.config.iterations {
             let TrainPass { loss, render, backward: back } = train_pass(
                 &mut scratch,
                 cloud,
@@ -188,7 +129,7 @@ impl GsPoseRefiner {
                 &self.config.loss,
                 GradMode::Track,
                 &options,
-                cache.as_deref_mut(),
+                Some(&mut cache),
             );
             workload.render.merge(&render.stats);
             workload.grad_ops += back.stats.grad_ops;
@@ -220,6 +161,21 @@ impl GsPoseRefiner {
             final_loss: best_loss.min(initial_loss),
             workload,
         }
+    }
+
+    /// Refines against an epoch-tagged [`CloudSnapshot`] of the map — the
+    /// form the Track ‖ Map pipeline hands tracking, which must never read
+    /// the live (concurrently mutated) cloud. The refinement itself is
+    /// identical to [`refine`](Self::refine) on the snapshotted cloud.
+    pub fn refine_snapshot(
+        &self,
+        map: &CloudSnapshot,
+        camera: &PinholeCamera,
+        initial_pose: Se3,
+        gt_rgb: &RgbImage,
+        gt_depth: &DepthImage,
+    ) -> RefineResult {
+        self.refine(map.cloud(), camera, initial_pose, gt_rgb, gt_depth)
     }
 }
 
@@ -339,8 +295,56 @@ mod tests {
         (cloud, data)
     }
 
+    /// One iteration of [`from_scratch_passes`]: the pose it rendered at and
+    /// what that pass measured.
+    struct Pass {
+        pose: Se3,
+        loss: f32,
+        grad_ops: u64,
+        render: RenderStats,
+    }
+
+    /// The refinement loop of `config` with every projection made from
+    /// scratch (`train_pass(.., None)`) and no early stop — the oracle for
+    /// [`GsPoseRefiner::refine`], which projects from kept terms.
+    fn from_scratch_passes(
+        config: &RefineConfig,
+        cloud: &GaussianCloud,
+        cam: &PinholeCamera,
+        start: Se3,
+        rgb: &RgbImage,
+        depth: &DepthImage,
+    ) -> Vec<Pass> {
+        let options = RenderOptions {
+            parallelism: config.parallelism.clone(),
+            backend: config.backend,
+            ..RenderOptions::default()
+        };
+        let (mut pose, mut adam) = (start, PoseAdam::new(config.learning_rate));
+        let mut scratch = TrainScratch::default();
+        let mut passes = Vec::new();
+        for _ in 0..config.iterations {
+            let pass = train_pass(
+                &mut scratch,
+                cloud,
+                cam,
+                &pose,
+                rgb,
+                depth,
+                &config.loss,
+                GradMode::Track,
+                &options,
+                None,
+            );
+            let (loss, grad_ops) = (pass.loss.total, pass.backward.stats.grad_ops);
+            passes.push(Pass { pose, loss, grad_ops, render: pass.render.stats });
+            pose = adam.step(&pose, &pass.backward.pose.expect("pose gradient"));
+        }
+        passes
+    }
+
     /// Projecting from kept terms moves nothing: pose bits, losses and every
-    /// workload counter equal the uncached loop's.
+    /// workload counter equal the from-scratch loop's.
     #[test]
     fn refinement_with_kept_terms_equals_the_uncached_loop() {
         let wall = wall_cloud();
@@ -364,15 +368,20 @@ mod tests {
             });
             for (cloud, camera, start, rgb, depth) in cases {
                 let kept = refiner.refine(cloud, camera, start, rgb, depth);
-                let plain = refiner.refine_loop(cloud, camera, start, rgb, depth, 12, None);
-                assert_eq!(kept.pose, plain.pose);
+                let plain = from_scratch_passes(refiner.config(), cloud, camera, start, rgb, depth);
+                // The loop returns the first pose of least loss.
+                let best = plain.iter().fold(&plain[0], |b, p| if p.loss < b.loss { p } else { b });
+                assert_eq!(kept.pose, best.pose);
                 assert_ne!(kept.pose, start, "the pose must have moved");
-                assert_eq!(kept.initial_loss.to_bits(), plain.initial_loss.to_bits());
-                assert_eq!(kept.final_loss.to_bits(), plain.final_loss.to_bits());
-                let (k, p) = (&kept.workload, &plain.workload);
-                assert_eq!((k.iterations, k.grad_ops), (p.iterations, p.grad_ops));
+                assert_eq!(kept.initial_loss.to_bits(), plain[0].loss.to_bits());
+                assert_eq!(kept.final_loss.to_bits(), best.loss.to_bits());
+                let k = &kept.workload;
+                let grad_ops = plain.iter().map(|p| p.grad_ops).sum::<u64>();
+                assert_eq!((k.iterations as usize, k.grad_ops), (plain.len(), grad_ops));
                 assert!(k.render.culled > 0 || cloud.len() == wall.len());
-                assert_eq!(format!("{:?}", k.render), format!("{:?}", p.render));
+                let mut render = RenderStats::default();
+                plain.iter().for_each(|p| render.merge(&p.render));
+                assert_eq!(format!("{:?}", k.render), format!("{render:?}"));
             }
         }
     }
@@ -392,31 +401,9 @@ mod tests {
         assert_eq!(result.workload.iterations, iterations);
 
         // The same iterations, one `train_pass` at a time.
-        let options = RenderOptions {
-            parallelism: config.parallelism.clone(),
-            backend: config.backend,
-            ..RenderOptions::default()
-        };
-        let (mut pose, mut adam) = (start, PoseAdam::new(config.learning_rate));
-        let mut scratch = TrainScratch::default();
-        let mut renders = Vec::new();
-        for _ in 0..iterations {
-            let pass = train_pass(
-                &mut scratch,
-                &cloud,
-                &cam,
-                &pose,
-                &gt.color,
-                &gt.depth,
-                &config.loss,
-                GradMode::Track,
-                &options,
-                None,
-            );
-            pose = adam.step(&pose, &pass.backward.pose.expect("pose gradient"));
-            renders.push(pass.render.stats);
-        }
-        let sum = |field: fn(&RenderStats) -> u64| renders.iter().map(field).sum::<u64>();
+        let passes = from_scratch_passes(&config, &cloud, &cam, start, &gt.color, &gt.depth);
+        let sum =
+            |field: fn(&RenderStats) -> u64| passes.iter().map(|p| field(&p.render)).sum::<u64>();
         let got = &result.workload.render;
         assert_eq!(got.alpha_evals, sum(|s| s.alpha_evals));
         assert_eq!(got.blend_ops, sum(|s| s.blend_ops));
@@ -430,7 +417,7 @@ mod tests {
         assert_eq!(got.canonical_tiles, sum(|s| s.canonical_tiles));
         assert_eq!(got.deepened_tiles, sum(|s| s.deepened_tiles));
         assert_eq!(got.interior_pairs, sum(|s| s.interior_pairs));
-        assert!(got.tile_work.is_empty() && renders.iter().all(|s| s.tile_work.is_empty()));
+        assert!(got.tile_work.is_empty() && passes.iter().all(|p| p.render.tile_work.is_empty()));
         // The walk diagnostics the sum used to drop are not zero here.
         let walk = (got.walked_pairs, got.canonical_tiles, got.interior_pairs);
         assert!(walk.0 > 0 && walk.1 > 0 && walk.2 > 0, "{got:?}");
