@@ -14,7 +14,7 @@
 //! Run: `cargo bench -p ags-bench --bench kernels`
 //! Env: `AGS_BENCH_THREADS=<n>` overrides the parallel worker count.
 
-use ags_codec::{sad_kernel_name, CodecConfig, LumaPlane, MotionEstimator, SearchKind};
+use ags_codec::{sad_kernel_name, CodecConfig, LumaPlane, MotionEstimator, SearchKind, MB_SIZE};
 use ags_core::config::PipelineConfig;
 use ags_core::{AgsConfig, AgsSlam};
 use ags_math::parallel::Parallelism;
@@ -278,12 +278,11 @@ struct SadResult {
     speedup: f64,
 }
 
-/// Times the dispatched SIMD SAD kernel (SSE2/NEON whole-block kernels for
-/// 8×8 and 16×16 macro-blocks, portable chunked fallback) against the
-/// scalar reference over a dense grid of block comparisons (the exact shape
-/// the ME search issues).
-fn bench_sad_kernel(block: usize) -> SadResult {
-    let (w, h) = (512usize, 384usize);
+/// Times the whole-block SAD kernel (SSE2/NEON on 8×8 macro-blocks, the
+/// scalar oracle elsewhere) against the scalar oracle over a dense grid of
+/// block comparisons (the exact shape the ME search issues).
+fn bench_sad_kernel() -> SadResult {
+    let (w, h, block) = (512usize, 384usize, MB_SIZE);
     let a = LumaPlane::from_fn(w, h, |x, y| (((x * 31 + y * 17) ^ (x / 3 + y)) % 253) as u8);
     let b = LumaPlane::from_fn(w, h, |x, y| (((x * 29 + y * 23) ^ (x + y / 2 + 7)) % 253) as u8);
     let positions: Vec<(usize, usize, usize, usize)> = (0..h - block)
@@ -299,25 +298,23 @@ fn bench_sad_kernel(block: usize) -> SadResult {
         .collect();
     // Bit-identity before trusting timings (integer sums: must match exactly).
     let simd_sum: u64 =
-        positions.iter().map(|&(x, y, rx, ry)| a.block_sad(x, y, &b, rx, ry, block) as u64).sum();
-    let scalar_sum: u64 = positions
-        .iter()
-        .map(|&(x, y, rx, ry)| a.block_sad_scalar(x, y, &b, rx, ry, block) as u64)
-        .sum();
+        positions.iter().map(|&(x, y, rx, ry)| a.block_sad(x, y, &b, rx, ry) as u64).sum();
+    let scalar_sum: u64 =
+        positions.iter().map(|&(x, y, rx, ry)| a.block_sad_scalar(x, y, &b, rx, ry) as u64).sum();
     assert_eq!(simd_sum, scalar_sum, "SIMD SAD kernel must match the scalar reference");
 
     let pixels = (positions.len() * block * block) as f64;
     let t_scalar = time_it(5, 20, || {
         let mut acc = 0u64;
         for &(x, y, rx, ry) in &positions {
-            acc += a.block_sad_scalar(x, y, black_box(&b), rx, ry, block) as u64;
+            acc += a.block_sad_scalar(x, y, black_box(&b), rx, ry) as u64;
         }
         black_box(acc);
     });
     let t_simd = time_it(5, 20, || {
         let mut acc = 0u64;
         for &(x, y, rx, ry) in &positions {
-            acc += a.block_sad(x, y, black_box(&b), rx, ry, block) as u64;
+            acc += a.block_sad(x, y, black_box(&b), rx, ry) as u64;
         }
         black_box(acc);
     });
@@ -992,15 +989,10 @@ fn main() {
     let workers = parallel.effective_threads();
     println!("kernel benchmarks — {workers} parallel worker(s)\n");
 
-    let sad = bench_sad_kernel(8);
+    let sad = bench_sad_kernel();
     println!(
         "sad kernel 8x8 blocks          512x384: scalar {:>10.1} Mpix/s   {:<8} {:>10.1} Mpix/s   speedup {:.2}x",
         sad.scalar_mpix_per_s, sad.kernel, sad.simd_mpix_per_s, sad.speedup
-    );
-    let sad16 = bench_sad_kernel(16);
-    println!(
-        "sad kernel 16x16 blocks        512x384: scalar {:>10.1} Mpix/s   {:<8} {:>10.1} Mpix/s   speedup {:.2}x",
-        sad16.scalar_mpix_per_s, sad16.kernel, sad16.simd_mpix_per_s, sad16.speedup
     );
     let diamond = bench_motion_estimation(SearchKind::Diamond, parallel.clone());
     println!(
@@ -1129,14 +1121,6 @@ fn main() {
     "simd_mpix_per_s": {:.1},
     "speedup": {:.3}
   }},
-  "sad_kernel_16": {{
-    "frame": [512, 384],
-    "block": 16,
-    "kernel": "{}",
-    "scalar_mpix_per_s": {:.1},
-    "simd_mpix_per_s": {:.1},
-    "speedup": {:.3}
-  }},
   "motion_estimation": {{
     "frame": [512, 384],
     "mb_size": 8,
@@ -1198,10 +1182,6 @@ fn main() {
         sad.scalar_mpix_per_s,
         sad.simd_mpix_per_s,
         sad.speedup,
-        sad16.kernel,
-        sad16.scalar_mpix_per_s,
-        sad16.simd_mpix_per_s,
-        sad16.speedup,
         diamond.serial_blocks_per_s,
         diamond.parallel_blocks_per_s,
         diamond.speedup,

@@ -126,7 +126,7 @@ pub fn fig04(profile: &BenchProfile) -> Table {
     for w in dataset.frames.windows(2) {
         let a = LumaPlane::from_rgb(&w[0].rgb);
         let b = LumaPlane::from_rgb(&w[1].rgb);
-        fc.push(Some(est.estimate(&b, &a).covisibility(est.config())));
+        fc.push(Some(est.estimate(&b, &a).covisibility()));
     }
     let gt = dataset.gt_trajectory();
     let budgets = [profile.tracking_iterations, 8, 4, 2];
@@ -206,7 +206,7 @@ pub fn fig06(ctx: &mut Context) -> Table {
             let fc = {
                 let a = ags_codec::LumaPlane::from_rgb(&run.dataset.frames[i].rgb);
                 let b = ags_codec::LumaPlane::from_rgb(&run.dataset.frames[j].rgb);
-                codec.estimate(&b, &a).covisibility(codec.config())
+                codec.estimate(&b, &a).covisibility()
             };
             let map = run.final_cloud();
             let audit_a =

@@ -13,9 +13,10 @@
 //! * [`LumaPlane`] — 8-bit luminance planes, the representation hardware ME
 //!   operates on.
 //! * [`MotionEstimator`] — full-search and diamond-search block matching
-//!   producing per-MB motion vectors and min-SADs, with exact operation
-//!   counts for the cost models.
-//! * [`Covisibility`] — the normalized FC metric with the paper's 5-level
+//!   over [`MB_SIZE`]×[`MB_SIZE`] macro-blocks, producing per-MB motion
+//!   vectors and min-SADs, with exact operation counts for the cost models.
+//! * [`Covisibility`] — the FC metric, min-SADs normalised by [`NORM_MAD`]
+//!   per covered pixel, with the paper's 5-level
 //!   quantisation (Fig. 6) and High/Medium/Low banding (Fig. 22).
 //! * [`VideoCodec`] — a streaming front end that keeps reference pictures
 //!   (previous frame for tracking FC, last key frame for mapping FC).
@@ -23,15 +24,15 @@
 //! # Example
 //!
 //! ```
-//! use ags_codec::{CodecConfig, LumaPlane, MotionEstimator};
+//! use ags_codec::{CodecConfig, LumaPlane, MotionEstimator, MB_SIZE};
 //!
-//! let config = CodecConfig::default();
-//! let estimator = MotionEstimator::new(config.clone());
+//! let estimator = MotionEstimator::new(CodecConfig::default());
 //! let a = LumaPlane::from_fn(32, 32, |x, y| ((x + y) % 17 * 15) as u8);
 //! let b = a.clone();
 //! let result = estimator.estimate(&b, &a);
-//! let fc = result.covisibility(&config);
-//! assert!(fc.value() > 0.99); // identical frames are fully covisible
+//! // 32×32 px is 4×4 macro-blocks of MB_SIZE×MB_SIZE px.
+//! assert_eq!(result.field.entries.len(), (32 / MB_SIZE) * (32 / MB_SIZE));
+//! assert!(result.covisibility().value() > 0.99); // identical frames are fully covisible
 //! ```
 
 #![warn(missing_docs)]
@@ -42,6 +43,8 @@ pub mod plane;
 pub mod stream;
 
 pub use covisibility::{Covisibility, CovisibilityBand, CovisibilityLevel};
-pub use me::{CodecConfig, MbMatch, MotionEstimator, MotionField, MotionResult, SearchKind};
+pub use me::{
+    CodecConfig, MbMatch, MotionEstimator, MotionField, MotionResult, SearchKind, MB_SIZE, NORM_MAD,
+};
 pub use plane::{sad_kernel_name, LumaPlane};
 pub use stream::{CodecFrameReport, VideoCodec, VideoCodecState};

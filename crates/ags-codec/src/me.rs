@@ -16,21 +16,24 @@ pub enum SearchKind {
     Diamond,
 }
 
-/// Static configuration of the CODEC's motion-estimation stage.
+/// Macro-block edge length in pixels: the CODEC searches 8×8 blocks, as
+/// the paper does.
+pub const MB_SIZE: usize = 8;
+
+/// Mean-absolute-difference (per pixel) treated as "no covisibility" when
+/// normalising SAD sums into a covisibility score. Calibrated so smooth
+/// 30 Hz motion (MAD ≈ 3–6 after motion compensation) lands above the
+/// paper's `ThreshT = 0.9` and fast-motion bursts (MAD ≥ 15) fall below it.
+pub const NORM_MAD: f32 = 80.0;
+
+/// Static configuration of the CODEC's motion-estimation stage, which
+/// searches [`MB_SIZE`]×[`MB_SIZE`] macro-blocks.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CodecConfig {
-    /// Macro-block edge length in pixels (paper uses 8×8).
-    pub mb_size: usize,
     /// Maximum motion-vector magnitude per axis, in pixels.
     pub search_range: i32,
     /// Search strategy.
     pub search: SearchKind,
-    /// Mean-absolute-difference (per pixel) treated as "no covisibility"
-    /// when normalising SAD sums into a covisibility score. Calibrated so
-    /// smooth 30 Hz motion (MAD ≈ 3–6 after motion compensation) lands above
-    /// the paper's `ThreshT = 0.9` and fast-motion bursts (MAD ≥ 15) fall
-    /// below it.
-    pub norm_mad: f32,
     /// Thread-level parallelism of [`MotionEstimator::estimate`]. The
     /// parallel path distributes macro-block rows across the pool's workers
     /// and is bit-identical to `Parallelism::serial()`.
@@ -39,13 +42,7 @@ pub struct CodecConfig {
 
 impl Default for CodecConfig {
     fn default() -> Self {
-        Self {
-            mb_size: 8,
-            search_range: 8,
-            search: SearchKind::Diamond,
-            norm_mad: 80.0,
-            parallelism: Parallelism::default(),
-        }
+        Self { search_range: 8, search: SearchKind::Diamond, parallelism: Parallelism::default() }
     }
 }
 
@@ -104,9 +101,10 @@ pub struct MotionResult {
 }
 
 impl MotionResult {
-    /// Normalised covisibility of the frame pair under `config`.
-    pub fn covisibility(&self, config: &CodecConfig) -> Covisibility {
-        let denom = self.covered_pixels as f32 * config.norm_mad;
+    /// Normalised covisibility of the frame pair: one minus the mean
+    /// min-SAD per covered pixel over [`NORM_MAD`], clamped to `[0, 1]`.
+    pub fn covisibility(&self) -> Covisibility {
+        let denom = self.covered_pixels as f32 * NORM_MAD;
         if denom <= 0.0 {
             return Covisibility::new(1.0);
         }
@@ -144,11 +142,10 @@ impl MotionEstimator {
     pub fn estimate(&self, current: &LumaPlane, reference: &LumaPlane) -> MotionResult {
         assert_eq!(current.width(), reference.width(), "plane width mismatch");
         assert_eq!(current.height(), reference.height(), "plane height mismatch");
-        let mb = self.config.mb_size;
-        assert!(mb > 0 && current.width() >= mb && current.height() >= mb, "plane smaller than MB");
+        assert!(current.width() >= MB_SIZE && current.height() >= MB_SIZE, "plane smaller than MB");
 
-        let mb_cols = current.width() / mb;
-        let mb_rows = current.height() / mb;
+        let mb_cols = current.width() / MB_SIZE;
+        let mb_rows = current.height() / MB_SIZE;
 
         // The serial-fallback workload estimate counts SAD evaluations, not
         // macro-blocks: a full-search MB probes the whole (2r+1)² window
@@ -178,7 +175,7 @@ impl MotionEstimator {
             let mut scratch = SearchScratch::new(self.config.search_range);
             for row in rows {
                 for col in 0..mb_cols {
-                    let (x, y) = (col * mb, row * mb);
+                    let (x, y) = (col * MB_SIZE, row * MB_SIZE);
                     let (m, e) = match self.config.search {
                         SearchKind::FullSearch => self.full_search(current, reference, x, y),
                         SearchKind::Diamond => {
@@ -202,7 +199,7 @@ impl MotionEstimator {
         MotionResult {
             field,
             sad_evaluations,
-            covered_pixels: (mb_cols * mb_rows * mb * mb) as u64,
+            covered_pixels: (mb_cols * mb_rows * MB_SIZE * MB_SIZE) as u64,
         }
     }
 
@@ -220,17 +217,16 @@ impl MotionEstimator {
         dy: i32,
         bound: u32,
     ) -> Option<u32> {
-        let mb = self.config.mb_size;
         let rx = x as i32 + dx;
         let ry = y as i32 + dy;
         if rx < 0
             || ry < 0
-            || rx as usize + mb > reference.width()
-            || ry as usize + mb > reference.height()
+            || rx as usize + MB_SIZE > reference.width()
+            || ry as usize + MB_SIZE > reference.height()
         {
             return None;
         }
-        Some(current.block_sad_bounded(x, y, reference, rx as usize, ry as usize, mb, bound))
+        Some(current.block_sad_bounded(x, y, reference, rx as usize, ry as usize, bound))
     }
 
     fn full_search(
@@ -492,7 +488,7 @@ mod tests {
             (0, 1),
             (-1, 0),
         ];
-        let (w, h, mb) = (32usize, 32usize, 8i32);
+        let (w, h, mb) = (32usize, 32usize, MB_SIZE as i32);
         let p = textured_plane(w, h, 0);
         let est = MotionEstimator::new(CodecConfig {
             search: SearchKind::Diamond,
@@ -545,11 +541,10 @@ mod tests {
         let base = textured_plane(64, 64, 0);
         let near = textured_plane(64, 64, 1);
         let far = LumaPlane::from_fn(64, 64, |x, y| ((x * 31 + y * 17 + 97) % 255) as u8);
-        let config = CodecConfig::default();
-        let est = MotionEstimator::new(config.clone());
-        let cov_same = est.estimate(&base, &base).covisibility(&config);
-        let cov_near = est.estimate(&near, &base).covisibility(&config);
-        let cov_far = est.estimate(&far, &base).covisibility(&config);
+        let est = MotionEstimator::new(CodecConfig::default());
+        let cov_same = est.estimate(&base, &base).covisibility();
+        let cov_near = est.estimate(&near, &base).covisibility();
+        let cov_far = est.estimate(&far, &base).covisibility();
         assert!(cov_same.value() >= cov_near.value());
         assert!(cov_near.value() > cov_far.value(), "near {cov_near:?} far {cov_far:?}");
     }
@@ -558,8 +553,7 @@ mod tests {
     fn covisibility_bounded() {
         let a = LumaPlane::from_fn(16, 16, |_, _| 0);
         let b = LumaPlane::from_fn(16, 16, |_, _| 255);
-        let config = CodecConfig::default();
-        let cov = MotionEstimator::new(config.clone()).estimate(&a, &b).covisibility(&config);
+        let cov = MotionEstimator::new(CodecConfig::default()).estimate(&a, &b).covisibility();
         assert!(cov.value() >= 0.0 && cov.value() <= 1.0);
         assert!(cov.value() < 0.05, "opposite planes should have ~0 covisibility");
     }

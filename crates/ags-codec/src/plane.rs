@@ -1,5 +1,6 @@
 //! 8-bit luminance planes — the pixel format hardware ME consumes.
 
+use crate::me::MB_SIZE;
 use ags_image::RgbImage;
 
 /// An 8-bit single-channel image plane.
@@ -74,12 +75,14 @@ impl LumaPlane {
         &self.data
     }
 
-    /// Sum of absolute differences between an MB-sized block of `self` at
-    /// `(x, y)` and a block of `reference` at `(rx, ry)`.
+    /// Sum of absolute differences between the [`MB_SIZE`]×[`MB_SIZE`]
+    /// macro-block of `self` at `(x, y)` and the block of `reference` at
+    /// `(rx, ry)`.
     ///
     /// Both blocks must lie fully inside their planes; the caller (the ME
     /// search) guarantees this, mirroring hardware that clamps candidate
-    /// motion vectors to the picture boundary.
+    /// motion vectors to the picture boundary. A block that does not fit
+    /// panics, also in release builds.
     #[inline]
     pub fn block_sad(
         &self,
@@ -88,39 +91,12 @@ impl LumaPlane {
         reference: &LumaPlane,
         rx: usize,
         ry: usize,
-        block: usize,
     ) -> u32 {
-        debug_assert!(x + block <= self.width && y + block <= self.height);
-        debug_assert!(rx + block <= reference.width && ry + block <= reference.height);
-        #[cfg(any(all(target_arch = "x86_64", target_feature = "sse2"), target_arch = "aarch64"))]
-        {
-            if block == 8 && self.block8_in_bounds(x, y) && reference.block8_in_bounds(rx, ry) {
-                // The codec's default MB size gets the whole-block kernel:
-                // two 8-px rows per SIMD op instead of one row per call. The
-                // bounds guard keeps this safe `pub fn` panicking (below,
-                // via slice indexing) instead of reading out of bounds on
-                // bad inputs.
-                return block_sad8_simd(self, x, y, reference, rx, ry, u32::MAX);
-            }
-            if block == 16
-                && self.block_in_bounds(x, y, 16)
-                && reference.block_in_bounds(rx, ry, 16)
-            {
-                // 16×16 macro-blocks: one 16-byte load pair + SAD per row.
-                return block_sad16_simd(self, x, y, reference, rx, ry, u32::MAX);
-            }
-        }
-        let mut sad = 0u32;
-        for row in 0..block {
-            let a = &self.data[(y + row) * self.width + x..][..block];
-            let b = &reference.data[(ry + row) * reference.width + rx..][..block];
-            sad += row_sad(a, b);
-        }
-        sad
+        self.block_sad_bounded(x, y, reference, rx, ry, u32::MAX)
     }
 
-    /// [`block_sad`](Self::block_sad) with an early exit: the row loop
-    /// abandons the sum as soon as the partial SAD exceeds `bound`.
+    /// [`block_sad`](Self::block_sad) with an early exit: the sum is
+    /// abandoned as soon as the partial SAD exceeds `bound`.
     ///
     /// The return value is the exact SAD whenever it is `<= bound`; otherwise
     /// it is some partial sum that is already `> bound`. Block-matching
@@ -129,7 +105,6 @@ impl LumaPlane {
     /// exactly, so the search selects the same best match as with the
     /// unbounded SAD while skipping most of the arithmetic on losers.
     #[inline]
-    #[allow(clippy::too_many_arguments)]
     pub fn block_sad_bounded(
         &self,
         x: usize,
@@ -137,59 +112,28 @@ impl LumaPlane {
         reference: &LumaPlane,
         rx: usize,
         ry: usize,
-        block: usize,
         bound: u32,
     ) -> u32 {
-        debug_assert!(x + block <= self.width && y + block <= self.height);
-        debug_assert!(rx + block <= reference.width && ry + block <= reference.height);
         #[cfg(any(all(target_arch = "x86_64", target_feature = "sse2"), target_arch = "aarch64"))]
         {
-            if block == 8 && self.block8_in_bounds(x, y) && reference.block8_in_bounds(rx, ry) {
+            // Both blocks inside their planes: the safety precondition of the
+            // raw-pointer kernel. Anything else falls through to the
+            // panicking per-pixel path below.
+            let fits = |p: &LumaPlane, x: usize, y: usize| {
+                x + MB_SIZE <= p.width && y + MB_SIZE <= p.height
+            };
+            if fits(self, x, y) && fits(reference, rx, ry) {
                 // Two-row bound-check granularity: the partial sums it exits
                 // on are still `> bound`, and any SAD `<= bound` is computed
                 // exactly — the same contract as the per-row early exit.
-                // Out-of-bounds inputs fall through to the panicking slice
-                // path.
                 return block_sad8_simd(self, x, y, reference, rx, ry, bound);
             }
-            if block == 16
-                && self.block_in_bounds(x, y, 16)
-                && reference.block_in_bounds(rx, ry, 16)
-            {
-                return block_sad16_simd(self, x, y, reference, rx, ry, bound);
-            }
         }
-        let mut sad = 0u32;
-        for row in 0..block {
-            let a = &self.data[(y + row) * self.width + x..][..block];
-            let b = &reference.data[(ry + row) * reference.width + rx..][..block];
-            sad += row_sad(a, b);
-            if sad > bound {
-                return sad;
-            }
-        }
-        sad
+        self.block_sad_rows(x, y, reference, rx, ry, bound)
     }
 
-    /// Whether an 8×8 block at `(x, y)` lies fully inside the plane — the
-    /// safety precondition of the raw-pointer whole-block kernel.
-    #[cfg(any(all(target_arch = "x86_64", target_feature = "sse2"), target_arch = "aarch64"))]
-    #[inline]
-    fn block8_in_bounds(&self, x: usize, y: usize) -> bool {
-        x + 8 <= self.width && y + 8 <= self.height
-    }
-
-    /// Whether a `block`×`block` block at `(x, y)` lies fully inside the
-    /// plane — the safety precondition of the raw-pointer whole-block
-    /// kernels.
-    #[cfg(any(all(target_arch = "x86_64", target_feature = "sse2"), target_arch = "aarch64"))]
-    #[inline]
-    fn block_in_bounds(&self, x: usize, y: usize, block: usize) -> bool {
-        x + block <= self.width && y + block <= self.height
-    }
-
-    /// Scalar reference SAD — the pre-vectorisation kernel, kept for
-    /// identity tests and the `sad_kernel` benchmark baseline.
+    /// Scalar reference SAD — the per-pixel oracle the whole-block kernel is
+    /// tested and benchmarked against.
     #[inline]
     pub fn block_sad_scalar(
         &self,
@@ -198,68 +142,62 @@ impl LumaPlane {
         reference: &LumaPlane,
         rx: usize,
         ry: usize,
-        block: usize,
     ) -> u32 {
-        debug_assert!(x + block <= self.width && y + block <= self.height);
-        debug_assert!(rx + block <= reference.width && ry + block <= reference.height);
+        self.block_sad_rows(x, y, reference, rx, ry, u32::MAX)
+    }
+
+    /// The per-pixel SAD loop with a per-row early exit above `bound`: the
+    /// scalar oracle, and the whole SAD on targets without a whole-block
+    /// kernel. A block that does not fit its plane panics, also in release
+    /// builds: a block past the right edge would otherwise read the next
+    /// row's pixels.
+    #[inline]
+    fn block_sad_rows(
+        &self,
+        x: usize,
+        y: usize,
+        reference: &LumaPlane,
+        rx: usize,
+        ry: usize,
+        bound: u32,
+    ) -> u32 {
+        assert!(x + MB_SIZE <= self.width && y + MB_SIZE <= self.height, "block outside the plane");
+        assert!(
+            rx + MB_SIZE <= reference.width && ry + MB_SIZE <= reference.height,
+            "reference block outside the plane"
+        );
         let mut sad = 0u32;
-        for row in 0..block {
-            let a = &self.data[(y + row) * self.width + x..][..block];
-            let b = &reference.data[(ry + row) * reference.width + rx..][..block];
+        for row in 0..MB_SIZE {
+            let a = &self.data[(y + row) * self.width + x..][..MB_SIZE];
+            let b = &reference.data[(ry + row) * reference.width + rx..][..MB_SIZE];
             for (pa, pb) in a.iter().zip(b) {
                 sad += pa.abs_diff(*pb) as u32;
+            }
+            if sad > bound {
+                return sad;
             }
         }
         sad
     }
 }
 
-/// Name of the row-SAD kernel selected at compile time for this target
-/// (`"sse2"`, `"neon"` or `"portable"`); reported by the kernel benchmarks.
+/// Name of the whole-block SAD kernel selected at compile time for this
+/// target (`"sse2"`, `"neon"`, or `"scalar"` where the per-pixel oracle is
+/// the kernel); reported by the kernel benchmarks.
 pub fn sad_kernel_name() -> &'static str {
-    #[cfg(all(target_arch = "x86_64", target_feature = "sse2"))]
-    {
+    if cfg!(all(target_arch = "x86_64", target_feature = "sse2")) {
         "sse2"
-    }
-    #[cfg(target_arch = "aarch64")]
-    {
+    } else if cfg!(target_arch = "aarch64") {
         "neon"
-    }
-    #[cfg(not(any(
-        all(target_arch = "x86_64", target_feature = "sse2"),
-        target_arch = "aarch64"
-    )))]
-    {
-        "portable"
+    } else {
+        "scalar"
     }
 }
 
-/// SAD of one block row, dispatched to the best kernel the target offers:
-/// SSE2 `_mm_sad_epu8` on x86-64, NEON `vabdl_u8` on aarch64, and the
-/// portable chunked-lane kernel everywhere else. All three sum exact `u8`
-/// absolute differences into integers, so they are **bit-identical** for
-/// every input (the identity tests compare them against the scalar
-/// reference).
-#[inline]
-fn row_sad(a: &[u8], b: &[u8]) -> u32 {
-    #[cfg(all(target_arch = "x86_64", target_feature = "sse2"))]
-    {
-        row_sad_sse2(a, b)
-    }
-    #[cfg(target_arch = "aarch64")]
-    {
-        row_sad_neon(a, b)
-    }
-    #[cfg(not(any(
-        all(target_arch = "x86_64", target_feature = "sse2"),
-        target_arch = "aarch64"
-    )))]
-    {
-        row_sad_portable(a, b)
-    }
-}
+// The whole-block kernel below is written for 8×8 macro-blocks.
+const _: () = assert!(MB_SIZE == 8);
 
-/// Whole-block SAD for the default 8×8 macro-block, processing **two rows
+/// Whole-block SAD for the 8×8 macro-block, processing **two rows
 /// per SIMD op** with a bound check every row pair.
 ///
 /// Exactness contract matches [`LumaPlane::block_sad_bounded`]: any return
@@ -330,169 +268,6 @@ fn block_sad8_simd(
     sad
 }
 
-/// Whole-block SAD for 16×16 macro-blocks: one 16-byte load pair + SAD per
-/// row (SSE2 `_mm_loadu_si128` → `_mm_sad_epu8`; NEON `vld1q_u8` →
-/// `vabdq_u8`), with a bound check every two rows.
-///
-/// Exactness contract matches [`LumaPlane::block_sad_bounded`]: any return
-/// value `<= bound` is the exact block SAD (integer sums, bit-identical to
-/// scalar); early exits return a partial sum already `> bound`. Call with
-/// `bound = u32::MAX` for the unbounded kernel.
-#[cfg(any(all(target_arch = "x86_64", target_feature = "sse2"), target_arch = "aarch64"))]
-#[inline]
-fn block_sad16_simd(
-    current: &LumaPlane,
-    x: usize,
-    y: usize,
-    reference: &LumaPlane,
-    rx: usize,
-    ry: usize,
-    bound: u32,
-) -> u32 {
-    let a_stride = current.width;
-    let b_stride = reference.width;
-    let a_base = y * a_stride + x;
-    let b_base = ry * b_stride + rx;
-    debug_assert!(a_base + 15 * a_stride + 16 <= current.data.len());
-    debug_assert!(b_base + 15 * b_stride + 16 <= reference.data.len());
-    let a = current.data.as_ptr();
-    let b = reference.data.as_ptr();
-    let mut sad = 0u32;
-    for pair in 0..8usize {
-        let ao = a_base + 2 * pair * a_stride;
-        let bo = b_base + 2 * pair * b_stride;
-        // SAFETY: the debug-asserted block bounds (enforced by the callers,
-        // which clamp candidate MVs to the picture) keep every 16-byte row
-        // read inside the plane buffers, and the SIMD feature is statically
-        // enabled by the surrounding cfg.
-        let pair_sad = unsafe {
-            #[cfg(all(target_arch = "x86_64", target_feature = "sse2"))]
-            {
-                use std::arch::x86_64::{
-                    __m128i, _mm_add_epi64, _mm_cvtsi128_si64, _mm_loadu_si128, _mm_sad_epu8,
-                    _mm_unpackhi_epi64,
-                };
-                let row = |off: usize, roff: usize| {
-                    _mm_sad_epu8(
-                        _mm_loadu_si128(a.add(off).cast::<__m128i>()),
-                        _mm_loadu_si128(b.add(roff).cast::<__m128i>()),
-                    )
-                };
-                let s = _mm_add_epi64(row(ao, bo), row(ao + a_stride, bo + b_stride));
-                (_mm_cvtsi128_si64(s) + _mm_cvtsi128_si64(_mm_unpackhi_epi64(s, s))) as u32
-            }
-            #[cfg(target_arch = "aarch64")]
-            {
-                use std::arch::aarch64::{vabdq_u8, vaddlvq_u8, vld1q_u8};
-                let row = |off: usize, roff: usize| {
-                    vaddlvq_u8(vabdq_u8(vld1q_u8(a.add(off)), vld1q_u8(b.add(roff)))) as u32
-                };
-                row(ao, bo) + row(ao + a_stride, bo + b_stride)
-            }
-        };
-        sad += pair_sad;
-        if sad > bound {
-            return sad;
-        }
-    }
-    sad
-}
-
-/// SSE2 row SAD: `_mm_sad_epu8` reduces 16 (or 8) byte lanes to packed
-/// 64-bit partial sums in one instruction — the same primitive hardware ME
-/// engines are built around.
-#[cfg(all(target_arch = "x86_64", target_feature = "sse2"))]
-#[inline]
-fn row_sad_sse2(a: &[u8], b: &[u8]) -> u32 {
-    use std::arch::x86_64::{
-        __m128i, _mm_add_epi64, _mm_cvtsi128_si64, _mm_loadl_epi64, _mm_loadu_si128, _mm_sad_epu8,
-        _mm_setzero_si128, _mm_unpackhi_epi64,
-    };
-    let n = a.len().min(b.len());
-    let mut i = 0usize;
-    // SAFETY: SSE2 is statically enabled (cfg above); every load reads at
-    // most 16 (resp. 8) bytes at `i`, and the loop conditions keep
-    // `i + 16 <= n` / `i + 8 <= n` within both slices.
-    let mut sad = unsafe {
-        let mut acc = _mm_setzero_si128();
-        while i + 16 <= n {
-            let va = _mm_loadu_si128(a.as_ptr().add(i).cast::<__m128i>());
-            let vb = _mm_loadu_si128(b.as_ptr().add(i).cast::<__m128i>());
-            acc = _mm_add_epi64(acc, _mm_sad_epu8(va, vb));
-            i += 16;
-        }
-        if i + 8 <= n {
-            let va = _mm_loadl_epi64(a.as_ptr().add(i).cast::<__m128i>());
-            let vb = _mm_loadl_epi64(b.as_ptr().add(i).cast::<__m128i>());
-            acc = _mm_add_epi64(acc, _mm_sad_epu8(va, vb));
-            i += 8;
-        }
-        (_mm_cvtsi128_si64(acc) + _mm_cvtsi128_si64(_mm_unpackhi_epi64(acc, acc))) as u32
-    };
-    for (pa, pb) in a[i..n].iter().zip(&b[i..n]) {
-        sad += pa.abs_diff(*pb) as u32;
-    }
-    sad
-}
-
-/// NEON row SAD: `vabdl_u8` widens eight absolute byte differences to
-/// `u16`, accumulated pairwise into `u32` lanes (`vpadalq_u16`) so rows of
-/// any length stay exact.
-#[cfg(target_arch = "aarch64")]
-#[inline]
-fn row_sad_neon(a: &[u8], b: &[u8]) -> u32 {
-    use std::arch::aarch64::{vabdl_u8, vaddvq_u32, vdupq_n_u32, vld1_u8, vpadalq_u16};
-    let n = a.len().min(b.len());
-    let mut i = 0usize;
-    // SAFETY: NEON is baseline on aarch64; each `vld1_u8` reads 8 bytes at
-    // `i` with `i + 8 <= n` inside both slices.
-    let mut sad = unsafe {
-        let mut acc = vdupq_n_u32(0);
-        while i + 8 <= n {
-            let va = vld1_u8(a.as_ptr().add(i));
-            let vb = vld1_u8(b.as_ptr().add(i));
-            acc = vpadalq_u16(acc, vabdl_u8(va, vb));
-            i += 8;
-        }
-        vaddvq_u32(acc)
-    };
-    for (pa, pb) in a[i..n].iter().zip(&b[i..n]) {
-        sad += pa.abs_diff(*pb) as u32;
-    }
-    sad
-}
-
-/// Width of the fixed SAD lane group. Eight `u8` lanes widened to `u32`
-/// accumulators compile to a single SIMD register on SSE2/NEON targets.
-#[allow(dead_code)] // only the fallback target dispatches to it
-const SAD_LANES: usize = 8;
-
-/// Portable row SAD: fixed-width lane accumulation over groups of
-/// [`SAD_LANES`] pixels plus a scalar tail.
-///
-/// The per-lane sums are integers, so any association is exact — this is
-/// bit-identical to the scalar reference for every input, while the
-/// branch-free fixed-width inner loop autovectorises (`u8`→`u32` widening
-/// absolute difference per lane, horizontal add once per row). Kept as the
-/// fallback for targets without an explicit `std::arch` kernel.
-#[allow(dead_code)]
-#[inline]
-fn row_sad_portable(a: &[u8], b: &[u8]) -> u32 {
-    let mut lanes = [0u32; SAD_LANES];
-    let mut chunks_a = a.chunks_exact(SAD_LANES);
-    let mut chunks_b = b.chunks_exact(SAD_LANES);
-    for (ca, cb) in (&mut chunks_a).zip(&mut chunks_b) {
-        for i in 0..SAD_LANES {
-            lanes[i] += ca[i].abs_diff(cb[i]) as u32;
-        }
-    }
-    let mut sad: u32 = lanes.iter().sum();
-    for (pa, pb) in chunks_a.remainder().iter().zip(chunks_b.remainder()) {
-        sad += pa.abs_diff(*pb) as u32;
-    }
-    sad
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -510,7 +285,7 @@ mod tests {
     #[test]
     fn sad_of_identical_blocks_is_zero() {
         let p = LumaPlane::from_fn(16, 16, |x, y| (x * 7 + y * 3) as u8);
-        assert_eq!(p.block_sad(4, 4, &p, 4, 4, 8), 0);
+        assert_eq!(p.block_sad(4, 4, &p, 4, 4), 0);
     }
 
     #[test]
@@ -518,9 +293,9 @@ mod tests {
         let a = LumaPlane::from_fn(8, 8, |_, _| 10);
         let b = LumaPlane::from_fn(8, 8, |_, _| 13);
         // 3 per pixel * 64 pixels
-        assert_eq!(a.block_sad(0, 0, &b, 0, 0, 8), 192);
+        assert_eq!(a.block_sad(0, 0, &b, 0, 0), 192);
         // Symmetric.
-        assert_eq!(b.block_sad(0, 0, &a, 0, 0, 8), 192);
+        assert_eq!(b.block_sad(0, 0, &a, 0, 0), 192);
     }
 
     #[test]
@@ -528,8 +303,8 @@ mod tests {
         // Content moves 2 px right between reference and current.
         let reference = LumaPlane::from_fn(32, 16, |x, _| (x * 8 % 256) as u8);
         let current = LumaPlane::from_fn(32, 16, |x, _| (x.saturating_sub(2) * 8 % 256) as u8);
-        let aligned = current.block_sad(8, 4, &reference, 6, 4, 8);
-        let unaligned = current.block_sad(8, 4, &reference, 8, 4, 8);
+        let aligned = current.block_sad(8, 4, &reference, 6, 4);
+        let unaligned = current.block_sad(8, 4, &reference, 8, 4);
         assert_eq!(aligned, 0);
         assert!(unaligned > 0);
     }
@@ -538,132 +313,57 @@ mod tests {
     fn bounded_sad_is_exact_up_to_the_bound() {
         let a = LumaPlane::from_fn(16, 16, |x, y| ((x * 31 + y * 17) % 256) as u8);
         let b = LumaPlane::from_fn(16, 16, |x, y| ((x * 13 + y * 29 + 5) % 256) as u8);
-        let exact = a.block_sad(2, 3, &b, 4, 1, 8);
+        let exact = a.block_sad(2, 3, &b, 4, 1);
         // Any bound at or above the true SAD returns the exact value.
-        assert_eq!(a.block_sad_bounded(2, 3, &b, 4, 1, 8, exact), exact);
-        assert_eq!(a.block_sad_bounded(2, 3, &b, 4, 1, 8, u32::MAX), exact);
+        assert_eq!(a.block_sad_bounded(2, 3, &b, 4, 1, exact), exact);
+        assert_eq!(a.block_sad_bounded(2, 3, &b, 4, 1, u32::MAX), exact);
         // A tighter bound may exit early but must report a sum above it.
-        let early = a.block_sad_bounded(2, 3, &b, 4, 1, 8, exact / 4);
+        let early = a.block_sad_bounded(2, 3, &b, 4, 1, exact / 4);
         assert!(early > exact / 4);
         assert!(early <= exact);
-    }
-
-    #[test]
-    fn dispatched_row_kernel_matches_scalar_reference() {
-        // Random-ish planes, block widths covering lane-exact (8, 16), sub-lane
-        // (5) and tail (17, 23, 31) shapes; the dispatched SIMD kernel, the
-        // portable chunked kernel and the scalar reference all sum integers, so
-        // they must agree bit-for-bit at every offset.
-        let a = LumaPlane::from_fn(64, 48, |x, y| (((x * 37 + y * 101) ^ (x * y)) % 256) as u8);
-        let b = LumaPlane::from_fn(64, 48, |x, y| (((x * 53 + y * 19) ^ (x + y * 7)) % 256) as u8);
-        for block in [5usize, 8, 16, 17, 23, 31] {
-            for (x, y, rx, ry) in [(0, 0, 0, 0), (3, 7, 11, 2), (64 - block, 48 - block, 1, 5)] {
-                let dispatched = a.block_sad(x, y, &b, rx, ry, block);
-                let scalar = a.block_sad_scalar(x, y, &b, rx, ry, block);
-                assert_eq!(dispatched, scalar, "block {block} at ({x},{y})/({rx},{ry})");
-            }
-        }
     }
 
     #[test]
     fn block8_fast_path_matches_scalar_everywhere() {
         // The 8×8 whole-block kernel on a dense grid of (current, reference)
         // offsets, unbounded and bounded: exact whenever <= bound, and any
-        // early exit must report a partial sum above the bound.
+        // early exit must report a partial sum above the bound. Blocks flush
+        // against the right and bottom edges (`x + 8 == 40`) end the
+        // kernel's last 8-byte load exactly at the end of the plane's buffer.
         let a = LumaPlane::from_fn(40, 40, |x, y| (((x * 41 + y * 23) ^ (x + y)) % 256) as u8);
         let b = LumaPlane::from_fn(40, 40, |x, y| (((x * 17 + y * 71) ^ (x * 2 + y)) % 256) as u8);
-        for y in 0..8 {
-            for x in 0..8 {
-                for (rx, ry) in [(0usize, 0usize), (x + 1, y), (31, 31), (5, 17)] {
-                    let exact = a.block_sad_scalar(x, y, &b, rx, ry, 8);
-                    assert_eq!(a.block_sad(x, y, &b, rx, ry, 8), exact, "({x},{y})/({rx},{ry})");
-                    assert_eq!(a.block_sad_bounded(x, y, &b, rx, ry, 8, exact), exact);
-                    assert_eq!(a.block_sad_bounded(x, y, &b, rx, ry, 8, u32::MAX), exact);
-                    if exact > 0 {
-                        let early = a.block_sad_bounded(x, y, &b, rx, ry, 8, exact - 1);
-                        assert!(early > exact - 1, "must exit above the bound");
-                        assert!(early <= exact);
-                    }
+        let edge = 40 - MB_SIZE;
+        let grid = (0..8).flat_map(|y| (0..8).map(move |x| (x, y)));
+        for (x, y) in grid.chain([(edge, 0), (3, edge), (edge, edge)]) {
+            let flush = [(edge, 5), (0, edge), (edge, edge)];
+            let inner = [(0, 0), ((x + 1).min(edge), y), (31, 31), (5, 17)];
+            for (rx, ry) in inner.into_iter().chain(flush) {
+                let exact = a.block_sad_scalar(x, y, &b, rx, ry);
+                assert_eq!(a.block_sad(x, y, &b, rx, ry), exact, "({x},{y})/({rx},{ry})");
+                assert_eq!(a.block_sad_bounded(x, y, &b, rx, ry, exact), exact);
+                assert_eq!(a.block_sad_bounded(x, y, &b, rx, ry, u32::MAX), exact);
+                if exact > 0 {
+                    let early = a.block_sad_bounded(x, y, &b, rx, ry, exact - 1);
+                    assert!(early > exact - 1, "must exit above the bound");
+                    assert!(early <= exact);
                 }
             }
         }
     }
 
     #[test]
-    fn simd_row_kernels_match_portable_on_every_length() {
-        // Row-level identity across all alignment/tail shapes 0..=40, with
-        // saturating-extreme values mixed in (0, 255 differences).
-        for len in 0..=40usize {
-            let a: Vec<u8> = (0..len).map(|i| ((i * 97 + 13) % 256) as u8).collect();
-            let b: Vec<u8> =
-                (0..len).map(|i| if i % 7 == 0 { 255 } else { ((i * 31) % 256) as u8 }).collect();
-            let expect = row_sad_portable(&a, &b);
-            assert_eq!(row_sad(&a, &b), expect, "len {len}");
-            #[cfg(all(target_arch = "x86_64", target_feature = "sse2"))]
-            assert_eq!(row_sad_sse2(&a, &b), expect, "sse2 len {len}");
-            #[cfg(target_arch = "aarch64")]
-            assert_eq!(row_sad_neon(&a, &b), expect, "neon len {len}");
-        }
-    }
-
-    #[test]
-    fn block16_fast_path_matches_scalar_everywhere() {
-        // The 16×16 whole-block kernel (one 16-byte load pair per row) on a
-        // dense grid of (current, reference) offsets, unbounded and bounded:
-        // exact whenever <= bound, and any early exit must report a partial
-        // sum above the bound. Saturating-extreme content included.
-        let a = LumaPlane::from_fn(56, 56, |x, y| {
-            if (x + y) % 11 == 0 {
-                255
-            } else {
-                (((x * 41 + y * 23) ^ (x + y)) % 256) as u8
-            }
-        });
-        let b = LumaPlane::from_fn(56, 56, |x, y| {
-            if (x * y) % 13 == 0 {
-                0
-            } else {
-                (((x * 17 + y * 71) ^ (x * 2 + y)) % 256) as u8
-            }
-        });
-        for y in (0..8).step_by(3) {
-            for x in (0..8).step_by(3) {
-                for (rx, ry) in [(0usize, 0usize), (x + 1, y), (39, 39), (5, 17)] {
-                    let exact = a.block_sad_scalar(x, y, &b, rx, ry, 16);
-                    assert_eq!(a.block_sad(x, y, &b, rx, ry, 16), exact, "({x},{y})/({rx},{ry})");
-                    assert_eq!(a.block_sad_bounded(x, y, &b, rx, ry, 16, exact), exact);
-                    assert_eq!(a.block_sad_bounded(x, y, &b, rx, ry, 16, u32::MAX), exact);
-                    if exact > 0 {
-                        let early = a.block_sad_bounded(x, y, &b, rx, ry, 16, exact - 1);
-                        assert!(early > exact - 1, "must exit above the bound");
-                        assert!(early <= exact);
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn motion_estimation_with_16px_macroblocks_matches_scalar_search() {
-        // End-to-end through the ME search: an mb_size = 16 configuration
-        // must land on the same motion field whichever SAD kernel backs it.
-        use crate::me::{CodecConfig, MotionEstimator, SearchKind};
-        let reference = LumaPlane::from_fn(64, 48, |x, y| {
-            let xs = x + 2;
-            (((xs * 13 + y * 7) ^ (xs * y / 3 + 5)) % 251) as u8
-        });
-        let current =
-            LumaPlane::from_fn(64, 48, |x, y| (((x * 13 + y * 7) ^ (x * y / 3 + 5)) % 251) as u8);
-        for search in [SearchKind::FullSearch, SearchKind::Diamond] {
-            let est =
-                MotionEstimator::new(CodecConfig { mb_size: 16, search, ..CodecConfig::default() });
-            let result = est.estimate(&current, &reference);
-            assert_eq!(result.field.mb_cols, 4);
-            assert_eq!(result.field.mb_rows, 3);
-            // Interior macro-blocks find the exact 2-px shift with zero SAD
-            // (the bounded SIMD kernel must not mis-rank any candidate).
-            assert_eq!(result.field.at(1, 1).min_sad, 0, "{search:?}");
-            assert_eq!(result.field.at(1, 1).mv, (-2, 0), "{search:?}");
+    fn dispatched_row_kernel_matches_scalar_reference() {
+        // The kernel `block_sad` dispatches to (the 8×8 SIMD kernel, or the
+        // per-pixel oracle where there is none) and the scalar reference both
+        // sum integers, so they must agree bit-for-bit at every offset,
+        // including blocks flush against a non-square plane's far corner.
+        let a = LumaPlane::from_fn(64, 48, |x, y| (((x * 37 + y * 101) ^ (x * y)) % 256) as u8);
+        let b = LumaPlane::from_fn(64, 48, |x, y| (((x * 53 + y * 19) ^ (x + y * 7)) % 256) as u8);
+        let (ex, ey) = (64 - MB_SIZE, 48 - MB_SIZE);
+        for (x, y, rx, ry) in [(0, 0, 0, 0), (3, 7, 11, 2), (ex, ey, 1, 5), (1, 5, ex, ey)] {
+            let dispatched = a.block_sad(x, y, &b, rx, ry);
+            let scalar = a.block_sad_scalar(x, y, &b, rx, ry);
+            assert_eq!(dispatched, scalar, "({x},{y})/({rx},{ry})");
         }
     }
 
@@ -672,22 +372,23 @@ mod tests {
     fn out_of_bounds_block_sad_panics_not_ub() {
         // The 8×8 SIMD fast path must never turn a bad coordinate into an
         // out-of-bounds read: inputs that don't fit the plane fall through
-        // to the slice-indexing path, which panics (also in release).
+        // to the per-pixel path, which panics (also in release) — here on a
+        // block past the right edge whose rows all lie inside the buffer.
         let p = LumaPlane::new(16, 16);
-        let _ = p.block_sad(12, 12, &p, 0, 0, 8);
+        let _ = p.block_sad(12, 0, &p, 0, 0);
     }
 
     #[test]
     #[should_panic]
     fn out_of_bounds_bounded_block_sad_panics_not_ub() {
         let p = LumaPlane::new(16, 16);
-        let _ = p.block_sad_bounded(0, 0, &p, 12, 12, 8, u32::MAX);
+        let _ = p.block_sad_bounded(0, 0, &p, 12, 12, u32::MAX);
     }
 
     #[test]
     fn sad_kernel_name_matches_target() {
         let name = sad_kernel_name();
-        assert!(["sse2", "neon", "portable"].contains(&name), "{name}");
+        assert!(["sse2", "neon", "scalar"].contains(&name), "{name}");
         #[cfg(all(target_arch = "x86_64", target_feature = "sse2"))]
         assert_eq!(name, "sse2");
         #[cfg(target_arch = "aarch64")]
@@ -698,9 +399,9 @@ mod tests {
     fn bounded_sad_agrees_with_unbounded_below_bound() {
         let a = LumaPlane::from_fn(32, 32, |x, y| ((x * 91 + y * 57) % 256) as u8);
         let b = LumaPlane::from_fn(32, 32, |x, y| ((x * 33 + y * 72 + 9) % 256) as u8);
-        let exact = a.block_sad(4, 4, &b, 9, 2, 16);
-        assert_eq!(a.block_sad_bounded(4, 4, &b, 9, 2, 16, exact), exact);
-        assert_eq!(exact, a.block_sad_scalar(4, 4, &b, 9, 2, 16));
+        let exact = a.block_sad(4, 4, &b, 9, 2);
+        assert_eq!(a.block_sad_bounded(4, 4, &b, 9, 2, exact), exact);
+        assert_eq!(exact, a.block_sad_scalar(4, 4, &b, 9, 2));
     }
 
     #[test]

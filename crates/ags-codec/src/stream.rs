@@ -37,8 +37,8 @@ pub struct CodecFrameReport {
 
 /// Serializable reference-picture state of a [`VideoCodec`] — everything a
 /// restored codec needs to keep emitting bit-identical covisibility reports
-/// mid-stream.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// mid-stream. The default is the state before the first frame.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct VideoCodecState {
     /// The previous-frame reference plane.
     pub previous: Option<LumaPlane>,
@@ -53,7 +53,6 @@ pub struct VideoCodecState {
 #[derive(Debug)]
 pub struct VideoCodec {
     estimator: MotionEstimator,
-    config: CodecConfig,
     previous: Option<LumaPlane>,
     /// The last marked key frame: its stream index and plane.
     keyframe: Option<(usize, LumaPlane)>,
@@ -63,18 +62,12 @@ pub struct VideoCodec {
 impl VideoCodec {
     /// Creates a codec with the given ME configuration.
     pub fn new(config: CodecConfig) -> Self {
-        Self {
-            estimator: MotionEstimator::new(config.clone()),
-            config,
-            previous: None,
-            keyframe: None,
-            frame_index: 0,
-        }
+        Self::from_state(config, VideoCodecState::default())
     }
 
     /// The ME configuration.
     pub fn config(&self) -> &CodecConfig {
-        &self.config
+        self.estimator.config()
     }
 
     /// Pushes the next RGB frame and returns its covisibility report.
@@ -89,8 +82,8 @@ impl VideoCodec {
             self.keyframe.as_ref().map(|(_, key)| self.estimator.estimate(&plane, key));
         let report = CodecFrameReport {
             frame_index: self.frame_index,
-            fc_prev: me_prev.as_ref().map(|me| me.covisibility(&self.config)),
-            fc_keyframe: me_keyframe.as_ref().map(|me| me.covisibility(&self.config)),
+            fc_prev: me_prev.as_ref().map(|me| me.covisibility()),
+            fc_keyframe: me_keyframe.as_ref().map(|me| me.covisibility()),
             sad_evaluations: me_prev.iter().chain(&me_keyframe).map(|me| me.sad_evaluations).sum(),
             me_prev,
             me_keyframe,
@@ -129,8 +122,7 @@ impl VideoCodec {
     /// Rebuilds a codec mid-stream from a checkpointed state.
     pub fn from_state(config: CodecConfig, state: VideoCodecState) -> Self {
         Self {
-            estimator: MotionEstimator::new(config.clone()),
-            config,
+            estimator: MotionEstimator::new(config),
             previous: state.previous,
             keyframe: state.keyframe,
             frame_index: state.frame_index,

@@ -48,6 +48,26 @@ use std::sync::Arc;
 /// (each trace frame keeps its own count).
 const AUX_VERSION: u16 = 7;
 
+// The least encoded size of each counted element. A count is checked
+// against the bytes left at this size before its vector is reserved
+// (`ByteReader::get_count`), so a count the payload cannot back is rejected
+// instead of reserving up to the in-memory size for each element it claims.
+
+/// An `Se3`: seven `f32`s.
+const SE3_BYTES: usize = 7 * 4;
+/// A `WorkUnits`: ten `u64`s and the `u32` iteration count.
+const WORK_BYTES: usize = 10 * 8 + 4;
+/// A trace frame with both FCs and the FP rate absent and no tile work: its
+/// index, two option tags, two flags, four work records, four map counters,
+/// the tile count, the FP rate's tag, four stage times, the backend byte
+/// and two cache counters.
+const TRACE_FRAME_MIN_BYTES: usize = 8 + 2 + 2 + 4 * WORK_BYTES + 4 * 8 + 8 + 1 + 4 * 8 + 1 + 2 * 8;
+/// A tile's work with no pixels: the tile id and two counts.
+const TILE_WORK_MIN_BYTES: usize = 4 + 2 * 8;
+/// A stored key frame with empty images: its index, pose, epoch and the two
+/// images' width and height.
+const KEYFRAME_MIN_BYTES: usize = 8 + SE3_BYTES + 8 + 2 * 16;
+
 /// Complete per-stream checkpoint state minus the map clouds (those travel
 /// through the epoch-delta store; the window here holds the same snapshots
 /// so capture/restore is one value).
@@ -252,7 +272,7 @@ fn get_trace_frame(r: &mut ByteReader<'_>) -> Result<TraceFrame, StoreError> {
     let pruned = r.get_usize()?;
     let quantized_splats = r.get_usize()?;
     let map_bytes = r.get_u64()?;
-    let n_tiles = r.get_count(4)?;
+    let n_tiles = r.get_count(TILE_WORK_MIN_BYTES)?;
     let mut tile_work = Vec::with_capacity(n_tiles);
     for _ in 0..n_tiles {
         let tile = r.get_u32()?;
@@ -502,7 +522,7 @@ fn get_map(r: &mut ByteReader<'_>, splats: usize) -> Result<MapStageState, Store
         opacity: it.next().expect("five moment slots"),
     };
 
-    let n_kf = r.get_count(8)?;
+    let n_kf = r.get_count(KEYFRAME_MIN_BYTES)?;
     let mut keyframes = Vec::with_capacity(n_kf);
     for _ in 0..n_kf {
         let frame_index = r.get_usize()?;
@@ -590,14 +610,14 @@ pub fn decode_aux(bytes: &[u8], window: Vec<CloudSnapshot>) -> Result<StreamStat
         )));
     }
     let frame_count = r.get_usize()?;
-    let n_poses = r.get_count(28)?;
+    let n_poses = r.get_count(SE3_BYTES)?;
     let mut trajectory = Vec::with_capacity(n_poses);
     for _ in 0..n_poses {
         trajectory.push(get_se3(&mut r)?);
     }
     let width = r.get_usize()?;
     let height = r.get_usize()?;
-    let n_frames = r.get_count(8)?;
+    let n_frames = r.get_count(TRACE_FRAME_MIN_BYTES)?;
     let mut frames = Vec::with_capacity(n_frames);
     for _ in 0..n_frames {
         frames.push(get_trace_frame(&mut r)?);
@@ -639,6 +659,8 @@ mod tests {
     use super::*;
     use ags_splat::optim::{AdamState, MomentState};
     use ags_splat::{Gaussian, GaussianCloud};
+    use std::alloc::{GlobalAlloc, Layout, System};
+    use std::cell::Cell;
 
     fn sample_state() -> StreamState {
         let rgb = Arc::new(RgbImage::from_vec(
@@ -786,18 +808,78 @@ mod tests {
         }
     }
 
+    /// Records the largest single allocation request made on each thread,
+    /// so a test can read back the biggest reservation a call made. It is
+    /// the allocator of this crate's whole unit-test binary.
+    struct LargestRequest;
+
+    thread_local! {
+        static LARGEST: Cell<usize> = const { Cell::new(0) };
+    }
+
+    fn note_request(size: usize) {
+        // `try_with`: the allocator also runs while thread-locals are torn down.
+        let _ = LARGEST.try_with(|largest| largest.set(largest.get().max(size)));
+    }
+
+    // SAFETY: both calls are forwarded to `System` unchanged; the only side
+    // effect is a `Cell` update on a const-initialised thread-local, which
+    // neither allocates nor unwinds. The trait's default `alloc_zeroed` and
+    // `realloc` go through `alloc`, so they are recorded too.
+    unsafe impl GlobalAlloc for LargestRequest {
+        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+            note_request(layout.size());
+            System.alloc(layout)
+        }
+
+        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+            System.dealloc(ptr, layout)
+        }
+    }
+
+    #[global_allocator]
+    static ALLOCATOR: LargestRequest = LargestRequest;
+
+    /// Runs `f`, returning its result and the largest single allocation it
+    /// requested on this thread.
+    fn largest_request<T>(f: impl FnOnce() -> T) -> (T, usize) {
+        LARGEST.with(|largest| largest.set(0));
+        let out = f();
+        (out, LARGEST.with(Cell::get))
+    }
+
     /// Every prefix of a valid payload, and thousands of single-byte
-    /// mutations of it, decode to `Ok` or `Err` — never a panic.
+    /// mutations of it, decode to `Ok` or `Err` — never a panic, and never
+    /// a reservation the payload cannot back.
     #[test]
     fn truncated_or_mutated_aux_never_panics() {
         let state = sample_state();
         let bytes = encode_aux(&state);
+        // Every counted element is checked against the bytes left at its
+        // minimum encoded size before it is reserved, so a reservation is
+        // at most the payload length times the largest in-memory over
+        // encoded size ratio: 56 / 20 for a `TileWork`, under 2 for the
+        // rest. On top of that come a rejection's message (a few dozen
+        // bytes) and the skip set, whose capacity the trusted restored
+        // window bounds instead of the payload (its head map's splats, one
+        // bit each).
+        let splats = state.window.last().unwrap().cloud().len();
+        let bound = |len: usize| 3 * len + 256 + splats.div_ceil(64) * 8;
         // `Some(decoded)`, or `None` when the decoder panicked.
         let decode = |payload: &[u8]| {
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                decode_aux(payload, state.window.clone()).is_ok()
-            }))
-            .ok()
+            let window = state.window.clone();
+            let (outcome, largest) = largest_request(|| {
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    decode_aux(payload, window).is_ok()
+                }))
+                .ok()
+            });
+            assert!(
+                largest <= bound(payload.len()),
+                "a {largest}-byte reservation from a {}-byte payload",
+                payload.len()
+            );
+            outcome
         };
         for cut in 0..bytes.len() {
             assert_eq!(decode(&bytes[..cut]), Some(false), "decoding the first {cut} bytes");
@@ -817,6 +899,40 @@ mod tests {
         // Both outcomes occur, so the mutations reach past the header:
         // pixel and moment bytes decode, lengths and tags are rejected.
         assert!(0 < decoded && decoded < mutations, "{decoded} of {mutations} decoded");
+    }
+
+    /// The least element sizes `decode_aux` checks counts against are what
+    /// the encoder writes for the smallest element.
+    #[test]
+    fn minimum_element_sizes_match_the_encoder() {
+        let encoded = |put: &dyn Fn(&mut ByteWriter)| {
+            let mut w = ByteWriter::new();
+            put(&mut w);
+            w.into_bytes().len()
+        };
+        assert_eq!(encoded(&|w| put_se3(w, &Se3::IDENTITY)), SE3_BYTES);
+        assert_eq!(encoded(&|w| put_work(w, &WorkUnits::default())), WORK_BYTES);
+        let mut frame = TraceFrame::default();
+        assert_eq!(encoded(&|w| put_trace_frame(w, &frame)), TRACE_FRAME_MIN_BYTES);
+        frame.tile_work.push(TileWork {
+            tile: 0,
+            per_pixel_evals: vec![],
+            per_pixel_blends: vec![],
+        });
+        let with_tile = encoded(&|w| put_trace_frame(w, &frame));
+        assert_eq!(with_tile, TRACE_FRAME_MIN_BYTES + TILE_WORK_MIN_BYTES);
+        // Each stored key frame adds one element to the map record.
+        let mut map = sample_state().map;
+        map.keyframes.clear();
+        let without = encoded(&|w| put_map(w, &map));
+        map.keyframes.push(StoredKeyframe {
+            frame_index: 0,
+            pose: Se3::IDENTITY,
+            epoch: 0,
+            rgb: Arc::new(RgbImage::from_vec(0, 0, Vec::new())),
+            depth: Arc::new(DepthImage::from_vec(0, 0, Vec::new())),
+        });
+        assert_eq!(encoded(&|w| put_map(w, &map)), without + KEYFRAME_MIN_BYTES);
     }
 
     #[test]

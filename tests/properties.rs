@@ -9,7 +9,7 @@ use ags::splat::render::{render, RenderOptions};
 use ags::splat::tiles::GaussianTables;
 use ags::splat::{project::project_gaussians, Gaussian, GaussianCloud, IdSet};
 use ags::track::ate::ate_rmse;
-use ags_codec::SearchKind;
+use ags_codec::{SearchKind, MB_SIZE};
 
 const CASES: u64 = 64;
 
@@ -104,10 +104,9 @@ fn covisibility_bounds_and_ordering() {
         let base = LumaPlane::from_fn(32, 32, |x, y| ((x * 7 + y * 13 + rng.index(8)) % 250) as u8);
         let mut rng2 = Pcg32::seeded(seed ^ 0xffff);
         let noisy = LumaPlane::from_fn(32, 32, |_, _| rng2.range_u32(250) as u8);
-        let config = CodecConfig::default();
-        let est = MotionEstimator::new(config.clone());
-        let same = est.estimate(&base, &base).covisibility(&config).value();
-        let diff = est.estimate(&noisy, &base).covisibility(&config).value();
+        let est = MotionEstimator::new(CodecConfig::default());
+        let same = est.estimate(&base, &base).covisibility().value();
+        let diff = est.estimate(&noisy, &base).covisibility().value();
         assert!((0.0..=1.0).contains(&same), "seed {seed}");
         assert!((0.0..=1.0).contains(&diff), "seed {seed}");
         assert!(same >= diff, "seed {seed}");
@@ -330,8 +329,10 @@ fn diamond_never_beats_full_search() {
     }
 }
 
-/// The early-exit bounded SAD agrees with the unbounded SAD: exact whenever
-/// the result could still win (<= bound), provably losing otherwise.
+/// The early-exit bounded SAD agrees with the scalar oracle: exact whenever
+/// the result could still win (<= bound), provably losing otherwise; and
+/// the unbounded SAD is the oracle's. Blocks reach the planes' last column
+/// and row.
 #[test]
 fn bounded_sad_matches_unbounded() {
     for seed in 0..CASES {
@@ -342,14 +343,17 @@ fn bounded_sad_matches_unbounded() {
         let mut rb = Pcg32::seeded(b_seed);
         let a = LumaPlane::from_fn(24, 24, |_, _| ra.range_u32(256) as u8);
         let b = LumaPlane::from_fn(24, 24, |_, _| rb.range_u32(256) as u8);
+        // Every in-bounds origin, the flush ones (`x + MB_SIZE == 24`) too.
+        let origins = 24 - MB_SIZE + 1;
         for _ in 0..16 {
-            let x = rng.index(16);
-            let y = rng.index(16);
-            let rx = rng.index(16);
-            let ry = rng.index(16);
-            let exact = a.block_sad(x, y, &b, rx, ry, 8);
+            let x = rng.index(origins);
+            let y = rng.index(origins);
+            let rx = rng.index(origins);
+            let ry = rng.index(origins);
+            let exact = a.block_sad_scalar(x, y, &b, rx, ry);
+            assert_eq!(a.block_sad(x, y, &b, rx, ry), exact, "seed {seed}: unbounded SAD");
             let bound = rng.range_u32(exact.max(1) * 2);
-            let bounded = a.block_sad_bounded(x, y, &b, rx, ry, 8, bound);
+            let bounded = a.block_sad_bounded(x, y, &b, rx, ry, bound);
             if bounded <= bound {
                 assert_eq!(bounded, exact, "seed {seed}: in-bound result must be exact");
             } else {
