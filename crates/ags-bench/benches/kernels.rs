@@ -328,15 +328,13 @@ fn bench_sad_kernel() -> SadResult {
 
 /// The driver configuration `train_iteration` builds its map with and the
 /// `migration` row streams: FullSearch ME (one `estimate` per reference
-/// of every frame), every stage inline on one thread, the scalar reference
-/// backend.
+/// of every frame), every stage inline on one thread.
 fn e2e_config() -> AgsConfig {
     let mut config = AgsConfig::tiny();
     config.slam.tile_work_interval = 0;
     config.codec.search = SearchKind::FullSearch;
     config.codec.search_range = 16;
     config.parallelism = Parallelism::serial();
-    config.backend = BackendKind::Reference;
     config
 }
 
@@ -611,8 +609,7 @@ impl TrainIterationResult {
 fn bench_train_iteration() -> TrainIterationResult {
     const SAMPLES: usize = 9;
     let data = e2e_dataset(10, 96, 72);
-    let mut config = e2e_config();
-    config.backend = BackendKind::Vectorized;
+    let config = e2e_config();
     let mut slam = AgsSlam::new(config.clone());
     for f in &data.frames {
         slam.push_frame(&data.camera, Arc::new(f.rgb.clone()), Arc::new(f.depth.clone()));

@@ -30,7 +30,7 @@ use ags_slam::WorkUnits;
 use ags_splat::compact::QUANT_CHUNK;
 use ags_splat::render::TileWork;
 use ags_splat::snapshot::CloudSnapshot;
-use ags_splat::{BackendKind, IdSet};
+use ags_splat::IdSet;
 use ags_store::{ByteReader, ByteWriter, StoreError};
 use ags_track::coarse::{CoarseTrackerState, PreviousFrameState};
 use std::sync::Arc;
@@ -45,8 +45,9 @@ use std::sync::Arc;
 /// count themselves) from the mapping-stage state and stores the CODEC's
 /// single key-frame reference as a 0/1 option tag instead of a counted
 /// window; version 7 dropped the CODEC's cumulative SAD-evaluation counter
-/// (each trace frame keeps its own count).
-const AUX_VERSION: u16 = 7;
+/// (each trace frame keeps its own count); version 8 dropped the per-frame
+/// render-backend byte (the pipeline runs one kernel).
+const AUX_VERSION: u16 = 8;
 
 // The least encoded size of each counted element. A count is checked
 // against the bytes left at this size before its vector is reserved
@@ -59,9 +60,9 @@ const SE3_BYTES: usize = 7 * 4;
 const WORK_BYTES: usize = 10 * 8 + 4;
 /// A trace frame with both FCs and the FP rate absent and no tile work: its
 /// index, two option tags, two flags, four work records, four map counters,
-/// the tile count, the FP rate's tag, four stage times, the backend byte
-/// and two cache counters.
-const TRACE_FRAME_MIN_BYTES: usize = 8 + 2 + 2 + 4 * WORK_BYTES + 4 * 8 + 8 + 1 + 4 * 8 + 1 + 2 * 8;
+/// the tile count, the FP rate's tag, four stage times and two cache
+/// counters.
+const TRACE_FRAME_MIN_BYTES: usize = 8 + 2 + 2 + 4 * WORK_BYTES + 4 * 8 + 8 + 1 + 4 * 8 + 2 * 8;
 /// A tile's work with no pixels: the tile id and two counts.
 const TILE_WORK_MIN_BYTES: usize = 4 + 2 * 8;
 /// A stored key frame with empty images: its index, pose, epoch and the two
@@ -247,13 +248,8 @@ fn put_trace_frame(w: &mut ByteWriter, f: &TraceFrame) {
     w.put_f64(f.stage_times.track_s);
     w.put_f64(f.stage_times.map_s);
     w.put_f64(f.stage_times.stall_s);
-    // Backend identity and cache counters are observational too, but kept
-    // across restores for the same reason.
-    w.put_u8(match BackendKind::from_name(f.backend) {
-        Some(BackendKind::Reference) => 1,
-        Some(BackendKind::Vectorized) => 2,
-        None => 0,
-    });
+    // Cache counters are observational too, but kept across restores for
+    // the same reason.
     w.put_u64(f.projection_cache_hits);
     w.put_u64(f.projection_cache_misses);
 }
@@ -295,11 +291,6 @@ fn get_trace_frame(r: &mut ByteReader<'_>) -> Result<TraceFrame, StoreError> {
         map_s: r.get_f64()?,
         stall_s: r.get_f64()?,
     };
-    let backend = match r.get_u8()? {
-        1 => BackendKind::Reference.name(),
-        2 => BackendKind::Vectorized.name(),
-        _ => "",
-    };
     let projection_cache_hits = r.get_u64()?;
     let projection_cache_misses = r.get_u64()?;
     Ok(TraceFrame {
@@ -320,7 +311,6 @@ fn get_trace_frame(r: &mut ByteReader<'_>) -> Result<TraceFrame, StoreError> {
         fp_rate,
         dropped: false,
         stage_times,
-        backend,
         projection_cache_hits,
         projection_cache_misses,
     })
@@ -709,7 +699,6 @@ mod tests {
             fp_rate: Some(0.125),
             dropped: false,
             stage_times: StageTimes { fc_s: 0.5, track_s: 1.5, map_s: 2.5, stall_s: 0.25 },
-            backend: BackendKind::Vectorized.name(),
             projection_cache_hits: 17,
             projection_cache_misses: 4,
         });

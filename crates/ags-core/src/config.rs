@@ -152,10 +152,12 @@ pub struct AgsConfig {
     /// Stage-graph execution: where FC and mapping run (Fig. 9b) and how
     /// stale a map tracking reads.
     pub pipeline: PipelineConfig,
-    /// Render backend the splat kernels (projection, rasterization,
-    /// backward) execute on. Every backend is bit-identical to the scalar
-    /// reference; the knob trades nothing but speed. Defaults to the
-    /// vectorized backend.
+    /// Read nowhere: every stage runs the vectorized kernel (the scalar
+    /// oracle is picked only through `ags_splat::RenderOptions::backend`).
+    /// Only user: the struct literal at `benchmark/src/sut.rs:197`; kept
+    /// until the next `benchmark` PR drops it there (`benchmark/` may not be
+    /// edited).
+    #[doc(hidden)]
     pub backend: BackendKind,
     /// Read nowhere: mapping always projects through its epoch-delta
     /// `ags_splat::ProjectionCache`. Only user: the struct literal at

@@ -75,7 +75,6 @@ fn apply_map_output(record: &mut TraceFrame, mapped: MapOutput, num_gaussians: u
     record.pruned = mapped.pruned;
     record.quantized_splats = mapped.quantized_splats;
     record.map_bytes = mapped.map_bytes;
-    record.backend = mapped.backend;
     record.projection_cache_hits = mapped.projection_cache_hits;
     record.projection_cache_misses = mapped.projection_cache_misses;
 }

@@ -64,7 +64,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Per-stream execution policy: where the stream's stages run, when it
-/// checkpoints on its own, its map memory ceiling and its render backend.
+/// checkpoints on its own and its map memory ceiling.
 /// Streams without an entry in [`ServerConfig::per_stream`] take the base
 /// config's pipeline and the defaults of everything else.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -80,12 +80,6 @@ pub struct StreamPolicy {
     /// prune-negligible escalation; see [`AgsConfig::map_bytes_budget`]).
     /// `0` inherits the base config's budget.
     pub map_bytes_budget: u64,
-    /// Per-stream render backend override (`None` inherits the base
-    /// config's backend). Backends are bit-identical, so a server can mix
-    /// them freely across streams — e.g. vectorized for throughput streams,
-    /// reference for a stream under numerical audit — without any stream's
-    /// results depending on the mix.
-    pub backend: Option<BackendKind>,
 }
 
 impl StreamPolicy {
@@ -110,9 +104,11 @@ impl StreamPolicy {
         self
     }
 
-    /// This policy with an explicit render backend for the stream.
-    pub fn with_backend(mut self, backend: BackendKind) -> Self {
-        self.backend = Some(backend);
+    /// Returns the policy unchanged: every stream runs the vectorized
+    /// kernel. Only caller: `benchmark/src/sut.rs:222`; kept until the next
+    /// `benchmark` PR drops it there (`benchmark/` may not be edited).
+    #[doc(hidden)]
+    pub fn with_backend(self, _backend: BackendKind) -> Self {
         self
     }
 
@@ -384,8 +380,6 @@ pub struct StreamStats {
     /// the quantized tier) — the quantity
     /// [`StreamPolicy::map_bytes_budget`] bounds.
     pub map_bytes: u64,
-    /// Name of the render backend the stream's kernels run on.
-    pub backend: &'static str,
     /// Cumulative projection-cache hits after the stream's newest completed
     /// frame (counted since the stream was attached or last restored).
     pub projection_cache_hits: u64,
@@ -471,9 +465,6 @@ fn stream_config(
     cfg.pipeline = policy.pipeline;
     if policy.map_bytes_budget > 0 {
         cfg.map_bytes_budget = policy.map_bytes_budget;
-    }
-    if let Some(backend) = policy.backend {
-        cfg.backend = backend;
     }
     // `resolve` copies the tagged stream knob into the codec's.
     cfg.parallelism = cfg.parallelism.on_pool(Arc::clone(pool)).tagged(tag);
@@ -802,7 +793,6 @@ impl MultiStreamServer {
             map_splats: newest.map_or(0, |f| f.num_gaussians),
             quantized_splats: newest.map_or(0, |f| f.quantized_splats),
             map_bytes: newest.map_or(0, |f| f.map_bytes),
-            backend: slot.cfg.backend.name(),
             projection_cache_hits: newest.map_or(0, |f| f.projection_cache_hits),
             projection_cache_misses: newest.map_or(0, |f| f.projection_cache_misses),
             retired: false,
@@ -1039,42 +1029,6 @@ mod tests {
         let stats = server.stats();
         assert_eq!(stats.completed_frames(), 8);
         assert!(stats.total.track_s >= stats.max.track_s);
-    }
-
-    #[test]
-    fn per_stream_backend_mix_is_bit_identical() {
-        // One stream on the reference scalar backend, one forced onto the
-        // vectorized backend: identical trajectories and canonical traces,
-        // because backends only trade speed. The stats must still report
-        // who ran what.
-        let data = tiny_dataset(4);
-        let mut base = AgsConfig::tiny();
-        base.backend = BackendKind::Reference;
-        let config = ServerConfig {
-            streams: 2,
-            base,
-            per_stream: vec![
-                StreamPolicy::serial(),
-                StreamPolicy::serial().with_backend(BackendKind::Vectorized),
-            ],
-            pool_workers: Some(1),
-        };
-        let mut server = MultiStreamServer::new(config);
-        for s in 0..2 {
-            push_all(&mut server, s, &data);
-        }
-        server.finish_all();
-        let reference = server.stream(0).unwrap();
-        let vectorized = server.stream(1).unwrap();
-        assert_eq!(reference.trajectory(), vectorized.trajectory());
-        assert_eq!(
-            reference.trace().canonical_bytes(),
-            vectorized.trace().canonical_bytes(),
-            "backend mix must not change any semantic output"
-        );
-        let stats = server.stats();
-        assert_eq!(stats.per_stream[0].backend, "reference");
-        assert_eq!(stats.per_stream[1].backend, "vectorized");
         for s in &stats.per_stream {
             assert!(s.projection_cache_hits > 0, "mapping projects through the cache");
         }

@@ -119,7 +119,7 @@ impl TrackStage {
             loss: config.slam.tracking_loss,
             convergence_eps: 1e-4,
             parallelism: config.parallelism.clone(),
-            backend: config.backend,
+            ..RefineConfig::default()
         });
         let coarse = CoarseTracker::new(config.coarse);
         Self { coarse, refiner }
@@ -200,9 +200,6 @@ pub struct MapOutput {
     /// [`AgsConfig::map_bytes_budget`] bounds. Without a budget nothing is
     /// quantized, so this is the full-precision size of the map.
     pub map_bytes: u64,
-    /// Name of the render backend the stage's kernels ran on
-    /// (observational; every backend is bit-identical).
-    pub backend: &'static str,
     /// Cumulative projection-cache hits since the stage was built or
     /// restored (observational: a restore rebuilds the cache cold).
     pub projection_cache_hits: u64,
@@ -376,7 +373,6 @@ impl MapStage {
             pruned: 0,
             quantized_splats: 0,
             map_bytes: 0,
-            backend: self.config.backend.name(),
             projection_cache_hits: 0,
             projection_cache_misses: 0,
         };
@@ -392,7 +388,6 @@ impl MapStage {
         // from growing where new content appears.
         let options = RenderOptions {
             parallelism: self.config.parallelism.clone(),
-            backend: self.config.backend,
             ..RenderOptions::default()
         };
         let rendered = self.render_full(cloud, camera, &pose, &options);
@@ -480,7 +475,6 @@ impl MapStage {
                 &RenderOptions {
                     record_contributions: true,
                     parallelism: self.config.parallelism.clone(),
-                    backend: self.config.backend,
                     ..Default::default()
                 },
             );
@@ -530,10 +524,9 @@ impl MapStage {
         out
     }
 
-    /// One full forward render routed through the configured backend and
-    /// the projection cache — the densify pre-render and the FP audit share
-    /// this path with `map_step`, so every projection in the stage goes
-    /// through the cache.
+    /// One full forward render through the projection cache — the densify
+    /// pre-render and the FP audit share this path with `map_step`, so every
+    /// projection in the stage goes through the cache.
     fn render_full(
         &mut self,
         cloud: &GaussianCloud,
@@ -685,7 +678,7 @@ impl MapStage {
             record_contributions,
             collect_tile_work,
             parallelism: self.config.parallelism.clone(),
-            backend: self.config.backend,
+            ..RenderOptions::default()
         };
         let TrainPass { loss, mut render, backward: back } = train_pass(
             &mut self.train_scratch,

@@ -95,10 +95,6 @@ pub struct TraceFrame {
     /// Measured per-stage wall time (observational; not part of the
     /// canonical byte encoding).
     pub stage_times: StageTimes,
-    /// Render backend the frame's kernels ran on (observational, like
-    /// [`StageTimes`]: every backend is bit-identical, so the canonical
-    /// bytes ignore it).
-    pub backend: &'static str,
     /// Cumulative projection-cache hits after this frame (observational).
     pub projection_cache_hits: u64,
     /// Cumulative projection-cache misses after this frame (observational).
@@ -157,7 +153,6 @@ impl WorkloadTrace {
                 fp_rate: None,
                 dropped: false,
                 stage_times: StageTimes::default(),
-                backend: "",
                 projection_cache_hits: 0,
                 projection_cache_misses: 0,
             })
@@ -336,10 +331,8 @@ mod tests {
         // Different wall times: still canonically equal.
         b.frames[0].stage_times = StageTimes { fc_s: 1.0, track_s: 2.0, map_s: 3.0, stall_s: 0.5 };
         assert_eq!(a.canonical_bytes(), b.canonical_bytes());
-        // Backend identity and cache hit rates are observational too: a
-        // vectorized + cached run must compare canonically equal to the
-        // scalar reference.
-        b.frames[0].backend = "vectorized";
+        // Cache hit rates are observational too: a cached run must compare
+        // canonically equal to an uncached one.
         b.frames[0].projection_cache_hits = 99;
         b.frames[0].projection_cache_misses = 7;
         assert_eq!(a.canonical_bytes(), b.canonical_bytes());

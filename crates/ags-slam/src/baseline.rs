@@ -65,7 +65,6 @@ impl BaselineSlam {
             learning_rate: config.tracking_lr,
             loss: config.tracking_loss,
             convergence_eps: 1e-4,
-            backend: config.backend,
             ..RefineConfig::default()
         });
         Self {
@@ -133,12 +132,8 @@ impl BaselineSlam {
 
         // --- Densification (every frame). ---
         let mut mapping = WorkUnits::default();
-        let rendered = ags_splat::render::render(
-            &self.cloud,
-            camera,
-            &pose,
-            &RenderOptions { backend: self.config.backend, ..RenderOptions::default() },
-        );
+        let rendered =
+            ags_splat::render::render(&self.cloud, camera, &pose, &RenderOptions::default());
         mapping.add_render(&rendered.stats);
         densify_from_frame(
             &mut self.cloud,
@@ -219,8 +214,7 @@ impl BaselineSlam {
         depth: &DepthImage,
         collect_tile_work: bool,
     ) -> TrainPass {
-        let options =
-            RenderOptions { collect_tile_work, backend: self.config.backend, ..Default::default() };
+        let options = RenderOptions { collect_tile_work, ..Default::default() };
         let pass = train_pass(
             &mut self.train_scratch,
             &self.cloud,

@@ -33,9 +33,10 @@ pub struct SlamConfig {
     /// Collect per-tile workload samples every `tile_work_interval` frames
     /// (0 = never) for the cycle-level simulator.
     pub tile_work_interval: usize,
-    /// Render backend for the splat kernels (tracking refinement and
-    /// mapping). Bit-identical across backends; defaults to the vectorized
-    /// one.
+    /// Read nowhere: tracking and mapping always run the vectorized kernel.
+    /// Only user: `benchmark/src/sut.rs:201`; kept until the next
+    /// `benchmark` PR drops it there (`benchmark/` may not be edited).
+    #[doc(hidden)]
     pub backend: BackendKind,
 }
 

@@ -4,7 +4,11 @@
 //! backend ([`crate::project::project_gaussians`],
 //! [`GaussianTables::build_with`]); their tables, blended in canonical order,
 //! are the inter-stage contract. The forward raster (③) and the backward
-//! pass (④) each pick a tile kernel with a `match` on [`BackendKind`]:
+//! pass (④) each pick a tile kernel with a `match` on [`BackendKind`]. The
+//! kernel API is the one place a backend is chosen
+//! ([`crate::render::RenderOptions::backend`], the first argument of
+//! [`crate::backward::backward_with`]): the SLAM pipeline above it always
+//! runs the vectorized kernel, and only the oracle tests pick the reference:
 //!
 //! * [`BackendKind::Reference`] — the scalar oracle: one per-pixel blend walk
 //!   (`render::walk_pixel`, Eqn. 1–2 written once), which the forward kernel
@@ -26,7 +30,8 @@
 //!   only the order in which pixels are visited differs, and no pixel's state
 //!   depends on another's. Outputs, gradients and every workload counter
 //!   match the reference bit for bit (enforced by the tests in this module;
-//!   the determinism suites run on it, since it is the default).
+//!   the determinism suites run on it, since the pipeline runs nothing
+//!   else).
 //!
 //! # One blend walk per training iteration
 //!
@@ -114,25 +119,6 @@ pub enum BackendKind {
     /// SoA + SIMD kernels, bit-identical to the reference (see module docs).
     #[default]
     Vectorized,
-}
-
-impl BackendKind {
-    /// Stable lower-case name (used in stats and benches).
-    pub fn name(self) -> &'static str {
-        match self {
-            BackendKind::Reference => "reference",
-            BackendKind::Vectorized => "vectorized",
-        }
-    }
-
-    /// Parses a [`BackendKind::name`] back into the kind.
-    pub fn from_name(name: &str) -> Option<Self> {
-        match name {
-            "reference" => Some(BackendKind::Reference),
-            "vectorized" => Some(BackendKind::Vectorized),
-            _ => None,
-        }
-    }
 }
 
 /// The vectorized backward over a chunk of tiles: each tile's reverse stage
@@ -790,14 +776,6 @@ mod tests {
     use ags_image::{DepthImage, RgbImage};
     use ags_math::{Parallelism, Pcg32, Se3, Vec3};
     use std::sync::Arc;
-
-    #[test]
-    fn backend_names_round_trip() {
-        for kind in [BackendKind::Reference, BackendKind::Vectorized] {
-            assert_eq!(BackendKind::from_name(kind.name()), Some(kind));
-        }
-        assert_eq!(BackendKind::from_name("gpu"), None);
-    }
 
     /// The SIMD row kernel must reproduce the scalar falloff quadratic bit
     /// for bit: random coefficients, every width 0..2·TILE_SIZE, unaligned

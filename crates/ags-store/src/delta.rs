@@ -455,7 +455,7 @@ mod tests {
             &mut child.gaussians_mut()[8..8 + QUANT_CHUNK]
         ));
         let bytes = CloudDelta::diff(&parent, 3, &child, 4).encode();
-        crate::wire::assert_prefixes_fail_and_mutations_never_panic(&bytes, 0xde17a, |b| {
+        crate::wire::assert_prefixes_fail_and_mutations_never_panic(&bytes, 0xde17a, 256, |b| {
             CloudDelta::decode(b).is_ok()
         });
     }

@@ -911,7 +911,7 @@ mod tests {
             log.persist_epoch(s).unwrap();
         }
         let bytes = log.encode_manifest(7, &snaps[2..]);
-        crate::wire::assert_prefixes_fail_and_mutations_never_panic(&bytes, 0x3a1f, |b| {
+        crate::wire::assert_prefixes_fail_and_mutations_never_panic(&bytes, 0x3a1f, 256, |b| {
             decode_manifest(b).is_ok()
         });
     }

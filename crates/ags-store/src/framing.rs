@@ -221,8 +221,9 @@ mod tests {
         for (kind, seed) in [(RecordKind::Base, 1), (RecordKind::Manifest, 2)] {
             for payload in [&payload[..], &[]] {
                 let framed = frame(kind, payload);
-                let decoded =
-                    crate::wire::mutations_decoded(&framed, seed, |b| unframe(kind, b).is_ok());
+                let decoded = crate::wire::mutations_decoded(&framed, seed, 256, |b| {
+                    unframe(kind, b).is_ok()
+                });
                 assert_eq!(decoded, 0, "{kind:?} record of {} payload bytes", payload.len());
             }
         }

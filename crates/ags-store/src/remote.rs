@@ -167,7 +167,9 @@ fn decode_key_list(payload: &[u8]) -> Result<Vec<String>, StoreError> {
         Ok(slice)
     };
     let count = u32::from_le_bytes(take(4)?.try_into().expect("4 bytes")) as usize;
-    if count > payload.len() {
+    // Each key is at least its 4-byte length prefix, so a count the bytes
+    // after it cannot back is rejected before the list is reserved.
+    if count > (payload.len() - 4) / 4 {
         return Err(torn());
     }
     let mut keys = Vec::with_capacity(count);
@@ -572,6 +574,8 @@ fn handle_request(request: Frame, backing: &Mutex<Box<dyn MapStore>>) -> Frame {
 mod tests {
     use super::*;
     use crate::backend::MemoryStore;
+    use crate::wire::alloc_probe::largest_request;
+    use crate::wire::ALLOC_PER_BYTE;
 
     fn fast_policy() -> RetryPolicy {
         RetryPolicy::new(4, Duration::from_millis(500), Duration::ZERO)
@@ -788,7 +792,9 @@ mod tests {
     fn truncated_or_mutated_frame_never_panics() {
         let frame = Frame { seq: 41, tag: OP_PUT, a: b"s0/delta/7".to_vec(), b: vec![3; 96] };
         let bytes = encode_frame(&REQUEST_MAGIC, &frame);
-        crate::wire::assert_prefixes_fail_and_mutations_never_panic(&bytes, 0xf4a3e, |b| {
+        // A body reserves up to `BODY_RESERVE_BYTES` before its bytes arrive.
+        let fixed = BODY_RESERVE_BYTES;
+        crate::wire::assert_prefixes_fail_and_mutations_never_panic(&bytes, 0xf4a3e, fixed, |b| {
             read_frame(&mut std::io::Cursor::new(b), &REQUEST_MAGIC).is_ok()
         });
     }
@@ -798,8 +804,15 @@ mod tests {
         let keys: Vec<String> =
             ["s0/base/4", "s0/delta/5", "s0/manifest/2"].map(String::from).to_vec();
         let bytes = encode_key_list(&keys);
-        crate::wire::assert_prefixes_fail_and_mutations_never_panic(&bytes, 0x6e75, |b| {
+        crate::wire::assert_prefixes_fail_and_mutations_never_panic(&bytes, 0x6e75, 256, |b| {
             decode_key_list(b).is_ok()
         });
+        // A count equal to the payload's own length, as if each key took
+        // one byte, is rejected within the same bound.
+        let mut claims_own_length = bytes.clone();
+        claims_own_length[..4].copy_from_slice(&(bytes.len() as u32).to_le_bytes());
+        assert_eq!(bytes.len(), 48);
+        let (decoded, largest) = largest_request(|| decode_key_list(&claims_own_length));
+        assert!(decoded.is_err() && largest <= ALLOC_PER_BYTE * 48 + 256, "{largest} B from 48");
     }
 }

@@ -198,16 +198,18 @@ impl<'a> ByteReader<'a> {
 /// Test support for decoders of bytes that arrive from disk or a socket:
 /// `bytes` (a valid encoding) decodes, every strict prefix of it decodes to
 /// `Err`, and 4 000 `seed`-drawn single-byte mutations of it each decode to
-/// `Ok` or `Err` — never a panic. `decode` returns whether its input
-/// decoded. Both outcomes must occur among the mutations, so they reach
-/// past the header: value bytes decode, lengths and tags are rejected.
+/// `Ok` or `Err` — never a panic, and never a single allocation above
+/// [`ALLOC_PER_BYTE`] × the input + `fixed` bytes. `decode` returns whether
+/// its input decoded. Both outcomes must occur among the mutations, so they
+/// reach past the header: value bytes decode, lengths and tags are rejected.
 #[cfg(test)]
 pub(crate) fn assert_prefixes_fail_and_mutations_never_panic(
     bytes: &[u8],
     seed: u64,
+    fixed: usize,
     decode: impl Fn(&[u8]) -> bool,
 ) {
-    let decoded = mutations_decoded(bytes, seed, decode);
+    let decoded = mutations_decoded(bytes, seed, fixed, decode);
     assert!(0 < decoded && decoded < MUTATIONS, "{decoded} of {MUTATIONS} decoded");
 }
 
@@ -215,13 +217,29 @@ pub(crate) fn assert_prefixes_fail_and_mutations_never_panic(
 #[cfg(test)]
 pub(crate) const MUTATIONS: usize = 4_000;
 
+/// The most a decoder may reserve per input byte: a key list's 24-byte
+/// `String` per 4-byte length prefix. A count is checked against the bytes
+/// left at its element's least encoded size before anything is reserved.
+#[cfg(test)]
+pub(crate) const ALLOC_PER_BYTE: usize = 6;
+
 /// The checks of [`assert_prefixes_fail_and_mutations_never_panic`] short
 /// of its last: returns how many of the [`MUTATIONS`] mutations decoded.
 #[cfg(test)]
-pub(crate) fn mutations_decoded(bytes: &[u8], seed: u64, decode: impl Fn(&[u8]) -> bool) -> usize {
+pub(crate) fn mutations_decoded(
+    bytes: &[u8],
+    seed: u64,
+    fixed: usize,
+    decode: impl Fn(&[u8]) -> bool,
+) -> usize {
     // `Some(decoded)`, or `None` when the decoder panicked.
     let run = |payload: &[u8]| {
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| decode(payload))).ok()
+        let (outcome, largest) = alloc_probe::largest_request(|| {
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| decode(payload))).ok()
+        });
+        let len = payload.len();
+        assert!(largest <= ALLOC_PER_BYTE * len + fixed, "a {largest}-byte reservation from {len}");
+        outcome
     };
     assert_eq!(run(bytes), Some(true), "the valid encoding must decode");
     for cut in 0..bytes.len() {
@@ -239,6 +257,53 @@ pub(crate) fn mutations_decoded(bytes: &[u8], seed: u64, decode: impl Fn(&[u8]) 
         decoded += usize::from(outcome == Some(true));
     }
     decoded
+}
+
+/// Test support: the largest single allocation a call requests, so a test
+/// can bound the reservations a decoder makes from a hostile payload.
+#[cfg(test)]
+pub(crate) mod alloc_probe {
+    use std::alloc::{GlobalAlloc, Layout, System};
+    use std::cell::Cell;
+
+    /// Records the largest single allocation request made on each thread.
+    /// It is the allocator of this crate's whole unit-test binary.
+    struct LargestRequest;
+
+    thread_local! {
+        static LARGEST: Cell<usize> = const { Cell::new(0) };
+    }
+
+    fn note_request(size: usize) {
+        // `try_with`: the allocator also runs while thread-locals are torn down.
+        let _ = LARGEST.try_with(|largest| largest.set(largest.get().max(size)));
+    }
+
+    // SAFETY: both calls are forwarded to `System` unchanged; the only side
+    // effect is a `Cell` update on a const-initialised thread-local, which
+    // neither allocates nor unwinds. The trait's default `alloc_zeroed` and
+    // `realloc` go through `alloc`, so they are recorded too.
+    unsafe impl GlobalAlloc for LargestRequest {
+        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+            note_request(layout.size());
+            System.alloc(layout)
+        }
+
+        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+            System.dealloc(ptr, layout)
+        }
+    }
+
+    #[global_allocator]
+    static ALLOCATOR: LargestRequest = LargestRequest;
+
+    /// Runs `f`, returning its result and the largest single allocation it
+    /// requested on this thread.
+    pub(crate) fn largest_request<T>(f: impl FnOnce() -> T) -> (T, usize) {
+        LARGEST.with(|largest| largest.set(0));
+        let out = f();
+        (out, LARGEST.with(Cell::get))
+    }
 }
 
 #[cfg(test)]
