@@ -61,11 +61,11 @@ fn concurrent_stage_submissions_stay_deterministic() {
         let fc_pool = Arc::clone(&pool);
         let (fc_current, fc_refs, fc_expect) = (&current, &references, &expect);
         s.spawn(move || {
-            // Tagged + min_items(0): exercise the fairness lanes under
-            // contention on frames the fallback would otherwise inline.
+            // min_items(0): exercise the shared queue under contention on
+            // frames the fallback would otherwise inline.
             let est = estimator(
                 SearchKind::Diamond,
-                Parallelism::with_threads(4).min_items(0).on_pool(fc_pool).tagged(0),
+                Parallelism::with_threads(4).min_items(0).on_pool(fc_pool),
             );
             for round in 0..10 {
                 for (i, reference) in fc_refs.iter().enumerate() {
@@ -82,7 +82,7 @@ fn concurrent_stage_submissions_stay_deterministic() {
         s.spawn(move || {
             let est = estimator(
                 SearchKind::Diamond,
-                Parallelism::with_threads(4).min_items(0).on_pool(slam_pool).tagged(1),
+                Parallelism::with_threads(4).min_items(0).on_pool(slam_pool),
             );
             for round in 0..10 {
                 assert_eq!(

@@ -29,7 +29,7 @@
 //!   bit-identical to the serial one.
 //! * [`server::MultiStreamServer`] — `S` concurrent streams, one
 //!   [`AgsSlam`] each with a per-stream pipeline policy, all sharing a
-//!   single stream-tagged worker pool with round-robin fairness lanes;
+//!   single worker pool whose one FIFO queue no stream can monopolise;
 //!   per-stream results stay bit-identical to running the stream alone.
 //!
 //! # Example

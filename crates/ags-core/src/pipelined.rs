@@ -63,31 +63,91 @@ pub(crate) struct Decided {
     pub wait_s: f64,
 }
 
-/// FC result shipped back from the worker thread.
-pub(crate) struct FcResult {
-    decision: FcDecision,
-    fc_s: f64,
+/// A stage on its own named thread behind two bounded channels: jobs in,
+/// results out, in submission order. The thread hands its stage back when
+/// the job channel hangs up ([`stop`](Self::stop)), so a checkpoint can stop
+/// it, read the stage's state and respawn around the same stage.
+pub(crate) struct StageThread<S, J, R> {
+    jobs_tx: Option<SyncSender<J>>,
+    results_rx: Receiver<R>,
+    handle: Option<JoinHandle<S>>,
 }
 
-/// Front end of the stage graph: FC inline (`Serial`) or on a worker thread
-/// (both overlapped modes). The worker returns its [`FcStage`] when its frame
-/// channel hangs up, so a checkpoint can stop it, read the detector state
-/// and respawn around the same stage.
+impl<S: Send + 'static, J: Send + 'static, R: Send + 'static> StageThread<S, J, R> {
+    /// Spawns thread `name` running `step` on `stage` for every job; each
+    /// channel holds `capacity` items.
+    fn spawn(
+        name: &str,
+        capacity: usize,
+        mut stage: S,
+        mut step: impl FnMut(&mut S, J) -> R + Send + 'static,
+    ) -> Self {
+        let (jobs_tx, jobs_rx) = sync_channel::<J>(capacity);
+        let (results_tx, results_rx) = sync_channel::<R>(capacity);
+        let handle = std::thread::Builder::new()
+            .name(name.into())
+            .spawn(move || {
+                while let Ok(job) = jobs_rx.recv() {
+                    if results_tx.send(step(&mut stage, job)).is_err() {
+                        break; // driver dropped
+                    }
+                }
+                stage
+            })
+            .unwrap_or_else(|err| panic!("spawn {name}: {err}"));
+        Self { jobs_tx: Some(jobs_tx), results_rx, handle: Some(handle) }
+    }
+}
+
+impl<S, J, R> StageThread<S, J, R> {
+    fn send(&self, job: J) {
+        self.jobs_tx.as_ref().expect("stage channel open").send(job).expect("stage thread alive");
+    }
+
+    /// The next result, in submission order, blocking on the thread.
+    fn recv(&self) -> R {
+        self.results_rx.recv().expect("stage thread alive")
+    }
+
+    /// Hangs up the job channel so the thread's loop ends, keeps receiving
+    /// so it is never blocked on a send, and joins it, handing the stage
+    /// back. `None` once stopped, or if the thread panicked.
+    fn stop(&mut self) -> Option<S> {
+        drop(self.jobs_tx.take());
+        while self.results_rx.recv().is_ok() {}
+        self.handle.take()?.join().ok()
+    }
+}
+
+impl<S, J, R> Drop for StageThread<S, J, R> {
+    fn drop(&mut self) {
+        self.stop();
+    }
+}
+
+/// Front end of the stage graph: FC inline (`Serial`) or on a
+/// [`StageThread`] (both overlapped modes).
 pub(crate) enum FcFrontEnd {
     Inline(FcStage),
     Worker {
-        frames_tx: Option<SyncSender<Arc<RgbImage>>>,
-        results_rx: Receiver<FcResult>,
-        handle: Option<JoinHandle<FcStage>>,
+        /// Frames in, each decision with its FC wall time out.
+        thread: StageThread<FcStage, Arc<RgbImage>, (FcDecision, f64)>,
         /// Frames submitted to the worker whose decision is not consumed yet.
         pending: VecDeque<Frame>,
         depth: usize,
     },
 }
 
+/// Runs FC on one frame, returning the decision and its wall time.
+fn fc_frame(fc: &mut FcStage, rgb: &RgbImage) -> (FcDecision, f64) {
+    let start = Instant::now();
+    let decision = fc.process(rgb);
+    (decision, start.elapsed().as_secs_f64())
+}
+
 impl FcFrontEnd {
     /// Runs `fc` where `config.pipeline.mode` puts it.
-    pub fn new(config: &AgsConfig, mut fc: FcStage) -> Self {
+    pub fn new(config: &AgsConfig, fc: FcStage) -> Self {
         if config.pipeline.mode == PipelineMode::Serial {
             return Self::Inline(fc);
         }
@@ -95,34 +155,15 @@ impl FcFrontEnd {
         let stress_fc_stall_ms = config.pipeline.stress_fc_stall_ms;
         // At most `depth` undecoded frames plus `depth` undelivered decisions
         // in flight: the worker runs 1–2 frames ahead and no further.
-        let (frames_tx, frames_rx) = sync_channel::<Arc<RgbImage>>(depth);
-        let (results_tx, results_rx) = sync_channel::<FcResult>(depth);
-        let handle = std::thread::Builder::new()
-            .name("ags-fc-stage".into())
-            .spawn(move || {
-                while let Ok(rgb) = frames_rx.recv() {
-                    if stress_fc_stall_ms > 0 {
-                        // Test-only backpressure: see
-                        // `PipelineConfig::stress_fc_stall_ms`.
-                        std::thread::sleep(std::time::Duration::from_millis(stress_fc_stall_ms));
-                    }
-                    let start = Instant::now();
-                    let decision = fc.process(&rgb);
-                    let fc_s = start.elapsed().as_secs_f64();
-                    if results_tx.send(FcResult { decision, fc_s }).is_err() {
-                        break; // driver dropped
-                    }
+        let thread =
+            StageThread::spawn("ags-fc-stage", depth, fc, move |fc, rgb: Arc<RgbImage>| {
+                if stress_fc_stall_ms > 0 {
+                    // Test-only backpressure: see `PipelineConfig::stress_fc_stall_ms`.
+                    std::thread::sleep(std::time::Duration::from_millis(stress_fc_stall_ms));
                 }
-                fc
-            })
-            .expect("spawn FC stage worker");
-        Self::Worker {
-            frames_tx: Some(frames_tx),
-            results_rx,
-            handle: Some(handle),
-            pending: VecDeque::new(),
-            depth,
-        }
+                fc_frame(fc, &rgb)
+            });
+        Self::Worker { thread, pending: VecDeque::new(), depth }
     }
 
     /// Submits a frame and returns the oldest frame whose decision is due:
@@ -131,14 +172,11 @@ impl FcFrontEnd {
     pub fn push(&mut self, frame: Frame) -> Option<Decided> {
         let full = match self {
             Self::Inline(fc) => {
-                let start = Instant::now();
-                let decision = fc.process(&frame.rgb);
-                let fc_s = start.elapsed().as_secs_f64();
+                let (decision, fc_s) = fc_frame(fc, &frame.rgb);
                 return Some(Decided { frame, decision, fc_s, wait_s: 0.0 });
             }
-            Self::Worker { frames_tx, pending, depth, .. } => {
-                let rgb = Arc::clone(&frame.rgb);
-                frames_tx.as_ref().expect("FC channel open").send(rgb).expect("FC worker alive");
+            Self::Worker { thread, pending, depth } => {
+                thread.send(Arc::clone(&frame.rgb));
                 pending.push_back(frame);
                 pending.len() > *depth
             }
@@ -153,13 +191,13 @@ impl FcFrontEnd {
     /// The oldest submitted frame with its decision, blocking on the worker;
     /// `None` when nothing is pending.
     pub fn pop(&mut self) -> Option<Decided> {
-        let Self::Worker { results_rx, pending, .. } = self else { return None };
+        let Self::Worker { thread, pending, .. } = self else { return None };
         let frame = pending.pop_front()?;
         // FIFO channels: this result belongs to exactly this frame. Time
         // blocked here is FC backpressure — the FC worker, not the SLAM
         // stages, is the bottleneck — and counts toward the frame's stall.
         let start = Instant::now();
-        let FcResult { decision, fc_s } = results_rx.recv().expect("FC stage worker alive");
+        let (decision, fc_s) = thread.recv();
         Some(Decided { frame, decision, fc_s, wait_s: start.elapsed().as_secs_f64() })
     }
 
@@ -174,28 +212,13 @@ impl FcFrontEnd {
     /// The FC stage's checkpoint state (call with nothing pending). A worker
     /// is stopped to read it and respawned around the same stage.
     pub fn export_state(&mut self, config: &AgsConfig) -> VideoCodecState {
-        if let Self::Inline(fc) = self {
-            return fc.export_state();
-        }
-        let fc = self.join_worker().expect("FC stage worker joins");
+        let fc = match self {
+            Self::Inline(fc) => return fc.export_state(),
+            Self::Worker { thread, .. } => thread.stop().expect("FC stage worker joins"),
+        };
         let state = fc.export_state();
         *self = Self::new(config, fc);
         state
-    }
-
-    /// Hangs up the worker's frame channel, drains its results so it is
-    /// never blocked on a send, and joins it.
-    fn join_worker(&mut self) -> Option<FcStage> {
-        let Self::Worker { frames_tx, results_rx, handle, .. } = self else { return None };
-        drop(frames_tx.take());
-        while results_rx.try_recv().is_ok() {}
-        handle.take()?.join().ok()
-    }
-}
-
-impl Drop for FcFrontEnd {
-    fn drop(&mut self) {
-        self.join_worker();
     }
 }
 
@@ -233,31 +256,17 @@ fn map_frame(map: &mut MapStage, shared: &mut SharedCloud, job: &MapJob, publish
 }
 
 /// Back end of the stage graph: the mapping stage and the live map, inline
-/// (`Serial`, `Overlapped`) or on a worker thread (`MapOverlapped`). The
-/// worker returns both when its job channel hangs up, so a checkpoint can
-/// stop it, export the stage and respawn without cloning either.
+/// (`Serial`, `Overlapped`) or on a [`StageThread`] (`MapOverlapped`), which
+/// hands both back when stopped, so a checkpoint exports the stage and
+/// respawns without cloning either.
 pub(crate) enum MapBackEnd {
-    Inline {
-        map: Box<MapStage>,
-        shared: SharedCloud,
-        publish: bool,
-    },
-    Worker {
-        jobs_tx: Option<SyncSender<MapJob>>,
-        done_rx: Receiver<MapDone>,
-        handle: Option<JoinHandle<(MapStage, SharedCloud)>>,
-        slack: usize,
-    },
+    Inline { map: Box<MapStage>, shared: SharedCloud, publish: bool },
+    Worker { thread: StageThread<(MapStage, SharedCloud), MapJob, MapDone>, slack: usize },
 }
 
 impl MapBackEnd {
     /// Runs `map` over `shared` where `config.pipeline.mode` puts it.
-    pub fn new(
-        config: &AgsConfig,
-        slack: usize,
-        mut map: MapStage,
-        mut shared: SharedCloud,
-    ) -> Self {
+    pub fn new(config: &AgsConfig, slack: usize, map: MapStage, shared: SharedCloud) -> Self {
         if config.pipeline.mode != PipelineMode::MapOverlapped {
             let publish = map_publishes(config, slack);
             return Self::Inline { map: Box::new(map), shared, publish };
@@ -265,20 +274,13 @@ impl MapBackEnd {
         // Sized to the maximum in-flight frames (slack + 1 maps can be
         // outstanding before tracking must wait); one extra slot keeps the
         // worker off the send() edge.
-        let (jobs_tx, jobs_rx) = sync_channel::<MapJob>(slack + 2);
-        let (done_tx, done_rx) = sync_channel::<MapDone>(slack + 2);
-        let handle = std::thread::Builder::new()
-            .name("ags-map-stage".into())
-            .spawn(move || {
-                while let Ok(job) = jobs_rx.recv() {
-                    if done_tx.send(map_frame(&mut map, &mut shared, &job, true)).is_err() {
-                        break; // driver dropped
-                    }
-                }
-                (map, shared)
-            })
-            .expect("spawn map stage worker");
-        Self::Worker { jobs_tx: Some(jobs_tx), done_rx, handle: Some(handle), slack }
+        let thread = StageThread::spawn(
+            "ags-map-stage",
+            slack + 2,
+            (map, shared),
+            |(map, shared), job: MapJob| map_frame(map, shared, &job, true),
+        );
+        Self::Worker { thread, slack }
     }
 
     /// Whether the map publishes one epoch per frame (see [`map_publishes`]).
@@ -300,8 +302,8 @@ impl MapBackEnd {
     pub fn submit(&mut self, job: MapJob) -> Option<MapDone> {
         match self {
             Self::Inline { map, shared, publish } => Some(map_frame(map, shared, &job, *publish)),
-            Self::Worker { jobs_tx, .. } => {
-                jobs_tx.as_ref().expect("jobs channel open").send(job).expect("map worker alive");
+            Self::Worker { thread, .. } => {
+                thread.send(job);
                 None
             }
         }
@@ -309,38 +311,24 @@ impl MapBackEnd {
 
     /// The worker's next result, in submission order.
     pub fn recv(&self) -> MapDone {
-        let Self::Worker { done_rx, .. } = self else {
+        let Self::Worker { thread, .. } = self else {
             unreachable!("inline maps complete on submit")
         };
-        done_rx.recv().expect("map stage worker alive")
+        thread.recv()
     }
 
     /// The mapping stage's checkpoint state (call with no job in flight). A
     /// worker is stopped to read it and respawned around the same stage.
     pub fn export_state(&mut self, config: &AgsConfig) -> MapStageState {
-        let slack = match self {
+        let (slack, (map, shared)) = match self {
             Self::Inline { map, .. } => return map.export_state(),
-            Self::Worker { slack, .. } => *slack,
+            Self::Worker { thread, slack } => {
+                (*slack, thread.stop().expect("map stage worker joins"))
+            }
         };
-        let (map, shared) = self.join_worker().expect("map stage worker joins");
         let state = map.export_state();
         *self = Self::new(config, slack, map, shared);
         state
-    }
-
-    /// Hangs up the job channel so the worker's loop ends, keeps receiving
-    /// so it is never blocked on a send, and joins it.
-    fn join_worker(&mut self) -> Option<(MapStage, SharedCloud)> {
-        let Self::Worker { jobs_tx, done_rx, handle, .. } = self else { return None };
-        drop(jobs_tx.take());
-        while done_rx.recv().is_ok() {}
-        handle.take()?.join().ok()
-    }
-}
-
-impl Drop for MapBackEnd {
-    fn drop(&mut self) {
-        self.join_worker();
     }
 }
 

@@ -4,10 +4,10 @@
 //! The paper's end-game is serving many concurrent capture streams per
 //! host — CODEC-assisted FC detection exists to free CPU budget so more
 //! SLAM instances fit per machine. [`MultiStreamServer`] is that driver:
-//! it owns one [`AgsSlam`] per stream, all constructed over a
-//! **single** worker pool (one `Parallelism::with_pool` handle, tagged per
-//! stream), so `S` streams × up to three stage threads each (FC / track /
-//! map) never oversubscribe the machine with competing kernel thread sets.
+//! it owns one [`AgsSlam`] per stream, all constructed over a **single**
+//! worker pool (one `Parallelism::with_pool` handle), so `S` streams × up
+//! to three stage threads each (FC / track / map) never oversubscribe the
+//! machine with competing kernel thread sets.
 //!
 //! Three properties make the shared pool safe and useful:
 //!
@@ -20,10 +20,10 @@
 //!   stream is caught at the server boundary and marked
 //!   [poisoned](MultiStreamServer::is_poisoned); the pool and the other
 //!   streams keep running.
-//! * **Fairness** — every stream's kernel submissions carry its stream tag
-//!   ([`ags_math::Parallelism::tagged`]), and the pool queue serves tags
-//!   round-robin, so one stream's mapping burst cannot starve another
-//!   stream's batch (see `ags_math::parallel`).
+//! * **Fairness** — every submitter blocks on its own batch and helps drain
+//!   it, so each stage thread has at most one batch queued and the pool's
+//!   one FIFO queue lets no stream's mapping burst starve another stream's
+//!   batch (see `ags_math::parallel`).
 //! * **Policy** — [`StreamPolicy`] picks the pipeline mode per stream
 //!   (`Serial` / `Overlapped` / `MapOverlapped` + `map_slack`): a
 //!   latency-critical stream can run serially while throughput streams
@@ -37,9 +37,9 @@
 //!
 //! Streams are not fixed at construction: [`attach_stream`] adds a slot at
 //! runtime (its `AgsSlam` spawns lazily on the first frame) and
-//! [`detach_stream`] drains it, optionally commits a final checkpoint, and
-//! retires its fairness lane in the shared pool — lanes are reclaimed, not
-//! leaked, so attach/detach churn is unbounded. A [`CheckpointPolicy`] can
+//! [`detach_stream`] drains it, optionally commits a final checkpoint and
+//! joins its stage threads, leaving no state in the shared pool, so
+//! attach/detach churn is unbounded. A [`CheckpointPolicy`] can
 //! commit to the attached store on its own every N epochs; a failed
 //! automatic commit is counted (`StreamStats::checkpoint_errors`), never
 //! fatal. Every stream does the full work for every frame it is given:
@@ -233,7 +233,7 @@ fn no_store(stream: usize) -> StreamError {
 /// that makes the stream durable.
 #[derive(Debug)]
 struct StreamSlot {
-    /// The stream's resolved config (shared pool handle + tag installed) —
+    /// The stream's resolved config (shared pool handle installed) —
     /// kept so the SLAM instance can be (re)spawned lazily, and restored
     /// after a detach.
     cfg: AgsConfig,
@@ -453,28 +453,22 @@ pub struct MultiStreamServer {
 }
 
 /// Resolves a stream's effective config: policy overlaid on the base, the
-/// shared pool handle and the stream tag installed into every stage's
-/// `Parallelism` knob.
-fn stream_config(
-    base: &AgsConfig,
-    policy: &StreamPolicy,
-    pool: &Arc<WorkerPool>,
-    tag: u64,
-) -> AgsConfig {
+/// shared pool handle installed into every stage's `Parallelism` knob.
+fn stream_config(base: &AgsConfig, policy: &StreamPolicy, pool: &Arc<WorkerPool>) -> AgsConfig {
     let mut cfg = base.clone();
     cfg.pipeline = policy.pipeline;
     if policy.map_bytes_budget > 0 {
         cfg.map_bytes_budget = policy.map_bytes_budget;
     }
-    // `resolve` copies the tagged stream knob into the codec's.
-    cfg.parallelism = cfg.parallelism.on_pool(Arc::clone(pool)).tagged(tag);
+    // `resolve` copies the stream knob into the codec's.
+    cfg.parallelism = cfg.parallelism.on_pool(Arc::clone(pool));
     cfg
 }
 
 impl MultiStreamServer {
     /// Builds the server: spawns the shared pool and one
-    /// [`AgsSlam`] per stream, each with the pool handle and its
-    /// stream tag installed into every stage's `Parallelism` knob.
+    /// [`AgsSlam`] per stream, each with the pool handle installed into
+    /// every stage's `Parallelism` knob.
     pub fn new(config: ServerConfig) -> Self {
         let workers = config
             .pool_workers
@@ -483,7 +477,7 @@ impl MultiStreamServer {
         let streams = (0..config.streams)
             .map(|s| {
                 let policy = config.policy(s);
-                let cfg = stream_config(&config.base, &policy, &pool, s as u64);
+                let cfg = stream_config(&config.base, &policy, &pool);
                 StreamSlot::new(cfg, policy, true)
             })
             .collect();
@@ -496,21 +490,20 @@ impl MultiStreamServer {
     /// an attached-but-idle stream costs nothing.
     ///
     /// Ids are never reused: a detached stream's id stays retired, so
-    /// store prefixes (`s{id}`) and pool lane tags remain unambiguous for
-    /// the server's lifetime.
+    /// store prefixes (`s{id}`) remain unambiguous for the server's
+    /// lifetime.
     pub fn attach_stream(&mut self, policy: StreamPolicy) -> usize {
         let stream = self.streams.len();
-        let cfg = stream_config(&self.base, &policy, &self.pool, stream as u64);
+        let cfg = stream_config(&self.base, &policy, &self.pool);
         self.streams.push(StreamSlot::new(cfg, policy, false));
         stream
     }
 
     /// Detaches stream `stream`: drains its pipeline, optionally commits a
     /// final checkpoint generation to the attached store, drops the
-    /// store, joins the stage threads and **retires the
-    /// stream's fairness lane** in the shared pool — after this the lane
-    /// slot is reclaimed, so attach/detach churn never accumulates pool
-    /// state. Returns the drained records.
+    /// store and joins the stage threads; the shared pool keeps no
+    /// per-stream state, so attach/detach churn never accumulates any.
+    /// Returns the drained records.
     ///
     /// The slot itself stays, holding a final [`StreamStats`] snapshot
     /// (`retired: true`), so [`ServerStats::completed_frames`] is monotonic
@@ -550,8 +543,6 @@ impl MultiStreamServer {
         // just drained, so this does not discard frames.
         slot.slam = None;
         slot.retired = Some(final_stats);
-        self.pool.retire_stream(stream as u64);
-        let slot = &mut self.streams[stream];
         Ok(slot.buffered.drain(..).collect())
     }
 
@@ -732,8 +723,8 @@ impl MultiStreamServer {
             })
             .map_err(|source| StreamError::Storage { stream, source })?;
         let frame_count = state.frame_count;
-        // The slot's stored config already carries the shared pool handle
-        // and stream tag; `restore` re-resolves it, which is idempotent.
+        // The slot's stored config already carries the shared pool handle;
+        // `restore` re-resolves it, which is idempotent.
         slot.slam = Some(AgsSlam::restore(slot.cfg.clone(), state));
         slot.poisoned = false;
         slot.panic_msg = None;
@@ -950,7 +941,7 @@ pub fn migrate_stream(
     let prefix = source.store_prefix(src).unwrap_or_else(|| format!("s{src}"));
 
     let cutover_start = Instant::now();
-    // Quiesce + final checkpoint + retire the source lane. On error the
+    // Quiesce + final checkpoint + detach the source. On error the
     // stream is still attached (detach_stream's contract) — nothing moved.
     let drained = source.detach_stream(src, true).map_err(MigrationError::Source)?;
 
@@ -1112,8 +1103,6 @@ mod tests {
             assert!(Arc::ptr_eq(stage_pool, server.pool()), "stream {s} stage knob");
             let codec_pool = config.codec.parallelism.pool().expect("codec pool installed");
             assert!(Arc::ptr_eq(codec_pool, server.pool()), "stream {s} codec knob");
-            assert_eq!(config.parallelism.stream(), s as u64, "stream tag");
-            assert_eq!(config.codec.parallelism.stream(), s as u64, "codec stream tag");
         }
     }
 }

@@ -1,7 +1,7 @@
 //! Multi-stream server determinism, fairness and isolation.
 //!
 //! The contract: `S` streams driven through one [`MultiStreamServer`] —
-//! sharing a single stream-tagged worker pool — produce, per stream,
+//! sharing a single worker pool — produce, per stream,
 //! **bit-identical** trajectories, final Gaussian clouds and canonical
 //! traces to running that stream alone (`AgsSlam` in `Serial` mode at the
 //! stream's map slack is the solo reference — for a `MapOverlapped` stream
@@ -40,7 +40,7 @@ type StreamResult = (Vec<ags_math::Se3>, Vec<ags_splat::Gaussian>, Vec<u8>);
 /// Base config whose kernel knob is pinned parallel with the small-work
 /// fallback disabled: these frames are tiny, and the whole point of the
 /// suite is that every stream's kernel submissions really flow through the
-/// shared pool. (The default codec knob inherits this, pool, tag and all.)
+/// shared pool. (The default codec knob inherits this, pool and all.)
 fn pooled_base() -> AgsConfig {
     let mut base = AgsConfig::tiny();
     base.parallelism = ags_math::Parallelism::with_threads(4).min_items(0);

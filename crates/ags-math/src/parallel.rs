@@ -23,22 +23,18 @@
 //! parallel work runs on the lazily created process-wide [`WorkerPool::global`]
 //! pool. `Parallelism::serial()` recovers the exact single-threaded execution.
 //!
-//! Two multi-tenant properties make one pool safely shareable by many SLAM
-//! streams (see `ags_core::server`):
+//! Submissions from every thread share **one FIFO queue**. Each submitter
+//! blocks until its own batch is done and helps drain it, so a thread has at
+//! most one batch queued (plus any nested one) and no stream's submissions
+//! can starve another's: a later batch waits behind at most the batches
+//! already queued. Idle workers all pile onto the oldest live batch.
 //!
-//! * **Fairness** — every submission carries a *stream tag*
-//!   ([`Parallelism::tagged`]). The pool queue keeps one FIFO lane per tag
-//!   and hands batches to idle workers **round-robin across lanes**, so one
-//!   stream's burst of submissions can no longer monopolise the workers
-//!   while another stream's batch sits queued. Within a lane batches stay
-//!   FIFO, and all idle workers still pile onto the same batch when only
-//!   one stream is active — single-stream throughput is unchanged.
-//! * **Small-work serial fallback** — [`Parallelism::min_items_per_worker`]
-//!   bounds the scheduling overhead: a submission too small to give every
-//!   planned executor that many work items runs inline on the caller
-//!   instead of paying the queue round-trip (and, on a loaded server,
-//!   instead of interfering with other streams' batches). The fallback is
-//!   bit-identical by construction — it runs the exact serial path.
+//! **Small-work serial fallback** — [`Parallelism::min_items_per_worker`]
+//! bounds the scheduling overhead: a submission too small to give every
+//! planned executor that many work items runs inline on the caller instead
+//! of paying the queue round-trip (and, on a loaded server, instead of
+//! interfering with other streams' batches). The fallback is bit-identical
+//! by construction — it runs the exact serial path.
 
 use std::any::Any;
 use std::cell::UnsafeCell;
@@ -126,76 +122,23 @@ impl Batch {
     }
 }
 
-/// One stream's FIFO of submitted batches.
-struct Lane {
-    stream: u64,
-    batches: VecDeque<Arc<Batch>>,
-}
-
-/// Queue state shared between the pool handle and its workers: one FIFO
-/// lane per stream tag, scanned round-robin so no stream's submissions can
-/// starve another stream's queued batch.
+/// Queue state shared between the pool handle and its workers: one FIFO of
+/// submitted batches.
 struct PoolQueue {
-    lanes: Vec<Lane>,
-    /// Lane index the next scan starts at (round-robin cursor).
-    cursor: usize,
+    batches: VecDeque<Arc<Batch>>,
     shutdown: bool,
 }
 
 impl PoolQueue {
-    /// Enqueues a batch on its stream's lane (created on first use).
-    fn push(&mut self, stream: u64, batch: Arc<Batch>) {
-        match self.lanes.iter_mut().find(|l| l.stream == stream) {
-            Some(lane) => lane.batches.push_back(batch),
-            None => self.lanes.push(Lane { stream, batches: VecDeque::from([batch]) }),
-        }
-    }
-
-    /// The next batch a worker should help with: lanes are scanned
-    /// round-robin from the cursor, FIFO within a lane. Fully claimed
-    /// batches are dropped on the way (their remaining chunks are being
-    /// finished by the threads that claimed them). The returned batch stays
-    /// at its lane front, so further idle workers keep piling onto it until
-    /// it is exhausted — the cursor only decides *which stream's* front
-    /// batch the next worker joins.
+    /// The oldest batch with unclaimed chunks. Fully claimed batches are
+    /// dropped on the way (their remaining chunks are being finished by the
+    /// threads that claimed them). The returned batch stays at the front, so
+    /// further idle workers keep piling onto it until it is exhausted.
     fn take_next(&mut self) -> Option<Arc<Batch>> {
-        let lanes = self.lanes.len();
-        for probe in 0..lanes {
-            let i = (self.cursor + probe) % lanes;
-            let lane = &mut self.lanes[i];
-            while lane.batches.front().is_some_and(|b| b.exhausted()) {
-                lane.batches.pop_front();
-            }
-            if let Some(front) = lane.batches.front() {
-                let batch = Arc::clone(front);
-                self.cursor = (i + 1) % lanes;
-                return Some(batch);
-            }
+        while self.batches.front().is_some_and(|b| b.exhausted()) {
+            self.batches.pop_front();
         }
-        // Idle: every lane is drained. Drop them so finished stream tags do
-        // not accumulate over a server's lifetime.
-        self.lanes.clear();
-        self.cursor = 0;
-        None
-    }
-
-    /// Removes stream `stream`'s lane outright. The idle path above only
-    /// reclaims lanes when *every* lane is drained, so on a server that never
-    /// goes fully idle a detached stream's empty lane would linger in every
-    /// scan forever. Any batch still queued on the lane keeps completing —
-    /// its submitter always helps drain it — the pool's workers just stop
-    /// volunteering for it.
-    fn retire(&mut self, stream: u64) {
-        let Some(i) = self.lanes.iter().position(|l| l.stream == stream) else {
-            return;
-        };
-        self.lanes.remove(i);
-        if i < self.cursor {
-            self.cursor -= 1;
-        }
-        if self.cursor >= self.lanes.len() {
-            self.cursor = 0;
-        }
+        self.batches.front().cloned()
     }
 }
 
@@ -228,7 +171,7 @@ impl WorkerPool {
     /// run entirely on the submitting thread (still through the batch path).
     pub fn new(workers: usize) -> Self {
         let shared = Arc::new(PoolShared {
-            queue: Mutex::new(PoolQueue { lanes: Vec::new(), cursor: 0, shutdown: false }),
+            queue: Mutex::new(PoolQueue { batches: VecDeque::new(), shutdown: false }),
             available: Condvar::new(),
         });
         let handles = (0..workers)
@@ -256,39 +199,14 @@ impl WorkerPool {
         self.workers.len()
     }
 
-    /// Retires stream `stream`'s fairness lane. Call after the stream's last
-    /// submission drained (detach quiesces first); see `PoolQueue::retire`.
-    /// Retiring an unknown or already-reclaimed tag is a no-op, and the tag
-    /// may be reused later — `push` recreates lanes on first use.
-    pub fn retire_stream(&self, stream: u64) {
-        self.shared.queue.lock().expect("pool queue poisoned").retire(stream);
-    }
-
-    /// Number of live fairness lanes — white-box observability for the
-    /// lane-leak tests (and debugging). Transiently nonzero while batches
-    /// are queued; a quiescent pool with every stream retired reports 0.
-    pub fn lane_count(&self) -> usize {
-        self.shared.queue.lock().expect("pool queue poisoned").lanes.len()
-    }
-
     /// Runs `f(0) … f(num_chunks - 1)`, each exactly once, distributing the
     /// calls across the pool's workers and the calling thread. Blocks until
     /// every call completed; panics from `f` are resumed on the caller.
     ///
     /// This is the scoped building block the `par_*` helpers use: `f` may
     /// borrow from the caller's stack because the call does not return until
-    /// the batch is fully drained. Submissions join stream lane `0`; see
-    /// [`run_scope_stream`](Self::run_scope_stream) for the tagged variant.
+    /// the batch is fully drained.
     pub fn run_scope(&self, num_chunks: usize, f: &(dyn Fn(usize) + Sync)) {
-        self.run_scope_stream(0, num_chunks, f);
-    }
-
-    /// [`run_scope`](Self::run_scope) with an explicit stream tag: the batch
-    /// joins the tag's FIFO lane, and idle workers pick lanes round-robin —
-    /// the fairness layer multi-stream servers rely on. The tag never
-    /// affects *results* (chunk order is preserved regardless), only which
-    /// queued batch idle workers help first.
-    pub fn run_scope_stream(&self, stream: u64, num_chunks: usize, f: &(dyn Fn(usize) + Sync)) {
         if num_chunks == 0 {
             return;
         }
@@ -312,7 +230,7 @@ impl WorkerPool {
         });
         if num_chunks > 1 && self.workers() > 0 {
             let mut queue = self.shared.queue.lock().unwrap();
-            queue.push(stream, Arc::clone(&batch));
+            queue.batches.push_back(Arc::clone(&batch));
             drop(queue);
             self.shared.available.notify_all();
         }
@@ -401,13 +319,11 @@ pub const DEFAULT_MIN_ITEMS_PER_WORKER: usize = 16_384;
 /// **pool handle**: the executor the kernel submits to. Pipelines install
 /// one shared handle across all their stages (see `AgsConfig::resolve`), so
 /// concurrent stages draw from one set of threads. Without a handle,
-/// parallel work uses [`WorkerPool::global`]. Multi-stream servers
-/// additionally [`tag`](Self::tagged) each stream's knob so the shared
-/// pool's fairness lanes can tell submitters apart.
+/// parallel work uses [`WorkerPool::global`].
 ///
-/// Equality intentionally ignores the pool handle and the stream tag — two
-/// configs asking for the same parallelism *policy* compare equal no matter
-/// which executor serves them or which fairness lane they join.
+/// Equality intentionally ignores the pool handle — two configs asking for
+/// the same parallelism *policy* compare equal no matter which executor
+/// serves them.
 #[derive(Debug, Clone)]
 pub struct Parallelism {
     /// Whether the parallel path may be taken at all.
@@ -426,8 +342,6 @@ pub struct Parallelism {
     pub min_items_per_worker: usize,
     /// Executor handle; `None` falls back to the global pool.
     pool: Option<Arc<WorkerPool>>,
-    /// Fairness-lane tag attached to every submission.
-    stream: u64,
 }
 
 impl PartialEq for Parallelism {
@@ -447,7 +361,6 @@ impl Default for Parallelism {
             threads: 0,
             min_items_per_worker: DEFAULT_MIN_ITEMS_PER_WORKER,
             pool: None,
-            stream: 0,
         }
     }
 }
@@ -460,7 +373,6 @@ impl Parallelism {
             threads: 1,
             min_items_per_worker: DEFAULT_MIN_ITEMS_PER_WORKER,
             pool: None,
-            stream: 0,
         }
     }
 
@@ -471,7 +383,6 @@ impl Parallelism {
             threads,
             min_items_per_worker: DEFAULT_MIN_ITEMS_PER_WORKER,
             pool: None,
-            stream: 0,
         }
     }
 
@@ -491,19 +402,6 @@ impl Parallelism {
     pub fn min_items(mut self, min_items_per_worker: usize) -> Self {
         self.min_items_per_worker = min_items_per_worker;
         self
-    }
-
-    /// This knob tagged with a fairness-lane stream id. All submissions
-    /// through the returned knob join lane `stream` of the executing pool's
-    /// queue; lanes are served round-robin. Tags never change results.
-    pub fn tagged(mut self, stream: u64) -> Self {
-        self.stream = stream;
-        self
-    }
-
-    /// The fairness-lane tag submissions carry (default `0`).
-    pub fn stream(&self) -> u64 {
-        self.stream
     }
 
     /// The installed executor handle, if any.
@@ -598,7 +496,7 @@ where
         // after completion.
         unsafe { *slots[i].0.get() = Some(value) };
     };
-    par.executor().run_scope_stream(par.stream, num_chunks, &run);
+    par.executor().run_scope(num_chunks, &run);
     slots
         .into_iter()
         .map(|s| s.0.into_inner().expect("completed batch left an empty chunk slot"))
@@ -661,11 +559,10 @@ mod tests {
     }
 
     #[test]
-    fn equality_ignores_the_pool_handle_and_stream_tag() {
+    fn equality_ignores_the_pool_handle() {
         let pool = Arc::new(WorkerPool::new(1));
         assert_eq!(Parallelism::with_pool(Arc::clone(&pool)), Parallelism::default());
         assert_eq!(Parallelism::default().on_pool(pool), Parallelism::default());
-        assert_eq!(Parallelism::default().tagged(7), Parallelism::default());
         assert_ne!(Parallelism::default(), Parallelism::serial());
         // The fallback threshold is policy, not plumbing.
         assert_ne!(Parallelism::default().min_items(0), Parallelism::default());
@@ -732,10 +629,11 @@ mod tests {
 
     #[test]
     fn concurrent_submissions_share_one_pool() {
-        // Two "stages" hammer the same executor from their own threads; every
-        // submission must come back bit-identical to the serial map.
+        // Four "stages" hammer the same two-worker executor from their own
+        // threads; every submission must come back bit-identical to the
+        // serial map.
         let pool = Arc::new(WorkerPool::new(2));
-        let stages: Vec<_> = (0..2)
+        let stages: Vec<_> = (0..4)
             .map(|stage| {
                 let pool = Arc::clone(&pool);
                 std::thread::spawn(move || {
@@ -797,95 +695,25 @@ mod tests {
     }
 
     #[test]
-    fn queue_serves_stream_lanes_round_robin() {
-        let mut queue = PoolQueue { lanes: Vec::new(), cursor: 0, shutdown: false };
+    fn queue_serves_batches_in_submission_order() {
+        let mut queue = PoolQueue { batches: VecDeque::new(), shutdown: false };
         let (a1, a2, b1) = (stub_batch(4), stub_batch(4), stub_batch(4));
-        queue.push(0, Arc::clone(&a1));
-        queue.push(0, Arc::clone(&a2));
-        queue.push(1, Arc::clone(&b1));
-        // Stream 0 submitted first, but consecutive takes alternate lanes —
-        // stream 0's backlog cannot monopolise the workers.
-        assert!(Arc::ptr_eq(&queue.take_next().unwrap(), &a1));
-        assert!(Arc::ptr_eq(&queue.take_next().unwrap(), &b1));
+        for batch in [&a1, &a2, &b1] {
+            queue.batches.push_back(Arc::clone(batch));
+        }
         // Un-exhausted front batches keep collecting workers.
         assert!(Arc::ptr_eq(&queue.take_next().unwrap(), &a1));
-        assert!(Arc::ptr_eq(&queue.take_next().unwrap(), &b1));
-        // Exhausted batches are dropped in favor of the lane's next one.
+        assert!(Arc::ptr_eq(&queue.take_next().unwrap(), &a1));
+        // Exhausted batches are dropped in favor of the next one.
         a1.next.store(4, Ordering::Relaxed);
         assert!(Arc::ptr_eq(&queue.take_next().unwrap(), &a2));
-        // A fully exhausted queue reports idle and resets its lanes.
         a2.next.store(4, Ordering::Relaxed);
+        assert!(Arc::ptr_eq(&queue.take_next().unwrap(), &b1));
+        // A fully exhausted queue reports idle and holds no batch.
         b1.next.store(4, Ordering::Relaxed);
         assert!(queue.take_next().is_none());
-        assert!(queue.lanes.is_empty(), "idle queue drops finished stream lanes");
+        assert!(queue.batches.is_empty(), "idle queue drops finished batches");
         assert!(queue.take_next().is_none(), "idle queue stays well-formed");
-    }
-
-    #[test]
-    fn retired_lanes_are_reclaimed_even_while_the_queue_is_busy() {
-        // The idle-path cleanup in `take_next` never fires on a queue that
-        // always has work somewhere; `retire` must reclaim lanes anyway.
-        let mut queue = PoolQueue { lanes: Vec::new(), cursor: 0, shutdown: false };
-        let busy = stub_batch(1_000_000);
-        queue.push(7, Arc::clone(&busy));
-        for stream in 0..100u64 {
-            let batch = stub_batch(4);
-            queue.push(stream + 100, Arc::clone(&batch));
-            // The churned stream's batch finishes…
-            batch.next.store(4, Ordering::Relaxed);
-            // …and detach retires its lane while stream 7 keeps the queue
-            // busy (so no idle reset can mask a leak).
-            queue.retire(stream + 100);
-        }
-        assert_eq!(queue.lanes.len(), 1, "only the live stream's lane remains");
-        assert!(Arc::ptr_eq(&queue.take_next().unwrap(), &busy));
-        // Retiring mid-rotation keeps the cursor in range.
-        queue.push(8, stub_batch(4));
-        queue.push(9, stub_batch(4));
-        let _ = queue.take_next(); // cursor now past lane 0
-        queue.retire(7);
-        queue.retire(42); // unknown tag: no-op
-        assert_eq!(queue.lanes.len(), 2);
-        for _ in 0..6 {
-            assert!(queue.take_next().is_some(), "remaining lanes still serve");
-        }
-    }
-
-    #[test]
-    fn pool_retire_stream_is_exposed_and_tags_are_reusable() {
-        let pool = WorkerPool::new(1);
-        pool.run_scope_stream(3, 8, &|_| {});
-        pool.retire_stream(3);
-        assert_eq!(pool.lane_count(), 0);
-        // A retired tag coming back simply gets a fresh lane.
-        pool.run_scope_stream(3, 8, &|_| {});
-        pool.retire_stream(3);
-        assert_eq!(pool.lane_count(), 0);
-    }
-
-    #[test]
-    fn tagged_streams_share_one_pool_without_changing_results() {
-        // Four tagged "streams" hammer one two-worker pool; fairness lanes
-        // must never change what a submission computes.
-        let pool = Arc::new(WorkerPool::new(2));
-        let streams: Vec<_> = (0..4u64)
-            .map(|stream| {
-                let pool = Arc::clone(&pool);
-                std::thread::spawn(move || {
-                    let par =
-                        Parallelism::with_threads(4).min_items(0).on_pool(pool).tagged(stream);
-                    assert_eq!(par.stream(), stream);
-                    let f = move |i: usize| (i as u64 * 11) ^ (stream * 31);
-                    let expect: Vec<u64> = (0..600).map(f).collect();
-                    for _ in 0..25 {
-                        assert_eq!(par_map(&par, 600, 1, f), expect, "stream {stream}");
-                    }
-                })
-            })
-            .collect();
-        for handle in streams {
-            handle.join().expect("stream thread");
-        }
     }
 
     #[test]

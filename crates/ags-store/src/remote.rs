@@ -409,7 +409,6 @@ const ACCEPT_BACKOFF: Duration = Duration::from_millis(20);
 pub struct StoreServer {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
-    ops: Arc<AtomicU64>,
     accept: Option<JoinHandle<()>>,
 }
 
@@ -423,11 +422,9 @@ impl StoreServer {
             .map_err(|e| StoreError::Io(format!("nonblocking accept: {e}")))?;
         let addr = listener.local_addr().map_err(|e| StoreError::Io(format!("local addr: {e}")))?;
         let stop = Arc::new(AtomicBool::new(false));
-        let ops = Arc::new(AtomicU64::new(0));
         let backing = Arc::new(Mutex::new(backing));
         let accept = {
             let stop = Arc::clone(&stop);
-            let ops = Arc::clone(&ops);
             std::thread::spawn(move || {
                 let mut handlers: Vec<JoinHandle<()>> = Vec::new();
                 while !stop.load(Ordering::Relaxed) {
@@ -437,10 +434,9 @@ impl StoreServer {
                         Ok((conn, _peer)) if handlers.len() >= MAX_CONNECTIONS => drop(conn),
                         Ok((conn, _peer)) => {
                             let stop = Arc::clone(&stop);
-                            let ops = Arc::clone(&ops);
                             let backing = Arc::clone(&backing);
                             handlers.push(std::thread::spawn(move || {
-                                serve_conn(conn, &backing, &stop, &ops);
+                                serve_conn(conn, &backing, &stop);
                             }));
                         }
                         Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
@@ -456,17 +452,12 @@ impl StoreServer {
                 }
             })
         };
-        Ok(Self { addr, stop, ops, accept: Some(accept) })
+        Ok(Self { addr, stop, accept: Some(accept) })
     }
 
     /// The bound address (resolves port 0 to the actual ephemeral port).
     pub fn local_addr(&self) -> SocketAddr {
         self.addr
-    }
-
-    /// Requests served (across all connections, including failed ops).
-    pub fn ops_served(&self) -> u64 {
-        self.ops.load(Ordering::Relaxed)
     }
 
     /// Stops accepting, waits for in-flight handlers to drain, and returns.
@@ -488,12 +479,7 @@ impl Drop for StoreServer {
     }
 }
 
-fn serve_conn(
-    mut conn: TcpStream,
-    backing: &Mutex<Box<dyn MapStore>>,
-    stop: &AtomicBool,
-    ops: &AtomicU64,
-) {
+fn serve_conn(mut conn: TcpStream, backing: &Mutex<Box<dyn MapStore>>, stop: &AtomicBool) {
     let _ = conn.set_nodelay(true);
     loop {
         // Poll for the first header byte with a short timeout so shutdown
@@ -524,7 +510,6 @@ fn serve_conn(
             Ok(frame) => frame,
             Err(_) => return, // bad magic / over-cap / torn request
         };
-        ops.fetch_add(1, Ordering::Relaxed);
         let response = handle_request(request, backing);
         if write_frame(&mut conn, &RESPONSE_MAGIC, &response).is_err() {
             return;
@@ -609,7 +594,6 @@ mod tests {
     fn remote_store_conforms_over_loopback() {
         let (server, mut client) = loopback(MemoryStore::new());
         exercise(&mut client);
-        assert!(server.ops_served() >= 10);
         assert_eq!(client.counters().retries(), 0, "healthy transport never retries");
         assert_eq!(client.counters().connects(), 1);
         server.shutdown();

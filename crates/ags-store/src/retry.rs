@@ -59,11 +59,6 @@ impl RetryPolicy {
         Self { attempts, timeout, backoff }
     }
 
-    /// A policy that never sleeps between attempts (test-friendly).
-    pub fn no_backoff(attempts: u32) -> Self {
-        Self { attempts, backoff: Duration::ZERO, ..Self::default() }
-    }
-
     /// The deterministic wait before retry number `retry` (0-based): the
     /// base backoff doubled per retry, capped at 64× the base.
     pub fn backoff_for(&self, retry: u64) -> Duration {
@@ -116,7 +111,7 @@ mod tests {
     use super::*;
 
     fn fast(attempts: u32) -> RetryPolicy {
-        RetryPolicy::no_backoff(attempts)
+        RetryPolicy::new(attempts, RetryPolicy::default().timeout, Duration::ZERO)
     }
 
     #[test]
