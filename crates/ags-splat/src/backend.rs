@@ -17,41 +17,42 @@
 //! * [`BackendKind::Vectorized`] — one tile kernel that repacks the tile's
 //!   Gaussian table into structure-of-arrays slabs, evaluates the Mahalanobis
 //!   quadratic four pixels wide with `std::arch` SSE2/NEON kernels (portable
-//!   chunked fallback elsewhere), walks the table row by row, stopping a row
-//!   once every pixel of it saturates and skipping the α-threshold check for
-//!   entries that provably pass it on the whole tile (the tile-interior fast
-//!   path), and visits only the pixels whose α can pass: the row kernel also
-//!   returns the α-cut's reject mask (`q < 0` or `q > qcut`), and the row's
-//!   still-active pixels are a lane mask, so a blend walks `active & !reject`
-//!   bit by bit and books the rejected lanes by popcount, without an `exp` or
-//!   a visit. **Bit-identical to the reference**: per-lane SIMD mul/add/sub
-//!   are IEEE-exact, the quadratic replicates the scalar operation order term
-//!   for term, and every pixel gets the same value by the same branches —
-//!   only the order in which pixels are visited differs, and no pixel's state
-//!   depends on another's. Outputs, gradients and every workload counter
-//!   match the reference bit for bit (enforced by the tests in this module;
-//!   the determinism suites run on it, since the pipeline runs nothing
-//!   else).
+//!   chunked fallback elsewhere), walks the table once per tile, entry by
+//!   entry, over the pixel rows the entry's α-cut ellipse reaches, retiring a
+//!   row once every pixel of it saturates and skipping the α-threshold check
+//!   for entries that provably pass it on the whole tile (the tile-interior
+//!   fast path), and visits only the pixels whose α can pass: the row kernel
+//!   also returns the α-cut's reject mask (`q < 0` or `q > qcut`), and the
+//!   row's still-active pixels are a lane mask, so a blend walks
+//!   `active & !reject` bit by bit and books the rejected lanes by popcount, without an
+//!   `exp` or a visit. **Bit-identical to the reference**: per-lane SIMD
+//!   mul/add/sub are IEEE-exact, the quadratic replicates the scalar
+//!   operation order term for term, and every pixel gets the same value by
+//!   the same branches — only the order in which pixels are visited differs,
+//!   and no pixel's state depends on another's. Outputs, gradients and every
+//!   workload counter match the reference bit for bit (enforced by the tests
+//!   in this module; the determinism suites run on it, since the pipeline
+//!   runs nothing else).
 //!
 //! # One blend walk per training iteration
 //!
 //! The vectorized backend never replays. When a render is going to be
 //! differentiated ([`crate::train::train_pass`]), the tile kernel also
 //! *tapes* each blend it performs — the splat index and the falloff `g`
-//! already in registers — per pixel lane while a row runs, flushed in pixel
-//! order when the row ends. The backward pass then runs only its reverse
-//! stage (`backward::reverse_tile`) over the tape: per pixel it rebuilds α,
-//! the clamp flag and `T` from `g` and the splat's opacity with the forward
-//! pass's own f32 operations, in blend order, and accumulates in the
-//! reference's chunk, pixel and blend order, so every per-splat f32 sum —
-//! hence every gradient — is unchanged. A stand-alone
+//! already in registers — into one buffer per tile pixel while the walk runs,
+//! flushed in row-major pixel order when the tile ends. The backward pass
+//! then runs only its reverse stage (`backward::reverse_tile`) over the tape:
+//! per pixel it rebuilds α, the clamp flag and `T` from `g` and the splat's
+//! opacity with the forward pass's own f32 operations, in blend order, and
+//! accumulates in the reference's chunk, pixel and blend order, so every
+//! per-splat f32 sum — hence every gradient — is unchanged. A stand-alone
 //! [`crate::backward::backward_with`] has no tape to consume, so each chunk
 //! first records its tiles' tapes with the same kernel: there is one blend
 //! walk in this backend, not a forward one and a replay.
 //!
 //! The slab is **depth-lazy**: entries are repacked and classified
-//! (`qcut`, tile-interior test) in blocks of `SLAB_BLOCK` as the row walk
-//! first reaches them. On an opaque map rows saturate a few hundred entries
+//! (`qcut`, tile-interior test) in blocks of `SLAB_BLOCK` as the walk first
+//! reaches them. On an opaque map rows saturate a few hundred entries
 //! into tables that are thousands deep (the benchmark's `steady_map` bins
 //! ≈ 2 070 entries per tile and walks ≈ 240), and the entries behind that
 //! are never touched ([`crate::render::RenderStats::walked_pairs`] against
@@ -73,15 +74,21 @@
 //! ([`crate::render::RenderStats::deepened_tiles`],
 //! [`crate::render::RenderStats::canonical_tiles`]).
 //!
-//! **Row cull:** a splat whose α-cut ellipse `q ≤ qcut` ends above or below a
-//! pixel row is negligible on all of it; the slab keeps the ellipse's squared
-//! y half-extent (`cut_half_height_sq`) and such a row books its counters
-//! without evaluating the quadratic — about half the (entry, row) pairs the
-//! benchmark's `steady_map` walks. Within the rows that are evaluated, the
-//! reject mask drops ≈ 60 % of the active pixels before the lane loop.
-//! Neither is counted per visit: a row counts the non-skipped entries it has
-//! walked and stamps that count into a pixel's α evaluations when the pixel
-//! saturates or the row ends.
+//! **Entry walk and row cull:** a splat whose α-cut ellipse `q ≤ qcut` ends
+//! above or below a pixel row is negligible on all of it. The slab keeps the
+//! ellipse's squared y half-extent (`cut_half_height_sq`), and the walk takes
+//! each entry once per tile: one 16-row mask of the rows it misses
+//! (`dy² > hy²`), ANDed with the rows still live, books those rows' counters
+//! by popcount, and only the rows left evaluate the quadratic and blend. The
+//! table is read once per tile, not once per pixel row, and most (entry, live
+//! row) pairs never get past the mask: on the map a serial run of the `Desk`
+//! stream has built after 65 frames at `fleet_overlap`'s 44×33, a pass has
+//! 234 k of them, 153 k (65 %) rows the entry misses, and the 81 k row
+//! evaluations left run 169 k `exp` lanes. Within the rows that are
+//! evaluated, the reject mask drops ≈ 60–80 % of the active pixels before the
+//! lane loop. Neither is counted per visit: the walk counts the non-skipped
+//! entries it has passed and stamps that count into a pixel's α evaluations
+//! when the pixel saturates or the walk ends.
 //!
 //! Tape memory: 8 bytes per blend operation (`backward::TapeEntry`), so a
 //! pass holds `8 × RenderStats::blend_ops` bytes — bounded by pixels ×
@@ -90,7 +97,7 @@
 //! 2.3 MiB; on the benchmark's opaque `steady_map` frames (56×42, 23 blends
 //! per pixel) 0.4 MiB, 1.6 MiB at its peak. The tape lives in a
 //! [`crate::train::TrainScratch`] the caller keeps across iterations and is
-//! cleared, not reallocated, each pass; the per-lane row buffers are
+//! cleared, not reallocated, each pass; the per-pixel buffers are
 //! thread-local like the slab. Renders that are not differentiated
 //! (`render`, `rasterize`, densify pre-renders, audits) record nothing.
 //!
@@ -379,7 +386,7 @@ const SLAB_BLOCK: usize = 64;
 
 /// Structure-of-arrays repack of one tile's Gaussian table: the per-entry
 /// fields the row kernel streams, split into contiguous slabs. Filled a
-/// block at a time as the row walk first reaches each index, so entries
+/// block at a time as the walk first reaches each index, so entries
 /// behind the depth every row saturates at are never repacked or classified.
 struct TileSlab {
     mean_x: Vec<f32>,
@@ -472,21 +479,23 @@ impl TileSlab {
     }
 }
 
-/// Per-worker kernel state: the tile slab and, for taped renders, one
-/// contribution buffer per pixel lane of the row being walked.
+/// Per-worker kernel state: the tile slab, the accumulators of the tile's
+/// pixel rows and, for taped renders, one blend buffer per tile pixel.
 struct VecScratch {
     slab: TileSlab,
-    lanes: [Vec<TapeEntry>; TILE_SIZE],
+    rows: [PixelRow; TILE_SIZE],
+    lanes: [[Vec<TapeEntry>; TILE_SIZE]; TILE_SIZE],
 }
 
 std::thread_local! {
     /// Reused across tiles (and across passes on long-lived threads) so the
-    /// SoA repack and the tape's lane buffers cost no allocation on the hot
+    /// SoA repack and the tape's pixel buffers cost no allocation on the hot
     /// path.
     static VEC_SCRATCH: std::cell::RefCell<VecScratch> = const {
         std::cell::RefCell::new(VecScratch {
             slab: TileSlab::new(),
-            lanes: [const { Vec::new() }; TILE_SIZE],
+            rows: [const { PixelRow::new() }; TILE_SIZE],
+            lanes: [const { [const { Vec::new() }; TILE_SIZE] }; TILE_SIZE],
         })
     };
 }
@@ -495,12 +504,32 @@ std::thread_local! {
 // Vectorized tile kernel.
 // ---------------------------------------------------------------------------
 
-// A row's pixels are one `u32` lane mask.
+// A row's pixels, and a tile's rows, are one `u32` lane mask each.
 const _: () = assert!(TILE_SIZE <= 32);
 
-/// Accumulators of the pixel row being walked, one slot per pixel of a
-/// full-width tile (slots past a narrower tile's width are never active).
-#[derive(Default)]
+/// Bits `0..n` set: the pixels of an `n`-wide row, the rows of an `n`-high
+/// tile.
+fn low_bits(n: usize) -> u32 {
+    debug_assert!((1..=32).contains(&n));
+    u32::MAX >> (32 - n)
+}
+
+/// Rows the α-cut ellipse misses: bit `r` set where `dy² > hy²` with
+/// `dy = fy[r] − μy` — the row cull's predicate in its own f32 operations,
+/// so a NaN anywhere culls nothing. Rows past the tile's height get bits
+/// too; the walk only reads the bits of its live rows.
+#[inline]
+fn rows_out_of_reach(fy: &[f32; TILE_SIZE], mean_y: f32, hy2: f32) -> u32 {
+    let mut culled = 0u32;
+    for (r, &fy) in fy.iter().enumerate() {
+        let dy = fy - mean_y;
+        culled |= u32::from(dy * dy > hy2) << r;
+    }
+    culled
+}
+
+/// Accumulators of one pixel row, one slot per pixel of a full-width tile
+/// (slots past a narrower tile's width are never active).
 struct PixelRow {
     t: [f32; TILE_SIZE],
     color: [Vec3; TILE_SIZE],
@@ -510,13 +539,15 @@ struct PixelRow {
 }
 
 impl PixelRow {
-    /// A row no entry has blended into yet. `evals` is stamped per pixel
-    /// when it saturates or the row ends, so it needs no reset.
-    fn start(&mut self) {
-        self.t = [1.0; TILE_SIZE];
-        self.color = [Vec3::ZERO; TILE_SIZE];
-        self.depth = [0.0; TILE_SIZE];
-        self.blends = [0; TILE_SIZE];
+    /// A row no entry has blended into yet.
+    const fn new() -> Self {
+        Self {
+            t: [1.0; TILE_SIZE],
+            color: [Vec3::ZERO; TILE_SIZE],
+            depth: [0.0; TILE_SIZE],
+            evals: [0; TILE_SIZE],
+            blends: [0; TILE_SIZE],
+        }
     }
 }
 
@@ -538,7 +569,7 @@ struct VecRowPass<'a> {
     /// Pixels of the row still accumulating, one bit per pixel.
     active: &'a mut u32,
     row: &'a mut PixelRow,
-    /// Non-skipped entries of the row so far, this one included: the α
+    /// Non-skipped entries of the tile so far, this one included: the α
     /// evaluations of a pixel that saturates here, stamped when it does.
     evals: u32,
     early_terminated: &'a mut u64,
@@ -552,8 +583,8 @@ struct VecRowPass<'a> {
 /// `exp` whose value the scalar path provably discards, and are booked as
 /// negligible by popcount. No pixel's state depends on another's, so the
 /// order changes no value. α evaluations are not counted per visit: the
-/// row's `evals` is stamped into the pixel's slot when it saturates (or, by
-/// the caller, when the row ends). `TAPED` also records each blend's
+/// walk's `evals` is stamped into the pixel's slot when it saturates (or, by
+/// the caller, when the walk ends). `TAPED` also records each blend's
 /// [`TapeEntry`] from the values already in registers: what the reference
 /// backward's replay re-derives pixel by pixel.
 #[inline(always)]
@@ -599,20 +630,28 @@ fn blend_entry_row_vec<const INTERIOR: bool, const TAPED: bool>(pass: &mut VecRo
 }
 
 /// The vectorized backend's one blend walk: SoA slab (filled only as deep as
-/// rows walk) + row-wide quadratic evaluation + α-cut lane masks, walking
-/// entries per row and giving every pixel the value `render::walk_pixel`
-/// gives it, so outputs and every workload counter are bit-identical to the
-/// reference's `render::rasterize_tile`. A row stops once every pixel of it
-/// saturates (booked in [`crate::render::RenderStats::saturated_rows`]).
-/// With a `tape`, each row's blends are recorded per lane while the row runs
-/// and flushed in pixel order when it ends.
+/// the walk goes) + row-wide quadratic evaluation + α-cut lane masks, giving
+/// every pixel the value `render::walk_pixel` gives it, so outputs and every
+/// workload counter are bit-identical to the reference's
+/// `render::rasterize_tile`.
+///
+/// The walk is entry-major: each table entry is visited once per tile, on
+/// the live rows its α-cut ellipse reaches (the complement of [`rows_out_of_reach`]); the rows it
+/// misses book their pixels as negligible by popcount. A row leaves the walk
+/// once every pixel of it saturates (booked in
+/// [`crate::render::RenderStats::saturated_rows`] unless that was on the
+/// table's last entry), and the walk stops when no row is left. Each pixel
+/// still sees its entries in table order, so per pixel nothing changes from a
+/// walk that runs every row down the table on its own. With a `tape`, each
+/// pixel's blends are recorded in its own buffer and flushed in row-major
+/// pixel order when the tile ends.
 ///
 /// The walk starts on the tile's prefix and moves to the next table of the
-/// order contract ([`GaussianTables::walk_table`]) when a row first needs an
+/// order contract ([`GaussianTables::walk_table`]) when it first needs an
 /// entry the current one is not trusted for: everything before that index is
 /// the same entry in both. It loops to the tile's full
-/// [`GaussianTables::table_len`], so a row that walks past the prefix deepens
-/// the build.
+/// [`GaussianTables::table_len`], so a walk past the prefix deepens the
+/// build.
 pub(crate) fn rasterize_tile_vec(
     projection: &Projection,
     tables: &GaussianTables,
@@ -646,59 +685,64 @@ pub(crate) fn rasterize_tile_vec(
     }
 
     VEC_SCRATCH.with(|cell| {
-        let VecScratch { slab, lanes } = &mut *cell.borrow_mut();
+        let VecScratch { slab, rows, lanes } = &mut *cell.borrow_mut();
         slab.clear();
-        // Deepest table index (+1) any row of this tile walks to.
-        let mut walked = 0usize;
+        let (rows, lanes) = (&mut rows[..tile_h], &mut lanes[..tile_h]);
+        rows.fill_with(PixelRow::new);
 
-        // Pixel-center x coordinates of the row, shared by every entry.
+        // Pixel-center coordinates: x of a row's pixels, y of the tile's rows.
         let mut fx = [0.0f32; TILE_SIZE];
         for (i, f) in fx.iter_mut().enumerate().take(tile_w) {
             *f = (x0 + i) as f32;
         }
+        let fy: [f32; TILE_SIZE] = std::array::from_fn(|r| (y0 + r) as f32);
         let mut qrow = [0.0f32; TILE_SIZE];
 
-        // Row-local accumulators, reused across rows.
-        let mut row = PixelRow::default();
-        let all_pixels = u32::MAX >> (32 - tile_w);
+        // Still-accumulating pixels per row, and rows with any of them.
+        let mut active = [low_bits(tile_w); TILE_SIZE];
+        let mut live = low_bits(tile_h);
+        // Non-skipped entries walked so far: one α evaluation each on every
+        // pixel still active.
+        let mut evals = 0u32;
+        // Deepest table index (+1) any row walks to.
+        let mut walked = len;
 
-        for py in y0..y1 {
-            row.start();
-            let mut active = all_pixels;
-            let fy = py as f32;
-            let mut reached = len;
-            // Non-skipped entries this row has walked: one α evaluation each
-            // on every pixel still active.
-            let mut evals = 0u32;
-
-            for k in 0..len {
-                if k == slab.len() {
-                    if k == trusted {
-                        (table, trusted) = tables.walk_table(tile_idx, k);
-                        // No row has touched an entry from here on: only the
-                        // ids the counters are booked under change.
-                        if record_contributions {
-                            out.contributions.truncate(k);
-                            out.contributions.extend(table[k..].iter().map(id_of));
-                        }
+        for k in 0..len {
+            if k == slab.len() {
+                if k == trusted {
+                    (table, trusted) = tables.walk_table(tile_idx, k);
+                    // The walk has touched no entry from here on: only the
+                    // ids the counters are booked under change.
+                    if record_contributions {
+                        out.contributions.truncate(k);
+                        out.contributions.extend(table[k..].iter().map(id_of));
                     }
-                    slab.fill_block(projection, &table[..trusted], skip, bounds);
                 }
-                if slab.skipped[k] {
-                    continue;
+                slab.fill_block(projection, &table[..trusted], skip, bounds);
+            }
+            if slab.skipped[k] {
+                continue;
+            }
+            evals += 1;
+            let mean_y = slab.mean_y[k];
+            let culled = rows_out_of_reach(&fy, mean_y, slab.hy2[k]);
+            let mut contrib = record_contributions.then(|| out.contributions.get_mut(k)).flatten();
+            if let Some(entry_stats) = contrib.as_deref_mut() {
+                // The α-cut ellipse ends above or below these rows: every
+                // lane would take the kernel's negligible branch.
+                let mut rows = live & culled;
+                while rows != 0 {
+                    let n = active[rows.trailing_zeros() as usize].count_ones();
+                    entry_stats.1 += n;
+                    entry_stats.2 += n;
+                    rows &= rows - 1;
                 }
-                evals += 1;
-                let dy = fy - slab.mean_y[k];
-                let contrib = record_contributions.then(|| out.contributions.get_mut(k)).flatten();
-                if dy * dy > slab.hy2[k] {
-                    // The α-cut ellipse ends above or below this row: every
-                    // lane would take the kernel's negligible branch.
-                    if let Some(entry_stats) = contrib {
-                        entry_stats.1 += active.count_ones();
-                        entry_stats.2 += active.count_ones();
-                    }
-                    continue;
-                }
+            }
+            let mut todo = live & !culled;
+            while todo != 0 {
+                let r = todo.trailing_zeros() as usize;
+                todo &= todo - 1;
+                let dy = fy[r] - mean_y;
                 let t3 = (slab.c[k] * dy) * dy;
                 let coeffs =
                     QuadCoeffs { mean_x: slab.mean_x[k], a: slab.a[k], s2b: slab.s2b[k], dy, t3 };
@@ -710,10 +754,10 @@ pub(crate) fn rasterize_tile_vec(
                     depth: slab.depth[k],
                     qrow: &qrow,
                     reject,
-                    contrib,
-                    lanes,
-                    active: &mut active,
-                    row: &mut row,
+                    contrib: contrib.as_deref_mut(),
+                    lanes: &mut lanes[r],
+                    active: &mut active[r],
+                    row: &mut rows[r],
                     evals,
                     early_terminated: &mut out.early_terminated,
                 };
@@ -723,21 +767,28 @@ pub(crate) fn rasterize_tile_vec(
                     (false, true) => blend_entry_row_vec::<false, true>(&mut pass),
                     (false, false) => blend_entry_row_vec::<false, false>(&mut pass),
                 }
-                if active == 0 {
-                    if k + 1 < len {
-                        out.saturated_rows += 1;
-                    }
-                    reached = k + 1;
-                    break;
+                if active[r] == 0 {
+                    live &= !(1 << r);
+                    out.saturated_rows += u64::from(k + 1 < len);
                 }
             }
-            walked = walked.max(reached);
-            while active != 0 {
-                row.evals[active.trailing_zeros() as usize] = evals;
-                active &= active - 1;
+            if live == 0 {
+                walked = k + 1;
+                break;
             }
+        }
+        // Pixels that never saturate evaluated every non-skipped entry.
+        while live != 0 {
+            let r = live.trailing_zeros() as usize;
+            live &= live - 1;
+            while active[r] != 0 {
+                rows[r].evals[active[r].trailing_zeros() as usize] = evals;
+                active[r] &= active[r] - 1;
+            }
+        }
 
-            let row_base = (py - y0) * tile_w;
+        for (r, row) in rows.iter().enumerate() {
+            let row_base = r * tile_w;
             for px_off in 0..tile_w {
                 out.alpha_evals += row.evals[px_off] as u64;
                 out.blend_ops += row.blends[px_off] as u64;
@@ -750,11 +801,11 @@ pub(crate) fn rasterize_tile_vec(
                     w.per_pixel_blends[i] = row.blends[px_off].min(u16::MAX as u32) as u16;
                 }
             }
-            if let Some(tape) = tape.as_deref_mut() {
-                for lane in &mut lanes[..tile_w] {
-                    tape.push_pixel(lane);
-                    lane.clear();
-                }
+        }
+        if let Some(tape) = tape {
+            for lane in lanes.iter_mut().flat_map(|row| &mut row[..tile_w]) {
+                tape.push_pixel(lane);
+                lane.clear();
             }
         }
         out.walked_pairs = walked as u64;
@@ -766,7 +817,7 @@ pub(crate) fn rasterize_tile_vec(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backward::{backward_with, BackwardOutput, GradMode};
+    use crate::backward::{backward_with, BackwardOutput, BlendTape, GradMode};
     use crate::gaussian::{logit, Gaussian, GaussianCloud};
     use crate::loss::{compute_loss, LossConfig, LossKind};
     use crate::project::project_gaussians;
@@ -966,6 +1017,45 @@ mod tests {
                     let mask = quad_row(&fx, &mut q[..width], &coeffs, cut);
                     assert_eq!(mask, expected(&q[..width]), "q {:?}, qcut {cut}", &q[..width]);
                 }
+            }
+        }
+    }
+
+    /// The row mask is the row cull's scalar predicate on every row: values
+    /// on both sides of the bound, signed zeros, NaN and +∞ in `hy²`, NaN
+    /// and ±∞ in `μy`; and ANDed with a short tile's live rows it keeps no row
+    /// past the tile's height.
+    #[test]
+    fn row_mask_matches_the_scalar_cull() {
+        let mut rng = Pcg32::seeded(5);
+        let specials = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, 0.0, -0.0];
+        for trial in 0..4000 {
+            let y0 = [0.0, 16.0, 32.0, 4096.0][trial % 4];
+            let fy: [f32; TILE_SIZE] = std::array::from_fn(|r| y0 + r as f32);
+            let mean_y = match trial % 9 {
+                0 => specials[trial / 9 % specials.len()],
+                1 => y0 + (trial / 9 % TILE_SIZE) as f32, // a row through the mean
+                _ => rng.range_f32(y0 - 24.0, y0 + 40.0),
+            };
+            let hy2 = match trial % 5 {
+                0 => f32::NAN,
+                1 => f32::INFINITY,
+                2 => [0.0, -0.0][trial / 5 % 2],
+                _ => rng.range_f32(0.0, 120.0),
+            };
+            let culled = rows_out_of_reach(&fy, mean_y, hy2);
+            for (r, &fy) in fy.iter().enumerate() {
+                let dy = fy - mean_y;
+                assert_eq!(culled >> r & 1 == 1, dy * dy > hy2, "row {r}: μy {mean_y}, hy² {hy2}");
+            }
+            assert_eq!(culled >> TILE_SIZE, 0);
+            if hy2.is_nan() || hy2 == f32::INFINITY || mean_y.is_nan() {
+                assert_eq!(culled, 0, "μy {mean_y}, hy² {hy2} culls nothing");
+            }
+            for tile_h in 1..=TILE_SIZE {
+                let live = low_bits(tile_h);
+                assert_eq!((live & !culled) >> tile_h, 0, "tile height {tile_h}");
+                assert_eq!((live & culled) >> tile_h, 0, "tile height {tile_h}");
             }
         }
     }
@@ -1765,6 +1855,172 @@ mod tests {
             assert_eq!(stats.deepened_tiles as usize, deepened, "{what}");
             assert_eq!(stats.canonical_tiles, 0, "{what}");
         }
+    }
+
+    /// The benchmark's `fleet_overlap` frame size, 44×33 — 12-pixel right
+    /// tiles, 1-row bottom tiles — over 2 400 frame-filling splats too faint
+    /// to saturate anything, with three opaque horizontal bands: one in front
+    /// on pixel row 4 and one on the bottom row, whose rows stop within a few
+    /// entries, and one mid-table on row 12, whose rows stop past the prefix.
+    /// Every other row walks every entry.
+    fn fleet_shape_scene() -> (GaussianCloud, IdSet, PinholeCamera) {
+        let cam = PinholeCamera::from_fov(44, 33, 1.2);
+        let mut cloud = GaussianCloud::new();
+        let mut rng = Pcg32::seeded(2026);
+        for _ in 0..2400 {
+            cloud.push(Gaussian::isotropic(
+                Vec3::new(
+                    rng.range_f32(-0.6, 0.6),
+                    rng.range_f32(-0.4, 0.4),
+                    rng.range_f32(2.0, 4.0),
+                ),
+                rng.range_f32(2.5, 3.5),
+                Vec3::new(rng.next_f32(), rng.next_f32(), rng.next_f32()),
+                rng.range_f32(0.001, 0.004),
+            ));
+        }
+        for (row, z) in [(4.0, 0.5), (32.0, 0.5), (12.0, 3.0)] {
+            for layer in 0..6 {
+                cloud.push(splat_at(&cam, (cam.cx, row), z + 0.01 * layer as f32, (1000.0, 2.0)));
+            }
+        }
+        let mut skip = IdSet::with_capacity(cloud.len());
+        for id in (0..cloud.len()).step_by(7) {
+            skip.insert(id);
+        }
+        (cloud, skip, cam)
+    }
+
+    /// Every counter of two renders' statistics, destructured so a new field
+    /// cannot be left out.
+    fn assert_stats_equal(a: &RenderStats, b: &RenderStats, what: &str) {
+        let RenderStats {
+            alpha_evals,
+            blend_ops,
+            pairs,
+            visible_splats,
+            culled,
+            skipped_pairs,
+            early_terminated_pixels,
+            saturated_rows,
+            walked_pairs,
+            canonical_tiles,
+            deepened_tiles,
+            interior_pairs,
+            tile_work,
+        } = a;
+        assert_eq!(*alpha_evals, b.alpha_evals, "{what}");
+        assert_eq!(*blend_ops, b.blend_ops, "{what}");
+        assert_eq!(*pairs, b.pairs, "{what}");
+        assert_eq!(*visible_splats, b.visible_splats, "{what}");
+        assert_eq!(*culled, b.culled, "{what}");
+        assert_eq!(*skipped_pairs, b.skipped_pairs, "{what}");
+        assert_eq!(*early_terminated_pixels, b.early_terminated_pixels, "{what}");
+        assert_eq!(*saturated_rows, b.saturated_rows, "{what}");
+        assert_eq!(*walked_pairs, b.walked_pairs, "{what}");
+        assert_eq!(*canonical_tiles, b.canonical_tiles, "{what}");
+        assert_eq!(*deepened_tiles, b.deepened_tiles, "{what}");
+        assert_eq!(*interior_pairs, b.interior_pairs, "{what}");
+        assert_eq!(tile_work.len(), b.tile_work.len(), "{what}");
+        for (a, b) in tile_work.iter().zip(&b.tile_work) {
+            assert_eq!(a.tile, b.tile, "{what}");
+            assert_eq!(a.per_pixel_evals, b.per_pixel_evals, "{what}");
+            assert_eq!(a.per_pixel_blends, b.per_pixel_blends, "{what}");
+        }
+    }
+
+    /// The entry-major walk against the oracle where its row bookkeeping is
+    /// most exposed: 1-row and 12-pixel edge tiles, and tiles whose rows stop
+    /// a few entries in, hundreds in, or never. A taped render must match the
+    /// reference's on every statistic, the contributions and every pixel,
+    /// and its tape must hold, per pixel, the blends the reference's walk
+    /// performs, in its order, with the same falloff bits.
+    #[test]
+    fn entry_walk_matches_the_oracle_at_the_fleet_overlap_shape() {
+        let (cloud, skip, cam) = fleet_shape_scene();
+        let projection = project_gaussians(&cloud, &cam, &Se3::IDENTITY);
+        let tables = GaussianTables::build(&projection, &cam);
+        let grid = tables.grid;
+        let size = |t| {
+            let (x0, y0, x1, y1) = grid.tile_bounds(t);
+            (x1 - x0, y1 - y0)
+        };
+        assert_eq!((size(2), size(grid.num_tiles() - 1)), ((12, 16), (12, 1)));
+        let skip = Arc::new(skip);
+        let mut mixed_tiles = 0;
+        for skip in [None, Some(&skip)] {
+            let base = RenderOptions {
+                skip: skip.cloned(),
+                record_contributions: true,
+                collect_tile_work: true,
+                parallelism: Parallelism::serial(),
+                backend: BackendKind::Reference,
+            };
+            let reference = rasterize(&cloud, &projection, &tables, &cam, &base);
+            for threads in [1, 2, 7] {
+                let what = format!("skip {}, {threads} threads", skip.is_some());
+                let options = RenderOptions {
+                    parallelism: Parallelism::with_threads(threads).min_items(0),
+                    backend: BackendKind::Vectorized,
+                    ..base.clone()
+                };
+                let mut tape = BlendTape::default();
+                let got = crate::render::rasterize_taped(
+                    &cloud,
+                    &projection,
+                    &tables,
+                    &cam,
+                    &options,
+                    Some(&mut tape),
+                );
+                assert_renders_equal(&reference, &got, &what);
+                assert_stats_equal(&reference.stats, &got.stats, &what);
+                assert_eq!(tape.blend_ops() as u64, got.stats.blend_ops, "{what}");
+                for t in 0..grid.num_tiles() {
+                    let tile_tape = tape.tiles[t].lock().unwrap();
+                    let table = tables.canonical(t);
+                    let entries =
+                        crate::render::walk_entries(&projection, table, skip.map(|s| &**s));
+                    let (x0, y0, x1, y1) = grid.tile_bounds(t);
+                    for (p, (py, px)) in
+                        (y0..y1).flat_map(|y| (x0..x1).map(move |x| (y, x))).enumerate()
+                    {
+                        let mut expected = Vec::new();
+                        let pixel = ags_math::Vec2::new(px as f32, py as f32);
+                        crate::render::walk_pixel(&entries, pixel, |k, _, blend| {
+                            if let Some(blend) = blend {
+                                expected.push((table[k].splat_index, blend.g.to_bits()));
+                            }
+                        });
+                        let taped: Vec<(u32, u32)> = tile_tape
+                            .pixel(p)
+                            .iter()
+                            .map(|e| (e.splat_index, e.weight.to_bits()))
+                            .collect();
+                        assert_eq!(taped, expected, "{what}: tile {t}, pixel ({px}, {py})");
+                    }
+                }
+            }
+            // The fixture's point: tiles whose rows stop within a slab block,
+            // past the prefix, or never.
+            for work in &reference.stats.tile_work {
+                let t = work.tile as usize;
+                let (x0, _, x1, _) = grid.tile_bounds(t);
+                let table = tables.canonical(t);
+                let evaluated = crate::render::walk_entries(&projection, table, skip.map(|s| &**s));
+                let evaluated = evaluated.len();
+                let deepest = |row: &[u16]| *row.iter().max().unwrap() as usize;
+                let rows: Vec<usize> = work.per_pixel_evals.chunks(x1 - x0).map(deepest).collect();
+                let shallow = rows.iter().any(|&d| d < SLAB_BLOCK);
+                let deep = rows.iter().any(|&d| d > PREFIX && d < evaluated);
+                mixed_tiles += usize::from(shallow && deep && rows.contains(&evaluated));
+                if rows.len() == 1 {
+                    assert!(rows[0] < SLAB_BLOCK, "{rows:?}: a 1-row tile must saturate early");
+                }
+            }
+        }
+        assert!(mixed_tiles >= 4, "{mixed_tiles} tiles mix shallow, deep and whole-table rows");
+        check_against_oracle(fleet_shape_scene());
     }
 
     #[test]

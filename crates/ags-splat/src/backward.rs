@@ -27,6 +27,15 @@
 //! bit-identical across backends, thread counts and taped/stand-alone
 //! calls.
 //!
+//! The merge and the lift to parameters scale with the splats the chunks
+//! touched, not with the visible ones: each chunk's sparse sums are added,
+//! in chunk order, into one accumulator per touched splat (found through the
+//! same thread-local splat→slot table the chunk kernels use, starting at
+//! zero like a dense sum would), and the touched splats are lifted in
+//! ascending splat order — the order a scan of every visible splat would
+//! visit them in, which the pose twist's f32 sum depends on. Only
+//! [`GradBuffers`] stays dense, because the optimizer indexes it by id.
+//!
 //! All covariance dependencies are differentiated, including the projection
 //! Jacobian's dependence on the camera-space mean (∂J/∂p_cam) and, for pose
 //! tracking, the EWA `W` factor's dependence on the camera rotation.
@@ -159,7 +168,7 @@ impl TileTape {
         self.ends.push(self.entries.len() as u32);
     }
 
-    fn pixel(&self, p: usize) -> &[TapeEntry] {
+    pub(crate) fn pixel(&self, p: usize) -> &[TapeEntry] {
         let start = if p == 0 { 0 } else { self.ends[p - 1] as usize };
         &self.entries[start..self.ends[p] as usize]
     }
@@ -196,7 +205,8 @@ impl BlendTape {
 /// order, keeping gradients bit-identical across thread counts.
 const TILES_PER_CHUNK: usize = 4;
 
-/// Screen-space gradient of one splat accumulated within one tile chunk.
+/// Screen-space gradient of one splat accumulated within one tile chunk (or,
+/// merged, over every chunk of a pass).
 #[derive(Clone, Copy)]
 pub(crate) struct ScreenGrad {
     d_mean: Vec2,
@@ -214,11 +224,23 @@ impl ScreenGrad {
         d_color: Vec3::ZERO,
         d_opacity: 0.0,
     };
+
+    /// Adds `other` field by field.
+    fn add(&mut self, other: &Self) {
+        self.d_mean += other.d_mean;
+        self.d_conic[0] += other.d_conic[0];
+        self.d_conic[1] += other.d_conic[1];
+        self.d_conic[2] += other.d_conic[2];
+        self.d_z += other.d_z;
+        self.d_color += other.d_color;
+        self.d_opacity += other.d_opacity;
+    }
 }
 
 /// Per-chunk sparse gradient buffer: splats in first-touch order plus their
 /// accumulated screen-space gradients. Returned by the chunk kernels,
-/// [`backward_tile_chunk`] and [`crate::backend::backward_chunk_vec`].
+/// [`backward_tile_chunk`] and [`crate::backend::backward_chunk_vec`], and,
+/// summed over a pass's chunks, by [`merge_chunks`].
 #[derive(Default)]
 pub(crate) struct ChunkGrads {
     pub(crate) splats: Vec<u32>,
@@ -256,7 +278,7 @@ std::thread_local! {
 
 /// Runs a chunk body against the thread-local splat→slot scratch table,
 /// restoring the all-`u32::MAX` invariant afterwards. Shared by both chunk
-/// kernels.
+/// kernels and the merge of their chunks.
 pub(crate) fn chunk_with_scratch<F>(n_splats: usize, body: F) -> ChunkGrads
 where
     F: FnOnce(&mut [u32]) -> ChunkGrads,
@@ -483,6 +505,7 @@ pub fn backward_with(
 /// over the same `projection`/`tables`/`skip`, when there is one: a backend
 /// that tapes then runs only its reverse stage. Without a tape (or on the
 /// reference backend, which never records one) each chunk re-walks its tiles.
+/// The chunks are then merged and lifted by [`lift_chunks`].
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn backward_taped(
     backend: BackendKind,
@@ -496,15 +519,23 @@ pub(crate) fn backward_taped(
     par: &Parallelism,
     tape: Option<&BlendTape>,
 ) -> BackwardOutput {
-    let n_splats = projection.splats.len();
-    // Screen-space gradient accumulators per splat.
-    let mut d_mean = vec![Vec2::ZERO; n_splats];
-    let mut d_conic = vec![[0.0f32; 3]; n_splats];
-    let mut d_z = vec![0.0f32; n_splats];
-    let mut d_color = vec![Vec3::ZERO; n_splats];
-    let mut d_opacity = vec![0.0f32; n_splats];
-    let mut stats = BackwardStats::default();
+    let chunks = backward_chunks(backend, projection, tables, camera, loss, skip, par, tape);
+    lift_chunks(cloud, projection, camera, mode, &chunks)
+}
 
+/// The per-chunk screen-space gradients of a backward pass, in chunk order:
+/// the same chunks at every thread count (see [`backward`]).
+#[allow(clippy::too_many_arguments)]
+fn backward_chunks(
+    backend: BackendKind,
+    projection: &Projection,
+    tables: &GaussianTables,
+    camera: &PinholeCamera,
+    loss: &LossResult,
+    skip: Option<&crate::idset::IdSet>,
+    par: &Parallelism,
+    tape: Option<&BlendTape>,
+) -> Vec<ChunkGrads> {
     let num_tiles = tables.grid.num_tiles();
     let num_chunks = num_tiles.div_ceil(TILES_PER_CHUNK);
     // Small frames carry too little gradient work to amortise thread spawns;
@@ -514,7 +545,7 @@ pub(crate) fn backward_taped(
     // to a full tile of gradient work.
     let pair_work = crate::TILE_SIZE * crate::TILE_SIZE;
     let par = par.for_workload(tables.total_pairs as usize * pair_work, 1024 * pair_work);
-    let chunks = par_map(&par, num_chunks, 1, |ci| {
+    par_map(&par, num_chunks, 1, |ci| {
         let start = ci * TILES_PER_CHUNK;
         let tiles = start..(start + TILES_PER_CHUNK).min(num_tiles);
         match backend {
@@ -525,56 +556,125 @@ pub(crate) fn backward_taped(
                 backward_chunk_vec(projection, tables, camera, loss, skip, tiles, tape)
             }
         }
+    })
+}
+
+/// Sums the chunks' gradients per splat, in chunk order, over the splats
+/// they touched only: one accumulator per touched splat (in first-touch
+/// order, found through the thread-local splat→slot table), starting at
+/// [`ScreenGrad::ZERO`] and adding, so each sum is the dense
+/// `0.0 + chunk₀ + chunk₁ + …` bit for bit (`−0.0` partials included).
+/// Also returns the accumulators' slots in ascending splat order — the
+/// order the lift must visit them in, since the pose twist is an
+/// order-sensitive f32 sum.
+fn merge_chunks(n_splats: usize, chunks: &[ChunkGrads]) -> (ChunkGrads, Vec<u32>) {
+    let mut ascending = Vec::new();
+    let merged = chunk_with_scratch(n_splats, |slot_of| {
+        let mut merged = ChunkGrads::default();
+        for chunk in chunks {
+            merged.stats.grad_ops += chunk.stats.grad_ops;
+            merged.stats.pixels += chunk.stats.pixels;
+            for (&si, g) in chunk.splats.iter().zip(&chunk.grads) {
+                let slot = chunk_slot(si, slot_of, &mut merged.splats, &mut merged.grads);
+                merged.grads[slot].add(g);
+            }
+        }
+        let mut touched = vec![0u64; n_splats.div_ceil(64)];
+        for &si in &merged.splats {
+            touched[si as usize / 64] |= 1 << (si % 64);
+        }
+        for (word, mut bits) in touched.into_iter().enumerate() {
+            while bits != 0 {
+                ascending.push(slot_of[word * 64 + bits.trailing_zeros() as usize]);
+                bits &= bits - 1;
+            }
+        }
+        merged
     });
-    for chunk in chunks {
-        stats.grad_ops += chunk.stats.grad_ops;
-        stats.pixels += chunk.stats.pixels;
-        for (k, &si) in chunk.splats.iter().enumerate() {
-            let g = &chunk.grads[k];
-            let si = si as usize;
-            d_mean[si] += g.d_mean;
-            d_conic[si][0] += g.d_conic[0];
-            d_conic[si][1] += g.d_conic[1];
-            d_conic[si][2] += g.d_conic[2];
-            d_z[si] += g.d_z;
-            d_color[si] += g.d_color;
-            d_opacity[si] += g.d_opacity;
+    (merged, ascending)
+}
+
+/// The gradients of a backward pass from its chunks: merged over the splats
+/// they touched ([`merge_chunks`]) and lifted in ascending splat order.
+fn lift_chunks(
+    cloud: &GaussianCloud,
+    projection: &Projection,
+    camera: &PinholeCamera,
+    mode: GradMode,
+    chunks: &[ChunkGrads],
+) -> BackwardOutput {
+    let (merged, ascending) = merge_chunks(projection.splats.len(), chunks);
+    let mut lift = Lift::new(cloud, projection, camera, mode);
+    for &slot in &ascending {
+        lift.splat(merged.splats[slot as usize] as usize, &merged.grads[slot as usize]);
+    }
+    lift.finish(merged.stats)
+}
+
+/// Lifts summed screen-space gradients to parameter and pose gradients, one
+/// splat at a time.
+struct Lift<'a> {
+    cloud: &'a GaussianCloud,
+    projection: &'a Projection,
+    camera: &'a PinholeCamera,
+    rot_wc: Mat3,
+    rot_cw: Mat3,
+    grads: Option<GradBuffers>,
+    pose: Option<PoseGrad>,
+}
+
+impl<'a> Lift<'a> {
+    fn new(
+        cloud: &'a GaussianCloud,
+        projection: &'a Projection,
+        camera: &'a PinholeCamera,
+        mode: GradMode,
+    ) -> Self {
+        let want_params = matches!(mode, GradMode::Map | GradMode::Both);
+        let want_pose = matches!(mode, GradMode::Track | GradMode::Both);
+        let rot_wc = projection.world_to_cam.rotation_matrix();
+        Self {
+            cloud,
+            projection,
+            camera,
+            rot_wc,
+            rot_cw: rot_wc.transpose(),
+            grads: want_params.then(|| GradBuffers::zeros(cloud.len())),
+            pose: want_pose.then(PoseGrad::default),
         }
     }
 
-    // Lift screen-space gradients to parameters / pose.
-    let want_params = matches!(mode, GradMode::Map | GradMode::Both);
-    let want_pose = matches!(mode, GradMode::Track | GradMode::Both);
-    let mut grads = want_params.then(|| GradBuffers::zeros(cloud.len()));
-    let mut pose = want_pose.then(PoseGrad::default);
+    fn finish(self, stats: BackwardStats) -> BackwardOutput {
+        BackwardOutput { grads: self.grads, pose: self.pose, stats }
+    }
 
-    let rot_wc = projection.world_to_cam.rotation_matrix();
-    let rot_cw = rot_wc.transpose();
-
-    for (si, splat) in projection.splats.iter().enumerate() {
-        let gid = splat.id as usize;
-        let has_any = d_mean[si] != Vec2::ZERO
-            || d_color[si] != Vec3::ZERO
-            || d_opacity[si] != 0.0
-            || d_z[si] != 0.0
-            || d_conic[si] != [0.0; 3];
+    /// Lifts projected splat `si`'s summed gradient `sum`; a splat whose sums
+    /// are all zero got no gradient and is left untouched. Splats must come
+    /// in ascending `si` order: the pose twist sums over them.
+    fn splat(&mut self, si: usize, sum: &ScreenGrad) {
+        let ScreenGrad { d_mean: dm, d_conic: gk, d_z, d_color, d_opacity } = *sum;
+        let has_any = dm != Vec2::ZERO
+            || d_color != Vec3::ZERO
+            || d_opacity != 0.0
+            || d_z != 0.0
+            || gk != [0.0; 3];
         if !has_any {
-            continue;
+            return;
         }
-
+        let (camera, rot_wc, rot_cw) = (self.camera, self.rot_wc, self.rot_cw);
+        let splat = &self.projection.splats[si];
+        let gid = splat.id as usize;
         let (a_mat, j) = projection_jacobian(camera, splat.p_cam, &rot_wc);
-        let gauss = &cloud.gaussians()[gid];
+        let gauss = &self.cloud.gaussians()[gid];
 
         // ∂L/∂p_cam from the mean path plus the depth channel.
-        let dm = d_mean[si];
         let mut dp_cam = Vec3::new(
             j.at(0, 0) * dm.x + j.at(1, 0) * dm.y,
             j.at(0, 1) * dm.x + j.at(1, 1) * dm.y,
-            j.at(0, 2) * dm.x + j.at(1, 2) * dm.y + d_z[si],
+            j.at(0, 2) * dm.x + j.at(1, 2) * dm.y + d_z,
         );
 
         // Covariance chain shared by the parameter and position/pose paths.
-        let gk = d_conic[si];
         let mut d_sigma3: Option<Mat3> = None;
         if gk != [0.0; 3] {
             let k = Mat2::from_rows(splat.conic.0, splat.conic.1, splat.conic.1, splat.conic.2);
@@ -614,7 +714,7 @@ pub(crate) fn backward_taped(
             // Rotational pose path through W: a left twist rotates the
             // world-to-camera rotation, W' = R(δω)·W, so
             // ∂L/∂ωₖ = ⟨Jᵀ·(G+Gᵀ)·A·Σ3 , [eₖ]× · W⟩.
-            if let Some(p) = pose.as_mut() {
+            if let Some(p) = self.pose.as_mut() {
                 let dl_dw_mat = j.transpose() * (g_sym * a_mat * cov3);
                 for (k, axis) in [Vec3::X, Vec3::Y, Vec3::Z].into_iter().enumerate() {
                     let dw = Mat3::skew(axis) * rot_wc;
@@ -623,7 +723,7 @@ pub(crate) fn backward_taped(
             }
         }
 
-        if let Some(p) = pose.as_mut() {
+        if let Some(p) = self.pose.as_mut() {
             // p_cam' ≈ p_cam + v + ω × p_cam under a left twist update.
             p.twist[0] += dp_cam.x;
             p.twist[1] += dp_cam.y;
@@ -634,12 +734,12 @@ pub(crate) fn backward_taped(
             p.twist[5] += w_grad.z;
         }
 
-        if let Some(g) = grads.as_mut() {
+        if let Some(g) = self.grads.as_mut() {
             g.touched[gid] = true;
-            g.color[gid] += d_color[si];
+            g.color[gid] += d_color;
             // Opacity logit: α path uses o directly; o = σ(logit).
             let o = splat.opacity;
-            g.opacity_logit[gid] += d_opacity[si] * o * (1.0 - o);
+            g.opacity_logit[gid] += d_opacity * o * (1.0 - o);
             // Position through the camera rotation (mean + covariance paths).
             g.position[gid] += rot_cw.mul_vec(dp_cam);
 
@@ -668,8 +768,6 @@ pub(crate) fn backward_taped(
             }
         }
     }
-
-    BackwardOutput { grads, pose, stats }
 }
 
 /// Frobenius inner product of two 3×3 matrices.
@@ -735,37 +833,7 @@ mod tests {
         // Dense random scene with a skip set; both gradient modes; the chunked
         // fork-join path must match the serial path bit-for-bit at every
         // thread count.
-        let mut cloud = GaussianCloud::new();
-        let mut rng = Pcg32::seeded(77);
-        for _ in 0..250 {
-            cloud.push(Gaussian::isotropic(
-                Vec3::new(
-                    rng.range_f32(-0.8, 0.8),
-                    rng.range_f32(-0.6, 0.6),
-                    rng.range_f32(1.0, 4.0),
-                ),
-                rng.range_f32(0.03, 0.25),
-                Vec3::new(rng.next_f32(), rng.next_f32(), rng.next_f32()),
-                rng.range_f32(0.2, 0.95),
-            ));
-        }
-        let mut skip = crate::idset::IdSet::with_capacity(cloud.len());
-        for id in (0..cloud.len()).step_by(5) {
-            skip.insert(id);
-        }
-        let cam = PinholeCamera::from_fov(64, 48, 1.2);
-        let projection = project_gaussians(&cloud, &cam, &Se3::IDENTITY);
-        let tables = GaussianTables::build(&projection, &cam);
-        let out = rasterize(&cloud, &projection, &tables, &cam, &RenderOptions::default());
-        let mut gt_rng = Pcg32::seeded(5);
-        let gt_rgb = RgbImage::from_vec(
-            cam.width,
-            cam.height,
-            (0..cam.num_pixels()).map(|_| Vec3::splat(gt_rng.next_f32())).collect(),
-        );
-        let gt_depth = DepthImage::filled(cam.width, cam.height, 2.0);
-        let loss = compute_loss(&out, &gt_rgb, &gt_depth, &l2_config());
-
+        let (cloud, projection, tables, cam, loss, skip) = chunked_scene();
         let serial = backward(
             &cloud,
             &projection,
@@ -800,6 +868,184 @@ mod tests {
             assert_eq!(serial.stats.grad_ops, parallel.stats.grad_ops);
             assert_eq!(serial.stats.pixels, parallel.stats.pixels);
         }
+    }
+
+    /// The dense merge, kept as the touched-only merge's oracle: five
+    /// `V`-length sums over every chunk in chunk order.
+    fn dense_sums(n_splats: usize, chunks: &[ChunkGrads]) -> (Vec<ScreenGrad>, BackwardStats) {
+        let mut d_mean = vec![Vec2::ZERO; n_splats];
+        let mut d_conic = vec![[0.0f32; 3]; n_splats];
+        let mut d_z = vec![0.0f32; n_splats];
+        let mut d_color = vec![Vec3::ZERO; n_splats];
+        let mut d_opacity = vec![0.0f32; n_splats];
+        let mut stats = BackwardStats::default();
+        for chunk in chunks {
+            stats.grad_ops += chunk.stats.grad_ops;
+            stats.pixels += chunk.stats.pixels;
+            for (k, &si) in chunk.splats.iter().enumerate() {
+                let g = &chunk.grads[k];
+                let si = si as usize;
+                d_mean[si] += g.d_mean;
+                d_conic[si][0] += g.d_conic[0];
+                d_conic[si][1] += g.d_conic[1];
+                d_conic[si][2] += g.d_conic[2];
+                d_z[si] += g.d_z;
+                d_color[si] += g.d_color;
+                d_opacity[si] += g.d_opacity;
+            }
+        }
+        let sum = |si: usize| ScreenGrad {
+            d_mean: d_mean[si],
+            d_conic: d_conic[si],
+            d_z: d_z[si],
+            d_color: d_color[si],
+            d_opacity: d_opacity[si],
+        };
+        ((0..n_splats).map(sum).collect(), stats)
+    }
+
+    /// The bits of every float of a screen-space gradient.
+    fn screen_bits(g: &ScreenGrad) -> [u32; 10] {
+        let (m, k, c) = (g.d_mean, g.d_conic, g.d_color);
+        [m.x, m.y, k[0], k[1], k[2], g.d_z, c.x, c.y, c.z, g.d_opacity].map(f32::to_bits)
+    }
+
+    /// The bits of every float of a backward output, with its flags and stats.
+    #[allow(clippy::type_complexity)]
+    fn output_bits(out: &BackwardOutput) -> (Vec<u32>, Vec<bool>, Option<[u32; 6]>, [u64; 2]) {
+        let mut floats = Vec::new();
+        if let Some(g) = &out.grads {
+            for i in 0..g.touched.len() {
+                let (p, s, c) = (g.position[i], g.log_scale[i], g.color[i]);
+                floats.extend([p.x, p.y, p.z, s.x, s.y, s.z, c.x, c.y, c.z].map(f32::to_bits));
+                floats.extend(g.rotation[i].map(f32::to_bits));
+                floats.push(g.opacity_logit[i].to_bits());
+            }
+        }
+        let touched = out.grads.as_ref().map_or_else(Vec::new, |g| g.touched.clone());
+        let twist = out.pose.map(|p| p.twist.map(f32::to_bits));
+        (floats, touched, twist, [out.stats.grad_ops, out.stats.pixels])
+    }
+
+    /// The touched-only merge and lift against the dense oracle, bit for bit
+    /// (signed zeros included): the merged sums of every splat, then the
+    /// gradients, touched flags, pose twist and stats, in every gradient mode
+    /// at 1, 2 and 7 threads over three chunks. Besides the scene's own
+    /// gradients the chunks carry a splat whose partials cancel to exactly
+    /// `0.0` across chunks (no gradient, so not touched), one whose partials
+    /// are all `−0.0` (the dense sum is `+0.0`), and one with a `−0.0` partial
+    /// beside a real gradient.
+    #[test]
+    fn touched_only_merge_matches_the_dense_merge() {
+        let (cloud, projection, tables, cam, loss, skip) = chunked_scene();
+        let n_splats = projection.splats.len();
+        assert!(tables.grid.num_tiles().div_ceil(TILES_PER_CHUNK) >= 3, "need three chunks");
+        for threads in [1, 2, 7] {
+            let par = Parallelism::with_threads(threads).min_items(0);
+            let mut chunks = backward_chunks(
+                BackendKind::Vectorized,
+                &projection,
+                &tables,
+                &cam,
+                &loss,
+                Some(&skip),
+                &par,
+                None,
+            );
+            assert!(chunks.len() >= 3 && chunks.iter().all(|c| !c.splats.is_empty()));
+            // Visible splats no chunk touched: skipped ones.
+            let untouched: Vec<u32> = (0..n_splats as u32)
+                .filter(|si| chunks.iter().all(|c| !c.splats.contains(si)))
+                .take(3)
+                .collect();
+            let [cancel, neg_zero, mixed] = untouched[..] else { panic!("{untouched:?}") };
+            let push = |chunk: &mut ChunkGrads, si: u32, g: ScreenGrad| {
+                chunk.splats.push(si);
+                chunk.grads.push(g);
+            };
+            let half =
+                ScreenGrad { d_color: Vec3::new(0.25, 0.0, 0.0), d_z: 0.5, ..ScreenGrad::ZERO };
+            let minus = ScreenGrad { d_color: Vec3::new(-0.25, 0.0, 0.0), d_z: -0.5, ..half };
+            push(&mut chunks[0], cancel, half);
+            push(&mut chunks[2], cancel, minus);
+            let negative_zero = ScreenGrad {
+                d_mean: Vec2::new(-0.0, -0.0),
+                d_conic: [-0.0; 3],
+                d_z: -0.0,
+                d_color: Vec3::splat(-0.0),
+                d_opacity: -0.0,
+            };
+            push(&mut chunks[1], neg_zero, negative_zero);
+            push(&mut chunks[2], neg_zero, negative_zero);
+            push(&mut chunks[1], mixed, ScreenGrad { d_opacity: 0.125, ..negative_zero });
+
+            let (dense, dense_stats) = dense_sums(n_splats, &chunks);
+            let (merged, _) = merge_chunks(n_splats, &chunks);
+            for (k, &si) in merged.splats.iter().enumerate() {
+                let (got, want) = (screen_bits(&merged.grads[k]), screen_bits(&dense[si as usize]));
+                assert_eq!(got, want, "{threads} threads: splat {si}");
+            }
+            let unmerged = (0..n_splats as u32).filter(|si| !merged.splats.contains(si));
+            for si in unmerged {
+                assert_eq!(screen_bits(&dense[si as usize]), [0; 10], "splat {si} got a gradient");
+            }
+            assert_eq!(screen_bits(&dense[neg_zero as usize]), [0; 10], "0.0 + −0.0 is +0.0");
+
+            for mode in [GradMode::Map, GradMode::Track, GradMode::Both] {
+                let what = format!("{mode:?}, {threads} threads");
+                let got = lift_chunks(&cloud, &projection, &cam, mode, &chunks);
+                let mut lift = Lift::new(&cloud, &projection, &cam, mode);
+                for (si, sum) in dense.iter().enumerate() {
+                    lift.splat(si, sum);
+                }
+                let want = lift.finish(dense_stats);
+                assert_eq!(output_bits(&got), output_bits(&want), "{what}");
+                if let Some(g) = &got.grads {
+                    let id = |si: u32| projection.splats[si as usize].id as usize;
+                    assert!(!g.touched[id(cancel)] && !g.touched[id(neg_zero)], "{what}");
+                    assert!(g.touched[id(mixed)], "{what}");
+                    assert!(g.touched_count() > 3, "{what}: the scene must produce gradients");
+                }
+            }
+        }
+    }
+
+    /// A dense random scene with a skip set on a 64×48 camera (12 tiles:
+    /// three backward chunks), and an L2 loss against random ground truth.
+    fn chunked_scene(
+    ) -> (GaussianCloud, Projection, GaussianTables, PinholeCamera, LossResult, crate::idset::IdSet)
+    {
+        let mut cloud = GaussianCloud::new();
+        let mut rng = Pcg32::seeded(77);
+        for _ in 0..250 {
+            cloud.push(Gaussian::isotropic(
+                Vec3::new(
+                    rng.range_f32(-0.8, 0.8),
+                    rng.range_f32(-0.6, 0.6),
+                    rng.range_f32(1.0, 4.0),
+                ),
+                rng.range_f32(0.03, 0.25),
+                Vec3::new(rng.next_f32(), rng.next_f32(), rng.next_f32()),
+                rng.range_f32(0.2, 0.95),
+            ));
+        }
+        let mut skip = crate::idset::IdSet::with_capacity(cloud.len());
+        for id in (0..cloud.len()).step_by(5) {
+            skip.insert(id);
+        }
+        let cam = PinholeCamera::from_fov(64, 48, 1.2);
+        let projection = project_gaussians(&cloud, &cam, &Se3::IDENTITY);
+        let tables = GaussianTables::build(&projection, &cam);
+        let out = rasterize(&cloud, &projection, &tables, &cam, &RenderOptions::default());
+        let mut gt_rng = Pcg32::seeded(5);
+        let gt_rgb = RgbImage::from_vec(
+            cam.width,
+            cam.height,
+            (0..cam.num_pixels()).map(|_| Vec3::splat(gt_rng.next_f32())).collect(),
+        );
+        let gt_depth = DepthImage::filled(cam.width, cam.height, 2.0);
+        let loss = compute_loss(&out, &gt_rgb, &gt_depth, &l2_config());
+        (cloud, projection, tables, cam, loss, skip)
     }
 
     fn camera() -> PinholeCamera {
